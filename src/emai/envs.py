@@ -19,6 +19,7 @@ import numpy as np
 # action indices, fixed across all environments
 STAY, UP, DOWN, LEFT, RIGHT = range(5)
 DELTAS = ((0, 0), (-1, 0), (1, 0), (0, -1), (0, 1))  # (drow, dcol)
+_DELTA_ARRAY = np.array(DELTAS, dtype=np.int64)
 ACTION_NAMES = ("stay", "up", "down", "left", "right")
 
 
@@ -81,6 +82,13 @@ class StepResult:
     done: bool
 
 
+@dataclass
+class BatchStepResult:
+    observations: np.ndarray  # (B, n_agents, obs_dim)
+    reward: np.ndarray  # (B,)
+    done: bool  # rows share t, so they all end together
+
+
 class _GridEnv:
     """Shared movement/bookkeeping for the built-in gridworlds."""
 
@@ -134,6 +142,92 @@ class _GridEnv:
     def step(self, joint_action) -> StepResult:
         raise NotImplementedError
 
+    # batched counterparts of the hooks above, driven by GridBatch:
+    # _passable_batch, _move_batch, _observe_batch, _step_batch
+    def branch(self, size: int) -> "GridBatch":
+        """`size` independent copies of the current state, to step in lockstep."""
+        return GridBatch(self, size)
+
+    def _open_cells(self) -> np.ndarray:
+        """Passable cells as a bool grid inside a one-cell closed border, so a
+        move off the edge lands on the border instead of wrapping around."""
+        grid = np.zeros((self._rows + 2, self._cols + 2), dtype=bool)
+        grid[1:-1, 1:-1] = True
+        for r, c in self._wall_cells():
+            grid[r + 1, c + 1] = False
+        return grid
+
+    def _passable_batch(self, batch: "GridBatch", cells: np.ndarray) -> np.ndarray:
+        return batch.open_cells[cells[..., 0] + 1, cells[..., 1] + 1]
+
+    def _move_batch(self, batch: "GridBatch", actions: np.ndarray) -> None:
+        cand = batch.positions + _DELTA_ARRAY[actions]
+        stay = ~self._passable_batch(batch, cand)
+        batch.positions = np.where(stay[..., None], batch.positions, cand)
+
+    def _observe_batch(self, batch: "GridBatch") -> np.ndarray:
+        raise NotImplementedError
+
+    def _step_batch(self, batch: "GridBatch", actions: np.ndarray) -> np.ndarray:
+        """Move every row and return its reward; GridBatch advances t."""
+        raise NotImplementedError
+
+
+class GridBatch:
+    """`size` copies of one gridworld state, stepped in lockstep.
+
+    Each row has its own agent positions, a (size, n_agents, 2) int array,
+    and on keycorridor its own door flag. Walls, landmarks and the step
+    counter t are shared, so all rows end together. Row b of step() equals,
+    bitwise, the scalar env stepped with joint_actions[b], and bad input
+    raises the same EnvError.
+    """
+
+    def __init__(self, env: _GridEnv, size: int):
+        if size < 1:
+            raise ValueError("a batch needs size >= 1")
+        if not env.positions:
+            raise EnvError("branch() needs an environment that has been reset")
+        self.env = env
+        self.t = env.t
+        self.done = env.done
+        self.positions = np.tile(np.array(env.positions, dtype=np.int64), (size, 1, 1))
+        self.door_open: np.ndarray | None = None  # (size,) bool, set by envs with a door
+        self.open_cells = env._open_cells()
+        n = env.spec.n_agents
+        # others[i]: the other agents in index order, as each observation lists them
+        self.others = np.array([[j for j in range(n) if j != i] for i in range(n)])
+
+    @property
+    def size(self) -> int:
+        return len(self.positions)
+
+    def observations(self) -> np.ndarray:
+        return self.env._observe_batch(self)
+
+    def _validate_actions(self, joint_actions) -> np.ndarray:
+        if self.done:
+            raise EnvError("step() called on a terminated batch; branch a live state")
+        acts = np.asarray(joint_actions, dtype=np.int64)
+        spec = self.env.spec
+        if acts.shape != (self.size, spec.n_agents):
+            raise EnvError(f"joint actions need shape ({self.size}, {spec.n_agents}), "
+                           f"got {acts.shape}")
+        n_actions = spec.action_space.n
+        bad = (acts < 0) | (acts >= n_actions)
+        if bad.any():
+            b, i = np.argwhere(bad)[0]
+            raise EnvError(f"row {b}, agent {i}: action index {acts[b, i]} "
+                           f"outside [0, {n_actions})")
+        return acts
+
+    def step(self, joint_actions) -> BatchStepResult:
+        acts = self._validate_actions(joint_actions)
+        reward = self.env._step_batch(self, acts)
+        self.t += 1
+        self.done = self.t >= self.env.spec.horizon
+        return BatchStepResult(self.observations(), reward, self.done)
+
 
 def _norm_pos(pos: tuple[int, int], rows: int, cols: int) -> tuple[float, float]:
     return (2.0 * pos[0] / (rows - 1) - 1.0, 2.0 * pos[1] / (cols - 1) - 1.0)
@@ -141,6 +235,18 @@ def _norm_pos(pos: tuple[int, int], rows: int, cols: int) -> tuple[float, float]
 
 def _rel(a: tuple[int, int], b: tuple[int, int], rows: int, cols: int) -> tuple[float, float]:
     return ((b[0] - a[0]) / (rows - 1), (b[1] - a[1]) / (cols - 1))
+
+
+def _norm_pos_batch(pos: np.ndarray, rows: int, cols: int) -> np.ndarray:
+    """_norm_pos over a (..., 2) int array, with the same float operations."""
+    return 2.0 * pos / np.array([rows - 1, cols - 1]) - 1.0
+
+
+def _rel_batch(own: np.ndarray, points: np.ndarray, rows: int, cols: int) -> np.ndarray:
+    """_rel from each own position (B, n, 2) to k points, given as (k, 2) or
+    (B, n, k, 2); flattened to (B, n, 2k) in point order."""
+    rel = (points - own[:, :, None, :]) / np.array([rows - 1, cols - 1])
+    return rel.reshape(own.shape[0], own.shape[1], -1)
 
 
 class Spread(_GridEnv):
@@ -208,6 +314,21 @@ class Spread(_GridEnv):
         self.t += 1
         self.done = self.t >= self.spec.horizon
         return StepResult(self._state(), self.observations(), self._reward(), self.done)
+
+    def _observe_batch(self, batch: GridBatch) -> np.ndarray:
+        pos, g = batch.positions, self.grid
+        return np.concatenate([_norm_pos_batch(pos, g, g),
+                               _rel_batch(pos, np.array(self.landmarks), g, g),
+                               _rel_batch(pos, pos[:, batch.others], g, g)], axis=-1)
+
+    def _step_batch(self, batch: GridBatch, actions: np.ndarray) -> np.ndarray:
+        self._move_batch(batch, actions)
+        pos = batch.positions
+        dist = np.abs(pos[:, :, None, :] - np.array(self.landmarks)).sum(axis=-1)
+        dist_sum = dist.min(axis=1).sum(axis=1)  # nearest agent per landmark
+        i, j = np.triu_indices(self.n, 1)
+        shared = (pos[:, i] == pos[:, j]).all(axis=-1).sum(axis=1)
+        return -(1.0 / (self.n * self.grid)) * dist_sum - 0.05 * shared
 
 
 def spread_reward(positions, landmarks, n: int, grid: int) -> float:
@@ -304,6 +425,30 @@ class KeyCorridor(_GridEnv):
         self.done = self.t >= self.spec.horizon
         return StepResult(self._state(), self.observations(), reward, self.done)
 
+    def branch(self, size: int) -> GridBatch:
+        batch = super().branch(size)
+        batch.door_open = np.full(size, self.door_open)
+        return batch
+
+    def _passable_batch(self, batch: GridBatch, cells: np.ndarray) -> np.ndarray:
+        at_door = (cells == self.DOOR).all(axis=-1)
+        return super()._passable_batch(batch, cells) & (batch.door_open[:, None] | ~at_door)
+
+    def _observe_batch(self, batch: GridBatch) -> np.ndarray:
+        pos, rows, cols = batch.positions, self.ROWS, self.COLS
+        door = np.where(batch.door_open, 1.0, -1.0)
+        anchors = np.array([self.SWITCH, self.DOOR, self.GOAL_ANCHOR])
+        return np.concatenate([_norm_pos_batch(pos, rows, cols),
+                               np.broadcast_to(door[:, None, None], (*pos.shape[:2], 1)),
+                               _rel_batch(pos, anchors, rows, cols),
+                               _rel_batch(pos, pos[:, batch.others], rows, cols)], axis=-1)
+
+    def _step_batch(self, batch: GridBatch, actions: np.ndarray) -> np.ndarray:
+        self._move_batch(batch, actions)
+        batch.door_open |= (batch.positions == self.SWITCH).all(axis=-1).any(axis=1)
+        in_goal = (batch.positions[..., 1] == self.GOAL_COL).sum(axis=1)
+        return 0.1 * in_goal - 0.01
+
 
 class Diagnostic(_GridEnv):
     """Instrumented gridworld for explainer sanity checks.
@@ -377,6 +522,25 @@ class Diagnostic(_GridEnv):
         self.t += 1
         self.done = self.t >= self.spec.horizon
         return StepResult(self._state(), self.observations(), reward, self.done)
+
+    def _move_batch(self, batch: GridBatch, actions: np.ndarray) -> None:
+        actions = actions.copy()
+        actions[:, list(self.inert)] = STAY
+        super()._move_batch(batch, actions)
+
+    def _observe_batch(self, batch: GridBatch) -> np.ndarray:
+        pos, g = batch.positions, self.grid
+        return np.concatenate([_norm_pos_batch(pos, g, g),
+                               _rel_batch(pos, np.array([self.landmark]), g, g),
+                               _rel_batch(pos, pos[:, batch.others], g, g)], axis=-1)
+
+    def _step_batch(self, batch: GridBatch, actions: np.ndarray) -> np.ndarray:
+        self._move_batch(batch, actions)
+        if self.zero_reward:
+            return np.zeros(batch.size)
+        active = [i for i in range(self.n) if i not in self.inert]
+        dist = np.abs(batch.positions[:, active] - np.array(self.landmark)).sum(axis=(1, 2))
+        return -dist / (max(1, len(active)) * self.grid)
 
 
 _REGISTRY = {

@@ -2,13 +2,14 @@
 a brute-force Monte-Carlo counterfactual oracle.
 
 The oracle measures directly how the remaining episode reward moves when a
-single agent's actions are randomized from the queried step onward. It is
-far too slow to be the product, but at desk scale it doubles as both a
-baseline and the independent ground truth for tests.
+single agent's actions are randomized from the queried step onward. It runs
+all its suffix rollouts as one lockstep batch of the branched environment,
+yet remains far too slow to be the product; at desk scale it doubles as both
+a baseline and the independent ground truth for tests.
 
 Access discipline: emai / random / mc_oracle touch the target only through
-act(); value- and gradient-based baselines need the privileged accessor and
-therefore a learned target.
+act()/act_batch(); value- and gradient-based baselines need the privileged
+accessor and therefore a learned target.
 """
 from __future__ import annotations
 
@@ -19,7 +20,7 @@ import numpy as np
 
 from . import nn
 from .ctde import argmax_low, one_hot
-from .envs import make_env, random_action
+from .envs import make_env
 from .masking import MaskingPolicy
 from .nn import Tensor
 from .rng import stream
@@ -139,41 +140,54 @@ def _suffix_return(env, target) -> float:
     return total
 
 
-def _randomized_suffix_return(env, target, agent: int, rng: np.random.Generator) -> float:
-    total = 0.0
-    done = env.done
-    obs = env.observations()
-    space = env.spec.action_space
-    while not done:
-        actions = greedy_actions(target, obs)
-        actions[agent] = random_action(space, rng)
-        result = env.step(actions)
-        total += result.reward
-        obs, done = result.observations, result.done
-    return total
+def _randomized_suffix_return(env, target, agents: np.ndarray, draws: np.ndarray) -> np.ndarray:
+    """Suffix returns of len(agents) lockstep branches of env: in row b, agent
+    agents[b] plays draws[b, s] at suffix step s and every other agent acts
+    greedily. Returns one total per row."""
+    batch = env.branch(len(agents))
+    rows = np.arange(len(agents))
+    n = env.spec.n_agents
+    totals = np.zeros(len(agents))
+    obs = batch.observations()
+    s = 0
+    while not batch.done:
+        actions = np.stack([target.act_batch(obs[:, j], j) for j in range(n)], axis=1)
+        actions[rows, agents] = draws[:, s]
+        result = batch.step(actions)
+        totals += result.reward
+        obs = result.observations
+        s += 1
+    return totals
 
 
 def mc_counterfactual_oracle(target, env, episode_seed: int, prefix_actions,
                              rollouts: int, seed: int = 0
                              ) -> tuple[np.ndarray, np.ndarray]:
     """Per-agent |change in remaining episode reward| when that agent alone
-    acts randomly from here on; returns (scores, standard errors)."""
+    acts randomly from here on; returns (scores, standard errors).
+
+    Rollout k of agent i draws its actions from
+    stream(seed, "mc-oracle", episode_seed, t, i, k), one per suffix step.
+    """
     if rollouts < 1:
         raise ValueError("rollouts must be >= 1")
     replay_prefix(env, episode_seed, prefix_actions)
-    base_env = env
     n = env.spec.n_agents
     t = len(prefix_actions)
-    unmasked = _suffix_return(copy.deepcopy(base_env), target)
+    unmasked = _suffix_return(copy.deepcopy(env), target)
+    steps = env.spec.horizon - t
+    # a size-m draw yields the same values as m single draws from the stream
+    draws = np.stack([
+        stream(seed, "mc-oracle", episode_seed, t, i, k).integers(
+            0, env.spec.action_space.n, size=steps)
+        for i in range(n) for k in range(rollouts)])
+    agents = np.repeat(np.arange(n), rollouts)
+    returns = _randomized_suffix_return(env, target, agents, draws).reshape(n, rollouts)
     scores = np.zeros(n)
     stderr = np.zeros(n)
     for i in range(n):
-        returns = np.empty(rollouts)
-        for k in range(rollouts):
-            rng = stream(seed, "mc-oracle", episode_seed, t, i, k)
-            returns[k] = _randomized_suffix_return(copy.deepcopy(base_env), target, i, rng)
-        scores[i] = abs(returns.mean() - unmasked)
-        stderr[i] = returns.std(ddof=1) / np.sqrt(rollouts) if rollouts > 1 else 0.0
+        scores[i] = abs(returns[i].mean() - unmasked)
+        stderr[i] = returns[i].std(ddof=1) / np.sqrt(rollouts) if rollouts > 1 else 0.0
     return scores, stderr
 
 
@@ -195,6 +209,9 @@ class McOracleExplainer(Explainer):
     def scores_with_stderr(self, ctx: ExplainContext) -> tuple[np.ndarray, np.ndarray]:
         if not ctx.env_name:
             raise ValueError("the oracle needs a replayable context (env_name/seed/prefix)")
+        if len(ctx.prefix_actions) != ctx.t:
+            raise ValueError(f"the oracle replays the prefix to reach step t: got "
+                             f"{len(ctx.prefix_actions)} prefix actions for t={ctx.t}")
         env = make_env(ctx.env_name, **ctx.env_params)
         return mc_counterfactual_oracle(self.target, env, ctx.episode_seed,
                                         ctx.prefix_actions, self.rollouts, self.seed)

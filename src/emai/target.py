@@ -33,6 +33,16 @@ class TargetPolicy:
     def act(self, obs: np.ndarray, agent_id: int) -> int:
         raise NotImplementedError
 
+    def act_batch(self, obs: np.ndarray, agent_id: int) -> np.ndarray:
+        """act() over the rows of obs (B, obs_dim); returns (B,) int64.
+
+        Overrides must give exactly [act(row, agent_id) for row in obs]. The
+        default loops over act(), which keeps black-box and learned targets
+        exact: a batched matmul need not round like a one-row product.
+        """
+        obs = self._check_obs_batch(obs)
+        return np.array([self.act(row, agent_id) for row in obs], dtype=np.int64)
+
     def descriptor(self) -> str:
         raise NotImplementedError
 
@@ -45,6 +55,12 @@ class TargetPolicy:
             raise ValueError(f"observation shape {obs.shape} vs expected ({self.obs_dim},)")
         return obs
 
+    def _check_obs_batch(self, obs: np.ndarray) -> np.ndarray:
+        obs = np.asarray(obs, dtype=np.float64)
+        if obs.ndim != 2 or obs.shape[1] != self.obs_dim:
+            raise ValueError(f"observation batch shape {obs.shape} vs expected (B, {self.obs_dim})")
+        return obs
+
 
 def _denorm(value: float, extent: int) -> int:
     """Undo the [-1, 1] own-position normalization, robust to noisy inputs."""
@@ -54,6 +70,17 @@ def _denorm(value: float, extent: int) -> int:
 
 def _denorm_rel(value: float, extent: int) -> int:
     return int(round(value * (extent - 1)))
+
+
+# Batched _denorm/_denorm_rel. np.rint and round() both round half to even.
+# Clipping before the int cast changes no in-range result (callers clamp the
+# cell to the grid) but keeps huge inputs from overflowing into bad indices.
+def _denorm_batch(values: np.ndarray, extent: int) -> np.ndarray:
+    return np.clip(np.rint((values + 1.0) * (extent - 1) / 2.0), 0, extent - 1).astype(np.int64)
+
+
+def _denorm_rel_batch(values: np.ndarray, extent: int) -> np.ndarray:
+    return np.clip(np.rint(values * (extent - 1)), 1 - extent, extent - 1).astype(np.int64)
 
 
 class ScriptedSpread(TargetPolicy):
@@ -166,6 +193,7 @@ class ScriptedKeyCorridor(TargetPolicy):
             ("goal", True): _bfs_distances(passable_open, rows, cols, KeyCorridor.GOAL_ANCHOR),
             ("wait", False): _bfs_distances(passable_closed, rows, cols, self.ANTECHAMBER),
         }
+        self._tables: dict | None = None  # next-move lookup, see _next_moves
 
     def descriptor(self) -> str:
         return "scripted:keycorridor:weakened" if self.weakened else "scripted:keycorridor"
@@ -181,6 +209,17 @@ class ScriptedKeyCorridor(TargetPolicy):
             if d is not None and d < best_d:
                 best_action, best_d = action, d
         return best_action
+
+    def _next_moves(self) -> dict:
+        """_move_toward for every cell of each BFS map, as (ROWS, COLS) action
+        tables; built on first use so construction stays cheap."""
+        if self._tables is None:
+            rows, cols = KeyCorridor.ROWS, KeyCorridor.COLS
+            self._tables = {
+                key: np.array([[self._move_toward((r, c), dist) for c in range(cols)]
+                               for r in range(rows)], dtype=np.int64)
+                for key, dist in self._maps.items()}
+        return self._tables
 
     def _teammates(self, obs: np.ndarray, own: tuple[int, int]) -> list[tuple[int, int]]:
         rows, cols = KeyCorridor.ROWS, KeyCorridor.COLS
@@ -203,6 +242,23 @@ class ScriptedKeyCorridor(TargetPolicy):
                     return STAY  # foot-dragging: advances on half the steps
             return self._move_toward(own, self._maps[("switch", False)])
         return self._move_toward(own, self._maps[("wait", False)])
+
+    def act_batch(self, obs: np.ndarray, agent_id: int) -> np.ndarray:
+        """act() over rows via the next-move tables; non-finite input raises."""
+        obs = self._check_obs_batch(obs)
+        if not np.isfinite(obs).all():
+            raise ValueError("observation batch has non-finite entries")
+        rows, cols = KeyCorridor.ROWS, KeyCorridor.COLS
+        tables = self._next_moves()
+        r, c = _denorm_batch(obs[:, 0], rows), _denorm_batch(obs[:, 1], cols)
+        closed = tables[("switch", False) if agent_id == 0 else ("wait", False)][r, c]
+        if agent_id == 0 and self.weakened:
+            mate_r = np.clip(r + _denorm_rel_batch(obs[:, 9], rows), 0, rows - 1)
+            mate_c = np.clip(c + _denorm_rel_batch(obs[:, 10], cols), 0, cols - 1)
+            at_switch = (r == KeyCorridor.SWITCH[0]) & (c == KeyCorridor.SWITCH[1])
+            stall = ~at_switch & ((mate_r + mate_c) % 2 == 1)
+            closed = np.where(stall, STAY, closed)
+        return np.where(obs[:, 2] > 0.0, tables[("goal", True)][r, c], closed)
 
 
 class ScriptedDiagnostic(TargetPolicy):

@@ -1,6 +1,8 @@
 """Environment contracts: determinism, shapes, rewards, movement rules."""
 from __future__ import annotations
 
+import copy
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -212,3 +214,104 @@ def test_keycorridor_geometry_sanity():
         assert zone_cell[0] == 4  # agent 0 starts inside the corridor
     for zone in KeyCorridor.START_ZONES:
         assert KeyCorridor.SWITCH not in zone
+
+
+# ---- batched branches: GridBatch must reproduce the scalar env bitwise ----
+
+def _same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _step_lockstep(batch, copies, joint_actions):
+    """Step the batch and one scalar copy per row; assert bitwise equality."""
+    result = batch.step(joint_actions)
+    scalar = [c.step(list(a)) for c, a in zip(copies, joint_actions)]
+    assert _same_bits(result.observations, np.stack([s.observations for s in scalar]))
+    assert _same_bits(result.reward, np.array([s.reward for s in scalar]))
+    assert result.done == scalar[0].done
+    assert [list(map(tuple, p)) for p in batch.positions.tolist()] == [c.positions for c in copies]
+    return result
+
+
+BATCH_CASES = [
+    ("spread", {"n_agents": 3, "grid": 4, "horizon": 12}),
+    ("spread", {"n_agents": 4, "grid": 2, "horizon": 8}),  # agents crowd and share cells
+    ("keycorridor", {}),
+    ("diagnostic", {"n_agents": 3, "grid": 4, "horizon": 10, "inert": (1,)}),
+    ("diagnostic", {"n_agents": 3, "grid": 5, "horizon": 10, "zero_reward": True}),
+]
+
+
+@pytest.mark.parametrize("name,params", BATCH_CASES)
+def test_batch_matches_scalar_copies_under_random_actions(name, params):
+    env = make_env(name, **params)
+    n, size = env.spec.n_agents, 24
+    bumps = shared = 0
+    for seed in range(3):
+        env.reset(seed)
+        rng = stream(seed, "batch-vs-scalar", name)
+        for _ in range(seed * 2):  # branch from a few different t
+            env.step(rng.integers(0, 5, size=n))
+        batch = env.branch(size)
+        copies = [copy.deepcopy(env) for _ in range(size)]
+        assert _same_bits(batch.observations(), np.stack([c.observations() for c in copies]))
+        while not batch.done:
+            before = batch.positions.copy()
+            acts = rng.integers(0, 5, size=(size, n))
+            _step_lockstep(batch, copies, acts)
+            bumps += int(((acts != STAY) & (batch.positions == before).all(axis=-1)).sum())
+            shared += sum(len(set(c.positions)) < n for c in copies)
+    assert bumps > 0  # walls, edges or the door blocked some moves
+    if name == "spread":
+        assert shared > 0
+
+
+def test_batch_door_opens_per_row_mid_rollout():
+    env = make_env("keycorridor")
+    env.reset(0)
+    env.positions = [(4, 3), (2, 4), (0, 3)]  # agent 0 beside the switch, 1 at the door
+    batch = env.branch(2)
+    copies = [copy.deepcopy(env) for _ in range(2)]
+    # row 1 steps agent 0 onto the switch; agent 1 still bumps the closed door
+    _step_lockstep(batch, copies, [[STAY, RIGHT, STAY], [RIGHT, RIGHT, STAY]])
+    assert batch.door_open.tolist() == [False, True]
+    assert batch.positions[:, 1].tolist() == [[2, 4], [2, 4]]
+    # next step the door lets agent 1 through in row 1 only
+    result = _step_lockstep(batch, copies, [[STAY, RIGHT, STAY], [LEFT, RIGHT, STAY]])
+    assert batch.positions[:, 1].tolist() == [[2, 4], [2, 5]]
+    assert result.observations[:, :, 2].tolist() == [[-1.0] * 3, [1.0] * 3]
+    assert not env.door_open  # branching copied the state; the source env is untouched
+
+
+def test_batch_inert_agent_never_moves():
+    env = make_env("diagnostic", n_agents=3, grid=6, inert=(2,))
+    env.reset(5)
+    batch = env.branch(16)
+    rng = stream(5, "inert-batch")
+    while not batch.done:
+        batch.step(rng.integers(0, 5, size=(16, 3)))
+        assert (batch.positions[:, 2] == env.positions[2]).all()
+
+
+def test_batch_rejects_what_the_scalar_env_rejects():
+    env = make_env("spread", n_agents=2, grid=5, horizon=2)
+    env.reset(0)
+    batch = env.branch(3)
+    with pytest.raises(EnvError):
+        env.step([7, 0])
+    with pytest.raises(EnvError, match="row 1, agent 0"):
+        batch.step([[0, 0], [7, 0], [0, 0]])
+    with pytest.raises(EnvError):
+        batch.step([[0, -1], [0, 0], [0, 0]])
+    with pytest.raises(EnvError):
+        batch.step([[0, 0], [0, 0]])  # one row short
+    batch.step(np.zeros((3, 2), dtype=int))
+    batch.step(np.zeros((3, 2), dtype=int))
+    assert batch.done
+    with pytest.raises(EnvError):
+        batch.step(np.zeros((3, 2), dtype=int))
+    with pytest.raises(ValueError):
+        env.branch(0)
+    with pytest.raises(EnvError):
+        make_env("keycorridor").branch(2)  # never reset

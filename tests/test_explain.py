@@ -2,20 +2,22 @@
 from __future__ import annotations
 
 import ast
+import copy
 import inspect
 
 import numpy as np
 import pytest
 
 from emai import explain as explain_mod
-from emai.envs import make_env
+from emai.envs import make_env, random_action
 from emai.explain import (EmaiExplainer, ExplainContext, GradientBasedExplainer,
                           McOracleExplainer, RandomExplainer, ValueBasedExplainer,
                           explain, make_explainer, mc_counterfactual_oracle)
 from emai.masking import MaskingPolicy
 from emai.rng import stream
-from emai.rollout import run_target_episode
-from emai.target import (AgentQNet, CapabilityError, LearnedPolicy, scripted_policy)
+from emai.rollout import greedy_actions, replay_prefix, run_target_episode
+from emai.target import (AgentQNet, CapabilityError, LearnedPolicy, TargetPolicy,
+                         scripted_by_name, scripted_policy)
 from emai import ctde
 
 
@@ -212,3 +214,104 @@ def test_prefix_replay_context_reaches_oracle():
                          env.name, env.params, 0, prefix)
     scores = ex.scores(ctx)
     assert scores.shape == (3,) and np.all(np.isfinite(scores))
+
+
+# ---- the batched oracle against the scalar reference ----
+
+def _scalar_oracle(target, env, episode_seed, prefix_actions, rollouts, seed=0):
+    """Reference oracle: one env deepcopy and one scalar suffix rollout per
+    (agent, rollout), drawing each random action as the step comes."""
+    replay_prefix(env, episode_seed, prefix_actions)
+    n = env.spec.n_agents
+    t = len(prefix_actions)
+    unmasked = explain_mod._suffix_return(copy.deepcopy(env), target)
+    scores, stderr = np.zeros(n), np.zeros(n)
+    for i in range(n):
+        returns = np.empty(rollouts)
+        for k in range(rollouts):
+            rng = stream(seed, "mc-oracle", episode_seed, t, i, k)
+            branch = copy.deepcopy(env)
+            total, obs, done = 0.0, branch.observations(), branch.done
+            while not done:
+                actions = greedy_actions(target, obs)
+                actions[i] = random_action(branch.spec.action_space, rng)
+                result = branch.step(actions)
+                total += result.reward
+                obs, done = result.observations, result.done
+            returns[k] = total
+        scores[i] = abs(returns.mean() - unmasked)
+        stderr[i] = returns.std(ddof=1) / np.sqrt(rollouts) if rollouts > 1 else 0.0
+    return scores, stderr
+
+
+def _assert_oracles_equal(target, env_name, env_params, episode_seed, prefix, rollouts, seed):
+    batched = mc_counterfactual_oracle(target, make_env(env_name, **env_params),
+                                       episode_seed, prefix, rollouts, seed)
+    scalar = _scalar_oracle(target, make_env(env_name, **env_params),
+                            episode_seed, prefix, rollouts, seed)
+    assert np.array_equal(batched[0], scalar[0]) and np.array_equal(batched[1], scalar[1])
+    return batched
+
+
+@pytest.mark.parametrize("variant,episode", [("default", 3), ("weakened", 5)])
+def test_batched_oracle_matches_scalar_on_keycorridor(variant, episode):
+    env = make_env("keycorridor")
+    pol = scripted_by_name(env, variant)
+    trace = run_target_episode(env, episode, pol)
+    assert len(trace.steps) == 30
+    for t in (0, 6, 12, 18, 24, 29, 30):
+        prefix = [s.final_actions for s in trace.steps[:t]]
+        scores, stderr = _assert_oracles_equal(pol, "keycorridor", {}, episode, prefix,
+                                               rollouts=8, seed=4)
+        if t == 30:  # nothing left to randomize
+            assert not scores.any() and not stderr.any()
+
+
+def test_batched_oracle_matches_scalar_on_diagnostic():
+    for params in ({"n_agents": 3, "grid": 6, "horizon": 10, "inert": (2,)},
+                   {"n_agents": 3, "grid": 5, "horizon": 8, "zero_reward": True}):
+        env = make_env("diagnostic", **params)
+        pol = scripted_policy(env)
+        scores, _ = _assert_oracles_equal(pol, "diagnostic", params, 4, [[1, 2, 3]] * 3,
+                                          rollouts=8, seed=0)
+        assert scores[2] == 0.0
+
+
+def test_batched_oracle_matches_scalar_with_learned_target():
+    params = {"n_agents": 3, "grid": 5, "horizon": 8}
+    pol = _learned_target(make_env("spread", **params), seed=2)
+    assert type(pol).act_batch is TargetPolicy.act_batch  # the default loop
+    _assert_oracles_equal(pol, "spread", params, 6, [[4, 0, 1]] * 2, rollouts=4, seed=1)
+
+
+def test_batched_oracle_single_rollout_has_zero_stderr():
+    env = make_env("keycorridor")
+    pol = scripted_policy(env)
+    _, stderr = _assert_oracles_equal(pol, "keycorridor", {}, 2, [], rollouts=1, seed=7)
+    assert not stderr.any()
+
+
+def test_sized_draw_equals_single_draws():
+    # the oracle takes a rollout's actions in one draw of size m; the scalar
+    # path drew them one per step, so numpy must keep these equal
+    for n_actions in (2, 5):
+        for key in range(20):
+            m = 3 + key
+            sized = stream(key, "mc-oracle", n_actions).integers(0, n_actions, size=m)
+            rng = stream(key, "mc-oracle", n_actions)
+            assert sized.tolist() == [int(rng.integers(0, n_actions)) for _ in range(m)]
+
+
+def test_oracle_rejects_prefix_that_does_not_reach_t():
+    env = make_env("keycorridor")
+    pol = scripted_policy(env)
+    trace = run_target_episode(env, 0, pol)
+    step = trace.steps[5]
+    ex = McOracleExplainer(pol, rollouts=2)
+    with pytest.raises(ValueError, match="prefix"):
+        explain(ex, step.observations, step.state, time_t=5, env_name=env.name,
+                episode_seed=0)
+    prefix = [s.final_actions for s in trace.steps[:5]]
+    scores = explain(ex, step.observations, step.state, time_t=5, env_name=env.name,
+                     episode_seed=0, prefix_actions=prefix)
+    assert scores.shape == (3,)

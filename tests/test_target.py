@@ -3,10 +3,14 @@ from __future__ import annotations
 
 import ast
 import inspect
+import itertools
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from emai import envs, masking, rollout, target
 from emai.envs import RIGHT, STAY, make_env
@@ -155,3 +159,84 @@ def test_masking_module_never_touches_privileged_accessor():
     for node in ast.walk(tree):
         if isinstance(node, ast.Attribute):
             assert not node.attr.startswith("privileged")
+
+
+# ---- act_batch: exactly [act(row, i) for row in obs] ----
+
+# Decoded values that land exactly on a .5 tie, where Python round() and
+# np.rint must agree (both round half to even): own row (v + 1) * 2, relative
+# row v * 4 and relative column v * 6 on the 5 x 7 keycorridor grid.
+OWN_ROW_TIES = [-1.25, -0.75, -0.25, 0.25, 0.75, 1.25]
+REL_ROW_TIES = [-0.875, -0.625, -0.375, -0.125, 0.125, 0.375, 0.625, 0.875]
+REL_COL_TIES = [-1.25, -0.75, -0.25, 0.25, 0.75, 1.25]
+GRID_VALUES = sorted({k / 4 for k in range(-6, 7)} | {k / 6 for k in range(-9, 10)})
+OBS_VALUES = st.one_of(st.floats(-1.5, 1.5, allow_nan=False),
+                       st.sampled_from(OWN_ROW_TIES + REL_ROW_TIES + REL_COL_TIES + GRID_VALUES))
+
+
+@settings(max_examples=300, deadline=None)
+@given(obs=arrays(np.float64, st.tuples(st.integers(1, 8), st.just(13)), elements=OBS_VALUES),
+       agent=st.integers(0, 2), weakened=st.booleans())
+def test_keycorridor_act_batch_equals_act(obs, agent, weakened):
+    pol = ScriptedKeyCorridor(weakened=weakened)
+    batch = pol.act_batch(obs, agent)
+    assert batch.dtype == np.int64 and batch.shape == (len(obs),)
+    assert batch.tolist() == [pol.act(row, agent) for row in obs]
+
+
+def test_keycorridor_act_batch_rounds_ties_like_act():
+    own_cols = [k / 3 - 1 for k in range(7)]
+    grid = np.array(list(itertools.product(OWN_ROW_TIES, own_cols, REL_ROW_TIES, REL_COL_TIES)))
+    obs = np.zeros((len(grid), 13))
+    obs[:, [0, 1, 9, 10]] = grid
+    obs[:, 2] = -1.0  # door closed: agent 0's foot-dragging reads teammate 1's parity
+    for weakened in (False, True):
+        pol = ScriptedKeyCorridor(weakened=weakened)
+        for i in range(3):
+            assert pol.act_batch(obs, i).tolist() == [pol.act(row, i) for row in obs]
+
+
+def test_keycorridor_act_batch_on_visited_states():
+    env = make_env("keycorridor")
+    for weakened in (False, True):
+        pol = ScriptedKeyCorridor(weakened=weakened)
+        for seed in range(4):
+            trace = rollout.run_target_episode(env, seed, pol)
+            obs = np.stack([s.observations for s in trace.steps])
+            for i in range(3):
+                assert pol.act_batch(obs[:, i], i).tolist() == [pol.act(o, i) for o in obs[:, i]]
+
+
+def test_default_act_batch_loops_over_act():
+    class OnlyAct(target.TargetPolicy):
+        obs_dim, n_agents = 4, 2
+
+        def act(self, obs, agent_id):
+            obs = self._check_obs(obs)
+            return int(abs(obs.sum()) * 1000 + agent_id) % 5
+
+        def descriptor(self):
+            return "only-act"
+
+    pol = OnlyAct()
+    obs = stream(3, "only-act").uniform(-1, 1, size=(9, 4))
+    for i in range(2):
+        out = pol.act_batch(obs, i)
+        assert out.dtype == np.int64
+        assert out.tolist() == [pol.act(row, i) for row in obs]
+    assert pol.act_batch(np.zeros((0, 4)), 0).shape == (0,)
+
+
+def test_act_batch_rejects_wrong_shapes():
+    learned = LearnedPolicy(target.AgentQNet(13, 3, 5, hidden=(8, 8), rng=stream(0, "shape")))
+    for pol in (ScriptedKeyCorridor(), learned):
+        with pytest.raises(ValueError):
+            pol.act_batch(np.zeros(13), 0)  # one row, not a batch
+        with pytest.raises(ValueError):
+            pol.act_batch(np.zeros((4, 12)), 0)
+        with pytest.raises(ValueError):
+            pol.act_batch(np.zeros((2, 4, 13)), 0)
+    bad = np.zeros((2, 13))
+    bad[1, 0] = np.nan
+    with pytest.raises(ValueError):
+        ScriptedKeyCorridor().act_batch(bad, 0)
