@@ -25,15 +25,20 @@ stamp(f"kc trained ({time.time()-t0:.0f}s) j_pi={kc_mp.j_pi:.3f} beta={kc_mp.bet
 top0 = total = 0
 rand_top0 = 0
 rand_ex = explain.RandomExplainer(seed=123)
+space = kc.spec.action_space
 for i in range(500):
-    tr = rollout.masked_episode(kc, episode_seed(7, "crit6", i), kc_pol,
-                                lambda t, o, s: kc_mp.greedy_mask_bits(o),
-                                np.random.default_rng(i))
-    for s in tr.steps:
+    seed_i, mask_rng = episode_seed(7, "crit6", i), np.random.default_rng(i)
+
+    def act(obs, state, prefix):
+        return [masking.apply_mask(a, int(b), space, mask_rng)
+                for a, b in zip(rollout.greedy_actions(kc_pol, obs),
+                                kc_mp.greedy_mask_bits(obs))]
+
+    for s in rollout.run_episode(kc, seed_i, act).steps:
         if s.state[6] < 0:
             total += 1
             top0 += int(np.argmax(kc_mp.importance_vector(s.observations)) == 0)
-            ctx = explain.ExplainContext(s.observations, s.state, s.t)
+            ctx = explain.ExplainContext(s.observations, s.state, s.t, episode_seed=seed_i)
             rand_top0 += int(rand_ex.most_critical(ctx) == 0)
 se = np.sqrt((1/3) * (2/3) / total)
 stamp(f"CRIT6: pre-switch steps={total} emai_rate={top0/total:.3f} "

@@ -3,7 +3,7 @@
 Every command takes one strict JSON config (plus --set overrides), writes
 its artifacts under one output directory, and finishes with a manifest
 listing the config hash and a checksum for every file written. Identical
-config + seed at --workers 1 reproduces identical checksums.
+config + seed reproduces identical checksums at any --workers count.
 
 Exit codes: 0 ok, 2 config error, 3 missing artifact, 4 numeric failure,
 5 incompatibility.
@@ -195,7 +195,7 @@ def cmd_patch(cfg: dict, out_dir: Path) -> list[Path]:
     explainer = _build_explainer(cfg, target)
     package = evaluation.build_patch_package(
         explainer, target, env, harvest_episodes=cfg["eval"]["harvest_episodes"],
-        quantile=cfg["eval"]["quantile"], seed=cfg["seed"], workers=cfg["workers"])
+        quantile=cfg["eval"]["quantile"], seed=cfg["seed"])
     pkg_path = out_dir / "patch_package.json"
     package.save(pkg_path)
     report = evaluation.apply_patch(package, explainer, target, env,

@@ -27,7 +27,7 @@ DEFAULT_CONFIG: dict = {
     "out_dir": None,
     "env": {"name": "spread", "params": {}},
     "target": {"kind": "scripted", "variant": "default", "checkpoint": None},
-    "explainer": {"kind": "random", "checkpoint": None, "rollouts": 64, "norm": "l1"},
+    "explainer": {"kind": "random", "checkpoint": None, "rollouts": 64},
     "training": {
         "steps": 100_000, "lr": 5e-4, "stale_interval": 200,
         "buffer_episodes": 2000, "batch_episodes": 32,

@@ -16,6 +16,7 @@ import numpy as np
 
 from . import nn
 from .nn import Mlp, Tensor
+from .rng import episode_seed, stream
 
 
 def one_hot(indices: np.ndarray, width: int) -> np.ndarray:
@@ -24,17 +25,12 @@ def one_hot(indices: np.ndarray, width: int) -> np.ndarray:
     return out
 
 
-def argmax_low(values: np.ndarray) -> int:
-    """Argmax with lowest index winning ties (determinism for tests)."""
-    return int(np.argmax(values))
-
-
 def epsilon_greedy(q_vector: np.ndarray, epsilon: float, rng: np.random.Generator) -> int:
     if not (0.0 <= epsilon <= 1.0):
         raise ValueError("epsilon must lie in [0, 1]")
     if rng.random() < epsilon:
         return int(rng.integers(0, len(q_vector)))
-    return argmax_low(q_vector)
+    return int(np.argmax(q_vector))  # lowest index wins ties
 
 
 def linear_epsilon(step: int, start: float = 1.0, end: float = 0.05,
@@ -327,13 +323,14 @@ def build_td_loss(net: AgentQNet, mixer, stale: StaleCopy, batch: list[Episode],
 
 
 class QLearner:
-    """Bundles net, mixer, buffer, stale copies and the optimizer."""
+    """Bundles net, mixer, buffer, stale copies and the optimizer, plus the
+    episode collection loop shared by the target and masking trainers."""
 
     def __init__(self, obs_dim: int, state_dim: int, n_agents: int, n_actions: int,
                  seed: int, mixer_kind: str = "monotonic", hidden: tuple[int, int] = (64, 64),
                  embed_dim: int = 32, lr: float = 5e-4, buffer_episodes: int = 2000,
                  batch_episodes: int = 32, stale_interval: int = 200, gamma: float = 0.99):
-        from .rng import stream
+        self.seed = int(seed)
         init_rng = stream(seed, "init")
         self.net = AgentQNet(obs_dim, n_agents, n_actions, hidden, init_rng)
         self.mixer = make_mixer(mixer_kind, n_agents, state_dim, embed_dim, init_rng)
@@ -343,6 +340,21 @@ class QLearner:
         self.gamma = float(gamma)
         self.optimizer = nn.Adam(self.net.params() + self.mixer.params(), lr=lr)
         self.sample_rng = stream(seed, "replay")
+
+    @classmethod
+    def from_config(cls, spec, n_actions: int, seed: int, config: dict,
+                    gamma: float) -> "QLearner":
+        """A learner for env spec `spec` from a trainer's config section."""
+        return cls(obs_dim=spec.obs_dim, state_dim=spec.state_dim, n_agents=spec.n_agents,
+                   n_actions=n_actions, seed=seed,
+                   mixer_kind=config.get("mixer", "monotonic"),
+                   hidden=tuple(config.get("hidden", (64, 64))),
+                   embed_dim=config.get("mix_embed", 32),
+                   lr=config.get("lr", 5e-4),
+                   buffer_episodes=config.get("buffer_episodes", 2000),
+                   batch_episodes=config.get("batch_episodes", 32),
+                   stale_interval=config.get("stale_interval", 200),
+                   gamma=gamma)
 
     def td_train_step(self, reward_fn=None, extra_loss_fn=None) -> dict:
         """Sample a batch, apply one optimizer step, return loss stats."""
@@ -362,3 +374,65 @@ class QLearner:
         loss.backward()
         self.optimizer.step()
         return stats
+
+    def learn(self, env, tag: str, config: dict, columns: dict, compose=None,
+              reward_fn=None, extra_loss_fn=None, progress=None) -> list[dict]:
+        """Collect epsilon-greedy episodes for config["steps"] env steps,
+        taking one TD step after each episode once the buffer holds a batch.
+
+        Episode k resets with episode_seed(seed, f"{tag}-episode", k) and
+        exploration draws from stream(seed, f"{tag}-explore").
+        compose(obs, learner_actions) maps the learner's joint action to the
+        one the environment executes (identity when None); the buffer keeps
+        the learner's actions. Every 50 episodes a curve row is appended:
+        env_steps, episodes, epsilon, then one window mean per entry of
+        `columns`, which maps a curve column to a train-step stat
+        (td_train_step's keys) or an episode stat ("episode_reward", or
+        "mask_rate": the share of learner actions equal to 1). The row is
+        also passed to progress(row). Returns the curve rows.
+        """
+        spec = env.spec
+        budget = int(config.get("steps", 100_000))
+        eps_cfg = (config.get("epsilon_start", 1.0), config.get("epsilon_end", 0.05),
+                   config.get("epsilon_anneal_steps", 50_000))
+        explore_rng = stream(self.seed, f"{tag}-explore")
+        curves: list[dict] = []
+        window: dict[str, list[float]] = {col: [] for col in columns}
+        env_step, episode_idx = 0, 0
+        while env_step < budget:
+            state, obs = env.reset(episode_seed(self.seed, f"{tag}-episode", episode_idx))
+            obs_seq, state_seq, act_seq, rew_seq = [obs], [state], [], []
+            done = False
+            while not done and env_step < budget:
+                eps = linear_epsilon(env_step, *eps_cfg)
+                q = self.net.q_all_agents(obs)
+                actions = [epsilon_greedy(q[i], eps, explore_rng) for i in range(spec.n_agents)]
+                result = env.step(actions if compose is None else compose(obs, actions))
+                obs, state, done = result.observations, result.next_state, result.done
+                obs_seq.append(obs)
+                state_seq.append(state)
+                act_seq.append(actions)
+                rew_seq.append(result.reward)
+                env_step += 1
+                self.stale.maybe_refresh(env_step)
+            episode = Episode(np.stack(obs_seq), np.stack(state_seq),
+                              np.array(act_seq, dtype=np.int64), np.array(rew_seq))
+            self.buffer.add(episode)
+            stats = {"episode_reward": float(np.sum(rew_seq)),
+                     "mask_rate": int((episode.actions == 1).sum()) / episode.actions.size}
+            episode_idx += 1
+            if len(self.buffer) >= self.batch_episodes:
+                stats.update(self.td_train_step(reward_fn, extra_loss_fn))
+            for col, key in columns.items():
+                if key in stats:
+                    window[col].append(stats[key])
+            if episode_idx % 50 == 0:
+                curves.append({"env_steps": env_step, "episodes": episode_idx,
+                               "epsilon": linear_epsilon(env_step, *eps_cfg),
+                               **{col: float(np.mean(v)) if v else float("nan")
+                                  for col, v in window.items()}})
+                for v in window.values():
+                    v.clear()
+                if progress is not None:
+                    progress(curves[-1])
+        return curves

@@ -12,7 +12,6 @@ share a cell (Spread penalizes sharing through the reward only).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
 
 import numpy as np
 
@@ -36,24 +35,9 @@ class Discrete:
             raise ValueError("Discrete action space needs n >= 2")
 
 
-@dataclass(frozen=True)
-class Continuous:
-    lb: tuple[float, ...]
-    ub: tuple[float, ...]
-
-    def __post_init__(self):
-        if len(self.lb) != len(self.ub) or any(l >= u for l, u in zip(self.lb, self.ub)):
-            raise ValueError("Continuous bounds need lb < ub element-wise")
-
-
-ActionSpace = Union[Discrete, Continuous]
-
-
-def random_action(space: ActionSpace, rng: np.random.Generator):
-    """Uniform draw over the space; Discrete may return any index."""
-    if isinstance(space, Discrete):
-        return int(rng.integers(0, space.n))
-    return rng.uniform(np.asarray(space.lb), np.asarray(space.ub))
+def random_action(space: Discrete, rng: np.random.Generator) -> int:
+    """Uniform draw over the space's action indices."""
+    return int(rng.integers(0, space.n))
 
 
 @dataclass(frozen=True)
@@ -61,7 +45,7 @@ class EnvSpec:
     n_agents: int
     obs_dim: int
     state_dim: int
-    action_space: ActionSpace
+    action_space: Discrete
     horizon: int
     gamma: float = 0.99
 

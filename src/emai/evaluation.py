@@ -22,13 +22,13 @@ from .envs import random_action
 from .explain import ExplainContext, Explainer
 from .masking import _check_compat
 from .rng import episode_seed, stream
-from .rollout import greedy_actions, run_batch, run_target_episode
+from .rollout import greedy_actions, run_batch, run_episode, run_target_episode
 
 RRD_DENOMINATOR_GUARD = 1e-6
 
 
-def _ctx(env, obs, state, t, ep_seed, prefix) -> ExplainContext:
-    return ExplainContext(obs, state, t, env.name, env.params, ep_seed, list(prefix))
+def _ctx(env, obs, state, ep_seed, prefix) -> ExplainContext:
+    return ExplainContext(obs, state, len(prefix), env.name, env.params, ep_seed, list(prefix))
 
 
 def _paired_stats(deltas: np.ndarray) -> tuple[float, float]:
@@ -48,49 +48,40 @@ def _w_guided(payload) -> float:
     """Each step, randomize only the explainer's most critical agent."""
     env, target, explainer, ep_seed, tags = payload
     mask_rng = stream(*tags)
-    state, obs = env.reset(ep_seed)
     space = env.spec.action_space
-    prefix: list[list[int]] = []
-    total, t, done = 0.0, 0, False
-    while not done:
+
+    def act(obs, state, prefix):
         actions = greedy_actions(target, obs)
-        critical = explainer.most_critical(_ctx(env, obs, state, t, ep_seed, prefix))
+        critical = explainer.most_critical(_ctx(env, obs, state, ep_seed, prefix))
         actions[critical] = random_action(space, mask_rng)
-        result = env.step(actions)
-        prefix.append(list(actions))
-        total += result.reward
-        state, obs, done = result.next_state, result.observations, result.done
-        t += 1
-    return total
+        return actions
+
+    return run_episode(env, ep_seed, act).episode_reward
 
 
 def _w_random_guided(payload) -> float:
     env, target, ep_seed, tags = payload
     rng = stream(*tags)
-    state, obs = env.reset(ep_seed)
     space = env.spec.action_space
     n = env.spec.n_agents
-    total, done = 0.0, False
-    while not done:
+
+    def act(obs, state, prefix):
         actions = greedy_actions(target, obs)
         actions[int(rng.integers(0, n))] = random_action(space, rng)
-        result = env.step(actions)
-        total += result.reward
-        obs, done = result.observations, result.done
-    return total
+        return actions
+
+    return run_episode(env, ep_seed, act).episode_reward
 
 
 def _w_attacked(payload) -> float:
     env, target, explainer, ep_seed, noise_eps, tags, attack_all = payload
     rng = stream(*tags)
-    state, obs = env.reset(ep_seed)
     obs_dim = env.spec.obs_dim
     n = env.spec.n_agents
-    prefix: list[list[int]] = []
-    total, t, done = 0.0, 0, False
-    while not done:
-        victims = (list(range(n)) if attack_all else
-                   [explainer.most_critical(_ctx(env, obs, state, t, ep_seed, prefix))])
+
+    def act(obs, state, prefix):
+        victims = (range(n) if attack_all else
+                   [explainer.most_critical(_ctx(env, obs, state, ep_seed, prefix))])
         actions = []
         for i in range(n):
             if i in victims:
@@ -99,33 +90,28 @@ def _w_attacked(payload) -> float:
             else:
                 seen = obs[i]
             actions.append(target.act(seen, i))
-        result = env.step(actions)
-        prefix.append(list(actions))
-        total += result.reward
-        state, obs, done = result.next_state, result.observations, result.done
-        t += 1
-    return total
+        return actions
+
+    return run_episode(env, ep_seed, act).episode_reward
 
 
 def _w_patched(payload) -> tuple[float, int]:
     env, target, explainer, pkg_obs, pkg_actions, ep_seed, d_th = payload
-    state, obs = env.reset(ep_seed)
-    prefix: list[list[int]] = []
-    total, t, done, overrides = 0.0, 0, False, 0
-    while not done:
+    overrides = 0
+
+    def act(obs, state, prefix):
+        nonlocal overrides
         actions = greedy_actions(target, obs)
-        critical = explainer.most_critical(_ctx(env, obs, state, t, ep_seed, prefix))
+        critical = explainer.most_critical(_ctx(env, obs, state, ep_seed, prefix))
         dists = np.abs(pkg_obs - obs[critical]).sum(axis=1)
         best = int(np.argmin(dists))  # ties resolve to the lowest entry index
         if dists[best] < d_th and int(pkg_actions[best]) != actions[critical]:
             actions[critical] = int(pkg_actions[best])
             overrides += 1
-        result = env.step(actions)
-        prefix.append(list(actions))
-        total += result.reward
-        state, obs, done = result.next_state, result.observations, result.done
-        t += 1
-    return total, overrides
+        return actions
+
+    reward = run_episode(env, ep_seed, act).episode_reward
+    return reward, overrides
 
 
 # ---- fidelity ----
@@ -258,8 +244,7 @@ class PatchPackage:
 
 
 def build_patch_package(explainer: Explainer, target, env, harvest_episodes: int = 100,
-                        quantile: float = 0.1, seed: int = 0,
-                        workers: int = 1) -> PatchPackage:
+                        quantile: float = 0.1, seed: int = 0) -> PatchPackage:
     """Run the target unperturbed and harvest critical-agent behavior from
     the top `quantile` of episodes by reward."""
     if harvest_episodes < 10:
@@ -283,7 +268,7 @@ def build_patch_package(explainer: Explainer, target, env, harvest_episodes: int
         trace = traces[i]
         prefix: list[list[int]] = []
         for step in trace.steps:
-            ctx = _ctx(env, step.observations, step.state, step.t, seeds[i], prefix)
+            ctx = _ctx(env, step.observations, step.state, seeds[i], prefix)
             critical = explainer.most_critical(ctx)
             key = tuple(step.observations[critical])
             if key not in seen:

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import nn
-from .ctde import argmax_low, one_hot
+from .ctde import one_hot
 from .envs import make_env
 from .masking import MaskingPolicy
 from .nn import Tensor
@@ -53,7 +53,7 @@ class Explainer:
         raise NotImplementedError
 
     def most_critical(self, ctx: ExplainContext) -> int:
-        return argmax_low(self.scores(ctx))
+        return int(np.argmax(self.scores(ctx)))  # lowest index wins ties
 
 
 class EmaiExplainer(Explainer):
@@ -69,15 +69,20 @@ class EmaiExplainer(Explainer):
 
 
 class RandomExplainer(Explainer):
-    """Uniform random scores; the normalization reference for RRD."""
+    """Uniform random scores; the normalization reference for RRD.
+
+    Each query draws from stream(seed, "random-explainer", episode_seed, t),
+    so a score depends only on the queried context, never on how many
+    queries came before it or in which process they ran.
+    """
 
     kind = "random"
 
     def __init__(self, seed: int = 0):
-        self._rng = stream(seed, "random-explainer")
+        self.seed = int(seed)
 
     def scores(self, ctx: ExplainContext) -> np.ndarray:
-        return self._rng.random(ctx.n_agents)
+        return stream(self.seed, "random-explainer", ctx.episode_seed, ctx.t).random(ctx.n_agents)
 
 
 class ValueBasedExplainer(Explainer):
@@ -98,17 +103,14 @@ class GradientBasedExplainer(Explainer):
     """Saliency of the chosen action's log-probability w.r.t. the observation.
 
     p is the softmax of the target's Q values at temperature 1; the score is
-    the L1 (or L2) norm of d log p(chosen) / d obs per agent.
+    the L1 norm of d log p(chosen) / d obs per agent.
     """
 
     kind = "gradient"
     access = "white-box"
 
-    def __init__(self, target: TargetPolicy, norm: str = "l1"):
-        if norm not in ("l1", "l2"):
-            raise ValueError("norm must be 'l1' or 'l2'")
+    def __init__(self, target: TargetPolicy):
         self._qnet = privileged_q_network(target)
-        self.norm = norm
 
     def scores(self, ctx: ExplainContext) -> np.ndarray:
         out = np.zeros(ctx.n_agents)
@@ -117,7 +119,7 @@ class GradientBasedExplainer(Explainer):
             x = Tensor(np.concatenate([obs, one_hot(np.array([i]), self._qnet.n_agents)[0]]),
                        requires_grad=True)
             q = self._qnet.mlp.forward(x)
-            chosen = argmax_low(q.numpy())
+            chosen = int(np.argmax(q.numpy()))
             shift = float(q.numpy().max())
             log_z = (q - shift).exp().sum().log() + shift
             pick = np.zeros(self._qnet.n_actions)
@@ -125,7 +127,7 @@ class GradientBasedExplainer(Explainer):
             log_p = (q * Tensor(pick)).sum() - log_z
             log_p.backward()
             grad = x.grad[: self._qnet.obs_dim]
-            out[i] = np.abs(grad).sum() if self.norm == "l1" else np.sqrt((grad ** 2).sum())
+            out[i] = np.abs(grad).sum()
         return out
 
 

@@ -16,11 +16,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import ctde
-from .ctde import AgentQNet, Episode, QLearner, epsilon_greedy, linear_epsilon
-from .envs import ActionSpace, random_action
+from .ctde import AgentQNet, Episode, QLearner
+from .envs import Discrete, random_action
 from .nn import Tensor
 from .rng import episode_seed, stream
-from .rollout import greedy_actions, run_batch
+from .rollout import greedy_actions, run_batch, run_target_episode
 
 KEEP, MASK = 0, 1
 
@@ -29,7 +29,7 @@ class IncompatibilityError(RuntimeError):
     """Target, environment and explainer artifacts do not fit together."""
 
 
-def apply_mask(action, mask_bit: int, space: ActionSpace, rng: np.random.Generator):
+def apply_mask(action: int, mask_bit: int, space: Discrete, rng: np.random.Generator) -> int:
     """Final action: keep the target's choice, or draw uniformly at random."""
     if mask_bit not in (KEEP, MASK):
         raise ValueError(f"mask bit must be 0 or 1, got {mask_bit!r}")
@@ -71,16 +71,9 @@ class BaselineEstimate:
 
 def _baseline_episode(payload) -> tuple[float, float, int]:
     env, target, ep_seed, gamma = payload
-    state, obs = env.reset(ep_seed)
-    disc, abs_sum, steps = 0.0, 0.0, 0
-    done = False
-    while not done:
-        result = env.step(greedy_actions(target, obs))
-        disc += (gamma ** steps) * result.reward
-        abs_sum += abs(result.reward)
-        steps += 1
-        obs, done = result.observations, result.done
-    return disc, abs_sum, steps
+    trace = run_target_episode(env, ep_seed, target)
+    return (trace.discounted_return(gamma), sum(abs(s.reward) for s in trace.steps),
+            len(trace.steps))
 
 
 def estimate_baseline_return(target, env, episodes: int = 500, gamma: float = 0.99,
@@ -168,7 +161,7 @@ class MaskingPolicy:
         return q[:, KEEP] - q[:, MASK]
 
     def most_critical(self, observations: np.ndarray) -> int:
-        return ctde.argmax_low(self.importance_vector(observations))
+        return int(np.argmax(self.importance_vector(observations)))  # lowest index wins ties
 
     def greedy_mask_bits(self, observations: np.ndarray) -> np.ndarray:
         """Per-agent argmax over {keep, mask}; keep wins ties."""
@@ -261,17 +254,7 @@ def train_emai(target, env, config: dict | None = None, seed: int = 0,
     lam = float(cfg["lambda"])
     mode = cfg.get("diff_loss_mode", "qtot")
 
-    learner = QLearner(
-        obs_dim=spec.obs_dim, state_dim=spec.state_dim, n_agents=spec.n_agents,
-        n_actions=2, seed=seed,
-        mixer_kind=cfg.get("mixer", "monotonic"),
-        hidden=tuple(cfg.get("hidden", (64, 64))),
-        embed_dim=cfg.get("mix_embed", 32),
-        lr=cfg.get("lr", 5e-4),
-        buffer_episodes=cfg.get("buffer_episodes", 2000),
-        batch_episodes=cfg.get("batch_episodes", 32),
-        stale_interval=cfg.get("stale_interval", 200),
-        gamma=gamma)
+    learner = QLearner.from_config(spec, 2, seed, cfg, gamma)
 
     def reward_fn(rewards, actions):
         return rewards + beta * actions.sum(axis=1)
@@ -281,59 +264,16 @@ def train_emai(target, env, config: dict | None = None, seed: int = 0,
                                   baseline.j_pi, gamma, beta, mode)
         return loss_d * lam, stats
 
-    budget = int(cfg["steps"])
-    eps_cfg = (cfg.get("epsilon_start", 1.0), cfg.get("epsilon_end", 0.05),
-               cfg.get("epsilon_anneal_steps", 50_000))
-    explore_rng = stream(seed, "emai-explore")
     mask_rng = stream(seed, "emai-mask-actions")
     space = spec.action_space
-    curves: list[dict] = []
-    env_step, episode_idx = 0, 0
-    window: dict[str, list[float]] = {"loss_e": [], "loss_d": [], "loss_total": [],
-                                      "mask_rate": [], "episode_reward": []}
-    while env_step < budget:
-        ep_seed = episode_seed(seed, "emai-episode", episode_idx)
-        state, obs = env.reset(ep_seed)
-        obs_seq, state_seq, act_seq, rew_seq = [obs], [state], [], []
-        done = False
-        masked_steps = 0
-        while not done and env_step < budget:
-            eps = linear_epsilon(env_step, *eps_cfg)
-            target_actions = greedy_actions(target, obs)
-            q = learner.net.q_all_agents(obs)
-            bits = [epsilon_greedy(q[i], eps, explore_rng) for i in range(spec.n_agents)]
-            final = [apply_mask(a, b, space, mask_rng) for a, b in zip(target_actions, bits)]
-            result = env.step(final)
-            obs_seq.append(result.observations)
-            state_seq.append(result.next_state)
-            act_seq.append(bits)
-            rew_seq.append(result.reward)
-            masked_steps += sum(bits)
-            obs, state, done = result.observations, result.next_state, result.done
-            env_step += 1
-            learner.stale.maybe_refresh(env_step)
-        if not act_seq:
-            break
-        learner.buffer.add(Episode(np.stack(obs_seq), np.stack(state_seq),
-                                   np.array(act_seq, dtype=np.int64), np.array(rew_seq)))
-        window["mask_rate"].append(masked_steps / (len(act_seq) * spec.n_agents))
-        window["episode_reward"].append(float(np.sum(rew_seq)))
-        episode_idx += 1
-        if len(learner.buffer) >= learner.batch_episodes:
-            stats = learner.td_train_step(reward_fn=reward_fn,
-                                          extra_loss_fn=extra_loss if lam > 0 else None)
-            for key in ("loss_e", "loss_d", "loss_total"):
-                if key in stats:
-                    window[key].append(stats[key])
-        if episode_idx % 50 == 0:
-            curves.append({"env_steps": env_step, "episodes": episode_idx,
-                           "epsilon": linear_epsilon(env_step, *eps_cfg),
-                           **{k: (float(np.mean(v)) if v else float("nan"))
-                              for k, v in window.items()}})
-            for v in window.values():
-                v.clear()
-            if progress is not None:
-                progress(curves[-1])
+
+    def compose(obs, bits):
+        return [apply_mask(a, b, space, mask_rng)
+                for a, b in zip(greedy_actions(target, obs), bits)]
+
+    columns = {k: k for k in ("loss_e", "loss_d", "loss_total", "mask_rate", "episode_reward")}
+    curves = learner.learn(env, "emai", cfg, columns, compose, reward_fn,
+                           extra_loss if lam > 0 else None, progress)
     policy = MaskingPolicy(learner.net, learner.mixer, beta, lam, gamma,
                            baseline.j_pi, baseline.stderr, target.checksum())
     return policy, curves

@@ -12,7 +12,8 @@ import io
 import json
 from dataclasses import asdict, dataclass
 
-from .ctde import argmax_low
+import numpy as np
+
 from .envs import KeyCorridor
 
 FORMAT_VERSION = 1
@@ -187,7 +188,7 @@ def render(rec: EpisodeRecord, mode: str = "ascii") -> str:
     for step in rec.steps:
         critical = None
         if step.importance is not None:
-            critical = argmax_low(step.importance)
+            critical = int(np.argmax(step.importance))
         head = f"t={step.t} reward={step.reward}"
         if critical is not None:
             head += f" critical={critical}"

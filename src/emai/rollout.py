@@ -11,8 +11,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .envs import random_action
-
 
 def greedy_actions(target, observations: np.ndarray) -> list[int]:
     return [target.act(observations[i], i) for i in range(len(observations))]
@@ -43,42 +41,33 @@ class Trace:
         return float(sum((gamma ** s.t) * s.reward for s in self.steps))
 
 
-def run_target_episode(env, seed: int, target, record: bool = False) -> Trace:
-    """One unmasked greedy episode of the target policy."""
-    state, obs = env.reset(seed)
-    trace = Trace(seed)
-    t = 0
-    done = False
-    while not done:
-        actions = greedy_actions(target, obs)
-        result = env.step(actions)
-        trace.steps.append(Step(t, state, obs, actions, None, list(actions), result.reward))
-        state, obs, done = result.next_state, result.observations, result.done
-        t += 1
-    return trace
+def run_episode(env, seed: int, act_fn) -> Trace:
+    """Play one episode from env.reset(seed); act_fn picks every joint action.
 
-
-def masked_episode(env, seed: int, target, mask_fn, mask_rng: np.random.Generator) -> Trace:
-    """Episode where mask_fn(t, obs, state) chooses which agents to randomize.
-
-    A random replacement action is drawn only for agents whose mask bit is
-    set, so an all-zero mask consumes no randomness and reproduces the
-    unmasked trajectory bitwise.
+    act_fn(obs, state, prefix) returns the joint action for the current
+    step, where prefix lists the joint actions executed so far, so the step
+    index is len(prefix). run_episode keeps its own copies of each action, so
+    a caller mutating a returned list changes neither prefix nor the trace.
+    The trace records executed actions only: target_actions equals
+    final_actions and mask_actions is None.
     """
     state, obs = env.reset(seed)
-    space = env.spec.action_space
     trace = Trace(seed)
-    t = 0
+    prefix: list[list[int]] = []
     done = False
     while not done:
-        actions = greedy_actions(target, obs)
-        bits = [int(b) for b in mask_fn(t, obs, state)]
-        final = [random_action(space, mask_rng) if b else a for a, b in zip(actions, bits)]
-        result = env.step(final)
-        trace.steps.append(Step(t, state, obs, actions, bits, final, result.reward))
+        actions = list(act_fn(obs, state, prefix))
+        result = env.step(actions)
+        trace.steps.append(Step(len(prefix), state, obs, actions, None, list(actions),
+                                result.reward))
+        prefix.append(list(actions))
         state, obs, done = result.next_state, result.observations, result.done
-        t += 1
     return trace
+
+
+def run_target_episode(env, seed: int, target) -> Trace:
+    """One unmasked greedy episode of the target policy."""
+    return run_episode(env, seed, lambda obs, state, prefix: greedy_actions(target, obs))
 
 
 def replay_prefix(env, seed: int, prefix_actions) -> tuple[np.ndarray, np.ndarray, bool]:

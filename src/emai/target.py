@@ -13,10 +13,9 @@ from collections import deque
 
 import numpy as np
 
-from . import ctde, envs
-from .ctde import AgentQNet, QLearner, argmax_low, epsilon_greedy, linear_epsilon
+from . import envs
+from .ctde import AgentQNet, QLearner
 from .envs import DOWN, LEFT, RIGHT, STAY, UP, Diagnostic, KeyCorridor, Spread
-from .rng import stream
 
 
 class CapabilityError(RuntimeError):
@@ -296,7 +295,7 @@ class LearnedPolicy(TargetPolicy):
 
     def act(self, obs: np.ndarray, agent_id: int) -> int:
         obs = self._check_obs(obs)
-        return argmax_low(self._qnet.q_single(obs, agent_id))
+        return int(np.argmax(self._qnet.q_single(obs, agent_id)))  # lowest index wins ties
 
     def descriptor(self) -> str:
         digest = hashlib.sha256(
@@ -339,64 +338,11 @@ def train_target(env, config: dict, seed: int, progress=None):
     CSV export. A zero-step budget returns the random-init greedy policy.
     """
     spec = env.spec
-    learner = QLearner(
-        obs_dim=spec.obs_dim, state_dim=spec.state_dim, n_agents=spec.n_agents,
-        n_actions=spec.action_space.n, seed=seed,
-        mixer_kind=config.get("mixer", "monotonic"),
-        hidden=tuple(config.get("hidden", (64, 64))),
-        embed_dim=config.get("mix_embed", 32),
-        lr=config.get("lr", 5e-4),
-        buffer_episodes=config.get("buffer_episodes", 2000),
-        batch_episodes=config.get("batch_episodes", 32),
-        stale_interval=config.get("stale_interval", 200),
-        gamma=config.get("gamma", spec.gamma))
-    budget = int(config.get("steps", 100_000))
-    eps_cfg = (config.get("epsilon_start", 1.0), config.get("epsilon_end", 0.05),
-               config.get("epsilon_anneal_steps", 50_000))
-    explore_rng = stream(seed, "target-explore")
-    curves: list[dict] = []
-    env_step = 0
-    episode_idx = 0
-    window_loss: list[float] = []
-    window_ret: list[float] = []
-    while env_step < budget:
-        ep_seed = int(stream(seed, "target-episode", episode_idx).integers(0, 2**63 - 1))
-        state, obs = env.reset(ep_seed)
-        obs_seq, state_seq, act_seq, rew_seq = [obs], [state], [], []
-        done = False
-        while not done and env_step < budget:
-            eps = linear_epsilon(env_step, *eps_cfg)
-            q = learner.net.q_all_agents(obs)
-            actions = [epsilon_greedy(q[i], eps, explore_rng) for i in range(spec.n_agents)]
-            result = env.step(actions)
-            obs, state, done = result.observations, result.next_state, result.done
-            obs_seq.append(obs)
-            state_seq.append(state)
-            act_seq.append(actions)
-            rew_seq.append(result.reward)
-            env_step += 1
-            learner.stale.maybe_refresh(env_step)
-        if not act_seq:
-            break
-        learner.buffer.add(ctde.Episode(np.stack(obs_seq), np.stack(state_seq),
-                                        np.array(act_seq, dtype=np.int64),
-                                        np.array(rew_seq)))
-        window_ret.append(float(np.sum(rew_seq)))
-        episode_idx += 1
-        if len(learner.buffer) >= learner.batch_episodes:
-            stats = learner.td_train_step()
-            window_loss.append(stats["loss_total"])
-        if episode_idx % 50 == 0:
-            curves.append({
-                "env_steps": env_step, "episodes": episode_idx,
-                "epsilon": linear_epsilon(env_step, *eps_cfg),
-                "loss": float(np.mean(window_loss)) if window_loss else float("nan"),
-                "episode_reward": float(np.mean(window_ret)) if window_ret else float("nan"),
-            })
-            window_loss.clear()
-            window_ret.clear()
-            if progress is not None:
-                progress(curves[-1])
+    learner = QLearner.from_config(spec, spec.action_space.n, seed, config,
+                                   config.get("gamma", spec.gamma))
+    curves = learner.learn(env, "target", config,
+                           {"loss": "loss_total", "episode_reward": "episode_reward"},
+                           progress=progress)
     policy = LearnedPolicy(learner.net, source=f"{env.name}:seed={seed}")
     return policy, curves
 

@@ -134,6 +134,33 @@ def test_identical_config_reruns_produce_identical_checksums(tmp_path):
     assert m_a["config_sha256"] == m_b["config_sha256"]
 
 
+def test_eval_commands_identical_across_worker_counts(tmp_path):
+    train_out = tmp_path / "train"
+    assert main(["train-emai", "--config", str(_write_cfg(tmp_path, FAST_EMAI)),
+                 "--out", str(train_out)]) == 0
+    for kind in ("random", "emai"):
+        cfg = json.loads(json.dumps(FAST_EMAI))
+        cfg["explainer"] = {"kind": kind}
+        if kind == "emai":
+            cfg["explainer"]["checkpoint"] = str(train_out / "masking_checkpoint.json")
+        cfg_path = _write_cfg(tmp_path, cfg, f"{kind}.json")
+        for command in ("eval-fidelity", "attack", "patch"):
+            manifests = []
+            for workers in ("1", "2"):
+                out = tmp_path / f"{kind}-{command}-{workers}"
+                assert main([command, "--config", str(cfg_path), "--out", str(out),
+                             "--workers", workers]) == 0
+                manifests.append(_manifest(out))
+            assert manifests[0] == manifests[1], (kind, command)
+
+
+def test_removed_explainer_norm_key_rejected_exit_2(tmp_path):
+    cfg = json.loads(json.dumps(FAST_EMAI))
+    cfg["explainer"] = {"kind": "random", "norm": "l2"}
+    path = _write_cfg(tmp_path, cfg)
+    assert main(["eval-fidelity", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+
+
 def test_set_override_changes_config(tmp_path):
     cfg_path = _write_cfg(tmp_path, FAST_EMAI)
     cfg = load_config(cfg_path, ["emai.steps=77", "env.name=keycorridor",

@@ -8,7 +8,7 @@ import pytest
 from scipy import stats
 
 from emai import envs
-from emai.envs import (DOWN, LEFT, RIGHT, STAY, UP, Continuous, Discrete, EnvError,
+from emai.envs import (DOWN, LEFT, RIGHT, STAY, UP, Discrete, EnvError,
                        KeyCorridor, make_env, random_action, spread_reward)
 from emai.rng import stream
 
@@ -88,14 +88,6 @@ def test_random_action_uniformity_chi2():
     counts = np.bincount(draws, minlength=5)
     _, p = stats.chisquare(counts)
     assert p > 0.01
-
-
-def test_random_action_continuous_range():
-    rng = stream(1, "cont")
-    space = Continuous((-1.0,), (1.0,))
-    for _ in range(200):
-        a = random_action(space, rng)
-        assert -1.0 <= a[0] <= 1.0
 
 
 def test_random_action_recorded_sequence():
@@ -197,8 +189,6 @@ def test_simultaneous_moves_use_time_t_positions():
 def test_action_space_invariants():
     with pytest.raises(ValueError):
         Discrete(1)
-    with pytest.raises(ValueError):
-        Continuous((0.0,), (0.0,))
 
 
 def test_unknown_env_rejected():

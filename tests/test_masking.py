@@ -7,7 +7,7 @@ from scipy import stats
 
 from emai import ctde, masking, rollout
 from emai.ctde import AgentQNet, Episode, MonotonicMixer, QLearner
-from emai.envs import Continuous, Discrete, make_env
+from emai.envs import Discrete, make_env
 from emai.masking import (BaselineEstimate, IncompatibilityError, MaskingPolicy,
                           apply_mask, diff_loss, estimate_baseline_return,
                           masking_reward, train_emai)
@@ -29,15 +29,6 @@ def test_apply_mask_random_branch_uniform():
     assert set(np.unique(draws)) <= set(range(5))
     _, p = stats.chisquare(np.bincount(draws, minlength=5))
     assert p > 0.01
-
-
-def test_apply_mask_continuous_range():
-    rng = stream(2, "mask-cont")
-    space = Continuous((-1.0,), (1.0,))
-    for _ in range(100):
-        val = apply_mask(0.3, 1, space, rng)
-        assert -1.0 <= val[0] <= 1.0
-    assert apply_mask(0.3, 0, space, rng) == 0.3
 
 
 def test_masking_reward_examples():
@@ -210,14 +201,20 @@ def test_affine_transform_keeps_gap_ordering():
 def test_all_zero_mask_reproduces_unmasked_trajectory():
     env = make_env("keycorridor")
     pol = scripted_policy(env)
+    space = env.spec.action_space
+    mask_rng = stream(0, "never-used")
+    untouched = stream(0, "never-used")
     plain = rollout.run_target_episode(env, 13, pol)
-    masked = rollout.masked_episode(env, 13, pol, lambda t, o, s: [0, 0, 0],
-                                    stream(0, "never-used"))
+    masked = rollout.run_episode(
+        env, 13, lambda obs, state, prefix: [apply_mask(a, 0, space, mask_rng)
+                                             for a in greedy_actions(pol, obs)])
     assert len(plain.steps) == len(masked.steps)
     for a, b in zip(plain.steps, masked.steps):
         assert a.final_actions == b.final_actions
         assert a.reward == b.reward
         assert np.array_equal(a.observations, b.observations)
+    # an all-zero mask never draws: the stream is still at its start
+    assert mask_rng.bit_generator.state == untouched.bit_generator.state
 
 
 def test_train_emai_rejects_mismatched_target():
@@ -265,6 +262,23 @@ def test_train_emai_reduces_to_td_when_beta_lambda_zero():
     assert policy.beta == 0.0 and policy.lam == 0.0
     for row in curves:
         assert np.isnan(row["loss_d"])  # difference loss never entered training
+
+
+def test_train_emai_curve_columns():
+    env = make_env("diagnostic", n_agents=3, grid=5, horizon=4)
+    pol = scripted_policy(env)
+    rows = []
+    _, curves = train_emai(pol, env, {"steps": 400, "baseline_episodes": 3, "beta": 0.05,
+                                      "lambda": 0.5, "batch_episodes": 4,
+                                      "buffer_episodes": 50, "hidden": (8, 8)},
+                           seed=2, progress=rows.append)
+    assert [row["episodes"] for row in curves] == [50, 100]
+    assert rows == curves
+    for row in curves:
+        assert list(row) == ["env_steps", "episodes", "epsilon", "loss_e", "loss_d",
+                             "loss_total", "mask_rate", "episode_reward"]
+        assert 0.0 <= row["mask_rate"] <= 1.0
+        assert all(np.isfinite(v) for v in row.values())
 
 
 def test_masking_checkpoint_roundtrip(tmp_path):

@@ -99,6 +99,18 @@ def test_zero_step_budget_returns_random_init_policy():
     assert pol.act(obs[0], 0) in range(5)
 
 
+def test_train_target_curve_columns():
+    env = make_env("diagnostic", n_agents=3, grid=5, horizon=4)
+    rows = []
+    _, curves = train_target(env, {"steps": 400, "batch_episodes": 4, "buffer_episodes": 50,
+                                   "hidden": [8, 8]}, seed=2, progress=rows.append)
+    assert [row["episodes"] for row in curves] == [50, 100]
+    assert rows == curves
+    for row in curves:
+        assert list(row) == ["env_steps", "episodes", "epsilon", "loss", "episode_reward"]
+        assert np.isfinite(row["loss"]) and np.isfinite(row["episode_reward"])
+
+
 def test_train_target_smoke_improves_over_random():
     # short-budget sanity: learned policy beats uniform-random play
     env = make_env("spread", n_agents=2, grid=5, horizon=10)
