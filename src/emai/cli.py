@@ -51,7 +51,7 @@ def _build_target(cfg: dict, env):
         try:
             policy = target_mod.load_checkpoint(tcfg["checkpoint"])
         except ValueError as exc:
-            raise IncompatibilityError(str(exc)) from exc
+            raise IncompatibilityError(f"{tcfg['checkpoint']}: {exc}") from exc
         if policy.obs_dim != env.spec.obs_dim or policy.n_agents != env.spec.n_agents:
             raise IncompatibilityError(
                 f"checkpoint {tcfg['checkpoint']} does not fit env {env.name!r}")
@@ -69,7 +69,7 @@ def _build_explainer(cfg: dict, target):
         try:
             policy = MaskingPolicy.load(ecfg["checkpoint"])
         except ValueError as exc:
-            raise IncompatibilityError(str(exc)) from exc
+            raise IncompatibilityError(f"{ecfg['checkpoint']}: {exc}") from exc
         if policy.target_checksum and policy.target_checksum != target.checksum():
             raise IncompatibilityError(
                 "masking checkpoint was trained against a different target")
@@ -88,15 +88,16 @@ def _write_curve_csv(path: Path, rows: list[dict]) -> None:
         writer.writerows(rows)
 
 
-def _write_report(out_dir: Path, stem: str, report: dict, metric_rows: list[tuple]) -> list[Path]:
+def _write_report(out_dir: Path, stem: str, report, metrics: list[tuple]) -> list[Path]:
+    """{stem}.json holds report.to_dict(); {stem}.csv one row per (metric, value, stderr)."""
     json_path = out_dir / f"{stem}.json"
-    json_path.write_text(json.dumps(report, sort_keys=True, indent=2) + "\n",
+    json_path.write_text(json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n",
                          encoding="utf-8")
     csv_path = out_dir / f"{stem}.csv"
     with open(csv_path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["explainer", "env", "metric", "value", "stderr"])
-        writer.writerows(metric_rows)
+        writer.writerows((report.explainer_id, report.env_name, *row) for row in metrics)
     return [json_path, csv_path]
 
 
@@ -114,36 +115,25 @@ def cmd_train_target(cfg: dict, out_dir: Path) -> list[Path]:
 def cmd_train_emai(cfg: dict, out_dir: Path) -> list[Path]:
     env = _build_env(cfg)
     target = _build_target(cfg, env)
-    emai_cfg = dict(cfg["emai"])
-    emai_cfg.update({k: cfg["training"][k] for k in
-                     ("lr", "stale_interval", "buffer_episodes", "batch_episodes",
-                      "epsilon_start", "epsilon_end", "epsilon_anneal_steps",
-                      "hidden", "mixer", "mix_embed")})
-    emai_cfg["hidden"] = tuple(emai_cfg["hidden"])
-    emai_cfg["workers"] = cfg["workers"]
-    policy, curves = masking.train_emai(target, env, emai_cfg, seed=cfg["seed"])
+    policy, curves = masking.train_emai(target, env, {**cfg["training"], **cfg["emai"]},
+                                        seed=cfg["seed"], workers=cfg["workers"])
     ckpt = out_dir / "masking_checkpoint.json"
-    policy.save(ckpt, env=env, training_step=emai_cfg["steps"])
+    policy.save(ckpt, env=env, training_step=cfg["emai"]["steps"])
     curve = out_dir / "emai_curve.csv"
     _write_curve_csv(curve, curves)
     return [ckpt, curve]
 
 
-def cmd_explain(cfg: dict, out_dir: Path, episodes: int | None = None) -> list[Path]:
+def cmd_explain(cfg: dict, out_dir: Path) -> list[Path]:
     env = _build_env(cfg)
     target = _build_target(cfg, env)
     explainer = _build_explainer(cfg, target)
-    n_eps = episodes if episodes is not None else cfg["eval"]["explain_episodes"]
     files = []
-    for i in range(int(n_eps)):
+    for i in range(int(cfg["eval"]["explain_episodes"])):
         seed = episode_seed(cfg["seed"], "explain", i)
         trace = run_target_episode(env, seed, target)
-        prefix: list[list[int]] = []
-        for step in trace.steps:
-            ctx = explain_mod.ExplainContext(step.observations, step.state, step.t,
-                                             env.name, env.params, seed, list(prefix))
+        for step, ctx in explain_mod.trace_contexts(trace, env):
             step.importance = explainer.scores(ctx)
-            prefix.append(list(step.final_actions))
         rec = replay.record(trace.steps, env.name, env.params, seed,
                             target_id=target.descriptor(), explainer_id=explainer.kind)
         path = out_dir / f"episode_{i:03d}.ndjson"
@@ -159,18 +149,14 @@ def cmd_eval_fidelity(cfg: dict, out_dir: Path) -> list[Path]:
     report = evaluation.eval_fidelity(explainer, target, env,
                                       episodes=cfg["eval"]["episodes"],
                                       seed=cfg["seed"], workers=cfg["workers"])
-    d = report.to_dict()
-    rows = [(report.explainer_id, report.env_name, "rrd",
-             "" if report.rrd is None else report.rrd,
-             "" if report.rrd_stderr is None else report.rrd_stderr),
-            (report.explainer_id, report.env_name, "r_original", report.r_o, report.se_o),
-            (report.explainer_id, report.env_name, "r_explained", report.r_e, report.se_e),
-            (report.explainer_id, report.env_name, "r_random", report.r_r, report.se_r),
-            (report.explainer_id, report.env_name, "delta_explained",
-             report.delta_e, report.se_delta_e),
-            (report.explainer_id, report.env_name, "delta_random",
-             report.delta_r, report.se_delta_r)]
-    return _write_report(out_dir, "fidelity", d, rows)
+    return _write_report(out_dir, "fidelity", report, [
+        ("rrd", "" if report.rrd is None else report.rrd,
+         "" if report.rrd_stderr is None else report.rrd_stderr),
+        ("r_original", report.r_o, report.se_o),
+        ("r_explained", report.r_e, report.se_e),
+        ("r_random", report.r_r, report.se_r),
+        ("delta_explained", report.delta_e, report.se_delta_e),
+        ("delta_random", report.delta_r, report.se_delta_r)])
 
 
 def cmd_attack(cfg: dict, out_dir: Path) -> list[Path]:
@@ -182,11 +168,10 @@ def cmd_attack(cfg: dict, out_dir: Path) -> list[Path]:
                                       episodes=cfg["eval"]["episodes"],
                                       seed=cfg["seed"], workers=cfg["workers"],
                                       attack_all=cfg["eval"]["attack_all"])
-    rows = [(report.explainer_id, report.env_name, "reward_delta",
-             report.delta, report.stderr),
-            (report.explainer_id, report.env_name, "r_original", report.r_original, ""),
-            (report.explainer_id, report.env_name, "r_attacked", report.r_attacked, "")]
-    return _write_report(out_dir, "attack", report.to_dict(), rows)
+    return _write_report(out_dir, "attack", report, [
+        ("reward_delta", report.delta, report.stderr),
+        ("r_original", report.r_original, ""),
+        ("r_attacked", report.r_attacked, "")])
 
 
 def cmd_patch(cfg: dict, out_dir: Path) -> list[Path]:
@@ -202,13 +187,11 @@ def cmd_patch(cfg: dict, out_dir: Path) -> list[Path]:
                                     d_th=cfg["eval"]["d_th"],
                                     episodes=cfg["eval"]["episodes"],
                                     seed=cfg["seed"], workers=cfg["workers"])
-    rows = [(report.explainer_id, report.env_name, "reward_delta",
-             report.delta, report.stderr),
-            (report.explainer_id, report.env_name, "r_original", report.r_original, ""),
-            (report.explainer_id, report.env_name, "r_patched", report.r_patched, ""),
-            (report.explainer_id, report.env_name, "mean_overrides",
-             report.mean_overrides, "")]
-    return [pkg_path] + _write_report(out_dir, "patch", report.to_dict(), rows)
+    return [pkg_path] + _write_report(out_dir, "patch", report, [
+        ("reward_delta", report.delta, report.stderr),
+        ("r_original", report.r_original, ""),
+        ("r_patched", report.r_patched, ""),
+        ("mean_overrides", report.mean_overrides, "")])
 
 
 def cmd_render(path: str, mode: str, out: str | None) -> int:
@@ -247,8 +230,6 @@ def build_parser() -> argparse.ArgumentParser:
                        metavar="KEY=VALUE", help="override a config key (dotted path)")
         p.add_argument("--out", default=None, help="output directory")
         p.add_argument("--workers", type=int, default=None)
-        if name == "explain":
-            p.add_argument("--episodes", type=int, default=None)
     r = sub.add_parser("render")
     r.add_argument("replay", help="path to an .ndjson replay")
     r.add_argument("--mode", choices=["ascii", "csv"], default="ascii")
@@ -265,10 +246,7 @@ def main(argv=None) -> int:
         if args.workers is not None:
             cfg["workers"] = args.workers
         out_dir = resolve_out_dir(cfg, args.command, args.out)
-        if args.command == "explain":
-            files = cmd_explain(cfg, out_dir, args.episodes)
-        else:
-            files = _COMMANDS[args.command](cfg, out_dir)
+        files = _COMMANDS[args.command](cfg, out_dir)
         manifest = write_manifest(out_dir, cfg, args.command, files)
         sys.stderr.write(f"{args.command}: wrote {len(files)} files + {manifest}\n")
         return EXIT_OK

@@ -36,7 +36,7 @@ DEFAULT_CONFIG: dict = {
     },
     "emai": {
         "steps": 150_000, "beta": None, "beta_scale": 0.02, "lambda": 1.0,
-        "gamma": 0.99, "baseline_episodes": 500, "diff_loss_mode": "qtot",
+        "gamma": 0.99, "baseline_episodes": 500,
     },
     "eval": {
         "episodes": 500, "noise_eps": 0.5, "d_th": None, "quantile": 0.1,

@@ -9,6 +9,7 @@ optimizer step.
 """
 from __future__ import annotations
 
+import copy
 from collections import deque
 from dataclasses import dataclass
 
@@ -33,8 +34,7 @@ def epsilon_greedy(q_vector: np.ndarray, epsilon: float, rng: np.random.Generato
     return int(np.argmax(q_vector))  # lowest index wins ties
 
 
-def linear_epsilon(step: int, start: float = 1.0, end: float = 0.05,
-                   anneal_steps: int = 50_000) -> float:
+def linear_epsilon(step: int, start: float, end: float, anneal_steps: int) -> float:
     if step >= anneal_steps:
         return end
     return start + (end - start) * (step / anneal_steps)
@@ -44,7 +44,7 @@ class AgentQNet:
     """Shared per-agent utility network Q_i(o_i, a); id one-hot appended."""
 
     def __init__(self, obs_dim: int, n_agents: int, n_actions: int,
-                 hidden: tuple[int, int] = (64, 64), rng: np.random.Generator | None = None):
+                 hidden: tuple[int, int], rng: np.random.Generator | None = None):
         self.obs_dim = int(obs_dim)
         self.n_agents = int(n_agents)
         self.n_actions = int(n_actions)
@@ -73,24 +73,15 @@ class AgentQNet:
     def params(self) -> list[Tensor]:
         return self.mlp.params()
 
-    def clone(self) -> "AgentQNet":
-        other = AgentQNet(self.obs_dim, self.n_agents, self.n_actions,
-                          tuple(self.mlp.layer_sizes[1:-1]), rng=None)
-        other.mlp.load_state(self.mlp.state())
-        other.mlp.set_requires_grad(False)
-        return other
-
     def to_doc(self) -> dict:
         return {"obs_dim": self.obs_dim, "n_agents": self.n_agents,
                 "n_actions": self.n_actions, "mlp": self.mlp.to_doc()}
 
     @classmethod
     def from_doc(cls, doc: dict) -> "AgentQNet":
-        net = cls.__new__(cls)
-        net.obs_dim = int(doc["obs_dim"])
-        net.n_agents = int(doc["n_agents"])
-        net.n_actions = int(doc["n_actions"])
-        net.mlp = Mlp.from_doc(doc["mlp"])
+        net = cls(doc["obs_dim"], doc["n_agents"], doc["n_actions"],
+                  doc["mlp"]["layer_sizes"][1:-1])
+        net.mlp.load_doc(doc["mlp"])
         return net
 
 
@@ -105,9 +96,6 @@ class VdnMixer:
     def params(self) -> list[Tensor]:
         return []
 
-    def clone(self) -> "VdnMixer":
-        return VdnMixer()
-
     def to_doc(self):
         return None
 
@@ -121,7 +109,7 @@ class MonotonicMixer:
 
     kind = "monotonic"
 
-    def __init__(self, n_agents: int, state_dim: int, embed_dim: int = 32,
+    def __init__(self, n_agents: int, state_dim: int, embed_dim: int,
                  hyper_hidden: int = 32, rng: np.random.Generator | None = None):
         self.n_agents = int(n_agents)
         self.state_dim = int(state_dim)
@@ -147,16 +135,6 @@ class MonotonicMixer:
         return (self.hyper_w1.params() + self.hyper_b1.params()
                 + self.hyper_w2.params() + self.hyper_v.params())
 
-    def clone(self) -> "MonotonicMixer":
-        other = MonotonicMixer(self.n_agents, self.state_dim, self.embed_dim, rng=None)
-        for mine, theirs in zip(self._nets(), other._nets()):
-            theirs.load_state(mine.state())
-            theirs.set_requires_grad(False)
-        return other
-
-    def _nets(self) -> list[Mlp]:
-        return [self.hyper_w1, self.hyper_b1, self.hyper_w2, self.hyper_v]
-
     def to_doc(self) -> dict:
         return {"embed_dim": self.embed_dim, "n_agents": self.n_agents,
                 "state_dim": self.state_dim,
@@ -165,24 +143,60 @@ class MonotonicMixer:
 
     @classmethod
     def from_doc(cls, doc: dict) -> "MonotonicMixer":
-        mixer = cls.__new__(cls)
-        mixer.n_agents = int(doc["n_agents"])
-        mixer.state_dim = int(doc["state_dim"])
-        mixer.embed_dim = int(doc["embed_dim"])
-        mixer.hyper_w1 = Mlp.from_doc(doc["hyper_w1"])
-        mixer.hyper_b1 = Mlp.from_doc(doc["hyper_b1"])
-        mixer.hyper_w2 = Mlp.from_doc(doc["hyper_w2"])
-        mixer.hyper_v = Mlp.from_doc(doc["hyper_v"])
+        mixer = cls(doc["n_agents"], doc["state_dim"], doc["embed_dim"],
+                    hyper_hidden=doc["hyper_w1"]["layer_sizes"][1])
+        for name in ("hyper_w1", "hyper_b1", "hyper_w2", "hyper_v"):
+            getattr(mixer, name).load_doc(doc[name])
         return mixer
 
 
-def make_mixer(kind: str, n_agents: int, state_dim: int, embed_dim: int = 32,
+def make_mixer(kind: str, n_agents: int, state_dim: int, embed_dim: int,
                rng: np.random.Generator | None = None):
     if kind == "vdn":
         return VdnMixer()
     if kind == "monotonic":
         return MonotonicMixer(n_agents, state_dim, embed_dim, rng=rng)
     raise ValueError(f"unknown mixer kind {kind!r}")
+
+
+_CHECKPOINT_KEYS = frozenset(("format", "v", "env", "env_params", "n_agents", "n_actions",
+                             "mixer_kind", "training_step", "agent_net", "mixer"))
+
+
+def checkpoint_doc(net: AgentQNet, mixer, env, training_step: int) -> dict:
+    """The ctde-checkpoint document (schemas/checkpoint_schema.json); a
+    learned target passes mixer=None and is written as mixer_kind "none"."""
+    return {
+        "format": "ctde-checkpoint", "v": 1,
+        "env": getattr(env, "name", ""), "env_params": getattr(env, "params", {}),
+        "n_agents": net.n_agents, "n_actions": net.n_actions,
+        "mixer_kind": getattr(mixer, "kind", "none"),
+        "training_step": int(training_step),
+        "agent_net": net.to_doc(),
+        "mixer": None if mixer is None else mixer.to_doc(),
+    }
+
+
+def load_checkpoint_doc(doc) -> tuple[AgentQNet, VdnMixer | MonotonicMixer | None]:
+    """Parse checkpoint_doc's output; any malformed document raises ValueError."""
+    try:
+        if doc["format"] != "ctde-checkpoint" or doc["v"] != 1:
+            raise ValueError("not a v1 ctde checkpoint")
+        if set(doc) != _CHECKPOINT_KEYS:
+            raise ValueError(f"ctde checkpoint keys {sorted(doc)} differ from the schema's")
+        net = AgentQNet.from_doc(doc["agent_net"])
+        if (doc["n_agents"], doc["n_actions"]) != (net.n_agents, net.n_actions):
+            raise ValueError("n_agents/n_actions disagree with agent_net")
+        kind, mixer_doc = doc["mixer_kind"], doc["mixer"]
+        if kind == "monotonic":
+            mixer = MonotonicMixer.from_doc(mixer_doc)
+        elif kind in ("none", "vdn") and mixer_doc is None:
+            mixer = VdnMixer() if kind == "vdn" else None
+        else:
+            raise ValueError(f"mixer_kind {kind!r} does not fit its mixer document")
+    except (KeyError, IndexError, TypeError) as exc:
+        raise ValueError(f"malformed ctde checkpoint: {type(exc).__name__}: {exc}") from exc
+    return net, mixer
 
 
 def q_total(mixer, state: np.ndarray, chosen_q: np.ndarray) -> float:
@@ -228,20 +242,24 @@ class EpisodeBuffer:
 
 
 class StaleCopy:
-    """Frozen snapshots of the utility net and mixer for TD targets."""
+    """Frozen snapshot of the utility net and mixer for TD targets.
+
+    Both are deep-copied once; refresh() copies the live parameter values
+    over the snapshot's, in params() order.
+    """
 
     def __init__(self, net: AgentQNet, mixer, refresh_interval: int):
         self.refresh_interval = int(refresh_interval)
-        self.net = net.clone()
-        self.mixer = mixer.clone()
-        self._live_net = net
-        self._live_mixer = mixer
+        self.net = copy.deepcopy(net)
+        self.mixer = copy.deepcopy(mixer)
+        self._live = net.params() + mixer.params()
+        self._frozen = self.net.params() + self.mixer.params()
+        for p in self._frozen:
+            p.requires_grad = False
 
     def refresh(self) -> None:
-        self.net.mlp.load_state(self._live_net.mlp.state())
-        if isinstance(self.mixer, MonotonicMixer):
-            for mine, theirs in zip(self._live_mixer._nets(), self.mixer._nets()):
-                theirs.load_state(mine.state())
+        for frozen, live in zip(self._frozen, self._live):
+            frozen.data = live.data.copy()
 
     def maybe_refresh(self, env_step: int) -> bool:
         if env_step % self.refresh_interval == 0:
@@ -326,41 +344,26 @@ class QLearner:
     """Bundles net, mixer, buffer, stale copies and the optimizer, plus the
     episode collection loop shared by the target and masking trainers."""
 
-    def __init__(self, obs_dim: int, state_dim: int, n_agents: int, n_actions: int,
-                 seed: int, mixer_kind: str = "monotonic", hidden: tuple[int, int] = (64, 64),
-                 embed_dim: int = 32, lr: float = 5e-4, buffer_episodes: int = 2000,
-                 batch_episodes: int = 32, stale_interval: int = 200, gamma: float = 0.99):
+    def __init__(self, spec, n_actions: int, seed: int, config: dict):
+        """A learner for env spec `spec` from a merged config: every key of
+        config.DEFAULT_CONFIG["training"] must be present."""
         self.seed = int(seed)
+        self.config = config
         init_rng = stream(seed, "init")
-        self.net = AgentQNet(obs_dim, n_agents, n_actions, hidden, init_rng)
-        self.mixer = make_mixer(mixer_kind, n_agents, state_dim, embed_dim, init_rng)
-        self.stale = StaleCopy(self.net, self.mixer, stale_interval)
-        self.buffer = EpisodeBuffer(buffer_episodes)
-        self.batch_episodes = int(batch_episodes)
-        self.gamma = float(gamma)
-        self.optimizer = nn.Adam(self.net.params() + self.mixer.params(), lr=lr)
+        self.net = AgentQNet(spec.obs_dim, spec.n_agents, n_actions, config["hidden"], init_rng)
+        self.mixer = make_mixer(config["mixer"], spec.n_agents, spec.state_dim,
+                                config["mix_embed"], init_rng)
+        self.stale = StaleCopy(self.net, self.mixer, config["stale_interval"])
+        self.buffer = EpisodeBuffer(config["buffer_episodes"])
+        self.batch_episodes = int(config["batch_episodes"])
+        self.optimizer = nn.Adam(self.net.params() + self.mixer.params(), lr=config["lr"])
         self.sample_rng = stream(seed, "replay")
-
-    @classmethod
-    def from_config(cls, spec, n_actions: int, seed: int, config: dict,
-                    gamma: float) -> "QLearner":
-        """A learner for env spec `spec` from a trainer's config section."""
-        return cls(obs_dim=spec.obs_dim, state_dim=spec.state_dim, n_agents=spec.n_agents,
-                   n_actions=n_actions, seed=seed,
-                   mixer_kind=config.get("mixer", "monotonic"),
-                   hidden=tuple(config.get("hidden", (64, 64))),
-                   embed_dim=config.get("mix_embed", 32),
-                   lr=config.get("lr", 5e-4),
-                   buffer_episodes=config.get("buffer_episodes", 2000),
-                   batch_episodes=config.get("batch_episodes", 32),
-                   stale_interval=config.get("stale_interval", 200),
-                   gamma=gamma)
 
     def td_train_step(self, reward_fn=None, extra_loss_fn=None) -> dict:
         """Sample a batch, apply one optimizer step, return loss stats."""
         batch = self.buffer.sample(self.batch_episodes, self.sample_rng)
         loss_e, stats = build_td_loss(self.net, self.mixer, self.stale, batch,
-                                      self.gamma, reward_fn)
+                                      float(self.config["gamma"]), reward_fn)
         loss = loss_e
         stats["loss_e"] = loss_e.item()
         if extra_loss_fn is not None:
@@ -375,8 +378,8 @@ class QLearner:
         self.optimizer.step()
         return stats
 
-    def learn(self, env, tag: str, config: dict, columns: dict, compose=None,
-              reward_fn=None, extra_loss_fn=None, progress=None) -> list[dict]:
+    def learn(self, env, tag: str, columns: dict, compose=None, reward_fn=None,
+              extra_loss_fn=None, progress=None) -> list[dict]:
         """Collect epsilon-greedy episodes for config["steps"] env steps,
         taking one TD step after each episode once the buffer holds a batch.
 
@@ -392,18 +395,18 @@ class QLearner:
         also passed to progress(row). Returns the curve rows.
         """
         spec = env.spec
-        budget = int(config.get("steps", 100_000))
-        eps_cfg = (config.get("epsilon_start", 1.0), config.get("epsilon_end", 0.05),
-                   config.get("epsilon_anneal_steps", 50_000))
+        config = self.config
+        eps_cfg = (config["epsilon_start"], config["epsilon_end"],
+                   config["epsilon_anneal_steps"])
         explore_rng = stream(self.seed, f"{tag}-explore")
         curves: list[dict] = []
         window: dict[str, list[float]] = {col: [] for col in columns}
         env_step, episode_idx = 0, 0
-        while env_step < budget:
+        while env_step < config["steps"]:
             state, obs = env.reset(episode_seed(self.seed, f"{tag}-episode", episode_idx))
             obs_seq, state_seq, act_seq, rew_seq = [obs], [state], [], []
             done = False
-            while not done and env_step < budget:
+            while not done and env_step < config["steps"]:
                 eps = linear_epsilon(env_step, *eps_cfg)
                 q = self.net.q_all_agents(obs)
                 actions = [epsilon_greedy(q[i], eps, explore_rng) for i in range(spec.n_agents)]

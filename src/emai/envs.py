@@ -47,15 +47,12 @@ class EnvSpec:
     state_dim: int
     action_space: Discrete
     horizon: int
-    gamma: float = 0.99
 
     def __post_init__(self):
         if self.n_agents < 2:
             raise ValueError("n_agents must be >= 2")
         if self.horizon < 1:
             raise ValueError("horizon must be >= 1")
-        if not (0.0 < self.gamma <= 1.0):
-            raise ValueError("gamma must lie in (0, 1]")
 
 
 @dataclass

@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .envs import random_action
-from .explain import ExplainContext, Explainer
+from .explain import ExplainContext, Explainer, trace_contexts
 from .masking import _check_compat
 from .rng import episode_seed, stream
 from .rollout import greedy_actions, run_batch, run_episode, run_target_episode
@@ -252,8 +252,8 @@ def build_patch_package(explainer: Explainer, target, env, harvest_episodes: int
     if not (0.0 < quantile <= 1.0):
         raise ValueError("quantile must lie in (0, 1]")
     _check_compat(target, env)
-    seeds = [episode_seed(seed, "harvest", i) for i in range(harvest_episodes)]
-    traces = [run_target_episode(env, s, target) for s in seeds]
+    traces = [run_target_episode(env, episode_seed(seed, "harvest", i), target)
+              for i in range(harvest_episodes)]
     rewards = np.array([tr.episode_reward for tr in traces])
     if np.all(rewards == rewards[0]):
         warnings.warn("all harvest episode rewards are equal; keeping every episode")
@@ -265,17 +265,13 @@ def build_patch_package(explainer: Explainer, target, env, harvest_episodes: int
     entries_obs: list[np.ndarray] = []
     entries_act: list[int] = []
     for i in kept:
-        trace = traces[i]
-        prefix: list[list[int]] = []
-        for step in trace.steps:
-            ctx = _ctx(env, step.observations, step.state, seeds[i], prefix)
+        for step, ctx in trace_contexts(traces[i], env):
             critical = explainer.most_critical(ctx)
             key = tuple(step.observations[critical])
             if key not in seen:
                 seen[key] = len(entries_obs)
                 entries_obs.append(np.asarray(step.observations[critical]))
                 entries_act.append(int(step.final_actions[critical]))
-            prefix.append(list(step.final_actions))
     return PatchPackage(env.name, explainer.kind, float(quantile),
                         np.stack(entries_obs) if entries_obs else np.zeros((0, env.spec.obs_dim)),
                         np.array(entries_act, dtype=np.int64))

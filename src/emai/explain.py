@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass, field
+from typing import Iterator
 
 import numpy as np
 
@@ -24,7 +25,7 @@ from .envs import make_env
 from .masking import MaskingPolicy
 from .nn import Tensor
 from .rng import stream
-from .rollout import greedy_actions, replay_prefix
+from .rollout import Step, Trace, greedy_actions, replay_prefix
 from .target import TargetPolicy, privileged_q_network
 
 
@@ -43,6 +44,16 @@ class ExplainContext:
     @property
     def n_agents(self) -> int:
         return len(self.observations)
+
+
+def trace_contexts(trace: Trace, env) -> Iterator[tuple[Step, ExplainContext]]:
+    """(step, context) for every step of a finished trace of `env`; each
+    context's prefix lists the joint actions executed before its step."""
+    prefix: list[list[int]] = []
+    for step in trace.steps:
+        yield step, ExplainContext(step.observations, step.state, step.t, env.name,
+                                   env.params, trace.seed, list(prefix))
+        prefix.append(list(step.final_actions))
 
 
 class Explainer:

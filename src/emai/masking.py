@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import ctde
+from .config import DEFAULT_CONFIG
 from .ctde import AgentQNet, Episode, QLearner
 from .envs import Discrete, random_action
 from .nn import Tensor
@@ -76,8 +77,8 @@ def _baseline_episode(payload) -> tuple[float, float, int]:
             len(trace.steps))
 
 
-def estimate_baseline_return(target, env, episodes: int = 500, gamma: float = 0.99,
-                             seed: int = 0, workers: int = 1) -> BaselineEstimate:
+def estimate_baseline_return(target, env, episodes: int, gamma: float, seed: int = 0,
+                             workers: int = 1) -> BaselineEstimate:
     """Mean discounted return of the greedy target over seeded episodes."""
     if episodes < 1:
         raise ValueError("episodes must be >= 1")
@@ -94,31 +95,22 @@ def estimate_baseline_return(target, env, episodes: int = 500, gamma: float = 0.
 
 
 def diff_loss(batch: list[Episode], net: AgentQNet, mixer, j_pi: float, gamma: float,
-              beta: float, mode: str = "qtot") -> tuple[Tensor, dict]:
+              beta: float) -> tuple[Tensor, dict]:
     """Squared gap between J(pi) and the discounted per-episode value sum.
 
     Per episode: D = J(pi) - sum_t gamma^t (Q_tot(o_t, a^m_t) - R^m_t);
-    the loss is the batch mean of D^2. mode="realized" swaps Q_tot - R^m
-    for the realized environment reward, which measures the same gap but
-    carries no gradient (diagnostic only).
+    the loss is the batch mean of D^2.
     """
-    obs, _, states, _, actions, rewards, _, ep_idx, t_idx = ctde._flatten_batch(batch)
+    obs, _, states, _, actions, _, _, ep_idx, t_idx = ctde._flatten_batch(batch)
     n_eps = len(batch)
     weights = gamma ** t_idx.astype(np.float64)
     r_mask = float(beta) * actions.sum(axis=1)
-    if mode == "qtot":
-        q_tot = mixer.mix(ctde.chosen_q_tensor(net, obs, actions), states)
-        weighted = (q_tot - Tensor(r_mask)) * Tensor(weights)
-        member = np.zeros((len(ep_idx), n_eps))
-        member[np.arange(len(ep_idx)), ep_idx] = 1.0
-        per_episode = (weighted.reshape(1, -1) @ Tensor(member)).reshape(n_eps)
-        d = Tensor(np.full(n_eps, float(j_pi))) - per_episode
-    elif mode == "realized":
-        disc = np.zeros(n_eps)
-        np.add.at(disc, ep_idx, weights * rewards)
-        d = Tensor(float(j_pi) - disc)
-    else:
-        raise ValueError(f"unknown diff loss mode {mode!r}")
+    q_tot = mixer.mix(ctde.chosen_q_tensor(net, obs, actions), states)
+    weighted = (q_tot - Tensor(r_mask)) * Tensor(weights)
+    member = np.zeros((len(ep_idx), n_eps))
+    member[np.arange(len(ep_idx)), ep_idx] = 1.0
+    per_episode = (weighted.reshape(1, -1) @ Tensor(member)).reshape(n_eps)
+    d = Tensor(np.full(n_eps, float(j_pi))) - per_episode
     loss = (d * d).mean()
     return loss, {"loss_d": loss.item()}
 
@@ -130,6 +122,8 @@ class MaskingPolicy:
                  j_pi: float, j_pi_stderr: float, target_checksum: str = ""):
         if qnet.n_actions != 2:
             raise ValueError("masking policy needs exactly the actions {keep, mask}")
+        if mixer is None:
+            raise ValueError("masking policy needs a mixer")
         if beta < 0 or lam < 0:
             raise ValueError("beta and lambda must be >= 0")
         self.qnet = qnet
@@ -174,16 +168,7 @@ class MaskingPolicy:
             "beta": self.beta, "lambda": self.lam, "gamma": self.gamma,
             "j_pi": self.j_pi, "j_pi_stderr": self.j_pi_stderr,
             "target_checksum": self.target_checksum,
-            "ctde": {
-                "format": "ctde-checkpoint", "v": 1,
-                "env": getattr(env, "name", ""),
-                "env_params": getattr(env, "params", {}),
-                "n_agents": self.qnet.n_agents, "n_actions": 2,
-                "mixer_kind": getattr(self.mixer, "kind", "none"),
-                "training_step": int(training_step),
-                "agent_net": self.qnet.to_doc(),
-                "mixer": self.mixer.to_doc(),
-            },
+            "ctde": ctde.checkpoint_doc(self.qnet, self.mixer, env, training_step),
         }
 
     def save(self, path, env=None, training_step: int = 0) -> None:
@@ -191,18 +176,16 @@ class MaskingPolicy:
             json.dump(self.to_doc(env, training_step), fh, sort_keys=True)
 
     @classmethod
-    def from_doc(cls, doc: dict) -> "MaskingPolicy":
-        if doc.get("format") != "masking-checkpoint" or doc.get("v") != 1:
-            raise ValueError("not a v1 masking checkpoint")
-        inner = doc["ctde"]
-        qnet = AgentQNet.from_doc(inner["agent_net"])
-        mixer_doc = inner.get("mixer")
-        if inner.get("mixer_kind") == "monotonic":
-            mixer = ctde.MonotonicMixer.from_doc(mixer_doc)
-        else:
-            mixer = ctde.VdnMixer()
-        return cls(qnet, mixer, doc["beta"], doc["lambda"], doc["gamma"],
-                   doc["j_pi"], doc["j_pi_stderr"], doc.get("target_checksum", ""))
+    def from_doc(cls, doc) -> "MaskingPolicy":
+        """Parse to_doc's output; any malformed document raises ValueError."""
+        try:
+            if doc["format"] != "masking-checkpoint" or doc["v"] != 1:
+                raise ValueError("not a v1 masking checkpoint")
+            qnet, mixer = ctde.load_checkpoint_doc(doc["ctde"])
+            return cls(qnet, mixer, doc["beta"], doc["lambda"], doc["gamma"],
+                       doc["j_pi"], doc["j_pi_stderr"], doc["target_checksum"])
+        except (KeyError, TypeError) as exc:
+            raise ValueError(f"malformed masking checkpoint: {type(exc).__name__}: {exc}") from exc
 
     @classmethod
     def load(cls, path) -> "MaskingPolicy":
@@ -218,50 +201,37 @@ def _check_compat(target, env) -> None:
             f"env {env.name!r} ({spec.n_agents} agents, obs_dim {spec.obs_dim})")
 
 
-DEFAULTS = {
-    "steps": 150_000,
-    "beta": None,           # None -> beta_scale * mean |step reward| of the baseline
-    "beta_scale": 0.02,
-    "lambda": 1.0,
-    "gamma": 0.99,
-    "baseline_episodes": 500,
-    "diff_loss_mode": "qtot",
-}
-
-
 def train_emai(target, env, config: dict | None = None, seed: int = 0,
-               baseline: BaselineEstimate | None = None, progress=None):
+               baseline: BaselineEstimate | None = None, progress=None, workers: int = 1):
     """Train the masking team against a fixed black-box target.
 
-    Per step: query the target's actions, pick mask actions epsilon-greedily
-    from the masking net, compose the final joint action, and bank the
-    whole episode; after each episode apply one optimizer step on
-    L_total = L_e + lambda * L_d. Returns (MaskingPolicy, curve_rows).
+    config overrides DEFAULT_CONFIG's "training" section merged with its
+    "emai" section. Per step: query the target's actions, pick mask actions
+    epsilon-greedily from the masking net, compose the final joint action,
+    and bank the whole episode; after each episode apply one optimizer step
+    on L_total = L_e + lambda * L_d. Returns (MaskingPolicy, curve_rows).
     """
-    cfg = dict(DEFAULTS)
-    cfg.update(config or {})
+    cfg = {**DEFAULT_CONFIG["training"], **DEFAULT_CONFIG["emai"], **(config or {})}
     _check_compat(target, env)
     spec = env.spec
     gamma = float(cfg["gamma"])
     if baseline is None:
         baseline = estimate_baseline_return(target, env, int(cfg["baseline_episodes"]),
-                                            gamma, seed=seed,
-                                            workers=int(cfg.get("workers", 1)))
+                                            gamma, seed=seed, workers=workers)
     beta = cfg["beta"]
     if beta is None:
         beta = float(cfg["beta_scale"]) * baseline.reward_scale
     beta = float(beta)
     lam = float(cfg["lambda"])
-    mode = cfg.get("diff_loss_mode", "qtot")
 
-    learner = QLearner.from_config(spec, 2, seed, cfg, gamma)
+    learner = QLearner(spec, 2, seed, cfg)
 
     def reward_fn(rewards, actions):
         return rewards + beta * actions.sum(axis=1)
 
     def extra_loss(batch):
         loss_d, stats = diff_loss(batch, learner.net, learner.mixer,
-                                  baseline.j_pi, gamma, beta, mode)
+                                  baseline.j_pi, gamma, beta)
         return loss_d * lam, stats
 
     mask_rng = stream(seed, "emai-mask-actions")
@@ -272,7 +242,7 @@ def train_emai(target, env, config: dict | None = None, seed: int = 0,
                 for a, b in zip(greedy_actions(target, obs), bits)]
 
     columns = {k: k for k in ("loss_e", "loss_d", "loss_total", "mask_rate", "episode_reward")}
-    curves = learner.learn(env, "emai", cfg, columns, compose, reward_fn,
+    curves = learner.learn(env, "emai", columns, compose, reward_fn,
                            extra_loss if lam > 0 else None, progress)
     policy = MaskingPolicy(learner.net, learner.mixer, beta, lam, gamma,
                            baseline.j_pi, baseline.stderr, target.checksum())

@@ -407,24 +407,6 @@ class Mlp:
             out.extend([w, b])
         return out
 
-    def set_requires_grad(self, flag: bool) -> None:
-        for p in self.params():
-            p.requires_grad = flag
-
-    def state(self) -> list[np.ndarray]:
-        return [p.data.copy() for p in self.params()]
-
-    def load_state(self, arrays: Sequence[np.ndarray]) -> None:
-        ps = self.params()
-        if len(arrays) != len(ps):
-            raise ShapeError(f"expected {len(ps)} arrays, got {len(arrays)}")
-        for p, a in zip(ps, arrays):
-            a = np.asarray(a, dtype=np.float64)
-            if a.shape != p.data.shape:
-                raise ShapeError(f"param shape {p.data.shape} vs loaded {a.shape}")
-            _check_finite(a, "loaded parameter")
-            p.data = a.copy()
-
     # JSON checkpoint document; key names fixed by schemas/checkpoint_schema.json
     def to_doc(self) -> dict:
         params = []
@@ -436,13 +418,17 @@ class Mlp:
         return {"layer_sizes": self.layer_sizes, "activations": self.activations,
                 "params": params}
 
-    @classmethod
-    def from_doc(cls, doc: dict) -> "Mlp":
-        mlp = cls(doc["layer_sizes"], doc["activations"], rng=None)
-        arrays = [np.asarray(p["values"], dtype=np.float64).reshape(p["shape"])
-                  for p in doc["params"]]
-        mlp.load_state(arrays)
-        return mlp
+    def load_doc(self, doc: dict) -> None:
+        """Overwrite the parameters from a to_doc() document of this architecture."""
+        if (doc["layer_sizes"], doc["activations"]) != (self.layer_sizes, self.activations):
+            raise ShapeError(f"layers {doc['layer_sizes']} {doc['activations']} vs "
+                             f"expected {self.layer_sizes} {self.activations}")
+        for p, entry in zip(self.params(), doc["params"], strict=True):
+            a = np.asarray(entry["values"], dtype=np.float64).reshape(entry["shape"])
+            if a.shape != p.data.shape:
+                raise ShapeError(f"param shape {p.data.shape} vs loaded {a.shape}")
+            _check_finite(a, "loaded parameter")
+            p.data = a
 
 
 # ---- optimizer ----
@@ -450,7 +436,7 @@ class Mlp:
 class Adam:
     """Adaptive-moment gradient descent; params with grad=None are skipped."""
 
-    def __init__(self, params: Sequence[Tensor], lr: float = 5e-4,
+    def __init__(self, params: Sequence[Tensor], lr: float,
                  betas: tuple[float, float] = (0.9, 0.999), eps: float = 1e-8):
         if lr <= 0:
             raise ValueError("learning_rate must be > 0")

@@ -105,10 +105,18 @@ def parse(text: str) -> EpisodeRecord:
         header = json.loads(lines[0])
     except json.JSONDecodeError as exc:
         raise ReplayError(f"malformed header on line 1: {exc}") from exc
+    if not isinstance(header, dict):
+        raise ReplayError("malformed header on line 1: not a JSON object")
     if header.get("v") != FORMAT_VERSION:
         raise ReplayError(f"unsupported replay version {header.get('v')!r}; "
                           f"this reader handles v:{FORMAT_VERSION} only")
-    n_steps = int(header.get("n_steps", -1))
+    try:
+        n_steps, declared = int(header["n_steps"]), float(header["reward_sum"])
+        seed, n_agents = int(header["seed"]), int(header["n_agents"])
+        env_name, env_params = header["env_name"], header["env_params"]
+        target_id, explainer_id = header["target_id"], header["explainer_id"]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ReplayError(f"malformed header on line 1: {type(exc).__name__}: {exc}") from exc
     steps: list[RecordStep] = []
     last_good = 1
     for lineno, line in enumerate(lines[1:], start=2):
@@ -129,13 +137,10 @@ def parse(text: str) -> EpisodeRecord:
         if st.t != idx:
             raise ReplayError(f"non-contiguous steps: expected t={idx}, got t={st.t}")
     total = sum(st.reward for st in steps)
-    declared = float(header["reward_sum"])
     if abs(total - declared) > 1e-6 * max(1.0, abs(declared)):
         raise ReplayError(f"header reward_sum {declared} inconsistent with "
                           f"step sum {total}")
-    return EpisodeRecord(header["env_name"], header.get("env_params", {}),
-                         int(header["seed"]), header.get("target_id", ""),
-                         header.get("explainer_id", ""), int(header["n_agents"]),
+    return EpisodeRecord(env_name, env_params, seed, target_id, explainer_id, n_agents,
                          steps, declared)
 
 

@@ -14,7 +14,8 @@ from collections import deque
 import numpy as np
 
 from . import envs
-from .ctde import AgentQNet, QLearner
+from .config import DEFAULT_CONFIG
+from .ctde import AgentQNet, QLearner, checkpoint_doc, load_checkpoint_doc
 from .envs import DOWN, LEFT, RIGHT, STAY, UP, Diagnostic, KeyCorridor, Spread
 
 
@@ -332,40 +333,29 @@ def scripted_by_name(env, variant: str = "default") -> TargetPolicy:
 
 
 def train_target(env, config: dict, seed: int, progress=None):
-    """Train a learned target on `env` with the shared TD machinery.
+    """Train a learned target on `env` with the shared TD machinery; config
+    overrides DEFAULT_CONFIG["training"].
 
     Returns (LearnedPolicy, curve_rows); curve rows are dicts suitable for
     CSV export. A zero-step budget returns the random-init greedy policy.
     """
-    spec = env.spec
-    learner = QLearner.from_config(spec, spec.action_space.n, seed, config,
-                                   config.get("gamma", spec.gamma))
-    curves = learner.learn(env, "target", config,
+    learner = QLearner(env.spec, env.spec.action_space.n, seed,
+                       {**DEFAULT_CONFIG["training"], **config})
+    curves = learner.learn(env, "target",
                            {"loss": "loss_total", "episode_reward": "episode_reward"},
                            progress=progress)
     policy = LearnedPolicy(learner.net, source=f"{env.name}:seed={seed}")
     return policy, curves
 
 
-def save_checkpoint(policy: LearnedPolicy, env, path, training_step: int = 0,
-                    mixer=None) -> None:
-    doc = {
-        "format": "ctde-checkpoint", "v": 1,
-        "env": env.name, "env_params": env.params,
-        "n_agents": policy.n_agents, "n_actions": policy._qnet.n_actions,
-        "mixer_kind": getattr(mixer, "kind", "none"),
-        "training_step": int(training_step),
-        "agent_net": policy._qnet.to_doc(),
-        "mixer": mixer.to_doc() if mixer is not None else None,
-    }
+def save_checkpoint(policy: LearnedPolicy, env, path, training_step: int = 0) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, sort_keys=True)
+        json.dump(checkpoint_doc(policy._qnet, None, env, training_step), fh, sort_keys=True)
 
 
 def load_checkpoint(path) -> LearnedPolicy:
+    """Load a learned target; a malformed checkpoint raises ValueError."""
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
-    if doc.get("format") != "ctde-checkpoint" or doc.get("v") != 1:
-        raise ValueError(f"not a v1 ctde checkpoint: {path}")
-    qnet = AgentQNet.from_doc(doc["agent_net"])
-    return LearnedPolicy(qnet, source=f"checkpoint:{doc.get('env', '?')}")
+    qnet, _ = load_checkpoint_doc(doc)
+    return LearnedPolicy(qnet, source=f"checkpoint:{doc['env']}")

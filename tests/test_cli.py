@@ -8,6 +8,10 @@ import pytest
 
 from emai.cli import main
 from emai.config import ConfigError, load_config
+from emai.ctde import AgentQNet, VdnMixer
+from emai.envs import make_env
+from emai.masking import MaskingPolicy
+from emai.target import LearnedPolicy, save_checkpoint
 
 FAST_EMAI = {
     "seed": 5,
@@ -93,7 +97,7 @@ def test_explain_and_render_commands(tmp_path):
     cfg_path = _write_cfg(tmp_path, FAST_EMAI)
     out = tmp_path / "explain"
     assert main(["explain", "--config", str(cfg_path), "--out", str(out),
-                 "--episodes", "2"]) == 0
+                 "--set", "eval.explain_episodes=2"]) == 0
     replays = sorted(out.glob("episode_*.ndjson"))
     assert len(replays) == 2
     rendered = tmp_path / "render.txt"
@@ -186,6 +190,53 @@ def test_defaults_match_module_ledgers():
 def test_env_var_output_root(tmp_path, monkeypatch):
     monkeypatch.setenv("EMAI_OUT_ROOT", str(tmp_path / "root"))
     cfg_path = _write_cfg(tmp_path, FAST_EMAI)
-    assert main(["explain", "--config", str(cfg_path), "--episodes", "1"]) == 0
+    assert main(["explain", "--config", str(cfg_path), "--set", "eval.explain_episodes=1"]) == 0
     produced = list((tmp_path / "root").glob("explain-*/episode_000.ndjson"))
     assert len(produced) == 1
+
+
+def test_removed_diff_loss_mode_key_rejected_exit_2(tmp_path):
+    cfg = json.loads(json.dumps(FAST_EMAI))
+    cfg["emai"]["diff_loss_mode"] = "qtot"
+    path = _write_cfg(tmp_path, cfg)
+    assert main(["train-emai", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+
+
+def _eval_with(tmp_path, section: dict, ckpt_doc: dict) -> int:
+    ckpt = tmp_path / "ckpt.json"
+    ckpt.write_text(json.dumps(ckpt_doc), encoding="utf-8")
+    cfg = json.loads(json.dumps(FAST_EMAI))
+    cfg.update({k: dict(v, checkpoint=str(ckpt)) for k, v in section.items()})
+    return main(["eval-fidelity", "--config", str(_write_cfg(tmp_path, cfg)),
+                 "--out", str(tmp_path / "o")])
+
+
+def test_masking_checkpoint_without_beta_exit_5(tmp_path):
+    env = make_env(FAST_EMAI["env"]["name"], **FAST_EMAI["env"]["params"])
+    net = AgentQNet(env.spec.obs_dim, env.spec.n_agents, 2, hidden=(4, 4), rng=None)
+    doc = MaskingPolicy(net, VdnMixer(), beta=0.1, lam=0.0, gamma=0.99, j_pi=0.0,
+                        j_pi_stderr=0.0).to_doc(env)
+    del doc["beta"]
+    assert _eval_with(tmp_path, {"explainer": {"kind": "emai"}}, doc) == 5
+
+
+def test_learned_target_checkpoint_without_agent_net_exit_5(tmp_path):
+    env = make_env(FAST_EMAI["env"]["name"], **FAST_EMAI["env"]["params"])
+    net = AgentQNet(env.spec.obs_dim, env.spec.n_agents, env.spec.action_space.n,
+                    hidden=(4, 4), rng=None)
+    save_checkpoint(LearnedPolicy(net), env, tmp_path / "whole.json")
+    doc = json.loads((tmp_path / "whole.json").read_text(encoding="utf-8"))
+    del doc["agent_net"]
+    assert _eval_with(tmp_path, {"target": {"kind": "learned"}}, doc) == 5
+
+
+def test_render_replay_without_reward_sum_exit_5(tmp_path):
+    out = tmp_path / "explain"
+    assert main(["explain", "--config", str(_write_cfg(tmp_path, FAST_EMAI)),
+                 "--out", str(out), "--set", "eval.explain_episodes=1"]) == 0
+    lines = (out / "episode_000.ndjson").read_text(encoding="utf-8").splitlines()
+    header = json.loads(lines[0])
+    del header["reward_sum"]
+    bad = tmp_path / "bad.ndjson"
+    bad.write_text("\n".join([json.dumps(header)] + lines[1:]) + "\n", encoding="utf-8")
+    assert main(["render", str(bad)]) == 5

@@ -1,6 +1,8 @@
 """CTDE machinery: utility nets, mixers, IGM, buffer, TD training."""
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -101,10 +103,10 @@ def test_epsilon_validation():
 
 
 def test_linear_epsilon_schedule():
-    assert linear_epsilon(0) == 1.0
-    assert linear_epsilon(50_000) == 0.05
-    assert linear_epsilon(80_000) == 0.05
-    assert linear_epsilon(25_000) == pytest.approx(0.525)
+    assert linear_epsilon(0, 1.0, 0.05, 50_000) == 1.0
+    assert linear_epsilon(50_000, 1.0, 0.05, 50_000) == 0.05
+    assert linear_epsilon(80_000, 1.0, 0.05, 50_000) == 0.05
+    assert linear_epsilon(25_000, 1.0, 0.05, 50_000) == pytest.approx(0.525)
 
 
 def _one_step_episode(obs, state, actions, reward):
@@ -168,10 +170,10 @@ class _BanditEnv:
 
 def test_bandit_training_converges_to_joint_argmax():
     env = _BanditEnv()
-    learner = ctde.QLearner(obs_dim=2, state_dim=2, n_agents=2, n_actions=3, seed=5,
-                            mixer_kind="monotonic", hidden=(16, 16), embed_dim=8,
-                            lr=2e-3, buffer_episodes=200, batch_episodes=16,
-                            stale_interval=50, gamma=0.99)
+    config = {"mixer": "monotonic", "hidden": [16, 16], "mix_embed": 8, "lr": 2e-3,
+              "buffer_episodes": 200, "batch_episodes": 16, "stale_interval": 50,
+              "gamma": 0.99}
+    learner = ctde.QLearner(env.spec, 3, 5, config)
     explore = stream(5, "bandit-explore")
     for step in range(2000):
         _, obs = env.reset(step)
@@ -211,6 +213,28 @@ def test_stale_copy_frozen_between_refreshes():
     assert not np.array_equal(stale.net.q_single(obs, 0), before)
 
 
+def test_stale_copy_with_monotonic_mixer_frozen_until_refresh():
+    net = _toy_net()
+    mixer = MonotonicMixer(2, 5, embed_dim=8, rng=stream(4, "stale-mix"))
+    stale = StaleCopy(net, mixer, refresh_interval=10)
+    state = stream(5, "stale-state").standard_normal(5)
+    q = np.array([0.3, -0.2])
+    before = q_total(stale.mixer, state, q)
+    live = net.params() + mixer.params()
+    for p in live:  # live net and mixer move on
+        p.data = p.data * 1.5 + 0.1
+    assert q_total(mixer, state, q) != before
+    assert q_total(stale.mixer, state, q) == before
+    stale.refresh()
+    frozen = stale.net.params() + stale.mixer.params()
+    assert len(frozen) == len(live)
+    assert all(np.array_equal(f.data, p.data) for f, p in zip(frozen, live))
+    assert q_total(stale.mixer, state, q) == q_total(mixer, state, q)
+    for p in live:  # the refreshed snapshot owns its arrays
+        p.data += 1.0
+    assert not any(np.array_equal(f.data, p.data) for f, p in zip(frozen, live))
+
+
 def test_buffer_fifo_eviction_and_seeded_sampling():
     buf = EpisodeBuffer(capacity=3)
     eps = [_one_step_episode(np.zeros((2, 2)), np.zeros(1), [0, 0], float(i))
@@ -232,3 +256,43 @@ def test_mixer_checkpoint_roundtrip():
     state = stream(13, "mixstate").standard_normal(5)
     q = np.array([0.1, -0.7, 0.4])
     assert q_total(mixer, state, q) == q_total(loaded, state, q)
+
+
+def _checkpoint(mixer_kind="monotonic"):
+    rng = stream(14, "codec")
+    net = AgentQNet(4, 2, 3, hidden=(4, 4), rng=rng)
+    mixer = None if mixer_kind == "none" else ctde.make_mixer(mixer_kind, 2, 5, 4, rng)
+    return ctde.checkpoint_doc(net, mixer, None, training_step=9)
+
+
+@pytest.mark.parametrize("mixer_kind", ["none", "vdn", "monotonic"])
+def test_checkpoint_codec_roundtrips_exactly(mixer_kind):
+    doc = _checkpoint(mixer_kind)
+    assert doc["mixer_kind"] == mixer_kind
+    net, mixer = ctde.load_checkpoint_doc(json.loads(json.dumps(doc)))
+    assert ctde.checkpoint_doc(net, mixer, None, training_step=9) == doc
+
+
+@pytest.mark.parametrize("breakage", [
+    lambda d: d.pop("agent_net"),
+    lambda d: d.update(extra=1),
+    lambda d: d.update(v=2),
+    lambda d: d.update(mixer_kind="qmix"),
+    lambda d: d.update(mixer_kind="vdn"),  # a vdn mixer has no document
+    lambda d: d.update(n_actions=4),
+    lambda d: d["mixer"].pop("hyper_v"),
+    lambda d: d["mixer"]["hyper_w1"].update(layer_sizes=[5]),
+    lambda d: d["agent_net"].update(obs_dim=5),
+    lambda d: d["agent_net"].update(mlp=[]),
+])
+def test_checkpoint_codec_rejects_malformed_documents(breakage):
+    doc = _checkpoint()
+    breakage(doc)
+    with pytest.raises(ValueError):
+        ctde.load_checkpoint_doc(doc)
+
+
+@pytest.mark.parametrize("doc", [None, [], "ctde-checkpoint", {"format": "ctde-checkpoint"}])
+def test_checkpoint_codec_rejects_non_documents(doc):
+    with pytest.raises(ValueError):
+        ctde.load_checkpoint_doc(doc)

@@ -164,7 +164,7 @@ def test_optimizer_deterministic_trajectories():
 
 def test_optimizer_rejects_nan_gradient():
     p = Tensor(np.array([1.0]), requires_grad=True)
-    opt = Adam([p])
+    opt = Adam([p], lr=5e-4)
     p.grad = np.array([float("nan")])
     with pytest.raises(NumericsError):
         opt.step()
@@ -175,7 +175,7 @@ def test_optimizer_hyperparameter_validation():
     with pytest.raises(ValueError):
         Adam([p], lr=0.0)
     with pytest.raises(ValueError):
-        Adam([p], betas=(1.0, 0.999))
+        Adam([p], lr=5e-4, betas=(1.0, 0.999))
 
 
 def test_gradient_property_across_seeds():
@@ -197,7 +197,8 @@ def test_mlp_checkpoint_roundtrip():
     rng = stream(3, "ckpt")
     mlp = Mlp([4, 6, 2], ["elu", "identity"], rng)
     doc = mlp.to_doc()
-    loaded = Mlp.from_doc(doc)
+    loaded = Mlp([4, 6, 2], ["elu", "identity"])
+    loaded.load_doc(doc)
     x = stream(4, "ckpt-x").standard_normal((2, 4))
     assert np.array_equal(mlp.forward(Tensor(x)).numpy(),
                           loaded.forward(Tensor(x)).numpy())
@@ -210,3 +211,17 @@ def test_no_grad_blocks_graph_recording():
     with nn.no_grad():
         out = p * 3.0
     assert out.requires_grad is False
+
+
+@pytest.mark.parametrize("breakage", [
+    lambda d: d.update(layer_sizes=[4, 5, 2]),
+    lambda d: d.update(activations=["relu", "identity"]),
+    lambda d: d["params"].pop(),
+    lambda d: d["params"][0].update(shape=[6, 4]),
+    lambda d: d["params"][1].update(values=[0.0]),
+])
+def test_mlp_load_doc_rejects_other_architectures(breakage):
+    doc = Mlp([4, 6, 2], ["elu", "identity"], stream(5, "load-doc")).to_doc()
+    breakage(doc)
+    with pytest.raises(ValueError):
+        Mlp([4, 6, 2], ["elu", "identity"]).load_doc(doc)

@@ -134,3 +134,23 @@ def test_serialized_header_carries_consistency_fields():
     assert header["v"] == 1
     assert header["n_steps"] == len(rec.steps)
     assert header["reward_sum"] == pytest.approx(sum(s.reward for s in rec.steps))
+
+
+@pytest.mark.parametrize("key", ["env_name", "env_params", "seed", "target_id",
+                                 "explainer_id", "n_agents", "n_steps", "reward_sum"])
+def test_header_missing_field_rejected(key):
+    import json
+    lines = serialize(_make_record()).splitlines()
+    header = json.loads(lines[0])
+    del header[key]
+    with pytest.raises(ReplayError, match=key):
+        parse("\n".join([json.dumps(header)] + lines[1:]))
+
+
+@pytest.mark.parametrize("header", ['[1]', '{"v": 1, "env_name": "keycorridor", '
+                                    '"env_params": {}, "seed": 0, "target_id": "", '
+                                    '"explainer_id": "", "n_agents": 3, "n_steps": "x", '
+                                    '"reward_sum": 0.0}'])
+def test_header_malformed_rejected(header):
+    with pytest.raises(ReplayError, match="line 1"):
+        parse(header + "\n")

@@ -4,6 +4,7 @@ from __future__ import annotations
 import ast
 import inspect
 import itertools
+import json
 from pathlib import Path
 
 import numpy as np
@@ -252,3 +253,16 @@ def test_act_batch_rejects_wrong_shapes():
     bad[1, 0] = np.nan
     with pytest.raises(ValueError):
         ScriptedKeyCorridor().act_batch(bad, 0)
+
+
+def test_checkpoint_doc_roundtrips_exactly(tmp_path):
+    env = make_env("spread", n_agents=3, grid=6)
+    pol = LearnedPolicy(target.AgentQNet(env.spec.obs_dim, 3, 5, hidden=(8, 8),
+                                         rng=stream(8, "ckpt-doc")))
+    first, second = tmp_path / "a.json", tmp_path / "b.json"
+    target.save_checkpoint(pol, env, first, training_step=12)
+    target.save_checkpoint(target.load_checkpoint(first), env, second, training_step=12)
+    assert first.read_bytes() == second.read_bytes()
+    doc = json.loads(first.read_text())
+    assert doc["mixer_kind"] == "none" and doc["mixer"] is None
+    assert doc["env"] == "spread" and doc["training_step"] == 12
