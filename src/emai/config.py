@@ -1,8 +1,9 @@
 """Run configuration: one strict JSON document per run.
 
-Unknown keys abort before any work starts; every omitted key takes the
-documented default. Path-valued fields are checked for existence at load so
-commands fail fast with the missing-artifact exit code.
+Unknown keys and values of another type than the key's default abort before
+any work starts; every omitted key takes the documented default. Path-valued
+fields are checked for existence at load so commands fail fast with the
+missing-artifact exit code.
 """
 from __future__ import annotations
 
@@ -47,16 +48,64 @@ DEFAULT_CONFIG: dict = {
 # env.params is validated by the environment constructor, not the schema
 _FREEFORM = {("env", "params")}
 
+# the value type of each key whose default is None; null stays allowed there
+_NULLABLE = {("out_dir",): str, ("target", "checkpoint"): str,
+             ("explainer", "checkpoint"): str, ("emai", "beta"): float,
+             ("eval", "d_th"): float}
+
+
+def _is_a(value, kind: type) -> bool:
+    """isinstance, where a bool is no number and an int is also a float."""
+    if isinstance(value, bool):
+        return kind is bool
+    return isinstance(value, (int, float) if kind is float else kind)
+
+
+def _check_type(value, default, path: tuple[str, ...]) -> None:
+    """A value must have its default's type; lists check their items too."""
+    if default is None:
+        if value is None:
+            return
+        kind = _NULLABLE[path]
+        expected = f"{kind.__name__} or null"
+    else:
+        kind = type(default)
+        expected = kind.__name__
+    ok = _is_a(value, kind)
+    if isinstance(default, list):
+        expected = f"a list of {type(default[0]).__name__}"
+        ok = ok and all(_is_a(item, type(default[0])) for item in value)
+    if not ok:
+        raise ConfigError(f"config key {'.'.join(path)!r} must be {expected}, got {value!r}")
+
 
 def _validate(section: dict, defaults: dict, path: tuple[str, ...]) -> None:
     for key, value in section.items():
         if key not in defaults:
             dotted = ".".join(path + (key,))
             raise ConfigError(f"unknown config key {dotted!r}")
-        if isinstance(defaults[key], dict) and (path + (key,)) not in _FREEFORM:
+        if (path + (key,)) in _FREEFORM:
+            continue
+        if isinstance(defaults[key], dict):
             if not isinstance(value, dict):
                 raise ConfigError(f"config key {'.'.join(path + (key,))!r} must be an object")
             _validate(value, defaults[key], path + (key,))
+        else:
+            _check_type(value, defaults[key], path + (key,))
+
+
+def merged_sections(overrides: dict | None, *sections: str) -> dict:
+    """DEFAULT_CONFIG's named sections merged in order, then `overrides` on
+    top; a key of `overrides` that no section has raises ValueError."""
+    merged: dict = {}
+    for name in sections:
+        merged.update(DEFAULT_CONFIG[name])
+    overrides = overrides or {}
+    unknown = sorted(set(overrides) - set(merged))
+    if unknown:
+        raise ValueError(f"unknown config keys {unknown}; "
+                         f"the {'/'.join(sections)} sections have {sorted(merged)}")
+    return {**merged, **overrides}
 
 
 def _merge(defaults: dict, overrides: dict) -> dict:

@@ -6,12 +6,18 @@ hypernetwork) combines the chosen per-agent values into a team value. The
 same trainer serves both the target-policy learner and the masking-agent
 learner; callers can append extra loss terms to the TD loss before the
 optimizer step.
+
+Training and Q inference are graph-free: the net (`Mlp.fused_forward`/
+`fused_backward`) and each mixer (`mix`/`mix_backward`) compute the same
+float ops that the `nn.Tensor` graph would, so results are bitwise those of
+autodiff.
 """
 from __future__ import annotations
 
 import copy
 from collections import deque
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -51,24 +57,22 @@ class AgentQNet:
         self.mlp = Mlp([self.obs_dim + self.n_agents, *hidden, self.n_actions],
                        ["relu", "relu", "identity"], rng)
 
-    def q_values(self, obs: np.ndarray, agent_ids: np.ndarray) -> Tensor:
-        """Batched Q vectors; obs (B, obs_dim), agent_ids (B,) -> (B, n_actions)."""
+    def q_values(self, obs: np.ndarray, agent_ids: np.ndarray) -> tuple[np.ndarray, tuple]:
+        """Batched Q vectors; obs (B, obs_dim), agent_ids (B,) -> (B, n_actions),
+        plus the layer cache for mlp.fused_backward."""
         obs = np.asarray(obs, dtype=np.float64)
         if obs.ndim != 2 or obs.shape[1] != self.obs_dim:
             raise nn.ShapeError(f"obs batch shape {obs.shape} vs expected (*, {self.obs_dim})")
         x = np.concatenate([obs, one_hot(np.asarray(agent_ids), self.n_agents)], axis=1)
-        return self.mlp.forward(Tensor(x))
+        return self.mlp.fused_forward(x)
 
     def q_single(self, obs: np.ndarray, agent_id: int) -> np.ndarray:
-        """Q vector for one agent, graph-free (for acting/explaining)."""
-        with nn.no_grad():
-            return self.q_values(np.asarray(obs)[None, :], np.array([agent_id])).numpy()[0]
+        """Q vector for one agent (for acting/explaining)."""
+        return self.q_values(np.asarray(obs)[None, :], np.array([agent_id]))[0][0]
 
     def q_all_agents(self, observations: np.ndarray) -> np.ndarray:
-        """Q matrix (n_agents, n_actions) for a full observation set, graph-free."""
-        with nn.no_grad():
-            ids = np.arange(self.n_agents)
-            return self.q_values(np.asarray(observations), ids).numpy()
+        """Q matrix (n_agents, n_actions) for a full observation set."""
+        return self.q_values(observations, np.arange(self.n_agents))[0]
 
     def params(self) -> list[Tensor]:
         return self.mlp.params()
@@ -90,8 +94,15 @@ class VdnMixer:
 
     kind = "vdn"
 
-    def mix(self, chosen_q: Tensor, states: np.ndarray) -> Tensor:
-        return chosen_q.sum(axis=1)
+    def mix(self, chosen_q: np.ndarray, states: np.ndarray) -> tuple[np.ndarray, tuple]:
+        """chosen_q (B, n_agents) -> Q_tot (B,), plus the cache for mix_backward."""
+        q_tot = chosen_q.sum(axis=1)
+        nn._check_finite(q_tot, "mixer output")
+        return q_tot, chosen_q.shape
+
+    def mix_backward(self, cache: tuple, d_qtot: np.ndarray) -> tuple[np.ndarray, list]:
+        """(dL/dchosen_q, parameter gradients) for the upstream dL/dQ_tot."""
+        return np.broadcast_to(d_qtot[:, None], cache), []
 
     def params(self) -> list[Tensor]:
         return []
@@ -120,16 +131,42 @@ class MonotonicMixer:
         self.hyper_w2 = Mlp([state_dim, hyper_hidden, embed_dim], ["relu", "identity"], rng)
         self.hyper_v = Mlp([state_dim, embed_dim, 1], ["relu", "identity"], rng)
 
-    def mix(self, chosen_q: Tensor, states: np.ndarray) -> Tensor:
-        """chosen_q (B, n_agents), states (B, state_dim) -> Q_tot (B,)."""
+    def mix(self, chosen_q: np.ndarray, states: np.ndarray) -> tuple[np.ndarray, tuple]:
+        """chosen_q (B, n_agents), states (B, state_dim) -> Q_tot (B,), plus
+        the cache for mix_backward. The ELU's pre-activation and Q_tot are
+        checked finite."""
         B = chosen_q.shape[0]
-        s = Tensor(np.asarray(states, dtype=np.float64))
-        w1 = self.hyper_w1.forward(s).abs().reshape(B, self.n_agents, self.embed_dim)
-        b1 = self.hyper_b1.forward(s)
-        hidden = ((chosen_q.reshape(B, self.n_agents, 1) * w1).sum(axis=1) + b1).elu()
-        w2 = self.hyper_w2.forward(s).abs()
-        v = self.hyper_v.forward(s)
-        return (hidden * w2).sum(axis=1) + v.reshape(B)
+        s = np.asarray(states, dtype=np.float64)
+        h1, c1 = self.hyper_w1.fused_forward(s)
+        w1 = np.abs(h1).reshape(B, self.n_agents, self.embed_dim)
+        b1, cb1 = self.hyper_b1.fused_forward(s)
+        q = chosen_q.reshape(B, self.n_agents, 1)
+        pre = (q * w1).sum(axis=1) + b1
+        nn._check_finite(pre, "mixer hidden pre-activation")
+        hidden = nn._elu_f(pre)
+        h2, c2 = self.hyper_w2.fused_forward(s)
+        w2 = np.abs(h2)
+        v, cv = self.hyper_v.fused_forward(s)
+        q_tot = (hidden * w2).sum(axis=1) + v.reshape(B)
+        nn._check_finite(q_tot, "mixer output")
+        return q_tot, (q, h1, w1, c1, cb1, pre, hidden, h2, w2, c2, cv)
+
+    def mix_backward(self, cache: tuple, d_qtot: np.ndarray) -> tuple[np.ndarray, list]:
+        """(dL/dchosen_q, parameter gradients in params() order) for the
+        upstream dL/dQ_tot; the same float ops as the graph's backward."""
+        q, h1, w1, c1, cb1, pre, hidden, h2, w2, c2, cv = cache
+        B = len(d_qtot)
+        g = d_qtot[:, None]
+        d_pre = nn._elu_b(g * w2, pre, hidden)
+        d_h2 = g * hidden * np.sign(h2)
+        g3 = d_pre[:, None, :]
+        d_chosen = (g3 * w1).sum(axis=2)
+        d_h1 = (g3 * q).reshape(B, -1) * np.sign(h1)
+        grads = (self.hyper_w1.fused_backward(c1, d_h1)
+                 + self.hyper_b1.fused_backward(cb1, d_pre)
+                 + self.hyper_w2.fused_backward(c2, d_h2)
+                 + self.hyper_v.fused_backward(cv, d_qtot.reshape(B, 1)))
+        return d_chosen, grads
 
     def params(self) -> list[Tensor]:
         return (self.hyper_w1.params() + self.hyper_b1.params()
@@ -200,10 +237,9 @@ def load_checkpoint_doc(doc) -> tuple[AgentQNet, VdnMixer | MonotonicMixer | Non
 
 
 def q_total(mixer, state: np.ndarray, chosen_q: np.ndarray) -> float:
-    """Scalar Q_tot for one (state, per-agent chosen Q) pair, graph-free."""
-    with nn.no_grad():
-        q = Tensor(np.asarray(chosen_q, dtype=np.float64)[None, :])
-        return float(mixer.mix(q, np.asarray(state)[None, :]).numpy()[0])
+    """Scalar Q_tot for one (state, per-agent chosen Q) pair."""
+    q = np.asarray(chosen_q, dtype=np.float64)[None, :]
+    return float(mixer.mix(q, np.asarray(state)[None, :])[0][0])
 
 
 @dataclass
@@ -254,8 +290,6 @@ class StaleCopy:
         self.mixer = copy.deepcopy(mixer)
         self._live = net.params() + mixer.params()
         self._frozen = self.net.params() + self.mixer.params()
-        for p in self._frozen:
-            p.requires_grad = False
 
     def refresh(self) -> None:
         for frozen, live in zip(self._frozen, self._live):
@@ -268,7 +302,22 @@ class StaleCopy:
         return False
 
 
-def _flatten_batch(batch: list[Episode]):
+class Transitions(NamedTuple):
+    """The transitions of a batch of episodes, stacked in episode order."""
+
+    obs: np.ndarray          # (N, n_agents, obs_dim)
+    next_obs: np.ndarray     # (N, n_agents, obs_dim)
+    states: np.ndarray       # (N, state_dim)
+    next_states: np.ndarray  # (N, state_dim)
+    actions: np.ndarray      # (N, n_agents) int
+    rewards: np.ndarray      # (N,)
+    terminal: np.ndarray     # (N,) bool, True on each episode's last transition
+    ep_index: np.ndarray     # (N,) position of the episode in the batch
+    t_index: np.ndarray      # (N,) decision time within the episode
+    n_episodes: int
+
+
+def _flatten_batch(batch: list[Episode]) -> Transitions:
     """Stack transitions of a batch of episodes into flat arrays."""
     obs, next_obs, states, next_states, actions, rewards, terminal, ep_index, t_index = \
         [], [], [], [], [], [], [], [], []
@@ -285,11 +334,11 @@ def _flatten_batch(batch: list[Episode]):
         terminal.append(term)
         ep_index.append(np.full(T, k))
         t_index.append(np.arange(T))
-    return (np.concatenate(obs), np.concatenate(next_obs),
-            np.concatenate(states), np.concatenate(next_states),
-            np.concatenate(actions), np.concatenate(rewards),
-            np.concatenate(terminal), np.concatenate(ep_index),
-            np.concatenate(t_index))
+    return Transitions(np.concatenate(obs), np.concatenate(next_obs),
+                       np.concatenate(states), np.concatenate(next_states),
+                       np.concatenate(actions), np.concatenate(rewards),
+                       np.concatenate(terminal), np.concatenate(ep_index),
+                       np.concatenate(t_index), len(batch))
 
 
 def _agent_batch(obs_steps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -298,46 +347,52 @@ def _agent_batch(obs_steps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return obs_steps.reshape(S * n, D), np.tile(np.arange(n), S)
 
 
-def chosen_q_tensor(net: AgentQNet, obs_steps: np.ndarray, actions: np.ndarray) -> Tensor:
-    """Differentiable (S, n) matrix of Q values of the taken actions."""
-    S, n, _ = obs_steps.shape
-    rows, ids = _agent_batch(obs_steps)
-    q_all = net.q_values(rows, ids)
-    picked = (q_all * one_hot(actions.reshape(-1), net.n_actions)).sum(axis=1)
-    return picked.reshape(S, n)
+def qtot_forward(net: AgentQNet, mixer, flat: Transitions) -> tuple[np.ndarray, tuple]:
+    """Q_tot (N,) of the taken joint actions of `flat`, plus the cache for
+    qtot_backward."""
+    N, n, _ = flat.obs.shape
+    rows, ids = _agent_batch(flat.obs)
+    q_all, net_cache = net.q_values(rows, ids)
+    pick = one_hot(flat.actions.reshape(-1), net.n_actions)
+    chosen = (q_all * pick).sum(axis=1).reshape(N, n)
+    q_tot, mix_cache = mixer.mix(chosen, flat.states)
+    return q_tot, (net_cache, pick, mix_cache)
+
+
+def qtot_backward(net: AgentQNet, mixer, cache: tuple, d_qtot: np.ndarray) -> list[np.ndarray]:
+    """Gradients of net.params() + mixer.params(), in that order, for the
+    upstream dL/dQ_tot of qtot_forward's output."""
+    net_cache, pick, mix_cache = cache
+    d_chosen, mixer_grads = mixer.mix_backward(mix_cache, d_qtot)
+    return net.mlp.fused_backward(net_cache, d_chosen.reshape(-1, 1) * pick) + mixer_grads
 
 
 def stale_max_qtot(stale: StaleCopy, next_obs: np.ndarray, next_states: np.ndarray) -> np.ndarray:
     """max over joint actions of the stale Q_tot, via per-agent stale argmax."""
-    with nn.no_grad():
-        S, n, _ = next_obs.shape
-        rows, ids = _agent_batch(next_obs)
-        q_all = stale.net.q_values(rows, ids).numpy()
-        max_q = q_all.max(axis=1).reshape(S, n)
-        return stale.mixer.mix(Tensor(max_q), next_states).numpy()
+    S, n, _ = next_obs.shape
+    rows, ids = _agent_batch(next_obs)
+    max_q = stale.net.q_values(rows, ids)[0].max(axis=1).reshape(S, n)
+    return stale.mixer.mix(max_q, next_states)[0]
 
 
-def build_td_loss(net: AgentQNet, mixer, stale: StaleCopy, batch: list[Episode],
-                  gamma: float, reward_fn=None) -> tuple[Tensor, dict]:
-    """One-step TD loss over a batch; y = r + gamma * max stale Q_tot.
+def build_td_loss(stale: StaleCopy, flat: Transitions, q_tot: np.ndarray, gamma: float,
+                  reward_fn=None) -> tuple[float, np.ndarray, dict]:
+    """One-step TD loss of the live Q_tot (N,) of `flat`: the mean of
+    (q_tot - y)^2 with y = r + gamma * max stale Q_tot, and y = r on terminal
+    transitions. Returns the loss, dL/dq_tot (the float ops of autodiff
+    through that mean) and stats.
 
     reward_fn maps (rewards, actions) arrays to the training rewards, e.g.
-    to add a per-step masking bonus; identity when None. Terminal
-    transitions use y = r.
+    to add a per-step masking bonus; identity when None.
     """
-    if not batch:
-        raise ValueError("empty episode batch")
-    obs, next_obs, states, next_states, actions, rewards, terminal, ep_idx, t_idx = \
-        _flatten_batch(batch)
-    if reward_fn is not None:
-        rewards = reward_fn(rewards, actions)
-    q_tot = mixer.mix(chosen_q_tensor(net, obs, actions), states)
-    target_next = stale_max_qtot(stale, next_obs, next_states)
-    y = rewards + gamma * np.where(terminal, 0.0, target_next)
-    err = q_tot - Tensor(y)
-    loss = (err * err).mean()
-    stats = {"q_tot_mean": float(q_tot.numpy().mean()), "y_mean": float(y.mean())}
-    return loss, stats
+    rewards = flat.rewards if reward_fn is None else reward_fn(flat.rewards, flat.actions)
+    target_next = stale_max_qtot(stale, flat.next_obs, flat.next_states)
+    y = rewards + gamma * np.where(flat.terminal, 0.0, target_next)
+    err = q_tot - y
+    inv_n = 1.0 / err.size
+    half = err * inv_n
+    stats = {"q_tot_mean": float(q_tot.mean()), "y_mean": float(y.mean())}
+    return float((err * err).sum() * inv_n), half + half, stats
 
 
 class QLearner:
@@ -360,21 +415,36 @@ class QLearner:
         self.sample_rng = stream(seed, "replay")
 
     def td_train_step(self, reward_fn=None, extra_loss_fn=None) -> dict:
-        """Sample a batch, apply one optimizer step, return loss stats."""
+        """Sample a batch, apply one optimizer step, return loss stats.
+
+        The loss is build_td_loss's (reward_fn goes to it) plus, if given,
+        extra_loss_fn's term: extra_loss_fn(q_tot, transitions) gets the live
+        Q_tot of the batch and returns (value, d value / d q_tot, stats).
+        Each loss gets its own backward pass and the two gradients of each
+        parameter are added, as autodiff accumulates them.
+        """
         batch = self.buffer.sample(self.batch_episodes, self.sample_rng)
-        loss_e, stats = build_td_loss(self.net, self.mixer, self.stale, batch,
-                                      float(self.config["gamma"]), reward_fn)
-        loss = loss_e
-        stats["loss_e"] = loss_e.item()
+        flat = _flatten_batch(batch)
+        q_tot, cache = qtot_forward(self.net, self.mixer, flat)
+        loss, d_qtot, stats = build_td_loss(self.stale, flat, q_tot,
+                                            float(self.config["gamma"]), reward_fn)
+        stats["loss_e"] = loss
+        d_extra = None
         if extra_loss_fn is not None:
-            extra, extra_stats = extra_loss_fn(batch)
+            extra, d_extra, extra_stats = extra_loss_fn(q_tot, flat)
             loss = loss + extra
             stats.update(extra_stats)
-        stats["loss_total"] = loss.item()
-        if not np.isfinite(stats["loss_total"]):
+        stats["loss_total"] = loss
+        if not np.isfinite(loss):
             raise nn.NumericsError("training loss became non-finite; aborting")
-        self.optimizer.zero_grad()
-        loss.backward()
+        grads = qtot_backward(self.net, self.mixer, cache, d_qtot)
+        if d_extra is not None:
+            grads = [g + h for g, h in
+                     zip(grads, qtot_backward(self.net, self.mixer, cache, d_extra))]
+        for i, g in enumerate(grads):
+            nn._check_finite(g, f"gradient of parameter {i}")
+        for p, g in zip(self.optimizer.params, grads, strict=True):
+            p.grad = g
         self.optimizer.step()
         return stats
 

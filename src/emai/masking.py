@@ -16,10 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import ctde
-from .config import DEFAULT_CONFIG
-from .ctde import AgentQNet, Episode, QLearner
+from .config import merged_sections
+from .ctde import AgentQNet, QLearner, Transitions
 from .envs import Discrete, random_action
-from .nn import Tensor
 from .rng import episode_seed, stream
 from .rollout import greedy_actions, run_batch, run_target_episode
 
@@ -94,25 +93,28 @@ def estimate_baseline_return(target, env, episodes: int, gamma: float, seed: int
                             float(abs_total / max(1, step_total)), episodes, gamma)
 
 
-def diff_loss(batch: list[Episode], net: AgentQNet, mixer, j_pi: float, gamma: float,
-              beta: float) -> tuple[Tensor, dict]:
+def diff_loss(q_tot: np.ndarray, flat: Transitions, j_pi: float, gamma: float, beta: float,
+              weight: float = 1.0) -> tuple[float, np.ndarray, dict]:
     """Squared gap between J(pi) and the discounted per-episode value sum.
 
     Per episode: D = J(pi) - sum_t gamma^t (Q_tot(o_t, a^m_t) - R^m_t);
-    the loss is the batch mean of D^2.
+    the loss is the batch mean of D^2. q_tot holds the live Q_tot of the
+    transitions in `flat`. Returns the loss, the gradient of weight * loss
+    with respect to q_tot (in the float ops of autodiff), and stats.
     """
-    obs, _, states, _, actions, _, _, ep_idx, t_idx = ctde._flatten_batch(batch)
-    n_eps = len(batch)
-    weights = gamma ** t_idx.astype(np.float64)
-    r_mask = float(beta) * actions.sum(axis=1)
-    q_tot = mixer.mix(ctde.chosen_q_tensor(net, obs, actions), states)
-    weighted = (q_tot - Tensor(r_mask)) * Tensor(weights)
-    member = np.zeros((len(ep_idx), n_eps))
-    member[np.arange(len(ep_idx)), ep_idx] = 1.0
-    per_episode = (weighted.reshape(1, -1) @ Tensor(member)).reshape(n_eps)
-    d = Tensor(np.full(n_eps, float(j_pi))) - per_episode
-    loss = (d * d).mean()
-    return loss, {"loss_d": loss.item()}
+    n_eps = flat.n_episodes
+    weights = gamma ** flat.t_index.astype(np.float64)
+    r_mask = float(beta) * flat.actions.sum(axis=1)
+    member = np.zeros((len(flat.ep_index), n_eps))
+    member[np.arange(len(flat.ep_index)), flat.ep_index] = 1.0
+    per_episode = (((q_tot - r_mask) * weights).reshape(1, -1) @ member).reshape(n_eps)
+    d = float(j_pi) - per_episode
+    inv_n = 1.0 / n_eps
+    loss = float((d * d).sum() * inv_n)
+    half = (weight * inv_n) * d
+    d_per_episode = (half + half) * -1.0
+    d_qtot = (d_per_episode.reshape(1, n_eps) @ member.T).reshape(-1) * weights
+    return loss, d_qtot, {"loss_d": loss}
 
 
 class MaskingPolicy:
@@ -206,12 +208,13 @@ def train_emai(target, env, config: dict | None = None, seed: int = 0,
     """Train the masking team against a fixed black-box target.
 
     config overrides DEFAULT_CONFIG's "training" section merged with its
-    "emai" section. Per step: query the target's actions, pick mask actions
-    epsilon-greedily from the masking net, compose the final joint action,
-    and bank the whole episode; after each episode apply one optimizer step
-    on L_total = L_e + lambda * L_d. Returns (MaskingPolicy, curve_rows).
+    "emai" section; a key in neither raises ValueError. Per step: query the
+    target's actions, pick mask actions epsilon-greedily from the masking
+    net, compose the final joint action, and bank the whole episode; after
+    each episode apply one optimizer step on L_total = L_e + lambda * L_d.
+    Returns (MaskingPolicy, curve_rows).
     """
-    cfg = {**DEFAULT_CONFIG["training"], **DEFAULT_CONFIG["emai"], **(config or {})}
+    cfg = merged_sections(config, "training", "emai")
     _check_compat(target, env)
     spec = env.spec
     gamma = float(cfg["gamma"])
@@ -229,10 +232,9 @@ def train_emai(target, env, config: dict | None = None, seed: int = 0,
     def reward_fn(rewards, actions):
         return rewards + beta * actions.sum(axis=1)
 
-    def extra_loss(batch):
-        loss_d, stats = diff_loss(batch, learner.net, learner.mixer,
-                                  baseline.j_pi, gamma, beta)
-        return loss_d * lam, stats
+    def extra_loss(q_tot, flat):
+        loss_d, d_qtot, stats = diff_loss(q_tot, flat, baseline.j_pi, gamma, beta, lam)
+        return loss_d * lam, d_qtot, stats
 
     mask_rng = stream(seed, "emai-mask-actions")
     space = spec.action_space

@@ -1,8 +1,20 @@
-"""Dense-tensor computation graph with reverse-mode differentiation.
+"""Dense-tensor computation graph with reverse-mode differentiation, plus a
+fused graph-free forward/backward for the fixed-layout MLP.
 
 Small by design: numpy arrays as storage, a handful of differentiable ops,
-feedforward MLPs and an adaptive-moment optimizer. Every op validates that
-its result is finite; NaN/Inf anywhere is a hard error, never a silent value.
+feedforward MLPs and an adaptive-moment optimizer. NaN/Inf is a hard error
+(`NumericsError`), never a silent value. Where the guard runs:
+
+- graph ops (`Tensor`, used by the gradient explainer and `grad_check`):
+  every op result and every accumulated gradient;
+- fused MLP (`Mlp.fused_forward`, used for training and Q inference): the
+  input and every layer's pre-activation, so an overflow that a later ReLU
+  would zero still raises;
+- `Adam.step`: every gradient and every updated parameter.
+
+The fused training step (`ctde.QLearner.td_train_step`) also checks the
+mixer's ELU input and output, the loss, and every parameter gradient before
+the optimizer step.
 """
 from __future__ import annotations
 
@@ -36,7 +48,7 @@ def no_grad() -> Iterator[None]:
 
 
 def _check_finite(data: np.ndarray, what: str) -> None:
-    if not np.all(np.isfinite(data)):
+    if not np.isfinite(data).all():
         raise NumericsError(f"non-finite values in {what}")
 
 
@@ -290,24 +302,43 @@ def reshape(a, shape) -> Tensor:
     return _make(data, (a,), bw)
 
 
+# Activation arithmetic, shared by the graph ops and the fused MLP:
+# forward f(z), and backward (g, z, f(z)) -> dL/dz for the incoming g = dL/df.
+
+def _relu_f(z):
+    return np.maximum(z, 0.0)
+
+
+def _relu_b(g, z, out):
+    return g * (z > 0.0)
+
+
+def _elu_f(z):
+    return np.where(z > 0.0, z, np.expm1(z))
+
+
+def _elu_b(g, z, out):
+    return g * np.where(z > 0.0, 1.0, out + 1.0)
+
+
 def relu(a) -> Tensor:
     a = _as_tensor(a)
-    data = np.maximum(a.data, 0.0)
+    data = _relu_f(a.data)
 
     def bw(g):
         if a.requires_grad:
-            a._accum(g * (a.data > 0.0))
+            a._accum(_relu_b(g, a.data, data))
 
     return _make(data, (a,), bw)
 
 
 def elu(a) -> Tensor:
     a = _as_tensor(a)
-    data = np.where(a.data > 0.0, a.data, np.expm1(a.data))
+    data = _elu_f(a.data)
 
     def bw(g):
         if a.requires_grad:
-            a._accum(g * np.where(a.data > 0.0, 1.0, data + 1.0))
+            a._accum(_elu_b(g, a.data, data))
 
     return _make(data, (a,), bw)
 
@@ -356,6 +387,12 @@ _ACTIVATIONS: dict[str, Callable[[Tensor], Tensor]] = {
     "identity": lambda t: t,
 }
 
+_FUSED_ACTIVATIONS = {
+    "relu": (_relu_f, _relu_b),
+    "elu": (_elu_f, _elu_b),
+    "identity": (lambda z: z, lambda g, z, out: g),
+}
+
 
 class Mlp:
     """Fully connected net; per-layer activation in {relu, elu, identity}."""
@@ -400,6 +437,42 @@ class Mlp:
         return reshape(x, (x.shape[-1],)) if squeeze and x.shape[0] == 1 else x
 
     __call__ = forward
+
+    def fused_forward(self, x: np.ndarray) -> tuple[np.ndarray, tuple[list, list]]:
+        """Graph-free forward of a (B, in) batch -> (B, out) plus the cache
+        for fused_backward: (layer inputs and the output, pre-activations).
+
+        Same float ops as forward(). The input and every layer's
+        pre-activation are checked finite (NumericsError).
+        """
+        if x.ndim != 2 or x.shape[1] != self.layer_sizes[0]:
+            raise ShapeError(f"input shape {x.shape} vs expected (*, {self.layer_sizes[0]})")
+        _check_finite(x, "MLP input")
+        outs, pres = [x], []
+        for i, (w, b, act) in enumerate(zip(self.weights, self.biases, self.activations)):
+            z = x @ w.data + b.data
+            _check_finite(z, f"MLP layer {i} pre-activation")
+            x = _FUSED_ACTIVATIONS[act][0](z)
+            pres.append(z)
+            outs.append(x)
+        return x, (outs, pres)
+
+    def fused_backward(self, cache: tuple[list, list], d_out: np.ndarray) -> list[np.ndarray]:
+        """Parameter gradients, in params() order, for the upstream gradient
+        d_out of fused_forward's output. The input's gradient is not formed.
+
+        Same float ops as Tensor.backward() through forward().
+        """
+        outs, pres = cache
+        grads = [None] * (2 * len(pres))
+        g = d_out
+        for i in reversed(range(len(pres))):
+            g = _FUSED_ACTIVATIONS[self.activations[i]][1](g, pres[i], outs[i + 1])
+            grads[2 * i] = outs[i].T @ g
+            grads[2 * i + 1] = g.sum(axis=0)
+            if i:
+                g = g @ self.weights[i].data.T
+        return grads
 
     def params(self) -> list[Tensor]:
         out = []
@@ -486,22 +559,34 @@ def grad_check(fn: Callable[[], Tensor], params: Sequence[Tensor],
     loss.backward()
     analytic = [np.zeros_like(p.data) if p.grad is None else p.grad.copy()
                 for p in params]
+
+    def value() -> float:
+        with no_grad():
+            return fn().item()
+
+    worst = fd_max_rel_error(value, params, analytic, epsilon)
+    for p in params:
+        p.zero_grad()
+    return worst
+
+
+def fd_max_rel_error(value_fn: Callable[[], float], params: Sequence[Tensor],
+                     analytic: Sequence[np.ndarray], epsilon: float = 1e-4) -> float:
+    """Max relative error of `analytic` gradients (one array per parameter)
+    vs central finite differences of value_fn(), which must recompute the
+    loss from the current parameter values."""
     worst = 0.0
-    for p, ana in zip(params, analytic):
+    for p, ana in zip(params, analytic, strict=True):
         flat = p.data.reshape(-1)
         for j in range(flat.size):
             orig = flat[j]
             flat[j] = orig + epsilon
-            with no_grad():
-                up = fn().item()
+            up = value_fn()
             flat[j] = orig - epsilon
-            with no_grad():
-                down = fn().item()
+            down = value_fn()
             flat[j] = orig
             numeric = (up - down) / (2.0 * epsilon)
             a = ana.reshape(-1)[j]
             err = abs(a - numeric) / max(1e-8, abs(a) + abs(numeric))
             worst = max(worst, err)
-    for p in params:
-        p.zero_grad()
     return worst

@@ -43,6 +43,35 @@ class RecordStep:
     importance: list[float] | None
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_num(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def _list_of(check):
+    return lambda v: isinstance(v, list) and all(check(x) for x in v)
+
+
+def _optional(check):
+    return lambda v: v is None or check(v)
+
+
+# RecordStep field -> the test its parsed JSON value must pass
+_STEP_TYPES = {
+    "t": _is_int,
+    "state": _list_of(_is_num),
+    "observations": _list_of(_list_of(_is_num)),
+    "target_actions": _list_of(_is_int),
+    "mask_actions": _optional(_list_of(_is_int)),
+    "final_actions": _list_of(_is_int),
+    "reward": _is_num,
+    "importance": _optional(_list_of(_is_num)),
+}
+
+
 @dataclass
 class EpisodeRecord:
     env_name: str
@@ -123,8 +152,11 @@ def parse(text: str) -> EpisodeRecord:
         if not line.strip():
             continue
         try:
-            obj = json.loads(line)
-            steps.append(RecordStep(**obj))
+            step = RecordStep(**json.loads(line))
+            bad = [name for name, ok in _STEP_TYPES.items() if not ok(getattr(step, name))]
+            if bad:
+                raise TypeError(f"ill-typed step fields {bad}")
+            steps.append(step)
         except (json.JSONDecodeError, TypeError) as exc:
             raise ReplayError(
                 f"malformed step on line {lineno} (last good line {last_good}): {exc}"

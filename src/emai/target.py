@@ -14,7 +14,7 @@ from collections import deque
 import numpy as np
 
 from . import envs
-from .config import DEFAULT_CONFIG
+from .config import merged_sections
 from .ctde import AgentQNet, QLearner, checkpoint_doc, load_checkpoint_doc
 from .envs import DOWN, LEFT, RIGHT, STAY, UP, Diagnostic, KeyCorridor, Spread
 
@@ -334,13 +334,14 @@ def scripted_by_name(env, variant: str = "default") -> TargetPolicy:
 
 def train_target(env, config: dict, seed: int, progress=None):
     """Train a learned target on `env` with the shared TD machinery; config
-    overrides DEFAULT_CONFIG["training"].
+    overrides DEFAULT_CONFIG["training"], and a key not in it raises
+    ValueError.
 
     Returns (LearnedPolicy, curve_rows); curve rows are dicts suitable for
     CSV export. A zero-step budget returns the random-init greedy policy.
     """
     learner = QLearner(env.spec, env.spec.action_space.n, seed,
-                       {**DEFAULT_CONFIG["training"], **config})
+                       merged_sections(config, "training"))
     curves = learner.learn(env, "target",
                            {"loss": "loss_total", "episode_reward": "episode_reward"},
                            progress=progress)

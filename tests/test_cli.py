@@ -11,6 +11,7 @@ from emai.config import ConfigError, load_config
 from emai.ctde import AgentQNet, VdnMixer
 from emai.envs import make_env
 from emai.masking import MaskingPolicy
+from emai.rng import stream
 from emai.target import LearnedPolicy, save_checkpoint
 
 FAST_EMAI = {
@@ -239,4 +240,57 @@ def test_render_replay_without_reward_sum_exit_5(tmp_path):
     del header["reward_sum"]
     bad = tmp_path / "bad.ndjson"
     bad.write_text("\n".join([json.dumps(header)] + lines[1:]) + "\n", encoding="utf-8")
+    assert main(["render", str(bad)]) == 5
+
+
+@pytest.mark.parametrize("override", ["training.hidden=16", 'training.hidden=[16,"a"]',
+                                      "training.steps=1.5", 'emai.beta="x"',
+                                      "eval.attack_all=1", "seed=true",
+                                      "target.checkpoint=5"])
+def test_ill_typed_config_value_exit_2(tmp_path, override):
+    args = ["train-target", "--set", "training.steps=0", "--set", override,
+            "--out", str(tmp_path / "o")]
+    assert main(args) == 2
+
+
+def test_config_types_follow_defaults(tmp_path):
+    cfg = load_config(None, ["training.lr=1", "emai.beta=null", "emai.beta=0.5",
+                             "eval.d_th=2"])
+    assert cfg["training"]["lr"] == 1 and cfg["emai"]["beta"] == 0.5
+    for path in sorted(Path(__file__).resolve().parents[1].glob("configs/*.json")):
+        load_config(path)
+
+
+def test_train_emai_numeric_failure_exit_4(tmp_path):
+    # the sparsity bonus overflows the TD targets: the loss guard trips
+    path = _write_cfg(tmp_path, FAST_EMAI)
+    assert main(["train-emai", "--config", str(path), "--set", "emai.beta=1e308",
+                 "--out", str(tmp_path / "o")]) == 4
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_train_emai_on_overflowing_learned_target_exit_4(tmp_path):
+    # the target's Q inference overflows in a hidden layer: the pre-activation guard trips
+    env = make_env(FAST_EMAI["env"]["name"], **FAST_EMAI["env"]["params"])
+    net = AgentQNet(env.spec.obs_dim, env.spec.n_agents, env.spec.action_space.n,
+                    hidden=(8, 8), rng=stream(1, "overflow-target"))
+    for w in net.mlp.weights:
+        w.data = w.data * 1e200
+    save_checkpoint(LearnedPolicy(net), env, tmp_path / "target.json")
+    cfg = json.loads(json.dumps(FAST_EMAI))
+    cfg["target"] = {"kind": "learned", "checkpoint": str(tmp_path / "target.json")}
+    assert main(["train-emai", "--config", str(_write_cfg(tmp_path, cfg)),
+                 "--out", str(tmp_path / "o")]) == 4
+
+
+def test_render_replay_with_ill_typed_step_exit_5(tmp_path):
+    out = tmp_path / "explain"
+    assert main(["explain", "--config", str(_write_cfg(tmp_path, FAST_EMAI)),
+                 "--out", str(out), "--set", "eval.explain_episodes=1"]) == 0
+    lines = (out / "episode_000.ndjson").read_text(encoding="utf-8").splitlines()
+    step = json.loads(lines[1])
+    step["reward"] = "x"
+    bad = tmp_path / "bad.ndjson"
+    bad.write_text("\n".join([lines[0], json.dumps(step)] + lines[2:]) + "\n",
+                   encoding="utf-8")
     assert main(["render", str(bad)]) == 5

@@ -10,7 +10,6 @@ from scipy import stats
 from emai import ctde, nn
 from emai.ctde import (AgentQNet, Episode, EpisodeBuffer, MonotonicMixer, StaleCopy,
                        VdnMixer, build_td_loss, epsilon_greedy, linear_epsilon, q_total)
-from emai.nn import Tensor
 from emai.rng import stream
 
 
@@ -115,6 +114,12 @@ def _one_step_episode(obs, state, actions, reward):
                    np.array([actions]), np.array([reward]))
 
 
+def _td_loss(net, mixer, stale, batch, gamma) -> float:
+    """build_td_loss's value on the live Q_tot of a batch of episodes."""
+    flat = ctde._flatten_batch(batch)
+    return build_td_loss(stale, flat, ctde.qtot_forward(net, mixer, flat)[0], gamma)[0]
+
+
 def test_td_loss_direct_example():
     # reward 1.0, gamma 0.99, stale max Q_tot 2.0, current Q_tot 2.5
     # -> y = 2.98, per-transition loss (2.98 - 2.5)^2 = 0.2304
@@ -127,11 +132,11 @@ def test_td_loss_direct_example():
     obs = np.zeros((2, 2))
     state = np.zeros(1)
     ep = _one_step_episode(obs, state, [0, 1], reward=1.0)
-    loss, _ = build_td_loss(net, mixer, stale, [ep], gamma=0.99)
+    loss = _td_loss(net, mixer, stale, [ep], gamma=0.99)
     # terminal transition: y = reward exactly
     q = net.q_all_agents(obs)
     q_tot = q[0, 0] + q[1, 1]
-    assert loss.item() == pytest.approx((1.0 - q_tot) ** 2)
+    assert loss == pytest.approx((1.0 - q_tot) ** 2)
 
 
 def test_td_terminal_zero_loss():
@@ -139,8 +144,8 @@ def test_td_terminal_zero_loss():
     mixer = VdnMixer()
     stale = StaleCopy(net, mixer, refresh_interval=100)
     ep = _one_step_episode(np.zeros((2, 2)), np.zeros(1), [0, 0], reward=0.0)
-    loss, _ = build_td_loss(net, mixer, stale, [ep], gamma=0.99)
-    assert loss.item() == 0.0
+    loss = _td_loss(net, mixer, stale, [ep], gamma=0.99)
+    assert loss == 0.0
 
 
 class _BanditEnv:

@@ -9,11 +9,11 @@ from scipy import stats
 
 from emai import ctde, masking, rollout
 from emai.ctde import AgentQNet, Episode, MonotonicMixer, QLearner
-from emai.envs import Discrete, make_env
+from emai.envs import Discrete, EnvSpec, make_env
 from emai.masking import (BaselineEstimate, IncompatibilityError, MaskingPolicy,
                           apply_mask, diff_loss, estimate_baseline_return,
                           masking_reward, train_emai)
-from emai.nn import grad_check
+from emai.nn import fd_max_rel_error
 from emai.rng import episode_seed, stream
 from emai.rollout import greedy_actions
 from emai.target import scripted_policy
@@ -97,6 +97,12 @@ def _toy_batch(n_agents=2, obs_dim=3, state_dim=3, T=4, episodes=3, seed=0):
     return batch
 
 
+def _diff_loss(batch, net, mixer, **kwargs):
+    """diff_loss's value on the live Q_tot of a batch of episodes."""
+    flat = ctde._flatten_batch(batch)
+    return diff_loss(ctde.qtot_forward(net, mixer, flat)[0], flat, **kwargs)[0]
+
+
 def test_diff_loss_one_step_example():
     # D = 10 - (9.2 - 0.2) = 1 -> L_d = 1; engineered via a zero net plus
     # a hand-set Q_tot through VDN on fixed chosen values
@@ -118,8 +124,8 @@ def test_diff_loss_one_step_example():
     mixer = ctde.VdnMixer()                          # Q_tot = 9.2
     ep = Episode(np.zeros((2, 2, 3)), np.zeros((2, 3)),
                  np.array([[1, 1]]), np.array([0.0]))  # both masked: R^m = 0.2
-    loss, _ = diff_loss([ep], net, mixer, j_pi=10.0, gamma=0.99, beta=0.1)
-    assert loss.item() == pytest.approx(1.0, abs=1e-12)
+    loss = _diff_loss([ep], net, mixer, j_pi=10.0, gamma=0.99, beta=0.1)
+    assert loss == pytest.approx(1.0, abs=1e-12)
 
 
 def test_diff_loss_zero_when_decomposition_matches():
@@ -130,32 +136,65 @@ def test_diff_loss_zero_when_decomposition_matches():
     ep = Episode(np.zeros((T + 1, 2, 3)), np.zeros((T + 1, 3)),
                  np.zeros((T, 2), dtype=np.int64), np.zeros(T))
     j_pi = sum((gamma ** t) * 3.0 for t in range(T))
-    loss, _ = diff_loss([ep], net, mixer, j_pi=j_pi, gamma=gamma, beta=0.3)
-    assert loss.item() == pytest.approx(0.0, abs=1e-18)
+    loss = _diff_loss([ep], net, mixer, j_pi=j_pi, gamma=gamma, beta=0.3)
+    assert loss == pytest.approx(0.0, abs=1e-18)
 
 
 def test_diff_loss_gradient_matches_finite_differences():
+    # the fused backward (ctde.qtot_backward seeded by diff_loss's dL/dQ_tot)
     batch = _toy_batch()
+    flat = ctde._flatten_batch(batch)
     net = AgentQNet(3, 2, 2, hidden=(6, 6), rng=stream(3, "dl-net"))
     mixer = MonotonicMixer(2, 3, embed_dim=6, rng=stream(3, "dl-mix"))
+    kwargs = {"j_pi": 1.3, "gamma": 0.95, "beta": 0.05}
+    q_tot, cache = ctde.qtot_forward(net, mixer, flat)
+    analytic = ctde.qtot_backward(net, mixer, cache, diff_loss(q_tot, flat, **kwargs)[1])
+    error = fd_max_rel_error(lambda: _diff_loss(batch, net, mixer, **kwargs),
+                              net.params() + mixer.params(), analytic)
+    assert error < 1e-4
+
+
+def test_td_loss_gradient_matches_finite_differences():
+    batch = _toy_batch(seed=4)
+    flat = ctde._flatten_batch(batch)
+    net = AgentQNet(3, 2, 2, hidden=(6, 6), rng=stream(4, "td-net"))
+    mixer = MonotonicMixer(2, 3, embed_dim=6, rng=stream(4, "td-mix"))
+    stale = ctde.StaleCopy(net, mixer, refresh_interval=100)
     params = net.params() + mixer.params()
+    for p in params:  # the live net moves off its snapshot
+        p.data = p.data * 1.1 + 0.01
 
-    def loss():
-        return diff_loss(batch, net, mixer, j_pi=1.3, gamma=0.95, beta=0.05)[0]
+    def reward_fn(rewards, actions):
+        return rewards + 0.05 * actions.sum(axis=1)
 
-    assert grad_check(loss, params) < 1e-4
+    def loss(q_tot):
+        return ctde.build_td_loss(stale, flat, q_tot, 0.95, reward_fn)
+
+    q_tot, cache = ctde.qtot_forward(net, mixer, flat)
+    analytic = ctde.qtot_backward(net, mixer, cache, loss(q_tot)[1])
+    error = fd_max_rel_error(lambda: loss(ctde.qtot_forward(net, mixer, flat)[0])[0],
+                              params, analytic)
+    assert error < 1e-4
 
 
 def test_total_loss_decomposition_exact():
+    # the learner's loss_total against its own loss_e and loss_d
     batch = _toy_batch(T=3, episodes=4, seed=8)
-    net = AgentQNet(3, 2, 2, hidden=(6, 6), rng=stream(9, "lt-net"))
-    mixer = MonotonicMixer(2, 3, embed_dim=6, rng=stream(9, "lt-mix"))
-    stale = ctde.StaleCopy(net, mixer, refresh_interval=100)
+    spec = EnvSpec(2, 3, 3, Discrete(2), 3)
+    config = {"mixer": "monotonic", "hidden": [6, 6], "mix_embed": 6, "lr": 1e-3,
+              "buffer_episodes": 4, "batch_episodes": 4, "stale_interval": 100,
+              "gamma": 0.95}
+    learner = QLearner(spec, 2, 9, config)
+    for ep in batch:
+        learner.buffer.add(ep)
     lam = 0.7
-    loss_e, _ = ctde.build_td_loss(net, mixer, stale, batch, gamma=0.95)
-    loss_d, _ = diff_loss(batch, net, mixer, j_pi=1.1, gamma=0.95, beta=0.02)
-    total = loss_e + loss_d * lam
-    assert abs(total.item() - (loss_e.item() + lam * loss_d.item())) <= 1e-12
+
+    def extra_loss(q_tot, flat):
+        loss_d, d_qtot, stats = diff_loss(q_tot, flat, 1.1, 0.95, 0.02, lam)
+        return loss_d * lam, d_qtot, stats
+
+    stats = learner.td_train_step(extra_loss_fn=extra_loss)
+    assert abs(stats["loss_total"] - (stats["loss_e"] + lam * stats["loss_d"])) <= 1e-12
 
 
 def test_importance_score_examples():
@@ -214,6 +253,13 @@ def test_train_emai_rejects_mismatched_target():
     other = make_env("keycorridor")
     with pytest.raises(IncompatibilityError):
         train_emai(scripted_policy(other), env, {"steps": 10})
+
+
+@pytest.mark.parametrize("key", ["batch_episode", "diff_loss_mode", "episodes"])
+def test_train_emai_rejects_unknown_config_key(key):
+    env = make_env("keycorridor")
+    with pytest.raises(ValueError, match=key):
+        train_emai(scripted_policy(env), env, {"steps": 10, key: 4})
 
 
 class _QueryOnlyTarget:

@@ -154,3 +154,16 @@ def test_header_missing_field_rejected(key):
 def test_header_malformed_rejected(header):
     with pytest.raises(ReplayError, match="line 1"):
         parse(header + "\n")
+
+
+@pytest.mark.parametrize("field, value", [("reward", "x"), ("reward", True), ("t", 1.5),
+                                          ("state", ["a"]), ("observations", [1.0]),
+                                          ("target_actions", [0.5]), ("final_actions", None),
+                                          ("mask_actions", [True]), ("importance", "high")])
+def test_ill_typed_step_field_rejected(field, value):
+    import json
+    lines = serialize(_make_record()).splitlines()
+    step = json.loads(lines[2])
+    step[field] = value
+    with pytest.raises(ReplayError, match=rf"line 3 .*{field}"):
+        parse("\n".join(lines[:2] + [json.dumps(step)] + lines[3:]))

@@ -100,6 +100,13 @@ def test_zero_step_budget_returns_random_init_policy():
     assert pol.act(obs[0], 0) in range(5)
 
 
+@pytest.mark.parametrize("key", ["batch_episode", "beta", "lambda"])
+def test_train_target_rejects_unknown_config_key(key):
+    # "beta" and "lambda" belong to the emai section, not to target training
+    with pytest.raises(ValueError, match=key):
+        train_target(make_env("keycorridor"), {"steps": 0, key: 4}, seed=0)
+
+
 def test_train_target_curve_columns():
     env = make_env("diagnostic", n_agents=3, grid=5, horizon=4)
     rows = []
