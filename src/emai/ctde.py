@@ -11,6 +11,14 @@ Training and Q inference are graph-free: the net (`Mlp.fused_forward`/
 `fused_backward`) and each mixer (`mix`/`mix_backward`) compute the same
 float ops that the `nn.Tensor` graph would, so results are bitwise those of
 autodiff.
+
+Buffers: a `QLearner` owns one `TdBuffers`, sized for batch_episodes x
+horizon transitions, and its TD step writes every batch-sized intermediate
+into leading-row views of it, so after the first step it allocates no
+batch-sized array. Its live forward keeps its cache there until the
+backward; the stale forward and the backward share one ping-pong scratch.
+Every function called without buffers, and every inference call, returns
+new arrays that no later call writes.
 """
 from __future__ import annotations
 
@@ -22,13 +30,22 @@ from typing import NamedTuple
 import numpy as np
 
 from . import nn
-from .nn import Mlp, Tensor
+from .nn import FRESH, Mlp, Scratch, Tensor
 from .rng import episode_seed, stream
 
 
 def one_hot(indices: np.ndarray, width: int) -> np.ndarray:
     out = np.zeros((len(indices), width))
     out[np.arange(len(indices)), indices] = 1.0
+    return out
+
+
+def agent_inputs(rows: int, n_agents: int, obs_dim: int) -> np.ndarray:
+    """(rows, n_agents, obs_dim + n_agents) agent-net inputs: each agent's
+    observation columns (zero here, for the caller to fill) and its one-hot
+    id. Reshaped to (rows * n_agents, ...), these are the net's input rows."""
+    out = np.zeros((rows, n_agents, obs_dim + n_agents))
+    out[:, :, obs_dim:] = np.eye(n_agents)
     return out
 
 
@@ -56,6 +73,7 @@ class AgentQNet:
         self.n_actions = int(n_actions)
         self.mlp = Mlp([self.obs_dim + self.n_agents, *hidden, self.n_actions],
                        ["relu", "relu", "identity"], rng)
+        self._inputs = agent_inputs(1, self.n_agents, self.obs_dim)[0]
 
     def q_values(self, obs: np.ndarray, agent_ids: np.ndarray) -> tuple[np.ndarray, tuple]:
         """Batched Q vectors; obs (B, obs_dim), agent_ids (B,) -> (B, n_actions),
@@ -66,13 +84,22 @@ class AgentQNet:
         x = np.concatenate([obs, one_hot(np.asarray(agent_ids), self.n_agents)], axis=1)
         return self.mlp.fused_forward(x)
 
+    def _forward_own_inputs(self, x: np.ndarray, obs: np.ndarray) -> np.ndarray:
+        """Q rows of x, rows of the net's own input block (its one-hot ids
+        are written once), after copying in their observations `obs`."""
+        obs_cols = x[..., :self.obs_dim]
+        if np.shape(obs) != obs_cols.shape:
+            raise nn.ShapeError(f"observation shape {np.shape(obs)} vs expected {obs_cols.shape}")
+        obs_cols[...] = obs
+        return self.mlp.fused_forward(x.reshape(-1, x.shape[-1]))[0]
+
     def q_single(self, obs: np.ndarray, agent_id: int) -> np.ndarray:
         """Q vector for one agent (for acting/explaining)."""
-        return self.q_values(np.asarray(obs)[None, :], np.array([agent_id]))[0][0]
+        return self._forward_own_inputs(self._inputs[agent_id], obs)[0]
 
     def q_all_agents(self, observations: np.ndarray) -> np.ndarray:
         """Q matrix (n_agents, n_actions) for a full observation set."""
-        return self.q_values(observations, np.arange(self.n_agents))[0]
+        return self._forward_own_inputs(self._inputs, observations)
 
     def params(self) -> list[Tensor]:
         return self.mlp.params()
@@ -89,14 +116,22 @@ class AgentQNet:
         return net
 
 
+def _kept(key: str | None, name: str):
+    """A mixer's Scratch name for an array its backward reads: under `key`,
+    or a plain shared name when key is None (a mix whose cache is unused)."""
+    return name if key is None else (key, name)
+
+
 class VdnMixer:
     """Additive mixer: Q_tot = sum_i Q_i. No parameters."""
 
     kind = "vdn"
 
-    def mix(self, chosen_q: np.ndarray, states: np.ndarray) -> tuple[np.ndarray, tuple]:
-        """chosen_q (B, n_agents) -> Q_tot (B,), plus the cache for mix_backward."""
-        q_tot = chosen_q.sum(axis=1)
+    def mix(self, chosen_q: np.ndarray, states: np.ndarray, ws: Scratch = FRESH,
+            key: str | None = "mix") -> tuple[np.ndarray, tuple]:
+        """chosen_q (B, n_agents) -> Q_tot (B,), plus the cache for mix_backward.
+        Q_tot goes into ws (see MonotonicMixer.mix for `key`)."""
+        q_tot = np.sum(chosen_q, axis=1, out=ws.take(_kept(key, "q_tot"), len(chosen_q)))
         nn._check_finite(q_tot, "mixer output")
         return q_tot, chosen_q.shape
 
@@ -131,37 +166,56 @@ class MonotonicMixer:
         self.hyper_w2 = Mlp([state_dim, hyper_hidden, embed_dim], ["relu", "identity"], rng)
         self.hyper_v = Mlp([state_dim, embed_dim, 1], ["relu", "identity"], rng)
 
-    def mix(self, chosen_q: np.ndarray, states: np.ndarray) -> tuple[np.ndarray, tuple]:
+    def mix(self, chosen_q: np.ndarray, states: np.ndarray, ws: Scratch = FRESH,
+            key: str | None = "mix") -> tuple[np.ndarray, tuple]:
         """chosen_q (B, n_agents), states (B, state_dim) -> Q_tot (B,), plus
         the cache for mix_backward. The ELU's pre-activation and Q_tot are
-        checked finite."""
-        B = chosen_q.shape[0]
+        checked finite.
+
+        Every array goes into ws: what mix_backward reads under names that
+        start with `key`, the rest under plain names. key=None is for a mix
+        whose cache is never used (the stale target): it keeps nothing, and
+        its hypernets share the ping-pong pair with the backward, so each
+        hypernet's output is used up before the next hypernet runs.
+        """
+        B, n, E = chosen_q.shape[0], self.n_agents, self.embed_dim
         s = np.asarray(states, dtype=np.float64)
-        h1, c1 = self.hyper_w1.fused_forward(s)
-        w1 = np.abs(h1).reshape(B, self.n_agents, self.embed_dim)
-        b1, cb1 = self.hyper_b1.fused_forward(s)
-        q = chosen_q.reshape(B, self.n_agents, 1)
-        pre = (q * w1).sum(axis=1) + b1
+        q = chosen_q.reshape(B, n, 1)
+        h1, c1 = self.hyper_w1.fused_forward(s, ws, key and (key, "w1"))
+        w1q = np.abs(h1.reshape(B, n, E), out=ws.take("prod", B, n, E))
+        np.multiply(q, w1q, out=w1q)
+        pre = np.sum(w1q, axis=1, out=ws.take("pre", B, E))
+        b1, cb1 = self.hyper_b1.fused_forward(s, ws, key and (key, "b1"))
+        np.add(pre, b1, out=pre)
         nn._check_finite(pre, "mixer hidden pre-activation")
-        hidden = nn._elu_f(pre)
-        h2, c2 = self.hyper_w2.fused_forward(s)
-        w2 = np.abs(h2)
-        v, cv = self.hyper_v.fused_forward(s)
-        q_tot = (hidden * w2).sum(axis=1) + v.reshape(B)
+        hidden = nn._elu_f(pre, out=ws.take(_kept(key, "hidden"), B, E), ws=ws)
+        h2, c2 = self.hyper_w2.fused_forward(s, ws, key and (key, "w2"))
+        w2h = np.abs(h2, out=ws.take("w2", B, E))
+        np.multiply(hidden, w2h, out=w2h)
+        v, cv = self.hyper_v.fused_forward(s, ws, key and (key, "v"))
+        q_tot = np.sum(w2h, axis=1, out=ws.take(_kept(key, "q_tot"), B))
+        np.add(q_tot, v.reshape(B), out=q_tot)
         nn._check_finite(q_tot, "mixer output")
-        return q_tot, (q, h1, w1, c1, cb1, pre, hidden, h2, w2, c2, cv)
+        return q_tot, (q, h1, c1, cb1, hidden, h2, c2, cv, ws)
 
     def mix_backward(self, cache: tuple, d_qtot: np.ndarray) -> tuple[np.ndarray, list]:
         """(dL/dchosen_q, parameter gradients in params() order) for the
-        upstream dL/dQ_tot; the same float ops as the graph's backward."""
-        q, h1, w1, c1, cb1, pre, hidden, h2, w2, c2, cv = cache
-        B = len(d_qtot)
+        upstream dL/dQ_tot; the same float ops as the graph's backward. The
+        gradients are new arrays; dL/dchosen_q is a view into the forward's
+        Scratch."""
+        q, h1, c1, cb1, hidden, h2, c2, cv, ws = cache
+        B, n, E = len(d_qtot), self.n_agents, self.embed_dim
         g = d_qtot[:, None]
-        d_pre = nn._elu_b(g * w2, pre, hidden)
-        d_h2 = g * hidden * np.sign(h2)
+        d_pre = np.abs(h2, out=ws.take("d_pre", B, E))
+        nn._elu_b(np.multiply(g, d_pre, out=d_pre), hidden, out=d_pre, ws=ws)
+        d_h2 = np.multiply(g, hidden, out=ws.take("d_h2", B, E))
+        np.multiply(d_h2, np.sign(h2, out=ws.take("sign_h2", B, E)), out=d_h2)
         g3 = d_pre[:, None, :]
-        d_chosen = (g3 * w1).sum(axis=2)
-        d_h1 = (g3 * q).reshape(B, -1) * np.sign(h1)
+        prod = np.abs(h1.reshape(B, n, E), out=ws.take("prod", B, n, E))
+        np.multiply(g3, prod, out=prod)
+        d_chosen = np.sum(prod, axis=2, out=ws.take("d_chosen", B, n))
+        d_h1 = np.multiply(g3, q, out=prod).reshape(B, n * E)
+        np.multiply(d_h1, np.sign(h1, out=ws.take("sign_h1", B, n * E)), out=d_h1)
         grads = (self.hyper_w1.fused_backward(c1, d_h1)
                  + self.hyper_b1.fused_backward(cb1, d_pre)
                  + self.hyper_w2.fused_backward(c2, d_h2)
@@ -281,7 +335,7 @@ class StaleCopy:
     """Frozen snapshot of the utility net and mixer for TD targets.
 
     Both are deep-copied once; refresh() copies the live parameter values
-    over the snapshot's, in params() order.
+    into the snapshot's arrays, in params() order.
     """
 
     def __init__(self, net: AgentQNet, mixer, refresh_interval: int):
@@ -293,7 +347,7 @@ class StaleCopy:
 
     def refresh(self) -> None:
         for frozen, live in zip(self._frozen, self._live):
-            frozen.data = live.data.copy()
+            np.copyto(frozen.data, live.data)
 
     def maybe_refresh(self, env_step: int) -> bool:
         if env_step % self.refresh_interval == 0:
@@ -317,28 +371,72 @@ class Transitions(NamedTuple):
     n_episodes: int
 
 
-def _flatten_batch(batch: list[Episode]) -> Transitions:
-    """Stack transitions of a batch of episodes into flat arrays."""
-    obs, next_obs, states, next_states, actions, rewards, terminal, ep_index, t_index = \
-        [], [], [], [], [], [], [], [], []
+class TdBuffers:
+    """The batch-sized arrays of a TD step, for up to max_rows transitions.
+
+    `inputs`/`next_inputs` are the live and stale agent-net inputs (see
+    agent_inputs; their one-hot columns are written once), and their
+    observation columns are the `obs`/`next_obs` of the Transitions that
+    _flatten_batch fills, next to the other Transitions arrays. `net`
+    (agent rows) and `mix` (transition rows) hold the intermediates.
+    """
+
+    def __init__(self, n_agents: int, obs_dim: int, state_dim: int, max_rows: int):
+        self.max_rows = int(max_rows)
+        self.obs_dim = int(obs_dim)
+        self.inputs = agent_inputs(max_rows, n_agents, obs_dim)
+        self.next_inputs = agent_inputs(max_rows, n_agents, obs_dim)
+        self.states = np.empty((max_rows, state_dim))
+        self.next_states = np.empty((max_rows, state_dim))
+        self.actions = np.empty((max_rows, n_agents), dtype=np.int64)
+        self.rewards = np.empty(max_rows)
+        self.terminal = np.empty(max_rows, dtype=bool)
+        self.ep_index = np.empty(max_rows, dtype=np.int64)
+        self.t_index = np.empty(max_rows, dtype=np.int64)
+        self.row_ids = np.arange(max_rows * n_agents)
+        self.net = Scratch(max_rows * n_agents)
+        self.mix = Scratch(max_rows)
+
+    # views, not attributes: a deep copy must not detach them from their base
+    @property
+    def obs(self) -> np.ndarray:
+        return self.inputs[:, :, :self.obs_dim]
+
+    @property
+    def next_obs(self) -> np.ndarray:
+        return self.next_inputs[:, :, :self.obs_dim]
+
+
+def _flatten_batch(batch: list[Episode], buffers: TdBuffers | None = None) -> Transitions:
+    """Stack transitions of a batch of episodes into leading-row views of
+    `buffers`, or of new ones sized for this batch when None."""
+    n_rows = sum(ep.length for ep in batch)
+    if buffers is None:
+        obs, states = batch[0].obs, batch[0].states
+        buffers = TdBuffers(obs.shape[1], obs.shape[2], states.shape[1], n_rows)
+    if n_rows > buffers.max_rows:
+        raise ValueError(f"batch of {n_rows} transitions exceeds the TD buffers' "
+                         f"{buffers.max_rows} rows")
+    b = buffers
+    obs, next_obs = b.obs, b.next_obs
+    start = 0
     for k, ep in enumerate(batch):
         T = ep.length
-        obs.append(ep.obs[:T])
-        next_obs.append(ep.obs[1:T + 1])
-        states.append(ep.states[:T])
-        next_states.append(ep.states[1:T + 1])
-        actions.append(ep.actions)
-        rewards.append(ep.rewards)
-        term = np.zeros(T, dtype=bool)
-        term[-1] = True
-        terminal.append(term)
-        ep_index.append(np.full(T, k))
-        t_index.append(np.arange(T))
-    return Transitions(np.concatenate(obs), np.concatenate(next_obs),
-                       np.concatenate(states), np.concatenate(next_states),
-                       np.concatenate(actions), np.concatenate(rewards),
-                       np.concatenate(terminal), np.concatenate(ep_index),
-                       np.concatenate(t_index), len(batch))
+        rows = slice(start, start + T)
+        obs[rows] = ep.obs[:T]
+        next_obs[rows] = ep.obs[1:T + 1]
+        b.states[rows] = ep.states[:T]
+        b.next_states[rows] = ep.states[1:T + 1]
+        b.actions[rows] = ep.actions
+        b.rewards[rows] = ep.rewards
+        b.terminal[rows] = False
+        b.terminal[start + T - 1] = True
+        b.ep_index[rows] = k
+        b.t_index[rows] = b.row_ids[:T]
+        start += T
+    return Transitions(obs[:start], next_obs[:start], b.states[:start],
+                       b.next_states[:start], b.actions[:start], b.rewards[:start],
+                       b.terminal[:start], b.ep_index[:start], b.t_index[:start], len(batch))
 
 
 def _agent_batch(obs_steps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -347,52 +445,86 @@ def _agent_batch(obs_steps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return obs_steps.reshape(S * n, D), np.tile(np.arange(n), S)
 
 
-def qtot_forward(net: AgentQNet, mixer, flat: Transitions) -> tuple[np.ndarray, tuple]:
+def _net_forward(net: AgentQNet, obs_steps: np.ndarray, buffers: TdBuffers | None,
+                 stale: bool) -> tuple[np.ndarray, tuple]:
+    """The net's Q rows and cache for (S, n, D) observations. With buffers,
+    obs_steps must be the obs (stale=False; cached under "q") or next_obs
+    (stale=True; no cache) that _flatten_batch wrote into them."""
+    if buffers is None:
+        return net.q_values(*_agent_batch(obs_steps))
+    inputs = buffers.next_inputs if stale else buffers.inputs
+    x = inputs[:len(obs_steps)].reshape(-1, inputs.shape[-1])
+    return net.mlp.fused_forward(x, buffers.net, None if stale else "q")
+
+
+def _scratch(buffers: TdBuffers | None) -> tuple[Scratch, Scratch]:
+    """The (agent rows, transition rows) Scratch of buffers; FRESH for None."""
+    return (FRESH, FRESH) if buffers is None else (buffers.net, buffers.mix)
+
+
+def qtot_forward(net: AgentQNet, mixer, flat: Transitions,
+                 buffers: TdBuffers | None = None) -> tuple[np.ndarray, tuple]:
     """Q_tot (N,) of the taken joint actions of `flat`, plus the cache for
-    qtot_backward."""
+    qtot_backward. With buffers, `flat` must be _flatten_batch's output for
+    them; Q_tot and the cache are then views into the buffers."""
     N, n, _ = flat.obs.shape
-    rows, ids = _agent_batch(flat.obs)
-    q_all, net_cache = net.q_values(rows, ids)
-    pick = one_hot(flat.actions.reshape(-1), net.n_actions)
-    chosen = (q_all * pick).sum(axis=1).reshape(N, n)
-    q_tot, mix_cache = mixer.mix(chosen, flat.states)
+    ws_net, ws_mix = _scratch(buffers)
+    q_all, net_cache = _net_forward(net, flat.obs, buffers, stale=False)
+    pick = ws_net.take("pick", N * n, net.n_actions)
+    pick.fill(0.0)
+    rows = np.arange(N * n) if buffers is None else buffers.row_ids[:N * n]
+    pick[rows, flat.actions.reshape(-1)] = 1.0
+    q_pick = np.multiply(q_all, pick, out=ws_net.take("q_pick", *pick.shape))
+    chosen = ws_mix.take("chosen", N, n)
+    np.sum(q_pick, axis=1, out=chosen.reshape(N * n))
+    q_tot, mix_cache = mixer.mix(chosen, flat.states, ws_mix)
     return q_tot, (net_cache, pick, mix_cache)
 
 
 def qtot_backward(net: AgentQNet, mixer, cache: tuple, d_qtot: np.ndarray) -> list[np.ndarray]:
     """Gradients of net.params() + mixer.params(), in that order, for the
-    upstream dL/dQ_tot of qtot_forward's output."""
+    upstream dL/dQ_tot of qtot_forward's output; new arrays."""
     net_cache, pick, mix_cache = cache
     d_chosen, mixer_grads = mixer.mix_backward(mix_cache, d_qtot)
-    return net.mlp.fused_backward(net_cache, d_chosen.reshape(-1, 1) * pick) + mixer_grads
+    N, n = d_chosen.shape
+    d_q = net_cache[1].take("d_q", *pick.shape)
+    np.multiply(d_chosen[:, :, None], pick.reshape(N, n, -1), out=d_q.reshape(N, n, -1))
+    return net.mlp.fused_backward(net_cache, d_q) + mixer_grads
 
 
-def stale_max_qtot(stale: StaleCopy, next_obs: np.ndarray, next_states: np.ndarray) -> np.ndarray:
-    """max over joint actions of the stale Q_tot, via per-agent stale argmax."""
+def stale_max_qtot(stale: StaleCopy, next_obs: np.ndarray, next_states: np.ndarray,
+                   buffers: TdBuffers | None = None) -> np.ndarray:
+    """max over joint actions of the stale Q_tot, via per-agent stale argmax.
+    With buffers it runs in their ping-pong scratch and keeps no cache."""
     S, n, _ = next_obs.shape
-    rows, ids = _agent_batch(next_obs)
-    max_q = stale.net.q_values(rows, ids)[0].max(axis=1).reshape(S, n)
-    return stale.mixer.mix(max_q, next_states)[0]
+    ws_net, ws_mix = _scratch(buffers)
+    q, _ = _net_forward(stale.net, next_obs, buffers, stale=True)
+    max_q = np.max(q, axis=1, out=ws_net.take("max_q", S * n)).reshape(S, n)
+    return stale.mixer.mix(max_q, next_states, ws_mix, None)[0]
 
 
 def build_td_loss(stale: StaleCopy, flat: Transitions, q_tot: np.ndarray, gamma: float,
-                  reward_fn=None) -> tuple[float, np.ndarray, dict]:
+                  reward_fn=None, buffers: TdBuffers | None = None) -> tuple[float, np.ndarray, dict]:
     """One-step TD loss of the live Q_tot (N,) of `flat`: the mean of
     (q_tot - y)^2 with y = r + gamma * max stale Q_tot, and y = r on terminal
     transitions. Returns the loss, dL/dq_tot (the float ops of autodiff
-    through that mean) and stats.
+    through that mean; a view into `buffers` when given) and stats.
 
     reward_fn maps (rewards, actions) arrays to the training rewards, e.g.
     to add a per-step masking bonus; identity when None.
     """
+    ws = _scratch(buffers)[1]
+    N = len(q_tot)
     rewards = flat.rewards if reward_fn is None else reward_fn(flat.rewards, flat.actions)
-    target_next = stale_max_qtot(stale, flat.next_obs, flat.next_states)
-    y = rewards + gamma * np.where(flat.terminal, 0.0, target_next)
-    err = q_tot - y
+    target_next = stale_max_qtot(stale, flat.next_obs, flat.next_states, buffers)
+    np.copyto(target_next, 0.0, where=flat.terminal)
+    y = np.add(rewards, np.multiply(gamma, target_next, out=target_next), out=ws.take("y", N))
+    err = np.subtract(q_tot, y, out=ws.take("err", N))
     inv_n = 1.0 / err.size
-    half = err * inv_n
+    half = np.multiply(err, inv_n, out=ws.take("d_qtot", N))
     stats = {"q_tot_mean": float(q_tot.mean()), "y_mean": float(y.mean())}
-    return float((err * err).sum() * inv_n), half + half, stats
+    loss = float(np.multiply(err, err, out=ws.take("err_sq", N)).sum() * inv_n)
+    return loss, np.add(half, half, out=half), stats
 
 
 class QLearner:
@@ -411,6 +543,8 @@ class QLearner:
         self.stale = StaleCopy(self.net, self.mixer, config["stale_interval"])
         self.buffer = EpisodeBuffer(config["buffer_episodes"])
         self.batch_episodes = int(config["batch_episodes"])
+        self.buffers = TdBuffers(spec.n_agents, spec.obs_dim, spec.state_dim,
+                                 self.batch_episodes * spec.horizon)
         self.optimizer = nn.Adam(self.net.params() + self.mixer.params(), lr=config["lr"])
         self.sample_rng = stream(seed, "replay")
 
@@ -422,12 +556,16 @@ class QLearner:
         Q_tot of the batch and returns (value, d value / d q_tot, stats).
         Each loss gets its own backward pass and the two gradients of each
         parameter are added, as autodiff accumulates them.
+
+        The batch and every batch-sized intermediate live in self.buffers;
+        extra_loss_fn's arguments are views into them, valid during its call.
+        Each parameter's .grad is set to a new array.
         """
         batch = self.buffer.sample(self.batch_episodes, self.sample_rng)
-        flat = _flatten_batch(batch)
-        q_tot, cache = qtot_forward(self.net, self.mixer, flat)
-        loss, d_qtot, stats = build_td_loss(self.stale, flat, q_tot,
-                                            float(self.config["gamma"]), reward_fn)
+        flat = _flatten_batch(batch, self.buffers)
+        q_tot, cache = qtot_forward(self.net, self.mixer, flat, self.buffers)
+        loss, d_qtot, stats = build_td_loss(self.stale, flat, q_tot, float(self.config["gamma"]),
+                                            reward_fn, self.buffers)
         stats["loss_e"] = loss
         d_extra = None
         if extra_loss_fn is not None:

@@ -122,6 +122,11 @@ class GradientBasedExplainer(Explainer):
 
     def __init__(self, target: TargetPolicy):
         self._qnet = privileged_q_network(target)
+        # the target is fixed while it is explained: a frozen copy of its
+        # MLP gives the input gradient without forming any weight gradient
+        self._mlp = copy.deepcopy(self._qnet.mlp)
+        for p in self._mlp.params():
+            p.requires_grad = False
 
     def scores(self, ctx: ExplainContext) -> np.ndarray:
         out = np.zeros(ctx.n_agents)
@@ -129,7 +134,7 @@ class GradientBasedExplainer(Explainer):
             obs = np.asarray(ctx.observations[i], dtype=np.float64)
             x = Tensor(np.concatenate([obs, one_hot(np.array([i]), self._qnet.n_agents)[0]]),
                        requires_grad=True)
-            q = self._qnet.mlp.forward(x)
+            q = self._mlp.forward(x)
             chosen = int(np.argmax(q.numpy()))
             shift = float(q.numpy().max())
             log_z = (q - shift).exp().sum().log() + shift

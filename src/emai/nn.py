@@ -8,8 +8,8 @@ feedforward MLPs and an adaptive-moment optimizer. NaN/Inf is a hard error
 - graph ops (`Tensor`, used by the gradient explainer and `grad_check`):
   every op result and every accumulated gradient;
 - fused MLP (`Mlp.fused_forward`, used for training and Q inference): the
-  input and every layer's pre-activation, so an overflow that a later ReLU
-  would zero still raises;
+  input and every layer's pre-activation, before the activation overwrites
+  it in place, so an overflow that a later ReLU would zero still raises;
 - `Adam.step`: every gradient and every updated parameter.
 
 The fused training step (`ctde.QLearner.td_train_step`) also checks the
@@ -18,8 +18,9 @@ the optimizer step.
 """
 from __future__ import annotations
 
+import math
 from contextlib import contextmanager
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Hashable, Iterator, Sequence
 
 import numpy as np
 
@@ -45,6 +46,44 @@ def no_grad() -> Iterator[None]:
         yield
     finally:
         _grad_enabled = prev
+
+
+class Scratch:
+    """Reusable arrays for batch-sized intermediates, one per name.
+
+    take(name, rows, *shape) returns a C-contiguous (rows, *shape) view of
+    the array kept under `name`. That array is allocated on first use with
+    room for max(rows, max_rows) rows of the shape asked for, and again only
+    when a later take needs more, so a take with fewer rows or a narrower
+    shape allocates nothing. A view stays valid until the next take of the
+    same name, so such views never leave the function that owns them.
+    """
+
+    def __init__(self, max_rows: int):
+        self.max_rows = int(max_rows)
+        self._arrays: dict[tuple, np.ndarray] = {}
+
+    def take(self, name: Hashable, *shape: int, dtype=np.float64) -> np.ndarray:
+        size, row = math.prod(shape), math.prod(shape[1:])
+        key = (name, np.dtype(dtype))
+        flat = self._arrays.get(key)
+        if flat is None or flat.size < size:
+            flat = np.empty(max(size, self.max_rows * row), dtype)
+            self._arrays[key] = flat
+        return flat[:size].reshape(shape)
+
+
+class _Fresh(Scratch):
+    """A Scratch whose every take is a new array: for one-off calls."""
+
+    def __init__(self):
+        super().__init__(0)
+
+    def take(self, name: Hashable, *shape: int, dtype=np.float64) -> np.ndarray:
+        return np.empty(shape, dtype)
+
+
+FRESH = _Fresh()
 
 
 def _check_finite(data: np.ndarray, what: str) -> None:
@@ -302,23 +341,29 @@ def reshape(a, shape) -> Tensor:
     return _make(data, (a,), bw)
 
 
-# Activation arithmetic, shared by the graph ops and the fused MLP:
-# forward f(z), and backward (g, z, f(z)) -> dL/dz for the incoming g = dL/df.
+# Activation arithmetic, shared by the graph ops and the fused MLP: forward
+# f(z) and backward (g, y) -> dL/dz, for the incoming g = dL/dy and the
+# output y = f(z). Both read y > 0, which holds exactly where z > 0. `out`
+# may be g (backward) but not z (elu forward); masks and slopes go to `ws`.
 
-def _relu_f(z):
-    return np.maximum(z, 0.0)
-
-
-def _relu_b(g, z, out):
-    return g * (z > 0.0)
+def _relu_f(z, out=None):
+    return np.maximum(z, 0.0, out=out)
 
 
-def _elu_f(z):
-    return np.where(z > 0.0, z, np.expm1(z))
+def _relu_b(g, y, out=None, ws: Scratch = FRESH):
+    return np.multiply(g, np.greater(y, 0.0, out=ws.take("mask", *y.shape, dtype=bool)), out=out)
 
 
-def _elu_b(g, z, out):
-    return g * np.where(z > 0.0, 1.0, out + 1.0)
+def _elu_f(z, out=None, ws: Scratch = FRESH):
+    out = np.expm1(z, out=out)
+    np.copyto(out, z, where=np.greater(z, 0.0, out=ws.take("mask", *z.shape, dtype=bool)))
+    return out
+
+
+def _elu_b(g, y, out=None, ws: Scratch = FRESH):
+    slope = np.add(y, 1.0, out=ws.take("elu_slope", *y.shape))
+    np.copyto(slope, 1.0, where=np.greater(y, 0.0, out=ws.take("mask", *y.shape, dtype=bool)))
+    return np.multiply(g, slope, out=out)
 
 
 def relu(a) -> Tensor:
@@ -327,7 +372,7 @@ def relu(a) -> Tensor:
 
     def bw(g):
         if a.requires_grad:
-            a._accum(_relu_b(g, a.data, data))
+            a._accum(_relu_b(g, data))
 
     return _make(data, (a,), bw)
 
@@ -338,7 +383,7 @@ def elu(a) -> Tensor:
 
     def bw(g):
         if a.requires_grad:
-            a._accum(_elu_b(g, a.data, data))
+            a._accum(_elu_b(g, data))
 
     return _make(data, (a,), bw)
 
@@ -387,11 +432,7 @@ _ACTIVATIONS: dict[str, Callable[[Tensor], Tensor]] = {
     "identity": lambda t: t,
 }
 
-_FUSED_ACTIVATIONS = {
-    "relu": (_relu_f, _relu_b),
-    "elu": (_elu_f, _elu_b),
-    "identity": (lambda z: z, lambda g, z, out: g),
-}
+_FUSED_BACKWARD = {"relu": _relu_b, "elu": _elu_b, "identity": None}
 
 
 class Mlp:
@@ -438,40 +479,62 @@ class Mlp:
 
     __call__ = forward
 
-    def fused_forward(self, x: np.ndarray) -> tuple[np.ndarray, tuple[list, list]]:
-        """Graph-free forward of a (B, in) batch -> (B, out) plus the cache
-        for fused_backward: (layer inputs and the output, pre-activations).
+    def fused_forward(self, x: np.ndarray, ws: Scratch = FRESH,
+                      key: Hashable = None) -> tuple[np.ndarray, tuple]:
+        """Graph-free forward of a (B, in) batch -> (B, out), plus the cache
+        for fused_backward: the layer inputs and the output, and `ws`.
 
-        Same float ops as forward(). The input and every layer's
-        pre-activation are checked finite (NumericsError).
+        Layer i's output is written into ws under (key, i), where it stays
+        until the next forward with that key. key=None is for a forward
+        whose cache is never used: its layers take turns on the ping-pong
+        pair ("pp", 0)/("pp", 1), which fused_backward also writes. Same
+        float ops as forward(). The input and every layer's pre-activation
+        are checked finite (NumericsError) before the activation overwrites
+        the pre-activation in place.
         """
         if x.ndim != 2 or x.shape[1] != self.layer_sizes[0]:
             raise ShapeError(f"input shape {x.shape} vs expected (*, {self.layer_sizes[0]})")
         _check_finite(x, "MLP input")
-        outs, pres = [x], []
+        outs = [x]
         for i, (w, b, act) in enumerate(zip(self.weights, self.biases, self.activations)):
-            z = x @ w.data + b.data
+            name = ("pp", i % 2) if key is None else (key, i)
+            if ws is FRESH:  # a new array either way; this skips a call per layer
+                z = x @ w.data
+            else:
+                z = np.matmul(x, w.data, out=ws.take(name if act != "elu" else "elu_z",
+                                                     len(x), w.data.shape[1]))
+            np.add(z, b.data, out=z)
             _check_finite(z, f"MLP layer {i} pre-activation")
-            x = _FUSED_ACTIVATIONS[act][0](z)
-            pres.append(z)
+            if act == "relu":
+                x = _relu_f(z, out=z)
+            elif act == "elu":
+                x = _elu_f(z, out=ws.take(name, *z.shape), ws=ws)
+            else:
+                x = z
             outs.append(x)
-        return x, (outs, pres)
+        return x, (outs, ws)
 
-    def fused_backward(self, cache: tuple[list, list], d_out: np.ndarray) -> list[np.ndarray]:
+    def fused_backward(self, cache: tuple[list, Scratch], d_out: np.ndarray) -> list[np.ndarray]:
         """Parameter gradients, in params() order, for the upstream gradient
         d_out of fused_forward's output. The input's gradient is not formed.
 
-        Same float ops as Tensor.backward() through forward().
+        The gradients are new arrays. The layer gradients in between use the
+        forward's Scratch: the ping-pong pair ("pp", 0)/("pp", 1), never
+        d_out. Same float ops as Tensor.backward() through forward().
         """
-        outs, pres = cache
-        grads = [None] * (2 * len(pres))
+        outs, ws = cache
+        grads = [None] * (2 * len(self.weights))
         g = d_out
-        for i in reversed(range(len(pres))):
-            g = _FUSED_ACTIVATIONS[self.activations[i]][1](g, pres[i], outs[i + 1])
+        for i in reversed(range(len(self.weights))):
+            act_b = _FUSED_BACKWARD[self.activations[i]]
+            if act_b is not None:
+                dst = g if g is not d_out else ws.take(("pp", i % 2), *g.shape)
+                g = act_b(g, outs[i + 1], out=dst, ws=ws)
             grads[2 * i] = outs[i].T @ g
             grads[2 * i + 1] = g.sum(axis=0)
             if i:
-                g = g @ self.weights[i].data.T
+                w = self.weights[i].data
+                g = np.matmul(g, w.T, out=ws.take(("pp", (i - 1) % 2), len(g), w.shape[0]))
         return grads
 
     def params(self) -> list[Tensor]:
@@ -507,7 +570,10 @@ class Mlp:
 # ---- optimizer ----
 
 class Adam:
-    """Adaptive-moment gradient descent; params with grad=None are skipped."""
+    """Adaptive-moment gradient descent; params with grad=None are skipped.
+
+    The moments and the parameters are updated in place.
+    """
 
     def __init__(self, params: Sequence[Tensor], lr: float,
                  betas: tuple[float, float] = (0.9, 0.999), eps: float = 1e-8):
@@ -522,6 +588,7 @@ class Adam:
         self.t = 0
         self._m = [np.zeros_like(p.data) for p in self.params]
         self._v = [np.zeros_like(p.data) for p in self.params]
+        self._tmp = [(np.empty_like(p.data), np.empty_like(p.data)) for p in self.params]
 
     def zero_grad(self) -> None:
         for p in self.params:
@@ -530,17 +597,21 @@ class Adam:
     def step(self) -> None:
         b1, b2 = self.betas
         self.t += 1
-        for i, p in enumerate(self.params):
+        c1, c2 = 1 - b1 ** self.t, 1 - b2 ** self.t
+        for p, m, v, (a, b) in zip(self.params, self._m, self._v, self._tmp):
             if p.grad is None:
                 continue
             g = p.grad
             if not np.all(np.isfinite(g)):
                 raise NumericsError("non-finite gradient in optimizer step")
-            self._m[i] = b1 * self._m[i] + (1 - b1) * g
-            self._v[i] = b2 * self._v[i] + (1 - b2) * g * g
-            m_hat = self._m[i] / (1 - b1 ** self.t)
-            v_hat = self._v[i] / (1 - b2 ** self.t)
-            p.data = p.data - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            # m = b1 * m + (1 - b1) * g;  v = b2 * v + (1 - b2) * g * g
+            np.add(np.multiply(m, b1, out=m), np.multiply(g, 1 - b1, out=a), out=m)
+            np.multiply(np.multiply(g, 1 - b2, out=a), g, out=a)
+            np.add(np.multiply(v, b2, out=v), a, out=v)
+            # p = p - lr * (m / c1) / (sqrt(v / c2) + eps)
+            np.multiply(np.divide(m, c1, out=a), self.lr, out=a)
+            np.add(np.sqrt(np.divide(v, c2, out=b), out=b), self.eps, out=b)
+            np.subtract(p.data, np.divide(a, b, out=a), out=p.data)
             _check_finite(p.data, "updated parameter")
 
 

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,8 @@ from scipy import stats
 from emai import ctde, nn
 from emai.ctde import (AgentQNet, Episode, EpisodeBuffer, MonotonicMixer, StaleCopy,
                        VdnMixer, build_td_loss, epsilon_greedy, linear_epsilon, q_total)
+from emai.config import DEFAULT_CONFIG
+from emai.envs import make_env
 from emai.rng import stream
 
 
@@ -301,3 +304,78 @@ def test_checkpoint_codec_rejects_malformed_documents(breakage):
 def test_checkpoint_codec_rejects_non_documents(doc):
     with pytest.raises(ValueError):
         ctde.load_checkpoint_doc(doc)
+
+
+# ---- buffer ownership ----
+
+def _random_episode(rng, spec, T: int) -> Episode:
+    return Episode(rng.uniform(-1, 1, size=(T + 1, spec.n_agents, spec.obs_dim)),
+                   rng.uniform(-1, 1, size=(T + 1, spec.state_dim)),
+                   rng.integers(0, 2, size=(T, spec.n_agents)),
+                   rng.uniform(-0.5, 0.5, size=T))
+
+
+def _filled_learner(config: dict, episodes: int, seed: int = 0) -> ctde.QLearner:
+    spec = make_env("keycorridor").spec
+    learner = ctde.QLearner(spec, 2, seed, {**DEFAULT_CONFIG["training"], **config})
+    rng = stream(seed, "ownership-episodes")
+    for _ in range(episodes):
+        learner.buffer.add(_random_episode(rng, spec, int(rng.integers(1, spec.horizon + 1))))
+    return learner
+
+
+@pytest.mark.parametrize("mixer_kind", ["vdn", "monotonic"])
+def test_returned_arrays_are_not_overwritten_by_later_calls(mixer_kind):
+    learner = _filled_learner({"mixer": mixer_kind, "hidden": [8, 8], "mix_embed": 4,
+                               "batch_episodes": 5}, episodes=12)
+    net, mixer, stale = learner.net, learner.mixer, learner.stale
+    spec = make_env("keycorridor").spec
+
+    def results(seed: int) -> list:
+        rng = stream(seed, "ownership-inputs")
+        obs = rng.standard_normal((spec.n_agents, spec.obs_dim))
+        batch = [_random_episode(rng, spec, T) for T in (4, 9)]
+        flat = ctde._flatten_batch(batch)
+        q_tot, _ = ctde.qtot_forward(net, mixer, flat)
+        loss, d_qtot, _ = build_td_loss(stale, flat, q_tot, 0.9)
+        stats = learner.td_train_step()
+        return [net.q_values(obs, np.arange(spec.n_agents))[0], net.q_all_agents(obs),
+                net.q_single(obs[1], 1),
+                mixer.mix(rng.standard_normal((7, spec.n_agents)),
+                          rng.standard_normal((7, spec.state_dim)))[0],
+                *flat, q_tot, np.float64(loss), d_qtot, np.array(list(stats.values())),
+                *[p.grad for p in learner.optimizer.params]]
+
+    held = results(1)
+    copies = [np.copy(a) for a in held]
+    results(2)
+    for i, (a, c) in enumerate(zip(held, copies, strict=True)):
+        assert np.array_equal(a, c), f"result {i} was overwritten"
+
+
+def test_flatten_rejects_a_batch_larger_than_its_buffers():
+    buffers = ctde.TdBuffers(2, 3, 4, max_rows=5)
+    ep = Episode(np.zeros((7, 2, 3)), np.zeros((7, 4)), np.zeros((6, 2), dtype=np.int64),
+                 np.zeros(6))
+    with pytest.raises(ValueError, match="exceeds"):
+        ctde._flatten_batch([ep], buffers)
+
+
+def test_td_step_allocates_no_batch_sized_array():
+    # keycorridor at the default config: 32 episodes x horizon 30 = 960
+    # transitions, 2880 agent rows; one (2880, 64) float temporary is 1.5 MB
+    learner = _filled_learner({}, episodes=0)
+    spec = make_env("keycorridor").spec
+    rng = stream(1, "alloc-episodes")
+    for _ in range(40):
+        learner.buffer.add(_random_episode(rng, spec, spec.horizon))
+    reward_fn = lambda rewards, actions: rewards + 0.1 * actions.sum(axis=1)  # noqa: E731
+    for _ in range(2):
+        learner.td_train_step(reward_fn)
+    tracemalloc.start()
+    try:
+        learner.td_train_step(reward_fn)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000, f"TD step traced peak {peak / 1e6:.2f} MB"

@@ -85,6 +85,19 @@ def test_gradient_based_matches_finite_difference_oracle():
         assert scores[agent] == pytest.approx(np.abs(grad).sum(), rel=1e-4)
 
 
+def test_gradient_based_forms_no_target_weight_gradient():
+    # only the input's gradient is read: the target's parameters get no .grad
+    env = make_env("spread", n_agents=2, grid=6)
+    target = _learned_target(env, seed=7)
+    params = target._qnet.params()
+    before = [p.data.copy() for p in params]
+    ex = GradientBasedExplainer(target)
+    for seed in range(3):
+        ex.scores(_ctx_for(env, seed=seed))
+    assert all(p.grad is None for p in params)
+    assert all(np.array_equal(p.data, b) for p, b in zip(params, before))
+
+
 def test_white_box_explainers_reject_scripted_target():
     env = make_env("keycorridor")
     pol = scripted_policy(env)

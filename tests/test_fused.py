@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from emai import ctde, nn
-from emai.ctde import AgentQNet, Episode, QLearner, VdnMixer
+from emai.ctde import AgentQNet, Episode, EpisodeBuffer, QLearner, VdnMixer
 from emai.envs import Discrete, EnvSpec
 from emai.masking import diff_loss
 from emai.nn import NumericsError, Tensor
@@ -170,6 +170,32 @@ def test_fused_training_run_equals_autodiff_run(mixer_kind):
             ref.stale.refresh()
     for p, q in zip(learner.optimizer.params, ref.optimizer.params, strict=True):
         assert np.array_equal(p.data, q.data)
+
+
+@pytest.mark.parametrize("mixer_kind", ["vdn", "monotonic"])
+def test_td_steps_with_changing_row_counts_equal_autodiff(mixer_kind):
+    # batches of 7, 30, 7 and 30 transitions run in leading-row views of the
+    # learner's buffers, which are sized for 2 episodes x horizon 30
+    learner = _learner(mixer_kind, episodes=0, batch_episodes=2)
+    ref = copy.deepcopy(learner)
+    rng = stream(8, "row-counts")
+    for step, lengths in enumerate([(3, 4), (14, 16), (2, 5), (30,)]):
+        batch = [_episode(rng, T) for T in lengths]
+        for lrn in (learner, ref):
+            lrn.buffer = EpisodeBuffer(len(batch))
+            lrn.batch_episodes = len(batch)
+            for ep in batch:
+                lrn.buffer.add(ep)
+        stats = learner.td_train_step(_reward_fn, _extra_loss(0.5))
+        loss_e, loss_total, grads = graph_step(
+            ref, ref.buffer.sample(ref.batch_episodes, ref.sample_rng), _reward_fn, 0.5)
+        assert (stats["loss_e"], stats["loss_total"]) == (loss_e, loss_total), f"step {step}"
+        for p, g in zip(ref.optimizer.params, grads):
+            p.grad = g
+        ref.optimizer.step()
+        for i, (p, q) in enumerate(zip(learner.optimizer.params, ref.optimizer.params,
+                                       strict=True)):
+            assert np.array_equal(p.data, q.data), f"step {step}, parameter {i}"
 
 
 @pytest.mark.parametrize("mixer_kind", ["vdn", "monotonic"])
