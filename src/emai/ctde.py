@@ -13,12 +13,13 @@ float ops that the `nn.Tensor` graph would, so results are bitwise those of
 autodiff.
 
 Buffers: a `QLearner` owns one `TdBuffers`, sized for batch_episodes x
-horizon transitions, and its TD step writes every batch-sized intermediate
-into leading-row views of it, so after the first step it allocates no
-batch-sized array. Its live forward keeps its cache there until the
-backward; the stale forward and the backward share one ping-pong scratch.
-Every function called without buffers, and every inference call, returns
-new arrays that no later call writes.
+horizon transitions. The TD step's functions (_flatten_batch, qtot_forward,
+stale_max_qtot, build_td_loss) write every batch-sized intermediate into
+leading-row views of the buffers they are given, so with no extra loss
+(lambda = 0) a step allocates no batch-sized array after the first. The
+live forward keeps its cache there until the backward; the stale forward
+and the backward share one ping-pong scratch. Gradients, stats and every
+inference call's results are new arrays that no later call writes.
 """
 from __future__ import annotations
 
@@ -74,15 +75,6 @@ class AgentQNet:
         self.mlp = Mlp([self.obs_dim + self.n_agents, *hidden, self.n_actions],
                        ["relu", "relu", "identity"], rng)
         self._inputs = agent_inputs(1, self.n_agents, self.obs_dim)[0]
-
-    def q_values(self, obs: np.ndarray, agent_ids: np.ndarray) -> tuple[np.ndarray, tuple]:
-        """Batched Q vectors; obs (B, obs_dim), agent_ids (B,) -> (B, n_actions),
-        plus the layer cache for mlp.fused_backward."""
-        obs = np.asarray(obs, dtype=np.float64)
-        if obs.ndim != 2 or obs.shape[1] != self.obs_dim:
-            raise nn.ShapeError(f"obs batch shape {obs.shape} vs expected (*, {self.obs_dim})")
-        x = np.concatenate([obs, one_hot(np.asarray(agent_ids), self.n_agents)], axis=1)
-        return self.mlp.fused_forward(x)
 
     def _forward_own_inputs(self, x: np.ndarray, obs: np.ndarray) -> np.ndarray:
         """Q rows of x, rows of the net's own input block (its one-hot ids
@@ -407,13 +399,10 @@ class TdBuffers:
         return self.next_inputs[:, :, :self.obs_dim]
 
 
-def _flatten_batch(batch: list[Episode], buffers: TdBuffers | None = None) -> Transitions:
+def _flatten_batch(batch: list[Episode], buffers: TdBuffers) -> Transitions:
     """Stack transitions of a batch of episodes into leading-row views of
-    `buffers`, or of new ones sized for this batch when None."""
+    `buffers`."""
     n_rows = sum(ep.length for ep in batch)
-    if buffers is None:
-        obs, states = batch[0].obs, batch[0].states
-        buffers = TdBuffers(obs.shape[1], obs.shape[2], states.shape[1], n_rows)
     if n_rows > buffers.max_rows:
         raise ValueError(f"batch of {n_rows} transitions exceeds the TD buffers' "
                          f"{buffers.max_rows} rows")
@@ -439,41 +428,27 @@ def _flatten_batch(batch: list[Episode], buffers: TdBuffers | None = None) -> Tr
                        b.terminal[:start], b.ep_index[:start], b.t_index[:start], len(batch))
 
 
-def _agent_batch(obs_steps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(S, n, D) observations -> (S*n, D) rows plus matching agent ids."""
-    S, n, D = obs_steps.shape
-    return obs_steps.reshape(S * n, D), np.tile(np.arange(n), S)
-
-
-def _net_forward(net: AgentQNet, obs_steps: np.ndarray, buffers: TdBuffers | None,
+def _net_forward(net: AgentQNet, obs_steps: np.ndarray, buffers: TdBuffers,
                  stale: bool) -> tuple[np.ndarray, tuple]:
-    """The net's Q rows and cache for (S, n, D) observations. With buffers,
-    obs_steps must be the obs (stale=False; cached under "q") or next_obs
-    (stale=True; no cache) that _flatten_batch wrote into them."""
-    if buffers is None:
-        return net.q_values(*_agent_batch(obs_steps))
+    """The net's Q rows and cache for (S, n, D) observations: the obs
+    (stale=False; cached under "q") or next_obs (stale=True; no cache) that
+    _flatten_batch wrote into `buffers`."""
     inputs = buffers.next_inputs if stale else buffers.inputs
     x = inputs[:len(obs_steps)].reshape(-1, inputs.shape[-1])
     return net.mlp.fused_forward(x, buffers.net, None if stale else "q")
 
 
-def _scratch(buffers: TdBuffers | None) -> tuple[Scratch, Scratch]:
-    """The (agent rows, transition rows) Scratch of buffers; FRESH for None."""
-    return (FRESH, FRESH) if buffers is None else (buffers.net, buffers.mix)
-
-
 def qtot_forward(net: AgentQNet, mixer, flat: Transitions,
-                 buffers: TdBuffers | None = None) -> tuple[np.ndarray, tuple]:
+                 buffers: TdBuffers) -> tuple[np.ndarray, tuple]:
     """Q_tot (N,) of the taken joint actions of `flat`, plus the cache for
-    qtot_backward. With buffers, `flat` must be _flatten_batch's output for
-    them; Q_tot and the cache are then views into the buffers."""
+    qtot_backward. `flat` must be _flatten_batch's output for `buffers`;
+    Q_tot and the cache are views into them."""
     N, n, _ = flat.obs.shape
-    ws_net, ws_mix = _scratch(buffers)
+    ws_net, ws_mix = buffers.net, buffers.mix
     q_all, net_cache = _net_forward(net, flat.obs, buffers, stale=False)
     pick = ws_net.take("pick", N * n, net.n_actions)
     pick.fill(0.0)
-    rows = np.arange(N * n) if buffers is None else buffers.row_ids[:N * n]
-    pick[rows, flat.actions.reshape(-1)] = 1.0
+    pick[buffers.row_ids[:N * n], flat.actions.reshape(-1)] = 1.0
     q_pick = np.multiply(q_all, pick, out=ws_net.take("q_pick", *pick.shape))
     chosen = ws_mix.take("chosen", N, n)
     np.sum(q_pick, axis=1, out=chosen.reshape(N * n))
@@ -493,27 +468,26 @@ def qtot_backward(net: AgentQNet, mixer, cache: tuple, d_qtot: np.ndarray) -> li
 
 
 def stale_max_qtot(stale: StaleCopy, next_obs: np.ndarray, next_states: np.ndarray,
-                   buffers: TdBuffers | None = None) -> np.ndarray:
+                   buffers: TdBuffers) -> np.ndarray:
     """max over joint actions of the stale Q_tot, via per-agent stale argmax.
-    With buffers it runs in their ping-pong scratch and keeps no cache."""
+    It runs in the buffers' ping-pong scratch and keeps no cache."""
     S, n, _ = next_obs.shape
-    ws_net, ws_mix = _scratch(buffers)
     q, _ = _net_forward(stale.net, next_obs, buffers, stale=True)
-    max_q = np.max(q, axis=1, out=ws_net.take("max_q", S * n)).reshape(S, n)
-    return stale.mixer.mix(max_q, next_states, ws_mix, None)[0]
+    max_q = np.max(q, axis=1, out=buffers.net.take("max_q", S * n)).reshape(S, n)
+    return stale.mixer.mix(max_q, next_states, buffers.mix, None)[0]
 
 
 def build_td_loss(stale: StaleCopy, flat: Transitions, q_tot: np.ndarray, gamma: float,
-                  reward_fn=None, buffers: TdBuffers | None = None) -> tuple[float, np.ndarray, dict]:
+                  buffers: TdBuffers, reward_fn=None) -> tuple[float, np.ndarray, dict]:
     """One-step TD loss of the live Q_tot (N,) of `flat`: the mean of
     (q_tot - y)^2 with y = r + gamma * max stale Q_tot, and y = r on terminal
     transitions. Returns the loss, dL/dq_tot (the float ops of autodiff
-    through that mean; a view into `buffers` when given) and stats.
+    through that mean; a view into `buffers`) and stats.
 
     reward_fn maps (rewards, actions) arrays to the training rewards, e.g.
     to add a per-step masking bonus; identity when None.
     """
-    ws = _scratch(buffers)[1]
+    ws = buffers.mix
     N = len(q_tot)
     rewards = flat.rewards if reward_fn is None else reward_fn(flat.rewards, flat.actions)
     target_next = stale_max_qtot(stale, flat.next_obs, flat.next_states, buffers)
@@ -557,15 +531,17 @@ class QLearner:
         Each loss gets its own backward pass and the two gradients of each
         parameter are added, as autodiff accumulates them.
 
-        The batch and every batch-sized intermediate live in self.buffers;
-        extra_loss_fn's arguments are views into them, valid during its call.
-        Each parameter's .grad is set to a new array.
+        The batch and every batch-sized intermediate of the TD loss live in
+        self.buffers; extra_loss_fn's arguments are views into them, valid
+        during its call. extra_loss_fn itself, its second backward and the
+        sum of the two gradients allocate new arrays on every step. Each
+        parameter's .grad is set to a new array.
         """
         batch = self.buffer.sample(self.batch_episodes, self.sample_rng)
         flat = _flatten_batch(batch, self.buffers)
         q_tot, cache = qtot_forward(self.net, self.mixer, flat, self.buffers)
         loss, d_qtot, stats = build_td_loss(self.stale, flat, q_tot, float(self.config["gamma"]),
-                                            reward_fn, self.buffers)
+                                            self.buffers, reward_fn)
         stats["loss_e"] = loss
         d_extra = None
         if extra_loss_fn is not None:

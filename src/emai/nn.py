@@ -498,11 +498,8 @@ class Mlp:
         outs = [x]
         for i, (w, b, act) in enumerate(zip(self.weights, self.biases, self.activations)):
             name = ("pp", i % 2) if key is None else (key, i)
-            if ws is FRESH:  # a new array either way; this skips a call per layer
-                z = x @ w.data
-            else:
-                z = np.matmul(x, w.data, out=ws.take(name if act != "elu" else "elu_z",
-                                                     len(x), w.data.shape[1]))
+            z = np.matmul(x, w.data, out=ws.take(name if act != "elu" else "elu_z",
+                                                 len(x), w.data.shape[1]))
             np.add(z, b.data, out=z)
             _check_finite(z, f"MLP layer {i} pre-activation")
             if act == "relu":

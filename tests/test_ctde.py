@@ -13,6 +13,7 @@ from emai.ctde import (AgentQNet, Episode, EpisodeBuffer, MonotonicMixer, StaleC
                        VdnMixer, build_td_loss, epsilon_greedy, linear_epsilon, q_total)
 from emai.config import DEFAULT_CONFIG
 from emai.envs import make_env
+from emai.masking import diff_loss
 from emai.rng import stream
 
 
@@ -117,10 +118,19 @@ def _one_step_episode(obs, state, actions, reward):
                    np.array([actions]), np.array([reward]))
 
 
+def _flatten(batch):
+    """The batch's Transitions in TdBuffers sized for it, and those buffers."""
+    ep = batch[0]
+    buffers = ctde.TdBuffers(ep.obs.shape[1], ep.obs.shape[2], ep.states.shape[1],
+                             sum(e.length for e in batch))
+    return ctde._flatten_batch(batch, buffers), buffers
+
+
 def _td_loss(net, mixer, stale, batch, gamma) -> float:
     """build_td_loss's value on the live Q_tot of a batch of episodes."""
-    flat = ctde._flatten_batch(batch)
-    return build_td_loss(stale, flat, ctde.qtot_forward(net, mixer, flat)[0], gamma)[0]
+    flat, buffers = _flatten(batch)
+    q_tot = ctde.qtot_forward(net, mixer, flat, buffers)[0]
+    return build_td_loss(stale, flat, q_tot, gamma, buffers)[0]
 
 
 def test_td_loss_direct_example():
@@ -335,16 +345,16 @@ def test_returned_arrays_are_not_overwritten_by_later_calls(mixer_kind):
         rng = stream(seed, "ownership-inputs")
         obs = rng.standard_normal((spec.n_agents, spec.obs_dim))
         batch = [_random_episode(rng, spec, T) for T in (4, 9)]
-        flat = ctde._flatten_batch(batch)
-        q_tot, _ = ctde.qtot_forward(net, mixer, flat)
-        loss, d_qtot, _ = build_td_loss(stale, flat, q_tot, 0.9)
+        # q_tot and dL/dq_tot are views into the buffers passed in, by contract
+        flat, buffers = _flatten(batch)
+        q_tot, _ = ctde.qtot_forward(net, mixer, flat, buffers)
+        loss, _, td_stats = build_td_loss(stale, flat, q_tot, 0.9, buffers)
         stats = learner.td_train_step()
-        return [net.q_values(obs, np.arange(spec.n_agents))[0], net.q_all_agents(obs),
-                net.q_single(obs[1], 1),
+        return [net.q_all_agents(obs), net.q_single(obs[1], 1),
                 mixer.mix(rng.standard_normal((7, spec.n_agents)),
                           rng.standard_normal((7, spec.state_dim)))[0],
-                *flat, q_tot, np.float64(loss), d_qtot, np.array(list(stats.values())),
-                *[p.grad for p in learner.optimizer.params]]
+                np.float64(loss), np.array(list(td_stats.values())),
+                np.array(list(stats.values())), *[p.grad for p in learner.optimizer.params]]
 
     held = results(1)
     copies = [np.copy(a) for a in held]
@@ -375,6 +385,31 @@ def test_td_step_allocates_no_batch_sized_array():
     tracemalloc.start()
     try:
         learner.td_train_step(reward_fn)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000, f"TD step traced peak {peak / 1e6:.2f} MB"
+
+
+def test_td_step_with_difference_loss_allocates_only_transition_sized_arrays():
+    # at lambda > 0 the masking trainer's difference loss allocates on every
+    # step: its (960, 32) episode-membership matrix is 0.25 MB and the rest
+    # are 960-float vectors, so the peak stays far below one agent-row array
+    learner = _filled_learner({}, episodes=0)
+    spec = make_env("keycorridor").spec
+    rng = stream(1, "alloc-episodes")
+    for _ in range(40):
+        learner.buffer.add(_random_episode(rng, spec, spec.horizon))
+
+    def extra_loss(q_tot, flat):
+        loss_d, d_qtot, stats = diff_loss(q_tot, flat, 1.0, 0.99, 0.05, 1.0)
+        return loss_d, d_qtot, stats
+
+    for _ in range(2):
+        learner.td_train_step(None, extra_loss)
+    tracemalloc.start()
+    try:
+        learner.td_train_step(None, extra_loss)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -25,6 +25,20 @@ J_PI, BETA, GAMMA = 1.3, 0.05, 0.95
 
 # ---- the graph reference ----
 
+def _flatten_batch(batch) -> ctde.Transitions:
+    """The batch's Transitions, in TdBuffers sized for it."""
+    ep = batch[0]
+    buffers = ctde.TdBuffers(ep.obs.shape[1], ep.obs.shape[2], ep.states.shape[1],
+                             sum(e.length for e in batch))
+    return ctde._flatten_batch(batch, buffers)
+
+
+def _agent_batch(obs_steps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(S, n, D) observations -> (S*n, D) rows plus matching agent ids."""
+    S, n, D = obs_steps.shape
+    return obs_steps.reshape(S * n, D), np.tile(np.arange(n), S)
+
+
 def _graph_q_values(net: AgentQNet, rows: np.ndarray, ids: np.ndarray) -> Tensor:
     x = np.concatenate([rows, ctde.one_hot(ids, net.n_agents)], axis=1)
     return net.mlp.forward(Tensor(x))
@@ -45,7 +59,7 @@ def _graph_mix(mixer, chosen_q: Tensor, states: np.ndarray) -> Tensor:
 
 def _graph_chosen_q(net: AgentQNet, obs_steps: np.ndarray, actions: np.ndarray) -> Tensor:
     S, n, _ = obs_steps.shape
-    rows, ids = ctde._agent_batch(obs_steps)
+    rows, ids = _agent_batch(obs_steps)
     q_all = _graph_q_values(net, rows, ids)
     picked = (q_all * ctde.one_hot(actions.reshape(-1), net.n_actions)).sum(axis=1)
     return picked.reshape(S, n)
@@ -53,13 +67,13 @@ def _graph_chosen_q(net: AgentQNet, obs_steps: np.ndarray, actions: np.ndarray) 
 
 def graph_td_loss(net, mixer, stale, batch, gamma, reward_fn=None) -> Tensor:
     obs, next_obs, states, next_states, actions, rewards, terminal, _, _, _ = \
-        ctde._flatten_batch(batch)
+        _flatten_batch(batch)
     if reward_fn is not None:
         rewards = reward_fn(rewards, actions)
     q_tot = _graph_mix(mixer, _graph_chosen_q(net, obs, actions), states)
     with nn.no_grad():
         S, n, _ = next_obs.shape
-        rows, ids = ctde._agent_batch(next_obs)
+        rows, ids = _agent_batch(next_obs)
         max_q = _graph_q_values(stale.net, rows, ids).numpy().max(axis=1).reshape(S, n)
         target_next = _graph_mix(stale.mixer, Tensor(max_q), next_states).numpy()
     y = rewards + gamma * np.where(terminal, 0.0, target_next)
@@ -68,7 +82,7 @@ def graph_td_loss(net, mixer, stale, batch, gamma, reward_fn=None) -> Tensor:
 
 
 def graph_diff_loss(batch, net, mixer, j_pi, gamma, beta) -> Tensor:
-    obs, _, states, _, actions, _, _, ep_idx, t_idx, _ = ctde._flatten_batch(batch)
+    obs, _, states, _, actions, _, _, ep_idx, t_idx, _ = _flatten_batch(batch)
     n_eps = len(batch)
     weights = gamma ** t_idx.astype(np.float64)
     r_mask = float(beta) * actions.sum(axis=1)

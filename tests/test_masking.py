@@ -97,10 +97,18 @@ def _toy_batch(n_agents=2, obs_dim=3, state_dim=3, T=4, episodes=3, seed=0):
     return batch
 
 
+def _flatten(batch):
+    """The batch's Transitions in TdBuffers sized for it, and those buffers."""
+    ep = batch[0]
+    buffers = ctde.TdBuffers(ep.obs.shape[1], ep.obs.shape[2], ep.states.shape[1],
+                             sum(e.length for e in batch))
+    return ctde._flatten_batch(batch, buffers), buffers
+
+
 def _diff_loss(batch, net, mixer, **kwargs):
     """diff_loss's value on the live Q_tot of a batch of episodes."""
-    flat = ctde._flatten_batch(batch)
-    return diff_loss(ctde.qtot_forward(net, mixer, flat)[0], flat, **kwargs)[0]
+    flat, buffers = _flatten(batch)
+    return diff_loss(ctde.qtot_forward(net, mixer, flat, buffers)[0], flat, **kwargs)[0]
 
 
 def test_diff_loss_one_step_example():
@@ -143,11 +151,11 @@ def test_diff_loss_zero_when_decomposition_matches():
 def test_diff_loss_gradient_matches_finite_differences():
     # the fused backward (ctde.qtot_backward seeded by diff_loss's dL/dQ_tot)
     batch = _toy_batch()
-    flat = ctde._flatten_batch(batch)
+    flat, buffers = _flatten(batch)
     net = AgentQNet(3, 2, 2, hidden=(6, 6), rng=stream(3, "dl-net"))
     mixer = MonotonicMixer(2, 3, embed_dim=6, rng=stream(3, "dl-mix"))
     kwargs = {"j_pi": 1.3, "gamma": 0.95, "beta": 0.05}
-    q_tot, cache = ctde.qtot_forward(net, mixer, flat)
+    q_tot, cache = ctde.qtot_forward(net, mixer, flat, buffers)
     analytic = ctde.qtot_backward(net, mixer, cache, diff_loss(q_tot, flat, **kwargs)[1])
     error = fd_max_rel_error(lambda: _diff_loss(batch, net, mixer, **kwargs),
                               net.params() + mixer.params(), analytic)
@@ -156,7 +164,7 @@ def test_diff_loss_gradient_matches_finite_differences():
 
 def test_td_loss_gradient_matches_finite_differences():
     batch = _toy_batch(seed=4)
-    flat = ctde._flatten_batch(batch)
+    flat, buffers = _flatten(batch)
     net = AgentQNet(3, 2, 2, hidden=(6, 6), rng=stream(4, "td-net"))
     mixer = MonotonicMixer(2, 3, embed_dim=6, rng=stream(4, "td-mix"))
     stale = ctde.StaleCopy(net, mixer, refresh_interval=100)
@@ -168,11 +176,11 @@ def test_td_loss_gradient_matches_finite_differences():
         return rewards + 0.05 * actions.sum(axis=1)
 
     def loss(q_tot):
-        return ctde.build_td_loss(stale, flat, q_tot, 0.95, reward_fn)
+        return ctde.build_td_loss(stale, flat, q_tot, 0.95, buffers, reward_fn)
 
-    q_tot, cache = ctde.qtot_forward(net, mixer, flat)
+    q_tot, cache = ctde.qtot_forward(net, mixer, flat, buffers)
     analytic = ctde.qtot_backward(net, mixer, cache, loss(q_tot)[1])
-    error = fd_max_rel_error(lambda: loss(ctde.qtot_forward(net, mixer, flat)[0])[0],
+    error = fd_max_rel_error(lambda: loss(ctde.qtot_forward(net, mixer, flat, buffers)[0])[0],
                               params, analytic)
     assert error < 1e-4
 
