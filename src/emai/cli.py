@@ -116,7 +116,7 @@ def cmd_train_emai(cfg: dict, out_dir: Path) -> list[Path]:
     env = _build_env(cfg)
     target = _build_target(cfg, env)
     policy, curves = masking.train_emai(target, env, {**cfg["training"], **cfg["emai"]},
-                                        seed=cfg["seed"], workers=cfg["workers"])
+                                        seed=cfg["seed"])
     ckpt = out_dir / "masking_checkpoint.json"
     policy.save(ckpt, env=env, training_step=cfg["emai"]["steps"])
     curve = out_dir / "emai_curve.csv"

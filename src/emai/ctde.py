@@ -168,7 +168,10 @@ class MonotonicMixer:
         start with `key`, the rest under plain names. key=None is for a mix
         whose cache is never used (the stale target): it keeps nothing, and
         its hypernets share the ping-pong pair with the backward, so each
-        hypernet's output is used up before the next hypernet runs.
+        hypernet's output is used up before the next hypernet runs. Plain
+        names are shared where lifetimes never overlap: |W2| goes into the
+        used-up pre-activation, and mix_backward writes into the plain
+        "pre", "hidden" and "prod" arrays, which no cache holds.
         """
         B, n, E = chosen_q.shape[0], self.n_agents, self.embed_dim
         s = np.asarray(states, dtype=np.float64)
@@ -182,7 +185,7 @@ class MonotonicMixer:
         nn._check_finite(pre, "mixer hidden pre-activation")
         hidden = nn._elu_f(pre, out=ws.take(_kept(key, "hidden"), B, E), ws=ws)
         h2, c2 = self.hyper_w2.fused_forward(s, ws, key and (key, "w2"))
-        w2h = np.abs(h2, out=ws.take("w2", B, E))
+        w2h = np.abs(h2, out=pre)
         np.multiply(hidden, w2h, out=w2h)
         v, cv = self.hyper_v.fused_forward(s, ws, key and (key, "v"))
         q_tot = np.sum(w2h, axis=1, out=ws.take(_kept(key, "q_tot"), B))
@@ -198,16 +201,16 @@ class MonotonicMixer:
         q, h1, c1, cb1, hidden, h2, c2, cv, ws = cache
         B, n, E = len(d_qtot), self.n_agents, self.embed_dim
         g = d_qtot[:, None]
-        d_pre = np.abs(h2, out=ws.take("d_pre", B, E))
+        d_pre = np.abs(h2, out=ws.take("pre", B, E))
         nn._elu_b(np.multiply(g, d_pre, out=d_pre), hidden, out=d_pre, ws=ws)
-        d_h2 = np.multiply(g, hidden, out=ws.take("d_h2", B, E))
-        np.multiply(d_h2, np.sign(h2, out=ws.take("sign_h2", B, E)), out=d_h2)
+        d_h2 = np.multiply(g, hidden, out=ws.take("hidden", B, E))
+        np.multiply(d_h2, np.sign(h2, out=ws.take("sign", B, E)), out=d_h2)
         g3 = d_pre[:, None, :]
         prod = np.abs(h1.reshape(B, n, E), out=ws.take("prod", B, n, E))
         np.multiply(g3, prod, out=prod)
         d_chosen = np.sum(prod, axis=2, out=ws.take("d_chosen", B, n))
         d_h1 = np.multiply(g3, q, out=prod).reshape(B, n * E)
-        np.multiply(d_h1, np.sign(h1, out=ws.take("sign_h1", B, n * E)), out=d_h1)
+        np.multiply(d_h1, np.sign(h1, out=ws.take("sign", B, n * E)), out=d_h1)
         grads = (self.hyper_w1.fused_backward(c1, d_h1)
                  + self.hyper_b1.fused_backward(cb1, d_pre)
                  + self.hyper_w2.fused_backward(c2, d_h2)

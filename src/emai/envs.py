@@ -81,7 +81,7 @@ class _GridEnv:
         self.done = True
         self.positions: list[tuple[int, int]] = []
 
-    # subclasses: _rows, _cols, _walls(), _passable hook, _observe, _state, _reward
+    # subclasses: _rows, _cols, _walls(), _passable hook, _place, _observe, _state, _reward
     def _wall_cells(self) -> frozenset[tuple[int, int]]:
         return frozenset()
 
@@ -117,6 +117,14 @@ class _GridEnv:
     def observations(self) -> np.ndarray:
         return np.stack([self._observe(i) for i in range(self.spec.n_agents)])
 
+    def _place(self, seed: int) -> tuple[list, list]:
+        """The initial (agent cells, landmark cells) of reset(seed), shared by
+        reset and reset_batch; builds no observations."""
+        raise NotImplementedError
+
+    def _landmark_cells(self) -> list[tuple[int, int]]:
+        return []
+
     def reset(self, seed: int) -> tuple[np.ndarray, np.ndarray]:
         raise NotImplementedError
 
@@ -127,7 +135,23 @@ class _GridEnv:
     # _passable_batch, _move_batch, _observe_batch, _step_batch
     def branch(self, size: int) -> "GridBatch":
         """`size` independent copies of the current state, to step in lockstep."""
-        return GridBatch(self, size)
+        if size < 1:
+            raise ValueError("a batch needs size >= 1")
+        if not self.positions:
+            raise EnvError("branch() needs an environment that has been reset")
+        positions = np.array(self.positions, dtype=np.int64)
+        landmarks = np.array(self._landmark_cells(), dtype=np.int64).reshape(-1, 2)
+        return GridBatch(self, np.tile(positions, (size, 1, 1)),
+                         np.tile(landmarks, (size, 1, 1)), self.t, self.done)
+
+    def reset_batch(self, seeds) -> "GridBatch":
+        """One row per seed: row b is the state after reset(seeds[b])."""
+        placed = [self._place(seed) for seed in seeds]
+        if not placed:
+            raise ValueError("reset_batch needs at least one seed")
+        positions = np.array([cells for cells, _ in placed], dtype=np.int64)
+        landmarks = np.array([lms for _, lms in placed], dtype=np.int64)
+        return GridBatch(self, positions, landmarks.reshape(len(placed), -1, 2), 0, False)
 
     def _open_cells(self) -> np.ndarray:
         """Passable cells as a bool grid inside a one-cell closed border, so a
@@ -155,24 +179,24 @@ class _GridEnv:
 
 
 class GridBatch:
-    """`size` copies of one gridworld state, stepped in lockstep.
+    """`size` gridworld states of one env, stepped in lockstep.
 
-    Each row has its own agent positions, a (size, n_agents, 2) int array,
-    and on keycorridor its own door flag. Walls, landmarks and the step
+    The rows are copies of one state (env.branch) or the starts of different
+    seeds (env.reset_batch). Each row has its own agent positions, a
+    (size, n_agents, 2) int array, its own landmarks, (size, k, 2) with k = 0
+    on keycorridor, and on keycorridor its own door flag. Walls and the step
     counter t are shared, so all rows end together. Row b of step() equals,
-    bitwise, the scalar env stepped with joint_actions[b], and bad input
-    raises the same EnvError.
+    bitwise, the scalar env in row b's state stepped with joint_actions[b],
+    and bad input raises the same EnvError.
     """
 
-    def __init__(self, env: _GridEnv, size: int):
-        if size < 1:
-            raise ValueError("a batch needs size >= 1")
-        if not env.positions:
-            raise EnvError("branch() needs an environment that has been reset")
+    def __init__(self, env: _GridEnv, positions: np.ndarray, landmarks: np.ndarray,
+                 t: int, done: bool):
         self.env = env
-        self.t = env.t
-        self.done = env.done
-        self.positions = np.tile(np.array(env.positions, dtype=np.int64), (size, 1, 1))
+        self.t = t
+        self.done = done
+        self.positions = positions
+        self.landmarks = landmarks
         self.door_open: np.ndarray | None = None  # (size,) bool, set by envs with a door
         self.open_cells = env._open_cells()
         n = env.spec.n_agents
@@ -225,7 +249,7 @@ def _norm_pos_batch(pos: np.ndarray, rows: int, cols: int) -> np.ndarray:
 
 def _rel_batch(own: np.ndarray, points: np.ndarray, rows: int, cols: int) -> np.ndarray:
     """_rel from each own position (B, n, 2) to k points, given as (k, 2) or
-    (B, n, k, 2); flattened to (B, n, 2k) in point order."""
+    broadcastable to (B, n, k, 2); flattened to (B, n, 2k) in point order."""
     rel = (points - own[:, :, None, :]) / np.array([rows - 1, cols - 1])
     return rel.reshape(own.shape[0], own.shape[1], -1)
 
@@ -257,13 +281,19 @@ class Spread(_GridEnv):
     def params(self) -> dict:
         return {"n_agents": self.n, "grid": self.grid, "horizon": self.spec.horizon}
 
-    def reset(self, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    def _place(self, seed: int) -> tuple[list, list]:
         rng = np.random.default_rng(np.random.SeedSequence([int(seed) & (2**64 - 1), 0x51]))
         cells = self.grid * self.grid
         agent_idx = rng.choice(cells, size=self.n, replace=False)
         lm_idx = rng.choice(cells, size=self.n, replace=False)
-        self.positions = [(int(i) // self.grid, int(i) % self.grid) for i in agent_idx]
-        self.landmarks = [(int(i) // self.grid, int(i) % self.grid) for i in lm_idx]
+        return ([(int(i) // self.grid, int(i) % self.grid) for i in agent_idx],
+                [(int(i) // self.grid, int(i) % self.grid) for i in lm_idx])
+
+    def _landmark_cells(self) -> list[tuple[int, int]]:
+        return self.landmarks
+
+    def reset(self, seed: int) -> tuple[np.ndarray, np.ndarray]:
+        self.positions, self.landmarks = self._place(seed)
         self.t = 0
         self.done = False
         return self._state(), self.observations()
@@ -299,13 +329,13 @@ class Spread(_GridEnv):
     def _observe_batch(self, batch: GridBatch) -> np.ndarray:
         pos, g = batch.positions, self.grid
         return np.concatenate([_norm_pos_batch(pos, g, g),
-                               _rel_batch(pos, np.array(self.landmarks), g, g),
+                               _rel_batch(pos, batch.landmarks[:, None], g, g),
                                _rel_batch(pos, pos[:, batch.others], g, g)], axis=-1)
 
     def _step_batch(self, batch: GridBatch, actions: np.ndarray) -> np.ndarray:
         self._move_batch(batch, actions)
         pos = batch.positions
-        dist = np.abs(pos[:, :, None, :] - np.array(self.landmarks)).sum(axis=-1)
+        dist = np.abs(pos[:, :, None, :] - batch.landmarks[:, None]).sum(axis=-1)
         dist_sum = dist.min(axis=1).sum(axis=1)  # nearest agent per landmark
         i, j = np.triu_indices(self.n, 1)
         shared = (pos[:, i] == pos[:, j]).all(axis=-1).sum(axis=1)
@@ -369,9 +399,12 @@ class KeyCorridor(_GridEnv):
             return self.door_open
         return super()._passable(cell)
 
-    def reset(self, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    def _place(self, seed: int) -> tuple[list, list]:
         rng = np.random.default_rng(np.random.SeedSequence([int(seed) & (2**64 - 1), 0x52]))
-        self.positions = [zone[int(rng.integers(0, len(zone)))] for zone in self.START_ZONES]
+        return [zone[int(rng.integers(0, len(zone)))] for zone in self.START_ZONES], []
+
+    def reset(self, seed: int) -> tuple[np.ndarray, np.ndarray]:
+        self.positions, _ = self._place(seed)
         self.door_open = False
         self.t = 0
         self.done = False
@@ -409,6 +442,11 @@ class KeyCorridor(_GridEnv):
     def branch(self, size: int) -> GridBatch:
         batch = super().branch(size)
         batch.door_open = np.full(size, self.door_open)
+        return batch
+
+    def reset_batch(self, seeds) -> GridBatch:
+        batch = super().reset_batch(seeds)
+        batch.door_open = np.zeros(batch.size, dtype=bool)
         return batch
 
     def _passable_batch(self, batch: GridBatch, cells: np.ndarray) -> np.ndarray:
@@ -460,12 +498,17 @@ class Diagnostic(_GridEnv):
         return {"n_agents": self.n, "grid": self.grid, "horizon": self.spec.horizon,
                 "zero_reward": self.zero_reward, "inert": list(self.inert)}
 
-    def reset(self, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    def _place(self, seed: int) -> tuple[list, list]:
         rng = np.random.default_rng(np.random.SeedSequence([int(seed) & (2**64 - 1), 0x53]))
-        cells = self.grid * self.grid
-        idx = rng.choice(cells, size=self.n + 1, replace=False)
-        self.positions = [(int(i) // self.grid, int(i) % self.grid) for i in idx[:-1]]
-        self.landmark = (int(idx[-1]) // self.grid, int(idx[-1]) % self.grid)
+        idx = rng.choice(self.grid * self.grid, size=self.n + 1, replace=False)
+        cells = [(int(i) // self.grid, int(i) % self.grid) for i in idx]
+        return cells[:-1], cells[-1:]
+
+    def _landmark_cells(self) -> list[tuple[int, int]]:
+        return [self.landmark]
+
+    def reset(self, seed: int) -> tuple[np.ndarray, np.ndarray]:
+        self.positions, (self.landmark,) = self._place(seed)
         self.t = 0
         self.done = False
         return self._state(), self.observations()
@@ -512,7 +555,7 @@ class Diagnostic(_GridEnv):
     def _observe_batch(self, batch: GridBatch) -> np.ndarray:
         pos, g = batch.positions, self.grid
         return np.concatenate([_norm_pos_batch(pos, g, g),
-                               _rel_batch(pos, np.array([self.landmark]), g, g),
+                               _rel_batch(pos, batch.landmarks[:, None], g, g),
                                _rel_batch(pos, pos[:, batch.others], g, g)], axis=-1)
 
     def _step_batch(self, batch: GridBatch, actions: np.ndarray) -> np.ndarray:
@@ -520,7 +563,7 @@ class Diagnostic(_GridEnv):
         if self.zero_reward:
             return np.zeros(batch.size)
         active = [i for i in range(self.n) if i not in self.inert]
-        dist = np.abs(batch.positions[:, active] - np.array(self.landmark)).sum(axis=(1, 2))
+        dist = np.abs(batch.positions[:, active] - batch.landmarks).sum(axis=(1, 2))
         return -dist / (max(1, len(active)) * self.grid)
 
 

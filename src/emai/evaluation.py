@@ -22,7 +22,8 @@ from .envs import random_action
 from .explain import ExplainContext, Explainer, trace_contexts
 from .masking import _check_compat
 from .rng import episode_seed, stream
-from .rollout import greedy_actions, run_batch, run_episode, run_target_episode
+from .rollout import (greedy_actions, reward_sums, run_batch, run_episode,
+                      run_target_episode, target_rewards)
 
 RRD_DENOMINATOR_GUARD = 1e-6
 
@@ -38,11 +39,6 @@ def _paired_stats(deltas: np.ndarray) -> tuple[float, float]:
 
 
 # ---- episode workers (module-level for picklability) ----
-
-def _w_original(payload) -> float:
-    env, target, ep_seed = payload
-    return run_target_episode(env, ep_seed, target).episode_reward
-
 
 def _w_guided(payload) -> float:
     """Each step, randomize only the explainer's most critical agent."""
@@ -141,9 +137,11 @@ class RrdReport:
 def eval_fidelity(explainer: Explainer, target, env, episodes: int = 500,
                   seed: int = 0, workers: int = 1) -> RrdReport:
     """RRD = |R_e - R_o| / |R_r - R_o| over matched-seed episode batches."""
+    if episodes < 1:
+        raise ValueError("episodes must be >= 1")
     _check_compat(target, env)
     seeds = [episode_seed(seed, "fidelity", i) for i in range(episodes)]
-    r_o = np.array(run_batch(_w_original, [(env, target, s) for s in seeds], workers))
+    r_o = reward_sums(target_rewards(env, seeds, target))
     r_e = np.array(run_batch(
         _w_guided,
         [(env, target, explainer, s, (seed, "fid-mask-e", i)) for i, s in enumerate(seeds)],
@@ -190,9 +188,11 @@ def launch_attack(explainer: Explainer, target, env, noise_eps: float = 0.5,
     """Uniform observation noise on the most critical agent, matched seeds."""
     if noise_eps < 0:
         raise ValueError("noise_eps must be >= 0")
+    if episodes < 1:
+        raise ValueError("episodes must be >= 1")
     _check_compat(target, env)
     seeds = [episode_seed(seed, "attack", i) for i in range(episodes)]
-    r_o = np.array(run_batch(_w_original, [(env, target, s) for s in seeds], workers))
+    r_o = reward_sums(target_rewards(env, seeds, target))
     r_a = np.array(run_batch(
         _w_attacked,
         [(env, target, explainer, s, float(noise_eps), (seed, "attack-noise", i), attack_all)
@@ -302,11 +302,13 @@ def apply_patch(package: PatchPackage, explainer: Explainer, target, env,
     actions disagree); reports the matched-seed reward delta."""
     if len(package) == 0:
         raise ValueError("patch package is empty")
+    if episodes < 1:
+        raise ValueError("episodes must be >= 1")
     _check_compat(target, env)
     if d_th is None:
         d_th = 0.05 * env.spec.obs_dim
     seeds = [episode_seed(seed, "patch", i) for i in range(episodes)]
-    r_o = np.array(run_batch(_w_original, [(env, target, s) for s in seeds], workers))
+    r_o = reward_sums(target_rewards(env, seeds, target))
     rows = run_batch(
         _w_patched,
         [(env, target, explainer, package.obs, package.actions, s, float(d_th))

@@ -25,7 +25,7 @@ from .envs import make_env
 from .masking import MaskingPolicy
 from .nn import Tensor
 from .rng import stream
-from .rollout import Step, Trace, greedy_actions, replay_prefix
+from .rollout import Step, Trace, batch_actions, greedy_actions, replay_prefix
 from .target import TargetPolicy, privileged_q_network
 
 
@@ -164,12 +164,11 @@ def _randomized_suffix_return(env, target, agents: np.ndarray, draws: np.ndarray
     greedily. Returns one total per row."""
     batch = env.branch(len(agents))
     rows = np.arange(len(agents))
-    n = env.spec.n_agents
     totals = np.zeros(len(agents))
     obs = batch.observations()
     s = 0
     while not batch.done:
-        actions = np.stack([target.act_batch(obs[:, j], j) for j in range(n)], axis=1)
+        actions = batch_actions(target, obs)
         actions[rows, agents] = draws[:, s]
         result = batch.step(actions)
         totals += result.reward

@@ -20,7 +20,7 @@ from .config import merged_sections
 from .ctde import AgentQNet, QLearner, Transitions
 from .envs import Discrete, random_action
 from .rng import episode_seed, stream
-from .rollout import greedy_actions, run_batch, run_target_episode
+from .rollout import greedy_actions, reward_sums, target_rewards
 
 KEEP, MASK = 0, 1
 
@@ -69,28 +69,20 @@ class BaselineEstimate:
     gamma: float
 
 
-def _baseline_episode(payload) -> tuple[float, float, int]:
-    env, target, ep_seed, gamma = payload
-    trace = run_target_episode(env, ep_seed, target)
-    return (trace.discounted_return(gamma), sum(abs(s.reward) for s in trace.steps),
-            len(trace.steps))
-
-
-def estimate_baseline_return(target, env, episodes: int, gamma: float, seed: int = 0,
-                             workers: int = 1) -> BaselineEstimate:
-    """Mean discounted return of the greedy target over seeded episodes."""
+def estimate_baseline_return(target, env, episodes: int, gamma: float,
+                             seed: int = 0) -> BaselineEstimate:
+    """Mean discounted return of the greedy target over seeded episodes,
+    played as one lockstep batch."""
     if episodes < 1:
         raise ValueError("episodes must be >= 1")
     _check_compat(target, env)
-    payloads = [(env, target, episode_seed(seed, "baseline", i), gamma)
-                for i in range(episodes)]
-    rows = run_batch(_baseline_episode, payloads, workers)
-    returns = np.array([r[0] for r in rows])
-    abs_total = sum(r[1] for r in rows)
-    step_total = sum(r[2] for r in rows)
+    seeds = [episode_seed(seed, "baseline", i) for i in range(episodes)]
+    rewards = target_rewards(env, seeds, target)
+    returns = reward_sums(rewards, gamma)
+    abs_total = sum(reward_sums(np.abs(rewards)).tolist())  # across episodes, in seed order
     stderr = float(returns.std(ddof=1) / np.sqrt(episodes)) if episodes > 1 else 0.0
     return BaselineEstimate(float(returns.mean()), stderr,
-                            float(abs_total / max(1, step_total)), episodes, gamma)
+                            abs_total / rewards.size, episodes, gamma)
 
 
 def diff_loss(q_tot: np.ndarray, flat: Transitions, j_pi: float, gamma: float, beta: float,
@@ -204,7 +196,7 @@ def _check_compat(target, env) -> None:
 
 
 def train_emai(target, env, config: dict | None = None, seed: int = 0,
-               baseline: BaselineEstimate | None = None, progress=None, workers: int = 1):
+               baseline: BaselineEstimate | None = None, progress=None):
     """Train the masking team against a fixed black-box target.
 
     config overrides DEFAULT_CONFIG's "training" section merged with its
@@ -220,7 +212,7 @@ def train_emai(target, env, config: dict | None = None, seed: int = 0,
     gamma = float(cfg["gamma"])
     if baseline is None:
         baseline = estimate_baseline_return(target, env, int(cfg["baseline_episodes"]),
-                                            gamma, seed=seed, workers=workers)
+                                            gamma, seed=seed)
     beta = cfg["beta"]
     if beta is None:
         beta = float(cfg["beta_scale"]) * baseline.reward_scale

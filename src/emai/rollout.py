@@ -2,7 +2,9 @@
 
 Every rollout is a pure function of (environment, seed, policies, explicit
 rng streams), so batches replay bitwise and can safely fan out across
-processes with results merged in fixed seed order.
+processes with results merged in fixed seed order. Rollouts that read only
+rewards run all their episodes as one lockstep GridBatch (target_rewards);
+rollouts that need each step's observations build a Trace (run_episode).
 """
 from __future__ import annotations
 
@@ -14,6 +16,43 @@ import numpy as np
 
 def greedy_actions(target, observations: np.ndarray) -> list[int]:
     return [target.act(observations[i], i) for i in range(len(observations))]
+
+
+def batch_actions(target, observations: np.ndarray) -> np.ndarray:
+    """Greedy joint actions (B, n) for observations (B, n, obs_dim), agent by
+    agent through act_batch; row b equals greedy_actions(target, obs[b]). A
+    target that offers only act() is queried row by row."""
+    act_batch = getattr(target, "act_batch", None)
+    if act_batch is None:
+        return np.array([greedy_actions(target, obs) for obs in observations], dtype=np.int64)
+    return np.stack([act_batch(observations[:, i], i) for i in range(observations.shape[1])],
+                    axis=1)
+
+
+def target_rewards(env, seeds, target) -> np.ndarray:
+    """Step rewards (len(seeds), horizon) of unmasked greedy episodes, one row
+    per seed, stepped in lockstep from env.reset_batch(seeds). Row b equals,
+    reward for reward, run_target_episode(env, seeds[b], target)."""
+    batch = env.reset_batch(seeds)
+    rewards = np.empty((batch.size, env.spec.horizon))
+    obs = batch.observations()
+    while not batch.done:
+        t = batch.t
+        result = batch.step(batch_actions(target, obs))
+        rewards[:, t] = result.reward
+        obs = result.observations
+    return rewards
+
+
+def reward_sums(rewards: np.ndarray, gamma: float = 1.0) -> np.ndarray:
+    """sum_t gamma**t * rewards[:, t] per row, added one column at a time from
+    t = 0: the order of Python's sum over a Trace, so each row equals
+    Trace.discounted_return(gamma) (and episode_reward at gamma = 1) bitwise.
+    np.sum along time would add pairwise and round differently."""
+    total = np.zeros(len(rewards))
+    for t in range(rewards.shape[1]):
+        total += (gamma ** t) * rewards[:, t]
+    return total
 
 
 @dataclass

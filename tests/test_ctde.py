@@ -398,3 +398,28 @@ def test_td_step_traced_peak_stays_under_1_mb(extra_loss):
     finally:
         tracemalloc.stop()
     assert peak < 1_000_000, f"TD step traced peak {peak / 1e6:.2f} MB"
+
+
+def _held_bytes(buffers: ctde.TdBuffers) -> int:
+    """Bytes of every array the buffers hold, their Scratch arrays included."""
+    arrays = [a for a in vars(buffers).values() if isinstance(a, np.ndarray)]
+    arrays += [*buffers.net._arrays.values(), *buffers.mix._arrays.values()]
+    return sum(a.nbytes for a in arrays)
+
+
+def test_td_buffers_size_at_the_default_keycorridor_config():
+    # the masking team's learner, 960 transitions: 0.91 MB of transitions and
+    # agent-net inputs, 6.29 MB of agent-net arrays and 5.54 MB of mixer
+    # arrays. Mixer scratch names whose lifetimes never overlap share one
+    # array; with one array per name the mixer held 6.52 MB
+    learner = _filled_learner({}, episodes=0)
+    spec = make_env("keycorridor").spec
+    rng = stream(1, "held-bytes-episodes")
+    for _ in range(40):
+        learner.buffer.add(_random_episode(rng, spec, spec.horizon))
+    reward_fn = lambda rewards, actions: rewards + 0.1 * actions.sum(axis=1)  # noqa: E731
+    learner.td_train_step(reward_fn, _difference_loss)
+    held = _held_bytes(learner.buffers)
+    assert held == 12_742_080, f"TdBuffers hold {held} bytes"
+    learner.td_train_step(reward_fn, None)
+    assert _held_bytes(learner.buffers) == held  # later steps add nothing

@@ -305,3 +305,78 @@ def test_batch_rejects_what_the_scalar_env_rejects():
         env.branch(0)
     with pytest.raises(EnvError):
         make_env("keycorridor").branch(2)  # never reset
+
+
+# ---- multi-reset batches: row b of reset_batch(seeds) is reset(seeds[b]) ----
+
+RESET_SEEDS = [0, 1, 7, 2**63 - 2, -3] + [int(s) for s in np.random.default_rng(0).integers(
+    0, 2**63 - 1, size=27)]
+
+
+def _scalar_resets(env, seeds) -> list:
+    """One scalar env per seed, each fresh from reset(seed)."""
+    copies = []
+    for seed in seeds:
+        env.reset(seed)
+        copies.append(copy.deepcopy(env))
+    return copies
+
+
+def _landmark_cells(env) -> list:
+    if env.name == "keycorridor":
+        return []
+    return env.landmarks if env.name == "spread" else [env.landmark]
+
+
+@pytest.mark.parametrize("name,params", BATCH_CASES)
+def test_reset_batch_rows_equal_scalar_resets(name, params):
+    env = make_env(name, **params)
+    batch = env.reset_batch(RESET_SEEDS)
+    copies = _scalar_resets(env, RESET_SEEDS)
+    assert batch.size == len(RESET_SEEDS) and batch.t == 0 and not batch.done
+    assert batch.positions.dtype == batch.landmarks.dtype == np.int64
+    assert [list(map(tuple, p)) for p in batch.positions.tolist()] == [c.positions for c in copies]
+    assert [list(map(tuple, lm)) for lm in batch.landmarks.tolist()] == [
+        _landmark_cells(c) for c in copies]
+    assert batch.landmarks.shape == (len(RESET_SEEDS), len(_landmark_cells(env)), 2)
+    if name == "keycorridor":
+        assert batch.door_open.dtype == bool and not batch.door_open.any()
+    assert _same_bits(batch.observations(), np.stack([c.observations() for c in copies]))
+
+
+@pytest.mark.parametrize("name,params", BATCH_CASES)
+def test_reset_batch_steps_like_scalar_resets(name, params):
+    # rows start from different seeds, so each row has its own landmarks
+    env = make_env(name, **params)
+    seeds = RESET_SEEDS[:12]
+    batch = env.reset_batch(seeds)
+    copies = _scalar_resets(env, seeds)
+    rng = stream(5, "reset-batch-vs-scalar", name)
+    while not batch.done:
+        _step_lockstep(batch, copies, rng.integers(0, 5, size=(len(seeds), env.spec.n_agents)))
+    assert batch.t == env.spec.horizon
+
+
+def test_reset_batch_rejects_no_seeds_and_steps_past_the_horizon():
+    env = make_env("spread", n_agents=2, grid=5, horizon=2)
+    with pytest.raises(ValueError):
+        env.reset_batch([])
+    batch = env.reset_batch([3, 4])
+    for _ in range(2):
+        batch.step(np.zeros((2, 2), dtype=int))
+    assert batch.done
+    with pytest.raises(EnvError):
+        batch.step(np.zeros((2, 2), dtype=int))
+
+
+def test_reset_batch_leaves_the_scalar_env_alone():
+    env = make_env("keycorridor")
+    env.reset(0)
+    env.positions = [(4, 4), (2, 4), (0, 3)]  # agent 0 on the switch
+    env.step([STAY, STAY, STAY])
+    before = (list(env.positions), env.door_open, env.t)
+    batch = env.reset_batch([1, 2])
+    assert (env.positions, env.door_open, env.t) == before
+    assert not batch.door_open.any()  # rows start closed whatever the env's state
+    assert _same_bits(batch.observations(),
+                      np.stack([c.observations() for c in _scalar_resets(env, [1, 2])]))

@@ -192,3 +192,16 @@ def test_patch_entries_deduplicated_on_exact_observation():
                               harvest_episodes=10, quantile=1.0, seed=19)
     keys = {tuple(row) for row in pkg.obs}
     assert len(keys) == len(pkg)
+
+
+def test_evaluations_require_episodes():
+    env = make_env("keycorridor")
+    pol = scripted_policy(env)
+    ex = _FixedAgentExplainer(0, 3)
+    pkg = PatchPackage(env.name, "fixed", 0.1, np.zeros((1, env.spec.obs_dim)),
+                       np.zeros(1, dtype=np.int64))
+    for run in (lambda: eval_fidelity(ex, pol, env, episodes=0),
+                lambda: launch_attack(ex, pol, env, episodes=0),
+                lambda: apply_patch(pkg, ex, pol, env, episodes=0)):
+        with pytest.raises(ValueError, match="episodes"):
+            run()

@@ -16,7 +16,7 @@ from emai.masking import (BaselineEstimate, IncompatibilityError, MaskingPolicy,
 from emai.nn import fd_max_rel_error
 from emai.rng import episode_seed, stream
 from emai.rollout import greedy_actions
-from emai.target import scripted_policy
+from emai.target import scripted_by_name, scripted_policy
 
 
 def test_apply_mask_keep_branch():
@@ -60,23 +60,70 @@ def test_baseline_bitwise_reproducible():
     assert a == b
 
 
+BASELINE_CASES = [
+    ("keycorridor", {}, "default"),
+    ("keycorridor", {}, "weakened"),
+    ("spread", {"n_agents": 3, "grid": 8}, "default"),
+    ("diagnostic", {"n_agents": 3, "grid": 6, "inert": (1,)}, "default"),
+    ("diagnostic", {"n_agents": 3, "grid": 5, "zero_reward": True}, "default"),
+]
+
+
 def test_baseline_matches_independent_resimulation():
-    # independent oracle: a fresh hand-rolled rollout loop over the same seeds
-    env = make_env("keycorridor")
-    pol = scripted_policy(env)
+    # independent oracle: a fresh hand-rolled rollout loop over the same seeds,
+    # every sum taken left to right
     episodes, gamma = 120, 0.99
-    est = estimate_baseline_return(pol, env, episodes=episodes, gamma=gamma, seed=5)
-    totals = []
-    for i in range(episodes):
-        _, obs = env.reset(episode_seed(5, "baseline", i))
-        done, t, acc = False, 0, 0.0
-        while not done:
-            acts = [pol.act(obs[j], j) for j in range(3)]
-            result = env.step(acts)
-            acc += (gamma ** t) * result.reward
-            obs, done, t = result.observations, result.done, t + 1
-        totals.append(acc)
-    assert est.j_pi == pytest.approx(np.mean(totals), abs=1e-9)
+    for name, params, variant in BASELINE_CASES:
+        env = make_env(name, **params)
+        pol = scripted_by_name(env, variant)
+        est = estimate_baseline_return(pol, env, episodes=episodes, gamma=gamma, seed=5)
+        totals, abs_total, steps = [], 0.0, 0
+        for i in range(episodes):
+            _, obs = env.reset(episode_seed(5, "baseline", i))
+            done, t, acc, abs_acc = False, 0, 0.0, 0.0
+            while not done:
+                acts = [pol.act(obs[j], j) for j in range(env.spec.n_agents)]
+                result = env.step(acts)
+                acc += (gamma ** t) * result.reward
+                abs_acc += abs(result.reward)
+                obs, done, t = result.observations, result.done, t + 1
+            totals.append(acc)
+            abs_total += abs_acc
+            steps += t
+        totals = np.array(totals)
+        expected = BaselineEstimate(float(totals.mean()),
+                                    float(totals.std(ddof=1) / np.sqrt(episodes)),
+                                    abs_total / steps, episodes, gamma)
+        assert est == expected, (name, params, variant)
+
+
+def _scalar_baseline(target, env, episodes: int, gamma: float, seed: int) -> BaselineEstimate:
+    """The baseline as the scalar episode loop computed it: one
+    run_target_episode per seed, summed from its Trace."""
+    traces = [rollout.run_target_episode(env, episode_seed(seed, "baseline", i), target)
+              for i in range(episodes)]
+    returns = np.array([tr.discounted_return(gamma) for tr in traces])
+    abs_total = sum(sum(abs(s.reward) for s in tr.steps) for tr in traces)
+    step_total = sum(len(tr.steps) for tr in traces)
+    stderr = float(returns.std(ddof=1) / np.sqrt(episodes)) if episodes > 1 else 0.0
+    return BaselineEstimate(float(returns.mean()), stderr, float(abs_total / step_total),
+                            episodes, gamma)
+
+
+@pytest.mark.parametrize("variant,seed", [("default", 1), ("weakened", 3)])
+def test_baseline_equals_the_scalar_episode_loop_at_500_episodes(variant, seed):
+    env = make_env("keycorridor")
+    pol = scripted_by_name(env, variant)
+    est = estimate_baseline_return(pol, env, episodes=500, gamma=0.99, seed=seed)
+    assert est == _scalar_baseline(pol, env, 500, 0.99, seed)
+
+
+def test_baseline_of_one_episode_has_zero_stderr():
+    env = make_env("diagnostic", n_agents=3, grid=5, horizon=6)
+    pol = scripted_policy(env)
+    est = estimate_baseline_return(pol, env, episodes=1, gamma=0.9, seed=2)
+    assert est == _scalar_baseline(pol, env, 1, 0.9, 2)
+    assert est.stderr == 0.0
 
 
 def test_baseline_requires_episodes():

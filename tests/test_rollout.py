@@ -1,12 +1,15 @@
-"""The scalar episode loop run_episode: act_fn contract, prefix bookkeeping, isolation."""
+"""Episode loops: the scalar run_episode (act_fn contract, prefix bookkeeping,
+isolation) and the lockstep, reward-only target_rewards."""
 from __future__ import annotations
 
 import numpy as np
+import pytest
 
 from emai import rollout
+from emai.ctde import AgentQNet
 from emai.envs import make_env
-from emai.rng import stream
-from emai.target import scripted_policy
+from emai.rng import episode_seed, stream
+from emai.target import LearnedPolicy, TargetPolicy, scripted_by_name, scripted_policy
 
 
 def test_run_episode_prefix_holds_executed_actions():
@@ -56,3 +59,61 @@ def test_run_episode_copies_returned_actions():
     assert prefixes == [expected[:t] for t in range(len(expected))]
     assert all(s.mask_actions is None for s in trace.steps)
 
+
+# ---- target_rewards: lockstep reward-only episodes, bitwise the scalar ones ----
+
+def _learned_target(env, seed=0):
+    net = AgentQNet(env.spec.obs_dim, env.spec.n_agents, env.spec.action_space.n,
+                    hidden=(16, 16), rng=stream(seed, "rollout-learned"))
+    return LearnedPolicy(net)
+
+
+REWARD_CASES = [
+    ("keycorridor", {}, "default", 500),
+    ("keycorridor", {}, "weakened", 7),
+    ("spread", {"n_agents": 3, "grid": 8}, "default", 7),
+    ("spread", {"n_agents": 3, "grid": 5, "horizon": 8}, "learned", 7),
+    ("diagnostic", {"n_agents": 3, "grid": 6, "inert": (1,)}, "default", 2),
+    ("diagnostic", {"n_agents": 3, "grid": 5, "zero_reward": True}, "default", 2),
+    ("keycorridor", {}, "learned", 1),
+]
+
+
+@pytest.mark.parametrize("name,params,variant,size", REWARD_CASES)
+def test_target_rewards_equal_scalar_episodes(name, params, variant, size):
+    env = make_env(name, **params)
+    if variant == "learned":
+        pol = _learned_target(env, seed=size)
+        assert type(pol).act_batch is TargetPolicy.act_batch  # the exact looping default
+    else:
+        pol = scripted_by_name(env, variant)
+    seeds = [episode_seed(size, "target-rewards", i) for i in range(size)]
+    rewards = rollout.target_rewards(env, seeds, pol)
+    traces = [rollout.run_target_episode(env, s, pol) for s in seeds]
+    assert rewards.shape == (size, env.spec.horizon) and rewards.dtype == np.float64
+    for row, trace in zip(rewards, traces):
+        assert row.tolist() == [s.reward for s in trace.steps]
+    assert rollout.reward_sums(rewards).tolist() == [tr.episode_reward for tr in traces]
+    assert rollout.reward_sums(rewards, 0.99).tolist() == [tr.discounted_return(0.99)
+                                                           for tr in traces]
+
+
+def test_reward_sums_add_left_to_right():
+    # 1 + 1e-16 + 1e-16 + ... rounds back to 1 at every step when added in
+    # order, unlike a pairwise sum
+    rewards = np.array([[1.0] + [1e-16] * 15, [1e-16] * 15 + [1.0]])
+    assert rollout.reward_sums(rewards).tolist() == [sum(row) for row in rewards.tolist()]
+    assert rollout.reward_sums(rewards)[0] == 1.0
+
+
+def test_batch_actions_query_act_only_targets_row_by_row():
+    class ActOnly:
+        def __init__(self, inner):
+            self.act = inner.act
+
+    env = make_env("keycorridor")
+    pol = scripted_policy(env)
+    obs = env.reset_batch([1, 2, 3]).observations()
+    expected = [rollout.greedy_actions(pol, o) for o in obs]
+    assert rollout.batch_actions(pol, obs).tolist() == expected
+    assert rollout.batch_actions(ActOnly(pol), obs).tolist() == expected
