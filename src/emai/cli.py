@@ -262,6 +262,14 @@ def main(argv=None) -> int:
     except (IncompatibilityError, CapabilityError, ReplayError) as exc:
         sys.stderr.write(f"incompatible inputs: {exc}\n")
         return EXIT_INCOMPATIBLE
+    except ValueError as exc:
+        # every argument a command passes comes from the config, so a plain
+        # ValueError is a config value the library rejects; subclasses such as
+        # EnvError and ShapeError are faults of the program and pass through
+        if type(exc) is not ValueError:
+            raise
+        sys.stderr.write(f"config error: {exc}\n")
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

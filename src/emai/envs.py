@@ -71,25 +71,45 @@ class BatchStepResult:
 
 
 class _GridEnv:
-    """Shared movement/bookkeeping for the built-in gridworlds."""
+    """The gridworld skeleton the built-in envs share, scalar and batched.
+
+    A subclass supplies four things: `_place(seed)`, its `WALLS` (plus a
+    `DOOR` and fixed `ANCHORS` if it has them), `_reward()`/`_reward_batch()`,
+    and any movement rule of its own, by extending `_passable`/`_move_all` and
+    their batched counterparts `_passable_batch`/`_move_batch`.
+
+    Agent i observes its own normalized position, then the door flag (+1 open,
+    -1 closed) on an env with a door, then the positions of the anchors, of
+    the landmarks and of the other agents in index order, each relative to its
+    own. The state is every agent's position, then the landmarks, then the
+    door flag.
+    """
 
     spec: EnvSpec
     name: str = ""
+    WALLS: frozenset[tuple[int, int]] = frozenset()
+    DOOR: tuple[int, int] | None = None
+    ANCHORS: tuple[tuple[int, int], ...] = ()
 
-    def __init__(self):
+    def __init__(self, rows: int, cols: int):
+        self._rows, self._cols = rows, cols
         self.t = 0
         self.done = True
         self.positions: list[tuple[int, int]] = []
+        self.landmarks: list[tuple[int, int]] = []
+        self.door_open = False
 
-    # subclasses: _rows, _cols, _walls(), _passable hook, _place, _observe, _state, _reward
-    def _wall_cells(self) -> frozenset[tuple[int, int]]:
-        return frozenset()
+    def _place(self, seed: int) -> tuple[list, list]:
+        """The initial (agent cells, landmark cells) of reset(seed), shared by
+        reset and reset_batch; builds no observations."""
+        raise NotImplementedError
+
+    def _reward(self) -> float:
+        raise NotImplementedError
 
     def _passable(self, cell: tuple[int, int]) -> bool:
         r, c = cell
-        if not (0 <= r < self._rows and 0 <= c < self._cols):
-            return False
-        return cell not in self._wall_cells()
+        return 0 <= r < self._rows and 0 <= c < self._cols and cell not in self.WALLS
 
     def _validate_actions(self, joint_action) -> list[int]:
         if self.done:
@@ -114,25 +134,40 @@ class _GridEnv:
             new.append(cand if self._passable(cand) else pos)
         self.positions = new
 
+    def _door_flag(self) -> list[float]:
+        return [] if self.DOOR is None else [1.0 if self.door_open else -1.0]
+
+    def _observe(self, i: int) -> np.ndarray:
+        own, rows, cols = self.positions[i], self._rows, self._cols
+        parts = [*_norm_pos(own, rows, cols), *self._door_flag()]
+        for cell in [*self.ANCHORS, *self.landmarks, *self.positions[:i], *self.positions[i + 1:]]:
+            parts.extend(_rel(own, cell, rows, cols))
+        return np.array(parts)
+
     def observations(self) -> np.ndarray:
         return np.stack([self._observe(i) for i in range(self.spec.n_agents)])
 
-    def _place(self, seed: int) -> tuple[list, list]:
-        """The initial (agent cells, landmark cells) of reset(seed), shared by
-        reset and reset_batch; builds no observations."""
-        raise NotImplementedError
-
-    def _landmark_cells(self) -> list[tuple[int, int]]:
-        return []
+    def _state(self) -> np.ndarray:
+        parts = []
+        for cell in [*self.positions, *self.landmarks]:
+            parts.extend(_norm_pos(cell, self._rows, self._cols))
+        return np.array(parts + self._door_flag())
 
     def reset(self, seed: int) -> tuple[np.ndarray, np.ndarray]:
-        raise NotImplementedError
+        self.positions, self.landmarks = self._place(seed)
+        self.door_open = False
+        self.t = 0
+        self.done = False
+        return self._state(), self.observations()
 
     def step(self, joint_action) -> StepResult:
-        raise NotImplementedError
+        self._move_all(self._validate_actions(joint_action))
+        reward = self._reward()
+        self.t += 1
+        self.done = self.t >= self.spec.horizon
+        return StepResult(self._state(), self.observations(), reward, self.done)
 
-    # batched counterparts of the hooks above, driven by GridBatch:
-    # _passable_batch, _move_batch, _observe_batch, _step_batch
+    # batched counterparts, driven by GridBatch: _passable_batch, _move_batch, _reward_batch
     def branch(self, size: int) -> "GridBatch":
         """`size` independent copies of the current state, to step in lockstep."""
         if size < 1:
@@ -140,9 +175,9 @@ class _GridEnv:
         if not self.positions:
             raise EnvError("branch() needs an environment that has been reset")
         positions = np.array(self.positions, dtype=np.int64)
-        landmarks = np.array(self._landmark_cells(), dtype=np.int64).reshape(-1, 2)
-        return GridBatch(self, np.tile(positions, (size, 1, 1)),
-                         np.tile(landmarks, (size, 1, 1)), self.t, self.done)
+        landmarks = np.array(self.landmarks, dtype=np.int64).reshape(-1, 2)
+        return GridBatch(self, np.tile(positions, (size, 1, 1)), np.tile(landmarks, (size, 1, 1)),
+                         np.full(size, self.door_open), self.t, self.done)
 
     def reset_batch(self, seeds) -> "GridBatch":
         """One row per seed: row b is the state after reset(seeds[b])."""
@@ -151,14 +186,15 @@ class _GridEnv:
             raise ValueError("reset_batch needs at least one seed")
         positions = np.array([cells for cells, _ in placed], dtype=np.int64)
         landmarks = np.array([lms for _, lms in placed], dtype=np.int64)
-        return GridBatch(self, positions, landmarks.reshape(len(placed), -1, 2), 0, False)
+        return GridBatch(self, positions, landmarks.reshape(len(placed), -1, 2),
+                         np.zeros(len(placed), dtype=bool), 0, False)
 
     def _open_cells(self) -> np.ndarray:
         """Passable cells as a bool grid inside a one-cell closed border, so a
         move off the edge lands on the border instead of wrapping around."""
         grid = np.zeros((self._rows + 2, self._cols + 2), dtype=bool)
         grid[1:-1, 1:-1] = True
-        for r, c in self._wall_cells():
+        for r, c in self.WALLS:
             grid[r + 1, c + 1] = False
         return grid
 
@@ -170,11 +206,7 @@ class _GridEnv:
         stay = ~self._passable_batch(batch, cand)
         batch.positions = np.where(stay[..., None], batch.positions, cand)
 
-    def _observe_batch(self, batch: "GridBatch") -> np.ndarray:
-        raise NotImplementedError
-
-    def _step_batch(self, batch: "GridBatch", actions: np.ndarray) -> np.ndarray:
-        """Move every row and return its reward; GridBatch advances t."""
+    def _reward_batch(self, batch: "GridBatch") -> np.ndarray:
         raise NotImplementedError
 
 
@@ -184,21 +216,23 @@ class GridBatch:
     The rows are copies of one state (env.branch) or the starts of different
     seeds (env.reset_batch). Each row has its own agent positions, a
     (size, n_agents, 2) int array, its own landmarks, (size, k, 2) with k = 0
-    on keycorridor, and on keycorridor its own door flag. Walls and the step
-    counter t are shared, so all rows end together. Row b of step() equals,
-    bitwise, the scalar env in row b's state stepped with joint_actions[b],
-    and bad input raises the same EnvError.
+    on keycorridor, and its own door flag, a (size,) bool array that stays
+    False on an env without a door. Walls and the step counter t are shared,
+    so all rows end together. Row b of step() equals, bitwise, the scalar env
+    in row b's state stepped with joint_actions[b], and bad input raises the
+    same EnvError.
     """
 
     def __init__(self, env: _GridEnv, positions: np.ndarray, landmarks: np.ndarray,
-                 t: int, done: bool):
+                 door_open: np.ndarray, t: int, done: bool):
         self.env = env
         self.t = t
         self.done = done
         self.positions = positions
         self.landmarks = landmarks
-        self.door_open: np.ndarray | None = None  # (size,) bool, set by envs with a door
+        self.door_open = door_open
         self.open_cells = env._open_cells()
+        self.anchors = np.array(env.ANCHORS, dtype=np.int64).reshape(-1, 2)
         n = env.spec.n_agents
         # others[i]: the other agents in index order, as each observation lists them
         self.others = np.array([[j for j in range(n) if j != i] for i in range(n)])
@@ -208,7 +242,15 @@ class GridBatch:
         return len(self.positions)
 
     def observations(self) -> np.ndarray:
-        return self.env._observe_batch(self)
+        """The scalar layout of _GridEnv._observe, for every row at once."""
+        pos, rows, cols = self.positions, self.env._rows, self.env._cols
+        parts = [_norm_pos_batch(pos, rows, cols)]
+        if self.env.DOOR is not None:
+            door = np.where(self.door_open, 1.0, -1.0)
+            parts.append(np.broadcast_to(door[:, None, None], (*pos.shape[:2], 1)))
+        for points in (self.anchors, self.landmarks[:, None], pos[:, self.others]):
+            parts.append(_rel_batch(pos, points, rows, cols))
+        return np.concatenate(parts, axis=-1)
 
     def _validate_actions(self, joint_actions) -> np.ndarray:
         if self.done:
@@ -227,8 +269,8 @@ class GridBatch:
         return acts
 
     def step(self, joint_actions) -> BatchStepResult:
-        acts = self._validate_actions(joint_actions)
-        reward = self.env._step_batch(self, acts)
+        self.env._move_batch(self, self._validate_actions(joint_actions))
+        reward = self.env._reward_batch(self)
         self.t += 1
         self.done = self.t >= self.env.spec.horizon
         return BatchStepResult(self.observations(), reward, self.done)
@@ -260,22 +302,19 @@ class Spread(_GridEnv):
     reward_t = -(1/(n*grid)) * sum over landmarks of min_i manhattan(agent_i, lm)
                - 0.05 * (# agent pairs sharing a cell)
 
-    Observation: own position ++ relative landmark positions ++ relative
-    positions of the other agents, all in fixed index order.
+    Each reset draws the agents' cells and the n landmarks' cells.
     """
 
     name = "spread"
 
     def __init__(self, n_agents: int = 3, grid: int = 8, horizon: int = 25):
-        super().__init__()
         if grid < 2:
             raise ValueError("grid must be >= 2")
+        super().__init__(int(grid), int(grid))
         self.n = int(n_agents)
         self.grid = int(grid)
-        self._rows = self._cols = self.grid
         obs_dim = 2 + 2 * self.n + 2 * (self.n - 1)
         self.spec = EnvSpec(self.n, obs_dim, 4 * self.n, Discrete(5), int(horizon))
-        self.landmarks: list[tuple[int, int]] = []
 
     @property
     def params(self) -> dict:
@@ -289,51 +328,10 @@ class Spread(_GridEnv):
         return ([(int(i) // self.grid, int(i) % self.grid) for i in agent_idx],
                 [(int(i) // self.grid, int(i) % self.grid) for i in lm_idx])
 
-    def _landmark_cells(self) -> list[tuple[int, int]]:
-        return self.landmarks
-
-    def reset(self, seed: int) -> tuple[np.ndarray, np.ndarray]:
-        self.positions, self.landmarks = self._place(seed)
-        self.t = 0
-        self.done = False
-        return self._state(), self.observations()
-
-    def _observe(self, i: int) -> np.ndarray:
-        own = self.positions[i]
-        parts = list(_norm_pos(own, self.grid, self.grid))
-        for lm in self.landmarks:
-            parts.extend(_rel(own, lm, self.grid, self.grid))
-        for j in range(self.n):
-            if j != i:
-                parts.extend(_rel(own, self.positions[j], self.grid, self.grid))
-        return np.array(parts)
-
-    def _state(self) -> np.ndarray:
-        parts = []
-        for p in self.positions:
-            parts.extend(_norm_pos(p, self.grid, self.grid))
-        for lm in self.landmarks:
-            parts.extend(_norm_pos(lm, self.grid, self.grid))
-        return np.array(parts)
-
     def _reward(self) -> float:
         return spread_reward(self.positions, self.landmarks, self.n, self.grid)
 
-    def step(self, joint_action) -> StepResult:
-        acts = self._validate_actions(joint_action)
-        self._move_all(acts)
-        self.t += 1
-        self.done = self.t >= self.spec.horizon
-        return StepResult(self._state(), self.observations(), self._reward(), self.done)
-
-    def _observe_batch(self, batch: GridBatch) -> np.ndarray:
-        pos, g = batch.positions, self.grid
-        return np.concatenate([_norm_pos_batch(pos, g, g),
-                               _rel_batch(pos, batch.landmarks[:, None], g, g),
-                               _rel_batch(pos, pos[:, batch.others], g, g)], axis=-1)
-
-    def _step_batch(self, batch: GridBatch, actions: np.ndarray) -> np.ndarray:
-        self._move_batch(batch, actions)
+    def _reward_batch(self, batch: GridBatch) -> np.ndarray:
         pos = batch.positions
         dist = np.abs(pos[:, :, None, :] - batch.landmarks[:, None]).sum(axis=-1)
         dist_sum = dist.min(axis=1).sum(axis=1)  # nearest agent per landmark
@@ -362,7 +360,8 @@ class KeyCorridor(_GridEnv):
     dead end of a corridor next to agent 0's start zone; agents 1 and 2
     start by the door on the other side of the maze. Any agent standing on
     the switch opens the door permanently. reward_t = 0.1 * (# agents in
-    the goal column) - 0.01, horizon 30.
+    the goal column) - 0.01, horizon 30. There are no landmarks; each agent
+    observes the switch, the door and the goal anchor instead.
     """
 
     name = "keycorridor"
@@ -375,123 +374,76 @@ class KeyCorridor(_GridEnv):
     SWITCH = (4, 4)
     GOAL_COL = 6
     GOAL_ANCHOR = (2, 6)
+    ANCHORS = (SWITCH, DOOR, GOAL_ANCHOR)
     START_ZONES = (((4, 0), (4, 1), (4, 2), (4, 3)),
                    ((0, 0), (0, 1)),
                    ((0, 3), (0, 4)))
 
     def __init__(self, horizon: int = 30):
-        super().__init__()
+        super().__init__(self.ROWS, self.COLS)
         self.n = 3
-        self._rows, self._cols = self.ROWS, self.COLS
         # own pos, door flag, rel switch, rel door, rel goal, rel two others
         self.spec = EnvSpec(self.n, 13, 2 * self.n + 1, Discrete(5), int(horizon))
-        self.door_open = False
+
+    # bench/tracing.py wraps reset and step by name in this class's own namespace
+    reset = _GridEnv.reset
+    step = _GridEnv.step
 
     @property
     def params(self) -> dict:
         return {"horizon": self.spec.horizon}
 
-    def _wall_cells(self) -> frozenset[tuple[int, int]]:
-        return self.WALLS
+    def _place(self, seed: int) -> tuple[list, list]:
+        rng = np.random.default_rng(np.random.SeedSequence([int(seed) & (2**64 - 1), 0x52]))
+        return [zone[int(rng.integers(0, len(zone)))] for zone in self.START_ZONES], []
 
     def _passable(self, cell: tuple[int, int]) -> bool:
         if cell == self.DOOR:
             return self.door_open
         return super()._passable(cell)
 
-    def _place(self, seed: int) -> tuple[list, list]:
-        rng = np.random.default_rng(np.random.SeedSequence([int(seed) & (2**64 - 1), 0x52]))
-        return [zone[int(rng.integers(0, len(zone)))] for zone in self.START_ZONES], []
-
-    def reset(self, seed: int) -> tuple[np.ndarray, np.ndarray]:
-        self.positions, _ = self._place(seed)
-        self.door_open = False
-        self.t = 0
-        self.done = False
-        return self._state(), self.observations()
-
-    def _observe(self, i: int) -> np.ndarray:
-        own = self.positions[i]
-        parts = list(_norm_pos(own, self.ROWS, self.COLS))
-        parts.append(1.0 if self.door_open else -1.0)
-        for anchor in (self.SWITCH, self.DOOR, self.GOAL_ANCHOR):
-            parts.extend(_rel(own, anchor, self.ROWS, self.COLS))
-        for j in range(self.n):
-            if j != i:
-                parts.extend(_rel(own, self.positions[j], self.ROWS, self.COLS))
-        return np.array(parts)
-
-    def _state(self) -> np.ndarray:
-        parts = []
-        for p in self.positions:
-            parts.extend(_norm_pos(p, self.ROWS, self.COLS))
-        parts.append(1.0 if self.door_open else -1.0)
-        return np.array(parts)
-
-    def step(self, joint_action) -> StepResult:
-        acts = self._validate_actions(joint_action)
-        self._move_all(acts)
+    def _move_all(self, actions: list[int]) -> None:
+        super()._move_all(actions)
         if any(p == self.SWITCH for p in self.positions):
             self.door_open = True  # permanent within the episode
-        in_goal = sum(1 for p in self.positions if p[1] == self.GOAL_COL)
-        reward = 0.1 * in_goal - 0.01
-        self.t += 1
-        self.done = self.t >= self.spec.horizon
-        return StepResult(self._state(), self.observations(), reward, self.done)
 
-    def branch(self, size: int) -> GridBatch:
-        batch = super().branch(size)
-        batch.door_open = np.full(size, self.door_open)
-        return batch
-
-    def reset_batch(self, seeds) -> GridBatch:
-        batch = super().reset_batch(seeds)
-        batch.door_open = np.zeros(batch.size, dtype=bool)
-        return batch
+    def _reward(self) -> float:
+        return 0.1 * sum(1 for p in self.positions if p[1] == self.GOAL_COL) - 0.01
 
     def _passable_batch(self, batch: GridBatch, cells: np.ndarray) -> np.ndarray:
         at_door = (cells == self.DOOR).all(axis=-1)
         return super()._passable_batch(batch, cells) & (batch.door_open[:, None] | ~at_door)
 
-    def _observe_batch(self, batch: GridBatch) -> np.ndarray:
-        pos, rows, cols = batch.positions, self.ROWS, self.COLS
-        door = np.where(batch.door_open, 1.0, -1.0)
-        anchors = np.array([self.SWITCH, self.DOOR, self.GOAL_ANCHOR])
-        return np.concatenate([_norm_pos_batch(pos, rows, cols),
-                               np.broadcast_to(door[:, None, None], (*pos.shape[:2], 1)),
-                               _rel_batch(pos, anchors, rows, cols),
-                               _rel_batch(pos, pos[:, batch.others], rows, cols)], axis=-1)
-
-    def _step_batch(self, batch: GridBatch, actions: np.ndarray) -> np.ndarray:
-        self._move_batch(batch, actions)
+    def _move_batch(self, batch: GridBatch, actions: np.ndarray) -> None:
+        super()._move_batch(batch, actions)
         batch.door_open |= (batch.positions == self.SWITCH).all(axis=-1).any(axis=1)
-        in_goal = (batch.positions[..., 1] == self.GOAL_COL).sum(axis=1)
-        return 0.1 * in_goal - 0.01
+
+    def _reward_batch(self, batch: GridBatch) -> np.ndarray:
+        return 0.1 * (batch.positions[..., 1] == self.GOAL_COL).sum(axis=1) - 0.01
 
 
 class Diagnostic(_GridEnv):
     """Instrumented gridworld for explainer sanity checks.
 
-    Optional zero reward (sparsity-pressure experiments) and optional inert
-    agents whose actions never move them, so their actions provably cannot
-    influence transitions or reward.
+    Every agent walks toward one shared landmark, landmarks[0]. Optional zero
+    reward (sparsity-pressure experiments) and optional inert agents whose
+    actions never move them, so their actions provably cannot influence
+    transitions or reward.
     """
 
     name = "diagnostic"
 
     def __init__(self, n_agents: int = 3, grid: int = 6, horizon: int = 15,
                  zero_reward: bool = False, inert: tuple[int, ...] = ()):
-        super().__init__()
+        super().__init__(int(grid), int(grid))
         self.n = int(n_agents)
         self.grid = int(grid)
-        self._rows = self._cols = self.grid
         self.zero_reward = bool(zero_reward)
         self.inert = tuple(sorted(int(i) for i in inert))
         if any(i < 0 or i >= self.n for i in self.inert):
             raise ValueError("inert agent ids must be valid agent indices")
         obs_dim = 2 + 2 + 2 * (self.n - 1)
         self.spec = EnvSpec(self.n, obs_dim, 2 * self.n + 2, Discrete(5), int(horizon))
-        self.landmark: tuple[int, int] = (0, 0)
 
     @property
     def params(self) -> dict:
@@ -504,62 +456,24 @@ class Diagnostic(_GridEnv):
         cells = [(int(i) // self.grid, int(i) % self.grid) for i in idx]
         return cells[:-1], cells[-1:]
 
-    def _landmark_cells(self) -> list[tuple[int, int]]:
-        return [self.landmark]
-
-    def reset(self, seed: int) -> tuple[np.ndarray, np.ndarray]:
-        self.positions, (self.landmark,) = self._place(seed)
-        self.t = 0
-        self.done = False
-        return self._state(), self.observations()
-
     def _move_all(self, actions: list[int]) -> None:
         actions = [STAY if i in self.inert else a for i, a in enumerate(actions)]
         super()._move_all(actions)
 
-    def _observe(self, i: int) -> np.ndarray:
-        own = self.positions[i]
-        parts = list(_norm_pos(own, self.grid, self.grid))
-        parts.extend(_rel(own, self.landmark, self.grid, self.grid))
-        for j in range(self.n):
-            if j != i:
-                parts.extend(_rel(own, self.positions[j], self.grid, self.grid))
-        return np.array(parts)
-
-    def _state(self) -> np.ndarray:
-        parts = []
-        for p in self.positions:
-            parts.extend(_norm_pos(p, self.grid, self.grid))
-        parts.extend(_norm_pos(self.landmark, self.grid, self.grid))
-        return np.array(parts)
-
-    def step(self, joint_action) -> StepResult:
-        acts = self._validate_actions(joint_action)
-        self._move_all(acts)
+    def _reward(self) -> float:
         if self.zero_reward:
-            reward = 0.0
-        else:
-            active = [p for i, p in enumerate(self.positions) if i not in self.inert]
-            dist = sum(abs(p[0] - self.landmark[0]) + abs(p[1] - self.landmark[1])
-                       for p in active)
-            reward = -dist / (max(1, len(active)) * self.grid)
-        self.t += 1
-        self.done = self.t >= self.spec.horizon
-        return StepResult(self._state(), self.observations(), reward, self.done)
+            return 0.0
+        lm = self.landmarks[0]
+        active = [p for i, p in enumerate(self.positions) if i not in self.inert]
+        dist = sum(abs(p[0] - lm[0]) + abs(p[1] - lm[1]) for p in active)
+        return -dist / (max(1, len(active)) * self.grid)
 
     def _move_batch(self, batch: GridBatch, actions: np.ndarray) -> None:
         actions = actions.copy()
         actions[:, list(self.inert)] = STAY
         super()._move_batch(batch, actions)
 
-    def _observe_batch(self, batch: GridBatch) -> np.ndarray:
-        pos, g = batch.positions, self.grid
-        return np.concatenate([_norm_pos_batch(pos, g, g),
-                               _rel_batch(pos, batch.landmarks[:, None], g, g),
-                               _rel_batch(pos, pos[:, batch.others], g, g)], axis=-1)
-
-    def _step_batch(self, batch: GridBatch, actions: np.ndarray) -> np.ndarray:
-        self._move_batch(batch, actions)
+    def _reward_batch(self, batch: GridBatch) -> np.ndarray:
         if self.zero_reward:
             return np.zeros(batch.size)
         active = [i for i in range(self.n) if i not in self.inert]
@@ -581,6 +495,3 @@ def make_env(name: str, **params) -> _GridEnv:
         raise EnvError(f"unknown environment {name!r}; known: {sorted(_REGISTRY)}")
     return _REGISTRY[key](**params)
 
-
-def env_names() -> list[str]:
-    return sorted(_REGISTRY)

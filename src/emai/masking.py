@@ -36,28 +36,6 @@ def apply_mask(action: int, mask_bit: int, space: Discrete, rng: np.random.Gener
     return action if mask_bit == KEEP else random_action(space, rng)
 
 
-def masking_reward(mask_action, beta: float) -> float:
-    """Sparsity bonus: beta times the number of masked agents."""
-    bits = np.asarray(mask_action)
-    if not np.all((bits == 0) | (bits == 1)):
-        raise ValueError("mask action must be a 0/1 vector")
-    return float(beta) * float(bits.sum())
-
-
-@dataclass(frozen=True)
-class ImportanceScore:
-    agent: int
-    gap: float        # Q(keep) - Q(mask); higher = more important
-    mask_prob: float  # Boltzmann probability of MASK at temperature 1
-
-
-def _mask_probability(gap: np.ndarray) -> np.ndarray:
-    # softmax([q_keep, q_mask])[MASK] == sigmoid(-gap); clamped into (0, 1)
-    p = np.exp(-np.logaddexp(0.0, np.asarray(gap, dtype=np.float64)))
-    tiny = np.finfo(np.float64).tiny
-    return np.clip(p, tiny, 1.0 - 2.3e-16)
-
-
 @dataclass(frozen=True)
 class BaselineEstimate:
     """Frozen Monte-Carlo estimate of the target policy's expected return."""
@@ -137,13 +115,6 @@ class MaskingPolicy:
         """(n_agents, 2) matrix of keep/mask values, graph-free."""
         return self.qnet.q_all_agents(np.asarray(observations))
 
-    def importance(self, observations: np.ndarray) -> list[ImportanceScore]:
-        q = self.mask_q(observations)
-        gaps = q[:, KEEP] - q[:, MASK]
-        probs = _mask_probability(gaps)
-        return [ImportanceScore(i, float(g), float(p))
-                for i, (g, p) in enumerate(zip(gaps, probs))]
-
     def importance_vector(self, observations: np.ndarray) -> np.ndarray:
         q = self.mask_q(observations)
         return q[:, KEEP] - q[:, MASK]
@@ -218,6 +189,8 @@ def train_emai(target, env, config: dict | None = None, seed: int = 0,
         beta = float(cfg["beta_scale"]) * baseline.reward_scale
     beta = float(beta)
     lam = float(cfg["lambda"])
+    if beta < 0 or lam < 0:
+        raise ValueError("beta and lambda must be >= 0")
 
     learner = QLearner(spec, 2, seed, cfg)
 

@@ -253,6 +253,27 @@ def test_ill_typed_config_value_exit_2(tmp_path, override):
     assert main(args) == 2
 
 
+@pytest.mark.parametrize("command,overrides,message", [
+    ("attack", ["env.name=keycorridor", "env.params={}", "eval.noise_eps=-0.1"],
+     "noise_eps must be >= 0"),
+    ("eval-fidelity", ["eval.episodes=0"], "episodes must be >= 1"),
+    ("patch", ["eval.quantile=1.5"], "quantile must lie in (0, 1]"),
+    ("patch", ["eval.harvest_episodes=3"], "harvest_episodes must be >= 10"),
+    ("train-target", ["training.lr=-1"], "learning_rate must be > 0"),
+    ("train-emai", ["emai.beta=-1"], "beta and lambda must be >= 0"),
+], ids=["attack-noise_eps", "eval-fidelity-episodes", "patch-quantile",
+        "patch-harvest_episodes", "train-target-lr", "train-emai-beta"])
+def test_rejected_config_value_exit_2(tmp_path, capsys, command, overrides, message):
+    # values of the right type that the library rejects are config errors too
+    args = [command, "--config", str(_write_cfg(tmp_path, FAST_EMAI)),
+            "--out", str(tmp_path / "o")]
+    for override in overrides:
+        args += ["--set", override]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and message in err
+
+
 def test_config_types_follow_defaults(tmp_path):
     cfg = load_config(None, ["training.lr=1", "emai.beta=null", "emai.beta=0.5",
                              "eval.d_th=2"])

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import copy
+import hashlib
 
 import numpy as np
 import pytest
@@ -323,9 +324,7 @@ def _scalar_resets(env, seeds) -> list:
 
 
 def _landmark_cells(env) -> list:
-    if env.name == "keycorridor":
-        return []
-    return env.landmarks if env.name == "spread" else [env.landmark]
+    return env.landmarks
 
 
 @pytest.mark.parametrize("name,params", BATCH_CASES)
@@ -380,3 +379,56 @@ def test_reset_batch_leaves_the_scalar_env_alone():
     assert not batch.door_open.any()  # rows start closed whatever the env's state
     assert _same_bits(batch.observations(),
                       np.stack([c.observations() for c in _scalar_resets(env, [1, 2])]))
+
+
+# ---- pinned dynamics: the digests were recorded before the three envs shared
+# one reset/step/observation skeleton, and must never move ----
+
+PINNED_DIGESTS = {
+    "keycorridor": ("keycorridor", {},
+        "393804588b1fed282d41e3aa88a35beca6e3eb4225b5c20096a1fb7c7050d84c"),
+    "spread": ("spread", {},
+        "4088f7cc27763afee4cd7699e2f70396bda0d90063ab941a3beff31e1605b747"),
+    "spread-4x5": ("spread", {"n_agents": 4, "grid": 5},
+        "0c0e6aacbe8f98b3a297dc016050bf5c9a3cbbe37ef377219b3d36f9a5625190"),
+    "diagnostic": ("diagnostic", {},
+        "f50084905a6ff41f085de07f962abf2516ce4d67bd860b45e297b041f0b83e1b"),
+    "diagnostic-inert": ("diagnostic", {"inert": (1,)},
+        "653162111a3ee74981fe5528fcf86d25b5d5a7d47efc4bf0b0d6d0295a51f246"),
+    "diagnostic-zero": ("diagnostic", {"zero_reward": True},
+        "e72be78584f34f3df2d37420cf82d0272d5822ee325737d6ae5bd7b33463c029"),
+}
+
+
+def _trajectory_digest(env) -> str:
+    """sha256 over every state, observation and reward of 40 scalar episodes,
+    a 40-seed reset_batch rollout and a 16-row branch taken after one step."""
+    digest = hashlib.sha256()
+
+    def add(*values):
+        for v in values:
+            digest.update(np.asarray(v).tobytes())
+
+    n = env.spec.n_agents
+    rng = np.random.default_rng(20240)
+    for seed in range(40):
+        add(*env.reset(seed))
+        done = False
+        while not done:
+            result = env.step(rng.integers(0, 5, size=n))
+            add(result.next_state, result.observations, result.reward)
+            done = result.done
+    env.reset(40)
+    env.step(rng.integers(0, 5, size=n))
+    for batch in (env.reset_batch(list(range(40))), env.branch(16)):
+        add(batch.positions, batch.landmarks, batch.observations())
+        while not batch.done:
+            result = batch.step(rng.integers(0, 5, size=(batch.size, n)))
+            add(batch.positions, result.observations, result.reward)
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_DIGESTS))
+def test_trajectories_match_pinned_digests(case):
+    name, params, pinned = PINNED_DIGESTS[case]
+    assert _trajectory_digest(make_env(name, **params)) == pinned

@@ -11,8 +11,7 @@ from emai import ctde, masking, rollout
 from emai.ctde import AgentQNet, Episode, MonotonicMixer, QLearner
 from emai.envs import Discrete, EnvSpec, make_env
 from emai.masking import (BaselineEstimate, IncompatibilityError, MaskingPolicy,
-                          apply_mask, diff_loss, estimate_baseline_return,
-                          masking_reward, train_emai)
+                          apply_mask, diff_loss, estimate_baseline_return, train_emai)
 from emai.nn import fd_max_rel_error
 from emai.rng import episode_seed, stream
 from emai.rollout import greedy_actions
@@ -31,14 +30,6 @@ def test_apply_mask_random_branch_uniform():
     assert set(np.unique(draws)) <= set(range(5))
     _, p = stats.chisquare(np.bincount(draws, minlength=5))
     assert p > 0.01
-
-
-def test_masking_reward_examples():
-    assert masking_reward([1, 0, 1, 0], 0.1) == pytest.approx(0.2)
-    assert masking_reward([1, 1, 1], 0.0) == 0.0
-    assert masking_reward([1] * 8, 0.05) == pytest.approx(0.4)
-    with pytest.raises(ValueError):
-        masking_reward([0, 2], 0.1)
 
 
 def test_baseline_gamma_zero_is_first_step_mean():
@@ -258,21 +249,11 @@ def test_importance_score_examples():
     pol = MaskingPolicy(net, mixer, beta=0.1, lam=1.0, gamma=0.99, j_pi=0.0,
                         j_pi_stderr=0.0)
     net.mlp.biases[-1].data = np.array([2.0, 0.5])  # Q_keep = 2.0, Q_mask = 0.5
-    scores = pol.importance(np.zeros((2, 3)))
-    assert scores[0].gap == pytest.approx(1.5)
-    assert scores[0].mask_prob == pytest.approx(1.0 / (1.0 + np.exp(1.5)), abs=1e-12)
+    gaps = pol.importance_vector(np.zeros((2, 3)))
+    assert gaps[0] == pytest.approx(1.5)
     net.mlp.biases[-1].data = np.array([0.7, 0.7])  # symmetric case
-    scores = pol.importance(np.zeros((2, 3)))
-    assert scores[0].gap == 0.0 and scores[0].mask_prob == pytest.approx(0.5)
-
-
-def test_importance_rankings_gap_vs_probability_agree():
-    rng = stream(10, "rank")
-    for _ in range(200):
-        gaps = rng.standard_normal(5) * rng.uniform(0.1, 10)
-        probs = masking._mask_probability(gaps)
-        assert np.array_equal(np.argsort(-gaps, kind="stable"),
-                              np.argsort(-(1.0 - probs), kind="stable"))
+    gaps = pol.importance_vector(np.zeros((2, 3)))
+    assert gaps[0] == 0.0
 
 
 def test_affine_transform_keeps_gap_ordering():
@@ -330,6 +311,20 @@ class _QueryOnlyTarget:
 
     def checksum(self):
         return "query-only"
+
+
+class _UnqueriedTarget(_QueryOnlyTarget):
+    def act(self, obs, agent_id):
+        raise AssertionError("training started")
+
+
+@pytest.mark.parametrize("overrides", [{"beta": -1.0}, {"lambda": -0.5},
+                                       {"beta": None, "beta_scale": -1.0}])
+def test_train_emai_rejects_negative_weights_before_training(overrides):
+    env = make_env("keycorridor")
+    baseline = BaselineEstimate(0.0, 0.0, 0.1, 1, 0.99)
+    with pytest.raises(ValueError, match="beta and lambda must be >= 0"):
+        train_emai(_UnqueriedTarget(scripted_policy(env)), env, overrides, baseline=baseline)
 
 
 def test_train_emai_black_box_compliance():
