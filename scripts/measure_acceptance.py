@@ -25,12 +25,12 @@ stamp(f"kc trained ({time.time()-t0:.0f}s) j_pi={kc_mp.j_pi:.3f} beta={kc_mp.bet
 top0 = total = 0
 rand_top0 = 0
 rand_ex = explain.RandomExplainer(seed=123)
-space = kc.spec.action_space
+n_actions = kc.spec.n_actions
 for i in range(500):
     seed_i, mask_rng = episode_seed(7, "crit6", i), np.random.default_rng(i)
 
     def act(obs, state, prefix):
-        return [masking.apply_mask(a, int(b), space, mask_rng)
+        return [masking.apply_mask(a, int(b), n_actions, mask_rng)
                 for a, b in zip(rollout.greedy_actions(kc_pol, obs),
                                 kc_mp.greedy_mask_bits(obs))]
 

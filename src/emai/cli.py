@@ -125,6 +125,8 @@ def cmd_train_emai(cfg: dict, out_dir: Path) -> list[Path]:
 
 
 def cmd_explain(cfg: dict, out_dir: Path) -> list[Path]:
+    if cfg["eval"]["explain_episodes"] < 1:
+        raise ConfigError("eval.explain_episodes must be >= 1")
     env = _build_env(cfg)
     target = _build_target(cfg, env)
     explainer = _build_explainer(cfg, target)

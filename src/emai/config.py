@@ -33,7 +33,7 @@ DEFAULT_CONFIG: dict = {
         "steps": 100_000, "lr": 5e-4, "stale_interval": 200,
         "buffer_episodes": 2000, "batch_episodes": 32,
         "epsilon_start": 1.0, "epsilon_end": 0.05, "epsilon_anneal_steps": 50_000,
-        "hidden": [64, 64], "mixer": "monotonic", "mix_embed": 32, "gamma": 0.99,
+        "hidden": [64, 64], "mix_embed": 32, "gamma": 0.99,
     },
     "emai": {
         "steps": 150_000, "beta": None, "beta_scale": 0.02, "lambda": 1.0,

@@ -1,14 +1,13 @@
 """Centralized-training / decentralized-execution Q-learning machinery.
 
 One parameter-shared utility network scores every agent's actions from its
-local observation plus a one-hot agent id; a mixer (additive or monotonic
-hypernetwork) combines the chosen per-agent values into a team value. The
-same trainer serves both the target-policy learner and the masking-agent
-learner; callers can append extra loss terms to the TD loss before the
-optimizer step.
+local observation plus a one-hot agent id; a monotonic hypernetwork mixer
+combines the chosen per-agent values into a team value. The same trainer
+serves both the target-policy learner and the masking-agent learner;
+callers can add an extra loss term on the same Q_tot to the TD loss.
 
 Training and Q inference are graph-free: the net (`Mlp.fused_forward`/
-`fused_backward`) and each mixer (`mix`/`mix_backward`) compute the same
+`fused_backward`) and the mixer (`mix`/`mix_backward`) compute the same
 float ops that the `nn.Tensor` graph would, so results are bitwise those of
 autodiff.
 
@@ -114,38 +113,12 @@ def _kept(key: str | None, name: str):
     return name if key is None else (key, name)
 
 
-class VdnMixer:
-    """Additive mixer: Q_tot = sum_i Q_i. No parameters."""
-
-    kind = "vdn"
-
-    def mix(self, chosen_q: np.ndarray, states: np.ndarray, ws: Scratch = FRESH,
-            key: str | None = "mix") -> tuple[np.ndarray, tuple]:
-        """chosen_q (B, n_agents) -> Q_tot (B,), plus the cache for mix_backward.
-        Q_tot goes into ws (see MonotonicMixer.mix for `key`)."""
-        q_tot = np.sum(chosen_q, axis=1, out=ws.take(_kept(key, "q_tot"), len(chosen_q)))
-        nn._check_finite(q_tot, "mixer output")
-        return q_tot, chosen_q.shape
-
-    def mix_backward(self, cache: tuple, d_qtot: np.ndarray) -> tuple[np.ndarray, list]:
-        """(dL/dchosen_q, parameter gradients) for the upstream dL/dQ_tot."""
-        return np.broadcast_to(d_qtot[:, None], cache), []
-
-    def params(self) -> list[Tensor]:
-        return []
-
-    def to_doc(self):
-        return None
-
-
 class MonotonicMixer:
     """State-conditioned mixer with non-negative mixing weights.
 
     Q_tot = W2(s)^T elu(W1(s)^T q + b1(s)) + v(s), with W1 = |H1(s)| and
     W2 = |H2(s)| so Q_tot is monotone non-decreasing in every q_i.
     """
-
-    kind = "monotonic"
 
     def __init__(self, n_agents: int, state_dim: int, embed_dim: int,
                  hyper_hidden: int = 32, rng: np.random.Generator | None = None):
@@ -236,15 +209,6 @@ class MonotonicMixer:
         return mixer
 
 
-def make_mixer(kind: str, n_agents: int, state_dim: int, embed_dim: int,
-               rng: np.random.Generator | None = None):
-    if kind == "vdn":
-        return VdnMixer()
-    if kind == "monotonic":
-        return MonotonicMixer(n_agents, state_dim, embed_dim, rng=rng)
-    raise ValueError(f"unknown mixer kind {kind!r}")
-
-
 _CHECKPOINT_KEYS = frozenset(("format", "v", "env", "env_params", "n_agents", "n_actions",
                              "mixer_kind", "training_step", "agent_net", "mixer"))
 
@@ -256,14 +220,14 @@ def checkpoint_doc(net: AgentQNet, mixer, env, training_step: int) -> dict:
         "format": "ctde-checkpoint", "v": 1,
         "env": getattr(env, "name", ""), "env_params": getattr(env, "params", {}),
         "n_agents": net.n_agents, "n_actions": net.n_actions,
-        "mixer_kind": getattr(mixer, "kind", "none"),
+        "mixer_kind": "none" if mixer is None else "monotonic",
         "training_step": int(training_step),
         "agent_net": net.to_doc(),
         "mixer": None if mixer is None else mixer.to_doc(),
     }
 
 
-def load_checkpoint_doc(doc) -> tuple[AgentQNet, VdnMixer | MonotonicMixer | None]:
+def load_checkpoint_doc(doc) -> tuple[AgentQNet, MonotonicMixer | None]:
     """Parse checkpoint_doc's output; any malformed document raises ValueError."""
     try:
         if doc["format"] != "ctde-checkpoint" or doc["v"] != 1:
@@ -276,8 +240,8 @@ def load_checkpoint_doc(doc) -> tuple[AgentQNet, VdnMixer | MonotonicMixer | Non
         kind, mixer_doc = doc["mixer_kind"], doc["mixer"]
         if kind == "monotonic":
             mixer = MonotonicMixer.from_doc(mixer_doc)
-        elif kind in ("none", "vdn") and mixer_doc is None:
-            mixer = VdnMixer() if kind == "vdn" else None
+        elif kind == "none" and mixer_doc is None:
+            mixer = None
         else:
             raise ValueError(f"mixer_kind {kind!r} does not fit its mixer document")
     except (KeyError, IndexError, TypeError) as exc:
@@ -510,13 +474,24 @@ class QLearner:
 
     def __init__(self, spec, n_actions: int, seed: int, config: dict):
         """A learner for env spec `spec` from a merged config: every key of
-        config.DEFAULT_CONFIG["training"] must be present."""
+        config.DEFAULT_CONFIG["training"] must be present. An out-of-range
+        size or count raises ValueError."""
+        for key in ("batch_episodes", "stale_interval", "mix_embed"):
+            if config[key] < 1:
+                raise ValueError(f"{key} must be >= 1, got {config[key]}")
+        if len(config["hidden"]) != 2 or min(config["hidden"]) < 1:
+            raise ValueError(f"hidden must be two layer sizes >= 1, got {config['hidden']}")
+        if config["buffer_episodes"] < config["batch_episodes"]:
+            raise ValueError(f"buffer_episodes ({config['buffer_episodes']}) must be >= "
+                             f"batch_episodes ({config['batch_episodes']})")
+        if config["steps"] < 0:
+            raise ValueError(f"steps must be >= 0, got {config['steps']}")
         self.seed = int(seed)
         self.config = config
         init_rng = stream(seed, "init")
         self.net = AgentQNet(spec.obs_dim, spec.n_agents, n_actions, config["hidden"], init_rng)
-        self.mixer = make_mixer(config["mixer"], spec.n_agents, spec.state_dim,
-                                config["mix_embed"], init_rng)
+        self.mixer = MonotonicMixer(spec.n_agents, spec.state_dim, config["mix_embed"],
+                                    rng=init_rng)
         self.stale = StaleCopy(self.net, self.mixer, config["stale_interval"])
         self.buffer = EpisodeBuffer(config["buffer_episodes"])
         self.batch_episodes = int(config["batch_episodes"])
@@ -531,13 +506,12 @@ class QLearner:
         The loss is build_td_loss's (reward_fn goes to it) plus, if given,
         extra_loss_fn's term: extra_loss_fn(q_tot, transitions) gets the live
         Q_tot of the batch and returns (value, d value / d q_tot, stats).
-        Each loss gets its own backward pass and the two gradients of each
-        parameter are added, as autodiff accumulates them.
+        Its dL/dQ_tot is added to the TD loss's, as autodiff accumulates the
+        two at the Q_tot both losses share, and one backward pass follows.
 
         The batch and every batch-sized intermediate of the TD loss live in
         self.buffers; extra_loss_fn's arguments are views into them, valid
-        during its call. extra_loss_fn itself, its second backward and the
-        sum of the two gradients allocate new arrays on every step. Each
+        during its call, and it allocates its own arrays on every step. Each
         parameter's .grad is set to a new array.
         """
         batch = self.buffer.sample(self.batch_episodes, self.sample_rng)
@@ -546,18 +520,15 @@ class QLearner:
         loss, d_qtot, stats = build_td_loss(self.stale, flat, q_tot, float(self.config["gamma"]),
                                             self.buffers, reward_fn)
         stats["loss_e"] = loss
-        d_extra = None
         if extra_loss_fn is not None:
             extra, d_extra, extra_stats = extra_loss_fn(q_tot, flat)
             loss = loss + extra
+            np.add(d_qtot, d_extra, out=d_qtot)
             stats.update(extra_stats)
         stats["loss_total"] = loss
         if not np.isfinite(loss):
             raise nn.NumericsError("training loss became non-finite; aborting")
         grads = qtot_backward(self.net, self.mixer, cache, d_qtot)
-        if d_extra is not None:
-            grads = [g + h for g, h in
-                     zip(grads, qtot_backward(self.net, self.mixer, cache, d_extra))]
         for i, g in enumerate(grads):
             nn._check_finite(g, f"gradient of parameter {i}")
         for p, g in zip(self.optimizer.params, grads, strict=True):

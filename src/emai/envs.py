@@ -19,7 +19,6 @@ import numpy as np
 STAY, UP, DOWN, LEFT, RIGHT = range(5)
 DELTAS = ((0, 0), (-1, 0), (1, 0), (0, -1), (0, 1))  # (drow, dcol)
 _DELTA_ARRAY = np.array(DELTAS, dtype=np.int64)
-ACTION_NAMES = ("stay", "up", "down", "left", "right")
 
 
 class EnvError(ValueError):
@@ -27,30 +26,18 @@ class EnvError(ValueError):
 
 
 @dataclass(frozen=True)
-class Discrete:
-    n: int
-
-    def __post_init__(self):
-        if self.n < 2:
-            raise ValueError("Discrete action space needs n >= 2")
-
-
-def random_action(space: Discrete, rng: np.random.Generator) -> int:
-    """Uniform draw over the space's action indices."""
-    return int(rng.integers(0, space.n))
-
-
-@dataclass(frozen=True)
 class EnvSpec:
     n_agents: int
     obs_dim: int
     state_dim: int
-    action_space: Discrete
+    n_actions: int
     horizon: int
 
     def __post_init__(self):
         if self.n_agents < 2:
             raise ValueError("n_agents must be >= 2")
+        if self.n_actions < 2:
+            raise ValueError("n_actions must be >= 2")
         if self.horizon < 1:
             raise ValueError("horizon must be >= 1")
 
@@ -120,8 +107,8 @@ class _GridEnv:
         acts = []
         for i, a in enumerate(joint_action):
             a = int(a)
-            if not (0 <= a < self.spec.action_space.n):
-                raise EnvError(f"agent {i}: action index {a} outside [0, {self.spec.action_space.n})")
+            if not (0 <= a < self.spec.n_actions):
+                raise EnvError(f"agent {i}: action index {a} outside [0, {self.spec.n_actions})")
             acts.append(a)
         return acts
 
@@ -260,7 +247,7 @@ class GridBatch:
         if acts.shape != (self.size, spec.n_agents):
             raise EnvError(f"joint actions need shape ({self.size}, {spec.n_agents}), "
                            f"got {acts.shape}")
-        n_actions = spec.action_space.n
+        n_actions = spec.n_actions
         bad = (acts < 0) | (acts >= n_actions)
         if bad.any():
             b, i = np.argwhere(bad)[0]
@@ -314,7 +301,7 @@ class Spread(_GridEnv):
         self.n = int(n_agents)
         self.grid = int(grid)
         obs_dim = 2 + 2 * self.n + 2 * (self.n - 1)
-        self.spec = EnvSpec(self.n, obs_dim, 4 * self.n, Discrete(5), int(horizon))
+        self.spec = EnvSpec(self.n, obs_dim, 4 * self.n, 5, int(horizon))
 
     @property
     def params(self) -> dict:
@@ -383,7 +370,7 @@ class KeyCorridor(_GridEnv):
         super().__init__(self.ROWS, self.COLS)
         self.n = 3
         # own pos, door flag, rel switch, rel door, rel goal, rel two others
-        self.spec = EnvSpec(self.n, 13, 2 * self.n + 1, Discrete(5), int(horizon))
+        self.spec = EnvSpec(self.n, 13, 2 * self.n + 1, 5, int(horizon))
 
     # bench/tracing.py wraps reset and step by name in this class's own namespace
     reset = _GridEnv.reset
@@ -443,7 +430,7 @@ class Diagnostic(_GridEnv):
         if any(i < 0 or i >= self.n for i in self.inert):
             raise ValueError("inert agent ids must be valid agent indices")
         obs_dim = 2 + 2 + 2 * (self.n - 1)
-        self.spec = EnvSpec(self.n, obs_dim, 2 * self.n + 2, Discrete(5), int(horizon))
+        self.spec = EnvSpec(self.n, obs_dim, 2 * self.n + 2, 5, int(horizon))
 
     @property
     def params(self) -> dict:

@@ -18,7 +18,6 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .envs import random_action
 from .explain import ExplainContext, Explainer, trace_contexts
 from .masking import _check_compat
 from .rng import episode_seed, stream
@@ -44,12 +43,12 @@ def _w_guided(payload) -> float:
     """Each step, randomize only the explainer's most critical agent."""
     env, target, explainer, ep_seed, tags = payload
     mask_rng = stream(*tags)
-    space = env.spec.action_space
+    n_actions = env.spec.n_actions
 
     def act(obs, state, prefix):
         actions = greedy_actions(target, obs)
         critical = explainer.most_critical(_ctx(env, obs, state, ep_seed, prefix))
-        actions[critical] = random_action(space, mask_rng)
+        actions[critical] = int(mask_rng.integers(0, n_actions))
         return actions
 
     return run_episode(env, ep_seed, act).episode_reward
@@ -58,12 +57,11 @@ def _w_guided(payload) -> float:
 def _w_random_guided(payload) -> float:
     env, target, ep_seed, tags = payload
     rng = stream(*tags)
-    space = env.spec.action_space
-    n = env.spec.n_agents
+    n, n_actions = env.spec.n_agents, env.spec.n_actions
 
     def act(obs, state, prefix):
         actions = greedy_actions(target, obs)
-        actions[int(rng.integers(0, n))] = random_action(space, rng)
+        actions[int(rng.integers(0, n))] = int(rng.integers(0, n_actions))
         return actions
 
     return run_episode(env, ep_seed, act).episode_reward

@@ -58,7 +58,6 @@ def trace_contexts(trace: Trace, env) -> Iterator[tuple[Step, ExplainContext]]:
 
 class Explainer:
     kind: str = ""
-    access: str = "black-box"
 
     def scores(self, ctx: ExplainContext) -> np.ndarray:
         raise NotImplementedError
@@ -100,7 +99,6 @@ class ValueBasedExplainer(Explainer):
     """Per-agent best utility-head value, read from the target's network."""
 
     kind = "value"
-    access = "white-box"
 
     def __init__(self, target: TargetPolicy):
         self._qnet = privileged_q_network(target)
@@ -118,7 +116,6 @@ class GradientBasedExplainer(Explainer):
     """
 
     kind = "gradient"
-    access = "white-box"
 
     def __init__(self, target: TargetPolicy):
         self._qnet = privileged_q_network(target)
@@ -196,7 +193,7 @@ def mc_counterfactual_oracle(target, env, episode_seed: int, prefix_actions,
     # a size-m draw yields the same values as m single draws from the stream
     draws = np.stack([
         stream(seed, "mc-oracle", episode_seed, t, i, k).integers(
-            0, env.spec.action_space.n, size=steps)
+            0, env.spec.n_actions, size=steps)
         for i in range(n) for k in range(rollouts)])
     agents = np.repeat(np.arange(n), rollouts)
     returns = _randomized_suffix_return(env, target, agents, draws).reshape(n, rollouts)

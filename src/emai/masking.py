@@ -18,7 +18,6 @@ import numpy as np
 from . import ctde
 from .config import merged_sections
 from .ctde import AgentQNet, QLearner, Transitions
-from .envs import Discrete, random_action
 from .rng import episode_seed, stream
 from .rollout import greedy_actions, reward_sums, target_rewards
 
@@ -29,11 +28,12 @@ class IncompatibilityError(RuntimeError):
     """Target, environment and explainer artifacts do not fit together."""
 
 
-def apply_mask(action: int, mask_bit: int, space: Discrete, rng: np.random.Generator) -> int:
-    """Final action: keep the target's choice, or draw uniformly at random."""
+def apply_mask(action: int, mask_bit: int, n_actions: int, rng: np.random.Generator) -> int:
+    """Final action: keep the target's choice, or draw uniformly from the
+    n_actions action indices."""
     if mask_bit not in (KEEP, MASK):
         raise ValueError(f"mask bit must be 0 or 1, got {mask_bit!r}")
-    return action if mask_bit == KEEP else random_action(space, rng)
+    return action if mask_bit == KEEP else int(rng.integers(0, n_actions))
 
 
 @dataclass(frozen=True)
@@ -119,9 +119,6 @@ class MaskingPolicy:
         q = self.mask_q(observations)
         return q[:, KEEP] - q[:, MASK]
 
-    def most_critical(self, observations: np.ndarray) -> int:
-        return int(np.argmax(self.importance_vector(observations)))  # lowest index wins ties
-
     def greedy_mask_bits(self, observations: np.ndarray) -> np.ndarray:
         """Per-agent argmax over {keep, mask}; keep wins ties."""
         q = self.mask_q(observations)
@@ -202,10 +199,9 @@ def train_emai(target, env, config: dict | None = None, seed: int = 0,
         return loss_d * lam, d_qtot, stats
 
     mask_rng = stream(seed, "emai-mask-actions")
-    space = spec.action_space
 
     def compose(obs, bits):
-        return [apply_mask(a, b, space, mask_rng)
+        return [apply_mask(a, b, spec.n_actions, mask_rng)
                 for a, b in zip(greedy_actions(target, obs), bits)]
 
     columns = {k: k for k in ("loss_e", "loss_d", "loss_total", "mask_rate", "episode_reward")}

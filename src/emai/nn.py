@@ -428,15 +428,14 @@ def tlog(a) -> Tensor:
 
 _ACTIVATIONS: dict[str, Callable[[Tensor], Tensor]] = {
     "relu": relu,
-    "elu": elu,
     "identity": lambda t: t,
 }
 
-_FUSED_BACKWARD = {"relu": _relu_b, "elu": _elu_b, "identity": None}
+_FUSED_BACKWARD = {"relu": _relu_b, "identity": None}
 
 
 class Mlp:
-    """Fully connected net; per-layer activation in {relu, elu, identity}."""
+    """Fully connected net; per-layer activation in {relu, identity}."""
 
     def __init__(self, layer_sizes: Sequence[int], activations: Sequence[str],
                  rng: np.random.Generator | None = None):
@@ -498,16 +497,10 @@ class Mlp:
         outs = [x]
         for i, (w, b, act) in enumerate(zip(self.weights, self.biases, self.activations)):
             name = ("pp", i % 2) if key is None else (key, i)
-            z = np.matmul(x, w.data, out=ws.take(name if act != "elu" else "elu_z",
-                                                 len(x), w.data.shape[1]))
+            z = np.matmul(x, w.data, out=ws.take(name, len(x), w.data.shape[1]))
             np.add(z, b.data, out=z)
             _check_finite(z, f"MLP layer {i} pre-activation")
-            if act == "relu":
-                x = _relu_f(z, out=z)
-            elif act == "elu":
-                x = _elu_f(z, out=ws.take(name, *z.shape), ws=ws)
-            else:
-                x = z
+            x = _relu_f(z, out=z) if act == "relu" else z
             outs.append(x)
         return x, (outs, ws)
 

@@ -28,7 +28,6 @@ class TargetPolicy:
 
     obs_dim: int
     n_agents: int
-    kind: str = "scripted"
 
     def act(self, obs: np.ndarray, agent_id: int) -> int:
         raise NotImplementedError
@@ -221,27 +220,21 @@ class ScriptedKeyCorridor(TargetPolicy):
                 for key, dist in self._maps.items()}
         return self._tables
 
-    def _teammates(self, obs: np.ndarray, own: tuple[int, int]) -> list[tuple[int, int]]:
-        rows, cols = KeyCorridor.ROWS, KeyCorridor.COLS
-        out = []
-        for base in (9, 11):
-            out.append((min(max(own[0] + _denorm_rel(obs[base], rows), 0), rows - 1),
-                        min(max(own[1] + _denorm_rel(obs[base + 1], cols), 0), cols - 1)))
-        return out
-
     def act(self, obs: np.ndarray, agent_id: int) -> int:
         obs = self._check_obs(obs)
-        own = (_denorm(obs[0], KeyCorridor.ROWS), _denorm(obs[1], KeyCorridor.COLS))
-        door_open = obs[2] > 0.0
-        if door_open:
-            return self._move_toward(own, self._maps[("goal", True)])
+        rows, cols = KeyCorridor.ROWS, KeyCorridor.COLS
+        tables = self._next_moves()
+        r, c = _denorm(obs[0], rows), _denorm(obs[1], cols)
+        if obs[2] > 0.0:  # the door is open
+            return int(tables[("goal", True)][r, c])
         if agent_id == 0:
-            if self.weakened and own != KeyCorridor.SWITCH:
-                mate = self._teammates(obs, own)[0]
-                if (mate[0] + mate[1]) % 2 == 1:
+            if self.weakened and (r, c) != KeyCorridor.SWITCH:
+                mate_r = min(max(r + _denorm_rel(obs[9], rows), 0), rows - 1)
+                mate_c = min(max(c + _denorm_rel(obs[10], cols), 0), cols - 1)
+                if (mate_r + mate_c) % 2 == 1:
                     return STAY  # foot-dragging: advances on half the steps
-            return self._move_toward(own, self._maps[("switch", False)])
-        return self._move_toward(own, self._maps[("wait", False)])
+            return int(tables[("switch", False)][r, c])
+        return int(tables[("wait", False)][r, c])
 
     def act_batch(self, obs: np.ndarray, agent_id: int) -> np.ndarray:
         """act() over rows via the next-move tables; non-finite input raises."""
@@ -285,8 +278,6 @@ class ScriptedDiagnostic(TargetPolicy):
 
 class LearnedPolicy(TargetPolicy):
     """Greedy execution of a trained utility network (epsilon = 0)."""
-
-    kind = "learned"
 
     def __init__(self, qnet: AgentQNet, source: str = "learned"):
         self._qnet = qnet
@@ -340,7 +331,7 @@ def train_target(env, config: dict, seed: int, progress=None):
     Returns (LearnedPolicy, curve_rows); curve rows are dicts suitable for
     CSV export. A zero-step budget returns the random-init greedy policy.
     """
-    learner = QLearner(env.spec, env.spec.action_space.n, seed,
+    learner = QLearner(env.spec, env.spec.n_actions, seed,
                        merged_sections(config, "training"))
     curves = learner.learn(env, "target",
                            {"loss": "loss_total", "episode_reward": "episode_reward"},

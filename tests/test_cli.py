@@ -8,7 +8,7 @@ import pytest
 
 from emai.cli import main
 from emai.config import ConfigError, load_config
-from emai.ctde import AgentQNet, VdnMixer
+from emai.ctde import AgentQNet, MonotonicMixer
 from emai.envs import make_env
 from emai.masking import MaskingPolicy
 from emai.rng import stream
@@ -203,6 +203,13 @@ def test_removed_diff_loss_mode_key_rejected_exit_2(tmp_path):
     assert main(["train-emai", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
 
 
+def test_removed_mixer_key_rejected_exit_2(tmp_path, capsys):
+    path = _write_cfg(tmp_path, FAST_EMAI)
+    assert main(["train-emai", "--config", str(path), "--set", "training.mixer=monotonic",
+                 "--out", str(tmp_path / "o")]) == 2
+    assert "unknown config key 'training.mixer'" in capsys.readouterr().err
+
+
 def _eval_with(tmp_path, section: dict, ckpt_doc: dict) -> int:
     ckpt = tmp_path / "ckpt.json"
     ckpt.write_text(json.dumps(ckpt_doc), encoding="utf-8")
@@ -212,18 +219,30 @@ def _eval_with(tmp_path, section: dict, ckpt_doc: dict) -> int:
                  "--out", str(tmp_path / "o")])
 
 
-def test_masking_checkpoint_without_beta_exit_5(tmp_path):
+def _masking_doc() -> dict:
     env = make_env(FAST_EMAI["env"]["name"], **FAST_EMAI["env"]["params"])
     net = AgentQNet(env.spec.obs_dim, env.spec.n_agents, 2, hidden=(4, 4), rng=None)
-    doc = MaskingPolicy(net, VdnMixer(), beta=0.1, lam=0.0, gamma=0.99, j_pi=0.0,
-                        j_pi_stderr=0.0).to_doc(env)
+    mixer = MonotonicMixer(env.spec.n_agents, env.spec.state_dim, 4)
+    return MaskingPolicy(net, mixer, beta=0.1, lam=0.0, gamma=0.99, j_pi=0.0,
+                         j_pi_stderr=0.0).to_doc(env)
+
+
+def test_masking_checkpoint_without_beta_exit_5(tmp_path):
+    doc = _masking_doc()
     del doc["beta"]
     assert _eval_with(tmp_path, {"explainer": {"kind": "emai"}}, doc) == 5
 
 
+def test_masking_checkpoint_with_vdn_mixer_exit_5(tmp_path, capsys):
+    doc = _masking_doc()
+    doc["ctde"].update(mixer_kind="vdn", mixer=None)
+    assert _eval_with(tmp_path, {"explainer": {"kind": "emai"}}, doc) == 5
+    assert "mixer_kind 'vdn'" in capsys.readouterr().err
+
+
 def test_learned_target_checkpoint_without_agent_net_exit_5(tmp_path):
     env = make_env(FAST_EMAI["env"]["name"], **FAST_EMAI["env"]["params"])
-    net = AgentQNet(env.spec.obs_dim, env.spec.n_agents, env.spec.action_space.n,
+    net = AgentQNet(env.spec.obs_dim, env.spec.n_agents, env.spec.n_actions,
                     hidden=(4, 4), rng=None)
     save_checkpoint(LearnedPolicy(net), env, tmp_path / "whole.json")
     doc = json.loads((tmp_path / "whole.json").read_text(encoding="utf-8"))
@@ -261,8 +280,22 @@ def test_ill_typed_config_value_exit_2(tmp_path, override):
     ("patch", ["eval.harvest_episodes=3"], "harvest_episodes must be >= 10"),
     ("train-target", ["training.lr=-1"], "learning_rate must be > 0"),
     ("train-emai", ["emai.beta=-1"], "beta and lambda must be >= 0"),
+    ("train-target", ["training.steps=50", "training.batch_episodes=0"],
+     "batch_episodes must be >= 1"),
+    ("train-target", ["training.steps=50", "training.stale_interval=0"],
+     "stale_interval must be >= 1"),
+    ("train-target", ["training.steps=50", "training.mix_embed=0"], "mix_embed must be >= 1"),
+    ("train-target", ["training.steps=50", "training.hidden=[0,16]"],
+     "hidden must be two layer sizes >= 1"),
+    ("train-target", ["training.steps=50", "training.buffer_episodes=0"],
+     "buffer_episodes (0) must be >= batch_episodes (4)"),
+    ("train-target", ["training.steps=-5"], "steps must be >= 0"),
+    ("explain", ["eval.explain_episodes=-1"], "explain_episodes must be >= 1"),
 ], ids=["attack-noise_eps", "eval-fidelity-episodes", "patch-quantile",
-        "patch-harvest_episodes", "train-target-lr", "train-emai-beta"])
+        "patch-harvest_episodes", "train-target-lr", "train-emai-beta",
+        "train-target-batch_episodes", "train-target-stale_interval",
+        "train-target-mix_embed", "train-target-hidden", "train-target-buffer_episodes",
+        "train-target-steps", "explain-explain_episodes"])
 def test_rejected_config_value_exit_2(tmp_path, capsys, command, overrides, message):
     # values of the right type that the library rejects are config errors too
     args = [command, "--config", str(_write_cfg(tmp_path, FAST_EMAI)),
@@ -293,7 +326,7 @@ def test_train_emai_numeric_failure_exit_4(tmp_path):
 def test_train_emai_on_overflowing_learned_target_exit_4(tmp_path):
     # the target's Q inference overflows in a hidden layer: the pre-activation guard trips
     env = make_env(FAST_EMAI["env"]["name"], **FAST_EMAI["env"]["params"])
-    net = AgentQNet(env.spec.obs_dim, env.spec.n_agents, env.spec.action_space.n,
+    net = AgentQNet(env.spec.obs_dim, env.spec.n_agents, env.spec.n_actions,
                     hidden=(8, 8), rng=stream(1, "overflow-target"))
     for w in net.mlp.weights:
         w.data = w.data * 1e200

@@ -10,7 +10,7 @@ from scipy import stats
 
 from emai import ctde, nn
 from emai.ctde import (AgentQNet, Episode, EpisodeBuffer, MonotonicMixer, StaleCopy,
-                       VdnMixer, build_td_loss, epsilon_greedy, linear_epsilon, q_total)
+                       build_td_loss, epsilon_greedy, linear_epsilon, q_total)
 from emai.config import DEFAULT_CONFIG
 from emai.envs import make_env
 from emai.masking import diff_loss
@@ -44,12 +44,6 @@ def test_q_values_shape_mismatch():
     net = _toy_net()
     with pytest.raises(nn.ShapeError):
         net.q_single(np.zeros(5), 0)
-
-
-def test_vdn_sums_chosen_qs():
-    mixer = VdnMixer()
-    assert q_total(mixer, np.zeros(3), np.array([1.0, 2.0, -0.5])) == pytest.approx(2.5)
-    assert q_total(mixer, np.zeros(3), np.array([1.0, 1.0, -0.5])) == pytest.approx(1.5)
 
 
 def test_monotonic_mixer_monotonicity_1000_draws():
@@ -140,7 +134,7 @@ def test_td_loss_direct_example():
     assert (y - 2.5) ** 2 == pytest.approx(0.2304)
     # exercised through build_td_loss with hand-built nets on a 1-agent-pair
     net = AgentQNet(2, 2, 2, hidden=(4, 4), rng=stream(11, "td"))
-    mixer = VdnMixer()
+    mixer = MonotonicMixer(2, 1, embed_dim=4, rng=stream(11, "td-mix"))
     stale = StaleCopy(net, mixer, refresh_interval=100)
     obs = np.zeros((2, 2))
     state = np.zeros(1)
@@ -148,13 +142,13 @@ def test_td_loss_direct_example():
     loss = _td_loss(net, mixer, stale, [ep], gamma=0.99)
     # terminal transition: y = reward exactly
     q = net.q_all_agents(obs)
-    q_tot = q[0, 0] + q[1, 1]
+    q_tot = q_total(mixer, state, np.array([q[0, 0], q[1, 1]]))
     assert loss == pytest.approx((1.0 - q_tot) ** 2)
 
 
 def test_td_terminal_zero_loss():
-    net = AgentQNet(2, 2, 2, hidden=(4, 4), rng=None)  # all-zero net
-    mixer = VdnMixer()
+    net = AgentQNet(2, 2, 2, hidden=(4, 4), rng=None)  # all-zero net and mixer
+    mixer = MonotonicMixer(2, 1, embed_dim=4)
     stale = StaleCopy(net, mixer, refresh_interval=100)
     ep = _one_step_episode(np.zeros((2, 2)), np.zeros(1), [0, 0], reward=0.0)
     loss = _td_loss(net, mixer, stale, [ep], gamma=0.99)
@@ -165,8 +159,8 @@ class _BanditEnv:
     """1-step, 2-agent bandit with additive payoffs (exhaustive-argmax oracle)."""
 
     def __init__(self):
-        from emai.envs import Discrete, EnvSpec
-        self.spec = EnvSpec(2, 2, 2, Discrete(3), 1)
+        from emai.envs import EnvSpec
+        self.spec = EnvSpec(2, 2, 2, 3, 1)
         self.bonus0 = np.array([0.0, 0.6, 0.2])
         self.bonus1 = np.array([0.3, 0.1, 0.9])
         self.done = True
@@ -188,7 +182,7 @@ class _BanditEnv:
 
 def test_bandit_training_converges_to_joint_argmax():
     env = _BanditEnv()
-    config = {"mixer": "monotonic", "hidden": [16, 16], "mix_embed": 8, "lr": 2e-3,
+    config = {**DEFAULT_CONFIG["training"], "hidden": [16, 16], "mix_embed": 8, "lr": 2e-3,
               "buffer_episodes": 200, "batch_episodes": 16, "stale_interval": 50,
               "gamma": 0.99}
     learner = ctde.QLearner(env.spec, 3, 5, config)
@@ -212,7 +206,7 @@ def test_bandit_training_converges_to_joint_argmax():
 
 def test_stale_refresh_cadence():
     net = _toy_net()
-    mixer = VdnMixer()
+    mixer = MonotonicMixer(2, 5, embed_dim=8, rng=stream(4, "stale-mix"))
     stale = StaleCopy(net, mixer, refresh_interval=200)
     refreshed_at = [s for s in range(1, 1001) if stale.maybe_refresh(s)]
     assert refreshed_at == [200, 400, 600, 800, 1000]
@@ -220,7 +214,7 @@ def test_stale_refresh_cadence():
 
 def test_stale_copy_frozen_between_refreshes():
     net = _toy_net()
-    mixer = VdnMixer()
+    mixer = MonotonicMixer(2, 5, embed_dim=8, rng=stream(4, "stale-mix"))
     stale = StaleCopy(net, mixer, refresh_interval=10)
     obs = stream(3, "stale-obs").standard_normal(4)
     before = stale.net.q_single(obs, 0).copy()
@@ -279,11 +273,11 @@ def test_mixer_checkpoint_roundtrip():
 def _checkpoint(mixer_kind="monotonic"):
     rng = stream(14, "codec")
     net = AgentQNet(4, 2, 3, hidden=(4, 4), rng=rng)
-    mixer = None if mixer_kind == "none" else ctde.make_mixer(mixer_kind, 2, 5, 4, rng)
+    mixer = None if mixer_kind == "none" else MonotonicMixer(2, 5, 4, rng=rng)
     return ctde.checkpoint_doc(net, mixer, None, training_step=9)
 
 
-@pytest.mark.parametrize("mixer_kind", ["none", "vdn", "monotonic"])
+@pytest.mark.parametrize("mixer_kind", ["none", "monotonic"])
 def test_checkpoint_codec_roundtrips_exactly(mixer_kind):
     doc = _checkpoint(mixer_kind)
     assert doc["mixer_kind"] == mixer_kind
@@ -296,7 +290,8 @@ def test_checkpoint_codec_roundtrips_exactly(mixer_kind):
     lambda d: d.update(extra=1),
     lambda d: d.update(v=2),
     lambda d: d.update(mixer_kind="qmix"),
-    lambda d: d.update(mixer_kind="vdn"),  # a vdn mixer has no document
+    lambda d: d.update(mixer_kind="vdn"),  # a kind no learner builds
+    lambda d: d.update(mixer_kind="vdn", mixer=None),
     lambda d: d.update(n_actions=4),
     lambda d: d["mixer"].pop("hyper_v"),
     lambda d: d["mixer"]["hyper_w1"].update(layer_sizes=[5]),
@@ -334,10 +329,10 @@ def _filled_learner(config: dict, episodes: int, seed: int = 0) -> ctde.QLearner
     return learner
 
 
-@pytest.mark.parametrize("mixer_kind", ["vdn", "monotonic"])
+@pytest.mark.parametrize("mixer_kind", ["monotonic"])  # names the learner's mixer in the id
 def test_returned_arrays_are_not_overwritten_by_later_calls(mixer_kind):
-    learner = _filled_learner({"mixer": mixer_kind, "hidden": [8, 8], "mix_embed": 4,
-                               "batch_episodes": 5}, episodes=12)
+    learner = _filled_learner({"hidden": [8, 8], "mix_embed": 4, "batch_episodes": 5},
+                              episodes=12)
     net, mixer, stale = learner.net, learner.mixer, learner.stale
     spec = make_env("keycorridor").spec
 

@@ -6,14 +6,14 @@ import hashlib
 
 import numpy as np
 import pytest
-from scipy import stats
 
 from emai import envs
-from emai.envs import (DOWN, LEFT, RIGHT, STAY, UP, Discrete, EnvError,
-                       KeyCorridor, make_env, random_action, spread_reward)
+from emai.envs import (DOWN, LEFT, RIGHT, STAY, UP, EnvError, EnvSpec, KeyCorridor,
+                       make_env, spread_reward)
+from emai.masking import MASK, apply_mask
 from emai.rng import stream
 
-# recorded from stream(123, "recorded-fixture") draws over Discrete(2)
+# recorded from stream(123, "recorded-fixture") draws over 2 actions
 RECORDED_DISCRETE2 = [1, 1, 0, 1, 0, 1, 1, 1, 1, 1, 0, 0, 1, 1, 1, 1]
 
 
@@ -82,19 +82,10 @@ def test_door_blocks_until_open():
     assert env.positions[1] == (2, 5)
 
 
-def test_random_action_uniformity_chi2():
-    rng = stream(0, "chi2")
-    space = Discrete(5)
-    draws = np.array([random_action(space, rng) for _ in range(10_000)])
-    counts = np.bincount(draws, minlength=5)
-    _, p = stats.chisquare(counts)
-    assert p > 0.01
-
-
 def test_random_action_recorded_sequence():
+    # a masked action is a uniform draw over the action indices
     rng = stream(123, "recorded-fixture")
-    space = Discrete(2)
-    assert [random_action(space, rng) for _ in range(16)] == RECORDED_DISCRETE2
+    assert [apply_mask(0, MASK, 2, rng) for _ in range(16)] == RECORDED_DISCRETE2
 
 
 def test_trajectory_bitwise_reproducible():
@@ -188,8 +179,9 @@ def test_simultaneous_moves_use_time_t_positions():
 
 
 def test_action_space_invariants():
-    with pytest.raises(ValueError):
-        Discrete(1)
+    assert EnvSpec(2, 3, 3, 2, 5).n_actions == 2
+    with pytest.raises(ValueError, match="n_actions"):
+        EnvSpec(2, 3, 3, 1, 5)
 
 
 def test_unknown_env_rejected():

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from emai import explain as explain_mod
-from emai.envs import make_env, random_action
+from emai.envs import make_env
 from emai.explain import (EmaiExplainer, ExplainContext, GradientBasedExplainer,
                           McOracleExplainer, RandomExplainer, ValueBasedExplainer,
                           explain, make_explainer, mc_counterfactual_oracle)
@@ -27,7 +27,7 @@ def _ctx_for(env, seed=0):
 
 
 def _learned_target(env, seed=0):
-    net = AgentQNet(env.spec.obs_dim, env.spec.n_agents, env.spec.action_space.n,
+    net = AgentQNet(env.spec.obs_dim, env.spec.n_agents, env.spec.n_actions,
                     hidden=(16, 16), rng=stream(seed, "lt"))
     return LearnedPolicy(net)
 
@@ -174,7 +174,7 @@ def test_every_explainer_returns_n_finite_scores():
     learned = _learned_target(env)
     mp = MaskingPolicy(AgentQNet(env.spec.obs_dim, 3, 2, hidden=(8, 8),
                                  rng=stream(1, "mp")),
-                       ctde.VdnMixer(), beta=0.1, lam=0.0, gamma=0.99,
+                       ctde.MonotonicMixer(3, env.spec.state_dim, 4), beta=0.1, lam=0.0, gamma=0.99,
                        j_pi=0.0, j_pi_stderr=0.0)
     explainers = [EmaiExplainer(mp), RandomExplainer(0), ValueBasedExplainer(learned),
                   GradientBasedExplainer(learned), McOracleExplainer(learned, rollouts=2)]
@@ -190,7 +190,7 @@ def test_every_explainer_returns_n_finite_scores():
 def test_emai_explainer_scores_are_gaps():
     env = make_env("spread", n_agents=3, grid=6)
     qnet = AgentQNet(env.spec.obs_dim, 3, 2, hidden=(8, 8), rng=stream(2, "gaps"))
-    mp = MaskingPolicy(qnet, ctde.VdnMixer(), beta=0.1, lam=0.0, gamma=0.99,
+    mp = MaskingPolicy(qnet, ctde.MonotonicMixer(3, env.spec.state_dim, 4), beta=0.1, lam=0.0, gamma=0.99,
                        j_pi=0.0, j_pi_stderr=0.0)
     ctx = _ctx_for(env, seed=10)
     scores = EmaiExplainer(mp).scores(ctx)
@@ -247,7 +247,7 @@ def _scalar_oracle(target, env, episode_seed, prefix_actions, rollouts, seed=0):
             total, obs, done = 0.0, branch.observations(), branch.done
             while not done:
                 actions = greedy_actions(target, obs)
-                actions[i] = random_action(branch.spec.action_space, rng)
+                actions[i] = int(rng.integers(0, branch.spec.n_actions))
                 result = branch.step(actions)
                 total += result.reward
                 obs, done = result.observations, result.done

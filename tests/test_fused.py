@@ -13,8 +13,9 @@ import numpy as np
 import pytest
 
 from emai import ctde, nn
-from emai.ctde import AgentQNet, Episode, EpisodeBuffer, QLearner, VdnMixer
-from emai.envs import Discrete, EnvSpec
+from emai.config import DEFAULT_CONFIG
+from emai.ctde import AgentQNet, Episode, EpisodeBuffer, QLearner
+from emai.envs import EnvSpec
 from emai.masking import diff_loss
 from emai.nn import NumericsError, Tensor
 from emai.rng import stream
@@ -45,8 +46,6 @@ def _graph_q_values(net: AgentQNet, rows: np.ndarray, ids: np.ndarray) -> Tensor
 
 
 def _graph_mix(mixer, chosen_q: Tensor, states: np.ndarray) -> Tensor:
-    if isinstance(mixer, VdnMixer):
-        return chosen_q.sum(axis=1)
     B = chosen_q.shape[0]
     s = Tensor(np.asarray(states, dtype=np.float64))
     w1 = mixer.hyper_w1.forward(s).abs().reshape(B, mixer.n_agents, mixer.embed_dim)
@@ -65,12 +64,11 @@ def _graph_chosen_q(net: AgentQNet, obs_steps: np.ndarray, actions: np.ndarray) 
     return picked.reshape(S, n)
 
 
-def graph_td_loss(net, mixer, stale, batch, gamma, reward_fn=None) -> Tensor:
-    obs, next_obs, states, next_states, actions, rewards, terminal, _, _, _ = \
-        _flatten_batch(batch)
+def graph_td_loss(q_tot: Tensor, stale, flat: ctde.Transitions, gamma,
+                  reward_fn=None) -> Tensor:
+    _, next_obs, _, next_states, actions, rewards, terminal, _, _, _ = flat
     if reward_fn is not None:
         rewards = reward_fn(rewards, actions)
-    q_tot = _graph_mix(mixer, _graph_chosen_q(net, obs, actions), states)
     with nn.no_grad():
         S, n, _ = next_obs.shape
         rows, ids = _agent_batch(next_obs)
@@ -81,12 +79,10 @@ def graph_td_loss(net, mixer, stale, batch, gamma, reward_fn=None) -> Tensor:
     return (err * err).mean()
 
 
-def graph_diff_loss(batch, net, mixer, j_pi, gamma, beta) -> Tensor:
-    obs, _, states, _, actions, _, _, ep_idx, t_idx, _ = _flatten_batch(batch)
-    n_eps = len(batch)
+def graph_diff_loss(q_tot: Tensor, flat: ctde.Transitions, j_pi, gamma, beta) -> Tensor:
+    _, _, _, _, actions, _, _, ep_idx, t_idx, n_eps = flat
     weights = gamma ** t_idx.astype(np.float64)
     r_mask = float(beta) * actions.sum(axis=1)
-    q_tot = _graph_mix(mixer, _graph_chosen_q(net, obs, actions), states)
     weighted = (q_tot - Tensor(r_mask)) * Tensor(weights)
     member = np.zeros((len(ep_idx), n_eps))
     member[np.arange(len(ep_idx)), ep_idx] = 1.0
@@ -96,15 +92,19 @@ def graph_diff_loss(batch, net, mixer, j_pi, gamma, beta) -> Tensor:
 
 
 def graph_step(learner: QLearner, batch, reward_fn, lam: float):
-    """(loss_e, loss_total, parameter gradients) of the graph-built step."""
+    """(loss_e, loss_total, parameter gradients) of the graph-built step;
+    both losses read one graph Q_tot, so its gradient accumulates there."""
     params = learner.optimizer.params
     for p in params:
         p.zero_grad()
     gamma = float(learner.config["gamma"])
-    loss_e = graph_td_loss(learner.net, learner.mixer, learner.stale, batch, gamma, reward_fn)
+    flat = _flatten_batch(batch)
+    q_tot = _graph_mix(learner.mixer, _graph_chosen_q(learner.net, flat.obs, flat.actions),
+                       flat.states)
+    loss_e = graph_td_loss(q_tot, learner.stale, flat, gamma, reward_fn)
     loss = loss_e
     if lam > 0:
-        loss = loss + graph_diff_loss(batch, learner.net, learner.mixer, J_PI, gamma, BETA) * lam
+        loss = loss + graph_diff_loss(q_tot, flat, J_PI, gamma, BETA) * lam
     loss.backward()
     grads = [p.grad for p in params]
     for p in params:
@@ -133,10 +133,9 @@ def _episode(rng, T: int) -> Episode:
                    rng.uniform(-0.5, 0.5, size=T))
 
 
-def _learner(mixer_kind: str, episodes: int = 40, batch_episodes: int = 30,
-             seed: int = 3) -> QLearner:
-    spec = EnvSpec(N_AGENTS, OBS_DIM, STATE_DIM, Discrete(N_ACTIONS), 30)
-    config = {"mixer": mixer_kind, "hidden": [16, 16], "mix_embed": 8, "lr": 5e-3,
+def _learner(episodes: int = 40, batch_episodes: int = 30, seed: int = 3) -> QLearner:
+    spec = EnvSpec(N_AGENTS, OBS_DIM, STATE_DIM, N_ACTIONS, 30)
+    config = {**DEFAULT_CONFIG["training"], "hidden": [16, 16], "mix_embed": 8, "lr": 5e-3,
               "buffer_episodes": 100, "batch_episodes": batch_episodes,
               "stale_interval": 200, "gamma": GAMMA}
     learner = QLearner(spec, N_ACTIONS, seed, config)
@@ -147,12 +146,13 @@ def _learner(mixer_kind: str, episodes: int = 40, batch_episodes: int = 30,
 
 
 # ---- parity ----
+# `mixer_kind` names the learner's one mixer in the test ids
 
-@pytest.mark.parametrize("mixer_kind", ["vdn", "monotonic"])
+@pytest.mark.parametrize("mixer_kind", ["monotonic"])
 @pytest.mark.parametrize("with_reward_fn", [False, True])
 @pytest.mark.parametrize("lam", [0.0, 0.7])
 def test_fused_td_step_equals_autodiff(mixer_kind, with_reward_fn, lam):
-    learner = _learner(mixer_kind)
+    learner = _learner()
     reward_fn = _reward_fn if with_reward_fn else None
     for _ in range(3):  # move the live net away from its stale snapshot
         learner.td_train_step(reward_fn, _extra_loss(lam))
@@ -162,14 +162,14 @@ def test_fused_td_step_equals_autodiff(mixer_kind, with_reward_fn, lam):
     assert stats["loss_e"] == ref_e
     assert stats["loss_total"] == ref_total
     params = learner.optimizer.params
-    assert len(params) == (20 if mixer_kind == "monotonic" else 6)
+    assert len(params) == 20
     for i, (p, ref) in enumerate(zip(params, ref_grads, strict=True)):
         assert np.array_equal(p.grad, ref), f"gradient {i}"
 
 
-@pytest.mark.parametrize("mixer_kind", ["vdn", "monotonic"])
+@pytest.mark.parametrize("mixer_kind", ["monotonic"])
 def test_fused_training_run_equals_autodiff_run(mixer_kind):
-    learner = _learner(mixer_kind, batch_episodes=7)
+    learner = _learner(batch_episodes=7)
     ref = copy.deepcopy(learner)
     for step in range(6):
         stats = learner.td_train_step(_reward_fn, _extra_loss(0.5))
@@ -186,11 +186,11 @@ def test_fused_training_run_equals_autodiff_run(mixer_kind):
         assert np.array_equal(p.data, q.data)
 
 
-@pytest.mark.parametrize("mixer_kind", ["vdn", "monotonic"])
+@pytest.mark.parametrize("mixer_kind", ["monotonic"])
 def test_td_steps_with_changing_row_counts_equal_autodiff(mixer_kind):
     # batches of 7, 30, 7 and 30 transitions run in leading-row views of the
     # learner's buffers, which are sized for 2 episodes x horizon 30
-    learner = _learner(mixer_kind, episodes=0, batch_episodes=2)
+    learner = _learner(episodes=0, batch_episodes=2)
     ref = copy.deepcopy(learner)
     rng = stream(8, "row-counts")
     for step, lengths in enumerate([(3, 4), (14, 16), (2, 5), (30,)]):
@@ -212,10 +212,10 @@ def test_td_steps_with_changing_row_counts_equal_autodiff(mixer_kind):
             assert np.array_equal(p.data, q.data), f"step {step}, parameter {i}"
 
 
-@pytest.mark.parametrize("mixer_kind", ["vdn", "monotonic"])
+@pytest.mark.parametrize("mixer_kind", ["monotonic"])
 def test_fused_mixer_equals_graph_mixer(mixer_kind):
     rng = stream(5, "fused-mix")
-    mixer = ctde.make_mixer(mixer_kind, N_AGENTS, STATE_DIM, 8, rng)
+    mixer = ctde.MonotonicMixer(N_AGENTS, STATE_DIM, 8, rng=rng)
     chosen, states = rng.standard_normal((50, N_AGENTS)), rng.standard_normal((50, STATE_DIM))
     q_tot, _ = mixer.mix(chosen, states)
     assert np.array_equal(q_tot, _graph_mix(mixer, Tensor(chosen), states).numpy())
@@ -246,7 +246,7 @@ def test_nan_observation_into_q_inference_raises():
 
 @pytest.mark.parametrize("field", ["obs", "states", "rewards"])
 def test_nan_in_buffered_episode_raises(field):
-    learner = _learner("monotonic", episodes=32)
+    learner = _learner(episodes=32)
     for ep in learner.buffer._dq:  # whichever episodes get sampled
         getattr(ep, field)[0] = np.nan
     before = [p.data.copy() for p in learner.optimizer.params]
@@ -257,7 +257,7 @@ def test_nan_in_buffered_episode_raises(field):
 
 @pytest.mark.filterwarnings("ignore:overflow encountered")
 def test_overflow_to_inf_in_td_step_raises():
-    learner = _learner("monotonic")
+    learner = _learner()
     for w in learner.net.mlp.weights:
         w.data = w.data * 1e200
     with pytest.raises(NumericsError, match="pre-activation"):
@@ -268,7 +268,7 @@ def test_overflow_to_inf_in_td_step_raises():
 def test_relu_zeroed_minus_inf_in_td_step_raises():
     # layer 1 pre-activation is -inf everywhere; its ReLU would make the
     # output the (finite) last bias, so only the pre-activation check sees it
-    learner = _learner("monotonic")
+    learner = _learner()
     mlp = learner.net.mlp
     mlp.weights[0].data = np.zeros_like(mlp.weights[0].data)
     mlp.biases[0].data = np.full_like(mlp.biases[0].data, 1e200)
@@ -281,7 +281,7 @@ def test_relu_zeroed_minus_inf_in_td_step_raises():
 
 
 def test_non_finite_gradient_raises_before_any_update(monkeypatch):
-    learner = _learner("monotonic")
+    learner = _learner()
     original = ctde.MonotonicMixer.mix_backward
 
     def poisoned(self, cache, d_qtot):
@@ -294,3 +294,19 @@ def test_non_finite_gradient_raises_before_any_update(monkeypatch):
     with pytest.raises(NumericsError, match="gradient"):
         learner.td_train_step()
     assert all(np.array_equal(p.data, b) for p, b in zip(learner.optimizer.params, before))
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.7])
+def test_td_step_runs_one_backward_pass(monkeypatch, lam):
+    learner = _learner()
+    calls = []
+    original = ctde.qtot_backward
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(ctde, "qtot_backward", counted)
+    for step in range(3):
+        learner.td_train_step(_reward_fn, _extra_loss(lam))
+        assert len(calls) == step + 1

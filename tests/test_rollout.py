@@ -63,7 +63,7 @@ def test_run_episode_copies_returned_actions():
 # ---- target_rewards: lockstep reward-only episodes, bitwise the scalar ones ----
 
 def _learned_target(env, seed=0):
-    net = AgentQNet(env.spec.obs_dim, env.spec.n_agents, env.spec.action_space.n,
+    net = AgentQNet(env.spec.obs_dim, env.spec.n_agents, env.spec.n_actions,
                     hidden=(16, 16), rng=stream(seed, "rollout-learned"))
     return LearnedPolicy(net)
 
