@@ -183,12 +183,12 @@ def cmd_patch(cfg: dict, out_dir: Path) -> list[Path]:
     package = evaluation.build_patch_package(
         explainer, target, env, harvest_episodes=cfg["eval"]["harvest_episodes"],
         quantile=cfg["eval"]["quantile"], seed=cfg["seed"])
-    pkg_path = out_dir / "patch_package.json"
-    package.save(pkg_path)
     report = evaluation.apply_patch(package, explainer, target, env,
                                     d_th=cfg["eval"]["d_th"],
                                     episodes=cfg["eval"]["episodes"],
                                     seed=cfg["seed"], workers=cfg["workers"])
+    pkg_path = out_dir / "patch_package.json"
+    package.save(pkg_path)
     return [pkg_path] + _write_report(out_dir, "patch", report, [
         ("reward_delta", report.delta, report.stderr),
         ("r_original", report.r_original, ""),

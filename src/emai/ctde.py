@@ -77,19 +77,37 @@ class AgentQNet:
 
     def _forward_own_inputs(self, x: np.ndarray, obs: np.ndarray) -> np.ndarray:
         """Q rows of x, rows of the net's own input block (its one-hot ids
-        are written once), after copying in their observations `obs`."""
+        are written once) or a stack of copies of them, after copying in
+        their observations `obs`."""
         obs_cols = x[..., :self.obs_dim]
         if np.shape(obs) != obs_cols.shape:
             raise nn.ShapeError(f"observation shape {np.shape(obs)} vs expected {obs_cols.shape}")
         obs_cols[...] = obs
-        return self.mlp.fused_forward(x.reshape(-1, x.shape[-1]))[0]
+        return self.mlp.fused_forward(np.atleast_2d(x))[0]
+
+    def _forward_stacked(self, block: np.ndarray, obs: np.ndarray) -> np.ndarray:
+        """Q of len(obs) stacked copies of the input block `block`, copy b
+        with observations obs[b]: one stacked forward whose block b equals
+        the forward of block b alone, bitwise (see Mlp.fused_forward)."""
+        x = np.empty((len(obs), *block.shape))
+        x[...] = block
+        return self._forward_own_inputs(x, obs)
 
     def q_single(self, obs: np.ndarray, agent_id: int) -> np.ndarray:
-        """Q vector for one agent (for acting/explaining)."""
+        """Q vector for one agent (for acting/explaining). A stack (B,
+        obs_dim) of observations gives (B, n_actions), row b bitwise
+        q_single(obs[b], agent_id)."""
+        if np.ndim(obs) == 2:
+            return self._forward_stacked(self._inputs[agent_id:agent_id + 1],
+                                         np.asarray(obs)[:, None])[:, 0]
         return self._forward_own_inputs(self._inputs[agent_id], obs)[0]
 
     def q_all_agents(self, observations: np.ndarray) -> np.ndarray:
-        """Q matrix (n_agents, n_actions) for a full observation set."""
+        """Q matrix (n_agents, n_actions) for a full observation set. A
+        stack (B, n_agents, obs_dim) of them gives (B, n_agents, n_actions),
+        block b bitwise q_all_agents(observations[b])."""
+        if np.ndim(observations) == 3:
+            return self._forward_stacked(self._inputs, observations)
         return self._forward_own_inputs(self._inputs, observations)
 
     def params(self) -> list[Tensor]:
@@ -475,7 +493,7 @@ class QLearner:
     def __init__(self, spec, n_actions: int, seed: int, config: dict):
         """A learner for env spec `spec` from a merged config: every key of
         config.DEFAULT_CONFIG["training"] must be present. An out-of-range
-        size or count raises ValueError."""
+        size, count, discount or exploration rate raises ValueError."""
         for key in ("batch_episodes", "stale_interval", "mix_embed"):
             if config[key] < 1:
                 raise ValueError(f"{key} must be >= 1, got {config[key]}")
@@ -486,6 +504,9 @@ class QLearner:
                              f"batch_episodes ({config['batch_episodes']})")
         if config["steps"] < 0:
             raise ValueError(f"steps must be >= 0, got {config['steps']}")
+        for key in ("gamma", "epsilon_start", "epsilon_end"):
+            if not 0.0 <= config[key] <= 1.0:
+                raise ValueError(f"{key} must lie in [0, 1], got {config[key]}")
         self.seed = int(seed)
         self.config = config
         init_rng = stream(seed, "init")

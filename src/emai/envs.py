@@ -239,6 +239,14 @@ class GridBatch:
             parts.append(_rel_batch(pos, points, rows, cols))
         return np.concatenate(parts, axis=-1)
 
+    def states(self) -> np.ndarray:
+        """The scalar layout of _GridEnv._state, (size, state_dim)."""
+        cells = np.concatenate([self.positions, self.landmarks], axis=1)
+        parts = [_norm_pos_batch(cells, self.env._rows, self.env._cols).reshape(self.size, -1)]
+        if self.env.DOOR is not None:
+            parts.append(np.where(self.door_open, 1.0, -1.0)[:, None])
+        return np.concatenate(parts, axis=1)
+
     def _validate_actions(self, joint_actions) -> np.ndarray:
         if self.done:
             raise EnvError("step() called on a terminated batch; branch a live state")

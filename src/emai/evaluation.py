@@ -18,17 +18,14 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .explain import ExplainContext, Explainer, trace_contexts
+from .explain import Explainer
 from .masking import _check_compat
 from .rng import episode_seed, stream
-from .rollout import (greedy_actions, reward_sums, run_batch, run_episode,
-                      run_target_episode, target_rewards)
+from .rollout import batch_actions, reward_sums, run_batch, run_lockstep, target_rewards
 
 RRD_DENOMINATOR_GUARD = 1e-6
-
-
-def _ctx(env, obs, state, ep_seed, prefix) -> ExplainContext:
-    return ExplainContext(obs, state, len(prefix), env.name, env.params, ep_seed, list(prefix))
+# bound on the (rows, entries, obs_dim) distance block of one patch query
+PATCH_DISTANCE_BLOCK = 1 << 16
 
 
 def _paired_stats(deltas: np.ndarray) -> tuple[float, float]:
@@ -37,75 +34,109 @@ def _paired_stats(deltas: np.ndarray) -> tuple[float, float]:
     return mean, se
 
 
-# ---- episode workers (module-level for picklability) ----
+def _most_critical(explainer: Explainer, batch, obs: np.ndarray, seeds, prefix) -> np.ndarray:
+    """Each row's most critical agent at the batch's step (lowest index wins
+    ties): the argmax of the explainer's scores, as most_critical takes it."""
+    scores = explainer.scores_batch(batch.env, obs, batch.states(), batch.t, seeds, prefix)
+    return np.argmax(scores, axis=1)
 
-def _w_guided(payload) -> float:
+
+def _in_chunks(fn, shared: tuple, seeds: list, workers: int) -> list:
+    """fn((*shared, indices, chunk_seeds)) over contiguous chunks of the
+    episodes, one chunk per worker, through run_batch; results in seed
+    order. Every arm's rows are independent of the chunk they run in."""
+    chunks = [c.tolist() for c in np.array_split(np.arange(len(seeds)), max(1, workers)) if len(c)]
+    return run_batch(fn, [(*shared, c, [seeds[i] for i in c]) for c in chunks], workers)
+
+
+# ---- lockstep episode arms (module-level for picklability) ----
+# Each plays one chunk of episodes as one lockstep batch and draws every
+# episode's own stream once per step, in the order one scalar episode would.
+
+def _guided(payload) -> np.ndarray:
     """Each step, randomize only the explainer's most critical agent."""
-    env, target, explainer, ep_seed, tags = payload
-    mask_rng = stream(*tags)
+    env, target, explainer, root, indices, seeds = payload
+    mask_rngs = [stream(root, "fid-mask-e", i) for i in indices]
     n_actions = env.spec.n_actions
+    rows = np.arange(len(seeds))
 
-    def act(obs, state, prefix):
-        actions = greedy_actions(target, obs)
-        critical = explainer.most_critical(_ctx(env, obs, state, ep_seed, prefix))
-        actions[critical] = int(mask_rng.integers(0, n_actions))
+    def act(batch, obs, prefix):
+        actions = batch_actions(target, obs)
+        critical = _most_critical(explainer, batch, obs, seeds, prefix)
+        actions[rows, critical] = [int(rng.integers(0, n_actions)) for rng in mask_rngs]
         return actions
 
-    return run_episode(env, ep_seed, act).episode_reward
+    return reward_sums(run_lockstep(env, seeds, act)[0])
 
 
-def _w_random_guided(payload) -> float:
-    env, target, ep_seed, tags = payload
-    rng = stream(*tags)
+def _random_guided(payload) -> np.ndarray:
+    """Each step, randomize one uniformly drawn agent."""
+    env, target, root, indices, seeds = payload
+    rngs = [stream(root, "fid-mask-r", i) for i in indices]
     n, n_actions = env.spec.n_agents, env.spec.n_actions
 
-    def act(obs, state, prefix):
-        actions = greedy_actions(target, obs)
-        actions[int(rng.integers(0, n))] = int(rng.integers(0, n_actions))
+    def act(batch, obs, prefix):
+        actions = batch_actions(target, obs)
+        for b, rng in enumerate(rngs):
+            # the right side is evaluated first: the action draw precedes the agent draw
+            actions[b, int(rng.integers(0, n))] = int(rng.integers(0, n_actions))
         return actions
 
-    return run_episode(env, ep_seed, act).episode_reward
+    return reward_sums(run_lockstep(env, seeds, act)[0])
 
 
-def _w_attacked(payload) -> float:
-    env, target, explainer, ep_seed, noise_eps, tags, attack_all = payload
-    rng = stream(*tags)
-    obs_dim = env.spec.obs_dim
-    n = env.spec.n_agents
+def _attacked(payload) -> np.ndarray:
+    """Uniform noise on the observations of the most critical agent (or of
+    every agent), in agent order; the target acts on what it sees."""
+    env, target, explainer, noise_eps, attack_all, root, indices, seeds = payload
+    rngs = [stream(root, "attack-noise", i) for i in indices]
+    n, obs_dim = env.spec.n_agents, env.spec.obs_dim
+    rows = np.arange(len(seeds))[:, None]
 
-    def act(obs, state, prefix):
-        victims = (range(n) if attack_all else
-                   [explainer.most_critical(_ctx(env, obs, state, ep_seed, prefix))])
-        actions = []
-        for i in range(n):
-            if i in victims:
-                noise = rng.uniform(-noise_eps, noise_eps, obs_dim)
-                seen = np.clip(obs[i] + noise, -1.0, 1.0)
-            else:
-                seen = obs[i]
-            actions.append(target.act(seen, i))
+    def act(batch, obs, prefix):
+        victims = (np.tile(np.arange(n), (len(seeds), 1)) if attack_all else
+                   _most_critical(explainer, batch, obs, seeds, prefix)[:, None])
+        noise = np.array([[rng.uniform(-noise_eps, noise_eps, obs_dim) for _ in agents]
+                          for rng, agents in zip(rngs, victims)])
+        seen = obs.copy()
+        seen[rows, victims] = np.clip(obs[rows, victims] + noise, -1.0, 1.0)
+        return batch_actions(target, seen)
+
+    return reward_sums(run_lockstep(env, seeds, act)[0])
+
+
+def _nearest_entries(pkg_obs: np.ndarray, queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per query row: the index of the package entry nearest in Manhattan
+    distance (ties to the lowest index) and that distance. Rows are taken a
+    block at a time, each row's distances summed as in a one-row query."""
+    block = max(1, PATCH_DISTANCE_BLOCK // max(1, pkg_obs.size))
+    best = np.empty(len(queries), dtype=np.int64)
+    dist = np.empty(len(queries))
+    for lo in range(0, len(queries), block):
+        dists = np.abs(pkg_obs - queries[lo:lo + block, None]).sum(axis=2)
+        best[lo:lo + block] = np.argmin(dists, axis=1)
+        dist[lo:lo + block] = dists[np.arange(len(dists)), best[lo:lo + block]]
+    return best, dist
+
+
+def _patched(payload) -> tuple[np.ndarray, np.ndarray]:
+    """Override the critical agent's action with its nearest package action."""
+    env, target, explainer, pkg_obs, pkg_actions, d_th, indices, seeds = payload
+    rows = np.arange(len(seeds))
+    overrides = np.zeros(len(seeds), dtype=np.int64)
+
+    def act(batch, obs, prefix):
+        actions = batch_actions(target, obs)
+        critical = _most_critical(explainer, batch, obs, seeds, prefix)
+        best, dist = _nearest_entries(pkg_obs, obs[rows, critical])
+        proposed = pkg_actions[best]
+        hit = (dist < d_th) & (proposed != actions[rows, critical])
+        actions[rows[hit], critical[hit]] = proposed[hit]
+        overrides[hit] += 1
         return actions
 
-    return run_episode(env, ep_seed, act).episode_reward
-
-
-def _w_patched(payload) -> tuple[float, int]:
-    env, target, explainer, pkg_obs, pkg_actions, ep_seed, d_th = payload
-    overrides = 0
-
-    def act(obs, state, prefix):
-        nonlocal overrides
-        actions = greedy_actions(target, obs)
-        critical = explainer.most_critical(_ctx(env, obs, state, ep_seed, prefix))
-        dists = np.abs(pkg_obs - obs[critical]).sum(axis=1)
-        best = int(np.argmin(dists))  # ties resolve to the lowest entry index
-        if dists[best] < d_th and int(pkg_actions[best]) != actions[critical]:
-            actions[critical] = int(pkg_actions[best])
-            overrides += 1
-        return actions
-
-    reward = run_episode(env, ep_seed, act).episode_reward
-    return reward, overrides
+    rewards = reward_sums(run_lockstep(env, seeds, act)[0])
+    return rewards, overrides
 
 
 # ---- fidelity ----
@@ -131,6 +162,24 @@ class RrdReport:
     def to_dict(self) -> dict:
         return asdict(self)
 
+    @classmethod
+    def from_rewards(cls, explainer_id: str, env_name: str, r_o: np.ndarray,
+                     r_e: np.ndarray, r_r: np.ndarray) -> "RrdReport":
+        """The report of matched per-episode rewards: original, guided, random."""
+        delta_e, se_de = _paired_stats(r_e - r_o)
+        delta_r, se_dr = _paired_stats(r_r - r_o)
+        if abs(delta_r) < RRD_DENOMINATOR_GUARD:
+            rrd, rrd_se = None, None  # undefined; numerator/denominator still reported
+        else:
+            rrd = abs(delta_e) / abs(delta_r)
+            rrd_se = float(np.sqrt(se_de ** 2 + (rrd ** 2) * se_dr ** 2) / abs(delta_r))
+        def se(x):
+            return float(x.std(ddof=1) / np.sqrt(len(x))) if len(x) > 1 else 0.0
+        return cls(explainer_id, env_name, len(r_o),
+                   float(r_o.mean()), float(r_e.mean()), float(r_r.mean()),
+                   se(r_o), se(r_e), se(r_r),
+                   delta_e, delta_r, se_de, se_dr, rrd, rrd_se)
+
 
 def eval_fidelity(explainer: Explainer, target, env, episodes: int = 500,
                   seed: int = 0, workers: int = 1) -> RrdReport:
@@ -140,27 +189,9 @@ def eval_fidelity(explainer: Explainer, target, env, episodes: int = 500,
     _check_compat(target, env)
     seeds = [episode_seed(seed, "fidelity", i) for i in range(episodes)]
     r_o = reward_sums(target_rewards(env, seeds, target))
-    r_e = np.array(run_batch(
-        _w_guided,
-        [(env, target, explainer, s, (seed, "fid-mask-e", i)) for i, s in enumerate(seeds)],
-        workers))
-    r_r = np.array(run_batch(
-        _w_random_guided,
-        [(env, target, s, (seed, "fid-mask-r", i)) for i, s in enumerate(seeds)],
-        workers))
-    delta_e, se_de = _paired_stats(r_e - r_o)
-    delta_r, se_dr = _paired_stats(r_r - r_o)
-    if abs(delta_r) < RRD_DENOMINATOR_GUARD:
-        rrd, rrd_se = None, None  # undefined; numerator/denominator still reported
-    else:
-        rrd = abs(delta_e) / abs(delta_r)
-        rrd_se = float(np.sqrt(se_de ** 2 + (rrd ** 2) * se_dr ** 2) / abs(delta_r))
-    def se(x):
-        return float(x.std(ddof=1) / np.sqrt(len(x))) if len(x) > 1 else 0.0
-    return RrdReport(explainer.kind, env.name, episodes,
-                     float(r_o.mean()), float(r_e.mean()), float(r_r.mean()),
-                     se(r_o), se(r_e), se(r_r),
-                     delta_e, delta_r, se_de, se_dr, rrd, rrd_se)
+    r_e = np.concatenate(_in_chunks(_guided, (env, target, explainer, seed), seeds, workers))
+    r_r = np.concatenate(_in_chunks(_random_guided, (env, target, seed), seeds, workers))
+    return RrdReport.from_rewards(explainer.kind, env.name, r_o, r_e, r_r)
 
 
 # ---- attacks ----
@@ -179,6 +210,14 @@ class AttackReport:
     def to_dict(self) -> dict:
         return asdict(self)
 
+    @classmethod
+    def from_rewards(cls, explainer_id: str, env_name: str, noise_eps: float,
+                     r_o: np.ndarray, r_a: np.ndarray) -> "AttackReport":
+        """The report of matched per-episode rewards: original, attacked."""
+        delta, se = _paired_stats(r_a - r_o)
+        return cls(explainer_id, env_name, len(r_o), float(noise_eps),
+                   float(r_o.mean()), float(r_a.mean()), delta, se)
+
 
 def launch_attack(explainer: Explainer, target, env, noise_eps: float = 0.5,
                   episodes: int = 500, seed: int = 0, workers: int = 1,
@@ -191,14 +230,9 @@ def launch_attack(explainer: Explainer, target, env, noise_eps: float = 0.5,
     _check_compat(target, env)
     seeds = [episode_seed(seed, "attack", i) for i in range(episodes)]
     r_o = reward_sums(target_rewards(env, seeds, target))
-    r_a = np.array(run_batch(
-        _w_attacked,
-        [(env, target, explainer, s, float(noise_eps), (seed, "attack-noise", i), attack_all)
-         for i, s in enumerate(seeds)],
-        workers))
-    delta, se = _paired_stats(r_a - r_o)
-    return AttackReport(explainer.kind, env.name, episodes, float(noise_eps),
-                        float(r_o.mean()), float(r_a.mean()), delta, se)
+    r_a = np.concatenate(_in_chunks(
+        _attacked, (env, target, explainer, float(noise_eps), attack_all, seed), seeds, workers))
+    return AttackReport.from_rewards(explainer.kind, env.name, noise_eps, r_o, r_a)
 
 
 # ---- patching ----
@@ -250,26 +284,39 @@ def build_patch_package(explainer: Explainer, target, env, harvest_episodes: int
     if not (0.0 < quantile <= 1.0):
         raise ValueError("quantile must lie in (0, 1]")
     _check_compat(target, env)
-    traces = [run_target_episode(env, episode_seed(seed, "harvest", i), target)
-              for i in range(harvest_episodes)]
-    rewards = np.array([tr.episode_reward for tr in traces])
+    seeds = [episode_seed(seed, "harvest", i) for i in range(harvest_episodes)]
+    obs_log, state_log = [], []
+
+    def act(batch, obs, prefix):
+        obs_log.append(obs)
+        state_log.append(batch.states())
+        return batch_actions(target, obs)
+
+    step_rewards, actions = run_lockstep(env, seeds, act)
+    rewards = reward_sums(step_rewards)
     if np.all(rewards == rewards[0]):
         warnings.warn("all harvest episode rewards are equal; keeping every episode")
         kept = list(range(harvest_episodes))
     else:
         order = sorted(range(harvest_episodes), key=lambda i: (-rewards[i], i))
         kept = order[:max(1, int(round(quantile * harvest_episodes)))]
+    # the kept episodes' critical agents, scored one step at a time across episodes
+    kept_seeds = [seeds[i] for i in kept]
+    critical = np.stack([
+        np.argmax(explainer.scores_batch(env, obs_log[t][kept], state_log[t][kept], t,
+                                         kept_seeds, actions[kept, :t]), axis=1)
+        for t in range(len(obs_log))], axis=1)
     seen: dict[tuple, int] = {}
     entries_obs: list[np.ndarray] = []
     entries_act: list[int] = []
-    for i in kept:
-        for step, ctx in trace_contexts(traces[i], env):
-            critical = explainer.most_critical(ctx)
-            key = tuple(step.observations[critical])
+    for k, i in enumerate(kept):
+        for t, agent in enumerate(critical[k]):
+            row = obs_log[t][i, agent]
+            key = tuple(row)
             if key not in seen:
                 seen[key] = len(entries_obs)
-                entries_obs.append(np.asarray(step.observations[critical]))
-                entries_act.append(int(step.final_actions[critical]))
+                entries_obs.append(row)
+                entries_act.append(int(actions[i, t, agent]))
     return PatchPackage(env.name, explainer.kind, float(quantile),
                         np.stack(entries_obs) if entries_obs else np.zeros((0, env.spec.obs_dim)),
                         np.array(entries_act, dtype=np.int64))
@@ -291,6 +338,15 @@ class PatchReport:
     def to_dict(self) -> dict:
         return asdict(self)
 
+    @classmethod
+    def from_rewards(cls, explainer_id: str, env_name: str, d_th: float, package_entries: int,
+                     r_o: np.ndarray, r_p: np.ndarray, overrides: np.ndarray) -> "PatchReport":
+        """The report of matched per-episode rewards, original and patched,
+        and of the per-episode override counts."""
+        delta, se = _paired_stats(r_p - r_o)
+        return cls(explainer_id, env_name, len(r_o), float(d_th), package_entries,
+                   float(r_o.mean()), float(r_p.mean()), delta, se, float(overrides.mean()))
+
 
 def apply_patch(package: PatchPackage, explainer: Explainer, target, env,
                 d_th: float | None = None, episodes: int = 500, seed: int = 0,
@@ -305,16 +361,13 @@ def apply_patch(package: PatchPackage, explainer: Explainer, target, env,
     _check_compat(target, env)
     if d_th is None:
         d_th = 0.05 * env.spec.obs_dim
+    if d_th < 0:
+        raise ValueError(f"d_th must be >= 0, got {d_th}")
     seeds = [episode_seed(seed, "patch", i) for i in range(episodes)]
     r_o = reward_sums(target_rewards(env, seeds, target))
-    rows = run_batch(
-        _w_patched,
-        [(env, target, explainer, package.obs, package.actions, s, float(d_th))
-         for s in seeds],
-        workers)
-    r_p = np.array([r[0] for r in rows])
-    overrides = np.array([r[1] for r in rows])
-    delta, se = _paired_stats(r_p - r_o)
-    return PatchReport(explainer.kind, env.name, episodes, float(d_th), len(package),
-                       float(r_o.mean()), float(r_p.mean()), delta, se,
-                       float(overrides.mean()))
+    chunks = _in_chunks(_patched, (env, target, explainer, package.obs, package.actions,
+                                   float(d_th)), seeds, workers)
+    r_p = np.concatenate([r for r, _ in chunks])
+    overrides = np.concatenate([o for _, o in chunks])
+    return PatchReport.from_rewards(explainer.kind, env.name, d_th, len(package),
+                                    r_o, r_p, overrides)

@@ -65,6 +65,21 @@ class Explainer:
     def most_critical(self, ctx: ExplainContext) -> int:
         return int(np.argmax(self.scores(ctx)))  # lowest index wins ties
 
+    def scores_batch(self, env, observations: np.ndarray, states: np.ndarray, t: int,
+                     episode_seeds, prefix: np.ndarray) -> np.ndarray:
+        """scores() of B episodes of `env` at step t, as a (B, n_agents) array.
+
+        Row b scores the context of episode_seeds[b] with observations[b]
+        (n_agents, obs_dim), states[b] and the executed joint actions
+        prefix[b] (t, n_agents). The default builds each row's
+        ExplainContext and calls scores(); an override must return the
+        same rows bitwise.
+        """
+        return np.stack([
+            self.scores(ExplainContext(observations[b], states[b], t, env.name, env.params,
+                                       int(episode_seeds[b]), prefix[b].tolist()))
+            for b in range(len(observations))])
+
 
 class EmaiExplainer(Explainer):
     """Keep-minus-mask value gap from a trained masking policy."""
@@ -76,6 +91,10 @@ class EmaiExplainer(Explainer):
 
     def scores(self, ctx: ExplainContext) -> np.ndarray:
         return self.policy.importance_vector(ctx.observations)
+
+    def scores_batch(self, env, observations, states, t, episode_seeds, prefix) -> np.ndarray:
+        """One stacked forward over the B observation sets."""
+        return self.policy.importance_vector(observations)
 
 
 class RandomExplainer(Explainer):
@@ -106,6 +125,10 @@ class ValueBasedExplainer(Explainer):
     def scores(self, ctx: ExplainContext) -> np.ndarray:
         q = self._qnet.q_all_agents(ctx.observations)
         return q.max(axis=1)
+
+    def scores_batch(self, env, observations, states, t, episode_seeds, prefix) -> np.ndarray:
+        """One stacked forward over the B observation sets."""
+        return self._qnet.q_all_agents(observations).max(axis=2)
 
 
 class GradientBasedExplainer(Explainer):

@@ -112,12 +112,14 @@ class MaskingPolicy:
         return self.qnet.n_agents
 
     def mask_q(self, observations: np.ndarray) -> np.ndarray:
-        """(n_agents, 2) matrix of keep/mask values, graph-free."""
+        """(n_agents, 2) matrix of keep/mask values, graph-free; a stack
+        (B, n_agents, obs_dim) of observation sets gives (B, n_agents, 2)."""
         return self.qnet.q_all_agents(np.asarray(observations))
 
     def importance_vector(self, observations: np.ndarray) -> np.ndarray:
+        """Keep-minus-mask value per agent; (B, n_agents) for a stack."""
         q = self.mask_q(observations)
-        return q[:, KEEP] - q[:, MASK]
+        return q[..., KEEP] - q[..., MASK]
 
     def greedy_mask_bits(self, observations: np.ndarray) -> np.ndarray:
         """Per-agent argmax over {keep, mask}; keep wins ties."""
@@ -177,6 +179,7 @@ def train_emai(target, env, config: dict | None = None, seed: int = 0,
     cfg = merged_sections(config, "training", "emai")
     _check_compat(target, env)
     spec = env.spec
+    learner = QLearner(spec, 2, seed, cfg)  # checks the config before the baseline runs
     gamma = float(cfg["gamma"])
     if baseline is None:
         baseline = estimate_baseline_return(target, env, int(cfg["baseline_episodes"]),
@@ -188,8 +191,6 @@ def train_emai(target, env, config: dict | None = None, seed: int = 0,
     lam = float(cfg["lambda"])
     if beta < 0 or lam < 0:
         raise ValueError("beta and lambda must be >= 0")
-
-    learner = QLearner(spec, 2, seed, cfg)
 
     def reward_fn(rewards, actions):
         return rewards + beta * actions.sum(axis=1)

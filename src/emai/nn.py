@@ -483,6 +483,12 @@ class Mlp:
         """Graph-free forward of a (B, in) batch -> (B, out), plus the cache
         for fused_backward: the layer inputs and the output, and `ws`.
 
+        A stacked (B, r, in) input gives (B, r, out): each layer is one
+        stacked matmul, which numpy computes block by block, so block b's
+        rows round exactly as fused_forward(x[b]) would, whatever B is. (A
+        flat (B * r, in) batch can round a row differently than an r-row
+        one.) fused_backward takes the cache of a (B, in) forward only.
+
         Layer i's output is written into ws under (key, i), where it stays
         until the next forward with that key. key=None is for a forward
         whose cache is never used: its layers take turns on the ping-pong
@@ -491,13 +497,14 @@ class Mlp:
         are checked finite (NumericsError) before the activation overwrites
         the pre-activation in place.
         """
-        if x.ndim != 2 or x.shape[1] != self.layer_sizes[0]:
-            raise ShapeError(f"input shape {x.shape} vs expected (*, {self.layer_sizes[0]})")
+        if x.ndim not in (2, 3) or x.shape[-1] != self.layer_sizes[0]:
+            raise ShapeError(f"input shape {x.shape} vs expected (*, {self.layer_sizes[0]}) "
+                             f"or (*, *, {self.layer_sizes[0]})")
         _check_finite(x, "MLP input")
         outs = [x]
         for i, (w, b, act) in enumerate(zip(self.weights, self.biases, self.activations)):
             name = ("pp", i % 2) if key is None else (key, i)
-            z = np.matmul(x, w.data, out=ws.take(name, len(x), w.data.shape[1]))
+            z = np.matmul(x, w.data, out=ws.take(name, *x.shape[:-1], w.data.shape[1]))
             np.add(z, b.data, out=z)
             _check_finite(z, f"MLP layer {i} pre-activation")
             x = _relu_f(z, out=z) if act == "relu" else z

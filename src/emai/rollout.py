@@ -2,9 +2,10 @@
 
 Every rollout is a pure function of (environment, seed, policies, explicit
 rng streams), so batches replay bitwise and can safely fan out across
-processes with results merged in fixed seed order. Rollouts that read only
-rewards run all their episodes as one lockstep GridBatch (target_rewards);
-rollouts that need each step's observations build a Trace (run_episode).
+processes with results merged in fixed seed order. A batch of episodes runs
+as one lockstep GridBatch (run_lockstep), whose act function sees every
+step's observations, states and executed actions; a single episode whose
+steps a caller keeps builds a Trace (run_episode).
 """
 from __future__ import annotations
 
@@ -29,19 +30,38 @@ def batch_actions(target, observations: np.ndarray) -> np.ndarray:
                     axis=1)
 
 
-def target_rewards(env, seeds, target) -> np.ndarray:
-    """Step rewards (len(seeds), horizon) of unmasked greedy episodes, one row
-    per seed, stepped in lockstep from env.reset_batch(seeds). Row b equals,
-    reward for reward, run_target_episode(env, seeds[b], target)."""
+def run_lockstep(env, seeds, act_fn) -> tuple[np.ndarray, np.ndarray]:
+    """Play one episode per seed, in lockstep from env.reset_batch(seeds);
+    act_fn picks every step's joint actions.
+
+    act_fn(batch, obs, prefix) returns the (B, n_agents) joint actions of
+    step batch.t, given the GridBatch (for batch.states()), its observations
+    (B, n_agents, obs_dim) and prefix, the (B, t, n_agents) joint actions
+    executed so far: a view that act_fn must neither keep nor change.
+    Returns the step rewards (B, horizon) and the executed joint actions
+    (B, horizon, n_agents). Row b equals run_episode(env, seeds[b], f) for
+    an f that picks row b's actions.
+    """
     batch = env.reset_batch(seeds)
-    rewards = np.empty((batch.size, env.spec.horizon))
+    horizon = env.spec.horizon
+    rewards = np.empty((batch.size, horizon))
+    actions = np.empty((batch.size, horizon, env.spec.n_agents), dtype=np.int64)
     obs = batch.observations()
     while not batch.done:
         t = batch.t
-        result = batch.step(batch_actions(target, obs))
+        joint = act_fn(batch, obs, actions[:, :t])
+        result = batch.step(joint)  # validates the shape and range of joint
+        actions[:, t] = joint
         rewards[:, t] = result.reward
         obs = result.observations
-    return rewards
+    return rewards, actions
+
+
+def target_rewards(env, seeds, target) -> np.ndarray:
+    """Step rewards (len(seeds), horizon) of unmasked greedy episodes, one row
+    per seed. Row b equals, reward for reward, run_target_episode(env,
+    seeds[b], target)."""
+    return run_lockstep(env, seeds, lambda batch, obs, prefix: batch_actions(target, obs))[0]
 
 
 def reward_sums(rewards: np.ndarray, gamma: float = 1.0) -> np.ndarray:

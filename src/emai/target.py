@@ -35,9 +35,8 @@ class TargetPolicy:
     def act_batch(self, obs: np.ndarray, agent_id: int) -> np.ndarray:
         """act() over the rows of obs (B, obs_dim); returns (B,) int64.
 
-        Overrides must give exactly [act(row, agent_id) for row in obs]. The
-        default loops over act(), which keeps black-box and learned targets
-        exact: a batched matmul need not round like a one-row product.
+        Overrides must give exactly [act(row, agent_id) for row in obs]; the
+        default loops over act().
         """
         obs = self._check_obs_batch(obs)
         return np.array([self.act(row, agent_id) for row in obs], dtype=np.int64)
@@ -80,6 +79,19 @@ def _denorm_batch(values: np.ndarray, extent: int) -> np.ndarray:
 
 def _denorm_rel_batch(values: np.ndarray, extent: int) -> np.ndarray:
     return np.clip(np.rint(values * (extent - 1)), 1 - extent, extent - 1).astype(np.int64)
+
+
+def _check_finite_batch(obs: np.ndarray) -> np.ndarray:
+    if not np.isfinite(obs).all():
+        raise ValueError("observation batch has non-finite entries")
+    return obs
+
+
+def _step_toward(dr: np.ndarray, dc: np.ndarray) -> np.ndarray:
+    """Per row, the move that closes a row gap dr first, then a column gap
+    dc (STAY when both are 0), as the scripted targets' act() picks it."""
+    return np.where(dr != 0, np.where(dr < 0, UP, DOWN),
+                    np.where(dc != 0, np.where(dc < 0, LEFT, RIGHT), STAY))
 
 
 class ScriptedSpread(TargetPolicy):
@@ -139,6 +151,30 @@ class ScriptedSpread(TargetPolicy):
         if own[1] != mine[1]:
             return LEFT if mine[1] < own[1] else RIGHT
         return STAY
+
+    def act_batch(self, obs: np.ndarray, agent_id: int) -> np.ndarray:
+        """act() over rows: _decode and the greedy claims, vectorized over
+        rows; non-finite input raises."""
+        obs = _check_finite_batch(self._check_obs_batch(obs))
+        g, n = self.grid, self.n_agents
+        own = np.stack([_denorm_batch(obs[:, 0], g), _denorm_batch(obs[:, 1], g)], axis=1)
+
+        def cells(offset: int, count: int) -> np.ndarray:  # (B, count, 2), clamped to the grid
+            rel = _denorm_rel_batch(obs[:, offset:offset + 2 * count], g).reshape(-1, count, 2)
+            return np.clip(own[:, None] + rel, 0, g - 1)
+
+        landmarks = cells(2, n)
+        positions = np.empty((len(obs), n, 2), dtype=np.int64)
+        positions[:, agent_id] = own
+        positions[:, [j for j in range(n) if j != agent_id]] = cells(2 + 2 * n, n - 1)
+        dist = np.abs(positions[:, :, None] - landmarks[:, None]).sum(axis=-1)  # (B, agent, lm)
+        rows = np.arange(len(obs))
+        claimed = np.zeros((len(obs), n), dtype=bool)
+        for i in range(agent_id + 1):  # claims in id order; argmin takes the lowest index
+            best = np.argmin(np.where(claimed, np.iinfo(np.int64).max, dist[:, i]), axis=1)
+            claimed[rows, best] = True
+        mine = landmarks[rows, best]
+        return _step_toward(mine[:, 0] - own[:, 0], mine[:, 1] - own[:, 1])
 
 
 def _bfs_distances(passable, rows: int, cols: int, goal: tuple[int, int]) -> dict:
@@ -238,9 +274,7 @@ class ScriptedKeyCorridor(TargetPolicy):
 
     def act_batch(self, obs: np.ndarray, agent_id: int) -> np.ndarray:
         """act() over rows via the next-move tables; non-finite input raises."""
-        obs = self._check_obs_batch(obs)
-        if not np.isfinite(obs).all():
-            raise ValueError("observation batch has non-finite entries")
+        obs = _check_finite_batch(self._check_obs_batch(obs))
         rows, cols = KeyCorridor.ROWS, KeyCorridor.COLS
         tables = self._next_moves()
         r, c = _denorm_batch(obs[:, 0], rows), _denorm_batch(obs[:, 1], cols)
@@ -275,6 +309,13 @@ class ScriptedDiagnostic(TargetPolicy):
             return LEFT if dc < 0 else RIGHT
         return STAY
 
+    def act_batch(self, obs: np.ndarray, agent_id: int) -> np.ndarray:
+        """act() over rows; non-finite input raises."""
+        obs = _check_finite_batch(self._check_obs_batch(obs))
+        dr = _denorm_rel_batch(obs[:, 2], self.grid)
+        dc = _denorm_rel_batch(obs[:, 3], self.grid)
+        return _step_toward(dr, dc)
+
 
 class LearnedPolicy(TargetPolicy):
     """Greedy execution of a trained utility network (epsilon = 0)."""
@@ -288,6 +329,11 @@ class LearnedPolicy(TargetPolicy):
     def act(self, obs: np.ndarray, agent_id: int) -> int:
         obs = self._check_obs(obs)
         return int(np.argmax(self._qnet.q_single(obs, agent_id)))  # lowest index wins ties
+
+    def act_batch(self, obs: np.ndarray, agent_id: int) -> np.ndarray:
+        """act() over rows: one stacked forward of one-row blocks."""
+        obs = self._check_obs_batch(obs)
+        return np.argmax(self._qnet.q_single(obs, agent_id), axis=1)
 
     def descriptor(self) -> str:
         digest = hashlib.sha256(

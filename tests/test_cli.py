@@ -291,11 +291,20 @@ def test_ill_typed_config_value_exit_2(tmp_path, override):
      "buffer_episodes (0) must be >= batch_episodes (4)"),
     ("train-target", ["training.steps=-5"], "steps must be >= 0"),
     ("explain", ["eval.explain_episodes=-1"], "explain_episodes must be >= 1"),
+    ("train-target", ["training.steps=50", "training.gamma=1.5"], "gamma must lie in [0, 1]"),
+    ("train-emai", ["emai.gamma=-0.1"], "gamma must lie in [0, 1]"),
+    ("train-target", ["training.steps=50", "training.epsilon_start=1.2"],
+     "epsilon_start must lie in [0, 1]"),
+    ("train-target", ["training.steps=50", "training.epsilon_end=-0.2"],
+     "epsilon_end must lie in [0, 1]"),
+    ("patch", ["eval.d_th=-1"], "d_th must be >= 0"),
 ], ids=["attack-noise_eps", "eval-fidelity-episodes", "patch-quantile",
         "patch-harvest_episodes", "train-target-lr", "train-emai-beta",
         "train-target-batch_episodes", "train-target-stale_interval",
         "train-target-mix_embed", "train-target-hidden", "train-target-buffer_episodes",
-        "train-target-steps", "explain-explain_episodes"])
+        "train-target-steps", "explain-explain_episodes", "train-target-gamma",
+        "train-emai-gamma", "train-target-epsilon_start", "train-target-epsilon_end",
+        "patch-d_th"])
 def test_rejected_config_value_exit_2(tmp_path, capsys, command, overrides, message):
     # values of the right type that the library rejects are config errors too
     args = [command, "--config", str(_write_cfg(tmp_path, FAST_EMAI)),
@@ -305,6 +314,7 @@ def test_rejected_config_value_exit_2(tmp_path, capsys, command, overrides, mess
     assert main(args) == 2
     err = capsys.readouterr().err
     assert "config error" in err and message in err
+    assert not (tmp_path / "o").exists() or not any((tmp_path / "o").iterdir())
 
 
 def test_config_types_follow_defaults(tmp_path):

@@ -211,6 +211,7 @@ def _step_lockstep(batch, copies, joint_actions):
     result = batch.step(joint_actions)
     scalar = [c.step(list(a)) for c, a in zip(copies, joint_actions)]
     assert _same_bits(result.observations, np.stack([s.observations for s in scalar]))
+    assert _same_bits(batch.states(), np.stack([s.next_state for s in scalar]))
     assert _same_bits(result.reward, np.array([s.reward for s in scalar]))
     assert result.done == scalar[0].done
     assert [list(map(tuple, p)) for p in batch.positions.tolist()] == [c.positions for c in copies]
@@ -239,6 +240,7 @@ def test_batch_matches_scalar_copies_under_random_actions(name, params):
         batch = env.branch(size)
         copies = [copy.deepcopy(env) for _ in range(size)]
         assert _same_bits(batch.observations(), np.stack([c.observations() for c in copies]))
+        assert _same_bits(batch.states(), np.stack([c._state() for c in copies]))
         while not batch.done:
             before = batch.positions.copy()
             acts = rng.integers(0, 5, size=(size, n))
@@ -333,6 +335,7 @@ def test_reset_batch_rows_equal_scalar_resets(name, params):
     if name == "keycorridor":
         assert batch.door_open.dtype == bool and not batch.door_open.any()
     assert _same_bits(batch.observations(), np.stack([c.observations() for c in copies]))
+    assert _same_bits(batch.states(), np.stack([c._state() for c in copies]))
 
 
 @pytest.mark.parametrize("name,params", BATCH_CASES)

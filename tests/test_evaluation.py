@@ -1,15 +1,24 @@
 """Evaluation harness: RRD accounting, attacks, patch packages."""
 from __future__ import annotations
 
+import warnings
+import zlib
+
 import numpy as np
 import pytest
 
+from emai.ctde import AgentQNet, MonotonicMixer
 from emai.envs import make_env
-from emai.evaluation import (PatchPackage, RRD_DENOMINATOR_GUARD, apply_patch,
-                             build_patch_package, eval_fidelity, launch_attack)
-from emai.explain import ExplainContext, Explainer, McOracleExplainer, RandomExplainer
-from emai.rng import episode_seed
-from emai.target import scripted_policy
+from emai.evaluation import (AttackReport, PatchPackage, PatchReport, RRD_DENOMINATOR_GUARD,
+                             RrdReport, apply_patch, build_patch_package, eval_fidelity,
+                             launch_attack)
+from emai.explain import (EmaiExplainer, ExplainContext, Explainer, GradientBasedExplainer,
+                          McOracleExplainer, RandomExplainer, ValueBasedExplainer,
+                          trace_contexts)
+from emai.masking import MaskingPolicy
+from emai.rng import episode_seed, stream
+from emai.rollout import greedy_actions, run_episode, run_target_episode
+from emai.target import LearnedPolicy, scripted_policy
 
 
 class _FixedAgentExplainer(Explainer):
@@ -205,3 +214,199 @@ def test_evaluations_require_episodes():
                 lambda: apply_patch(pkg, ex, pol, env, episodes=0)):
         with pytest.raises(ValueError, match="episodes"):
             run()
+
+
+# ---- lockstep arms against the scalar reference, report for report ----
+# The scalar episode arms below play one episode at a time through
+# run_episode and ask the explainer one context at a time; the lockstep arms
+# of emai.evaluation must reproduce their reports exactly.
+
+def _ctx(env, obs, state, ep_seed, prefix) -> ExplainContext:
+    return ExplainContext(obs, state, len(prefix), env.name, env.params, ep_seed, list(prefix))
+
+
+def _w_guided(payload) -> float:
+    env, target, explainer, ep_seed, tags = payload
+    mask_rng = stream(*tags)
+    n_actions = env.spec.n_actions
+
+    def act(obs, state, prefix):
+        actions = greedy_actions(target, obs)
+        critical = explainer.most_critical(_ctx(env, obs, state, ep_seed, prefix))
+        actions[critical] = int(mask_rng.integers(0, n_actions))
+        return actions
+
+    return run_episode(env, ep_seed, act).episode_reward
+
+
+def _w_random_guided(payload) -> float:
+    env, target, ep_seed, tags = payload
+    rng = stream(*tags)
+    n, n_actions = env.spec.n_agents, env.spec.n_actions
+
+    def act(obs, state, prefix):
+        actions = greedy_actions(target, obs)
+        actions[int(rng.integers(0, n))] = int(rng.integers(0, n_actions))
+        return actions
+
+    return run_episode(env, ep_seed, act).episode_reward
+
+
+def _w_attacked(payload) -> float:
+    env, target, explainer, ep_seed, noise_eps, tags, attack_all = payload
+    rng = stream(*tags)
+    obs_dim = env.spec.obs_dim
+    n = env.spec.n_agents
+
+    def act(obs, state, prefix):
+        victims = (range(n) if attack_all else
+                   [explainer.most_critical(_ctx(env, obs, state, ep_seed, prefix))])
+        actions = []
+        for i in range(n):
+            if i in victims:
+                noise = rng.uniform(-noise_eps, noise_eps, obs_dim)
+                seen = np.clip(obs[i] + noise, -1.0, 1.0)
+            else:
+                seen = obs[i]
+            actions.append(target.act(seen, i))
+        return actions
+
+    return run_episode(env, ep_seed, act).episode_reward
+
+
+def _w_patched(payload) -> tuple[float, int]:
+    env, target, explainer, pkg_obs, pkg_actions, ep_seed, d_th = payload
+    overrides = 0
+
+    def act(obs, state, prefix):
+        nonlocal overrides
+        actions = greedy_actions(target, obs)
+        critical = explainer.most_critical(_ctx(env, obs, state, ep_seed, prefix))
+        dists = np.abs(pkg_obs - obs[critical]).sum(axis=1)
+        best = int(np.argmin(dists))  # ties resolve to the lowest entry index
+        if dists[best] < d_th and int(pkg_actions[best]) != actions[critical]:
+            actions[critical] = int(pkg_actions[best])
+            overrides += 1
+        return actions
+
+    reward = run_episode(env, ep_seed, act).episode_reward
+    return reward, overrides
+
+
+def _scalar_original(env, target, seeds) -> np.ndarray:
+    return np.array([run_target_episode(env, s, target).episode_reward for s in seeds])
+
+
+def _scalar_fidelity(explainer, target, env, episodes, seed) -> RrdReport:
+    seeds = [episode_seed(seed, "fidelity", i) for i in range(episodes)]
+    r_e = np.array([_w_guided((env, target, explainer, s, (seed, "fid-mask-e", i)))
+                    for i, s in enumerate(seeds)])
+    r_r = np.array([_w_random_guided((env, target, s, (seed, "fid-mask-r", i)))
+                    for i, s in enumerate(seeds)])
+    return RrdReport.from_rewards(explainer.kind, env.name, _scalar_original(env, target, seeds),
+                                  r_e, r_r)
+
+
+def _scalar_attack(explainer, target, env, noise_eps, episodes, seed, attack_all) -> AttackReport:
+    seeds = [episode_seed(seed, "attack", i) for i in range(episodes)]
+    r_a = np.array([_w_attacked((env, target, explainer, s, noise_eps, (seed, "attack-noise", i),
+                                 attack_all)) for i, s in enumerate(seeds)])
+    return AttackReport.from_rewards(explainer.kind, env.name, noise_eps,
+                                     _scalar_original(env, target, seeds), r_a)
+
+
+def _scalar_patch_package(explainer, target, env, harvest_episodes, quantile,
+                          seed) -> PatchPackage:
+    traces = [run_target_episode(env, episode_seed(seed, "harvest", i), target)
+              for i in range(harvest_episodes)]
+    rewards = np.array([tr.episode_reward for tr in traces])
+    if np.all(rewards == rewards[0]):
+        kept = list(range(harvest_episodes))
+    else:
+        order = sorted(range(harvest_episodes), key=lambda i: (-rewards[i], i))
+        kept = order[:max(1, int(round(quantile * harvest_episodes)))]
+    seen, entries_obs, entries_act = set(), [], []
+    for i in kept:
+        for step, ctx in trace_contexts(traces[i], env):
+            critical = explainer.most_critical(ctx)
+            key = tuple(step.observations[critical])
+            if key not in seen:
+                seen.add(key)
+                entries_obs.append(np.asarray(step.observations[critical]))
+                entries_act.append(int(step.final_actions[critical]))
+    return PatchPackage(env.name, explainer.kind, float(quantile), np.stack(entries_obs),
+                        np.array(entries_act, dtype=np.int64))
+
+
+def _scalar_patch(package, explainer, target, env, d_th, episodes, seed) -> PatchReport:
+    seeds = [episode_seed(seed, "patch", i) for i in range(episodes)]
+    rows = [_w_patched((env, target, explainer, package.obs, package.actions, s, d_th))
+            for s in seeds]
+    return PatchReport.from_rewards(explainer.kind, env.name, d_th, len(package),
+                                    _scalar_original(env, target, seeds),
+                                    np.array([r[0] for r in rows]), np.array([r[1] for r in rows]))
+
+
+class _ScoresOnly(Explainer):
+    """A user explainer with scores() alone: a hash of the whole context."""
+
+    kind = "scores-only"
+
+    def scores(self, ctx):
+        key = repr((ctx.episode_seed, ctx.t, ctx.env_name, ctx.env_params, ctx.prefix_actions,
+                    ctx.state.tobytes(), ctx.observations.tobytes()))
+        return stream(zlib.crc32(key.encode()), "scores-only").random(ctx.n_agents)
+
+
+PARITY_ENVS = [
+    ("keycorridor", {"horizon": 10}),
+    ("spread", {"n_agents": 3, "grid": 5, "horizon": 8}),
+    ("diagnostic", {"n_agents": 3, "grid": 5, "horizon": 7, "inert": (2,)}),
+]
+PARITY_KINDS = ["emai", "random", "value", "gradient", "mc_oracle", "scores-only"]
+
+
+def _parity_setup(kind, env):
+    spec = env.spec
+    learned = LearnedPolicy(AgentQNet(spec.obs_dim, spec.n_agents, spec.n_actions, (16, 16),
+                                      rng=stream(2, "parity-target", env.name)))
+    target, other = ((learned, scripted_policy(env)) if kind in ("value", "gradient") else
+                     (scripted_policy(env), learned))
+    if kind == "emai":
+        net = AgentQNet(spec.obs_dim, spec.n_agents, 2, (16, 16), rng=stream(3, "parity-mask"))
+        mixer = MonotonicMixer(spec.n_agents, spec.state_dim, 4)
+        explainer = EmaiExplainer(MaskingPolicy(net, mixer, 0.1, 0.0, 0.99, 0.0, 0.0))
+    else:
+        explainer = {"random": lambda: RandomExplainer(seed=4),
+                     "value": lambda: ValueBasedExplainer(learned),
+                     "gradient": lambda: GradientBasedExplainer(learned),
+                     "mc_oracle": lambda: McOracleExplainer(target, rollouts=2, seed=5),
+                     "scores-only": _ScoresOnly}[kind]()
+    return target, other, explainer
+
+
+@pytest.mark.parametrize("kind", PARITY_KINDS)
+@pytest.mark.parametrize("name,params", PARITY_ENVS, ids=[e[0] for e in PARITY_ENVS])
+def test_lockstep_arms_equal_scalar_arms(name, params, kind):
+    env = make_env(name, **params)
+    target, other, explainer = _parity_setup(kind, env)
+    episodes, seed = 5, 21
+    fidelity = _scalar_fidelity(explainer, target, env, episodes, seed)
+    attacks = {flag: _scalar_attack(explainer, target, env, 0.4, episodes, seed, flag)
+               for flag in (False, True)}
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # equal harvest rewards keep every episode
+        package = build_patch_package(explainer, target, env, harvest_episodes=10,
+                                      quantile=0.3, seed=seed)
+    assert package.to_doc() == _scalar_patch_package(explainer, target, env, 10, 0.3,
+                                                     seed).to_doc()
+    # the package patches the other target, whose actions it often overrides
+    d_th = 0.4 * env.spec.obs_dim
+    patch = _scalar_patch(package, explainer, other, env, d_th, episodes, seed)
+    for workers in (1, 2) if kind in ("emai", "random", "scores-only") else (1,):
+        assert eval_fidelity(explainer, target, env, episodes, seed, workers) == fidelity
+        for flag, report in attacks.items():
+            assert launch_attack(explainer, target, env, 0.4, episodes, seed, workers,
+                                 attack_all=flag) == report
+        assert apply_patch(package, explainer, other, env, d_th, episodes, seed,
+                           workers) == patch

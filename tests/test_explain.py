@@ -16,7 +16,7 @@ from emai.explain import (EmaiExplainer, ExplainContext, GradientBasedExplainer,
 from emai.masking import MaskingPolicy
 from emai.rng import stream
 from emai.rollout import greedy_actions, replay_prefix, run_target_episode
-from emai.target import (AgentQNet, CapabilityError, LearnedPolicy, TargetPolicy,
+from emai.target import (AgentQNet, CapabilityError, LearnedPolicy,
                          scripted_by_name, scripted_policy)
 from emai import ctde
 
@@ -293,7 +293,7 @@ def test_batched_oracle_matches_scalar_on_diagnostic():
 def test_batched_oracle_matches_scalar_with_learned_target():
     params = {"n_agents": 3, "grid": 5, "horizon": 8}
     pol = _learned_target(make_env("spread", **params), seed=2)
-    assert type(pol).act_batch is TargetPolicy.act_batch  # the default loop
+    assert type(pol).act_batch is LearnedPolicy.act_batch  # one stacked forward
     _assert_oracles_equal(pol, "spread", params, 6, [[4, 0, 1]] * 2, rollouts=4, seed=1)
 
 
@@ -328,3 +328,55 @@ def test_oracle_rejects_prefix_that_does_not_reach_t():
     scores = explain(ex, step.observations, step.state, time_t=5, env_name=env.name,
                      episode_seed=0, prefix_actions=prefix)
     assert scores.shape == (3,)
+
+
+# ---- batched learned inference: stacked blocks, bitwise the one-row calls ----
+
+@pytest.mark.parametrize("size", [1, 2, 3, 40])
+def test_learned_act_batch_and_value_scores_batch_equal_row_calls(size):
+    env = make_env("keycorridor")
+    net = AgentQNet(env.spec.obs_dim, 3, env.spec.n_actions, hidden=(64, 64),
+                    rng=stream(size, "learned-batch"))
+    pol = LearnedPolicy(net)
+    batch = env.reset_batch(list(range(size)))
+    batch.step(stream(size, "learned-batch-moves").integers(0, 5, size=(size, 3)))
+    obs, states = batch.observations(), batch.states()
+    for i in range(3):
+        rows = obs[:, i]
+        assert pol.act_batch(rows, i).tolist() == [pol.act(o, i) for o in rows]
+        assert np.array_equal(net.q_single(rows, i), np.stack([net.q_single(o, i) for o in rows]))
+    assert np.array_equal(net.q_all_agents(obs), np.stack([net.q_all_agents(o) for o in obs]))
+    value = ValueBasedExplainer(pol)
+    seeds = list(range(size))
+    prefix = np.zeros((size, 1, 3), dtype=np.int64)
+    expected = [value.scores(ExplainContext(obs[b], states[b], 1, env.name, env.params, b,
+                                            [[0, 0, 0]])) for b in range(size)]
+    assert np.array_equal(value.scores_batch(env, obs, states, 1, seeds, prefix),
+                          np.stack(expected))
+
+
+def test_default_scores_batch_passes_each_rows_context():
+    class Recorder(explain_mod.Explainer):
+        kind = "recorder"
+
+        def __init__(self):
+            self.contexts = []
+
+        def scores(self, ctx):
+            self.contexts.append(ctx)
+            return np.arange(ctx.n_agents, dtype=float)
+
+    env = make_env("spread", n_agents=3, grid=5)
+    batch = env.reset_batch([11, 12])
+    obs, states = batch.observations(), batch.states()
+    prefix = np.array([[[1, 2, 3]], [[4, 0, 1]]])
+    rec = Recorder()
+    out = rec.scores_batch(env, obs, states, 1, [11, 12], prefix)
+    assert out.shape == (2, 3)
+    for b, ctx in enumerate(rec.contexts):
+        assert np.array_equal(ctx.observations, obs[b])
+        assert np.array_equal(ctx.state, states[b])
+        assert (ctx.t, ctx.env_name, ctx.env_params) == (1, "spread", env.params)
+        assert ctx.episode_seed == [11, 12][b] and type(ctx.episode_seed) is int
+        assert ctx.prefix_actions == prefix[b].tolist()
+        assert all(type(a) is int for joint in ctx.prefix_actions for a in joint)

@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 from emai import nn
+from emai.config import DEFAULT_CONFIG
+from emai.envs import make_env
 from emai.nn import Adam, Mlp, NumericsError, ShapeError, Tensor, grad_check
 from emai.rng import stream
 
@@ -229,3 +231,45 @@ def test_mlp_load_doc_rejects_other_architectures(breakage):
     breakage(doc)
     with pytest.raises(ValueError):
         Mlp([4, 6, 2], ["relu", "identity"]).load_doc(doc)
+
+
+# ---- stacked forward: each (r, in) block rounds as it would alone ----
+# numpy runs a stacked matmul block by block, so block b of a (B, r, in)
+# forward equals the forward of x[b] bit for bit, at any B. Batched Q
+# inference relies on it; a numpy or BLAS change that breaks it fails here.
+
+def _agent_net_shapes():
+    """(input width, hidden sizes, outputs, agents) of every agent net the
+    code builds on the built-in envs: targets (5 actions) and masking
+    nets (2), at the default hidden sizes and the tests' (16, 16)."""
+    for name in ("keycorridor", "spread", "diagnostic"):
+        spec = make_env(name).spec
+        for hidden in ((16, 16), tuple(DEFAULT_CONFIG["training"]["hidden"])):
+            for n_actions in (2, spec.n_actions):
+                yield spec.obs_dim + spec.n_agents, hidden, n_actions, spec.n_agents
+
+
+@pytest.mark.parametrize("width,hidden,n_actions,n_agents", sorted(set(_agent_net_shapes())))
+def test_stacked_forward_equals_each_block_alone(width, hidden, n_actions, n_agents):
+    mlp = Mlp([width, *hidden, n_actions], ["relu", "relu", "identity"],
+              stream(width, "stacked-net", *hidden, n_actions))
+    rng = stream(width, "stacked-input", *hidden, n_actions)
+    for rows in (1, n_agents):
+        for size in (1, 2, 3, 7, 32, 960):
+            x = rng.uniform(-1.0, 1.0, (size, rows, width))
+            out = mlp.fused_forward(x)[0]
+            assert out.shape == (size, rows, n_actions)
+            for b in range(size):
+                assert np.array_equal(out[b], mlp.fused_forward(x[b])[0]), (rows, size, b)
+
+
+def test_stacked_forward_checks_shape_and_finiteness():
+    mlp = Mlp([4, 3, 2], ["relu", "identity"], stream(0, "stacked-checks"))
+    with pytest.raises(ShapeError):
+        mlp.fused_forward(np.zeros((2, 3, 5)))
+    with pytest.raises(ShapeError):
+        mlp.fused_forward(np.zeros((2, 1, 3, 4)))
+    bad = np.zeros((2, 3, 4))
+    bad[1, 2, 0] = np.nan
+    with pytest.raises(NumericsError):
+        mlp.fused_forward(bad)

@@ -9,7 +9,7 @@ from emai import rollout
 from emai.ctde import AgentQNet
 from emai.envs import make_env
 from emai.rng import episode_seed, stream
-from emai.target import LearnedPolicy, TargetPolicy, scripted_by_name, scripted_policy
+from emai.target import LearnedPolicy, scripted_by_name, scripted_policy
 
 
 def test_run_episode_prefix_holds_executed_actions():
@@ -84,7 +84,7 @@ def test_target_rewards_equal_scalar_episodes(name, params, variant, size):
     env = make_env(name, **params)
     if variant == "learned":
         pol = _learned_target(env, seed=size)
-        assert type(pol).act_batch is TargetPolicy.act_batch  # the exact looping default
+        assert type(pol).act_batch is LearnedPolicy.act_batch  # one stacked forward
     else:
         pol = scripted_by_name(env, variant)
     seeds = [episode_seed(size, "target-rewards", i) for i in range(size)]

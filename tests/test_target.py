@@ -227,6 +227,55 @@ def test_keycorridor_act_batch_on_visited_states():
                 assert pol.act_batch(obs[:, i], i).tolist() == [pol.act(o, i) for o in obs[:, i]]
 
 
+def _grid_ties(grid: int) -> list[float]:
+    """Observation values that decode exactly onto a .5 tie on this grid:
+    own cells (v + 1) * (grid - 1) / 2 and relative cells v * (grid - 1)."""
+    return ([(2 * k + 1) / (grid - 1) - 1 for k in range(grid)]
+            + [(k + 0.5) / (grid - 1) for k in range(-grid, grid)])
+
+
+SCRIPTED_GRIDS = {"name": st.sampled_from(["spread", "diagnostic"]),
+                  "n_agents": st.integers(2, 4), "grid": st.integers(3, 8)}
+
+
+@settings(max_examples=150, deadline=None)
+@given(**SCRIPTED_GRIDS, seed=st.integers(0, 2**32), agent=st.integers(0, 3),
+       noise=st.sampled_from([0.0, 0.02, 0.2, 0.6]), steps=st.integers(0, 6))
+def test_scripted_act_batch_equals_act_on_visited_states(name, n_agents, grid, seed, agent,
+                                                         noise, steps):
+    # clean observations (noise 0) and noise-perturbed ones, as the attack feeds them
+    env = make_env(name, n_agents=n_agents, grid=grid, horizon=8)
+    pol, agent = scripted_policy(env), agent % n_agents
+    batch = env.reset_batch([seed + k for k in range(12)])
+    rng = stream(seed, "scripted-visited")
+    for _ in range(steps):
+        batch.step(rng.integers(0, 5, size=(batch.size, n_agents)))
+    obs = batch.observations()[:, agent]
+    obs = np.clip(obs + rng.uniform(-noise, noise, obs.shape), -1.0, 1.0)
+    out = pol.act_batch(obs, agent)
+    assert out.dtype == np.int64 and out.shape == (len(obs),)
+    assert out.tolist() == [pol.act(row, agent) for row in obs]
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), **SCRIPTED_GRIDS, agent=st.integers(0, 3))
+def test_scripted_act_batch_equals_act_on_arbitrary_rows(data, name, n_agents, grid, agent):
+    env = make_env(name, n_agents=n_agents, grid=grid)
+    pol, agent = scripted_policy(env), agent % n_agents
+    values = st.one_of(st.floats(-1.5, 1.5, allow_nan=False), st.sampled_from(_grid_ties(grid)))
+    obs = data.draw(arrays(np.float64, st.tuples(st.integers(1, 8), st.just(pol.obs_dim)),
+                           elements=values))
+    assert pol.act_batch(obs, agent).tolist() == [pol.act(row, agent) for row in obs]
+
+
+def test_scripted_act_batch_rejects_non_finite_rows():
+    for env in (make_env("spread", n_agents=3, grid=5), make_env("diagnostic", n_agents=3)):
+        bad = np.zeros((2, env.spec.obs_dim))
+        bad[1, 3] = np.inf
+        with pytest.raises(ValueError, match="non-finite"):
+            scripted_policy(env).act_batch(bad, 0)
+
+
 def test_default_act_batch_loops_over_act():
     class OnlyAct(target.TargetPolicy):
         obs_dim, n_agents = 4, 2
