@@ -83,7 +83,7 @@ class AgentQNet:
         if np.shape(obs) != obs_cols.shape:
             raise nn.ShapeError(f"observation shape {np.shape(obs)} vs expected {obs_cols.shape}")
         obs_cols[...] = obs
-        return self.mlp.fused_forward(np.atleast_2d(x))[0]
+        return self.mlp.fused_forward(x if x.ndim > 1 else x[None])[0]
 
     def _forward_stacked(self, block: np.ndarray, obs: np.ndarray) -> np.ndarray:
         """Q of len(obs) stacked copies of the input block `block`, copy b
