@@ -37,7 +37,8 @@ def _paired_stats(deltas: np.ndarray) -> tuple[float, float]:
 def _most_critical(explainer: Explainer, batch, obs: np.ndarray, seeds, prefix) -> np.ndarray:
     """Each row's most critical agent at the batch's step (lowest index wins
     ties): the argmax of the explainer's scores, as most_critical takes it."""
-    scores = explainer.scores_batch(batch.env, obs, batch.states(), batch.t, seeds, prefix)
+    states = batch.states() if explainer.reads_states else None
+    scores = explainer.scores_batch(batch.env, obs, states, batch.t, seeds, prefix)
     return np.argmax(scores, axis=1)
 
 
@@ -289,7 +290,8 @@ def build_patch_package(explainer: Explainer, target, env, harvest_episodes: int
 
     def act(batch, obs, prefix):
         obs_log.append(obs)
-        state_log.append(batch.states())
+        if explainer.reads_states:
+            state_log.append(batch.states())
         return batch_actions(target, obs)
 
     step_rewards, actions = run_lockstep(env, seeds, act)
@@ -303,7 +305,8 @@ def build_patch_package(explainer: Explainer, target, env, harvest_episodes: int
     # the kept episodes' critical agents, scored one step at a time across episodes
     kept_seeds = [seeds[i] for i in kept]
     critical = np.stack([
-        np.argmax(explainer.scores_batch(env, obs_log[t][kept], state_log[t][kept], t,
+        np.argmax(explainer.scores_batch(env, obs_log[t][kept],
+                                         state_log[t][kept] if state_log else None, t,
                                          kept_seeds, actions[kept, :t]), axis=1)
         for t in range(len(obs_log))], axis=1)
     seen: dict[tuple, int] = {}

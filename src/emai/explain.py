@@ -24,7 +24,7 @@ from .ctde import one_hot
 from .envs import make_env
 from .masking import MaskingPolicy
 from .nn import Tensor
-from .rng import stream
+from .rng import integers_rows, stream
 from .rollout import Step, Trace, batch_actions, greedy_actions, replay_prefix
 from .target import TargetPolicy, privileged_q_network
 
@@ -58,6 +58,9 @@ def trace_contexts(trace: Trace, env) -> Iterator[tuple[Step, ExplainContext]]:
 
 class Explainer:
     kind: str = ""
+    # whether scores_batch reads its states argument; callers skip building
+    # the states for an explainer that does not
+    reads_states: bool = True
 
     def scores(self, ctx: ExplainContext) -> np.ndarray:
         raise NotImplementedError
@@ -71,9 +74,9 @@ class Explainer:
 
         Row b scores the context of episode_seeds[b] with observations[b]
         (n_agents, obs_dim), states[b] and the executed joint actions
-        prefix[b] (t, n_agents). The default builds each row's
-        ExplainContext and calls scores(); an override must return the
-        same rows bitwise.
+        prefix[b] (t, n_agents); states is None when reads_states is False.
+        The default builds each row's ExplainContext and calls scores(); an
+        override must return the same rows bitwise.
         """
         return np.stack([
             self.scores(ExplainContext(observations[b], states[b], t, env.name, env.params,
@@ -85,6 +88,7 @@ class EmaiExplainer(Explainer):
     """Keep-minus-mask value gap from a trained masking policy."""
 
     kind = "emai"
+    reads_states = False
 
     def __init__(self, policy: MaskingPolicy):
         self.policy = policy
@@ -118,6 +122,7 @@ class ValueBasedExplainer(Explainer):
     """Per-agent best utility-head value, read from the target's network."""
 
     kind = "value"
+    reads_states = False
 
     def __init__(self, target: TargetPolicy):
         self._qnet = privileged_q_network(target)
@@ -212,12 +217,11 @@ def mc_counterfactual_oracle(target, env, episode_seed: int, prefix_actions,
     n = env.spec.n_agents
     t = len(prefix_actions)
     unmasked = _suffix_return(copy.deepcopy(env), target)
-    steps = env.spec.horizon - t
-    # a size-m draw yields the same values as m single draws from the stream
-    draws = np.stack([
-        stream(seed, "mc-oracle", episode_seed, t, i, k).integers(
-            0, env.spec.n_actions, size=steps)
-        for i in range(n) for k in range(rollouts)])
+    # row i * rollouts + k is rollout k of agent i; a size-m draw yields the
+    # same values as m single draws from the stream
+    draws = integers_rows(seed, ("mc-oracle", episode_seed, t),
+                          [(i, k) for i in range(n) for k in range(rollouts)],
+                          env.spec.n_actions, env.spec.horizon - t)
     agents = np.repeat(np.arange(n), rollouts)
     returns = _randomized_suffix_return(env, target, agents, draws).reshape(n, rollouts)
     scores = np.zeros(n)

@@ -325,6 +325,7 @@ def test_config_types_follow_defaults(tmp_path):
         load_config(path)
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_train_emai_numeric_failure_exit_4(tmp_path):
     # the sparsity bonus overflows the TD targets: the loss guard trips
     path = _write_cfg(tmp_path, FAST_EMAI)

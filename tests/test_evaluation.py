@@ -143,6 +143,28 @@ def test_patch_package_top_decile_selection_rule():
     assert spy.seen_seeds == {seeds[i] for i in best10}
 
 
+@pytest.mark.parametrize("reads_states", [False, True])
+def test_states_are_built_only_for_explainers_that_read_them(reads_states):
+    env = make_env("keycorridor", horizon=6)
+    pol = scripted_policy(env)
+
+    class _Spy(_FixedAgentExplainer):
+        def scores_batch(self, env, observations, states, t, episode_seeds, prefix):
+            seen.append(states)
+            return np.tile(self.scores(None), (len(observations), 1))
+
+    seen = []
+    spy = _Spy(1, 3)
+    spy.reads_states = reads_states
+    eval_fidelity(spy, pol, env, episodes=3, seed=2)
+    launch_attack(spy, pol, env, 0.3, episodes=3, seed=2)
+    package = build_patch_package(spy, pol, env, harvest_episodes=10, quantile=0.3, seed=2)
+    apply_patch(package, spy, pol, env, 1.0, episodes=3, seed=2)
+    assert seen and all((states is not None) == reads_states for states in seen)
+    assert not EmaiExplainer.reads_states and not ValueBasedExplainer.reads_states
+    assert RandomExplainer.reads_states and McOracleExplainer.reads_states
+
+
 def test_patch_degenerate_rewards_warns_and_keeps_all():
     env = make_env("diagnostic", n_agents=2, grid=5, horizon=5, zero_reward=True)
     pol = scripted_policy(env)

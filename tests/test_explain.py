@@ -278,6 +278,9 @@ def test_batched_oracle_matches_scalar_on_keycorridor(variant, episode):
                                                rollouts=8, seed=4)
         if t == 30:  # nothing left to randomize
             assert not scores.any() and not stderr.any()
+    for t in (0, 24):  # the production rollout count
+        prefix = [s.final_actions for s in trace.steps[:t]]
+        _assert_oracles_equal(pol, "keycorridor", {}, episode, prefix, rollouts=64, seed=4)
 
 
 def test_batched_oracle_matches_scalar_on_diagnostic():
