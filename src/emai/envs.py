@@ -8,6 +8,10 @@ initial placement, so trajectories replay bitwise from (seed, actions).
 Movement is simultaneous: every agent moves based on positions at time t,
 moves into walls, grid edges or a closed door are no-ops, and agents may
 share a cell (Spread penalizes sharing through the reward only).
+
+A GridBatch steps many states in lockstep on flat cell indices and the
+lookup tables of its geometry (GridTables); each row is bitwise the scalar
+env in that row's state.
 """
 from __future__ import annotations
 
@@ -18,7 +22,6 @@ import numpy as np
 # action indices, fixed across all environments
 STAY, UP, DOWN, LEFT, RIGHT = range(5)
 DELTAS = ((0, 0), (-1, 0), (1, 0), (0, -1), (0, 1))  # (drow, dcol)
-_DELTA_ARRAY = np.array(DELTAS, dtype=np.int64)
 
 
 class EnvError(ValueError):
@@ -63,7 +66,8 @@ class _GridEnv:
     A subclass supplies four things: `_place(seed)`, its `WALLS` (plus a
     `DOOR` and fixed `ANCHORS` if it has them), `_reward()`/`_reward_batch()`,
     and any movement rule of its own, by extending `_passable`/`_move_all` and
-    their batched counterparts `_passable_batch`/`_move_batch`.
+    the batched `_move_batch` (plus `_build_tables` for any per-cell entry
+    of its own).
 
     Agent i observes its own normalized position, then the door flag (+1 open,
     -1 closed) on an env with a door, then the positions of the anchors, of
@@ -154,16 +158,17 @@ class _GridEnv:
         self.done = self.t >= self.spec.horizon
         return StepResult(self._state(), self.observations(), reward, self.done)
 
-    # batched counterparts, driven by GridBatch: _passable_batch, _move_batch, _reward_batch
+    # batched counterparts, driven by GridBatch: _build_tables, _move_batch, _reward_batch
     def branch(self, size: int) -> "GridBatch":
         """`size` independent copies of the current state, to step in lockstep."""
         if size < 1:
             raise ValueError("a batch needs size >= 1")
         if not self.positions:
             raise EnvError("branch() needs an environment that has been reset")
-        positions = np.array(self.positions, dtype=np.int64)
-        landmarks = np.array(self.landmarks, dtype=np.int64).reshape(-1, 2)
-        return GridBatch(self, np.tile(positions, (size, 1, 1)), np.tile(landmarks, (size, 1, 1)),
+        tables = self._tables()
+        cells = tables.flat(np.array(self.positions, dtype=np.int64))
+        landmarks = tables.flat(np.array(self.landmarks, dtype=np.int64).reshape(-1, 2))
+        return GridBatch(self, tables, np.tile(cells, (size, 1)), np.tile(landmarks, (size, 1)),
                          np.full(size, self.door_open), self.t, self.done)
 
     def reset_batch(self, seeds) -> "GridBatch":
@@ -171,81 +176,167 @@ class _GridEnv:
         placed = [self._place(seed) for seed in seeds]
         if not placed:
             raise ValueError("reset_batch needs at least one seed")
-        positions = np.array([cells for cells, _ in placed], dtype=np.int64)
+        tables = self._tables()
+        cells = tables.flat(np.array([cells for cells, _ in placed], dtype=np.int64))
         landmarks = np.array([lms for _, lms in placed], dtype=np.int64)
-        return GridBatch(self, positions, landmarks.reshape(len(placed), -1, 2),
+        return GridBatch(self, tables, cells, tables.flat(landmarks.reshape(len(placed), -1, 2)),
                          np.zeros(len(placed), dtype=bool), 0, False)
 
-    def _open_cells(self) -> np.ndarray:
-        """Passable cells as a bool grid inside a one-cell closed border, so a
-        move off the edge lands on the border instead of wrapping around."""
-        grid = np.zeros((self._rows + 2, self._cols + 2), dtype=bool)
-        grid[1:-1, 1:-1] = True
-        for r, c in self.WALLS:
-            grid[r + 1, c + 1] = False
-        return grid
+    def _tables(self) -> "GridTables":
+        """This geometry's lookup tables, built on the first batch and shared
+        by every env of the same class and grid size."""
+        key = (type(self), self._rows, self._cols)
+        tables = _TABLES.get(key)
+        if tables is None:
+            tables = _TABLES[key] = self._build_tables()
+            for value in vars(tables).values():
+                if isinstance(value, np.ndarray):
+                    value.setflags(write=False)
+        return tables
 
-    def _passable_batch(self, batch: "GridBatch", cells: np.ndarray) -> np.ndarray:
-        return batch.open_cells[cells[..., 0] + 1, cells[..., 1] + 1]
+    def _build_tables(self) -> "GridTables":
+        return GridTables(self._rows, self._cols, self.WALLS, self.DOOR)
 
     def _move_batch(self, batch: "GridBatch", actions: np.ndarray) -> None:
-        cand = batch.positions + _DELTA_ARRAY[actions]
-        stay = ~self._passable_batch(batch, cand)
-        batch.positions = np.where(stay[..., None], batch.positions, cand)
+        """Every row's simultaneous move: a move into a wall, off the grid or
+        into a closed door leaves the agent where it was."""
+        tables = batch.tables
+        cand = batch.cells + tables.delta.take(actions)
+        ok = tables.open.take(cand + batch.door_open[:, None] * tables.size)
+        batch.cells = np.where(ok, cand, batch.cells)
 
     def _reward_batch(self, batch: "GridBatch") -> np.ndarray:
         raise NotImplementedError
+
+
+# GridTables per (env class, rows, cols), shared by every env of that geometry
+_TABLES: dict[tuple, "GridTables"] = {}
+
+
+class GridTables:
+    """Lookup tables of one grid geometry, indexed by flat cell.
+
+    A cell is one int64 index into the grid padded with a one-cell closed
+    border, (rows + 2) x (cols + 2) in row-major order, so a move off the
+    edge lands on the border instead of wrapping around. Each float entry is
+    the scalar _norm_pos/_rel expression evaluated on the same ints, so a
+    gather is bitwise what the scalar env computes. Entries of border cells
+    are never read.
+
+    In the block of own cell a, rel[a * stride + b] is _rel(a, b), then
+    rel[a * stride + size] is _norm_pos(a) and rel[a * stride + size + 1 + d]
+    holds the door flag of door_open = d twice, so one gather reads an
+    observation's own position, its door flag and every point it sees.
+    manhattan[a * size + b] is the Manhattan distance of two cells, and
+    open[door_open * size + cell] says whether a move may end on cell.
+    """
+
+    def __init__(self, rows: int, cols: int, walls, door):
+        self.width = cols + 2
+        self.size = (rows + 2) * self.width
+        self.stride = self.size + 3
+        r, c = np.divmod(np.arange(self.size), self.width)
+        self.coords = np.stack([r - 1, c - 1], axis=1)  # (size, 2) grid (row, col)
+        extent = np.array([rows - 1, cols - 1])
+        self.norm = 2.0 * self.coords / extent - 1.0  # (size, 2)
+        diff = self.coords[None, :, :] - self.coords[:, None, :]  # [own, other]: other - own
+        flags = np.broadcast_to([[[-1.0, -1.0], [1.0, 1.0]]], (self.size, 2, 2))
+        self.rel = np.concatenate([diff / extent, self.norm[:, None], flags], axis=1).reshape(-1, 2)
+        self.manhattan = np.abs(diff).sum(axis=-1).reshape(-1)
+        grid = np.zeros((rows + 2, self.width), dtype=bool)
+        grid[1:-1, 1:-1] = True
+        for wr, wc in walls:
+            grid[wr + 1, wc + 1] = False
+        closed = grid.reshape(-1).copy()
+        if door is not None:
+            closed[self.flat(door)] = False
+        self.open = np.concatenate([closed, grid.reshape(-1)])
+        self.delta = np.array([dr * self.width + dc for dr, dc in DELTAS], dtype=np.int64)
+
+    def flat(self, points) -> np.ndarray:
+        """Flat cells of grid (row, col) points, a (..., 2) int array or one pair."""
+        points = np.asarray(points)
+        return (points[..., 0] + 1) * self.width + points[..., 1] + 1
 
 
 class GridBatch:
     """`size` gridworld states of one env, stepped in lockstep.
 
     The rows are copies of one state (env.branch) or the starts of different
-    seeds (env.reset_batch). Each row has its own agent positions, a
-    (size, n_agents, 2) int array, its own landmarks, (size, k, 2) with k = 0
-    on keycorridor, and its own door flag, a (size,) bool array that stays
-    False on an env without a door. Walls and the step counter t are shared,
-    so all rows end together. Row b of step() equals, bitwise, the scalar env
-    in row b's state stepped with joint_actions[b], and bad input raises the
-    same EnvError.
+    seeds (env.reset_batch). Each row has its own agent cells, a
+    (size, n_agents) int64 array of GridTables flat cells, its own landmark
+    cells, (size, k) with k = 0 on keycorridor, and its own door flag, a
+    (size,) bool array that stays False on an env without a door. Walls, the
+    tables and the step counter t are shared, so all rows end together.
+    positions and landmarks derive the (size, ·, 2) grid coordinates. Row b
+    of step() equals, bitwise, the scalar env in row b's state stepped with
+    joint_actions[b], and bad input raises the same EnvError.
     """
 
-    def __init__(self, env: _GridEnv, positions: np.ndarray, landmarks: np.ndarray,
-                 door_open: np.ndarray, t: int, done: bool):
+    def __init__(self, env: _GridEnv, tables: GridTables, cells: np.ndarray,
+                 landmark_cells: np.ndarray, door_open: np.ndarray, t: int, done: bool):
         self.env = env
+        self.tables = tables
         self.t = t
         self.done = done
-        self.positions = positions
-        self.landmarks = landmarks
+        self.cells = cells
+        self.landmark_cells = landmark_cells
         self.door_open = door_open
-        self.open_cells = env._open_cells()
-        self.anchors = np.array(env.ANCHORS, dtype=np.int64).reshape(-1, 2)
-        n = env.spec.n_agents
-        # others[i]: the other agents in index order, as each observation lists them
-        self.others = np.array([[j for j in range(n) if j != i] for i in range(n)])
+        size, n = cells.shape
+        # point slots, one row of cells each: the own position's slot, the door
+        # slot on an env with a door, the anchors, the landmarks, then the
+        # agents, whose rows every observation rewrites
+        fixed = [tables.size, *([] if env.DOOR is None else [tables.size + 1]),
+                 *(tables.flat(a) for a in env.ANCHORS)]
+        self._points = np.concatenate(
+            [np.repeat(np.array(fixed)[:, None], size, axis=1), landmark_cells.T, cells.T])
+        m = len(self._points)
+        # agent i reads the fixed slots and landmarks, then the other agents in
+        # index order: flat entries of the (n, m, size) (agent, slot, row) pairs
+        slots = np.array([[*range(m - n), *(m - n + j for j in range(n) if j != i)]
+                          for i in range(n)]).reshape(n, m - 1)
+        self._seen = ((np.arange(n)[:, None] * m + slots) * size
+                      + np.arange(size)[:, None, None])
+        if env.DOOR is not None:  # flat entries of the gathered values, less the second door flag
+            keep = [0, 1, 2, *range(4, 2 * (m - 1))]
+            self._layout = (np.arange(size * n)[:, None] * (2 * (m - 1)) + keep).reshape(
+                size, n, len(keep))
 
     @property
     def size(self) -> int:
-        return len(self.positions)
+        return len(self.cells)
+
+    @property
+    def positions(self) -> np.ndarray:
+        """Agent (row, col) coordinates, (size, n_agents, 2) int64."""
+        return self.tables.coords.take(self.cells, axis=0)
+
+    @property
+    def landmarks(self) -> np.ndarray:
+        """Landmark (row, col) coordinates, (size, k, 2) int64."""
+        return self.tables.coords.take(self.landmark_cells, axis=0)
 
     def observations(self) -> np.ndarray:
         """The scalar layout of _GridEnv._observe, for every row at once."""
-        pos, rows, cols = self.positions, self.env._rows, self.env._cols
-        parts = [_norm_pos_batch(pos, rows, cols)]
+        tables, cells, points = self.tables, self.cells, self._points
+        size, n = cells.shape
+        points[-n:] = cells.T
         if self.env.DOOR is not None:
-            door = np.where(self.door_open, 1.0, -1.0)
-            parts.append(np.broadcast_to(door[:, None, None], (*pos.shape[:2], 1)))
-        for points in (self.anchors, self.landmarks[:, None], pos[:, self.others]):
-            parts.append(_rel_batch(pos, points, rows, cols))
-        return np.concatenate(parts, axis=-1)
+            np.add(self.door_open, tables.size + 1, out=points[1])
+        # C order keeps the (agent, slot, row) sums row-contiguous, which numpy adds fastest
+        own = np.multiply(cells.T, tables.stride, order="C")
+        seen = tables.rel.take(np.add(own[:, None], points).take(self._seen), axis=0)
+        if self.env.DOOR is not None:
+            return seen.take(self._layout)
+        return seen.reshape(size, n, -1)
 
     def states(self) -> np.ndarray:
         """The scalar layout of _GridEnv._state, (size, state_dim)."""
-        cells = np.concatenate([self.positions, self.landmarks], axis=1)
-        parts = [_norm_pos_batch(cells, self.env._rows, self.env._cols).reshape(self.size, -1)]
-        if self.env.DOOR is not None:
-            parts.append(np.where(self.door_open, 1.0, -1.0)[:, None])
-        return np.concatenate(parts, axis=1)
+        cells = np.concatenate([self.cells, self.landmark_cells], axis=1)
+        norm = self.tables.norm.take(cells, axis=0).reshape(self.size, -1)
+        if self.env.DOOR is None:
+            return norm
+        return np.concatenate([norm, np.where(self.door_open, 1.0, -1.0)[:, None]], axis=1)
 
     def _validate_actions(self, joint_actions) -> np.ndarray:
         if self.done:
@@ -256,7 +347,7 @@ class GridBatch:
             raise EnvError(f"joint actions need shape ({self.size}, {spec.n_agents}), "
                            f"got {acts.shape}")
         n_actions = spec.n_actions
-        bad = (acts < 0) | (acts >= n_actions)
+        bad = acts.view(np.uint64) >= n_actions  # a negative index wraps to a huge one
         if bad.any():
             b, i = np.argwhere(bad)[0]
             raise EnvError(f"row {b}, agent {i}: action index {acts[b, i]} "
@@ -277,18 +368,6 @@ def _norm_pos(pos: tuple[int, int], rows: int, cols: int) -> tuple[float, float]
 
 def _rel(a: tuple[int, int], b: tuple[int, int], rows: int, cols: int) -> tuple[float, float]:
     return ((b[0] - a[0]) / (rows - 1), (b[1] - a[1]) / (cols - 1))
-
-
-def _norm_pos_batch(pos: np.ndarray, rows: int, cols: int) -> np.ndarray:
-    """_norm_pos over a (..., 2) int array, with the same float operations."""
-    return 2.0 * pos / np.array([rows - 1, cols - 1]) - 1.0
-
-
-def _rel_batch(own: np.ndarray, points: np.ndarray, rows: int, cols: int) -> np.ndarray:
-    """_rel from each own position (B, n, 2) to k points, given as (k, 2) or
-    broadcastable to (B, n, k, 2); flattened to (B, n, 2k) in point order."""
-    rel = (points - own[:, :, None, :]) / np.array([rows - 1, cols - 1])
-    return rel.reshape(own.shape[0], own.shape[1], -1)
 
 
 class Spread(_GridEnv):
@@ -327,11 +406,12 @@ class Spread(_GridEnv):
         return spread_reward(self.positions, self.landmarks, self.n, self.grid)
 
     def _reward_batch(self, batch: GridBatch) -> np.ndarray:
-        pos = batch.positions
-        dist = np.abs(pos[:, :, None, :] - batch.landmarks[:, None]).sum(axis=-1)
+        cells, tables = batch.cells, batch.tables
+        dist = tables.manhattan.take(cells[:, :, None] * tables.size
+                                     + batch.landmark_cells[:, None])
         dist_sum = dist.min(axis=1).sum(axis=1)  # nearest agent per landmark
         i, j = np.triu_indices(self.n, 1)
-        shared = (pos[:, i] == pos[:, j]).all(axis=-1).sum(axis=1)
+        shared = (cells[:, i] == cells[:, j]).sum(axis=1)
         return -(1.0 / (self.n * self.grid)) * dist_sum - 0.05 * shared
 
 
@@ -405,16 +485,18 @@ class KeyCorridor(_GridEnv):
     def _reward(self) -> float:
         return 0.1 * sum(1 for p in self.positions if p[1] == self.GOAL_COL) - 0.01
 
-    def _passable_batch(self, batch: GridBatch, cells: np.ndarray) -> np.ndarray:
-        at_door = (cells == self.DOOR).all(axis=-1)
-        return super()._passable_batch(batch, cells) & (batch.door_open[:, None] | ~at_door)
+    def _build_tables(self) -> GridTables:
+        tables = super()._build_tables()
+        tables.switch = tables.flat(self.SWITCH)
+        tables.goal = (tables.coords[:, 1] == self.GOAL_COL).astype(np.int64)  # 1: goal column
+        return tables
 
     def _move_batch(self, batch: GridBatch, actions: np.ndarray) -> None:
         super()._move_batch(batch, actions)
-        batch.door_open |= (batch.positions == self.SWITCH).all(axis=-1).any(axis=1)
+        batch.door_open |= (batch.cells == batch.tables.switch).any(axis=1)
 
     def _reward_batch(self, batch: GridBatch) -> np.ndarray:
-        return 0.1 * (batch.positions[..., 1] == self.GOAL_COL).sum(axis=1) - 0.01
+        return 0.1 * np.add.reduce(batch.tables.goal.take(batch.cells), axis=1) - 0.01
 
 
 class Diagnostic(_GridEnv):
@@ -464,15 +546,18 @@ class Diagnostic(_GridEnv):
         return -dist / (max(1, len(active)) * self.grid)
 
     def _move_batch(self, batch: GridBatch, actions: np.ndarray) -> None:
-        actions = actions.copy()
-        actions[:, list(self.inert)] = STAY
+        if self.inert:
+            actions = actions.copy()
+            actions[:, list(self.inert)] = STAY
         super()._move_batch(batch, actions)
 
     def _reward_batch(self, batch: GridBatch) -> np.ndarray:
         if self.zero_reward:
             return np.zeros(batch.size)
         active = [i for i in range(self.n) if i not in self.inert]
-        dist = np.abs(batch.positions[:, active] - batch.landmarks).sum(axis=(1, 2))
+        tables = batch.tables
+        dist = tables.manhattan.take(batch.cells[:, active] * tables.size
+                                     + batch.landmark_cells).sum(axis=1)
         return -dist / (max(1, len(active)) * self.grid)
 
 

@@ -8,8 +8,9 @@ yet remains far too slow to be the product; at desk scale it doubles as both
 a baseline and the independent ground truth for tests.
 
 Access discipline: emai / random / mc_oracle touch the target only through
-act()/act_batch(); value- and gradient-based baselines need the privileged
-accessor and therefore a learned target.
+act() and the joint act_batch(), one call per lockstep step; value- and
+gradient-based baselines need the privileged accessor and therefore a learned
+target.
 """
 from __future__ import annotations
 
@@ -186,15 +187,16 @@ def _suffix_return(env, target) -> float:
 def _randomized_suffix_return(env, target, agents: np.ndarray, draws: np.ndarray) -> np.ndarray:
     """Suffix returns of len(agents) lockstep branches of env: in row b, agent
     agents[b] plays draws[b, s] at suffix step s and every other agent acts
-    greedily. Returns one total per row."""
+    greedily, from one joint act_batch query per step. Returns one total per
+    row."""
     batch = env.branch(len(agents))
-    rows = np.arange(len(agents))
+    played = np.arange(len(agents)) * env.spec.n_agents + agents  # flat (row, agent) entries
     totals = np.zeros(len(agents))
     obs = batch.observations()
     s = 0
     while not batch.done:
         actions = batch_actions(target, obs)
-        actions[rows, agents] = draws[:, s]
+        actions.put(played, draws[:, s])
         result = batch.step(actions)
         totals += result.reward
         obs = result.observations

@@ -10,7 +10,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -122,7 +122,7 @@ def serialize(rec: EpisodeRecord) -> str:
               "n_steps": len(rec.steps), "reward_sum": rec.reward_sum}
     lines = [json.dumps(header, sort_keys=True)]
     for step in rec.steps:
-        lines.append(json.dumps(asdict(step), sort_keys=True))
+        lines.append(json.dumps(vars(step), sort_keys=True))  # asdict would deep-copy every list
     return "\n".join(lines) + "\n"
 
 

@@ -20,14 +20,13 @@ def greedy_actions(target, observations: np.ndarray) -> list[int]:
 
 
 def batch_actions(target, observations: np.ndarray) -> np.ndarray:
-    """Greedy joint actions (B, n) for observations (B, n, obs_dim), agent by
-    agent through act_batch; row b equals greedy_actions(target, obs[b]). A
+    """Greedy joint actions (B, n) for observations (B, n, obs_dim), from one
+    target.act_batch call; row b equals greedy_actions(target, obs[b]). A
     target that offers only act() is queried row by row."""
     act_batch = getattr(target, "act_batch", None)
     if act_batch is None:
         return np.array([greedy_actions(target, obs) for obs in observations], dtype=np.int64)
-    return np.stack([act_batch(observations[:, i], i) for i in range(observations.shape[1])],
-                    axis=1)
+    return act_batch(observations)
 
 
 def run_lockstep(env, seeds, act_fn) -> tuple[np.ndarray, np.ndarray]:

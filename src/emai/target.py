@@ -1,6 +1,7 @@
 """Black-box target policies: the multi-agent system being explained.
 
-Targets are queryable only through act(obs, agent_id); learned targets keep
+Targets are queryable only through act(obs, agent_id) and its joint batched
+form act_batch(obs), (B, n_agents, obs_dim) -> (B, n_agents); learned targets keep
 their value network private, and white-box baselines must go through the
 explicit privileged accessor below. Scripted targets give controlled,
 reviewable ground truth; the learned trainer reuses the ctde machinery.
@@ -32,14 +33,15 @@ class TargetPolicy:
     def act(self, obs: np.ndarray, agent_id: int) -> int:
         raise NotImplementedError
 
-    def act_batch(self, obs: np.ndarray, agent_id: int) -> np.ndarray:
-        """act() over the rows of obs (B, obs_dim); returns (B,) int64.
+    def act_batch(self, obs: np.ndarray) -> np.ndarray:
+        """Joint actions (B, n_agents) int64 for observations (B, n_agents,
+        obs_dim): entry [b, i] is act(obs[b, i], i).
 
-        Overrides must give exactly [act(row, agent_id) for row in obs]; the
-        default loops over act().
+        Overrides must give exactly that; the default loops over act().
         """
         obs = self._check_obs_batch(obs)
-        return np.array([self.act(row, agent_id) for row in obs], dtype=np.int64)
+        return np.array([[self.act(o, i) for i, o in enumerate(row)] for row in obs],
+                        dtype=np.int64).reshape(obs.shape[:2])
 
     def descriptor(self) -> str:
         raise NotImplementedError
@@ -55,8 +57,9 @@ class TargetPolicy:
 
     def _check_obs_batch(self, obs: np.ndarray) -> np.ndarray:
         obs = np.asarray(obs, dtype=np.float64)
-        if obs.ndim != 2 or obs.shape[1] != self.obs_dim:
-            raise ValueError(f"observation batch shape {obs.shape} vs expected (B, {self.obs_dim})")
+        if obs.ndim != 3 or obs.shape[1:] != (self.n_agents, self.obs_dim):
+            raise ValueError(f"observation batch shape {obs.shape} vs expected "
+                             f"(B, {self.n_agents}, {self.obs_dim})")
         return obs
 
 
@@ -70,15 +73,30 @@ def _denorm_rel(value: float, extent: int) -> int:
     return int(round(value * (extent - 1)))
 
 
-# Batched _denorm/_denorm_rel. np.rint and round() both round half to even.
-# Clipping before the int cast changes no in-range result (callers clamp the
-# cell to the grid) but keeps huge inputs from overflowing into bad indices.
-def _denorm_batch(values: np.ndarray, extent: int) -> np.ndarray:
-    return np.clip(np.rint((values + 1.0) * (extent - 1) / 2.0), 0, extent - 1).astype(np.int64)
+# Batched _denorm/_denorm_rel, elementwise with the scalar float operations;
+# extent is an int or an int array broadcast against values. np.rint and
+# round() both round half to even. Clipping before the int cast changes no
+# in-range result (callers clamp the cell to the grid) but keeps huge inputs
+# from overflowing into bad indices. The first operation writes a C-order
+# array, which the in-place rest runs through fastest.
+def _denorm_batch(values: np.ndarray, extent) -> np.ndarray:
+    top = np.subtract(extent, 1.0)  # exact: extent is a small int
+    cells = np.add(values, 1.0, order="C")
+    cells *= top
+    cells /= 2.0
+    np.rint(cells, out=cells)
+    np.maximum(cells, 0.0, out=cells)
+    np.minimum(cells, top, out=cells)
+    return cells.astype(np.int64)
 
 
-def _denorm_rel_batch(values: np.ndarray, extent: int) -> np.ndarray:
-    return np.clip(np.rint(values * (extent - 1)), 1 - extent, extent - 1).astype(np.int64)
+def _denorm_rel_batch(values: np.ndarray, extent) -> np.ndarray:
+    top = np.subtract(extent, 1.0)
+    cells = np.multiply(values, top, order="C")
+    np.rint(cells, out=cells)
+    np.maximum(cells, -top, out=cells)
+    np.minimum(cells, top, out=cells)
+    return cells.astype(np.int64)
 
 
 def _check_finite_batch(obs: np.ndarray) -> np.ndarray:
@@ -152,29 +170,34 @@ class ScriptedSpread(TargetPolicy):
             return LEFT if mine[1] < own[1] else RIGHT
         return STAY
 
-    def act_batch(self, obs: np.ndarray, agent_id: int) -> np.ndarray:
-        """act() over rows: _decode and the greedy claims, vectorized over
-        rows; non-finite input raises."""
+    def act_batch(self, obs: np.ndarray) -> np.ndarray:
+        """act() of every agent of every row: _decode and the greedy claims,
+        vectorized over (row, agent) pairs; non-finite input raises."""
         obs = _check_finite_batch(self._check_obs_batch(obs))
         g, n = self.grid, self.n_agents
-        own = np.stack([_denorm_batch(obs[:, 0], g), _denorm_batch(obs[:, 1], g)], axis=1)
+        flat = obs.reshape(-1, self.obs_dim)  # pair b * n + i: agent i of row b
+        pairs = np.arange(len(flat))
+        agent = np.tile(np.arange(n), len(obs))
+        own = _denorm_batch(flat[:, :2], g)
 
-        def cells(offset: int, count: int) -> np.ndarray:  # (B, count, 2), clamped to the grid
-            rel = _denorm_rel_batch(obs[:, offset:offset + 2 * count], g).reshape(-1, count, 2)
+        def cells(offset: int, count: int) -> np.ndarray:  # (pairs, count, 2), clamped to the grid
+            rel = _denorm_rel_batch(flat[:, offset:offset + 2 * count], g).reshape(-1, count, 2)
             return np.clip(own[:, None] + rel, 0, g - 1)
 
         landmarks = cells(2, n)
-        positions = np.empty((len(obs), n, 2), dtype=np.int64)
-        positions[:, agent_id] = own
-        positions[:, [j for j in range(n) if j != agent_id]] = cells(2 + 2 * n, n - 1)
-        dist = np.abs(positions[:, :, None] - landmarks[:, None]).sum(axis=-1)  # (B, agent, lm)
-        rows = np.arange(len(obs))
-        claimed = np.zeros((len(obs), n), dtype=bool)
-        for i in range(agent_id + 1):  # claims in id order; argmin takes the lowest index
+        others = np.array([[j for j in range(n) if j != i] for i in range(n)]).reshape(n, n - 1)
+        positions = np.empty((len(flat), n, 2), dtype=np.int64)
+        positions[pairs, agent] = own
+        positions[pairs[:, None], others[agent]] = cells(2 + 2 * n, n - 1)
+        dist = np.abs(positions[:, :, None] - landmarks[:, None]).sum(axis=-1)  # (pairs, agent, lm)
+        claimed = np.zeros((len(flat), n), dtype=bool)
+        mine = np.zeros(len(flat), dtype=np.int64)
+        for i in range(n):  # claims in id order; argmin takes the lowest index
             best = np.argmin(np.where(claimed, np.iinfo(np.int64).max, dist[:, i]), axis=1)
-            claimed[rows, best] = True
-        mine = landmarks[rows, best]
-        return _step_toward(mine[:, 0] - own[:, 0], mine[:, 1] - own[:, 1])
+            claimed[pairs, best] = True
+            mine = np.where(agent == i, best, mine)  # each pair keeps its own agent's claim
+        goal = landmarks[pairs, mine]
+        return _step_toward(goal[:, 0] - own[:, 0], goal[:, 1] - own[:, 1]).reshape(obs.shape[:2])
 
 
 def _bfs_distances(passable, rows: int, cols: int, goal: tuple[int, int]) -> dict:
@@ -210,30 +233,20 @@ class ScriptedKeyCorridor(TargetPolicy):
     obs_dim = 13
 
     ANTECHAMBER = (2, 4)
+    _EXTENT = np.array([[KeyCorridor.ROWS], [KeyCorridor.COLS]])  # (row, col) by rows
+    _MOVES: np.ndarray | None = None  # the next-move table, see _moves
+    # offsets of each agent's closed-door and open-door rows in the flat _MOVES
+    _CLOSED_BASE = np.arange(n_agents) * 2 * KeyCorridor.ROWS * KeyCorridor.COLS
+    _OPEN_BASE = _CLOSED_BASE + KeyCorridor.ROWS * KeyCorridor.COLS
 
     def __init__(self, weakened: bool = False):
         self.weakened = bool(weakened)
-        rows, cols = KeyCorridor.ROWS, KeyCorridor.COLS
-        walls = KeyCorridor.WALLS
-        door = KeyCorridor.DOOR
-
-        def passable_closed(cell):
-            return cell not in walls and cell != door
-
-        def passable_open(cell):
-            return cell not in walls
-
-        self._maps = {
-            ("switch", False): _bfs_distances(passable_closed, rows, cols, KeyCorridor.SWITCH),
-            ("goal", True): _bfs_distances(passable_open, rows, cols, KeyCorridor.GOAL_ANCHOR),
-            ("wait", False): _bfs_distances(passable_closed, rows, cols, self.ANTECHAMBER),
-        }
-        self._tables: dict | None = None  # next-move lookup, see _next_moves
 
     def descriptor(self) -> str:
         return "scripted:keycorridor:weakened" if self.weakened else "scripted:keycorridor"
 
-    def _move_toward(self, own: tuple[int, int], dist: dict) -> int:
+    @staticmethod
+    def _move_toward(own: tuple[int, int], dist: dict) -> int:
         here = dist.get(own)
         if here is None or here == 0:
             return STAY
@@ -245,47 +258,63 @@ class ScriptedKeyCorridor(TargetPolicy):
                 best_action, best_d = action, d
         return best_action
 
-    def _next_moves(self) -> dict:
-        """_move_toward for every cell of each BFS map, as (ROWS, COLS) action
-        tables; built on first use so construction stays cheap."""
-        if self._tables is None:
+    @classmethod
+    def _moves(cls) -> np.ndarray:
+        """_move_toward for every cell, stacked per agent as (agent, door open,
+        ROWS * COLS): with the door closed agent 0 heads for the switch and
+        agents 1-2 for the antechamber; once it is open all head for the goal.
+        Built on first use and shared by every instance."""
+        if cls._MOVES is None:
             rows, cols = KeyCorridor.ROWS, KeyCorridor.COLS
-            self._tables = {
-                key: np.array([[self._move_toward((r, c), dist) for c in range(cols)]
-                               for r in range(rows)], dtype=np.int64)
-                for key, dist in self._maps.items()}
-        return self._tables
+            walls, door = KeyCorridor.WALLS, KeyCorridor.DOOR
+
+            def table(goal, passable) -> np.ndarray:
+                dist = _bfs_distances(passable, rows, cols, goal)
+                return np.array([cls._move_toward((r, c), dist)
+                                 for r in range(rows) for c in range(cols)], dtype=np.int64)
+
+            def closed(cell):
+                return cell not in walls and cell != door
+
+            to_goal = table(KeyCorridor.GOAL_ANCHOR, lambda cell: cell not in walls)
+            to_wait = table(cls.ANTECHAMBER, closed)
+            moves = np.stack([[table(KeyCorridor.SWITCH, closed), to_goal],
+                              [to_wait, to_goal], [to_wait, to_goal]])
+            moves.setflags(write=False)
+            cls._MOVES = moves
+        return cls._MOVES
 
     def act(self, obs: np.ndarray, agent_id: int) -> int:
         obs = self._check_obs(obs)
         rows, cols = KeyCorridor.ROWS, KeyCorridor.COLS
-        tables = self._next_moves()
         r, c = _denorm(obs[0], rows), _denorm(obs[1], cols)
+        moves = self._moves()[agent_id]
         if obs[2] > 0.0:  # the door is open
-            return int(tables[("goal", True)][r, c])
-        if agent_id == 0:
-            if self.weakened and (r, c) != KeyCorridor.SWITCH:
-                mate_r = min(max(r + _denorm_rel(obs[9], rows), 0), rows - 1)
-                mate_c = min(max(c + _denorm_rel(obs[10], cols), 0), cols - 1)
-                if (mate_r + mate_c) % 2 == 1:
-                    return STAY  # foot-dragging: advances on half the steps
-            return int(tables[("switch", False)][r, c])
-        return int(tables[("wait", False)][r, c])
+            return int(moves[1, r * cols + c])
+        if agent_id == 0 and self.weakened and (r, c) != KeyCorridor.SWITCH:
+            mate_r = min(max(r + _denorm_rel(obs[9], rows), 0), rows - 1)
+            mate_c = min(max(c + _denorm_rel(obs[10], cols), 0), cols - 1)
+            if (mate_r + mate_c) % 2 == 1:
+                return STAY  # foot-dragging: advances on half the steps
+        return int(moves[0, r * cols + c])
 
-    def act_batch(self, obs: np.ndarray, agent_id: int) -> np.ndarray:
-        """act() over rows via the next-move tables; non-finite input raises."""
+    def act_batch(self, obs: np.ndarray) -> np.ndarray:
+        """act() of every agent of every row, one gather from the stacked
+        next-move table; non-finite input raises."""
         obs = _check_finite_batch(self._check_obs_batch(obs))
-        rows, cols = KeyCorridor.ROWS, KeyCorridor.COLS
-        tables = self._next_moves()
-        r, c = _denorm_batch(obs[:, 0], rows), _denorm_batch(obs[:, 1], cols)
-        closed = tables[("switch", False) if agent_id == 0 else ("wait", False)][r, c]
-        if agent_id == 0 and self.weakened:
-            mate_r = np.clip(r + _denorm_rel_batch(obs[:, 9], rows), 0, rows - 1)
-            mate_c = np.clip(c + _denorm_rel_batch(obs[:, 10], cols), 0, cols - 1)
-            at_switch = (r == KeyCorridor.SWITCH[0]) & (c == KeyCorridor.SWITCH[1])
-            stall = ~at_switch & ((mate_r + mate_c) % 2 == 1)
-            closed = np.where(stall, STAY, closed)
-        return np.where(obs[:, 2] > 0.0, tables[("goal", True)][r, c], closed)
+        own = _denorm_batch(obs[..., :2].transpose(2, 0, 1), self._EXTENT[:, None])  # (2, B, n)
+        door = obs[..., 2] > 0.0
+        actions = self._moves().take(np.where(door, self._OPEN_BASE, self._CLOSED_BASE)
+                                     + own[0] * KeyCorridor.COLS + own[1])
+        if self.weakened:
+            # agent 0 stalls on teammate 1's odd parity while the door is
+            # closed; on the switch itself its table move is STAY anyway
+            mate = own[:, :, 0] + _denorm_rel_batch(obs[:, 0, 9:11].T, self._EXTENT)
+            np.maximum(mate, 0, out=mate)
+            np.minimum(mate, self._EXTENT - 1, out=mate)
+            stall = ~door[:, 0] & ((mate[0] + mate[1]) % 2 == 1)
+            actions[:, 0] = np.where(stall, STAY, actions[:, 0])
+        return actions
 
 
 class ScriptedDiagnostic(TargetPolicy):
@@ -309,11 +338,11 @@ class ScriptedDiagnostic(TargetPolicy):
             return LEFT if dc < 0 else RIGHT
         return STAY
 
-    def act_batch(self, obs: np.ndarray, agent_id: int) -> np.ndarray:
-        """act() over rows; non-finite input raises."""
+    def act_batch(self, obs: np.ndarray) -> np.ndarray:
+        """act() of every agent of every row; non-finite input raises."""
         obs = _check_finite_batch(self._check_obs_batch(obs))
-        dr = _denorm_rel_batch(obs[:, 2], self.grid)
-        dc = _denorm_rel_batch(obs[:, 3], self.grid)
+        dr = _denorm_rel_batch(obs[..., 2], self.grid)
+        dc = _denorm_rel_batch(obs[..., 3], self.grid)
         return _step_toward(dr, dc)
 
 
@@ -330,10 +359,12 @@ class LearnedPolicy(TargetPolicy):
         obs = self._check_obs(obs)
         return int(np.argmax(self._qnet.q_single(obs, agent_id)))  # lowest index wins ties
 
-    def act_batch(self, obs: np.ndarray, agent_id: int) -> np.ndarray:
-        """act() over rows: one stacked forward of one-row blocks."""
+    def act_batch(self, obs: np.ndarray) -> np.ndarray:
+        """act() of every agent of every row: per agent, one stacked forward
+        of one-row blocks."""
         obs = self._check_obs_batch(obs)
-        return np.argmax(self._qnet.q_single(obs, agent_id), axis=1)
+        return np.stack([np.argmax(self._qnet.q_single(obs[:, i], i), axis=1)
+                         for i in range(self.n_agents)], axis=1)
 
     def descriptor(self) -> str:
         digest = hashlib.sha256(

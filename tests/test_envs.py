@@ -6,12 +6,16 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from emai import envs
 from emai.envs import (DOWN, LEFT, RIGHT, STAY, UP, EnvError, EnvSpec, KeyCorridor,
                        make_env, spread_reward)
 from emai.masking import MASK, apply_mask
 from emai.rng import stream
+from emai.target import ScriptedKeyCorridor, scripted_by_name
 
 # recorded from stream(123, "recorded-fixture") draws over 2 actions
 RECORDED_DISCRETE2 = [1, 1, 0, 1, 0, 1, 1, 1, 1, 1, 0, 0, 1, 1, 1, 1]
@@ -427,3 +431,80 @@ def _trajectory_digest(env) -> str:
 def test_trajectories_match_pinned_digests(case):
     name, params, pinned = PINNED_DIGESTS[case]
     assert _trajectory_digest(make_env(name, **params)) == pinned
+
+
+# ---- the table-driven kernel: every batch row is the scalar env, bitwise ----
+
+PARITY_CASES = [
+    ("spread", {"n_agents": 3, "grid": 3, "horizon": 10}),  # edges everywhere, shared cells
+    ("keycorridor", {}),
+    ("diagnostic", {"n_agents": 3, "grid": 4, "horizon": 10, "inert": (1,)}),
+]
+SEEDS = st.integers(-(2**63), 2**63 - 1)
+
+
+def _grid_cells(env) -> list:
+    return [(r, c) for r in range(env._rows) for c in range(env._cols)
+            if (r, c) not in env.WALLS]
+
+
+@settings(max_examples=120, deadline=None)
+@given(data=st.data(), case=st.sampled_from(range(len(PARITY_CASES))), size=st.integers(1, 5),
+       from_branch=st.booleans())
+def test_batch_kernel_equals_scalar_env_bitwise(data, case, size, from_branch):
+    name, params = PARITY_CASES[case]
+    env = make_env(name, **params)
+    n, horizon = env.spec.n_agents, env.spec.horizon
+    if from_branch:
+        # any open cells and door flag, e.g. agent 0 beside the switch or
+        # agent 1 at the closed door, then a few scalar steps before the branch
+        env.reset(data.draw(SEEDS))
+        cells = _grid_cells(env)
+        env.door_open = env.DOOR is not None and data.draw(st.booleans())
+        if not env.door_open:
+            cells = [cell for cell in cells if cell != env.DOOR]
+        env.positions = data.draw(st.lists(st.sampled_from(cells), min_size=n, max_size=n))
+        for _ in range(data.draw(st.integers(0, horizon - 1))):
+            env.step(data.draw(st.lists(st.integers(0, 4), min_size=n, max_size=n)))
+        batch = env.branch(size)
+        copies = [copy.deepcopy(env) for _ in range(size)]
+    else:
+        seeds = data.draw(st.lists(SEEDS, min_size=size, max_size=size))
+        batch = env.reset_batch(seeds)
+        copies = _scalar_resets(env, seeds)
+    assert _same_bits(batch.observations(), np.stack([c.observations() for c in copies]))
+    assert _same_bits(batch.states(), np.stack([c._state() for c in copies]))
+    while not batch.done:
+        acts = data.draw(arrays(np.int64, (size, n), elements=st.integers(0, 4)))
+        _step_lockstep(batch, copies, acts)
+        assert batch.door_open.tolist() == [c.door_open for c in copies]
+        assert [list(map(tuple, lm)) for lm in batch.landmarks.tolist()] == [
+            c.landmarks for c in copies]
+    assert batch.t == horizon and all(c.done for c in copies)
+
+
+def test_tables_are_built_on_the_first_batch_once_per_geometry(monkeypatch):
+    monkeypatch.setattr(envs, "_TABLES", {})
+    monkeypatch.setattr(ScriptedKeyCorridor, "_MOVES", None)
+    env = make_env("keycorridor")
+    for variant in ("default", "weakened"):
+        scripted_by_name(env, variant)
+    for name in ("spread", "diagnostic"):
+        scripted_by_name(make_env(name))
+    env.reset(0)
+    env.step([RIGHT, STAY, STAY])
+    # neither construction nor scalar steps build a table
+    assert envs._TABLES == {} and ScriptedKeyCorridor._MOVES is None
+    first = env.branch(2)
+    again = make_env("keycorridor").reset_batch([1, 2])
+    assert again.tables is first.tables and len(envs._TABLES) == 1
+    assert not first.tables.rel.flags.writeable  # shared, so read-only
+    make_env("spread", grid=5).reset_batch([0])
+    make_env("spread", grid=6).reset_batch([0])
+    assert len(envs._TABLES) == 3  # one per (env class, grid size)
+    obs = first.observations()
+    scripted_by_name(env, "default").act_batch(obs)
+    moves = ScriptedKeyCorridor._MOVES
+    assert moves is not None and not moves.flags.writeable
+    scripted_by_name(env, "weakened").act(obs[0, 0], 0)
+    assert ScriptedKeyCorridor._MOVES is moves

@@ -344,9 +344,11 @@ def test_learned_act_batch_and_value_scores_batch_equal_row_calls(size):
     batch = env.reset_batch(list(range(size)))
     batch.step(stream(size, "learned-batch-moves").integers(0, 5, size=(size, 3)))
     obs, states = batch.observations(), batch.states()
+    joint = pol.act_batch(obs)
+    assert joint.shape == (size, 3)
     for i in range(3):
         rows = obs[:, i]
-        assert pol.act_batch(rows, i).tolist() == [pol.act(o, i) for o in rows]
+        assert joint[:, i].tolist() == [pol.act(o, i) for o in rows]
         assert np.array_equal(net.q_single(rows, i), np.stack([net.q_single(o, i) for o in rows]))
     assert np.array_equal(net.q_all_agents(obs), np.stack([net.q_all_agents(o) for o in obs]))
     value = ValueBasedExplainer(pol)

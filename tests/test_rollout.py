@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from emai import rollout
+from emai import explain, rollout
 from emai.ctde import AgentQNet
 from emai.envs import make_env
 from emai.rng import episode_seed, stream
@@ -117,3 +117,23 @@ def test_batch_actions_query_act_only_targets_row_by_row():
     expected = [rollout.greedy_actions(pol, o) for o in obs]
     assert rollout.batch_actions(pol, obs).tolist() == expected
     assert rollout.batch_actions(ActOnly(pol), obs).tolist() == expected
+
+
+def test_batch_actions_queries_act_batch_once_per_step():
+    env = make_env("keycorridor")
+    pol = scripted_policy(env)
+    calls = []
+    joint = pol.act_batch
+
+    def spy(obs):
+        calls.append(obs.shape)
+        return joint(obs)
+
+    pol.act_batch = spy
+    rollout.target_rewards(env, [1, 2, 3], pol)
+    assert calls == [(3, 3, env.spec.obs_dim)] * env.spec.horizon
+    calls.clear()
+    t = 10  # the oracle's branch: one joint query per suffix step for all n * rollouts rows
+    prefix = [s.final_actions for s in rollout.run_target_episode(env, 4, pol).steps[:t]]
+    explain.mc_counterfactual_oracle(pol, env, 4, prefix, rollouts=5)
+    assert calls == [(15, 3, env.spec.obs_dim)] * (env.spec.horizon - t)

@@ -181,7 +181,12 @@ def test_masking_module_never_touches_privileged_accessor():
             assert not node.attr.startswith("privileged")
 
 
-# ---- act_batch: exactly [act(row, i) for row in obs] ----
+# ---- act_batch: exactly [[act(obs[b, i], i) for i] for b] ----
+
+def _row_by_row(pol, obs) -> list:
+    """The joint actions act_batch must return, from one act() call per agent."""
+    return [[pol.act(o, i) for i, o in enumerate(row)] for row in obs]
+
 
 # Decoded values that land exactly on a .5 tie, where Python round() and
 # np.rint must agree (both round half to even): own row (v + 1) * 2, relative
@@ -195,13 +200,14 @@ OBS_VALUES = st.one_of(st.floats(-1.5, 1.5, allow_nan=False),
 
 
 @settings(max_examples=300, deadline=None)
-@given(obs=arrays(np.float64, st.tuples(st.integers(1, 8), st.just(13)), elements=OBS_VALUES),
-       agent=st.integers(0, 2), weakened=st.booleans())
-def test_keycorridor_act_batch_equals_act(obs, agent, weakened):
+@given(obs=arrays(np.float64, st.tuples(st.integers(1, 8), st.just(3), st.just(13)),
+                  elements=OBS_VALUES),
+       weakened=st.booleans())
+def test_keycorridor_act_batch_equals_act(obs, weakened):
     pol = ScriptedKeyCorridor(weakened=weakened)
-    batch = pol.act_batch(obs, agent)
-    assert batch.dtype == np.int64 and batch.shape == (len(obs),)
-    assert batch.tolist() == [pol.act(row, agent) for row in obs]
+    batch = pol.act_batch(obs)
+    assert batch.dtype == np.int64 and batch.shape == (len(obs), 3)
+    assert batch.tolist() == _row_by_row(pol, obs)
 
 
 def test_keycorridor_act_batch_rounds_ties_like_act():
@@ -210,10 +216,12 @@ def test_keycorridor_act_batch_rounds_ties_like_act():
     obs = np.zeros((len(grid), 13))
     obs[:, [0, 1, 9, 10]] = grid
     obs[:, 2] = -1.0  # door closed: agent 0's foot-dragging reads teammate 1's parity
+    joint = np.repeat(obs[:, None], 3, axis=1)  # every agent sees every tie row
     for weakened in (False, True):
         pol = ScriptedKeyCorridor(weakened=weakened)
+        out = pol.act_batch(joint)
         for i in range(3):
-            assert pol.act_batch(obs, i).tolist() == [pol.act(row, i) for row in obs]
+            assert out[:, i].tolist() == [pol.act(row, i) for row in obs]
 
 
 def test_keycorridor_act_batch_on_visited_states():
@@ -223,8 +231,7 @@ def test_keycorridor_act_batch_on_visited_states():
         for seed in range(4):
             trace = rollout.run_target_episode(env, seed, pol)
             obs = np.stack([s.observations for s in trace.steps])
-            for i in range(3):
-                assert pol.act_batch(obs[:, i], i).tolist() == [pol.act(o, i) for o in obs[:, i]]
+            assert pol.act_batch(obs).tolist() == _row_by_row(pol, obs)
 
 
 def _grid_ties(grid: int) -> list[float]:
@@ -239,41 +246,42 @@ SCRIPTED_GRIDS = {"name": st.sampled_from(["spread", "diagnostic"]),
 
 
 @settings(max_examples=150, deadline=None)
-@given(**SCRIPTED_GRIDS, seed=st.integers(0, 2**32), agent=st.integers(0, 3),
+@given(**SCRIPTED_GRIDS, seed=st.integers(0, 2**32),
        noise=st.sampled_from([0.0, 0.02, 0.2, 0.6]), steps=st.integers(0, 6))
-def test_scripted_act_batch_equals_act_on_visited_states(name, n_agents, grid, seed, agent,
-                                                         noise, steps):
+def test_scripted_act_batch_equals_act_on_visited_states(name, n_agents, grid, seed, noise,
+                                                         steps):
     # clean observations (noise 0) and noise-perturbed ones, as the attack feeds them
     env = make_env(name, n_agents=n_agents, grid=grid, horizon=8)
-    pol, agent = scripted_policy(env), agent % n_agents
+    pol = scripted_policy(env)
     batch = env.reset_batch([seed + k for k in range(12)])
     rng = stream(seed, "scripted-visited")
     for _ in range(steps):
         batch.step(rng.integers(0, 5, size=(batch.size, n_agents)))
-    obs = batch.observations()[:, agent]
+    obs = batch.observations()
     obs = np.clip(obs + rng.uniform(-noise, noise, obs.shape), -1.0, 1.0)
-    out = pol.act_batch(obs, agent)
-    assert out.dtype == np.int64 and out.shape == (len(obs),)
-    assert out.tolist() == [pol.act(row, agent) for row in obs]
+    out = pol.act_batch(obs)
+    assert out.dtype == np.int64 and out.shape == (len(obs), n_agents)
+    assert out.tolist() == _row_by_row(pol, obs)
 
 
 @settings(max_examples=150, deadline=None)
-@given(data=st.data(), **SCRIPTED_GRIDS, agent=st.integers(0, 3))
-def test_scripted_act_batch_equals_act_on_arbitrary_rows(data, name, n_agents, grid, agent):
+@given(data=st.data(), **SCRIPTED_GRIDS)
+def test_scripted_act_batch_equals_act_on_arbitrary_rows(data, name, n_agents, grid):
     env = make_env(name, n_agents=n_agents, grid=grid)
-    pol, agent = scripted_policy(env), agent % n_agents
+    pol = scripted_policy(env)
     values = st.one_of(st.floats(-1.5, 1.5, allow_nan=False), st.sampled_from(_grid_ties(grid)))
-    obs = data.draw(arrays(np.float64, st.tuples(st.integers(1, 8), st.just(pol.obs_dim)),
-                           elements=values))
-    assert pol.act_batch(obs, agent).tolist() == [pol.act(row, agent) for row in obs]
+    obs = data.draw(arrays(np.float64, st.tuples(st.integers(1, 8), st.just(n_agents),
+                                                 st.just(pol.obs_dim)), elements=values))
+    assert pol.act_batch(obs).tolist() == _row_by_row(pol, obs)
 
 
 def test_scripted_act_batch_rejects_non_finite_rows():
     for env in (make_env("spread", n_agents=3, grid=5), make_env("diagnostic", n_agents=3)):
-        bad = np.zeros((2, env.spec.obs_dim))
-        bad[1, 3] = np.inf
-        with pytest.raises(ValueError, match="non-finite"):
-            scripted_policy(env).act_batch(bad, 0)
+        for agent in range(3):
+            bad = np.zeros((2, 3, env.spec.obs_dim))
+            bad[1, agent, 3] = np.inf
+            with pytest.raises(ValueError, match="non-finite"):
+                scripted_policy(env).act_batch(bad)
 
 
 def test_default_act_batch_loops_over_act():
@@ -288,27 +296,30 @@ def test_default_act_batch_loops_over_act():
             return "only-act"
 
     pol = OnlyAct()
-    obs = stream(3, "only-act").uniform(-1, 1, size=(9, 4))
-    for i in range(2):
-        out = pol.act_batch(obs, i)
-        assert out.dtype == np.int64
-        assert out.tolist() == [pol.act(row, i) for row in obs]
-    assert pol.act_batch(np.zeros((0, 4)), 0).shape == (0,)
+    obs = stream(3, "only-act").uniform(-1, 1, size=(9, 2, 4))
+    out = pol.act_batch(obs)
+    assert out.dtype == np.int64
+    assert out.tolist() == _row_by_row(pol, obs)
+    assert pol.act_batch(np.zeros((0, 2, 4))).shape == (0, 2)
 
 
 def test_act_batch_rejects_wrong_shapes():
     learned = LearnedPolicy(target.AgentQNet(13, 3, 5, hidden=(8, 8), rng=stream(0, "shape")))
     for pol in (ScriptedKeyCorridor(), learned):
         with pytest.raises(ValueError):
-            pol.act_batch(np.zeros(13), 0)  # one row, not a batch
+            pol.act_batch(np.zeros(13))  # one row, not a batch
         with pytest.raises(ValueError):
-            pol.act_batch(np.zeros((4, 12)), 0)
+            pol.act_batch(np.zeros((3, 13)))  # one joint observation, not a batch
         with pytest.raises(ValueError):
-            pol.act_batch(np.zeros((2, 4, 13)), 0)
-    bad = np.zeros((2, 13))
-    bad[1, 0] = np.nan
+            pol.act_batch(np.zeros((4, 3, 12)))
+        with pytest.raises(ValueError):
+            pol.act_batch(np.zeros((2, 4, 13)))  # four agents, not three
+        with pytest.raises(ValueError):
+            pol.act_batch(np.zeros((1, 2, 3, 13)))
+    bad = np.zeros((2, 3, 13))
+    bad[1, 0, 0] = np.nan
     with pytest.raises(ValueError):
-        ScriptedKeyCorridor().act_batch(bad, 0)
+        ScriptedKeyCorridor().act_batch(bad)
 
 
 def test_checkpoint_doc_roundtrips_exactly(tmp_path):
