@@ -3,7 +3,7 @@
 Every command takes one strict JSON config (plus --set overrides), writes
 its artifacts under one output directory, and finishes with a manifest
 listing the config hash and a checksum for every file written. Identical
-config + seed reproduces identical checksums at any --workers count.
+config + seed reproduces identical checksums in one process.
 
 Exit codes: 0 ok, 2 config error, 3 missing artifact, 4 numeric failure,
 5 incompatibility.
@@ -150,7 +150,7 @@ def cmd_eval_fidelity(cfg: dict, out_dir: Path) -> list[Path]:
     explainer = _build_explainer(cfg, target)
     report = evaluation.eval_fidelity(explainer, target, env,
                                       episodes=cfg["eval"]["episodes"],
-                                      seed=cfg["seed"], workers=cfg["workers"])
+                                      seed=cfg["seed"])
     return _write_report(out_dir, "fidelity", report, [
         ("rrd", "" if report.rrd is None else report.rrd,
          "" if report.rrd_stderr is None else report.rrd_stderr),
@@ -168,8 +168,7 @@ def cmd_attack(cfg: dict, out_dir: Path) -> list[Path]:
     report = evaluation.launch_attack(explainer, target, env,
                                       noise_eps=cfg["eval"]["noise_eps"],
                                       episodes=cfg["eval"]["episodes"],
-                                      seed=cfg["seed"], workers=cfg["workers"],
-                                      attack_all=cfg["eval"]["attack_all"])
+                                      seed=cfg["seed"], attack_all=cfg["eval"]["attack_all"])
     return _write_report(out_dir, "attack", report, [
         ("reward_delta", report.delta, report.stderr),
         ("r_original", report.r_original, ""),
@@ -186,7 +185,7 @@ def cmd_patch(cfg: dict, out_dir: Path) -> list[Path]:
     report = evaluation.apply_patch(package, explainer, target, env,
                                     d_th=cfg["eval"]["d_th"],
                                     episodes=cfg["eval"]["episodes"],
-                                    seed=cfg["seed"], workers=cfg["workers"])
+                                    seed=cfg["seed"])
     pkg_path = out_dir / "patch_package.json"
     package.save(pkg_path)
     return [pkg_path] + _write_report(out_dir, "patch", report, [
@@ -231,7 +230,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--set", action="append", default=[], dest="overrides",
                        metavar="KEY=VALUE", help="override a config key (dotted path)")
         p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--workers", type=int, default=None)
     r = sub.add_parser("render")
     r.add_argument("replay", help="path to an .ndjson replay")
     r.add_argument("--mode", choices=["ascii", "csv"], default="ascii")
@@ -245,8 +243,6 @@ def main(argv=None) -> int:
         if args.command == "render":
             return cmd_render(args.replay, args.mode, args.out)
         cfg = load_config(args.config, args.overrides)
-        if args.workers is not None:
-            cfg["workers"] = args.workers
         out_dir = resolve_out_dir(cfg, args.command, args.out)
         files = _COMMANDS[args.command](cfg, out_dir)
         manifest = write_manifest(out_dir, cfg, args.command, files)

@@ -24,7 +24,6 @@ class MissingArtifactError(FileNotFoundError):
 
 DEFAULT_CONFIG: dict = {
     "seed": 0,
-    "workers": 1,
     "out_dir": None,
     "env": {"name": "spread", "params": {}},
     "target": {"kind": "scripted", "variant": "default", "checkpoint": None},
@@ -172,7 +171,6 @@ def canonical_hash(cfg: dict) -> str:
     """Config hash for manifests; run-location fields do not participate."""
     trimmed = copy.deepcopy(cfg)
     trimmed.pop("out_dir", None)
-    trimmed.pop("workers", None)
     blob = json.dumps(trimmed, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 

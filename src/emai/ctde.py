@@ -34,12 +34,6 @@ from .nn import FRESH, Mlp, Scratch, Tensor
 from .rng import episode_seed, stream
 
 
-def one_hot(indices: np.ndarray, width: int) -> np.ndarray:
-    out = np.zeros((len(indices), width))
-    out[np.arange(len(indices)), indices] = 1.0
-    return out
-
-
 def agent_inputs(rows: int, n_agents: int, obs_dim: int) -> np.ndarray:
     """(rows, n_agents, obs_dim + n_agents) agent-net inputs: each agent's
     observation columns (zero here, for the caller to fill) and its one-hot

@@ -166,10 +166,10 @@ class _GridEnv:
         if not self.positions:
             raise EnvError("branch() needs an environment that has been reset")
         tables = self._tables()
-        cells = tables.flat(np.array(self.positions, dtype=np.int64))
-        landmarks = tables.flat(np.array(self.landmarks, dtype=np.int64).reshape(-1, 2))
-        return GridBatch(self, tables, np.tile(cells, (size, 1)), np.tile(landmarks, (size, 1)),
-                         np.full(size, self.door_open), self.t, self.done)
+        landmarks = np.array(self.landmarks, dtype=np.int64).reshape(1, -1, 2)
+        return GridBatch(self, tables, tables.flat(np.array([self.positions], dtype=np.int64)),
+                         tables.flat(landmarks), np.array([self.door_open]), self.t,
+                         self.done).repeat(size)
 
     def reset_batch(self, seeds) -> "GridBatch":
         """One row per seed: row b is the state after reset(seeds[b])."""
@@ -262,15 +262,16 @@ class GridTables:
 class GridBatch:
     """`size` gridworld states of one env, stepped in lockstep.
 
-    The rows are copies of one state (env.branch) or the starts of different
-    seeds (env.reset_batch). Each row has its own agent cells, a
-    (size, n_agents) int64 array of GridTables flat cells, its own landmark
-    cells, (size, k) with k = 0 on keycorridor, and its own door flag, a
-    (size,) bool array that stays False on an env without a door. Walls, the
-    tables and the step counter t are shared, so all rows end together.
-    positions and landmarks derive the (size, ·, 2) grid coordinates. Row b
-    of step() equals, bitwise, the scalar env in row b's state stepped with
-    joint_actions[b], and bad input raises the same EnvError.
+    The rows are copies of one state (env.branch), the starts of different
+    seeds (env.reset_batch) or copies of another batch's rows (repeat). Each
+    row has its own agent cells, a (size, n_agents) int64 array of GridTables
+    flat cells, its own landmark cells, (size, k) with k = 0 on keycorridor,
+    and its own door flag, a (size,) bool array that stays False on an env
+    without a door. Walls, the tables and the step counter t are shared, so
+    all rows end together. positions and landmarks derive the (size, ·, 2)
+    grid coordinates. Row b of step() equals, bitwise, the scalar env in row
+    b's state stepped with joint_actions[b], and bad input raises the same
+    EnvError.
     """
 
     def __init__(self, env: _GridEnv, tables: GridTables, cells: np.ndarray,
@@ -305,6 +306,12 @@ class GridBatch:
     @property
     def size(self) -> int:
         return len(self.cells)
+
+    def repeat(self, count: int) -> "GridBatch":
+        """A new batch whose row b * count + j is a copy of row b, j < count."""
+        return GridBatch(self.env, self.tables, np.repeat(self.cells, count, axis=0),
+                         np.repeat(self.landmark_cells, count, axis=0),
+                         np.repeat(self.door_open, count), self.t, self.done)
 
     @property
     def positions(self) -> np.ndarray:

@@ -21,7 +21,7 @@ import numpy as np
 from .explain import Explainer
 from .masking import _check_compat
 from .rng import episode_seed, stream
-from .rollout import batch_actions, reward_sums, run_batch, run_lockstep, target_rewards
+from .rollout import batch_actions, reward_sums, run_lockstep, target_rewards
 
 RRD_DENOMINATOR_GUARD = 1e-6
 # bound on the (rows, entries, obs_dim) distance block of one patch query
@@ -42,22 +42,13 @@ def _most_critical(explainer: Explainer, batch, obs: np.ndarray, seeds, prefix) 
     return np.argmax(scores, axis=1)
 
 
-def _in_chunks(fn, shared: tuple, seeds: list, workers: int) -> list:
-    """fn((*shared, indices, chunk_seeds)) over contiguous chunks of the
-    episodes, one chunk per worker, through run_batch; results in seed
-    order. Every arm's rows are independent of the chunk they run in."""
-    chunks = [c.tolist() for c in np.array_split(np.arange(len(seeds)), max(1, workers)) if len(c)]
-    return run_batch(fn, [(*shared, c, [seeds[i] for i in c]) for c in chunks], workers)
-
-
-# ---- lockstep episode arms (module-level for picklability) ----
-# Each plays one chunk of episodes as one lockstep batch and draws every
+# ---- lockstep episode arms ----
+# Each plays every episode of its seeds as one lockstep batch and draws each
 # episode's own stream once per step, in the order one scalar episode would.
 
-def _guided(payload) -> np.ndarray:
+def _guided(env, target, explainer, root: int, seeds: list) -> np.ndarray:
     """Each step, randomize only the explainer's most critical agent."""
-    env, target, explainer, root, indices, seeds = payload
-    mask_rngs = [stream(root, "fid-mask-e", i) for i in indices]
+    mask_rngs = [stream(root, "fid-mask-e", i) for i in range(len(seeds))]
     n_actions = env.spec.n_actions
     rows = np.arange(len(seeds))
 
@@ -70,10 +61,9 @@ def _guided(payload) -> np.ndarray:
     return reward_sums(run_lockstep(env, seeds, act)[0])
 
 
-def _random_guided(payload) -> np.ndarray:
+def _random_guided(env, target, root: int, seeds: list) -> np.ndarray:
     """Each step, randomize one uniformly drawn agent."""
-    env, target, root, indices, seeds = payload
-    rngs = [stream(root, "fid-mask-r", i) for i in indices]
+    rngs = [stream(root, "fid-mask-r", i) for i in range(len(seeds))]
     n, n_actions = env.spec.n_agents, env.spec.n_actions
 
     def act(batch, obs, prefix):
@@ -86,11 +76,11 @@ def _random_guided(payload) -> np.ndarray:
     return reward_sums(run_lockstep(env, seeds, act)[0])
 
 
-def _attacked(payload) -> np.ndarray:
+def _attacked(env, target, explainer, noise_eps: float, attack_all: bool, root: int,
+              seeds: list) -> np.ndarray:
     """Uniform noise on the observations of the most critical agent (or of
     every agent), in agent order; the target acts on what it sees."""
-    env, target, explainer, noise_eps, attack_all, root, indices, seeds = payload
-    rngs = [stream(root, "attack-noise", i) for i in indices]
+    rngs = [stream(root, "attack-noise", i) for i in range(len(seeds))]
     n, obs_dim = env.spec.n_agents, env.spec.obs_dim
     rows = np.arange(len(seeds))[:, None]
 
@@ -120,9 +110,9 @@ def _nearest_entries(pkg_obs: np.ndarray, queries: np.ndarray) -> tuple[np.ndarr
     return best, dist
 
 
-def _patched(payload) -> tuple[np.ndarray, np.ndarray]:
+def _patched(env, target, explainer, pkg_obs: np.ndarray, pkg_actions: np.ndarray,
+             d_th: float, seeds: list) -> tuple[np.ndarray, np.ndarray]:
     """Override the critical agent's action with its nearest package action."""
-    env, target, explainer, pkg_obs, pkg_actions, d_th, indices, seeds = payload
     rows = np.arange(len(seeds))
     overrides = np.zeros(len(seeds), dtype=np.int64)
 
@@ -183,15 +173,15 @@ class RrdReport:
 
 
 def eval_fidelity(explainer: Explainer, target, env, episodes: int = 500,
-                  seed: int = 0, workers: int = 1) -> RrdReport:
+                  seed: int = 0) -> RrdReport:
     """RRD = |R_e - R_o| / |R_r - R_o| over matched-seed episode batches."""
     if episodes < 1:
         raise ValueError("episodes must be >= 1")
     _check_compat(target, env)
     seeds = [episode_seed(seed, "fidelity", i) for i in range(episodes)]
     r_o = reward_sums(target_rewards(env, seeds, target))
-    r_e = np.concatenate(_in_chunks(_guided, (env, target, explainer, seed), seeds, workers))
-    r_r = np.concatenate(_in_chunks(_random_guided, (env, target, seed), seeds, workers))
+    r_e = _guided(env, target, explainer, seed, seeds)
+    r_r = _random_guided(env, target, seed, seeds)
     return RrdReport.from_rewards(explainer.kind, env.name, r_o, r_e, r_r)
 
 
@@ -221,8 +211,7 @@ class AttackReport:
 
 
 def launch_attack(explainer: Explainer, target, env, noise_eps: float = 0.5,
-                  episodes: int = 500, seed: int = 0, workers: int = 1,
-                  attack_all: bool = False) -> AttackReport:
+                  episodes: int = 500, seed: int = 0, attack_all: bool = False) -> AttackReport:
     """Uniform observation noise on the most critical agent, matched seeds."""
     if noise_eps < 0:
         raise ValueError("noise_eps must be >= 0")
@@ -231,8 +220,7 @@ def launch_attack(explainer: Explainer, target, env, noise_eps: float = 0.5,
     _check_compat(target, env)
     seeds = [episode_seed(seed, "attack", i) for i in range(episodes)]
     r_o = reward_sums(target_rewards(env, seeds, target))
-    r_a = np.concatenate(_in_chunks(
-        _attacked, (env, target, explainer, float(noise_eps), attack_all, seed), seeds, workers))
+    r_a = _attacked(env, target, explainer, float(noise_eps), attack_all, seed, seeds)
     return AttackReport.from_rewards(explainer.kind, env.name, noise_eps, r_o, r_a)
 
 
@@ -352,8 +340,7 @@ class PatchReport:
 
 
 def apply_patch(package: PatchPackage, explainer: Explainer, target, env,
-                d_th: float | None = None, episodes: int = 500, seed: int = 0,
-                workers: int = 1) -> PatchReport:
+                d_th: float | None = None, episodes: int = 500, seed: int = 0) -> PatchReport:
     """Override the critical agent's action with the package action whenever
     a package observation lies within Manhattan distance d_th (and the
     actions disagree); reports the matched-seed reward delta."""
@@ -368,9 +355,7 @@ def apply_patch(package: PatchPackage, explainer: Explainer, target, env,
         raise ValueError(f"d_th must be >= 0, got {d_th}")
     seeds = [episode_seed(seed, "patch", i) for i in range(episodes)]
     r_o = reward_sums(target_rewards(env, seeds, target))
-    chunks = _in_chunks(_patched, (env, target, explainer, package.obs, package.actions,
-                                   float(d_th)), seeds, workers)
-    r_p = np.concatenate([r for r, _ in chunks])
-    overrides = np.concatenate([o for _, o in chunks])
+    r_p, overrides = _patched(env, target, explainer, package.obs, package.actions,
+                              float(d_th), seeds)
     return PatchReport.from_rewards(explainer.kind, env.name, d_th, len(package),
                                     r_o, r_p, overrides)

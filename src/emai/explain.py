@@ -2,10 +2,10 @@
 a brute-force Monte-Carlo counterfactual oracle.
 
 The oracle measures directly how the remaining episode reward moves when a
-single agent's actions are randomized from the queried step onward. It runs
-all its suffix rollouts as one lockstep batch of the branched environment,
-yet remains far too slow to be the product; at desk scale it doubles as both
-a baseline and the independent ground truth for tests.
+single agent's actions are randomized from the queried step onward. A query
+runs all its suffix rollouts as one lockstep batch, and scores_batch those of
+many episodes, yet it remains far too slow to be the product; at desk scale
+it doubles as both a baseline and the independent ground truth for tests.
 
 Access discipline: emai / random / mc_oracle touch the target only through
 act() and the joint act_batch(), one call per lockstep step; value- and
@@ -20,11 +20,9 @@ from typing import Iterator
 
 import numpy as np
 
-from . import nn
-from .ctde import one_hot
+from .ctde import agent_inputs
 from .envs import make_env
 from .masking import MaskingPolicy
-from .nn import Tensor
 from .rng import integers_rows, stream
 from .rollout import Step, Trace, batch_actions, greedy_actions, replay_prefix
 from .target import TargetPolicy, privileged_q_network
@@ -107,7 +105,7 @@ class RandomExplainer(Explainer):
 
     Each query draws from stream(seed, "random-explainer", episode_seed, t),
     so a score depends only on the queried context, never on how many
-    queries came before it or in which process they ran.
+    queries came before it or in which batch they ran.
     """
 
     kind = "random"
@@ -140,37 +138,36 @@ class ValueBasedExplainer(Explainer):
 class GradientBasedExplainer(Explainer):
     """Saliency of the chosen action's log-probability w.r.t. the observation.
 
-    p is the softmax of the target's Q values at temperature 1; the score is
-    the L1 norm of d log p(chosen) / d obs per agent.
+    p is the softmax of the target's Q values at temperature 1 and the chosen
+    action their argmax (lowest index on ties); the score is the L1 norm of
+    d log p(chosen) / d obs per agent, formed in closed form in the float
+    order of backpropagating log p through the graph, with no weight gradient.
     """
 
     kind = "gradient"
+    reads_states = False
 
     def __init__(self, target: TargetPolicy):
         self._qnet = privileged_q_network(target)
-        # the target is fixed while it is explained: a frozen copy of its
-        # MLP gives the input gradient without forming any weight gradient
-        self._mlp = copy.deepcopy(self._qnet.mlp)
-        for p in self._mlp.params():
-            p.requires_grad = False
 
     def scores(self, ctx: ExplainContext) -> np.ndarray:
-        out = np.zeros(ctx.n_agents)
-        for i in range(ctx.n_agents):
-            obs = np.asarray(ctx.observations[i], dtype=np.float64)
-            x = Tensor(np.concatenate([obs, one_hot(np.array([i]), self._qnet.n_agents)[0]]),
-                       requires_grad=True)
-            q = self._mlp.forward(x)
-            chosen = int(np.argmax(q.numpy()))
-            shift = float(q.numpy().max())
-            log_z = (q - shift).exp().sum().log() + shift
-            pick = np.zeros(self._qnet.n_actions)
-            pick[chosen] = 1.0
-            log_p = (q * Tensor(pick)).sum() - log_z
-            log_p.backward()
-            grad = x.grad[: self._qnet.obs_dim]
-            out[i] = np.abs(grad).sum()
-        return out
+        return self.scores_batch(None, np.asarray(ctx.observations)[None], None, ctx.t,
+                                 [ctx.episode_seed], None)[0]
+
+    def scores_batch(self, env, observations, states, t, episode_seeds, prefix) -> np.ndarray:
+        """One stacked forward over (B * n, 1, in) one-row blocks, each of
+        which rounds as the one-row forward of its agent would."""
+        net = self._qnet
+        size, n = observations.shape[:2]
+        x = agent_inputs(size, n, net.obs_dim)
+        x[..., :net.obs_dim] = observations
+        q, cache = net.mlp.fused_forward(x.reshape(size * n, 1, -1))
+        e = np.exp(q - q.max(axis=-1, keepdims=True))
+        # the one-hot of each row's argmax (lowest index on ties), added as 0.0/1.0
+        pick = np.equal(np.arange(net.n_actions), q.argmax(axis=-1)[..., None])
+        d_q = (-1.0 / e.sum(axis=-1, keepdims=True)) * e + pick
+        grad = net.mlp.fused_input_grad(cache, d_q)
+        return np.abs(grad[:, 0, :net.obs_dim]).sum(axis=1).reshape(size, n)
 
 
 def _suffix_return(env, target) -> float:
@@ -184,60 +181,59 @@ def _suffix_return(env, target) -> float:
     return total
 
 
-def _randomized_suffix_return(env, target, agents: np.ndarray, draws: np.ndarray) -> np.ndarray:
-    """Suffix returns of len(agents) lockstep branches of env: in row b, agent
-    agents[b] plays draws[b, s] at suffix step s and every other agent acts
-    greedily, from one joint act_batch query per step. Returns one total per
-    row."""
-    batch = env.branch(len(agents))
-    played = np.arange(len(agents)) * env.spec.n_agents + agents  # flat (row, agent) entries
-    totals = np.zeros(len(agents))
+def _randomized_suffix_return(batch, target, seeds, rollouts: int, seed: int) -> np.ndarray:
+    """Suffix returns (B, width) of a lockstep batch of the B episodes of
+    `seeds` at step t = batch.t, episode b's width = size / B rows in a run.
+    In its last n * rollouts rows, row i * rollouts + k is rollout k of
+    agent i: agent i plays the draws of stream(seed, "mc-oracle", seeds[b],
+    t, i, k), one per suffix step. Every other agent, and every agent of the
+    other rows, acts greedily, from one joint act_batch query per step."""
+    spec = batch.env.spec
+    n, t, width = spec.n_agents, batch.t, batch.size // len(seeds)
+    # a size-m draw yields the same values as m single draws from the stream
+    draws = integers_rows(seed, ("mc-oracle",), [(s, t, i, k) for s in seeds
+                                                 for i in range(n) for k in range(rollouts)],
+                          spec.n_actions, spec.horizon - t)
+    episode, entry = np.divmod(np.arange(len(draws)), n * rollouts)
+    played = (episode * width + width - n * rollouts + entry) * n + entry // rollouts
+    totals = np.zeros(batch.size)
     obs = batch.observations()
-    s = 0
-    while not batch.done:
+    for s in range(spec.horizon - t):
         actions = batch_actions(target, obs)
-        actions.put(played, draws[:, s])
+        actions.put(played, draws[:, s])  # flat (row, agent) entries
         result = batch.step(actions)
         totals += result.reward
         obs = result.observations
-        s += 1
-    return totals
+    return totals.reshape(len(seeds), width)
 
 
 def mc_counterfactual_oracle(target, env, episode_seed: int, prefix_actions,
                              rollouts: int, seed: int = 0
                              ) -> tuple[np.ndarray, np.ndarray]:
     """Per-agent |change in remaining episode reward| when that agent alone
-    acts randomly from here on; returns (scores, standard errors).
-
-    Rollout k of agent i draws its actions from
-    stream(seed, "mc-oracle", episode_seed, t, i, k), one per suffix step.
-    """
+    acts randomly from here on, drawing as _randomized_suffix_return does;
+    returns (scores, standard errors)."""
     if rollouts < 1:
         raise ValueError("rollouts must be >= 1")
     replay_prefix(env, episode_seed, prefix_actions)
     n = env.spec.n_agents
-    t = len(prefix_actions)
     unmasked = _suffix_return(copy.deepcopy(env), target)
-    # row i * rollouts + k is rollout k of agent i; a size-m draw yields the
-    # same values as m single draws from the stream
-    draws = integers_rows(seed, ("mc-oracle", episode_seed, t),
-                          [(i, k) for i in range(n) for k in range(rollouts)],
-                          env.spec.n_actions, env.spec.horizon - t)
-    agents = np.repeat(np.arange(n), rollouts)
-    returns = _randomized_suffix_return(env, target, agents, draws).reshape(n, rollouts)
-    scores = np.zeros(n)
-    stderr = np.zeros(n)
-    for i in range(n):
-        scores[i] = abs(returns[i].mean() - unmasked)
-        stderr[i] = returns[i].std(ddof=1) / np.sqrt(rollouts) if rollouts > 1 else 0.0
+    returns = _randomized_suffix_return(env.branch(n * rollouts), target, [episode_seed],
+                                        rollouts, seed).reshape(n, rollouts)
+    scores = np.abs(returns.mean(axis=1) - unmasked)
+    stderr = returns.std(axis=1, ddof=1) / np.sqrt(rollouts) if rollouts > 1 else np.zeros(n)
     return scores, stderr
+
+
+# bound on the rows of one batched oracle block, made of whole episodes
+ORACLE_ROW_BLOCK = 1 << 12
 
 
 class McOracleExplainer(Explainer):
     """Monte-Carlo counterfactual randomization oracle (black-box, slow)."""
 
     kind = "mc_oracle"
+    reads_states = False
 
     def __init__(self, target: TargetPolicy, rollouts: int = 64, seed: int = 0):
         if rollouts < 1:
@@ -259,18 +255,28 @@ class McOracleExplainer(Explainer):
         return mc_counterfactual_oracle(self.target, env, ctx.episode_seed,
                                         ctx.prefix_actions, self.rollouts, self.seed)
 
-
-def explain(explainer: Explainer, observations, state, time_t: int,
-            **context) -> np.ndarray:
-    """Score every agent at one time-step; higher means more important."""
-    ctx = ExplainContext(np.asarray(observations), np.asarray(state), int(time_t),
-                         **context)
-    out = np.asarray(explainer.scores(ctx), dtype=np.float64)
-    if out.shape != (ctx.n_agents,):
-        raise nn.ShapeError(f"explainer returned shape {out.shape} for {ctx.n_agents} agents")
-    if not np.all(np.isfinite(out)):
-        raise nn.NumericsError(f"explainer {explainer.kind!r} produced non-finite scores")
-    return out
+    def scores_batch(self, env, observations, states, t, episode_seeds, prefix) -> np.ndarray:
+        """Blocks of whole episodes, at most ORACLE_ROW_BLOCK rows each: the
+        block's prefixes replay from env.reset_batch, and each episode then
+        runs its unmasked suffix and its n * rollouts randomized ones as
+        1 + n * rollouts rows of one lockstep batch."""
+        if prefix.shape[1] != t:
+            raise ValueError(f"the oracle replays the prefix to reach step t: got "
+                             f"{prefix.shape[1]} prefix actions for t={t}")
+        n, rollouts = env.spec.n_agents, self.rollouts
+        width = 1 + n * rollouts  # an episode's unmasked row, then its rollouts
+        per_block = max(1, ORACLE_ROW_BLOCK // width)
+        out = np.empty((len(episode_seeds), n))
+        for lo in range(0, len(episode_seeds), per_block):
+            seeds = [int(s) for s in episode_seeds[lo:lo + per_block]]
+            batch = env.reset_batch(seeds)
+            for s in range(t):
+                batch.step(prefix[lo:lo + len(seeds), s])
+            totals = _randomized_suffix_return(batch.repeat(width), self.target, seeds,
+                                               rollouts, self.seed)
+            returns = totals[:, 1:].reshape(-1, n, rollouts)
+            out[lo:lo + len(seeds)] = np.abs(returns.mean(axis=2) - totals[:, :1])
+        return out
 
 
 def make_explainer(kind: str, target: TargetPolicy | None = None,

@@ -5,7 +5,7 @@ Small by design: numpy arrays as storage, a handful of differentiable ops,
 feedforward MLPs and an adaptive-moment optimizer. NaN/Inf is a hard error
 (`NumericsError`), never a silent value. Where the guard runs:
 
-- graph ops (`Tensor`, used by the gradient explainer and `grad_check`):
+- graph ops (`Tensor`, used by `grad_check` and `Mlp.forward`):
   every op result and every accumulated gradient;
 - fused MLP (`Mlp.fused_forward`, used for training and Q inference): the
   input and every layer's pre-activation, before the activation overwrites
@@ -533,6 +533,21 @@ class Mlp:
                 w = self.weights[i].data
                 g = np.matmul(g, w.T, out=ws.take(("pp", (i - 1) % 2), len(g), w.shape[0]))
         return grads
+
+    def fused_input_grad(self, cache: tuple[list, Scratch], d_out: np.ndarray) -> np.ndarray:
+        """The gradient of fused_forward's input for the upstream gradient
+        d_out, checked finite; no parameter gradient is formed. Takes the
+        cache of a forward whose layers did not share a Scratch array (as
+        with FRESH). Same float ops as Tensor.backward() through forward()."""
+        outs, _ = cache
+        g = d_out
+        for i in reversed(range(len(self.weights))):
+            act_b = _FUSED_BACKWARD[self.activations[i]]
+            if act_b is not None:
+                g = act_b(g, outs[i + 1])
+            g = np.matmul(g, self.weights[i].data.T)
+        _check_finite(g, "MLP input gradient")
+        return g
 
     def params(self) -> list[Tensor]:
         out = []

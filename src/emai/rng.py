@@ -37,6 +37,15 @@ def _tag_to_int(tag: object) -> int:
     return zlib.crc32(str(tag).encode("utf-8"))
 
 
+def _tag_column(tags: tuple) -> np.ndarray:
+    """_tag_to_int of each tag as a uint64 array; a column of integers that
+    numpy holds in 64 bits takes its low 32 bits in one array operation."""
+    column = np.array(tags)
+    if column.dtype.kind in "iu":
+        return column.astype(np.uint64) & _M32
+    return np.array([_tag_to_int(t) for t in tags], dtype=np.uint64)
+
+
 def _seed_words(seed: int) -> list[int]:
     """The 32-bit entropy words SeedSequence takes from stream()'s seed."""
     value = int(seed) & _M64
@@ -138,11 +147,10 @@ def integers_rows(seed: int, head_tags: tuple, tail_tags, high: int, size: int) 
     if size < 0:
         raise ValueError(f"size must be >= 0, got {size}")
     rows = len(tail_tags)
-    tails = [[_tag_to_int(t) for t in row] for row in tail_tags]
-    if len({len(row) for row in tails}) > 1:
+    if len({len(row) for row in tail_tags}) > 1:
         raise ValueError("every row of tail_tags must have the same length")
     words = (_seed_words(seed) + [_tag_to_int(t) for t in head_tags]
-             + [np.array(column, dtype=np.uint64) for column in zip(*tails)])
+             + [_tag_column(column) for column in zip(*tail_tags)])
     s_hi, s_lo, q_hi, q_lo = _seed_sequence_state(words, rows)
     # the seed s and the increment inc = 2 * initseq + 1 as (2, rows, 1) halves
     x_lo = np.stack([s_lo, q_lo << 1 | 1])[:, :, None]

@@ -1,15 +1,13 @@
 """Episode execution primitives shared by training, explainers and evaluation.
 
 Every rollout is a pure function of (environment, seed, policies, explicit
-rng streams), so batches replay bitwise and can safely fan out across
-processes with results merged in fixed seed order. A batch of episodes runs
-as one lockstep GridBatch (run_lockstep), whose act function sees every
-step's observations, states and executed actions; a single episode whose
-steps a caller keeps builds a Trace (run_episode).
+rng streams), so batches replay bitwise. A batch of episodes runs as one
+lockstep GridBatch (run_lockstep), whose act function sees every step's
+observations, states and executed actions; a single episode whose steps a
+caller keeps builds a Trace (run_episode).
 """
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -139,10 +137,3 @@ def replay_prefix(env, seed: int, prefix_actions) -> tuple[np.ndarray, np.ndarra
         state, obs, done = result.next_state, result.observations, result.done
     return state, obs, done
 
-
-def run_batch(fn, payloads: list, workers: int = 1) -> list:
-    """Map fn over payloads; results always in payload order."""
-    if workers <= 1:
-        return [fn(p) for p in payloads]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, payloads, chunksize=max(1, len(payloads) // (workers * 4))))

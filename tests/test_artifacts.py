@@ -1,7 +1,7 @@
 """Pinned artifacts of a tiny CLI run set, so a change to training or
 evaluation output cannot pass unnoticed.
 
-The runs, all on keycorridor at --workers 1: train-target; train-emai at
+The runs, all on keycorridor: train-target; train-emai at
 lambda = 0 and lambda = 1 (hidden [16, 16], batch 8, 20 baseline episodes);
 then explain and eval-fidelity with the emai explainer on the lambda = 1
 checkpoint. Each artifact's sha256 must equal its pinned value.
@@ -47,7 +47,7 @@ PINNED = {
 
 
 def _run(command: str, out, overrides: list[str]) -> None:
-    args = [command, "--out", str(out), "--workers", "1"]
+    args = [command, "--out", str(out)]
     for override in overrides:
         args += ["--set", override]
     assert main(args) == 0, f"{command} failed"

@@ -130,33 +130,24 @@ def test_attack_and_patch_commands(tmp_path):
 def test_identical_config_reruns_produce_identical_checksums(tmp_path):
     cfg_path = _write_cfg(tmp_path, FAST_EMAI)
     out_a, out_b = tmp_path / "a", tmp_path / "b"
-    assert main(["train-emai", "--config", str(cfg_path), "--out", str(out_a),
-                 "--workers", "1"]) == 0
-    assert main(["train-emai", "--config", str(cfg_path), "--out", str(out_b),
-                 "--workers", "1"]) == 0
+    assert main(["train-emai", "--config", str(cfg_path), "--out", str(out_a)]) == 0
+    assert main(["train-emai", "--config", str(cfg_path), "--out", str(out_b)]) == 0
     m_a, m_b = _manifest(out_a), _manifest(out_b)
     assert m_a["files"] == m_b["files"]
     assert m_a["config_sha256"] == m_b["config_sha256"]
 
 
-def test_eval_commands_identical_across_worker_counts(tmp_path):
-    train_out = tmp_path / "train"
-    assert main(["train-emai", "--config", str(_write_cfg(tmp_path, FAST_EMAI)),
-                 "--out", str(train_out)]) == 0
-    for kind in ("random", "emai"):
-        cfg = json.loads(json.dumps(FAST_EMAI))
-        cfg["explainer"] = {"kind": kind}
-        if kind == "emai":
-            cfg["explainer"]["checkpoint"] = str(train_out / "masking_checkpoint.json")
-        cfg_path = _write_cfg(tmp_path, cfg, f"{kind}.json")
-        for command in ("eval-fidelity", "attack", "patch"):
-            manifests = []
-            for workers in ("1", "2"):
-                out = tmp_path / f"{kind}-{command}-{workers}"
-                assert main([command, "--config", str(cfg_path), "--out", str(out),
-                             "--workers", workers]) == 0
-                manifests.append(_manifest(out))
-            assert manifests[0] == manifests[1], (kind, command)
+def test_removed_workers_key_and_flag_exit_2(tmp_path):
+    # every command runs in one process: the worker count is no option any more
+    cfg = json.loads(json.dumps(FAST_EMAI))
+    cfg["workers"] = 1
+    path = _write_cfg(tmp_path, cfg)
+    assert main(["eval-fidelity", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert main(["attack", "--set", "workers=2", "--out", str(tmp_path / "o")]) == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["eval-fidelity", "--out", str(tmp_path / "o"), "--workers", "2"])
+    assert exc.value.code == 2
+    assert not (tmp_path / "o").exists()
 
 
 def test_removed_explainer_norm_key_rejected_exit_2(tmp_path):

@@ -161,8 +161,29 @@ def test_states_are_built_only_for_explainers_that_read_them(reads_states):
     package = build_patch_package(spy, pol, env, harvest_episodes=10, quantile=0.3, seed=2)
     apply_patch(package, spy, pol, env, 1.0, episodes=3, seed=2)
     assert seen and all((states is not None) == reads_states for states in seen)
-    assert not EmaiExplainer.reads_states and not ValueBasedExplainer.reads_states
-    assert RandomExplainer.reads_states and McOracleExplainer.reads_states
+    # and so does every built-in explainer
+    kinds = []
+    for kind in PARITY_KINDS:
+        target, _, explainer = _parity_setup(kind, env)
+        if explainer.reads_states != reads_states:
+            continue
+        kinds.append(kind)
+        seen.clear()
+        inner = explainer.scores_batch
+
+        def record(env, observations, states, *rest):
+            seen.append(states)
+            return inner(env, observations, states, *rest)
+
+        explainer.scores_batch = record
+        eval_fidelity(explainer, target, env, episodes=3, seed=2)
+        with warnings.catch_warnings():  # equal harvest rewards keep every episode
+            warnings.simplefilter("ignore", UserWarning)
+            build_patch_package(explainer, target, env, harvest_episodes=10, quantile=0.3,
+                                seed=2)
+        assert seen and all((states is not None) == reads_states for states in seen), kind
+    assert kinds == (["random", "scores-only"] if reads_states else
+                     ["emai", "value", "gradient", "mc_oracle"])
 
 
 def test_patch_degenerate_rewards_warns_and_keeps_all():
@@ -425,12 +446,8 @@ def test_lockstep_arms_equal_scalar_arms(name, params, kind):
     # the package patches the other target, whose actions it often overrides
     d_th = 0.4 * env.spec.obs_dim
     patch = _scalar_patch(package, explainer, other, env, d_th, episodes, seed)
-    # gradient and mc_oracle, the slowest explainers, take the default
-    # scores_batch path that random and scores-only cover at --workers 2
-    for workers in (1,) if kind in ("gradient", "mc_oracle") else (1, 2):
-        assert eval_fidelity(explainer, target, env, episodes, seed, workers) == fidelity
-        for flag, report in attacks.items():
-            assert launch_attack(explainer, target, env, 0.4, episodes, seed, workers,
-                                 attack_all=flag) == report
-        assert apply_patch(package, explainer, other, env, d_th, episodes, seed,
-                           workers) == patch
+    assert eval_fidelity(explainer, target, env, episodes, seed) == fidelity
+    for flag, report in attacks.items():
+        assert launch_attack(explainer, target, env, 0.4, episodes, seed,
+                             attack_all=flag) == report
+    assert apply_patch(package, explainer, other, env, d_th, episodes, seed) == patch

@@ -12,12 +12,14 @@ from emai import explain as explain_mod
 from emai.envs import make_env
 from emai.explain import (EmaiExplainer, ExplainContext, GradientBasedExplainer,
                           McOracleExplainer, RandomExplainer, ValueBasedExplainer,
-                          explain, make_explainer, mc_counterfactual_oracle)
+                          make_explainer, mc_counterfactual_oracle)
 from emai.masking import MaskingPolicy
-from emai.rng import stream
-from emai.rollout import greedy_actions, replay_prefix, run_target_episode
+from emai.nn import Tensor
+from emai.rng import episode_seed, stream
+from emai.rollout import (batch_actions, greedy_actions, replay_prefix, run_lockstep,
+                          run_target_episode)
 from emai.target import (AgentQNet, CapabilityError, LearnedPolicy,
-                         scripted_by_name, scripted_policy)
+                         scripted_by_name, scripted_policy, train_target)
 from emai import ctde
 
 
@@ -96,6 +98,84 @@ def test_gradient_based_forms_no_target_weight_gradient():
         ex.scores(_ctx_for(env, seed=seed))
     assert all(p.grad is None for p in params)
     assert all(np.array_equal(p.data, b) for p, b in zip(params, before))
+
+
+# ---- the saliency kernel against the autodiff graph ----
+
+def _graph_saliency(qnet, observations) -> np.ndarray:
+    """Reference saliency of one observation set: per agent, the L1 norm of
+    the input gradient of log softmax(Q)[argmax Q], backpropagated through
+    the autodiff graph of a frozen copy of the net's MLP."""
+    mlp = copy.deepcopy(qnet.mlp)
+    for p in mlp.params():
+        p.requires_grad = False
+    out = np.zeros(len(observations))
+    for i in range(len(observations)):
+        obs = np.asarray(observations[i], dtype=np.float64)
+        x = Tensor(np.concatenate([obs, np.eye(qnet.n_agents)[i]]), requires_grad=True)
+        q = mlp.forward(x)
+        chosen = int(np.argmax(q.numpy()))
+        shift = float(q.numpy().max())
+        log_z = (q - shift).exp().sum().log() + shift
+        pick = np.zeros(qnet.n_actions)
+        pick[chosen] = 1.0
+        log_p = (q * Tensor(pick)).sum() - log_z
+        log_p.backward()
+        out[i] = np.abs(x.grad[: qnet.obs_dim]).sum()
+    return out
+
+
+SALIENCY_ENVS = [("keycorridor", {}), ("spread", {"n_agents": 3, "grid": 6}),
+                 ("diagnostic", {"n_agents": 3, "grid": 6, "horizon": 10})]
+
+
+@pytest.mark.parametrize("trained", [False, True], ids=["random-init", "trained"])
+@pytest.mark.parametrize("name,params", SALIENCY_ENVS, ids=[e[0] for e in SALIENCY_ENVS])
+def test_gradient_kernel_equals_graph_saliency(name, params, trained):
+    env = make_env(name, **params)
+    if trained:
+        target, _ = train_target(env, {"steps": 1500, "hidden": [32, 32], "batch_episodes": 4,
+                                       "buffer_episodes": 50}, seed=3)
+    else:
+        target = _learned_target(env, seed=11)
+    ex = GradientBasedExplainer(target)
+    obs_log = []
+
+    def act(batch, obs, prefix):
+        obs_log.append(obs)
+        return batch_actions(target, obs)
+
+    run_lockstep(env, list(range(20)), act)
+    pool = np.concatenate(obs_log)[stream(5, "saliency-rows").permutation(200)]
+    reference = np.stack([_graph_saliency(target._qnet, o) for o in pool])
+    for size in (1, 7, 200):
+        got = ex.scores_batch(env, pool[:size], None, 0, list(range(size)), None)
+        assert np.array_equal(got, reference[:size]), size
+    for o, ref in zip(pool, reference):
+        assert np.array_equal(ex.scores(ExplainContext(o, np.zeros(1), 0)), ref)
+
+
+def test_gradient_kernel_tied_max_q_takes_lowest_index():
+    # agent 0's hidden units 0 and 1 read 2 * obs[0] and obs[1], and Q
+    # actions 1 and 3 read those units; at obs[1] == 2 * obs[0] the two
+    # actions tie for the max with different input gradients
+    env = make_env("diagnostic", n_agents=3, grid=6)
+    net = AgentQNet(env.spec.obs_dim, 3, env.spec.n_actions, hidden=(4, 4))
+    w0, w1, w2 = (w.data for w in net.mlp.weights)
+    w0[0, 0], w0[1, 1] = 2.0, 1.0
+    w1[0, 0], w1[1, 1] = 1.0, 1.0
+    w2[0, 1], w2[1, 3] = 1.0, 1.0
+    obs = stream(6, "tie").uniform(-1.0, 1.0, (3, env.spec.obs_dim))
+    obs[0, :2] = 0.25, 0.5
+    q = net.q_all_agents(obs)[0]
+    assert q[1] == q[3] == q.max() and q[0] < q[1]
+    ex = GradientBasedExplainer(LearnedPolicy(net))
+    scores = ex.scores(ExplainContext(obs, np.zeros(1), 0))
+    assert np.array_equal(scores, _graph_saliency(net, obs))
+    assert np.array_equal(ex.scores_batch(env, obs[None], None, 0, [0], None)[0], scores)
+    # the gradient of log p(1) is (1 - p) * 2 along obs[0] and -p along obs[1]
+    p = 1.0 / np.exp(q - q.max()).sum()
+    assert scores[0] == pytest.approx(2.0 - p) and scores[0] != pytest.approx(1.0 + p)
 
 
 def test_white_box_explainers_reject_scripted_target():
@@ -180,10 +260,8 @@ def test_every_explainer_returns_n_finite_scores():
                   GradientBasedExplainer(learned), McOracleExplainer(learned, rollouts=2)]
     ctx = _ctx_for(env, seed=9)
     for ex in explainers:
-        scores = explain(ex, ctx.observations, ctx.state, ctx.t,
-                         env_name=ctx.env_name, env_params=ctx.env_params,
-                         episode_seed=ctx.episode_seed)
-        assert scores.shape == (3,)
+        scores = ex.scores(ctx)
+        assert scores.shape == (3,) and scores.dtype == np.float64
         assert np.all(np.isfinite(scores))
 
 
@@ -266,6 +344,25 @@ def _assert_oracles_equal(target, env_name, env_params, episode_seed, prefix, ro
     return batched
 
 
+def _assert_scores_batch_equal_scalar(target, env, seeds, prefixes, rollouts, seed):
+    """scores_batch of the episodes of `seeds` at step t = prefixes.shape[1]
+    equals each episode's scalar scores(), row for row, bitwise."""
+    oracle = McOracleExplainer(target, rollouts=rollouts, seed=seed)
+    t = prefixes.shape[1]
+    # the oracle reads neither observations nor states
+    batched = oracle.scores_batch(env, None, None, t, seeds, prefixes)
+    scalar = [oracle.scores(ExplainContext(None, None, t, env.name, env.params, s, p.tolist()))
+              for s, p in zip(seeds, prefixes)]
+    assert np.array_equal(batched, np.stack(scalar))
+    return batched
+
+
+def _trace_prefixes(traces, t, n_agents=3) -> np.ndarray:
+    """(len(traces), t, n_agents) executed joint actions before step t."""
+    return np.array([[s.final_actions for s in tr.steps[:t]] for tr in traces],
+                    dtype=np.int64).reshape(len(traces), t, n_agents)
+
+
 @pytest.mark.parametrize("variant,episode", [("default", 3), ("weakened", 5)])
 def test_batched_oracle_matches_scalar_on_keycorridor(variant, episode):
     env = make_env("keycorridor")
@@ -281,6 +378,32 @@ def test_batched_oracle_matches_scalar_on_keycorridor(variant, episode):
     for t in (0, 24):  # the production rollout count
         prefix = [s.final_actions for s in trace.steps[:t]]
         _assert_oracles_equal(pol, "keycorridor", {}, episode, prefix, rollouts=64, seed=4)
+    # scores_batch: episodes of several seeds, each at its own prefix
+    seeds = [episode + 10 * j for j in range(5)]
+    traces = [run_target_episode(env, s, pol) for s in seeds]
+    for t in (0, 12, 29, 30):
+        _assert_scores_batch_equal_scalar(pol, env, seeds, _trace_prefixes(traces, t),
+                                          rollouts=8, seed=4)
+    _assert_scores_batch_equal_scalar(pol, env, seeds[:3], _trace_prefixes(traces[:3], 24),
+                                      rollouts=64, seed=4)
+
+
+def test_oracle_scores_batch_spans_row_blocks(monkeypatch):
+    env = make_env("keycorridor")
+    pol = scripted_policy(env)
+    per_block = explain_mod.ORACLE_ROW_BLOCK // (1 + 3 * 64)
+    # a full block of episodes, then two more, with the evaluation arms' 63-bit seeds
+    seeds = [episode_seed(6, "fidelity", i) for i in range(per_block + 2)]
+    traces = [run_target_episode(env, s, pol) for s in seeds]
+    for t in (0, 24):
+        _assert_scores_batch_equal_scalar(pol, env, seeds, _trace_prefixes(traces, t),
+                                          rollouts=64, seed=4)
+    # blocks of two episodes, the last one short, against the one-stream-per-rollout loop
+    monkeypatch.setattr(explain_mod, "ORACLE_ROW_BLOCK", 2 * (1 + 3 * 8) + 1)
+    prefixes = _trace_prefixes(traces[:5], 12)
+    batched = _assert_scores_batch_equal_scalar(pol, env, seeds[:5], prefixes, rollouts=8, seed=4)
+    for row, s, prefix in zip(batched, seeds, prefixes):
+        assert np.array_equal(row, _scalar_oracle(pol, env, s, prefix.tolist(), 8, 4)[0])
 
 
 def test_batched_oracle_matches_scalar_on_diagnostic():
@@ -291,6 +414,11 @@ def test_batched_oracle_matches_scalar_on_diagnostic():
         scores, _ = _assert_oracles_equal(pol, "diagnostic", params, 4, [[1, 2, 3]] * 3,
                                           rollouts=8, seed=0)
         assert scores[2] == 0.0
+        for rollouts in (8, 64):
+            batched = _assert_scores_batch_equal_scalar(pol, env, [4, 5, 6],
+                                                        np.array([[[1, 2, 3]] * 3] * 3),
+                                                        rollouts, seed=0)
+            assert not batched[:, 2].any()
 
 
 def test_batched_oracle_matches_scalar_with_learned_target():
@@ -298,6 +426,10 @@ def test_batched_oracle_matches_scalar_with_learned_target():
     pol = _learned_target(make_env("spread", **params), seed=2)
     assert type(pol).act_batch is LearnedPolicy.act_batch  # one stacked forward
     _assert_oracles_equal(pol, "spread", params, 6, [[4, 0, 1]] * 2, rollouts=4, seed=1)
+    env = make_env("spread", **params)
+    for rollouts in (8, 64):
+        _assert_scores_batch_equal_scalar(pol, env, [6, 7, 8], np.array([[[4, 0, 1]] * 2] * 3),
+                                          rollouts, seed=1)
 
 
 def test_batched_oracle_single_rollout_has_zero_stderr():
@@ -325,12 +457,16 @@ def test_oracle_rejects_prefix_that_does_not_reach_t():
     step = trace.steps[5]
     ex = McOracleExplainer(pol, rollouts=2)
     with pytest.raises(ValueError, match="prefix"):
-        explain(ex, step.observations, step.state, time_t=5, env_name=env.name,
-                episode_seed=0)
+        ex.scores(ExplainContext(step.observations, step.state, 5, env.name, episode_seed=0))
     prefix = [s.final_actions for s in trace.steps[:5]]
-    scores = explain(ex, step.observations, step.state, time_t=5, env_name=env.name,
-                     episode_seed=0, prefix_actions=prefix)
+    scores = ex.scores(ExplainContext(step.observations, step.state, 5, env.name,
+                                      episode_seed=0, prefix_actions=prefix))
     assert scores.shape == (3,)
+    # the batched query checks the prefix width the same way
+    with pytest.raises(ValueError, match="prefix"):
+        ex.scores_batch(env, None, None, 5, [0], np.array([prefix[:4]]))
+    assert np.array_equal(ex.scores_batch(env, None, None, 5, [0], np.array([prefix])),
+                          scores[None])
 
 
 # ---- batched learned inference: stacked blocks, bitwise the one-row calls ----

@@ -41,7 +41,7 @@ def _agent_batch(obs_steps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _graph_q_values(net: AgentQNet, rows: np.ndarray, ids: np.ndarray) -> Tensor:
-    x = np.concatenate([rows, ctde.one_hot(ids, net.n_agents)], axis=1)
+    x = np.concatenate([rows, np.eye(net.n_agents)[ids]], axis=1)
     return net.mlp.forward(Tensor(x))
 
 
@@ -60,7 +60,7 @@ def _graph_chosen_q(net: AgentQNet, obs_steps: np.ndarray, actions: np.ndarray) 
     S, n, _ = obs_steps.shape
     rows, ids = _agent_batch(obs_steps)
     q_all = _graph_q_values(net, rows, ids)
-    picked = (q_all * ctde.one_hot(actions.reshape(-1), net.n_actions)).sum(axis=1)
+    picked = (q_all * np.eye(net.n_actions)[actions.reshape(-1)]).sum(axis=1)
     return picked.reshape(S, n)
 
 

@@ -59,6 +59,12 @@ def test_integers_rows_oracle_shape_and_edges():
     assert integers_rows(4, head, tails, 5, 0).shape == (192, 0)
     assert integers_rows(4, head, [], 5, 3).shape == (0, 3)
     assert not integers_rows(4, head, tails[:3], 1, 7).any()
+    # the batched oracle's tails (episode seed, t, agent, rollout): 63-bit
+    # episode seeds, whose low 32 bits are the tag, in an integer column
+    seeds = [rng.episode_seed(3, "fidelity", e) for e in range(4)] + [-1, 2**31 + 5]
+    tails = [(s, 7, i, k) for s in seeds for i in range(2) for k in range(3)]
+    assert np.array_equal(integers_rows(4, ("mc-oracle",), tails, 5, 6),
+                          _row_by_row(4, ("mc-oracle",), tails, 5, 6))
 
 
 @pytest.mark.parametrize("high", [0, -1, 2**32, 2**40])
