@@ -23,7 +23,7 @@ from .envs import EnvError, make_env
 from .masking import IncompatibilityError, MaskingPolicy
 from .nn import NumericsError
 from .replay import ReplayError
-from .rng import episode_seed
+from .rng import episode_seeds
 from .rollout import run_target_episode
 from .target import CapabilityError
 
@@ -131,8 +131,8 @@ def cmd_explain(cfg: dict, out_dir: Path) -> list[Path]:
     target = _build_target(cfg, env)
     explainer = _build_explainer(cfg, target)
     files = []
-    for i in range(int(cfg["eval"]["explain_episodes"])):
-        seed = episode_seed(cfg["seed"], "explain", i)
+    for i, seed in enumerate(episode_seeds(cfg["seed"], "explain",
+                                           int(cfg["eval"]["explain_episodes"]))):
         trace = run_target_episode(env, seed, target)
         for step, ctx in explain_mod.trace_contexts(trace, env):
             step.importance = explainer.scores(ctx)

@@ -15,6 +15,7 @@ env in that row's state.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -286,22 +287,14 @@ class GridBatch:
         size, n = cells.shape
         # point slots, one row of cells each: the own position's slot, the door
         # slot on an env with a door, the anchors, the landmarks, then the
-        # agents, whose rows every observation rewrites
+        # agents, whose rows every observation rewrites (so each batch owns
+        # its _points, while the index arrays it gathers with are shared)
         fixed = [tables.size, *([] if env.DOOR is None else [tables.size + 1]),
                  *(tables.flat(a) for a in env.ANCHORS)]
         self._points = np.concatenate(
             [np.repeat(np.array(fixed)[:, None], size, axis=1), landmark_cells.T, cells.T])
-        m = len(self._points)
-        # agent i reads the fixed slots and landmarks, then the other agents in
-        # index order: flat entries of the (n, m, size) (agent, slot, row) pairs
-        slots = np.array([[*range(m - n), *(m - n + j for j in range(n) if j != i)]
-                          for i in range(n)]).reshape(n, m - 1)
-        self._seen = ((np.arange(n)[:, None] * m + slots) * size
-                      + np.arange(size)[:, None, None])
-        if env.DOOR is not None:  # flat entries of the gathered values, less the second door flag
-            keep = [0, 1, 2, *range(4, 2 * (m - 1))]
-            self._layout = (np.arange(size * n)[:, None] * (2 * (m - 1)) + keep).reshape(
-                size, n, len(keep))
+        self._seen, self._layout = _gather_indices(n, len(self._points), size,
+                                                   env.DOOR is not None)
 
     @property
     def size(self) -> int:
@@ -367,6 +360,26 @@ class GridBatch:
         self.t += 1
         self.done = self.t >= self.env.spec.horizon
         return BatchStepResult(self.observations(), reward, self.done)
+
+
+@functools.lru_cache(maxsize=16)
+def _gather_indices(n: int, m: int, size: int, door: bool) -> tuple:
+    """GridBatch.observations' gather indices for n agents, m point slots and
+    size rows, shared by every batch of that shape (a repeat(1) copy, the
+    blocks of one oracle query), which only ever read them. They stay
+    writeable all the same: ndarray.take copies a read-only index array on
+    every call. Agent i reads the fixed slots and landmarks, then the other
+    agents in index order: `seen` holds flat entries of the (n, m, size)
+    (agent, slot, row) pairs. With a door, `layout` holds flat entries of the
+    gathered values, less the second door flag; without one it is None."""
+    slots = np.array([[*range(m - n), *(m - n + j for j in range(n) if j != i)]
+                      for i in range(n)]).reshape(n, m - 1)
+    seen = (np.arange(n)[:, None] * m + slots) * size + np.arange(size)[:, None, None]
+    if not door:
+        return seen, None
+    keep = [0, 1, 2, *range(4, 2 * (m - 1))]
+    layout = (np.arange(size * n)[:, None] * (2 * (m - 1)) + keep).reshape(size, n, len(keep))
+    return seen, layout
 
 
 def _norm_pos(pos: tuple[int, int], rows: int, cols: int) -> tuple[float, float]:

@@ -20,7 +20,7 @@ import numpy as np
 
 from .explain import Explainer
 from .masking import _check_compat
-from .rng import episode_seed, stream
+from .rng import episode_seeds, integers_rows, uniform_rows
 from .rollout import batch_actions, reward_sums, run_lockstep, target_rewards
 
 RRD_DENOMINATOR_GUARD = 1e-6
@@ -43,57 +43,67 @@ def _most_critical(explainer: Explainer, batch, obs: np.ndarray, seeds, prefix) 
 
 
 # ---- lockstep episode arms ----
-# Each plays every episode of its seeds as one lockstep batch and draws each
-# episode's own stream once per step, in the order one scalar episode would.
+# Each plays every episode of a shared start batch (env.reset_batch(seeds)) in
+# lockstep. An arm that randomizes draws all its episodes' randomness up front
+# as one table, row i bitwise the draws of stream(root, tag, i) in the order one
+# scalar episode makes them, and step t reads its column(s) t.
 
-def _guided(env, target, explainer, root: int, seeds: list) -> np.ndarray:
+def _episode_tags(count: int) -> list[tuple[int]]:
+    return [(i,) for i in range(count)]
+
+
+def _guided(start, target, explainer, root: int, seeds: list) -> np.ndarray:
     """Each step, randomize only the explainer's most critical agent."""
-    mask_rngs = [stream(root, "fid-mask-e", i) for i in range(len(seeds))]
-    n_actions = env.spec.n_actions
+    spec = start.env.spec
+    mask = integers_rows(root, ("fid-mask-e",), _episode_tags(len(seeds)), spec.n_actions,
+                         spec.horizon)
     rows = np.arange(len(seeds))
 
     def act(batch, obs, prefix):
         actions = batch_actions(target, obs)
         critical = _most_critical(explainer, batch, obs, seeds, prefix)
-        actions[rows, critical] = [int(rng.integers(0, n_actions)) for rng in mask_rngs]
+        actions[rows, critical] = mask[:, batch.t]
         return actions
 
-    return reward_sums(run_lockstep(env, seeds, act)[0])
+    return reward_sums(run_lockstep(start, act)[0])
 
 
-def _random_guided(env, target, root: int, seeds: list) -> np.ndarray:
+def _random_guided(start, target, root: int, seeds: list) -> np.ndarray:
     """Each step, randomize one uniformly drawn agent."""
-    rngs = [stream(root, "fid-mask-r", i) for i in range(len(seeds))]
-    n, n_actions = env.spec.n_agents, env.spec.n_actions
+    spec = start.env.spec
+    # per step, the action draw precedes the agent draw
+    draws = integers_rows(root, ("fid-mask-r",), _episode_tags(len(seeds)),
+                          [spec.n_actions, spec.n_agents] * spec.horizon, 2 * spec.horizon)
+    rows = np.arange(len(seeds))
 
     def act(batch, obs, prefix):
         actions = batch_actions(target, obs)
-        for b, rng in enumerate(rngs):
-            # the right side is evaluated first: the action draw precedes the agent draw
-            actions[b, int(rng.integers(0, n))] = int(rng.integers(0, n_actions))
+        actions[rows, draws[:, 2 * batch.t + 1]] = draws[:, 2 * batch.t]
         return actions
 
-    return reward_sums(run_lockstep(env, seeds, act)[0])
+    return reward_sums(run_lockstep(start, act)[0])
 
 
-def _attacked(env, target, explainer, noise_eps: float, attack_all: bool, root: int,
+def _attacked(start, target, explainer, noise_eps: float, attack_all: bool, root: int,
               seeds: list) -> np.ndarray:
     """Uniform noise on the observations of the most critical agent (or of
     every agent), in agent order; the target acts on what it sees."""
-    rngs = [stream(root, "attack-noise", i) for i in range(len(seeds))]
-    n, obs_dim = env.spec.n_agents, env.spec.obs_dim
+    spec = start.env.spec
+    n, obs_dim = spec.n_agents, spec.obs_dim
+    k = n if attack_all else 1  # victims per step, each drawing obs_dim values
+    noise = uniform_rows(root, ("attack-noise",), _episode_tags(len(seeds)), -noise_eps,
+                         noise_eps, spec.horizon * k * obs_dim)
+    noise = noise.reshape(len(seeds), spec.horizon, k, obs_dim)
     rows = np.arange(len(seeds))[:, None]
 
     def act(batch, obs, prefix):
         victims = (np.tile(np.arange(n), (len(seeds), 1)) if attack_all else
                    _most_critical(explainer, batch, obs, seeds, prefix)[:, None])
-        noise = np.array([[rng.uniform(-noise_eps, noise_eps, obs_dim) for _ in agents]
-                          for rng, agents in zip(rngs, victims)])
         seen = obs.copy()
-        seen[rows, victims] = np.clip(obs[rows, victims] + noise, -1.0, 1.0)
+        seen[rows, victims] = np.clip(obs[rows, victims] + noise[:, batch.t], -1.0, 1.0)
         return batch_actions(target, seen)
 
-    return reward_sums(run_lockstep(env, seeds, act)[0])
+    return reward_sums(run_lockstep(start, act)[0])
 
 
 def _nearest_entries(pkg_obs: np.ndarray, queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -110,7 +120,7 @@ def _nearest_entries(pkg_obs: np.ndarray, queries: np.ndarray) -> tuple[np.ndarr
     return best, dist
 
 
-def _patched(env, target, explainer, pkg_obs: np.ndarray, pkg_actions: np.ndarray,
+def _patched(start, target, explainer, pkg_obs: np.ndarray, pkg_actions: np.ndarray,
              d_th: float, seeds: list) -> tuple[np.ndarray, np.ndarray]:
     """Override the critical agent's action with its nearest package action."""
     rows = np.arange(len(seeds))
@@ -126,7 +136,7 @@ def _patched(env, target, explainer, pkg_obs: np.ndarray, pkg_actions: np.ndarra
         overrides[hit] += 1
         return actions
 
-    rewards = reward_sums(run_lockstep(env, seeds, act)[0])
+    rewards = reward_sums(run_lockstep(start, act)[0])
     return rewards, overrides
 
 
@@ -178,10 +188,11 @@ def eval_fidelity(explainer: Explainer, target, env, episodes: int = 500,
     if episodes < 1:
         raise ValueError("episodes must be >= 1")
     _check_compat(target, env)
-    seeds = [episode_seed(seed, "fidelity", i) for i in range(episodes)]
-    r_o = reward_sums(target_rewards(env, seeds, target))
-    r_e = _guided(env, target, explainer, seed, seeds)
-    r_r = _random_guided(env, target, seed, seeds)
+    seeds = episode_seeds(seed, "fidelity", episodes)
+    start = env.reset_batch(seeds)
+    r_o = reward_sums(target_rewards(start, target))
+    r_e = _guided(start, target, explainer, seed, seeds)
+    r_r = _random_guided(start, target, seed, seeds)
     return RrdReport.from_rewards(explainer.kind, env.name, r_o, r_e, r_r)
 
 
@@ -218,9 +229,10 @@ def launch_attack(explainer: Explainer, target, env, noise_eps: float = 0.5,
     if episodes < 1:
         raise ValueError("episodes must be >= 1")
     _check_compat(target, env)
-    seeds = [episode_seed(seed, "attack", i) for i in range(episodes)]
-    r_o = reward_sums(target_rewards(env, seeds, target))
-    r_a = _attacked(env, target, explainer, float(noise_eps), attack_all, seed, seeds)
+    seeds = episode_seeds(seed, "attack", episodes)
+    start = env.reset_batch(seeds)
+    r_o = reward_sums(target_rewards(start, target))
+    r_a = _attacked(start, target, explainer, float(noise_eps), attack_all, seed, seeds)
     return AttackReport.from_rewards(explainer.kind, env.name, noise_eps, r_o, r_a)
 
 
@@ -273,7 +285,7 @@ def build_patch_package(explainer: Explainer, target, env, harvest_episodes: int
     if not (0.0 < quantile <= 1.0):
         raise ValueError("quantile must lie in (0, 1]")
     _check_compat(target, env)
-    seeds = [episode_seed(seed, "harvest", i) for i in range(harvest_episodes)]
+    seeds = episode_seeds(seed, "harvest", harvest_episodes)
     obs_log, state_log = [], []
 
     def act(batch, obs, prefix):
@@ -282,7 +294,7 @@ def build_patch_package(explainer: Explainer, target, env, harvest_episodes: int
             state_log.append(batch.states())
         return batch_actions(target, obs)
 
-    step_rewards, actions = run_lockstep(env, seeds, act)
+    step_rewards, actions = run_lockstep(env.reset_batch(seeds), act)
     rewards = reward_sums(step_rewards)
     if np.all(rewards == rewards[0]):
         warnings.warn("all harvest episode rewards are equal; keeping every episode")
@@ -353,9 +365,10 @@ def apply_patch(package: PatchPackage, explainer: Explainer, target, env,
         d_th = 0.05 * env.spec.obs_dim
     if d_th < 0:
         raise ValueError(f"d_th must be >= 0, got {d_th}")
-    seeds = [episode_seed(seed, "patch", i) for i in range(episodes)]
-    r_o = reward_sums(target_rewards(env, seeds, target))
-    r_p, overrides = _patched(env, target, explainer, package.obs, package.actions,
+    seeds = episode_seeds(seed, "patch", episodes)
+    start = env.reset_batch(seeds)
+    r_o = reward_sums(target_rewards(start, target))
+    r_p, overrides = _patched(start, target, explainer, package.obs, package.actions,
                               float(d_th), seeds)
     return PatchReport.from_rewards(explainer.kind, env.name, d_th, len(package),
                                     r_o, r_p, overrides)

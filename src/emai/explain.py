@@ -23,7 +23,7 @@ import numpy as np
 from .ctde import agent_inputs
 from .envs import make_env
 from .masking import MaskingPolicy
-from .rng import integers_rows, stream
+from .rng import integers_rows, stream, uniform_rows
 from .rollout import Step, Trace, batch_actions, greedy_actions, replay_prefix
 from .target import TargetPolicy, privileged_q_network
 
@@ -115,6 +115,11 @@ class RandomExplainer(Explainer):
 
     def scores(self, ctx: ExplainContext) -> np.ndarray:
         return stream(self.seed, "random-explainer", ctx.episode_seed, ctx.t).random(ctx.n_agents)
+
+    def scores_batch(self, env, observations, states, t, episode_seeds, prefix) -> np.ndarray:
+        """Every row's stream drawn at once: random(n) is uniform(0.0, 1.0, n)."""
+        return uniform_rows(self.seed, ("random-explainer",),
+                            [(int(s), t) for s in episode_seeds], 0.0, 1.0, observations.shape[1])
 
 
 class ValueBasedExplainer(Explainer):

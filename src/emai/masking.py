@@ -18,7 +18,7 @@ import numpy as np
 from . import ctde
 from .config import merged_sections
 from .ctde import AgentQNet, QLearner, Transitions
-from .rng import episode_seed, stream
+from .rng import episode_seeds, stream
 from .rollout import greedy_actions, reward_sums, target_rewards
 
 KEEP, MASK = 0, 1
@@ -54,8 +54,7 @@ def estimate_baseline_return(target, env, episodes: int, gamma: float,
     if episodes < 1:
         raise ValueError("episodes must be >= 1")
     _check_compat(target, env)
-    seeds = [episode_seed(seed, "baseline", i) for i in range(episodes)]
-    rewards = target_rewards(env, seeds, target)
+    rewards = target_rewards(env.reset_batch(episode_seeds(seed, "baseline", episodes)), target)
     returns = reward_sums(rewards, gamma)
     abs_total = sum(reward_sums(np.abs(rewards)).tolist())  # across episodes, in seed order
     stderr = float(returns.std(ddof=1) / np.sqrt(episodes)) if episodes > 1 else 0.0

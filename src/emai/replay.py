@@ -51,24 +51,29 @@ def _is_num(x) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
-def _list_of(check):
-    return lambda v: isinstance(v, list) and all(check(x) for x in v)
+def _list_of(types: frozenset):
+    """A list whose items' exact types all lie in `types`, checked in one
+    C-level pass; json.loads makes no subclasses, so for parsed JSON this is
+    _is_int/_is_num per item (a bool is neither)."""
+    return lambda v: isinstance(v, list) and types.issuperset(map(type, v))
 
 
 def _optional(check):
     return lambda v: v is None or check(v)
 
 
+_ints, _nums = _list_of(frozenset({int})), _list_of(frozenset({int, float}))
+
 # RecordStep field -> the test its parsed JSON value must pass
 _STEP_TYPES = {
     "t": _is_int,
-    "state": _list_of(_is_num),
-    "observations": _list_of(_list_of(_is_num)),
-    "target_actions": _list_of(_is_int),
-    "mask_actions": _optional(_list_of(_is_int)),
-    "final_actions": _list_of(_is_int),
+    "state": _nums,
+    "observations": lambda v: isinstance(v, list) and all(map(_nums, v)),
+    "target_actions": _ints,
+    "mask_actions": _optional(_ints),
+    "final_actions": _ints,
     "reward": _is_num,
-    "importance": _optional(_list_of(_is_num)),
+    "importance": _optional(_nums),
 }
 
 

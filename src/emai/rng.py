@@ -4,13 +4,19 @@ Every source of randomness in the package derives from a root seed plus a
 tuple of string/int tags, so independent components never share or disturb
 each other's streams and whole runs replay bitwise.
 
-`integers_rows` draws from many streams at once: row r of its result equals
-`stream(seed, *head_tags, *tail_tags[r]).integers(0, high, size=size)` bit
-for bit. It recomputes numpy's SeedSequence mixing, the PCG64 seeding and
-XSL-RR output, and the buffered 32-bit Lemire draw as array arithmetic over
-all rows. A row that would hit a Lemire rejection (about one draw in 2**32
-at a small `high`) is drawn from `stream()` itself, so the equality holds in
-every case.
+Three batched kernels draw from many streams at once, row r from
+`stream(seed, *head_tags, *tail_tags[r])`, bit for bit:
+- `integers_rows` equals its `.integers(0, high, size=size)`, or, given one
+  bound per column, consecutive scalar `.integers(0, high[j])` calls;
+- `uniform_rows` equals its `.uniform(low, high, size)`;
+- `episode_seeds(seed, tag, count)` equals `episode_seed(seed, tag, i)`
+  for i < count.
+They share `_pcg_outputs`, which recomputes numpy's SeedSequence mixing, the
+PCG64 seeding and XSL-RR output as array arithmetic over all rows: output j
+is an affine function of the seeded state, so no generator is stepped. A
+row whose bounded draw numpy would reject and redraw (about one draw in
+2**32 at a small bound) is drawn from the scalar stream itself, so the
+equality holds in every case.
 """
 from __future__ import annotations
 
@@ -29,6 +35,13 @@ _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _POOL = 4
 # PCG64's 128-bit LCG multiplier
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+# episode_seed draws from [0, EPISODE_SEED_HIGH); numpy redraws a 64-bit
+# Lemire draw whose low word falls below 2**64 mod that bound
+EPISODE_SEED_HIGH = 2**63 - 1
+_SEED_THRESHOLD = (1 << 64) % EPISODE_SEED_HIGH
+# bound on the (rows, outputs) block of one _pcg_outputs pass: a block's
+# (2, rows, outputs) uint64 temporaries stay cache-sized
+OUTPUT_BLOCK = 1 << 12
 
 
 def _tag_to_int(tag: object) -> int:
@@ -60,7 +73,7 @@ def stream(seed: int, *tags: object) -> np.random.Generator:
 
 def episode_seed(seed: int, *tags: object) -> int:
     """A stable 63-bit sub-seed for handing to env.reset()."""
-    return int(stream(seed, *tags).integers(0, 2**63 - 1))
+    return int(stream(seed, *tags).integers(0, EPISODE_SEED_HIGH))
 
 
 # ---- batched draws ----
@@ -137,39 +150,109 @@ def _step_constants(n: int) -> tuple[np.ndarray, ...]:
     return out
 
 
-def integers_rows(seed: int, head_tags: tuple, tail_tags, high: int, size: int) -> np.ndarray:
-    """Row r equals stream(seed, *head_tags, *tail_tags[r]).integers(0, high,
-    size=size), bitwise, as an (R, size) int64 array; every row of tail_tags
-    has the same length."""
-    high, size = int(high), int(size)
-    if not 1 <= high < 1 << 32:
-        raise ValueError(f"high must lie in [1, 2**32), got {high}")
-    if size < 0:
-        raise ValueError(f"size must be >= 0, got {size}")
+def _pcg_outputs(seed: int, head_tags: tuple, tail_tags, count: int) -> np.ndarray:
+    """Row r holds the first `count` raw 64-bit outputs of stream(seed,
+    *head_tags, *tail_tags[r]), as an (R, count) little-endian uint64 array;
+    every row of tail_tags has the same length. Rows are taken
+    OUTPUT_BLOCK // count at a time, which bounds the temporaries."""
     rows = len(tail_tags)
-    if len({len(row) for row in tail_tags}) > 1:
+    if len(set(map(len, tail_tags))) > 1:
         raise ValueError("every row of tail_tags must have the same length")
+    out = np.empty((rows, count), dtype="<u8")
+    if rows == 0 or count == 0:
+        return out
     words = (_seed_words(seed) + [_tag_to_int(t) for t in head_tags]
              + [_tag_column(column) for column in zip(*tail_tags)])
     s_hi, s_lo, q_hi, q_lo = _seed_sequence_state(words, rows)
     # the seed s and the increment inc = 2 * initseq + 1 as (2, rows, 1) halves
-    x_lo = np.stack([s_lo, q_lo << 1 | 1])[:, :, None]
-    x_hi = np.stack([s_hi, q_hi << 1 | q_lo >> 63])[:, :, None]
-    c_lo, c_hi, c0, c1 = _step_constants((size + 1) // 2)
-    # A_j * s and C_j * inc mod 2**128 from 32-bit limb products
-    x0, x1 = x_lo & _M32, x_lo >> 32
-    p00, p01, p10, p11 = c0 * x0, c0 * x1, c1 * x0, c1 * x1
-    mid = (p00 >> 32) + (p01 & _M32) + (p10 & _M32)
-    prod_hi = p11 + (p01 >> 32) + (p10 >> 32) + (mid >> 32) + c_lo * x_hi + c_hi * x_lo
-    prod_lo = c_lo * x_lo
-    lo = prod_lo[0] + prod_lo[1]
-    hi = prod_hi[0] + prod_hi[1] + (lo < prod_lo[0])
-    # XSL-RR output; its low 32-bit half is drawn before its high half
-    xored, rot = hi ^ lo, hi >> 58
-    out = (xored >> rot | xored << ((64 - rot) & 63)).astype("<u8", copy=False)
-    scaled = out.view("<u4")[:, :size] * np.uint64(high)
-    result = (scaled >> 32).astype(np.int64)
+    seed_lo = np.stack([s_lo, q_lo << 1 | 1])[:, :, None]
+    seed_hi = np.stack([s_hi, q_hi << 1 | q_lo >> 63])[:, :, None]
+    c_lo, c_hi, c0, c1 = _step_constants(count)
+    block = max(1, OUTPUT_BLOCK // count)
+    for start in range(0, rows, block):
+        x_lo, x_hi = seed_lo[:, start:start + block], seed_hi[:, start:start + block]
+        # A_j * s and C_j * inc mod 2**128 from 32-bit limb products
+        x0, x1 = x_lo & _M32, x_lo >> 32
+        p00, p01, p10, p11 = c0 * x0, c0 * x1, c1 * x0, c1 * x1
+        mid = (p00 >> 32) + (p01 & _M32) + (p10 & _M32)
+        prod_hi = (p11 + (p01 >> 32) + (p10 >> 32) + (mid >> 32) + c_lo * x_hi
+                   + c_hi * x_lo)
+        prod_lo = c_lo * x_lo
+        lo = prod_lo[0] + prod_lo[1]
+        hi = prod_hi[0] + prod_hi[1] + (lo < prod_lo[0])
+        # XSL-RR output
+        xored, rot = hi ^ lo, hi >> 58
+        out[start:start + block] = xored >> rot | xored << ((64 - rot) & 63)
+    return out
+
+
+def integers_rows(seed: int, head_tags: tuple, tail_tags, high, size: int) -> np.ndarray:
+    """Row r equals stream(seed, *head_tags, *tail_tags[r]).integers(0, high,
+    size=size), bitwise, as an (R, size) int64 array; every row of tail_tags
+    has the same length. `high` may also be a sequence of `size` bounds:
+    column j of row r then equals the j-th of the consecutive calls
+    integers(0, high[0]), integers(0, high[1]), ... on that stream."""
+    size = int(size)
+    if size < 0:
+        raise ValueError(f"size must be >= 0, got {size}")
+    per_column = np.ndim(high) > 0
+    bounds = [int(h) for h in high] if per_column else [int(high)]
+    for bound in bounds:
+        if not 1 <= bound < 1 << 32:
+            raise ValueError(f"high must lie in [1, 2**32), got {bound}")
+    if not per_column:
+        bounds *= size
+    elif len(bounds) != size:
+        raise ValueError(f"high needs {size} per-column bounds, got {len(bounds)}")
+    # a bound of 1 yields 0 and draws nothing, so the drawing columns read
+    # consecutive 32-bit halves, the low half of each output first
+    drawing = [bound for bound in bounds if bound > 1]
+    out = _pcg_outputs(seed, head_tags, tail_tags, (len(drawing) + 1) // 2)
+    high_col = np.array(drawing, dtype=np.uint64)
+    scaled = out.view("<u4")[:, :len(drawing)] * high_col
+    if len(drawing) == size:
+        result = (scaled >> 32).astype(np.int64)
+    else:
+        result = np.zeros((len(tail_tags), size), dtype=np.int64)
+        result[:, np.array(bounds) > 1] = scaled >> 32
     # numpy redraws when the low word falls below 2**32 mod high
-    for r in np.flatnonzero(((scaled & _M32) < (1 << 32) % high).any(axis=1)):
-        result[r] = stream(seed, *head_tags, *tail_tags[r]).integers(0, high, size=size)
+    rejected = ((scaled & _M32) < (1 << 32) % high_col).any(axis=1)
+    for r in np.flatnonzero(rejected):
+        rng = stream(seed, *head_tags, *tail_tags[r])
+        result[r] = ([rng.integers(0, bound) for bound in bounds] if per_column
+                     else rng.integers(0, bounds[0], size=size))
     return result
+
+
+def uniform_rows(seed: int, head_tags: tuple, tail_tags, low: float, high: float,
+                 size: int) -> np.ndarray:
+    """Row r equals stream(seed, *head_tags, *tail_tags[r]).uniform(low,
+    high, size), bitwise, as an (R, size) float64 array: numpy's
+    low + (high - low) * u, with u the top 53 bits of one output over 2**53,
+    which never rejects a draw."""
+    low, high, size = float(low), float(high), int(size)
+    if size < 0:
+        raise ValueError(f"size must be >= 0, got {size}")
+    span = high - low  # numpy's checks and messages
+    if not np.isfinite(span):
+        raise OverflowError("high - low range exceeds valid bounds")
+    if np.signbit(span):  # -0.0 too: uniform(0.0, -0.0) raises
+        raise ValueError("high - low < 0")
+    out = _pcg_outputs(seed, head_tags, tail_tags, size)
+    return low + span * ((out >> 11) * 2.0 ** -53)
+
+
+def episode_seeds(seed: int, tag: object, count: int) -> list[int]:
+    """[episode_seed(seed, tag, i) for i in range(count)]: numpy's 64-bit
+    Lemire draw on each stream's first output. A row whose draw numpy would
+    redraw (its low word below 2**64 mod EPISODE_SEED_HIGH, which is 2)
+    comes from episode_seed itself."""
+    if count < 0:
+        raise ValueError(f"count must be >= 0, got {count}")
+    first = _pcg_outputs(seed, (tag,), [(i,) for i in range(count)], 1)[:, 0].tolist()
+    seeds = []
+    for i, word in enumerate(first):
+        product = word * EPISODE_SEED_HIGH
+        seeds.append(product >> 64 if product & _M64 >= _SEED_THRESHOLD
+                     else episode_seed(seed, tag, i))
+    return seeds

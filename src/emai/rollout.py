@@ -2,9 +2,9 @@
 
 Every rollout is a pure function of (environment, seed, policies, explicit
 rng streams), so batches replay bitwise. A batch of episodes runs as one
-lockstep GridBatch (run_lockstep), whose act function sees every step's
-observations, states and executed actions; a single episode whose steps a
-caller keeps builds a Trace (run_episode).
+lockstep GridBatch stepped from a copy of a start batch (run_lockstep), whose
+act function sees every step's observations, states and executed actions; a
+single episode whose steps a caller keeps builds a Trace (run_episode).
 """
 from __future__ import annotations
 
@@ -27,9 +27,11 @@ def batch_actions(target, observations: np.ndarray) -> np.ndarray:
     return act_batch(observations)
 
 
-def run_lockstep(env, seeds, act_fn) -> tuple[np.ndarray, np.ndarray]:
-    """Play one episode per seed, in lockstep from env.reset_batch(seeds);
-    act_fn picks every step's joint actions.
+def run_lockstep(start, act_fn) -> tuple[np.ndarray, np.ndarray]:
+    """Play one episode per row of `start`, a GridBatch at t = 0 (e.g.
+    env.reset_batch(seeds)), in lockstep; act_fn picks every step's joint
+    actions. The episodes step a copy, so `start` stays as it was and arms
+    on the same seeds share one reset.
 
     act_fn(batch, obs, prefix) returns the (B, n_agents) joint actions of
     step batch.t, given the GridBatch (for batch.states()), its observations
@@ -39,10 +41,12 @@ def run_lockstep(env, seeds, act_fn) -> tuple[np.ndarray, np.ndarray]:
     (B, horizon, n_agents). Row b equals run_episode(env, seeds[b], f) for
     an f that picks row b's actions.
     """
-    batch = env.reset_batch(seeds)
-    horizon = env.spec.horizon
-    rewards = np.empty((batch.size, horizon))
-    actions = np.empty((batch.size, horizon, env.spec.n_agents), dtype=np.int64)
+    if start.t != 0:
+        raise ValueError(f"run_lockstep needs a batch at t = 0, got t = {start.t}")
+    batch = start.repeat(1)  # step() changes t, done and door_open in place
+    spec = batch.env.spec
+    rewards = np.empty((batch.size, spec.horizon))
+    actions = np.empty((batch.size, spec.horizon, spec.n_agents), dtype=np.int64)
     obs = batch.observations()
     while not batch.done:
         t = batch.t
@@ -54,11 +58,12 @@ def run_lockstep(env, seeds, act_fn) -> tuple[np.ndarray, np.ndarray]:
     return rewards, actions
 
 
-def target_rewards(env, seeds, target) -> np.ndarray:
-    """Step rewards (len(seeds), horizon) of unmasked greedy episodes, one row
-    per seed. Row b equals, reward for reward, run_target_episode(env,
-    seeds[b], target)."""
-    return run_lockstep(env, seeds, lambda batch, obs, prefix: batch_actions(target, obs))[0]
+def target_rewards(start, target) -> np.ndarray:
+    """Step rewards (B, horizon) of unmasked greedy episodes from the rows of
+    `start` (left unchanged, as by run_lockstep). Row b equals, reward for
+    reward, run_target_episode(env, seeds[b], target) for a start of
+    env.reset_batch(seeds)."""
+    return run_lockstep(start, lambda batch, obs, prefix: batch_actions(target, obs))[0]
 
 
 def reward_sums(rewards: np.ndarray, gamma: float = 1.0) -> np.ndarray:

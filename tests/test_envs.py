@@ -508,3 +508,16 @@ def test_tables_are_built_on_the_first_batch_once_per_geometry(monkeypatch):
     assert moves is not None and not moves.flags.writeable
     scripted_by_name(env, "weakened").act(obs[0, 0], 0)
     assert ScriptedKeyCorridor._MOVES is moves
+
+
+def test_batches_of_one_shape_share_their_gather_indices():
+    env = make_env("keycorridor")
+    batch = env.reset_batch([1, 2, 3])
+    copy_ = batch.repeat(1)
+    assert copy_._seen is batch._seen and copy_._layout is batch._layout
+    # writeable, though never written: take() copies read-only indices each call
+    assert batch._seen.flags.writeable and batch._layout.flags.writeable
+    assert copy_._points is not batch._points  # observations() writes into _points
+    assert env.reset_batch([4, 5, 6])._seen is batch._seen
+    assert batch.repeat(2)._seen is not batch._seen
+    assert make_env("spread").reset_batch([1])._layout is None

@@ -7,8 +7,9 @@ import zlib
 import numpy as np
 import pytest
 
+from emai import rng
 from emai.ctde import AgentQNet, MonotonicMixer
-from emai.envs import make_env
+from emai.envs import KeyCorridor, make_env
 from emai.evaluation import (AttackReport, PatchPackage, PatchReport, RRD_DENOMINATOR_GUARD,
                              RrdReport, apply_patch, build_patch_package, eval_fidelity,
                              launch_attack)
@@ -451,3 +452,31 @@ def test_lockstep_arms_equal_scalar_arms(name, params, kind):
         assert launch_attack(explainer, target, env, 0.4, episodes, seed,
                              attack_all=flag) == report
     assert apply_patch(package, explainer, other, env, d_th, episodes, seed) == patch
+
+
+def test_commands_place_each_seed_once_and_draw_no_stream_per_episode(monkeypatch):
+    env = make_env("keycorridor")
+    target, other, explainer = _parity_setup("emai", env)
+    package = build_patch_package(explainer, target, env, harvest_episodes=10, quantile=0.3,
+                                  seed=3)
+    commands = {
+        "fidelity": lambda episodes: eval_fidelity(explainer, target, env, episodes, seed=3),
+        "attack": lambda episodes: launch_attack(explainer, target, env, 0.5, episodes, seed=3),
+        "patch": lambda episodes: apply_patch(package, explainer, other, env, 1.6, episodes,
+                                              seed=3),
+    }
+    streams, places = [], []
+    original_stream, original_place = rng.stream, KeyCorridor._place
+    monkeypatch.setattr(rng, "stream", lambda *key: streams.append(key) or original_stream(*key))
+    monkeypatch.setattr(KeyCorridor, "_place",
+                        lambda self, seed: places.append(seed) or original_place(self, seed))
+    for name, run in commands.items():
+        counts = []
+        for episodes in (20, 40):
+            streams.clear()
+            places.clear()
+            run(episodes)
+            counts.append(len(streams))
+        # the matched arms share one reset of the 40 seeds; every draw is a table
+        assert len(places) == 40 and len(set(places)) == 40, name
+        assert counts[0] == counts[1], name

@@ -45,6 +45,20 @@ def test_random_explainer_uniform_most_critical():
     assert np.all(np.abs(freqs - 0.25) < 0.02)
 
 
+@pytest.mark.parametrize("name,params", [("keycorridor", {}), ("spread", {"grid": 5}),
+                                         ("diagnostic", {"grid": 5, "inert": (1,)})])
+def test_random_explainer_scores_batch_equals_scalar_scores(name, params):
+    env = make_env(name, **params)
+    seeds = [0, 7, 2**32 - 1, 2**32, 2**32 + 7, 2**62 + 5, episode_seed(1, "fidelity", 0)]
+    obs = env.reset_batch(seeds).observations()
+    ex = RandomExplainer(seed=2**33 + 1)
+    for t in (0, 9):
+        got = ex.scores_batch(env, obs, None, t, seeds, None)
+        expected = [ex.scores(ExplainContext(o, np.zeros(1), t, env.name, episode_seed=s))
+                    for o, s in zip(obs, seeds)]
+        assert got.tobytes() == np.stack(expected).tobytes()
+
+
 def test_value_based_is_max_q_per_agent():
     env = make_env("spread", n_agents=3, grid=6)
     target = _learned_target(env)
@@ -145,7 +159,7 @@ def test_gradient_kernel_equals_graph_saliency(name, params, trained):
         obs_log.append(obs)
         return batch_actions(target, obs)
 
-    run_lockstep(env, list(range(20)), act)
+    run_lockstep(env.reset_batch(list(range(20))), act)
     pool = np.concatenate(obs_log)[stream(5, "saliency-rows").permutation(200)]
     reference = np.stack([_graph_saliency(target._qnet, o) for o in pool])
     for size in (1, 7, 200):

@@ -167,3 +167,18 @@ def test_ill_typed_step_field_rejected(field, value):
     step[field] = value
     with pytest.raises(ReplayError, match=rf"line 3 .*{field}"):
         parse("\n".join(lines[:2] + [json.dumps(step)] + lines[3:]))
+
+
+@pytest.mark.parametrize("item", [True, "0.5", [0.5]], ids=["bool", "string", "nested-list"])
+@pytest.mark.parametrize("field", ["state", "observations", "importance"])
+def test_ill_typed_number_inside_a_step_list_rejected(field, item):
+    import json
+    lines = serialize(_make_record()).splitlines()
+    step = json.loads(lines[2])
+    numbers = step[field][1] if field == "observations" else step[field]
+    numbers[1] = item
+    with pytest.raises(ReplayError, match=rf"line 3 .*ill-typed step fields \['{field}'\]"):
+        parse("\n".join(lines[:2] + [json.dumps(step)] + lines[3:]))
+    # ints and floats both pass, as the serializer may print either
+    numbers[1] = 1
+    parse("\n".join(lines[:2] + [json.dumps(step)] + lines[3:]))

@@ -88,7 +88,7 @@ def test_target_rewards_equal_scalar_episodes(name, params, variant, size):
     else:
         pol = scripted_by_name(env, variant)
     seeds = [episode_seed(size, "target-rewards", i) for i in range(size)]
-    rewards = rollout.target_rewards(env, seeds, pol)
+    rewards = rollout.target_rewards(env.reset_batch(seeds), pol)
     traces = [rollout.run_target_episode(env, s, pol) for s in seeds]
     assert rewards.shape == (size, env.spec.horizon) and rewards.dtype == np.float64
     for row, trace in zip(rewards, traces):
@@ -130,10 +130,36 @@ def test_batch_actions_queries_act_batch_once_per_step():
         return joint(obs)
 
     pol.act_batch = spy
-    rollout.target_rewards(env, [1, 2, 3], pol)
+    rollout.target_rewards(env.reset_batch([1, 2, 3]), pol)
     assert calls == [(3, 3, env.spec.obs_dim)] * env.spec.horizon
     calls.clear()
     t = 10  # the oracle's branch: one joint query per suffix step for all n * rollouts rows
     prefix = [s.final_actions for s in rollout.run_target_episode(env, 4, pol).steps[:t]]
     explain.mc_counterfactual_oracle(pol, env, 4, prefix, rollouts=5)
     assert calls == [(15, 3, env.spec.obs_dim)] * (env.spec.horizon - t)
+
+
+def test_run_lockstep_leaves_its_start_batch_unchanged():
+    env = make_env("keycorridor")
+    pol = scripted_policy(env)
+    start = env.reset_batch([episode_seed(2, "start", i) for i in range(6)])
+    before = (start.cells.copy(), start.landmark_cells.copy(), start.door_open.copy(),
+              start.observations())
+    first = rollout.target_rewards(start, pol)
+    assert start.t == 0 and not start.done
+    for kept, now in zip(before, (start.cells, start.landmark_cells, start.door_open,
+                                  start.observations())):
+        assert np.array_equal(kept, now)
+    # the scripted team opens the door in place, which a shared start must not see
+    opened = []
+
+    def act(batch, obs, prefix):
+        opened.append(bool(batch.door_open.any()))
+        return rollout.batch_actions(pol, obs)
+
+    assert np.array_equal(rollout.run_lockstep(start, act)[0], first)
+    assert any(opened) and not start.door_open.any()
+    batch = env.reset_batch([1, 2])
+    batch.step(np.zeros((2, 3), dtype=np.int64))
+    with pytest.raises(ValueError, match="t = 0"):
+        rollout.run_lockstep(batch, lambda b, obs, prefix: np.zeros((2, 3), dtype=np.int64))
