@@ -407,6 +407,8 @@ class Spread(_GridEnv):
         super().__init__(int(grid), int(grid))
         self.n = int(n_agents)
         self.grid = int(grid)
+        if self.n > self.grid * self.grid:
+            raise ValueError(f"a {self.grid} x {self.grid} grid is too small for {self.n} agents")
         obs_dim = 2 + 2 * self.n + 2 * (self.n - 1)
         self.spec = EnvSpec(self.n, obs_dim, 4 * self.n, 5, int(horizon))
 
@@ -532,6 +534,8 @@ class Diagnostic(_GridEnv):
 
     def __init__(self, n_agents: int = 3, grid: int = 6, horizon: int = 15,
                  zero_reward: bool = False, inert: tuple[int, ...] = ()):
+        if grid < 2:
+            raise ValueError("grid must be >= 2")
         super().__init__(int(grid), int(grid))
         self.n = int(n_agents)
         self.grid = int(grid)
@@ -539,6 +543,9 @@ class Diagnostic(_GridEnv):
         self.inert = tuple(sorted(int(i) for i in inert))
         if any(i < 0 or i >= self.n for i in self.inert):
             raise ValueError("inert agent ids must be valid agent indices")
+        if self.n + 1 > self.grid * self.grid:
+            raise ValueError(f"a {self.grid} x {self.grid} grid is too small for "
+                             f"{self.n} agents and a landmark")
         obs_dim = 2 + 2 + 2 * (self.n - 1)
         self.spec = EnvSpec(self.n, obs_dim, 2 * self.n + 2, 5, int(horizon))
 

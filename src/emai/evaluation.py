@@ -21,7 +21,7 @@ import numpy as np
 from .explain import Explainer
 from .masking import _check_compat
 from .rng import episode_seeds, integers_rows, uniform_rows
-from .rollout import batch_actions, reward_sums, run_lockstep, target_rewards
+from .rollout import reward_sums, run_lockstep, target_rewards
 
 RRD_DENOMINATOR_GUARD = 1e-6
 # bound on the (rows, entries, obs_dim) distance block of one patch query
@@ -60,7 +60,7 @@ def _guided(start, target, explainer, root: int, seeds: list) -> np.ndarray:
     rows = np.arange(len(seeds))
 
     def act(batch, obs, prefix):
-        actions = batch_actions(target, obs)
+        actions = target.act_batch(obs)
         critical = _most_critical(explainer, batch, obs, seeds, prefix)
         actions[rows, critical] = mask[:, batch.t]
         return actions
@@ -77,7 +77,7 @@ def _random_guided(start, target, root: int, seeds: list) -> np.ndarray:
     rows = np.arange(len(seeds))
 
     def act(batch, obs, prefix):
-        actions = batch_actions(target, obs)
+        actions = target.act_batch(obs)
         actions[rows, draws[:, 2 * batch.t + 1]] = draws[:, 2 * batch.t]
         return actions
 
@@ -101,7 +101,7 @@ def _attacked(start, target, explainer, noise_eps: float, attack_all: bool, root
                    _most_critical(explainer, batch, obs, seeds, prefix)[:, None])
         seen = obs.copy()
         seen[rows, victims] = np.clip(obs[rows, victims] + noise[:, batch.t], -1.0, 1.0)
-        return batch_actions(target, seen)
+        return target.act_batch(seen)
 
     return reward_sums(run_lockstep(start, act)[0])
 
@@ -127,7 +127,7 @@ def _patched(start, target, explainer, pkg_obs: np.ndarray, pkg_actions: np.ndar
     overrides = np.zeros(len(seeds), dtype=np.int64)
 
     def act(batch, obs, prefix):
-        actions = batch_actions(target, obs)
+        actions = target.act_batch(obs)
         critical = _most_critical(explainer, batch, obs, seeds, prefix)
         best, dist = _nearest_entries(pkg_obs, obs[rows, critical])
         proposed = pkg_actions[best]
@@ -292,7 +292,7 @@ def build_patch_package(explainer: Explainer, target, env, harvest_episodes: int
         obs_log.append(obs)
         if explainer.reads_states:
             state_log.append(batch.states())
-        return batch_actions(target, obs)
+        return target.act_batch(obs)
 
     step_rewards, actions = run_lockstep(env.reset_batch(seeds), act)
     rewards = reward_sums(step_rewards)
@@ -309,20 +309,14 @@ def build_patch_package(explainer: Explainer, target, env, harvest_episodes: int
                                          state_log[t][kept] if state_log else None, t,
                                          kept_seeds, actions[kept, :t]), axis=1)
         for t in range(len(obs_log))], axis=1)
-    seen: dict[tuple, int] = {}
-    entries_obs: list[np.ndarray] = []
-    entries_act: list[int] = []
-    for k, i in enumerate(kept):
-        for t, agent in enumerate(critical[k]):
-            row = obs_log[t][i, agent]
-            key = tuple(row)
-            if key not in seen:
-                seen[key] = len(entries_obs)
-                entries_obs.append(row)
-                entries_act.append(int(actions[i, t, agent]))
-    return PatchPackage(env.name, explainer.kind, float(quantile),
-                        np.stack(entries_obs) if entries_obs else np.zeros((0, env.spec.obs_dim)),
-                        np.array(entries_act, dtype=np.int64))
+    # each kept episode's critical (observation, action) per step, episode by
+    # episode, deduplicated on the exact observation in first-seen order; the
+    # row equality of np.unique is tuple equality, as observations hold no NaN
+    episodes, steps = np.array(kept)[:, None], np.arange(len(obs_log))
+    rows = np.stack(obs_log, axis=1)[episodes, steps, critical].reshape(-1, env.spec.obs_dim)
+    chosen = actions[episodes, steps, critical].reshape(-1)
+    first = np.sort(np.unique(rows, axis=0, return_index=True)[1])
+    return PatchPackage(env.name, explainer.kind, float(quantile), rows[first], chosen[first])
 
 
 @dataclass

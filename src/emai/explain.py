@@ -8,9 +8,9 @@ many episodes, yet it remains far too slow to be the product; at desk scale
 it doubles as both a baseline and the independent ground truth for tests.
 
 Access discipline: emai / random / mc_oracle touch the target only through
-act() and the joint act_batch(), one call per lockstep step; value- and
-gradient-based baselines need the privileged accessor and therefore a learned
-target.
+its query kernel act_batch(), one call per lockstep step, and its one-row
+view act(), one call per scalar step; value- and gradient-based baselines
+need the privileged accessor and therefore a learned target.
 """
 from __future__ import annotations
 
@@ -24,7 +24,7 @@ from .ctde import agent_inputs
 from .envs import make_env
 from .masking import MaskingPolicy
 from .rng import integers_rows, stream, uniform_rows
-from .rollout import Step, Trace, batch_actions, greedy_actions, replay_prefix
+from .rollout import Step, Trace, greedy_actions, replay_prefix
 from .target import TargetPolicy, privileged_q_network
 
 
@@ -204,7 +204,7 @@ def _randomized_suffix_return(batch, target, seeds, rollouts: int, seed: int) ->
     totals = np.zeros(batch.size)
     obs = batch.observations()
     for s in range(spec.horizon - t):
-        actions = batch_actions(target, obs)
+        actions = target.act_batch(obs)
         actions.put(played, draws[:, s])  # flat (row, agent) entries
         result = batch.step(actions)
         totals += result.reward

@@ -5,6 +5,8 @@ rng streams), so batches replay bitwise. A batch of episodes runs as one
 lockstep GridBatch stepped from a copy of a start batch (run_lockstep), whose
 act function sees every step's observations, states and executed actions; a
 single episode whose steps a caller keeps builds a Trace (run_episode).
+Greedy target play makes one target.act_batch query per lockstep step and
+one target.act query, act_batch's one-row view, per scalar step.
 """
 from __future__ import annotations
 
@@ -13,18 +15,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 
+# bench/tracing.py counts scalar greedy steps by this name
 def greedy_actions(target, observations: np.ndarray) -> list[int]:
-    return [target.act(observations[i], i) for i in range(len(observations))]
-
-
-def batch_actions(target, observations: np.ndarray) -> np.ndarray:
-    """Greedy joint actions (B, n) for observations (B, n, obs_dim), from one
-    target.act_batch call; row b equals greedy_actions(target, obs[b]). A
-    target that offers only act() is queried row by row."""
-    act_batch = getattr(target, "act_batch", None)
-    if act_batch is None:
-        return np.array([greedy_actions(target, obs) for obs in observations], dtype=np.int64)
-    return act_batch(observations)
+    """The joint actions of one observation set (n_agents, obs_dim), as a list."""
+    return target.act(observations)
 
 
 def run_lockstep(start, act_fn) -> tuple[np.ndarray, np.ndarray]:
@@ -62,8 +56,8 @@ def target_rewards(start, target) -> np.ndarray:
     """Step rewards (B, horizon) of unmasked greedy episodes from the rows of
     `start` (left unchanged, as by run_lockstep). Row b equals, reward for
     reward, run_target_episode(env, seeds[b], target) for a start of
-    env.reset_batch(seeds)."""
-    return run_lockstep(start, lambda batch, obs, prefix: batch_actions(target, obs))[0]
+    env.reset_batch(seeds). Each step is one target.act_batch query."""
+    return run_lockstep(start, lambda batch, obs, prefix: target.act_batch(obs))[0]
 
 
 def reward_sums(rewards: np.ndarray, gamma: float = 1.0) -> np.ndarray:
@@ -127,7 +121,8 @@ def run_episode(env, seed: int, act_fn) -> Trace:
 
 
 def run_target_episode(env, seed: int, target) -> Trace:
-    """One unmasked greedy episode of the target policy."""
+    """One unmasked greedy episode of the target policy, one target.act
+    query (through greedy_actions) per step."""
     return run_episode(env, seed, lambda obs, state, prefix: greedy_actions(target, obs))
 
 

@@ -1,7 +1,8 @@
 """Black-box target policies: the multi-agent system being explained.
 
-Targets are queryable only through act(obs, agent_id) and its joint batched
-form act_batch(obs), (B, n_agents, obs_dim) -> (B, n_agents); learned targets keep
+Each target implements one query kernel, act_batch(obs), from joint
+observations (B, n_agents, obs_dim) to joint actions (B, n_agents), agent i
+reading only its own row; act(obs) is its one-row view. Learned targets keep
 their value network private, and white-box baselines must go through the
 explicit privileged accessor below. Scripted targets give controlled,
 reviewable ground truth; the learned trainer reuses the ctde machinery.
@@ -25,35 +26,31 @@ class CapabilityError(RuntimeError):
 
 
 class TargetPolicy:
-    """Query-only interface: deterministic per-agent obs -> action."""
+    """Query-only interface: deterministic joint observations -> joint actions."""
 
     obs_dim: int
     n_agents: int
 
-    def act(self, obs: np.ndarray, agent_id: int) -> int:
-        raise NotImplementedError
-
     def act_batch(self, obs: np.ndarray) -> np.ndarray:
         """Joint actions (B, n_agents) int64 for observations (B, n_agents,
-        obs_dim): entry [b, i] is act(obs[b, i], i).
+        obs_dim); entry [b, i] depends on obs[b, i] alone. A wrong shape
+        raises ValueError."""
+        raise NotImplementedError
 
-        Overrides must give exactly that; the default loops over act().
-        """
-        obs = self._check_obs_batch(obs)
-        return np.array([[self.act(o, i) for i, o in enumerate(row)] for row in obs],
-                        dtype=np.int64).reshape(obs.shape[:2])
+    def act(self, obs: np.ndarray) -> list[int]:
+        """Joint actions of one observation set (n_agents, obs_dim): row 0
+        of act_batch(obs[None]), as a list. A wrong shape raises ValueError."""
+        obs = np.asarray(obs, dtype=np.float64)
+        if obs.shape != (self.n_agents, self.obs_dim):
+            raise ValueError(f"observation shape {obs.shape} vs expected "
+                             f"({self.n_agents}, {self.obs_dim})")
+        return self.act_batch(obs[None])[0].tolist()
 
     def descriptor(self) -> str:
         raise NotImplementedError
 
     def checksum(self) -> str:
         return hashlib.sha256(self.descriptor().encode("utf-8")).hexdigest()
-
-    def _check_obs(self, obs: np.ndarray) -> np.ndarray:
-        obs = np.asarray(obs, dtype=np.float64)
-        if obs.shape != (self.obs_dim,):
-            raise ValueError(f"observation shape {obs.shape} vs expected ({self.obs_dim},)")
-        return obs
 
     def _check_obs_batch(self, obs: np.ndarray) -> np.ndarray:
         obs = np.asarray(obs, dtype=np.float64)
@@ -63,23 +60,14 @@ class TargetPolicy:
         return obs
 
 
-def _denorm(value: float, extent: int) -> int:
-    """Undo the [-1, 1] own-position normalization, robust to noisy inputs."""
-    cell = round((value + 1.0) * (extent - 1) / 2.0)
-    return int(min(max(cell, 0), extent - 1))
-
-
-def _denorm_rel(value: float, extent: int) -> int:
-    return int(round(value * (extent - 1)))
-
-
-# Batched _denorm/_denorm_rel, elementwise with the scalar float operations;
-# extent is an int or an int array broadcast against values. np.rint and
-# round() both round half to even. Clipping before the int cast changes no
-# in-range result (callers clamp the cell to the grid) but keeps huge inputs
-# from overflowing into bad indices. The first operation writes a C-order
-# array, which the in-place rest runs through fastest.
-def _denorm_batch(values: np.ndarray, extent) -> np.ndarray:
+# Own cells and relative offsets decoded from the normalized observation:
+# own (v + 1) * (extent - 1) / 2 and relative v * (extent - 1), rounded half
+# to even; extent is an int or an int array broadcast against values.
+# Clipping before the int cast changes no in-range result (callers clamp the
+# cell to the grid) but keeps huge inputs from overflowing into bad indices.
+# The first operation writes a C-order array, which the in-place rest runs
+# through fastest.
+def _own_cells(values: np.ndarray, extent) -> np.ndarray:
     top = np.subtract(extent, 1.0)  # exact: extent is a small int
     cells = np.add(values, 1.0, order="C")
     cells *= top
@@ -90,7 +78,7 @@ def _denorm_batch(values: np.ndarray, extent) -> np.ndarray:
     return cells.astype(np.int64)
 
 
-def _denorm_rel_batch(values: np.ndarray, extent) -> np.ndarray:
+def _rel_offsets(values: np.ndarray, extent) -> np.ndarray:
     top = np.subtract(extent, 1.0)
     cells = np.multiply(values, top, order="C")
     np.rint(cells, out=cells)
@@ -106,8 +94,8 @@ def _check_finite_batch(obs: np.ndarray) -> np.ndarray:
 
 
 def _step_toward(dr: np.ndarray, dc: np.ndarray) -> np.ndarray:
-    """Per row, the move that closes a row gap dr first, then a column gap
-    dc (STAY when both are 0), as the scripted targets' act() picks it."""
+    """Per entry, the move that closes a row gap dr first, then a column gap
+    dc (STAY when both are 0)."""
     return np.where(dr != 0, np.where(dr < 0, UP, DOWN),
                     np.where(dc != 0, np.where(dc < 0, LEFT, RIGHT), STAY))
 
@@ -128,60 +116,19 @@ class ScriptedSpread(TargetPolicy):
     def descriptor(self) -> str:
         return f"scripted:spread:n={self.n_agents}:grid={self.grid}"
 
-    def _decode(self, obs: np.ndarray, agent_id: int):
-        g = self.grid
-        own = (_denorm(obs[0], g), _denorm(obs[1], g))
-        landmarks = []
-        for k in range(self.n_agents):
-            dr, dc = obs[2 + 2 * k], obs[3 + 2 * k]
-            landmarks.append((min(max(own[0] + _denorm_rel(dr, g), 0), g - 1),
-                              min(max(own[1] + _denorm_rel(dc, g), 0), g - 1)))
-        base = 2 + 2 * self.n_agents
-        positions: list[tuple[int, int]] = [None] * self.n_agents  # type: ignore
-        positions[agent_id] = own
-        others = [j for j in range(self.n_agents) if j != agent_id]
-        for slot, j in enumerate(others):
-            dr, dc = obs[base + 2 * slot], obs[base + 2 * slot + 1]
-            positions[j] = (min(max(own[0] + _denorm_rel(dr, g), 0), g - 1),
-                            min(max(own[1] + _denorm_rel(dc, g), 0), g - 1))
-        return positions, landmarks
-
-    def act(self, obs: np.ndarray, agent_id: int) -> int:
-        obs = self._check_obs(obs)
-        positions, landmarks = self._decode(obs, agent_id)
-        claimed: set[int] = set()
-        mine: tuple[int, int] | None = None
-        for i in range(self.n_agents):
-            best, best_d = -1, None
-            for k, lm in enumerate(landmarks):
-                if k in claimed:
-                    continue
-                d = abs(positions[i][0] - lm[0]) + abs(positions[i][1] - lm[1])
-                if best_d is None or d < best_d:
-                    best, best_d = k, d
-            claimed.add(best)
-            if i == agent_id:
-                mine = landmarks[best]
-                break
-        own = positions[agent_id]
-        if own[0] != mine[0]:
-            return UP if mine[0] < own[0] else DOWN
-        if own[1] != mine[1]:
-            return LEFT if mine[1] < own[1] else RIGHT
-        return STAY
-
     def act_batch(self, obs: np.ndarray) -> np.ndarray:
-        """act() of every agent of every row: _decode and the greedy claims,
-        vectorized over (row, agent) pairs; non-finite input raises."""
+        """Every agent decodes its teammates' and the landmarks' cells from
+        its own row and replays the greedy claims up to its own, vectorized
+        over (row, agent) pairs; non-finite input raises."""
         obs = _check_finite_batch(self._check_obs_batch(obs))
         g, n = self.grid, self.n_agents
         flat = obs.reshape(-1, self.obs_dim)  # pair b * n + i: agent i of row b
         pairs = np.arange(len(flat))
         agent = np.tile(np.arange(n), len(obs))
-        own = _denorm_batch(flat[:, :2], g)
+        own = _own_cells(flat[:, :2], g)
 
         def cells(offset: int, count: int) -> np.ndarray:  # (pairs, count, 2), clamped to the grid
-            rel = _denorm_rel_batch(flat[:, offset:offset + 2 * count], g).reshape(-1, count, 2)
+            rel = _rel_offsets(flat[:, offset:offset + 2 * count], g).reshape(-1, count, 2)
             return np.clip(own[:, None] + rel, 0, g - 1)
 
         landmarks = cells(2, n)
@@ -245,6 +192,9 @@ class ScriptedKeyCorridor(TargetPolicy):
     def descriptor(self) -> str:
         return "scripted:keycorridor:weakened" if self.weakened else "scripted:keycorridor"
 
+    # bench/tracing.py wraps act by name in this class's own namespace
+    act = TargetPolicy.act
+
     @staticmethod
     def _move_toward(own: tuple[int, int], dist: dict) -> int:
         here = dist.get(own)
@@ -284,32 +234,18 @@ class ScriptedKeyCorridor(TargetPolicy):
             cls._MOVES = moves
         return cls._MOVES
 
-    def act(self, obs: np.ndarray, agent_id: int) -> int:
-        obs = self._check_obs(obs)
-        rows, cols = KeyCorridor.ROWS, KeyCorridor.COLS
-        r, c = _denorm(obs[0], rows), _denorm(obs[1], cols)
-        moves = self._moves()[agent_id]
-        if obs[2] > 0.0:  # the door is open
-            return int(moves[1, r * cols + c])
-        if agent_id == 0 and self.weakened and (r, c) != KeyCorridor.SWITCH:
-            mate_r = min(max(r + _denorm_rel(obs[9], rows), 0), rows - 1)
-            mate_c = min(max(c + _denorm_rel(obs[10], cols), 0), cols - 1)
-            if (mate_r + mate_c) % 2 == 1:
-                return STAY  # foot-dragging: advances on half the steps
-        return int(moves[0, r * cols + c])
-
     def act_batch(self, obs: np.ndarray) -> np.ndarray:
-        """act() of every agent of every row, one gather from the stacked
-        next-move table; non-finite input raises."""
+        """One gather from the stacked next-move table, by each agent's own
+        cell and door bit; non-finite input raises."""
         obs = _check_finite_batch(self._check_obs_batch(obs))
-        own = _denorm_batch(obs[..., :2].transpose(2, 0, 1), self._EXTENT[:, None])  # (2, B, n)
+        own = _own_cells(obs[..., :2].transpose(2, 0, 1), self._EXTENT[:, None])  # (2, B, n)
         door = obs[..., 2] > 0.0
         actions = self._moves().take(np.where(door, self._OPEN_BASE, self._CLOSED_BASE)
                                      + own[0] * KeyCorridor.COLS + own[1])
         if self.weakened:
             # agent 0 stalls on teammate 1's odd parity while the door is
             # closed; on the switch itself its table move is STAY anyway
-            mate = own[:, :, 0] + _denorm_rel_batch(obs[:, 0, 9:11].T, self._EXTENT)
+            mate = own[:, :, 0] + _rel_offsets(obs[:, 0, 9:11].T, self._EXTENT)
             np.maximum(mate, 0, out=mate)
             np.minimum(mate, self._EXTENT - 1, out=mate)
             stall = ~door[:, 0] & ((mate[0] + mate[1]) % 2 == 1)
@@ -328,21 +264,12 @@ class ScriptedDiagnostic(TargetPolicy):
     def descriptor(self) -> str:
         return f"scripted:diagnostic:n={self.n_agents}:grid={self.grid}"
 
-    def act(self, obs: np.ndarray, agent_id: int) -> int:
-        obs = self._check_obs(obs)
-        dr = _denorm_rel(obs[2], self.grid)
-        dc = _denorm_rel(obs[3], self.grid)
-        if dr != 0:
-            return UP if dr < 0 else DOWN
-        if dc != 0:
-            return LEFT if dc < 0 else RIGHT
-        return STAY
-
     def act_batch(self, obs: np.ndarray) -> np.ndarray:
-        """act() of every agent of every row; non-finite input raises."""
+        """Each agent steps along its own landmark offset, row first;
+        non-finite input raises."""
         obs = _check_finite_batch(self._check_obs_batch(obs))
-        dr = _denorm_rel_batch(obs[..., 2], self.grid)
-        dc = _denorm_rel_batch(obs[..., 3], self.grid)
+        dr = _rel_offsets(obs[..., 2], self.grid)
+        dc = _rel_offsets(obs[..., 3], self.grid)
         return _step_toward(dr, dc)
 
 
@@ -355,13 +282,9 @@ class LearnedPolicy(TargetPolicy):
         self.n_agents = qnet.n_agents
         self._source = source
 
-    def act(self, obs: np.ndarray, agent_id: int) -> int:
-        obs = self._check_obs(obs)
-        return int(np.argmax(self._qnet.q_single(obs, agent_id)))  # lowest index wins ties
-
     def act_batch(self, obs: np.ndarray) -> np.ndarray:
-        """act() of every agent of every row: per agent, one stacked forward
-        of one-row blocks."""
+        """Per agent, the argmax (lowest index on ties) of one stacked
+        forward of one-row blocks."""
         obs = self._check_obs_batch(obs)
         return np.stack([np.argmax(self._qnet.q_single(obs[:, i], i), axis=1)
                          for i in range(self.n_agents)], axis=1)

@@ -308,6 +308,15 @@ def test_rejected_config_value_exit_2(tmp_path, capsys, command, overrides, mess
     assert not (tmp_path / "o").exists() or not any((tmp_path / "o").iterdir())
 
 
+def test_env_too_small_for_its_entities_exit_2(tmp_path, capsys):
+    args = ["train-emai", "--config", str(_write_cfg(tmp_path, FAST_EMAI)),
+            "--set", "env.name=spread", "--set", 'env.params={"n_agents":70,"grid":8}',
+            "--out", str(tmp_path / "o")]
+    assert main(args) == 2
+    assert "too small for 70 agents" in capsys.readouterr().err
+    assert not any((tmp_path / "o").iterdir())  # rejected before any work
+
+
 def test_config_types_follow_defaults(tmp_path):
     cfg = load_config(None, ["training.lr=1", "emai.beta=null", "emai.beta=0.5",
                              "eval.d_th=2"])

@@ -193,6 +193,20 @@ def test_unknown_env_rejected():
         make_env("atari")
 
 
+def test_grid_too_small_for_its_entities_rejected_at_construction():
+    # spread draws n distinct agent cells, diagnostic n agent cells and a landmark
+    with pytest.raises(ValueError, match="too small for 70 agents"):
+        make_env("spread", n_agents=70, grid=8)
+    with pytest.raises(ValueError, match="too small for 4 agents and a landmark"):
+        make_env("diagnostic", n_agents=4, grid=2)
+    for grid in (-3, 1):  # a negative grid squares to a positive cell count
+        with pytest.raises(ValueError, match="grid must be >= 2"):
+            make_env("diagnostic", n_agents=2, grid=grid)
+    for name, params in [("spread", {"n_agents": 64, "grid": 8}),
+                         ("diagnostic", {"n_agents": 3, "grid": 2})]:
+        make_env(name, **params).reset_batch([0, 1])  # a full grid still places
+
+
 def test_keycorridor_geometry_sanity():
     # the switch corridor dead-ends next to agent 0's start zone
     assert KeyCorridor.SWITCH == (4, 4)
@@ -506,7 +520,7 @@ def test_tables_are_built_on_the_first_batch_once_per_geometry(monkeypatch):
     scripted_by_name(env, "default").act_batch(obs)
     moves = ScriptedKeyCorridor._MOVES
     assert moves is not None and not moves.flags.writeable
-    scripted_by_name(env, "weakened").act(obs[0, 0], 0)
+    scripted_by_name(env, "weakened").act(obs[0])
     assert ScriptedKeyCorridor._MOVES is moves
 
 

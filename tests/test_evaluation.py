@@ -241,10 +241,14 @@ def test_patch_empty_package_rejected():
 def test_patch_entries_deduplicated_on_exact_observation():
     env = make_env("keycorridor")
     pol = scripted_policy(env)
-    pkg = build_patch_package(_FixedAgentExplainer(0, 3), pol, env,
-                              harvest_episodes=10, quantile=1.0, seed=19)
-    keys = {tuple(row) for row in pkg.obs}
-    assert len(keys) == len(pkg)
+    for ex in (_FixedAgentExplainer(0, 3), RandomExplainer(seed=3)):
+        pkg = build_patch_package(ex, pol, env, harvest_episodes=10, quantile=1.0, seed=19)
+        keys = {tuple(row) for row in pkg.obs}
+        assert len(keys) == len(pkg) < 10 * env.spec.horizon  # repeats were dropped
+        # the entries and actions a loop over tuple keys keeps, in first-seen order
+        reference = _scalar_patch_package(ex, pol, env, 10, 1.0, 19)
+        assert pkg.obs.tolist() == reference.obs.tolist()
+        assert pkg.actions.tolist() == reference.actions.tolist()
 
 
 def test_evaluations_require_episodes():
@@ -305,15 +309,11 @@ def _w_attacked(payload) -> float:
     def act(obs, state, prefix):
         victims = (range(n) if attack_all else
                    [explainer.most_critical(_ctx(env, obs, state, ep_seed, prefix))])
-        actions = []
-        for i in range(n):
-            if i in victims:
-                noise = rng.uniform(-noise_eps, noise_eps, obs_dim)
-                seen = np.clip(obs[i] + noise, -1.0, 1.0)
-            else:
-                seen = obs[i]
-            actions.append(target.act(seen, i))
-        return actions
+        seen = obs.copy()
+        for i in victims:
+            noise = rng.uniform(-noise_eps, noise_eps, obs_dim)
+            seen[i] = np.clip(obs[i] + noise, -1.0, 1.0)
+        return target.act(seen)
 
     return run_episode(env, ep_seed, act).episode_reward
 

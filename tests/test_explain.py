@@ -16,8 +16,7 @@ from emai.explain import (EmaiExplainer, ExplainContext, GradientBasedExplainer,
 from emai.masking import MaskingPolicy
 from emai.nn import Tensor
 from emai.rng import episode_seed, stream
-from emai.rollout import (batch_actions, greedy_actions, replay_prefix, run_lockstep,
-                          run_target_episode)
+from emai.rollout import greedy_actions, replay_prefix, run_lockstep, run_target_episode
 from emai.target import (AgentQNet, CapabilityError, LearnedPolicy,
                          scripted_by_name, scripted_policy, train_target)
 from emai import ctde
@@ -157,7 +156,7 @@ def test_gradient_kernel_equals_graph_saliency(name, params, trained):
 
     def act(batch, obs, prefix):
         obs_log.append(obs)
-        return batch_actions(target, obs)
+        return target.act_batch(obs)
 
     run_lockstep(env.reset_batch(list(range(20))), act)
     pool = np.concatenate(obs_log)[stream(5, "saliency-rows").permutation(200)]
@@ -229,7 +228,7 @@ def test_oracle_door_never_opens_without_agent0_in_scripted_play():
     _, obs = env.reset(0)
     done = False
     while not done:
-        actions = [pol.act(obs[i], i) for i in range(3)]
+        actions = pol.act(obs)
         actions[0] = 0  # agent 0 contributes nothing
         result = env.step(actions)
         obs, done = result.observations, result.done
@@ -496,9 +495,9 @@ def test_learned_act_batch_and_value_scores_batch_equal_row_calls(size):
     obs, states = batch.observations(), batch.states()
     joint = pol.act_batch(obs)
     assert joint.shape == (size, 3)
+    assert joint.tolist() == [pol.act(o) for o in obs]
     for i in range(3):
         rows = obs[:, i]
-        assert joint[:, i].tolist() == [pol.act(o, i) for o in rows]
         assert np.array_equal(net.q_single(rows, i), np.stack([net.q_single(o, i) for o in rows]))
     assert np.array_equal(net.q_all_agents(obs), np.stack([net.q_all_agents(o) for o in obs]))
     value = ValueBasedExplainer(pol)

@@ -73,7 +73,7 @@ def test_baseline_matches_independent_resimulation():
             _, obs = env.reset(episode_seed(5, "baseline", i))
             done, t, acc, abs_acc = False, 0, 0.0, 0.0
             while not done:
-                acts = [pol.act(obs[j], j) for j in range(env.spec.n_agents)]
+                acts = pol.act(obs)
                 result = env.step(acts)
                 acc += (gamma ** t) * result.reward
                 abs_acc += abs(result.reward)
@@ -283,20 +283,25 @@ class _QueryOnlyTarget:
     """Proxy exposing exactly the black-box query surface."""
 
     def __init__(self, inner):
-        self._act = inner.act
+        self._act, self._act_batch = inner.act, inner.act_batch
         self.obs_dim = inner.obs_dim
         self.n_agents = inner.n_agents
 
-    def act(self, obs, agent_id):
-        return self._act(obs, agent_id)
+    def act(self, obs):
+        return self._act(obs)
+
+    def act_batch(self, obs):
+        return self._act_batch(obs)
 
     def checksum(self):
         return "query-only"
 
 
 class _UnqueriedTarget(_QueryOnlyTarget):
-    def act(self, obs, agent_id):
+    def act(self, obs):
         raise AssertionError("training started")
+
+    act_batch = act
 
 
 @pytest.mark.parametrize("overrides", [{"beta": -1.0}, {"lambda": -0.5},
@@ -309,7 +314,7 @@ def test_train_emai_rejects_negative_weights_before_training(overrides):
 
 
 def test_train_emai_black_box_compliance():
-    # the trainer must run against a target that offers nothing beyond act()
+    # the trainer must run against a target that offers only act() and act_batch()
     env = make_env("diagnostic", n_agents=3, grid=5, horizon=6)
     proxy = _QueryOnlyTarget(scripted_policy(env))
     policy, _ = train_emai(proxy, env,

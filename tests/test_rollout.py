@@ -106,19 +106,6 @@ def test_reward_sums_add_left_to_right():
     assert rollout.reward_sums(rewards)[0] == 1.0
 
 
-def test_batch_actions_query_act_only_targets_row_by_row():
-    class ActOnly:
-        def __init__(self, inner):
-            self.act = inner.act
-
-    env = make_env("keycorridor")
-    pol = scripted_policy(env)
-    obs = env.reset_batch([1, 2, 3]).observations()
-    expected = [rollout.greedy_actions(pol, o) for o in obs]
-    assert rollout.batch_actions(pol, obs).tolist() == expected
-    assert rollout.batch_actions(ActOnly(pol), obs).tolist() == expected
-
-
 def test_batch_actions_queries_act_batch_once_per_step():
     env = make_env("keycorridor")
     pol = scripted_policy(env)
@@ -132,11 +119,15 @@ def test_batch_actions_queries_act_batch_once_per_step():
     pol.act_batch = spy
     rollout.target_rewards(env.reset_batch([1, 2, 3]), pol)
     assert calls == [(3, 3, env.spec.obs_dim)] * env.spec.horizon
-    calls.clear()
-    t = 10  # the oracle's branch: one joint query per suffix step for all n * rollouts rows
+    t = 10
     prefix = [s.final_actions for s in rollout.run_target_episode(env, 4, pol).steps[:t]]
+    calls.clear()
+    # the oracle's unmasked suffix asks one row per step, then its branch one
+    # joint query per suffix step for all n * rollouts rows
     explain.mc_counterfactual_oracle(pol, env, 4, prefix, rollouts=5)
-    assert calls == [(15, 3, env.spec.obs_dim)] * (env.spec.horizon - t)
+    suffix = env.spec.horizon - t
+    assert calls == ([(1, 3, env.spec.obs_dim)] * suffix
+                     + [(15, 3, env.spec.obs_dim)] * suffix)
 
 
 def test_run_lockstep_leaves_its_start_batch_unchanged():
@@ -155,7 +146,7 @@ def test_run_lockstep_leaves_its_start_batch_unchanged():
 
     def act(batch, obs, prefix):
         opened.append(bool(batch.door_open.any()))
-        return rollout.batch_actions(pol, obs)
+        return pol.act_batch(obs)
 
     assert np.array_equal(rollout.run_lockstep(start, act)[0], first)
     assert any(opened) and not start.door_open.any()

@@ -14,10 +14,11 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from emai import envs, masking, rollout, target
-from emai.envs import RIGHT, STAY, make_env
+from emai.envs import DOWN, LEFT, RIGHT, STAY, UP, KeyCorridor, make_env
 from emai.rng import stream
-from emai.target import (CapabilityError, LearnedPolicy, ScriptedKeyCorridor,
-                         privileged_q_network, scripted_policy, train_target)
+from emai.target import (CapabilityError, LearnedPolicy, ScriptedDiagnostic,
+                         ScriptedKeyCorridor, ScriptedSpread, privileged_q_network,
+                         scripted_policy, train_target)
 
 
 def test_scripted_spread_moves_right_toward_landmark():
@@ -27,7 +28,7 @@ def test_scripted_spread_moves_right_toward_landmark():
     env.landmarks = [(3, 4), (6, 6)]  # agent 0 strictly left of its landmark
     obs = env.observations()
     pol = scripted_policy(env)
-    assert pol.act(obs[0], 0) == RIGHT
+    assert pol.act(obs)[0] == RIGHT
 
 
 def test_scripted_spread_stays_on_distinct_landmarks():
@@ -37,14 +38,14 @@ def test_scripted_spread_stays_on_distinct_landmarks():
     env.landmarks = [(1, 1), (4, 4), (6, 2)]
     obs = env.observations()
     pol = scripted_policy(env)
-    assert [pol.act(obs[i], i) for i in range(3)] == [STAY, STAY, STAY]
+    assert pol.act(obs) == [STAY, STAY, STAY]
 
 
 def test_scripted_keycorridor_first_action_toward_switch():
     env = make_env("keycorridor")
     _, obs = env.reset(0)
     pol = scripted_policy(env)
-    assert pol.act(obs[0], 0) == RIGHT  # start zone is left of the switch
+    assert pol.act(obs)[0] == RIGHT  # start zone is left of the switch
 
 
 def test_scripted_keycorridor_waits_at_closed_door():
@@ -53,8 +54,7 @@ def test_scripted_keycorridor_waits_at_closed_door():
     env.positions = [(4, 0), (2, 4), (2, 4)]
     obs = env.observations()
     pol = scripted_policy(env)
-    assert pol.act(obs[1], 1) == STAY
-    assert pol.act(obs[2], 2) == STAY
+    assert pol.act(obs)[1:] == [STAY, STAY]
 
 
 def test_scripted_keycorridor_full_episode_success():
@@ -73,15 +73,13 @@ def test_act_is_pure():
     env = make_env("keycorridor")
     _, obs = env.reset(3)
     pol = scripted_policy(env)
-    for i in range(3):
-        assert pol.act(obs[i], i) == pol.act(obs[i], i)
+    assert pol.act(obs) == pol.act(obs)
 
 
 def test_learned_policy_greedy_with_tiebreak():
     net = target.AgentQNet(4, 2, 3, hidden=(4, 4), rng=None)  # all-zero -> all ties
     pol = LearnedPolicy(net)
-    assert pol.act(np.zeros(4), 0) == 0
-    assert pol.act(np.zeros(4), 1) == 0
+    assert pol.act(np.zeros((2, 4))) == [0, 0]
 
 
 def test_privileged_accessor_rejects_scripted():
@@ -97,7 +95,7 @@ def test_zero_step_budget_returns_random_init_policy():
     assert isinstance(pol, LearnedPolicy)
     assert curves == []
     _, obs = env.reset(0)
-    assert pol.act(obs[0], 0) in range(5)
+    assert all(a in range(5) for a in pol.act(obs))
 
 
 @pytest.mark.parametrize("key", ["batch_episode", "beta", "lambda"])
@@ -138,7 +136,7 @@ def test_train_target_smoke_improves_over_random():
         return total / 40
 
     rng = stream(2, "rand-base")
-    learned = mean_reward(lambda obs: [pol.act(obs[i], i) for i in range(2)])
+    learned = mean_reward(pol.act)
     rand = mean_reward(lambda obs: list(rng.integers(0, 5, size=2)))
     assert learned > rand
 
@@ -150,8 +148,7 @@ def test_checkpoint_roundtrip(tmp_path):
     target.save_checkpoint(pol, env, path)
     loaded = target.load_checkpoint(path)
     _, obs = env.reset(1)
-    for i in range(2):
-        assert loaded.act(obs[i], i) == pol.act(obs[i], i)
+    assert loaded.act(obs) == pol.act(obs)
 
 
 def test_weakened_keycorridor_drags_feet():
@@ -161,17 +158,17 @@ def test_weakened_keycorridor_drags_feet():
     env.reset(0)
     env.positions = [(4, 0), (0, 1), (0, 3)]  # teammate 1 on an odd-parity cell
     obs = env.observations()
-    assert strong.act(obs[0], 0) == RIGHT
-    assert weak.act(obs[0], 0) == STAY
+    assert strong.act(obs)[0] == RIGHT
+    assert weak.act(obs)[0] == STAY
     env.positions = [(4, 0), (0, 0), (0, 3)]  # teammate 1 on even parity
     obs = env.observations()
-    assert weak.act(obs[0], 0) == RIGHT
+    assert weak.act(obs)[0] == RIGHT
     # teammates keep their usual routine under both variants
-    assert weak.act(obs[1], 1) == strong.act(obs[1], 1)
+    assert weak.act(obs)[1:] == strong.act(obs)[1:]
 
 
 def test_masking_module_never_touches_privileged_accessor():
-    # black-box discipline: the masking trainer sees only target.act
+    # black-box discipline: the masking trainer sees only act and act_batch
     source = inspect.getsource(masking)
     assert "privileged" not in source
     assert "_qnet" not in source
@@ -181,11 +178,91 @@ def test_masking_module_never_touches_privileged_accessor():
             assert not node.attr.startswith("privileged")
 
 
-# ---- act_batch: exactly [[act(obs[b, i], i) for i] for b] ----
+# ---- act_batch against the per-agent reference ----
+# Each target's rule for one agent, read from that agent's own observation
+# row alone, in plain Python: entry [b, i] of act_batch must equal
+# _reference_act(pol, obs[b, i], i).
+
+def _denorm(value: float, extent: int) -> int:
+    """Undo the [-1, 1] own-position normalization, robust to noisy inputs."""
+    cell = round((value + 1.0) * (extent - 1) / 2.0)
+    return int(min(max(cell, 0), extent - 1))
+
+
+def _denorm_rel(value: float, extent: int) -> int:
+    return int(round(value * (extent - 1)))
+
+
+def _step_toward(dr: int, dc: int) -> int:
+    if dr != 0:
+        return UP if dr < 0 else DOWN
+    if dc != 0:
+        return LEFT if dc < 0 else RIGHT
+    return STAY
+
+
+def _spread_act(pol, obs, agent_id: int) -> int:
+    g, n = pol.grid, pol.n_agents
+    own = (_denorm(obs[0], g), _denorm(obs[1], g))
+
+    def cell(dr, dc):
+        return (min(max(own[0] + _denorm_rel(dr, g), 0), g - 1),
+                min(max(own[1] + _denorm_rel(dc, g), 0), g - 1))
+
+    landmarks = [cell(obs[2 + 2 * k], obs[3 + 2 * k]) for k in range(n)]
+    base = 2 + 2 * n
+    positions = {agent_id: own}
+    for slot, j in enumerate(j for j in range(n) if j != agent_id):
+        positions[j] = cell(obs[base + 2 * slot], obs[base + 2 * slot + 1])
+    claimed: set[int] = set()
+    for i in range(agent_id + 1):  # claims in id order, up to this agent's own
+        best, best_d = -1, None
+        for k, lm in enumerate(landmarks):
+            if k in claimed:
+                continue
+            d = abs(positions[i][0] - lm[0]) + abs(positions[i][1] - lm[1])
+            if best_d is None or d < best_d:
+                best, best_d = k, d
+        claimed.add(best)
+    mine = landmarks[best]
+    return _step_toward(mine[0] - own[0], mine[1] - own[1])
+
+
+def _keycorridor_act(pol, obs, agent_id: int) -> int:
+    rows, cols = KeyCorridor.ROWS, KeyCorridor.COLS
+    r, c = _denorm(obs[0], rows), _denorm(obs[1], cols)
+    moves = pol._moves()[agent_id]
+    if obs[2] > 0.0:  # the door is open
+        return int(moves[1, r * cols + c])
+    if agent_id == 0 and pol.weakened and (r, c) != KeyCorridor.SWITCH:
+        mate_r = min(max(r + _denorm_rel(obs[9], rows), 0), rows - 1)
+        mate_c = min(max(c + _denorm_rel(obs[10], cols), 0), cols - 1)
+        if (mate_r + mate_c) % 2 == 1:
+            return STAY  # foot-dragging: advances on half the steps
+    return int(moves[0, r * cols + c])
+
+
+def _diagnostic_act(pol, obs, agent_id: int) -> int:
+    return _step_toward(_denorm_rel(obs[2], pol.grid), _denorm_rel(obs[3], pol.grid))
+
+
+def _learned_act(pol, obs, agent_id: int) -> int:
+    return int(np.argmax(pol._qnet.q_single(obs, agent_id)))  # lowest index wins ties
+
+
+REFERENCE_ACTS = {ScriptedSpread: _spread_act, ScriptedKeyCorridor: _keycorridor_act,
+                  ScriptedDiagnostic: _diagnostic_act, LearnedPolicy: _learned_act}
+
+
+def _reference_act(pol, obs, agent_id: int) -> int:
+    obs = np.asarray(obs, dtype=np.float64)
+    assert obs.shape == (pol.obs_dim,)
+    return REFERENCE_ACTS[type(pol)](pol, obs, agent_id)
+
 
 def _row_by_row(pol, obs) -> list:
-    """The joint actions act_batch must return, from one act() call per agent."""
-    return [[pol.act(o, i) for i, o in enumerate(row)] for row in obs]
+    """The joint actions act_batch must return, one reference call per agent."""
+    return [[_reference_act(pol, o, i) for i, o in enumerate(row)] for row in obs]
 
 
 # Decoded values that land exactly on a .5 tie, where Python round() and
@@ -221,7 +298,7 @@ def test_keycorridor_act_batch_rounds_ties_like_act():
         pol = ScriptedKeyCorridor(weakened=weakened)
         out = pol.act_batch(joint)
         for i in range(3):
-            assert out[:, i].tolist() == [pol.act(row, i) for row in obs]
+            assert out[:, i].tolist() == [_reference_act(pol, row, i) for row in obs]
 
 
 def test_keycorridor_act_batch_on_visited_states():
@@ -284,25 +361,6 @@ def test_scripted_act_batch_rejects_non_finite_rows():
                 scripted_policy(env).act_batch(bad)
 
 
-def test_default_act_batch_loops_over_act():
-    class OnlyAct(target.TargetPolicy):
-        obs_dim, n_agents = 4, 2
-
-        def act(self, obs, agent_id):
-            obs = self._check_obs(obs)
-            return int(abs(obs.sum()) * 1000 + agent_id) % 5
-
-        def descriptor(self):
-            return "only-act"
-
-    pol = OnlyAct()
-    obs = stream(3, "only-act").uniform(-1, 1, size=(9, 2, 4))
-    out = pol.act_batch(obs)
-    assert out.dtype == np.int64
-    assert out.tolist() == _row_by_row(pol, obs)
-    assert pol.act_batch(np.zeros((0, 2, 4))).shape == (0, 2)
-
-
 def test_act_batch_rejects_wrong_shapes():
     learned = LearnedPolicy(target.AgentQNet(13, 3, 5, hidden=(8, 8), rng=stream(0, "shape")))
     for pol in (ScriptedKeyCorridor(), learned):
@@ -320,6 +378,44 @@ def test_act_batch_rejects_wrong_shapes():
     bad[1, 0, 0] = np.nan
     with pytest.raises(ValueError):
         ScriptedKeyCorridor().act_batch(bad)
+
+
+ONE_ROW_CASES = {"spread": ("spread", {"n_agents": 3, "grid": 5, "horizon": 8}),
+                 "keycorridor": ("keycorridor", {}),
+                 "diagnostic": ("diagnostic", {"n_agents": 4, "grid": 5, "horizon": 8}),
+                 "learned": ("spread", {"n_agents": 2, "grid": 5, "horizon": 8})}
+
+
+@pytest.mark.parametrize("kind", sorted(ONE_ROW_CASES))
+def test_act_is_the_one_row_view_of_act_batch(kind):
+    name, params = ONE_ROW_CASES[kind]
+    env = make_env(name, **params)
+    spec = env.spec
+    pol = (LearnedPolicy(target.AgentQNet(spec.obs_dim, spec.n_agents, spec.n_actions,
+                                          hidden=(8, 8), rng=stream(4, "one-row")))
+           if kind == "learned" else scripted_policy(env))
+    batch = env.reset_batch(list(range(6)))
+    batch.step(stream(4, "one-row-moves").integers(0, 5, size=(6, spec.n_agents)))
+    for obs in batch.observations():
+        joint = pol.act(obs)
+        assert joint == pol.act_batch(obs[None])[0].tolist()
+        assert all(type(a) is int for a in joint)
+    for shape in [(spec.obs_dim,), (spec.n_agents + 1, spec.obs_dim),
+                  (spec.n_agents, spec.obs_dim - 1), (1, spec.n_agents, spec.obs_dim)]:
+        with pytest.raises(ValueError, match="observation shape"):
+            pol.act(np.zeros(shape))
+    # a scalar episode asks the kernel once per step, for one joint row
+    calls = []
+    kernel = pol.act_batch
+
+    def spy(obs):
+        calls.append(obs.shape)
+        return kernel(obs)
+
+    pol.act_batch = spy
+    trace = rollout.run_target_episode(env, 3, pol)
+    assert len(trace.steps) == spec.horizon
+    assert calls == [(1, spec.n_agents, spec.obs_dim)] * spec.horizon
 
 
 def test_checkpoint_doc_roundtrips_exactly(tmp_path):
