@@ -10,8 +10,9 @@ moves into walls, grid edges or a closed door are no-ops, and agents may
 share a cell (Spread penalizes sharing through the reward only).
 
 A GridBatch steps many states in lockstep on flat cell indices and the
-lookup tables of its geometry (GridTables); each row is bitwise the scalar
-env in that row's state.
+lookup tables of its geometry (GridTables). It is the one implementation of
+the rules: a scalar env is a GridBatch of one row, and tests/test_envs.py
+keeps per-agent reference rules that every row must equal bitwise.
 """
 from __future__ import annotations
 
@@ -62,19 +63,22 @@ class BatchStepResult:
 
 
 class _GridEnv:
-    """The gridworld skeleton the built-in envs share, scalar and batched.
+    """The gridworld skeleton the built-in envs share.
 
     A subclass supplies four things: `_place(seed)`, its `WALLS` (plus a
-    `DOOR` and fixed `ANCHORS` if it has them), `_reward()`/`_reward_batch()`,
-    and any movement rule of its own, by extending `_passable`/`_move_all` and
-    the batched `_move_batch` (plus `_build_tables` for any per-cell entry
-    of its own).
+    `DOOR` and fixed `ANCHORS` if it has them), `_reward_batch()`, and any
+    movement rule of its own, by extending `_move_batch` (plus
+    `_build_tables` for any per-cell entry of its own).
 
     Agent i observes its own normalized position, then the door flag (+1 open,
     -1 closed) on an env with a door, then the positions of the anchors, of
     the landmarks and of the other agents in index order, each relative to its
     own. The state is every agent's position, then the landmarks, then the
     door flag.
+
+    Every rule is written once, batched: reset(seed) and step(joint_action)
+    are one-row views of a GridBatch the env holds, whose t and done the env
+    reports.
     """
 
     spec: EnvSpec
@@ -85,92 +89,45 @@ class _GridEnv:
 
     def __init__(self, rows: int, cols: int):
         self._rows, self._cols = rows, cols
-        self.t = 0
-        self.done = True
-        self.positions: list[tuple[int, int]] = []
-        self.landmarks: list[tuple[int, int]] = []
-        self.door_open = False
+        self._row: GridBatch | None = None  # the current state, from reset
 
     def _place(self, seed: int) -> tuple[list, list]:
-        """The initial (agent cells, landmark cells) of reset(seed), shared by
-        reset and reset_batch; builds no observations."""
+        """The initial (agent cells, landmark cells) of reset(seed), as
+        reset_batch places row b; builds no observations."""
         raise NotImplementedError
 
-    def _reward(self) -> float:
-        raise NotImplementedError
+    @property
+    def t(self) -> int:
+        return 0 if self._row is None else self._row.t
 
-    def _passable(self, cell: tuple[int, int]) -> bool:
-        r, c = cell
-        return 0 <= r < self._rows and 0 <= c < self._cols and cell not in self.WALLS
+    @property
+    def done(self) -> bool:
+        return self._row is None or self._row.done
 
-    def _validate_actions(self, joint_action) -> list[int]:
-        if self.done:
-            raise EnvError("step() called on a terminated episode; call reset() first")
-        if len(joint_action) != self.spec.n_agents:
-            raise EnvError(
-                f"joint action needs {self.spec.n_agents} entries, got {len(joint_action)}")
-        acts = []
-        for i, a in enumerate(joint_action):
-            a = int(a)
-            if not (0 <= a < self.spec.n_actions):
-                raise EnvError(f"agent {i}: action index {a} outside [0, {self.spec.n_actions})")
-            acts.append(a)
-        return acts
-
-    def _move_all(self, actions: list[int]) -> None:
-        old = list(self.positions)
-        new = []
-        for pos, a in zip(old, actions):
-            dr, dc = DELTAS[a]
-            cand = (pos[0] + dr, pos[1] + dc)
-            new.append(cand if self._passable(cand) else pos)
-        self.positions = new
-
-    def _door_flag(self) -> list[float]:
-        return [] if self.DOOR is None else [1.0 if self.door_open else -1.0]
-
-    def _observe(self, i: int) -> np.ndarray:
-        own, rows, cols = self.positions[i], self._rows, self._cols
-        parts = [*_norm_pos(own, rows, cols), *self._door_flag()]
-        for cell in [*self.ANCHORS, *self.landmarks, *self.positions[:i], *self.positions[i + 1:]]:
-            parts.extend(_rel(own, cell, rows, cols))
-        return np.array(parts)
+    def _live(self) -> "GridBatch":
+        if self._row is None:
+            raise EnvError("the environment has not been reset; call reset() first")
+        return self._row
 
     def observations(self) -> np.ndarray:
-        return np.stack([self._observe(i) for i in range(self.spec.n_agents)])
-
-    def _state(self) -> np.ndarray:
-        parts = []
-        for cell in [*self.positions, *self.landmarks]:
-            parts.extend(_norm_pos(cell, self._rows, self._cols))
-        return np.array(parts + self._door_flag())
+        return self._live().observations()[0]
 
     def reset(self, seed: int) -> tuple[np.ndarray, np.ndarray]:
-        self.positions, self.landmarks = self._place(seed)
-        self.door_open = False
-        self.t = 0
-        self.done = False
-        return self._state(), self.observations()
+        self._row = row = self.reset_batch([seed])
+        return row.states()[0], row.observations()[0]
 
     def step(self, joint_action) -> StepResult:
-        self._move_all(self._validate_actions(joint_action))
-        reward = self._reward()
-        self.t += 1
-        self.done = self.t >= self.spec.horizon
-        return StepResult(self._state(), self.observations(), reward, self.done)
+        row = self._live()
+        result = row.step(np.asarray(joint_action)[None])
+        # a Python float, as replay text writes repr(reward)
+        return StepResult(row.states()[0], result.observations[0], float(result.reward[0]),
+                          result.done)
 
-    # batched counterparts, driven by GridBatch: _build_tables, _move_batch, _reward_batch
     def branch(self, size: int) -> "GridBatch":
         """`size` independent copies of the current state, to step in lockstep."""
         if size < 1:
             raise ValueError("a batch needs size >= 1")
-        if not self.positions:
-            raise EnvError("branch() needs an environment that has been reset")
-        tables = self._tables()
-        landmarks = np.array(self.landmarks, dtype=np.int64).reshape(1, -1, 2)
-        return GridBatch(self, tables, tables.flat(np.array([self.positions], dtype=np.int64)),
-                         tables.flat(landmarks), np.array([self.door_open]), self.t,
-                         self.done).repeat(size)
+        return self._live().repeat(size)
 
     def reset_batch(self, seeds) -> "GridBatch":
         """One row per seed: row b is the state after reset(seeds[b])."""
@@ -196,7 +153,7 @@ class _GridEnv:
         return tables
 
     def _build_tables(self) -> "GridTables":
-        return GridTables(self._rows, self._cols, self.WALLS, self.DOOR)
+        return GridTables(self._rows, self._cols, self.WALLS, self.DOOR, self.ANCHORS)
 
     def _move_batch(self, batch: "GridBatch", actions: np.ndarray) -> None:
         """Every row's simultaneous move: a move into a wall, off the grid or
@@ -220,19 +177,25 @@ class GridTables:
     A cell is one int64 index into the grid padded with a one-cell closed
     border, (rows + 2) x (cols + 2) in row-major order, so a move off the
     edge lands on the border instead of wrapping around. Each float entry is
-    the scalar _norm_pos/_rel expression evaluated on the same ints, so a
-    gather is bitwise what the scalar env computes. Entries of border cells
-    are never read.
+    one expression on the grid (row, col) ints: the normalized position
+    norm(a) = (2.0 * a_r / (rows - 1) - 1.0, 2.0 * a_c / (cols - 1) - 1.0)
+    and the relative offset rel(a, b) = ((b_r - a_r) / (rows - 1),
+    (b_c - a_c) / (cols - 1)), as the per-agent reference rules in
+    tests/test_envs.py write them. Entries of border cells are never read.
+    The tables are read-only and shared, so a deepcopy keeps the same object.
 
-    In the block of own cell a, rel[a * stride + b] is _rel(a, b), then
-    rel[a * stride + size] is _norm_pos(a) and rel[a * stride + size + 1 + d]
+    In the block of own cell a, rel[a * stride + b] is rel(a, b), then
+    rel[a * stride + size] is norm(a) and rel[a * stride + size + 1 + d]
     holds the door flag of door_open = d twice, so one gather reads an
     observation's own position, its door flag and every point it sees.
     manhattan[a * size + b] is the Manhattan distance of two cells, and
     open[door_open * size + cell] says whether a move may end on cell.
+    fixed holds the point slots every observation reads before the
+    landmarks: the own position's (size), the door flag's (size + 1) on an
+    env with a door, then each anchor's cell.
     """
 
-    def __init__(self, rows: int, cols: int, walls, door):
+    def __init__(self, rows: int, cols: int, walls, door, anchors):
         self.width = cols + 2
         self.size = (rows + 2) * self.width
         self.stride = self.size + 3
@@ -253,11 +216,16 @@ class GridTables:
             closed[self.flat(door)] = False
         self.open = np.concatenate([closed, grid.reshape(-1)])
         self.delta = np.array([dr * self.width + dc for dr, dc in DELTAS], dtype=np.int64)
+        self.fixed = np.array([self.size, *([] if door is None else [self.size + 1]),
+                               *(self.flat(a) for a in anchors)], dtype=np.int64)
 
     def flat(self, points) -> np.ndarray:
         """Flat cells of grid (row, col) points, a (..., 2) int array or one pair."""
         points = np.asarray(points)
         return (points[..., 0] + 1) * self.width + points[..., 1] + 1
+
+    def __deepcopy__(self, memo) -> "GridTables":
+        return self
 
 
 class GridBatch:
@@ -270,9 +238,8 @@ class GridBatch:
     and its own door flag, a (size,) bool array that stays False on an env
     without a door. Walls, the tables and the step counter t are shared, so
     all rows end together. positions and landmarks derive the (size, ·, 2)
-    grid coordinates. Row b of step() equals, bitwise, the scalar env in row
-    b's state stepped with joint_actions[b], and bad input raises the same
-    EnvError.
+    grid coordinates. step() validates the joint actions, for the scalar env
+    too, and raises EnvError on bad input.
     """
 
     def __init__(self, env: _GridEnv, tables: GridTables, cells: np.ndarray,
@@ -285,14 +252,12 @@ class GridBatch:
         self.landmark_cells = landmark_cells
         self.door_open = door_open
         size, n = cells.shape
-        # point slots, one row of cells each: the own position's slot, the door
-        # slot on an env with a door, the anchors, the landmarks, then the
-        # agents, whose rows every observation rewrites (so each batch owns
-        # its _points, while the index arrays it gathers with are shared)
-        fixed = [tables.size, *([] if env.DOOR is None else [tables.size + 1]),
-                 *(tables.flat(a) for a in env.ANCHORS)]
+        # point slots, one row of cells each: the fixed slots of the tables,
+        # the landmarks, then the agents, whose rows every observation
+        # rewrites (so each batch owns its _points, while the index arrays it
+        # gathers with are shared)
         self._points = np.concatenate(
-            [np.repeat(np.array(fixed)[:, None], size, axis=1), landmark_cells.T, cells.T])
+            [np.repeat(tables.fixed[:, None], size, axis=1), landmark_cells.T, cells.T])
         self._seen, self._layout = _gather_indices(n, len(self._points), size,
                                                    env.DOOR is not None)
 
@@ -317,7 +282,8 @@ class GridBatch:
         return self.tables.coords.take(self.landmark_cells, axis=0)
 
     def observations(self) -> np.ndarray:
-        """The scalar layout of _GridEnv._observe, for every row at once."""
+        """Every row's observations, (size, n_agents, obs_dim), in the layout
+        the _GridEnv docstring gives."""
         tables, cells, points = self.tables, self.cells, self._points
         size, n = cells.shape
         points[-n:] = cells.T
@@ -331,7 +297,7 @@ class GridBatch:
         return seen.reshape(size, n, -1)
 
     def states(self) -> np.ndarray:
-        """The scalar layout of _GridEnv._state, (size, state_dim)."""
+        """Every row's state, (size, state_dim), in the _GridEnv layout."""
         cells = np.concatenate([self.cells, self.landmark_cells], axis=1)
         norm = self.tables.norm.take(cells, axis=0).reshape(self.size, -1)
         if self.env.DOOR is None:
@@ -340,7 +306,7 @@ class GridBatch:
 
     def _validate_actions(self, joint_actions) -> np.ndarray:
         if self.done:
-            raise EnvError("step() called on a terminated batch; branch a live state")
+            raise EnvError("step() called on a terminated episode; reset or branch a live state")
         acts = np.asarray(joint_actions, dtype=np.int64)
         spec = self.env.spec
         if acts.shape != (self.size, spec.n_agents):
@@ -382,14 +348,6 @@ def _gather_indices(n: int, m: int, size: int, door: bool) -> tuple:
     return seen, layout
 
 
-def _norm_pos(pos: tuple[int, int], rows: int, cols: int) -> tuple[float, float]:
-    return (2.0 * pos[0] / (rows - 1) - 1.0, 2.0 * pos[1] / (cols - 1) - 1.0)
-
-
-def _rel(a: tuple[int, int], b: tuple[int, int], rows: int, cols: int) -> tuple[float, float]:
-    return ((b[0] - a[0]) / (rows - 1), (b[1] - a[1]) / (cols - 1))
-
-
 class Spread(_GridEnv):
     """n agents cover n landmarks on a grid; closer and un-stacked is better.
 
@@ -411,6 +369,7 @@ class Spread(_GridEnv):
             raise ValueError(f"a {self.grid} x {self.grid} grid is too small for {self.n} agents")
         obs_dim = 2 + 2 * self.n + 2 * (self.n - 1)
         self.spec = EnvSpec(self.n, obs_dim, 4 * self.n, 5, int(horizon))
+        self._pairs = np.triu_indices(self.n, 1)  # every agent pair (i < j)
 
     @property
     def params(self) -> dict:
@@ -424,30 +383,14 @@ class Spread(_GridEnv):
         return ([(int(i) // self.grid, int(i) % self.grid) for i in agent_idx],
                 [(int(i) // self.grid, int(i) % self.grid) for i in lm_idx])
 
-    def _reward(self) -> float:
-        return spread_reward(self.positions, self.landmarks, self.n, self.grid)
-
     def _reward_batch(self, batch: GridBatch) -> np.ndarray:
         cells, tables = batch.cells, batch.tables
         dist = tables.manhattan.take(cells[:, :, None] * tables.size
                                      + batch.landmark_cells[:, None])
         dist_sum = dist.min(axis=1).sum(axis=1)  # nearest agent per landmark
-        i, j = np.triu_indices(self.n, 1)
+        i, j = self._pairs
         shared = (cells[:, i] == cells[:, j]).sum(axis=1)
         return -(1.0 / (self.n * self.grid)) * dist_sum - 0.05 * shared
-
-
-def spread_reward(positions, landmarks, n: int, grid: int) -> float:
-    """The Spread team reward for a given configuration (pure helper)."""
-    dist_sum = 0
-    for lm in landmarks:
-        dist_sum += min(abs(p[0] - lm[0]) + abs(p[1] - lm[1]) for p in positions)
-    shared = 0
-    for i in range(len(positions)):
-        for j in range(i + 1, len(positions)):
-            if positions[i] == positions[j]:
-                shared += 1
-    return -(1.0 / (n * grid)) * dist_sum - 0.05 * shared
 
 
 class KeyCorridor(_GridEnv):
@@ -493,19 +436,6 @@ class KeyCorridor(_GridEnv):
     def _place(self, seed: int) -> tuple[list, list]:
         rng = np.random.default_rng(np.random.SeedSequence([int(seed) & (2**64 - 1), 0x52]))
         return [zone[int(rng.integers(0, len(zone)))] for zone in self.START_ZONES], []
-
-    def _passable(self, cell: tuple[int, int]) -> bool:
-        if cell == self.DOOR:
-            return self.door_open
-        return super()._passable(cell)
-
-    def _move_all(self, actions: list[int]) -> None:
-        super()._move_all(actions)
-        if any(p == self.SWITCH for p in self.positions):
-            self.door_open = True  # permanent within the episode
-
-    def _reward(self) -> float:
-        return 0.1 * sum(1 for p in self.positions if p[1] == self.GOAL_COL) - 0.01
 
     def _build_tables(self) -> GridTables:
         tables = super()._build_tables()
@@ -559,18 +489,6 @@ class Diagnostic(_GridEnv):
         idx = rng.choice(self.grid * self.grid, size=self.n + 1, replace=False)
         cells = [(int(i) // self.grid, int(i) % self.grid) for i in idx]
         return cells[:-1], cells[-1:]
-
-    def _move_all(self, actions: list[int]) -> None:
-        actions = [STAY if i in self.inert else a for i, a in enumerate(actions)]
-        super()._move_all(actions)
-
-    def _reward(self) -> float:
-        if self.zero_reward:
-            return 0.0
-        lm = self.landmarks[0]
-        active = [p for i, p in enumerate(self.positions) if i not in self.inert]
-        dist = sum(abs(p[0] - lm[0]) + abs(p[1] - lm[1]) for p in active)
-        return -dist / (max(1, len(active)) * self.grid)
 
     def _move_batch(self, batch: GridBatch, actions: np.ndarray) -> None:
         if self.inert:

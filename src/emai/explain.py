@@ -23,7 +23,7 @@ import numpy as np
 from .ctde import agent_inputs
 from .envs import make_env
 from .masking import MaskingPolicy
-from .rng import integers_rows, stream, uniform_rows
+from .rng import integers_rows, uniform_rows
 from .rollout import Step, Trace, greedy_actions, replay_prefix
 from .target import TargetPolicy, privileged_q_network
 
@@ -39,10 +39,6 @@ class ExplainContext:
     env_params: dict = field(default_factory=dict)
     episode_seed: int = 0
     prefix_actions: list = field(default_factory=list)  # executed joint actions before t
-
-    @property
-    def n_agents(self) -> int:
-        return len(self.observations)
 
 
 def trace_contexts(trace: Trace, env) -> Iterator[tuple[Step, ExplainContext]]:
@@ -61,26 +57,25 @@ class Explainer:
     # the states for an explainer that does not
     reads_states: bool = True
 
-    def scores(self, ctx: ExplainContext) -> np.ndarray:
-        raise NotImplementedError
-
-    def most_critical(self, ctx: ExplainContext) -> int:
-        return int(np.argmax(self.scores(ctx)))  # lowest index wins ties
-
     def scores_batch(self, env, observations: np.ndarray, states: np.ndarray, t: int,
                      episode_seeds, prefix: np.ndarray) -> np.ndarray:
-        """scores() of B episodes of `env` at step t, as a (B, n_agents) array.
+        """Importance scores of B episodes of `env` at step t, (B, n_agents).
 
         Row b scores the context of episode_seeds[b] with observations[b]
         (n_agents, obs_dim), states[b] and the executed joint actions
         prefix[b] (t, n_agents); states is None when reads_states is False.
-        The default builds each row's ExplainContext and calls scores(); an
-        override must return the same rows bitwise.
+        This is the one method an explainer implements.
         """
-        return np.stack([
-            self.scores(ExplainContext(observations[b], states[b], t, env.name, env.params,
-                                       int(episode_seeds[b]), prefix[b].tolist()))
-            for b in range(len(observations))])
+        raise NotImplementedError
+
+    def scores(self, ctx: ExplainContext) -> np.ndarray:
+        """scores_batch's one-row view, with no env and no prefix."""
+        states = None if ctx.state is None else np.asarray(ctx.state)[None]
+        return self.scores_batch(None, np.asarray(ctx.observations)[None], states, ctx.t,
+                                 [ctx.episode_seed], None)[0]
+
+    def most_critical(self, ctx: ExplainContext) -> int:
+        return int(np.argmax(self.scores(ctx)))  # lowest index wins ties
 
 
 class EmaiExplainer(Explainer):
@@ -91,9 +86,6 @@ class EmaiExplainer(Explainer):
 
     def __init__(self, policy: MaskingPolicy):
         self.policy = policy
-
-    def scores(self, ctx: ExplainContext) -> np.ndarray:
-        return self.policy.importance_vector(ctx.observations)
 
     def scores_batch(self, env, observations, states, t, episode_seeds, prefix) -> np.ndarray:
         """One stacked forward over the B observation sets."""
@@ -113,9 +105,6 @@ class RandomExplainer(Explainer):
     def __init__(self, seed: int = 0):
         self.seed = int(seed)
 
-    def scores(self, ctx: ExplainContext) -> np.ndarray:
-        return stream(self.seed, "random-explainer", ctx.episode_seed, ctx.t).random(ctx.n_agents)
-
     def scores_batch(self, env, observations, states, t, episode_seeds, prefix) -> np.ndarray:
         """Every row's stream drawn at once: random(n) is uniform(0.0, 1.0, n)."""
         return uniform_rows(self.seed, ("random-explainer",),
@@ -130,10 +119,6 @@ class ValueBasedExplainer(Explainer):
 
     def __init__(self, target: TargetPolicy):
         self._qnet = privileged_q_network(target)
-
-    def scores(self, ctx: ExplainContext) -> np.ndarray:
-        q = self._qnet.q_all_agents(ctx.observations)
-        return q.max(axis=1)
 
     def scores_batch(self, env, observations, states, t, episode_seeds, prefix) -> np.ndarray:
         """One stacked forward over the B observation sets."""
@@ -154,10 +139,6 @@ class GradientBasedExplainer(Explainer):
 
     def __init__(self, target: TargetPolicy):
         self._qnet = privileged_q_network(target)
-
-    def scores(self, ctx: ExplainContext) -> np.ndarray:
-        return self.scores_batch(None, np.asarray(ctx.observations)[None], None, ctx.t,
-                                 [ctx.episode_seed], None)[0]
 
     def scores_batch(self, env, observations, states, t, episode_seeds, prefix) -> np.ndarray:
         """One stacked forward over (B * n, 1, in) one-row blocks, each of

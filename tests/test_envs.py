@@ -11,14 +11,137 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from emai import envs
-from emai.envs import (DOWN, LEFT, RIGHT, STAY, UP, EnvError, EnvSpec, KeyCorridor,
-                       make_env, spread_reward)
+from emai.envs import (DELTAS, LEFT, RIGHT, STAY, EnvError, EnvSpec, GridBatch, KeyCorridor,
+                       StepResult, make_env)
 from emai.masking import MASK, apply_mask
 from emai.rng import stream
 from emai.target import ScriptedKeyCorridor, scripted_by_name
 
 # recorded from stream(123, "recorded-fixture") draws over 2 actions
 RECORDED_DISCRETE2 = [1, 1, 0, 1, 0, 1, 1, 1, 1, 1, 0, 0, 1, 1, 1, 1]
+
+
+# ---- the per-agent reference rules, written cell by cell in plain Python.
+# An env implements every rule once, batched (GridBatch), and a scalar env is
+# a one-row GridBatch; every row must equal these rules bitwise ----
+
+def _norm_pos(pos, rows: int, cols: int) -> tuple[float, float]:
+    return (2.0 * pos[0] / (rows - 1) - 1.0, 2.0 * pos[1] / (cols - 1) - 1.0)
+
+
+def _rel(a, b, rows: int, cols: int) -> tuple[float, float]:
+    return ((b[0] - a[0]) / (rows - 1), (b[1] - a[1]) / (cols - 1))
+
+
+def spread_reward(positions, landmarks, n: int, grid: int) -> float:
+    """The Spread team reward for a given configuration."""
+    dist_sum = 0
+    for lm in landmarks:
+        dist_sum += min(abs(p[0] - lm[0]) + abs(p[1] - lm[1]) for p in positions)
+    shared = 0
+    for i in range(len(positions)):
+        for j in range(i + 1, len(positions)):
+            if positions[i] == positions[j]:
+                shared += 1
+    return -(1.0 / (n * grid)) * dist_sum - 0.05 * shared
+
+
+class ScalarGrid:
+    """One state of `env` under the reference rules: simultaneous moves, of
+    which a move into a wall, off the grid or into a closed door is a stay;
+    keycorridor's switch, which opens the door for the rest of the episode;
+    diagnostic's inert agents; and each env's reward, observation and state."""
+
+    def __init__(self, env, positions, landmarks=(), door_open=False, t: int = 0):
+        self.env = env
+        self.positions = [tuple(p) for p in positions]
+        self.landmarks = [tuple(p) for p in landmarks]
+        self.door_open = bool(door_open)
+        self.t = t
+        self.done = t >= env.spec.horizon
+
+    @classmethod
+    def reset(cls, env, seed: int) -> "ScalarGrid":
+        return cls(env, *env._place(seed))
+
+    def _passable(self, cell) -> bool:
+        env, (r, c) = self.env, cell
+        if cell == env.DOOR:
+            return self.door_open
+        return 0 <= r < env._rows and 0 <= c < env._cols and cell not in env.WALLS
+
+    def _move_all(self, actions: list[int]) -> None:
+        inert = getattr(self.env, "inert", ())
+        new = []
+        for i, (pos, a) in enumerate(zip(self.positions, actions)):
+            dr, dc = DELTAS[STAY if i in inert else a]
+            cand = (pos[0] + dr, pos[1] + dc)
+            new.append(cand if self._passable(cand) else pos)
+        self.positions = new
+        if self.env.name == "keycorridor" and KeyCorridor.SWITCH in new:
+            self.door_open = True
+
+    def _reward(self) -> float:
+        env, positions = self.env, self.positions
+        if env.name == "spread":
+            return spread_reward(positions, self.landmarks, env.n, env.grid)
+        if env.name == "keycorridor":
+            return 0.1 * sum(1 for p in positions if p[1] == env.GOAL_COL) - 0.01
+        if env.zero_reward:
+            return 0.0
+        lm = self.landmarks[0]
+        active = [p for i, p in enumerate(positions) if i not in env.inert]
+        dist = sum(abs(p[0] - lm[0]) + abs(p[1] - lm[1]) for p in active)
+        return -dist / (max(1, len(active)) * env.grid)
+
+    def _door_flag(self) -> list[float]:
+        return [] if self.env.DOOR is None else [1.0 if self.door_open else -1.0]
+
+    def observations(self) -> np.ndarray:
+        env, positions = self.env, self.positions
+        rows, cols = env._rows, env._cols
+        out = []
+        for i, own in enumerate(positions):
+            parts = [*_norm_pos(own, rows, cols), *self._door_flag()]
+            for cell in [*env.ANCHORS, *self.landmarks, *positions[:i], *positions[i + 1:]]:
+                parts.extend(_rel(own, cell, rows, cols))
+            out.append(np.array(parts))
+        return np.stack(out)
+
+    def state(self) -> np.ndarray:
+        parts = []
+        for cell in [*self.positions, *self.landmarks]:
+            parts.extend(_norm_pos(cell, self.env._rows, self.env._cols))
+        return np.array(parts + self._door_flag())
+
+    def step(self, joint_action) -> StepResult:
+        assert not self.done
+        self._move_all([int(a) for a in joint_action])
+        reward = self._reward()
+        self.t += 1
+        self.done = self.t >= self.env.spec.horizon
+        return StepResult(self.state(), self.observations(), reward, self.done)
+
+
+def _place(env, positions, door_open: bool = False) -> None:
+    """Move a reset env's agents to `positions` and set its door flag at t = 0,
+    keeping its landmarks; the row is built through the GridBatch constructor."""
+    row = env.branch(1)
+    env._row = GridBatch(env, row.tables, row.tables.flat(np.array([positions])),
+                         row.landmark_cells, np.array([door_open]), 0, False)
+
+
+def _cells(env) -> list:
+    """The agents' (row, col) cells of a reset env."""
+    return [tuple(p) for p in env.branch(1).positions[0].tolist()]
+
+
+def _landmarks(env) -> list:
+    return [tuple(p) for p in env.branch(1).landmarks[0].tolist()]
+
+
+def _door(env) -> bool:
+    return bool(env.branch(1).door_open[0])
 
 
 def test_reset_deterministic():
@@ -49,9 +172,9 @@ def test_observation_shapes(name, params):
 def test_wall_bump_is_noop():
     env = make_env("spread", n_agents=2, grid=8)
     env.reset(0)
-    env.positions = [(0, 0), (5, 5)]
+    _place(env, [(0, 0), (5, 5)])
     env.step([LEFT, STAY])
-    assert env.positions[0] == (0, 0)
+    assert _cells(env)[0] == (0, 0)
 
 
 def test_spread_reward_example():
@@ -67,23 +190,23 @@ def test_spread_collision_penalty():
 def test_keycorridor_switch_opens_door_permanently():
     env = make_env("keycorridor")
     env.reset(0)
-    env.positions = [(4, 3), (0, 0), (0, 3)]
+    _place(env, [(4, 3), (0, 0), (0, 3)])
     result = env.step([RIGHT, STAY, STAY])  # agent 0 onto the switch
-    assert env.door_open
+    assert _door(env)
     assert np.all(result.observations[:, 2] == 1.0)
     env.step([LEFT, STAY, STAY])
-    assert env.door_open  # monotone within the episode
+    assert _door(env)  # monotone within the episode
 
 
 def test_door_blocks_until_open():
     env = make_env("keycorridor")
     env.reset(0)
-    env.positions = [(4, 0), (2, 4), (0, 3)]
+    _place(env, [(4, 0), (2, 4), (0, 3)])
     env.step([STAY, RIGHT, STAY])
-    assert env.positions[1] == (2, 4)  # closed door is a wall
-    env.door_open = True
+    assert _cells(env)[1] == (2, 4)  # closed door is a wall
+    _place(env, _cells(env), door_open=True)
     env.step([STAY, RIGHT, STAY])
-    assert env.positions[1] == (2, 5)
+    assert _cells(env)[1] == (2, 5)
 
 
 def test_random_action_recorded_sequence():
@@ -154,32 +277,62 @@ def test_observations_within_unit_range():
 
 
 def test_invalid_action_and_step_after_done():
+    # the one-row view has no input check of its own: GridBatch.step's is it
     env = make_env("spread", n_agents=2, grid=5, horizon=2)
+    assert env.done and env.t == 0
+    for call in (lambda: env.step([0, 0]), lambda: env.branch(2), env.observations):
+        with pytest.raises(EnvError, match="reset"):  # never reset
+            call()
     env.reset(0)
-    with pytest.raises(EnvError):
-        env.step([7, 0])
+    for bad in ([7, 0], [0, -1], [0], [0, 0, 0], [], 3):  # out of range, negative, wrong length
+        with pytest.raises(EnvError):
+            env.step(bad)
+    assert env.t == 0  # a rejected step changes nothing
     env.step([0, 0])
-    env.step([0, 0])
+    env.step(np.zeros(2, dtype=np.int64))
+    assert env.done
     with pytest.raises(EnvError):
         env.step([0, 0])
+
+
+@pytest.mark.parametrize("name,params", [("keycorridor", {}), ("spread", {"grid": 5}),
+                                         ("diagnostic", {"inert": (1,)})])
+def test_deepcopy_of_a_reset_env_steps_independently(name, params):
+    # the oracle's unmasked suffix plays a deepcopy of the replayed env
+    env = make_env(name, **params)
+    env.reset(3)
+    rng = stream(8, "deepcopy", name)
+    env.step(rng.integers(0, 5, size=env.spec.n_agents))
+    clone = copy.deepcopy(env)
+    assert clone.branch(1).tables is env.branch(1).tables  # read-only, so shared
+    before = (env.t, env.observations())
+    acts = rng.integers(0, 5, size=(env.spec.horizon - 1, env.spec.n_agents))
+    stepped = [clone.step(a) for a in acts]
+    assert clone.done and not env.done
+    assert env.t == before[0] and _same_bits(env.observations(), before[1])
+    for a, other in zip(acts, stepped):
+        mine = env.step(a)
+        assert _same_bits(mine.next_state, other.next_state)
+        assert _same_bits(mine.observations, other.observations)
+        assert mine.reward == other.reward and mine.done == other.done
 
 
 def test_diagnostic_inert_agent_never_moves():
     env = make_env("diagnostic", n_agents=3, grid=6, inert=(2,))
     env.reset(5)
-    frozen = env.positions[2]
+    frozen = _cells(env)[2]
     rng = stream(5, "inert")
     for _ in range(10):
         env.step(rng.integers(0, 5, size=3))
-        assert env.positions[2] == frozen
+        assert _cells(env)[2] == frozen
 
 
 def test_simultaneous_moves_use_time_t_positions():
     env = make_env("spread", n_agents=2, grid=5)
     env.reset(0)
-    env.positions = [(2, 2), (2, 3)]
+    _place(env, [(2, 2), (2, 3)])
     env.step([RIGHT, LEFT])  # swap through each other; no collision blocking
-    assert env.positions == [(2, 3), (2, 2)]
+    assert _cells(env) == [(2, 3), (2, 2)]
 
 
 def test_action_space_invariants():
@@ -217,15 +370,25 @@ def test_keycorridor_geometry_sanity():
         assert KeyCorridor.SWITCH not in zone
 
 
-# ---- batched branches: GridBatch must reproduce the scalar env bitwise ----
+# ---- batched branches: GridBatch must reproduce the reference rules bitwise ----
 
 def _same_bits(a, b) -> bool:
     a, b = np.asarray(a), np.asarray(b)
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+def _step_pair(env, ref, joint_action) -> StepResult:
+    """Step the env and its reference state; assert bitwise equality."""
+    result, expected = env.step(joint_action), ref.step(joint_action)
+    assert _same_bits(result.next_state, expected.next_state)
+    assert _same_bits(result.observations, expected.observations)
+    assert type(result.reward) is float and _same_bits(result.reward, expected.reward)
+    assert result.done == expected.done == env.done and env.t == ref.t
+    return result
+
+
 def _step_lockstep(batch, copies, joint_actions):
-    """Step the batch and one scalar copy per row; assert bitwise equality."""
+    """Step the batch and one reference state per row; assert bitwise equality."""
     result = batch.step(joint_actions)
     scalar = [c.step(list(a)) for c, a in zip(copies, joint_actions)]
     assert _same_bits(result.observations, np.stack([s.observations for s in scalar]))
@@ -252,13 +415,14 @@ def test_batch_matches_scalar_copies_under_random_actions(name, params):
     bumps = shared = 0
     for seed in range(3):
         env.reset(seed)
+        ref = ScalarGrid.reset(env, seed)
         rng = stream(seed, "batch-vs-scalar", name)
         for _ in range(seed * 2):  # branch from a few different t
-            env.step(rng.integers(0, 5, size=n))
+            _step_pair(env, ref, rng.integers(0, 5, size=n))
         batch = env.branch(size)
-        copies = [copy.deepcopy(env) for _ in range(size)]
+        copies = [copy.deepcopy(ref) for _ in range(size)]
         assert _same_bits(batch.observations(), np.stack([c.observations() for c in copies]))
-        assert _same_bits(batch.states(), np.stack([c._state() for c in copies]))
+        assert _same_bits(batch.states(), np.stack([c.state() for c in copies]))
         while not batch.done:
             before = batch.positions.copy()
             acts = rng.integers(0, 5, size=(size, n))
@@ -273,9 +437,10 @@ def test_batch_matches_scalar_copies_under_random_actions(name, params):
 def test_batch_door_opens_per_row_mid_rollout():
     env = make_env("keycorridor")
     env.reset(0)
-    env.positions = [(4, 3), (2, 4), (0, 3)]  # agent 0 beside the switch, 1 at the door
+    positions = [(4, 3), (2, 4), (0, 3)]  # agent 0 beside the switch, 1 at the door
+    _place(env, positions)
     batch = env.branch(2)
-    copies = [copy.deepcopy(env) for _ in range(2)]
+    copies = [ScalarGrid(env, positions) for _ in range(2)]
     # row 1 steps agent 0 onto the switch; agent 1 still bumps the closed door
     _step_lockstep(batch, copies, [[STAY, RIGHT, STAY], [RIGHT, RIGHT, STAY]])
     assert batch.door_open.tolist() == [False, True]
@@ -284,17 +449,18 @@ def test_batch_door_opens_per_row_mid_rollout():
     result = _step_lockstep(batch, copies, [[STAY, RIGHT, STAY], [LEFT, RIGHT, STAY]])
     assert batch.positions[:, 1].tolist() == [[2, 4], [2, 5]]
     assert result.observations[:, :, 2].tolist() == [[-1.0] * 3, [1.0] * 3]
-    assert not env.door_open  # branching copied the state; the source env is untouched
+    assert not _door(env)  # branching copied the state; the source env is untouched
 
 
 def test_batch_inert_agent_never_moves():
     env = make_env("diagnostic", n_agents=3, grid=6, inert=(2,))
     env.reset(5)
+    frozen = _cells(env)[2]
     batch = env.branch(16)
     rng = stream(5, "inert-batch")
     while not batch.done:
         batch.step(rng.integers(0, 5, size=(16, 3)))
-        assert (batch.positions[:, 2] == env.positions[2]).all()
+        assert (batch.positions[:, 2] == frozen).all()
 
 
 def test_batch_rejects_what_the_scalar_env_rejects():
@@ -327,16 +493,8 @@ RESET_SEEDS = [0, 1, 7, 2**63 - 2, -3] + [int(s) for s in np.random.default_rng(
 
 
 def _scalar_resets(env, seeds) -> list:
-    """One scalar env per seed, each fresh from reset(seed)."""
-    copies = []
-    for seed in seeds:
-        env.reset(seed)
-        copies.append(copy.deepcopy(env))
-    return copies
-
-
-def _landmark_cells(env) -> list:
-    return env.landmarks
+    """One reference state per seed, each fresh from reset(seed)."""
+    return [ScalarGrid.reset(env, seed) for seed in seeds]
 
 
 @pytest.mark.parametrize("name,params", BATCH_CASES)
@@ -348,12 +506,16 @@ def test_reset_batch_rows_equal_scalar_resets(name, params):
     assert batch.positions.dtype == batch.landmarks.dtype == np.int64
     assert [list(map(tuple, p)) for p in batch.positions.tolist()] == [c.positions for c in copies]
     assert [list(map(tuple, lm)) for lm in batch.landmarks.tolist()] == [
-        _landmark_cells(c) for c in copies]
-    assert batch.landmarks.shape == (len(RESET_SEEDS), len(_landmark_cells(env)), 2)
+        c.landmarks for c in copies]
+    assert batch.landmarks.shape == (len(RESET_SEEDS), len(copies[0].landmarks), 2)
     if name == "keycorridor":
         assert batch.door_open.dtype == bool and not batch.door_open.any()
     assert _same_bits(batch.observations(), np.stack([c.observations() for c in copies]))
-    assert _same_bits(batch.states(), np.stack([c._state() for c in copies]))
+    assert _same_bits(batch.states(), np.stack([c.state() for c in copies]))
+    for seed, ref in zip(RESET_SEEDS, copies):  # the scalar reset is the same row
+        state, obs = env.reset(seed)
+        assert _same_bits(state, ref.state()) and _same_bits(obs, ref.observations())
+        assert env.t == 0 and not env.done
 
 
 @pytest.mark.parametrize("name,params", BATCH_CASES)
@@ -384,11 +546,12 @@ def test_reset_batch_rejects_no_seeds_and_steps_past_the_horizon():
 def test_reset_batch_leaves_the_scalar_env_alone():
     env = make_env("keycorridor")
     env.reset(0)
-    env.positions = [(4, 4), (2, 4), (0, 3)]  # agent 0 on the switch
+    _place(env, [(4, 4), (2, 4), (0, 3)])  # agent 0 on the switch
     env.step([STAY, STAY, STAY])
-    before = (list(env.positions), env.door_open, env.t)
+    before = (_cells(env), _door(env), env.t)
+    assert before[1:] == (True, 1)
     batch = env.reset_batch([1, 2])
-    assert (env.positions, env.door_open, env.t) == before
+    assert (_cells(env), _door(env), env.t) == before
     assert not batch.door_open.any()  # rows start closed whatever the env's state
     assert _same_bits(batch.observations(),
                       np.stack([c.observations() for c in _scalar_resets(env, [1, 2])]))
@@ -447,7 +610,7 @@ def test_trajectories_match_pinned_digests(case):
     assert _trajectory_digest(make_env(name, **params)) == pinned
 
 
-# ---- the table-driven kernel: every batch row is the scalar env, bitwise ----
+# ---- the table-driven kernel: every batch row is the reference rules, bitwise ----
 
 PARITY_CASES = [
     ("spread", {"n_agents": 3, "grid": 3, "horizon": 10}),  # edges everywhere, shared cells
@@ -474,20 +637,22 @@ def test_batch_kernel_equals_scalar_env_bitwise(data, case, size, from_branch):
         # agent 1 at the closed door, then a few scalar steps before the branch
         env.reset(data.draw(SEEDS))
         cells = _grid_cells(env)
-        env.door_open = env.DOOR is not None and data.draw(st.booleans())
-        if not env.door_open:
+        door_open = env.DOOR is not None and data.draw(st.booleans())
+        if not door_open:
             cells = [cell for cell in cells if cell != env.DOOR]
-        env.positions = data.draw(st.lists(st.sampled_from(cells), min_size=n, max_size=n))
+        positions = data.draw(st.lists(st.sampled_from(cells), min_size=n, max_size=n))
+        _place(env, positions, door_open)
+        ref = ScalarGrid(env, positions, _landmarks(env), door_open)
         for _ in range(data.draw(st.integers(0, horizon - 1))):
-            env.step(data.draw(st.lists(st.integers(0, 4), min_size=n, max_size=n)))
+            _step_pair(env, ref, data.draw(st.lists(st.integers(0, 4), min_size=n, max_size=n)))
         batch = env.branch(size)
-        copies = [copy.deepcopy(env) for _ in range(size)]
+        copies = [copy.deepcopy(ref) for _ in range(size)]
     else:
         seeds = data.draw(st.lists(SEEDS, min_size=size, max_size=size))
         batch = env.reset_batch(seeds)
         copies = _scalar_resets(env, seeds)
     assert _same_bits(batch.observations(), np.stack([c.observations() for c in copies]))
-    assert _same_bits(batch.states(), np.stack([c._state() for c in copies]))
+    assert _same_bits(batch.states(), np.stack([c.state() for c in copies]))
     while not batch.done:
         acts = data.draw(arrays(np.int64, (size, n), elements=st.integers(0, 4)))
         _step_lockstep(batch, copies, acts)
@@ -505,10 +670,10 @@ def test_tables_are_built_on_the_first_batch_once_per_geometry(monkeypatch):
         scripted_by_name(env, variant)
     for name in ("spread", "diagnostic"):
         scripted_by_name(make_env(name))
+    # construction builds no table
+    assert envs._TABLES == {} and ScriptedKeyCorridor._MOVES is None
     env.reset(0)
     env.step([RIGHT, STAY, STAY])
-    # neither construction nor scalar steps build a table
-    assert envs._TABLES == {} and ScriptedKeyCorridor._MOVES is None
     first = env.branch(2)
     again = make_env("keycorridor").reset_batch([1, 2])
     assert again.tables is first.tables and len(envs._TABLES) == 1

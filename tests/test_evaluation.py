@@ -30,9 +30,9 @@ class _FixedAgentExplainer(Explainer):
     def __init__(self, agent: int, n: int):
         self.agent, self.n = agent, n
 
-    def scores(self, ctx):
-        out = np.zeros(self.n)
-        out[self.agent] = 1.0
+    def scores_batch(self, env, observations, states, t, episode_seeds, prefix):
+        out = np.zeros((len(observations), self.n))
+        out[:, self.agent] = 1.0
         return out
 
 
@@ -135,9 +135,9 @@ def test_patch_package_top_decile_selection_rule():
             super().__init__(0, 2)
             self.seen_seeds = set()
 
-        def scores(self, ctx):
-            self.seen_seeds.add(ctx.episode_seed)
-            return super().scores(ctx)
+        def scores_batch(self, env, observations, states, t, episode_seeds, prefix):
+            self.seen_seeds.update(int(s) for s in episode_seeds)
+            return super().scores_batch(env, observations, states, t, episode_seeds, prefix)
 
     spy = _Spy()
     build_patch_package(spy, pol, env, harvest_episodes=100, quantile=0.1, seed=14)
@@ -152,7 +152,7 @@ def test_states_are_built_only_for_explainers_that_read_them(reads_states):
     class _Spy(_FixedAgentExplainer):
         def scores_batch(self, env, observations, states, t, episode_seeds, prefix):
             seen.append(states)
-            return np.tile(self.scores(None), (len(observations), 1))
+            return super().scores_batch(env, observations, states, t, episode_seeds, prefix)
 
     seen = []
     spy = _Spy(1, 3)
@@ -392,14 +392,17 @@ def _scalar_patch(package, explainer, target, env, d_th, episodes, seed) -> Patc
 
 
 class _ScoresOnly(Explainer):
-    """A user explainer with scores() alone: a hash of the whole context."""
+    """A user explainer that reads states: each row's scores hash that row's
+    episode seed, t, state and observations, all that scores() passes on."""
 
     kind = "scores-only"
 
-    def scores(self, ctx):
-        key = repr((ctx.episode_seed, ctx.t, ctx.env_name, ctx.env_params, ctx.prefix_actions,
-                    ctx.state.tobytes(), ctx.observations.tobytes()))
-        return stream(zlib.crc32(key.encode()), "scores-only").random(ctx.n_agents)
+    def scores_batch(self, env, observations, states, t, episode_seeds, prefix):
+        rows = []
+        for obs, state, seed in zip(observations, states, episode_seeds):
+            key = repr((int(seed), t, state.tobytes(), obs.tobytes()))
+            rows.append(stream(zlib.crc32(key.encode()), "scores-only").random(len(obs)))
+        return np.stack(rows)
 
 
 PARITY_ENVS = [

@@ -14,29 +14,34 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from emai import envs, masking, rollout, target
-from emai.envs import DOWN, LEFT, RIGHT, STAY, UP, KeyCorridor, make_env
+from emai.envs import DOWN, LEFT, RIGHT, STAY, UP, GridBatch, KeyCorridor, make_env
 from emai.rng import stream
 from emai.target import (CapabilityError, LearnedPolicy, ScriptedDiagnostic,
                          ScriptedKeyCorridor, ScriptedSpread, privileged_q_network,
                          scripted_policy, train_target)
 
 
+def _observations_at(env, positions, landmarks=()) -> np.ndarray:
+    """`env`'s observations with its agents and landmarks on the given cells
+    and the door closed, from a one-row GridBatch built by its constructor."""
+    tables = env._tables()
+    landmark_cells = tables.flat(np.array(landmarks, dtype=np.int64).reshape(1, -1, 2))
+    row = GridBatch(env, tables, tables.flat(np.array([positions])), landmark_cells,
+                    np.zeros(1, dtype=bool), 0, False)
+    return row.observations()[0]
+
+
 def test_scripted_spread_moves_right_toward_landmark():
     env = make_env("spread", n_agents=2, grid=8)
-    env.reset(0)
-    env.positions = [(3, 1), (6, 6)]
-    env.landmarks = [(3, 4), (6, 6)]  # agent 0 strictly left of its landmark
-    obs = env.observations()
+    # agent 0 strictly left of its landmark
+    obs = _observations_at(env, [(3, 1), (6, 6)], [(3, 4), (6, 6)])
     pol = scripted_policy(env)
     assert pol.act(obs)[0] == RIGHT
 
 
 def test_scripted_spread_stays_on_distinct_landmarks():
     env = make_env("spread", n_agents=3, grid=8)
-    env.reset(0)
-    env.positions = [(1, 1), (4, 4), (6, 2)]
-    env.landmarks = [(1, 1), (4, 4), (6, 2)]
-    obs = env.observations()
+    obs = _observations_at(env, [(1, 1), (4, 4), (6, 2)], [(1, 1), (4, 4), (6, 2)])
     pol = scripted_policy(env)
     assert pol.act(obs) == [STAY, STAY, STAY]
 
@@ -50,9 +55,7 @@ def test_scripted_keycorridor_first_action_toward_switch():
 
 def test_scripted_keycorridor_waits_at_closed_door():
     env = make_env("keycorridor")
-    env.reset(0)
-    env.positions = [(4, 0), (2, 4), (2, 4)]
-    obs = env.observations()
+    obs = _observations_at(env, [(4, 0), (2, 4), (2, 4)])
     pol = scripted_policy(env)
     assert pol.act(obs)[1:] == [STAY, STAY]
 
@@ -155,13 +158,10 @@ def test_weakened_keycorridor_drags_feet():
     env = make_env("keycorridor")
     strong = ScriptedKeyCorridor()
     weak = ScriptedKeyCorridor(weakened=True)
-    env.reset(0)
-    env.positions = [(4, 0), (0, 1), (0, 3)]  # teammate 1 on an odd-parity cell
-    obs = env.observations()
+    obs = _observations_at(env, [(4, 0), (0, 1), (0, 3)])  # teammate 1 on an odd-parity cell
     assert strong.act(obs)[0] == RIGHT
     assert weak.act(obs)[0] == STAY
-    env.positions = [(4, 0), (0, 0), (0, 3)]  # teammate 1 on even parity
-    obs = env.observations()
+    obs = _observations_at(env, [(4, 0), (0, 0), (0, 3)])  # teammate 1 on even parity
     assert weak.act(obs)[0] == RIGHT
     # teammates keep their usual routine under both variants
     assert weak.act(obs)[1:] == strong.act(obs)[1:]
