@@ -24,7 +24,7 @@ from .masking import IncompatibilityError, MaskingPolicy
 from .nn import NumericsError
 from .replay import ReplayError
 from .rng import episode_seeds
-from .rollout import run_target_episode
+from .rollout import Step, run_lockstep
 from .target import CapabilityError
 
 EXIT_OK = 0
@@ -130,13 +130,20 @@ def cmd_explain(cfg: dict, out_dir: Path) -> list[Path]:
     env = _build_env(cfg)
     target = _build_target(cfg, env)
     explainer = _build_explainer(cfg, target)
+    seeds = episode_seeds(cfg["seed"], "explain", int(cfg["eval"]["explain_episodes"]))
+    logged = []  # per step: every episode's states, observations and importance
+
+    def act(batch, obs):
+        logged.append((batch.states(), obs, explainer.scores_batch(obs, batch.t, seeds, batch)))
+        return target.act_batch(obs)
+
+    rewards, actions = run_lockstep(env.reset_batch(seeds), act)
     files = []
-    for i, seed in enumerate(episode_seeds(cfg["seed"], "explain",
-                                           int(cfg["eval"]["explain_episodes"]))):
-        trace = run_target_episode(env, seed, target)
-        for step, ctx in explain_mod.trace_contexts(trace, env):
-            step.importance = explainer.scores(ctx)
-        rec = replay.record(trace.steps, env.name, env.params, seed,
+    for i, seed in enumerate(seeds):
+        steps = [Step(t, states[i], obs[i], actions[i, t].tolist(), None, actions[i, t].tolist(),
+                      float(rewards[i, t]), importance[i])
+                 for t, (states, obs, importance) in enumerate(logged)]
+        rec = replay.record(steps, env.name, env.params, seed,
                             target_id=target.descriptor(), explainer_id=explainer.kind)
         path = out_dir / f"episode_{i:03d}.ndjson"
         path.write_text(replay.serialize(rec), encoding="utf-8")

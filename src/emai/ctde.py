@@ -261,12 +261,6 @@ def load_checkpoint_doc(doc) -> tuple[AgentQNet, MonotonicMixer | None]:
     return net, mixer
 
 
-def q_total(mixer, state: np.ndarray, chosen_q: np.ndarray) -> float:
-    """Scalar Q_tot for one (state, per-agent chosen Q) pair."""
-    q = np.asarray(chosen_q, dtype=np.float64)[None, :]
-    return float(mixer.mix(q, np.asarray(state)[None, :])[0][0])
-
-
 @dataclass
 class Episode:
     """One whole episode; arrays indexed by decision time t = 0..T-1.

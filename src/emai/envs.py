@@ -265,11 +265,11 @@ class GridBatch:
     def size(self) -> int:
         return len(self.cells)
 
-    def repeat(self, count: int) -> "GridBatch":
-        """A new batch whose row b * count + j is a copy of row b, j < count."""
-        return GridBatch(self.env, self.tables, np.repeat(self.cells, count, axis=0),
-                         np.repeat(self.landmark_cells, count, axis=0),
-                         np.repeat(self.door_open, count), self.t, self.done)
+    def repeat(self, count: int, rows=slice(None)) -> "GridBatch":
+        """A new batch whose row b * count + j copies row b of self's `rows`, j < count."""
+        return GridBatch(self.env, self.tables, np.repeat(self.cells[rows], count, axis=0),
+                         np.repeat(self.landmark_cells[rows], count, axis=0),
+                         np.repeat(self.door_open[rows], count), self.t, self.done)
 
     @property
     def positions(self) -> np.ndarray:

@@ -7,6 +7,8 @@ Patching: harvest (observation, action) pairs of critical agents from
 high-reward episodes and override the critical agent's action whenever a
 sufficiently similar observation (Manhattan distance below d_th) is on file.
 
+Each arm, and the harvest's replay of its kept episodes, is one lockstep
+batch whose live rows the explainer scores at every step.
 All episode rewards here are undiscounted sums; every batch derives its
 episode seeds from the root seed so reports replay bitwise.
 """
@@ -34,12 +36,10 @@ def _paired_stats(deltas: np.ndarray) -> tuple[float, float]:
     return mean, se
 
 
-def _most_critical(explainer: Explainer, batch, obs: np.ndarray, seeds, prefix) -> np.ndarray:
-    """Each row's most critical agent at the batch's step (lowest index wins
-    ties): the argmax of the explainer's scores, as most_critical takes it."""
-    states = batch.states() if explainer.reads_states else None
-    scores = explainer.scores_batch(batch.env, obs, states, batch.t, seeds, prefix)
-    return np.argmax(scores, axis=1)
+def _most_critical(explainer: Explainer, batch, obs: np.ndarray, seeds) -> np.ndarray:
+    """Each row's most critical agent at the live batch's step (lowest index
+    wins ties): the argmax of the explainer's scores, as most_critical takes it."""
+    return np.argmax(explainer.scores_batch(obs, batch.t, seeds, batch), axis=1)
 
 
 # ---- lockstep episode arms ----
@@ -59,9 +59,9 @@ def _guided(start, target, explainer, root: int, seeds: list) -> np.ndarray:
                          spec.horizon)
     rows = np.arange(len(seeds))
 
-    def act(batch, obs, prefix):
+    def act(batch, obs):
         actions = target.act_batch(obs)
-        critical = _most_critical(explainer, batch, obs, seeds, prefix)
+        critical = _most_critical(explainer, batch, obs, seeds)
         actions[rows, critical] = mask[:, batch.t]
         return actions
 
@@ -76,7 +76,7 @@ def _random_guided(start, target, root: int, seeds: list) -> np.ndarray:
                           [spec.n_actions, spec.n_agents] * spec.horizon, 2 * spec.horizon)
     rows = np.arange(len(seeds))
 
-    def act(batch, obs, prefix):
+    def act(batch, obs):
         actions = target.act_batch(obs)
         actions[rows, draws[:, 2 * batch.t + 1]] = draws[:, 2 * batch.t]
         return actions
@@ -96,9 +96,9 @@ def _attacked(start, target, explainer, noise_eps: float, attack_all: bool, root
     noise = noise.reshape(len(seeds), spec.horizon, k, obs_dim)
     rows = np.arange(len(seeds))[:, None]
 
-    def act(batch, obs, prefix):
+    def act(batch, obs):
         victims = (np.tile(np.arange(n), (len(seeds), 1)) if attack_all else
-                   _most_critical(explainer, batch, obs, seeds, prefix)[:, None])
+                   _most_critical(explainer, batch, obs, seeds)[:, None])
         seen = obs.copy()
         seen[rows, victims] = np.clip(obs[rows, victims] + noise[:, batch.t], -1.0, 1.0)
         return target.act_batch(seen)
@@ -126,9 +126,9 @@ def _patched(start, target, explainer, pkg_obs: np.ndarray, pkg_actions: np.ndar
     rows = np.arange(len(seeds))
     overrides = np.zeros(len(seeds), dtype=np.int64)
 
-    def act(batch, obs, prefix):
+    def act(batch, obs):
         actions = target.act_batch(obs)
-        critical = _most_critical(explainer, batch, obs, seeds, prefix)
+        critical = _most_critical(explainer, batch, obs, seeds)
         best, dist = _nearest_entries(pkg_obs, obs[rows, critical])
         proposed = pkg_actions[best]
         hit = (dist < d_th) & (proposed != actions[rows, critical])
@@ -286,15 +286,8 @@ def build_patch_package(explainer: Explainer, target, env, harvest_episodes: int
         raise ValueError("quantile must lie in (0, 1]")
     _check_compat(target, env)
     seeds = episode_seeds(seed, "harvest", harvest_episodes)
-    obs_log, state_log = [], []
-
-    def act(batch, obs, prefix):
-        obs_log.append(obs)
-        if explainer.reads_states:
-            state_log.append(batch.states())
-        return target.act_batch(obs)
-
-    step_rewards, actions = run_lockstep(env.reset_batch(seeds), act)
+    start = env.reset_batch(seeds)
+    step_rewards, actions = run_lockstep(start, lambda batch, obs: target.act_batch(obs))
     rewards = reward_sums(step_rewards)
     if np.all(rewards == rewards[0]):
         warnings.warn("all harvest episode rewards are equal; keeping every episode")
@@ -302,21 +295,24 @@ def build_patch_package(explainer: Explainer, target, env, harvest_episodes: int
     else:
         order = sorted(range(harvest_episodes), key=lambda i: (-rewards[i], i))
         kept = order[:max(1, int(round(quantile * harvest_episodes)))]
-    # the kept episodes' critical agents, scored one step at a time across episodes
-    kept_seeds = [seeds[i] for i in kept]
-    critical = np.stack([
-        np.argmax(explainer.scores_batch(env, obs_log[t][kept],
-                                         state_log[t][kept] if state_log else None, t,
-                                         kept_seeds, actions[kept, :t]), axis=1)
-        for t in range(len(obs_log))], axis=1)
-    # each kept episode's critical (observation, action) per step, episode by
-    # episode, deduplicated on the exact observation in first-seen order; the
-    # row equality of np.unique is tuple equality, as observations hold no NaN
-    episodes, steps = np.array(kept)[:, None], np.arange(len(obs_log))
-    rows = np.stack(obs_log, axis=1)[episodes, steps, critical].reshape(-1, env.spec.obs_dim)
-    chosen = actions[episodes, steps, critical].reshape(-1)
-    first = np.sort(np.unique(rows, axis=0, return_index=True)[1])
-    return PatchPackage(env.name, explainer.kind, float(quantile), rows[first], chosen[first])
+    # replay the kept episodes' actions, keeping each step's critical entries
+    kept_seeds, played = [seeds[i] for i in kept], actions[kept]
+    rows, entries, chosen = np.arange(len(kept)), [], []
+
+    def replay(batch, obs):
+        critical = _most_critical(explainer, batch, obs, kept_seeds)
+        entries.append(obs[rows, critical])
+        chosen.append(played[rows, batch.t, critical])
+        return played[:, batch.t]
+
+    run_lockstep(start.repeat(1, kept), replay)
+    # the entries episode by episode, then step by step, deduplicated on the
+    # exact observation in first-seen order; the row equality of np.unique is
+    # tuple equality, as observations hold no NaN
+    entries = np.stack(entries, axis=1).reshape(-1, env.spec.obs_dim)
+    chosen = np.stack(chosen, axis=1).reshape(-1)
+    first = np.sort(np.unique(entries, axis=0, return_index=True)[1])
+    return PatchPackage(env.name, explainer.kind, float(quantile), entries[first], chosen[first])
 
 
 @dataclass

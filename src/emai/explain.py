@@ -1,11 +1,14 @@
 """Importance explainers: the learned masking scores, three baselines, and
-a brute-force Monte-Carlo counterfactual oracle.
+a brute-force Monte-Carlo counterfactual oracle. Each scores the rows of the
+live GridBatch an arm is stepping (scores_batch); scores(ctx) is its one-row
+view, with no batch.
 
 The oracle measures directly how the remaining episode reward moves when a
 single agent's actions are randomized from the queried step onward. A query
-runs all its suffix rollouts as one lockstep batch, and scores_batch those of
-many episodes, yet it remains far too slow to be the product; at desk scale
-it doubles as both a baseline and the independent ground truth for tests.
+runs all its suffix rollouts as one lockstep batch, and scores_batch copies
+the caller's rows for those of many episodes, yet it remains far too slow to
+be the product; at desk scale it doubles as both a baseline and the
+independent ground truth for tests.
 
 Access discipline: emai / random / mc_oracle touch the target only through
 its query kernel act_batch(), one call per lockstep step, and its one-row
@@ -16,7 +19,6 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass, field
-from typing import Iterator
 
 import numpy as np
 
@@ -24,7 +26,7 @@ from .ctde import agent_inputs
 from .envs import make_env
 from .masking import MaskingPolicy
 from .rng import integers_rows, uniform_rows
-from .rollout import Step, Trace, greedy_actions, replay_prefix
+from .rollout import greedy_actions, replay_prefix
 from .target import TargetPolicy, privileged_q_network
 
 
@@ -41,37 +43,23 @@ class ExplainContext:
     prefix_actions: list = field(default_factory=list)  # executed joint actions before t
 
 
-def trace_contexts(trace: Trace, env) -> Iterator[tuple[Step, ExplainContext]]:
-    """(step, context) for every step of a finished trace of `env`; each
-    context's prefix lists the joint actions executed before its step."""
-    prefix: list[list[int]] = []
-    for step in trace.steps:
-        yield step, ExplainContext(step.observations, step.state, step.t, env.name,
-                                   env.params, trace.seed, list(prefix))
-        prefix.append(list(step.final_actions))
-
-
 class Explainer:
     kind: str = ""
-    # whether scores_batch reads its states argument; callers skip building
-    # the states for an explainer that does not
-    reads_states: bool = True
 
-    def scores_batch(self, env, observations: np.ndarray, states: np.ndarray, t: int,
-                     episode_seeds, prefix: np.ndarray) -> np.ndarray:
-        """Importance scores of B episodes of `env` at step t, (B, n_agents).
+    def scores_batch(self, observations: np.ndarray, t: int, episode_seeds, batch) -> np.ndarray:
+        """Importance scores of B episodes at step t, (B, n_agents).
 
-        Row b scores the context of episode_seeds[b] with observations[b]
-        (n_agents, obs_dim), states[b] and the executed joint actions
-        prefix[b] (t, n_agents); states is None when reads_states is False.
-        This is the one method an explainer implements.
+        Row b scores episode episode_seeds[b] from its observations[b]
+        (n_agents, obs_dim). batch is the live GridBatch at step t those
+        observations came from, which the explainer must not change, or None
+        in the one-row scores() view. This is the one method an explainer
+        implements.
         """
         raise NotImplementedError
 
     def scores(self, ctx: ExplainContext) -> np.ndarray:
-        """scores_batch's one-row view, with no env and no prefix."""
-        states = None if ctx.state is None else np.asarray(ctx.state)[None]
-        return self.scores_batch(None, np.asarray(ctx.observations)[None], states, ctx.t,
+        """scores_batch's one-row view, with no batch."""
+        return self.scores_batch(np.asarray(ctx.observations)[None], ctx.t,
                                  [ctx.episode_seed], None)[0]
 
     def most_critical(self, ctx: ExplainContext) -> int:
@@ -82,12 +70,11 @@ class EmaiExplainer(Explainer):
     """Keep-minus-mask value gap from a trained masking policy."""
 
     kind = "emai"
-    reads_states = False
 
     def __init__(self, policy: MaskingPolicy):
         self.policy = policy
 
-    def scores_batch(self, env, observations, states, t, episode_seeds, prefix) -> np.ndarray:
+    def scores_batch(self, observations, t, episode_seeds, batch) -> np.ndarray:
         """One stacked forward over the B observation sets."""
         return self.policy.importance_vector(observations)
 
@@ -105,7 +92,7 @@ class RandomExplainer(Explainer):
     def __init__(self, seed: int = 0):
         self.seed = int(seed)
 
-    def scores_batch(self, env, observations, states, t, episode_seeds, prefix) -> np.ndarray:
+    def scores_batch(self, observations, t, episode_seeds, batch) -> np.ndarray:
         """Every row's stream drawn at once: random(n) is uniform(0.0, 1.0, n)."""
         return uniform_rows(self.seed, ("random-explainer",),
                             [(int(s), t) for s in episode_seeds], 0.0, 1.0, observations.shape[1])
@@ -115,12 +102,11 @@ class ValueBasedExplainer(Explainer):
     """Per-agent best utility-head value, read from the target's network."""
 
     kind = "value"
-    reads_states = False
 
     def __init__(self, target: TargetPolicy):
         self._qnet = privileged_q_network(target)
 
-    def scores_batch(self, env, observations, states, t, episode_seeds, prefix) -> np.ndarray:
+    def scores_batch(self, observations, t, episode_seeds, batch) -> np.ndarray:
         """One stacked forward over the B observation sets."""
         return self._qnet.q_all_agents(observations).max(axis=2)
 
@@ -135,12 +121,11 @@ class GradientBasedExplainer(Explainer):
     """
 
     kind = "gradient"
-    reads_states = False
 
     def __init__(self, target: TargetPolicy):
         self._qnet = privileged_q_network(target)
 
-    def scores_batch(self, env, observations, states, t, episode_seeds, prefix) -> np.ndarray:
+    def scores_batch(self, observations, t, episode_seeds, batch) -> np.ndarray:
         """One stacked forward over (B * n, 1, in) one-row blocks, each of
         which rounds as the one-row forward of its agent would."""
         net = self._qnet
@@ -219,7 +204,6 @@ class McOracleExplainer(Explainer):
     """Monte-Carlo counterfactual randomization oracle (black-box, slow)."""
 
     kind = "mc_oracle"
-    reads_states = False
 
     def __init__(self, target: TargetPolicy, rollouts: int = 64, seed: int = 0):
         if rollouts < 1:
@@ -241,25 +225,25 @@ class McOracleExplainer(Explainer):
         return mc_counterfactual_oracle(self.target, env, ctx.episode_seed,
                                         ctx.prefix_actions, self.rollouts, self.seed)
 
-    def scores_batch(self, env, observations, states, t, episode_seeds, prefix) -> np.ndarray:
-        """Blocks of whole episodes, at most ORACLE_ROW_BLOCK rows each: the
-        block's prefixes replay from env.reset_batch, and each episode then
-        runs its unmasked suffix and its n * rollouts randomized ones as
-        1 + n * rollouts rows of one lockstep batch."""
-        if prefix.shape[1] != t:
-            raise ValueError(f"the oracle replays the prefix to reach step t: got "
-                             f"{prefix.shape[1]} prefix actions for t={t}")
-        n, rollouts = env.spec.n_agents, self.rollouts
+    def scores_batch(self, observations, t, episode_seeds, batch) -> np.ndarray:
+        """Blocks of whole episodes, at most ORACLE_ROW_BLOCK rows each: each
+        episode runs its unmasked suffix and its n * rollouts randomized ones
+        as 1 + n * rollouts copies of its row of `batch`, in one lockstep
+        batch. The caller's batch stays as it was."""
+        if batch is None:
+            raise ValueError("the oracle scores the rows of a live GridBatch; got no batch")
+        if batch.t != t:
+            raise ValueError(f"the oracle scores step t={t}, but the batch is at t={batch.t}")
+        if batch.size != len(episode_seeds):
+            raise ValueError(f"{len(episode_seeds)} episode seeds for {batch.size} batch rows")
+        n, rollouts = batch.env.spec.n_agents, self.rollouts
         width = 1 + n * rollouts  # an episode's unmasked row, then its rollouts
         per_block = max(1, ORACLE_ROW_BLOCK // width)
         out = np.empty((len(episode_seeds), n))
         for lo in range(0, len(episode_seeds), per_block):
             seeds = [int(s) for s in episode_seeds[lo:lo + per_block]]
-            batch = env.reset_batch(seeds)
-            for s in range(t):
-                batch.step(prefix[lo:lo + len(seeds), s])
-            totals = _randomized_suffix_return(batch.repeat(width), self.target, seeds,
-                                               rollouts, self.seed)
+            block = batch.repeat(width, slice(lo, lo + len(seeds)))
+            totals = _randomized_suffix_return(block, self.target, seeds, rollouts, self.seed)
             returns = totals[:, 1:].reshape(-1, n, rollouts)
             out[lo:lo + len(seeds)] = np.abs(returns.mean(axis=2) - totals[:, :1])
         return out

@@ -3,8 +3,8 @@
 Every rollout is a pure function of (environment, seed, policies, explicit
 rng streams), so batches replay bitwise. A batch of episodes runs as one
 lockstep GridBatch stepped from a copy of a start batch (run_lockstep), whose
-act function sees every step's observations, states and executed actions; a
-single episode whose steps a caller keeps builds a Trace (run_episode).
+act function sees the live batch, for an explainer to score, and its
+observations; a single episode whose steps a caller keeps builds a Trace.
 Greedy target play makes one target.act_batch query per lockstep step and
 one target.act query, act_batch's one-row view, per scalar step.
 """
@@ -27,13 +27,12 @@ def run_lockstep(start, act_fn) -> tuple[np.ndarray, np.ndarray]:
     actions. The episodes step a copy, so `start` stays as it was and arms
     on the same seeds share one reset.
 
-    act_fn(batch, obs, prefix) returns the (B, n_agents) joint actions of
-    step batch.t, given the GridBatch (for batch.states()), its observations
-    (B, n_agents, obs_dim) and prefix, the (B, t, n_agents) joint actions
-    executed so far: a view that act_fn must neither keep nor change.
-    Returns the step rewards (B, horizon) and the executed joint actions
-    (B, horizon, n_agents). Row b equals run_episode(env, seeds[b], f) for
-    an f that picks row b's actions.
+    act_fn(batch, obs) returns the (B, n_agents) joint actions of step
+    batch.t, given the live GridBatch, which act_fn must not change, and its
+    observations (B, n_agents, obs_dim). Returns the step rewards
+    (B, horizon) and the executed joint actions (B, horizon, n_agents).
+    Row b equals run_episode(env, seeds[b], f) for an f that picks row b's
+    actions.
     """
     if start.t != 0:
         raise ValueError(f"run_lockstep needs a batch at t = 0, got t = {start.t}")
@@ -44,7 +43,7 @@ def run_lockstep(start, act_fn) -> tuple[np.ndarray, np.ndarray]:
     obs = batch.observations()
     while not batch.done:
         t = batch.t
-        joint = act_fn(batch, obs, actions[:, :t])
+        joint = act_fn(batch, obs)
         result = batch.step(joint)  # validates the shape and range of joint
         actions[:, t] = joint
         rewards[:, t] = result.reward
@@ -57,7 +56,7 @@ def target_rewards(start, target) -> np.ndarray:
     `start` (left unchanged, as by run_lockstep). Row b equals, reward for
     reward, run_target_episode(env, seeds[b], target) for a start of
     env.reset_batch(seeds). Each step is one target.act_batch query."""
-    return run_lockstep(start, lambda batch, obs, prefix: target.act_batch(obs))[0]
+    return run_lockstep(start, lambda batch, obs: target.act_batch(obs))[0]
 
 
 def reward_sums(rewards: np.ndarray, gamma: float = 1.0) -> np.ndarray:

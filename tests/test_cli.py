@@ -6,13 +6,16 @@ from pathlib import Path
 
 import pytest
 
+from emai import replay
 from emai.cli import main
 from emai.config import ConfigError, load_config
 from emai.ctde import AgentQNet, MonotonicMixer
 from emai.envs import make_env
+from emai.explain import ExplainContext, make_explainer
 from emai.masking import MaskingPolicy
-from emai.rng import stream
-from emai.target import LearnedPolicy, save_checkpoint
+from emai.rng import episode_seeds, stream
+from emai.rollout import run_target_episode
+from emai.target import LearnedPolicy, load_checkpoint, save_checkpoint, scripted_policy
 
 FAST_EMAI = {
     "seed": 5,
@@ -108,6 +111,59 @@ def test_explain_and_render_commands(tmp_path):
     assert main(["render", str(replays[0]), "--mode", "csv",
                  "--out", str(rendered)]) == 0
     assert rendered.read_text().startswith("t,agent,importance,masked")
+
+
+def trace_contexts(trace, env):
+    """(step, context) for every step of a finished trace of `env`; each
+    context's prefix lists the joint actions executed before its step. The
+    per-step loop `explain` ran before it scored whole batches, kept as its
+    reference."""
+    prefix = []
+    for step in trace.steps:
+        yield step, ExplainContext(step.observations, step.state, step.t, env.name,
+                                   env.params, trace.seed, list(prefix))
+        prefix.append(list(step.final_actions))
+
+
+@pytest.mark.parametrize("kind", ["random", "mc_oracle", "value", "gradient"])
+def test_explain_importance_equals_per_step_scores(tmp_path, monkeypatch, kind):
+    env = make_env("keycorridor")
+    cfg = {"seed": 6, "env": {"name": "keycorridor", "params": {}},
+           "eval": {"explain_episodes": 3}, "explainer": {"kind": kind, "rollouts": 4}}
+    if kind in ("value", "gradient"):  # white-box: a small learned target
+        net = AgentQNet(env.spec.obs_dim, 3, env.spec.n_actions, hidden=(16, 16),
+                        rng=stream(4, "explain-target"))
+        ckpt = tmp_path / "target.json"
+        save_checkpoint(LearnedPolicy(net), env, ckpt, training_step=0)
+        cfg["target"] = {"kind": "learned", "checkpoint": str(ckpt)}
+        target = load_checkpoint(ckpt)
+    else:
+        target = scripted_policy(env)
+    recorded, record = [], replay.record
+
+    def spy(steps, *args, **kwargs):
+        recorded.append(steps)
+        return record(steps, *args, **kwargs)
+
+    monkeypatch.setattr(replay, "record", spy)
+    out = tmp_path / "out"
+    assert main(["explain", "--config", str(_write_cfg(tmp_path, cfg)), "--out", str(out)]) == 0
+    explainer = make_explainer(kind, target=target, seed=6, rollouts=4)
+    seeds = episode_seeds(6, "explain", 3)
+    assert len(recorded) == len(seeds)
+    for i, (seed, steps) in enumerate(zip(seeds, recorded)):
+        trace = run_target_episode(env, seed, target)
+        for step, (ref, ctx) in zip(steps, trace_contexts(trace, env), strict=True):
+            ref.importance = explainer.scores(ctx)
+            assert step.importance.tobytes() == ref.importance.tobytes(), (kind, i, step.t)
+            assert step.state.tobytes() == ref.state.tobytes()
+            assert step.observations.tobytes() == ref.observations.tobytes()
+            assert ((step.t, step.target_actions, step.mask_actions, step.final_actions,
+                     step.reward) == (ref.t, ref.target_actions, ref.mask_actions,
+                                      ref.final_actions, ref.reward))
+        text = replay.serialize(record(trace.steps, env.name, env.params, seed,
+                                       target_id=target.descriptor(), explainer_id=kind))
+        assert (out / f"episode_{i:03d}.ndjson").read_text(encoding="utf-8") == text
 
 
 def test_attack_and_patch_commands(tmp_path):

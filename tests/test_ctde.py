@@ -10,11 +10,17 @@ from scipy import stats
 
 from emai import ctde, nn
 from emai.ctde import (AgentQNet, Episode, EpisodeBuffer, MonotonicMixer, StaleCopy,
-                       build_td_loss, epsilon_greedy, linear_epsilon, q_total)
+                       build_td_loss, epsilon_greedy, linear_epsilon)
 from emai.config import DEFAULT_CONFIG
 from emai.envs import make_env
 from emai.masking import diff_loss
 from emai.rng import stream
+
+
+def _q_tot(mixer, state, chosen_q) -> float:
+    """Q_tot of one (state, per-agent chosen Q) pair, as a one-row mix."""
+    return float(mixer.mix(np.asarray(chosen_q, dtype=np.float64)[None],
+                           np.asarray(state)[None])[0][0])
 
 
 def _toy_net(obs_dim=4, n_agents=2, n_actions=3, seed=0):
@@ -57,7 +63,7 @@ def test_monotonic_mixer_monotonicity_1000_draws():
         delta = float(rng.uniform(1e-3, 2.0))
         bumped = q.copy()
         bumped[i] += delta
-        assert q_total(mixer, state, bumped) >= q_total(mixer, state, q), f"draw {draw}"
+        assert _q_tot(mixer, state, bumped) >= _q_tot(mixer, state, q), f"draw {draw}"
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -75,7 +81,7 @@ def test_igm_greedy_equals_joint_argmax(n):
         for joint in range(2 ** n):
             bits = tuple((joint >> k) & 1 for k in range(n))
             chosen = np.array([q[i, bits[i]] for i in range(n)])
-            val = q_total(mixer, state, chosen)
+            val = _q_tot(mixer, state, chosen)
             if val > best_val:
                 best, best_val = bits, val
         assert greedy == best, f"n={n} draw={draw}"
@@ -142,7 +148,7 @@ def test_td_loss_direct_example():
     loss = _td_loss(net, mixer, stale, [ep], gamma=0.99)
     # terminal transition: y = reward exactly
     q = net.q_all_agents(obs)
-    q_tot = q_total(mixer, state, np.array([q[0, 0], q[1, 1]]))
+    q_tot = _q_tot(mixer, state, np.array([q[0, 0], q[1, 1]]))
     assert loss == pytest.approx((1.0 - q_tot) ** 2)
 
 
@@ -231,17 +237,17 @@ def test_stale_copy_with_monotonic_mixer_frozen_until_refresh():
     stale = StaleCopy(net, mixer, refresh_interval=10)
     state = stream(5, "stale-state").standard_normal(5)
     q = np.array([0.3, -0.2])
-    before = q_total(stale.mixer, state, q)
+    before = _q_tot(stale.mixer, state, q)
     live = net.params() + mixer.params()
     for p in live:  # live net and mixer move on
         p.data = p.data * 1.5 + 0.1
-    assert q_total(mixer, state, q) != before
-    assert q_total(stale.mixer, state, q) == before
+    assert _q_tot(mixer, state, q) != before
+    assert _q_tot(stale.mixer, state, q) == before
     stale.refresh()
     frozen = stale.net.params() + stale.mixer.params()
     assert len(frozen) == len(live)
     assert all(np.array_equal(f.data, p.data) for f, p in zip(frozen, live))
-    assert q_total(stale.mixer, state, q) == q_total(mixer, state, q)
+    assert _q_tot(stale.mixer, state, q) == _q_tot(mixer, state, q)
     for p in live:  # the refreshed snapshot owns its arrays
         p.data += 1.0
     assert not any(np.array_equal(f.data, p.data) for f, p in zip(frozen, live))
@@ -267,7 +273,7 @@ def test_mixer_checkpoint_roundtrip():
     loaded = MonotonicMixer.from_doc(doc)
     state = stream(13, "mixstate").standard_normal(5)
     q = np.array([0.1, -0.7, 0.4])
-    assert q_total(mixer, state, q) == q_total(loaded, state, q)
+    assert _q_tot(mixer, state, q) == _q_tot(loaded, state, q)
 
 
 def _checkpoint(mixer_kind="monotonic"):

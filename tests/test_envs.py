@@ -700,3 +700,25 @@ def test_batches_of_one_shape_share_their_gather_indices():
     assert env.reset_batch([4, 5, 6])._seen is batch._seen
     assert batch.repeat(2)._seen is not batch._seen
     assert make_env("spread").reset_batch([1])._layout is None
+
+
+@pytest.mark.parametrize("name,params", [("keycorridor", {}), ("spread", {"grid": 5})])
+def test_repeat_copies_the_selected_rows(name, params):
+    env = make_env(name, **params)
+    batch = env.reset_batch([3, 4, 5, 6])
+    moves = stream(9, "repeat-rows").integers(0, 5, size=(8, 4, env.spec.n_agents))
+    for joint in moves:
+        batch.step(joint)
+    obs, states = batch.observations(), batch.states()
+    for rows, picked in ((slice(1, 3), [1, 2]), ([3, 0, 3], [3, 0, 3]),
+                         (slice(None), [0, 1, 2, 3])):
+        copy_ = batch.repeat(2, rows)
+        order = np.repeat(picked, 2)
+        assert copy_.size == 2 * len(picked) and (copy_.t, copy_.done) == (batch.t, batch.done)
+        assert np.array_equal(copy_.observations(), obs[order])
+        assert np.array_equal(copy_.states(), states[order])
+        copy_.step(np.full((copy_.size, env.spec.n_agents), RIGHT))
+    # stepping the copies left the batch as it was
+    assert batch.t == 8
+    assert np.array_equal(batch.observations(), obs)
+    assert np.array_equal(batch.states(), states)

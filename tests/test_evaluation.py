@@ -14,8 +14,7 @@ from emai.evaluation import (AttackReport, PatchPackage, PatchReport, RRD_DENOMI
                              RrdReport, apply_patch, build_patch_package, eval_fidelity,
                              launch_attack)
 from emai.explain import (EmaiExplainer, ExplainContext, Explainer, GradientBasedExplainer,
-                          McOracleExplainer, RandomExplainer, ValueBasedExplainer,
-                          trace_contexts)
+                          McOracleExplainer, RandomExplainer, ValueBasedExplainer)
 from emai.masking import MaskingPolicy
 from emai.rng import episode_seed, stream
 from emai.rollout import greedy_actions, run_episode, run_target_episode
@@ -30,7 +29,7 @@ class _FixedAgentExplainer(Explainer):
     def __init__(self, agent: int, n: int):
         self.agent, self.n = agent, n
 
-    def scores_batch(self, env, observations, states, t, episode_seeds, prefix):
+    def scores_batch(self, observations, t, episode_seeds, batch):
         out = np.zeros((len(observations), self.n))
         out[:, self.agent] = 1.0
         return out
@@ -135,56 +134,36 @@ def test_patch_package_top_decile_selection_rule():
             super().__init__(0, 2)
             self.seen_seeds = set()
 
-        def scores_batch(self, env, observations, states, t, episode_seeds, prefix):
+        def scores_batch(self, observations, t, episode_seeds, batch):
             self.seen_seeds.update(int(s) for s in episode_seeds)
-            return super().scores_batch(env, observations, states, t, episode_seeds, prefix)
+            return super().scores_batch(observations, t, episode_seeds, batch)
 
     spy = _Spy()
     build_patch_package(spy, pol, env, harvest_episodes=100, quantile=0.1, seed=14)
     assert spy.seen_seeds == {seeds[i] for i in best10}
 
 
-@pytest.mark.parametrize("reads_states", [False, True])
-def test_states_are_built_only_for_explainers_that_read_them(reads_states):
+def test_every_arm_scores_the_live_batch_it_steps():
     env = make_env("keycorridor", horizon=6)
     pol = scripted_policy(env)
 
     class _Spy(_FixedAgentExplainer):
-        def scores_batch(self, env, observations, states, t, episode_seeds, prefix):
-            seen.append(states)
-            return super().scores_batch(env, observations, states, t, episode_seeds, prefix)
+        def scores_batch(self, observations, t, episode_seeds, batch):
+            seen.append((t, batch.t, batch.size, len(episode_seeds),
+                         np.array_equal(observations, batch.observations())))
+            return super().scores_batch(observations, t, episode_seeds, batch)
 
     seen = []
     spy = _Spy(1, 3)
-    spy.reads_states = reads_states
     eval_fidelity(spy, pol, env, episodes=3, seed=2)
     launch_attack(spy, pol, env, 0.3, episodes=3, seed=2)
     package = build_patch_package(spy, pol, env, harvest_episodes=10, quantile=0.3, seed=2)
     apply_patch(package, spy, pol, env, 1.0, episodes=3, seed=2)
-    assert seen and all((states is not None) == reads_states for states in seen)
-    # and so does every built-in explainer
-    kinds = []
-    for kind in PARITY_KINDS:
-        target, _, explainer = _parity_setup(kind, env)
-        if explainer.reads_states != reads_states:
-            continue
-        kinds.append(kind)
-        seen.clear()
-        inner = explainer.scores_batch
-
-        def record(env, observations, states, *rest):
-            seen.append(states)
-            return inner(env, observations, states, *rest)
-
-        explainer.scores_batch = record
-        eval_fidelity(explainer, target, env, episodes=3, seed=2)
-        with warnings.catch_warnings():  # equal harvest rewards keep every episode
-            warnings.simplefilter("ignore", UserWarning)
-            build_patch_package(explainer, target, env, harvest_episodes=10, quantile=0.3,
-                                seed=2)
-        assert seen and all((states is not None) == reads_states for states in seen), kind
-    assert kinds == (["random", "scores-only"] if reads_states else
-                     ["emai", "value", "gradient", "mc_oracle"])
+    # one query per step of each arm: guided, attacked, harvest (3 kept), patched
+    assert [(t, size) for t, _, size, _, _ in seen] == [
+        (t, size) for size in (3, 3, 3, 3) for t in range(6)]
+    assert all(t == batch_t and size == seeds and same
+               for t, batch_t, size, seeds, same in seen)
 
 
 def test_patch_degenerate_rewards_warns_and_keeps_all():
@@ -371,8 +350,11 @@ def _scalar_patch_package(explainer, target, env, harvest_episodes, quantile,
         kept = order[:max(1, int(round(quantile * harvest_episodes)))]
     seen, entries_obs, entries_act = set(), [], []
     for i in kept:
-        for step, ctx in trace_contexts(traces[i], env):
-            critical = explainer.most_critical(ctx)
+        prefix = []
+        for step in traces[i].steps:
+            critical = explainer.most_critical(_ctx(env, step.observations, step.state,
+                                                    traces[i].seed, prefix))
+            prefix.append(step.final_actions)
             key = tuple(step.observations[critical])
             if key not in seen:
                 seen.add(key)
@@ -392,15 +374,15 @@ def _scalar_patch(package, explainer, target, env, d_th, episodes, seed) -> Patc
 
 
 class _ScoresOnly(Explainer):
-    """A user explainer that reads states: each row's scores hash that row's
-    episode seed, t, state and observations, all that scores() passes on."""
+    """A user explainer with a per-row loop: each row's scores hash that
+    row's episode seed, t and observations, all that scores() passes on."""
 
     kind = "scores-only"
 
-    def scores_batch(self, env, observations, states, t, episode_seeds, prefix):
+    def scores_batch(self, observations, t, episode_seeds, batch):
         rows = []
-        for obs, state, seed in zip(observations, states, episode_seeds):
-            key = repr((int(seed), t, state.tobytes(), obs.tobytes()))
+        for obs, seed in zip(observations, episode_seeds):
+            key = repr((int(seed), t, obs.tobytes()))
             rows.append(stream(zlib.crc32(key.encode()), "scores-only").random(len(obs)))
         return np.stack(rows)
 

@@ -10,7 +10,7 @@ import pytest
 
 from emai import explain as explain_mod
 from emai.envs import make_env
-from emai.explain import (EmaiExplainer, ExplainContext, GradientBasedExplainer,
+from emai.explain import (EmaiExplainer, ExplainContext, Explainer, GradientBasedExplainer,
                           McOracleExplainer, RandomExplainer, ValueBasedExplainer,
                           make_explainer, mc_counterfactual_oracle)
 from emai.masking import MaskingPolicy
@@ -58,7 +58,7 @@ def test_random_explainer_scores_batch_equals_scalar_scores(name, params):
     obs = env.reset_batch(seeds).observations()
     ex = RandomExplainer(seed=2**33 + 1)
     for t in (0, 9):
-        got = ex.scores_batch(env, obs, None, t, seeds, None)
+        got = ex.scores_batch(obs, t, seeds, None)
         contexts = [ExplainContext(o, np.zeros(1), t, env.name, episode_seed=s)
                     for o, s in zip(obs, seeds)]
         expected = np.stack([_random_scores(ex, ctx) for ctx in contexts])
@@ -163,7 +163,7 @@ def test_gradient_kernel_equals_graph_saliency(name, params, trained):
     ex = GradientBasedExplainer(target)
     obs_log = []
 
-    def act(batch, obs, prefix):
+    def act(batch, obs):
         obs_log.append(obs)
         return target.act_batch(obs)
 
@@ -171,7 +171,7 @@ def test_gradient_kernel_equals_graph_saliency(name, params, trained):
     pool = np.concatenate(obs_log)[stream(5, "saliency-rows").permutation(200)]
     reference = np.stack([_graph_saliency(target._qnet, o) for o in pool])
     for size in (1, 7, 200):
-        got = ex.scores_batch(env, pool[:size], None, 0, list(range(size)), None)
+        got = ex.scores_batch(pool[:size], 0, list(range(size)), None)
         assert np.array_equal(got, reference[:size]), size
     for o, ref in zip(pool, reference):
         assert np.array_equal(ex.scores(ExplainContext(o, np.zeros(1), 0)), ref)
@@ -194,7 +194,7 @@ def test_gradient_kernel_tied_max_q_takes_lowest_index():
     ex = GradientBasedExplainer(LearnedPolicy(net))
     scores = ex.scores(ExplainContext(obs, np.zeros(1), 0))
     assert np.array_equal(scores, _graph_saliency(net, obs))
-    assert np.array_equal(ex.scores_batch(env, obs[None], None, 0, [0], None)[0], scores)
+    assert np.array_equal(ex.scores_batch(obs[None], 0, [0], None)[0], scores)
     # the gradient of log p(1) is (1 - p) * 2 along obs[0] and -p along obs[1]
     p = 1.0 / np.exp(q - q.max()).sum()
     assert scores[0] == pytest.approx(2.0 - p) and scores[0] != pytest.approx(1.0 + p)
@@ -367,12 +367,20 @@ def _assert_oracles_equal(target, env_name, env_params, episode_seed, prefix, ro
 
 
 def _assert_scores_batch_equal_scalar(target, env, seeds, prefixes, rollouts, seed):
-    """scores_batch of the episodes of `seeds` at step t = prefixes.shape[1]
-    equals each episode's scalar scores(), row for row, bitwise."""
+    """scores_batch of the episodes of `seeds` at step t = prefixes.shape[1],
+    asked with the live batch that stepped those prefixes, equals each
+    episode's scalar scores(), row for row, bitwise, and leaves the batch
+    as it was."""
     oracle = McOracleExplainer(target, rollouts=rollouts, seed=seed)
     t = prefixes.shape[1]
-    # the oracle reads neither observations nor states
-    batched = oracle.scores_batch(env, None, None, t, seeds, prefixes)
+    batch = env.reset_batch(seeds)
+    for s in range(t):
+        batch.step(prefixes[:, s])
+    before = (batch.cells.copy(), batch.landmark_cells.copy(), batch.door_open.copy())
+    batched = oracle.scores_batch(batch.observations(), t, seeds, batch)
+    assert batch.t == t
+    for kept, now in zip(before, (batch.cells, batch.landmark_cells, batch.door_open)):
+        assert np.array_equal(kept, now)
     scalar = [oracle.scores(ExplainContext(None, None, t, env.name, env.params, s, p.tolist()))
               for s, p in zip(seeds, prefixes)]
     assert np.array_equal(batched, np.stack(scalar))
@@ -484,11 +492,25 @@ def test_oracle_rejects_prefix_that_does_not_reach_t():
     scores = ex.scores(ExplainContext(step.observations, step.state, 5, env.name,
                                       episode_seed=0, prefix_actions=prefix))
     assert scores.shape == (3,)
-    # the batched query checks the prefix width the same way
-    with pytest.raises(ValueError, match="prefix"):
-        ex.scores_batch(env, None, None, 5, [0], np.array([prefix[:4]]))
-    assert np.array_equal(ex.scores_batch(env, None, None, 5, [0], np.array([prefix])),
-                          scores[None])
+
+
+def test_oracle_scores_batch_needs_the_live_batch_of_its_rows():
+    env = make_env("keycorridor")
+    pol = scripted_policy(env)
+    ex = McOracleExplainer(pol, rollouts=2)
+    batch = env.reset_batch([0, 1])
+    batch.step(np.zeros((2, 3), dtype=np.int64))
+    obs = batch.observations()
+    with pytest.raises(ValueError, match="no batch"):
+        ex.scores_batch(obs, 1, [0, 1], None)
+    with pytest.raises(ValueError, match="t=2"):
+        ex.scores_batch(obs, 2, [0, 1], batch)
+    with pytest.raises(ValueError, match="3 episode seeds"):
+        ex.scores_batch(obs, 1, [0, 1, 2], batch)
+    # the one-row scores() view has no batch to copy
+    with pytest.raises(ValueError, match="no batch"):
+        Explainer.scores(ex, ExplainContext(obs[0], None, 1, env.name, episode_seed=0))
+    assert ex.scores_batch(obs, 1, [0, 1], batch).shape == (2, 3)
 
 
 # ---- batched learned inference: stacked blocks, bitwise the one-row calls ----
@@ -510,9 +532,7 @@ def test_learned_act_batch_and_value_scores_batch_equal_row_calls(size):
         assert np.array_equal(net.q_single(rows, i), np.stack([net.q_single(o, i) for o in rows]))
     assert np.array_equal(net.q_all_agents(obs), np.stack([net.q_all_agents(o) for o in obs]))
     value = ValueBasedExplainer(pol)
-    seeds = list(range(size))
-    prefix = np.zeros((size, 1, 3), dtype=np.int64)
     expected = [value.scores(ExplainContext(obs[b], states[b], 1, env.name, env.params, b,
                                             [[0, 0, 0]])) for b in range(size)]
-    assert np.array_equal(value.scores_batch(env, obs, states, 1, seeds, prefix),
+    assert np.array_equal(value.scores_batch(obs, 1, list(range(size)), batch),
                           np.stack(expected))

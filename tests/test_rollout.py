@@ -144,7 +144,7 @@ def test_run_lockstep_leaves_its_start_batch_unchanged():
     # the scripted team opens the door in place, which a shared start must not see
     opened = []
 
-    def act(batch, obs, prefix):
+    def act(batch, obs):
         opened.append(bool(batch.door_open.any()))
         return pol.act_batch(obs)
 
@@ -153,4 +153,4 @@ def test_run_lockstep_leaves_its_start_batch_unchanged():
     batch = env.reset_batch([1, 2])
     batch.step(np.zeros((2, 3), dtype=np.int64))
     with pytest.raises(ValueError, match="t = 0"):
-        rollout.run_lockstep(batch, lambda b, obs, prefix: np.zeros((2, 3), dtype=np.int64))
+        rollout.run_lockstep(batch, lambda b, obs: np.zeros((2, 3), dtype=np.int64))
