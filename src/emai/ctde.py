@@ -34,13 +34,18 @@ from .nn import FRESH, Mlp, Scratch, Tensor
 from .rng import episode_seed, stream
 
 
-def agent_inputs(rows: int, n_agents: int, obs_dim: int) -> np.ndarray:
-    """(rows, n_agents, obs_dim + n_agents) agent-net inputs: each agent's
-    observation columns (zero here, for the caller to fill) and its one-hot
-    id. Reshaped to (rows * n_agents, ...), these are the net's input rows."""
-    out = np.zeros((rows, n_agents, obs_dim + n_agents))
-    out[:, :, obs_dim:] = np.eye(n_agents)
-    return out
+def agent_inputs(observations: np.ndarray, agent_ids, n_agents: int) -> np.ndarray:
+    """The agent-net input rows (B, k, obs_dim + n_agents) of (B, k, obs_dim)
+    observations: row (b, j) is observations[b, j] followed by the one-hot of
+    agent id agent_ids[j], or of agent_ids[b, j] for a (B, k) id array."""
+    *rows, obs_dim = observations.shape
+    one_hot = np.eye(n_agents)[agent_ids]
+    if len(rows) != 2 or one_hot.shape[-2] != rows[1]:
+        raise nn.ShapeError(f"observations {observations.shape} vs agent ids {np.shape(agent_ids)}")
+    x = np.empty((*rows, obs_dim + n_agents))
+    x[..., :obs_dim] = observations
+    x[..., obs_dim:] = one_hot
+    return x
 
 
 def epsilon_greedy(q_vector: np.ndarray, epsilon: float, rng: np.random.Generator) -> int:
@@ -67,42 +72,30 @@ class AgentQNet:
         self.n_actions = int(n_actions)
         self.mlp = Mlp([self.obs_dim + self.n_agents, *hidden, self.n_actions],
                        ["relu", "relu", "identity"], rng)
-        self._inputs = agent_inputs(1, self.n_agents, self.obs_dim)[0]
 
-    def _forward_own_inputs(self, x: np.ndarray, obs: np.ndarray) -> np.ndarray:
-        """Q rows of x, rows of the net's own input block (its one-hot ids
-        are written once) or a stack of copies of them, after copying in
-        their observations `obs`."""
-        obs_cols = x[..., :self.obs_dim]
-        if np.shape(obs) != obs_cols.shape:
-            raise nn.ShapeError(f"observation shape {np.shape(obs)} vs expected {obs_cols.shape}")
-        obs_cols[...] = obs
-        return self.mlp.fused_forward(x if x.ndim > 1 else x[None])[0]
-
-    def _forward_stacked(self, block: np.ndarray, obs: np.ndarray) -> np.ndarray:
-        """Q of len(obs) stacked copies of the input block `block`, copy b
-        with observations obs[b]: one stacked forward whose block b equals
-        the forward of block b alone, bitwise (see Mlp.fused_forward)."""
-        x = np.empty((len(obs), *block.shape))
-        x[...] = block
-        return self._forward_own_inputs(x, obs)
+    def fused_forward(self, observations: np.ndarray, agent_ids) -> tuple[np.ndarray, tuple]:
+        """The one query kernel: Q (B, k, n_actions) of agent_inputs' rows, and
+        the Mlp.fused_forward cache. One stacked forward, so block b rounds
+        exactly as the forward of block b alone, whatever B is."""
+        return self.mlp.fused_forward(agent_inputs(observations, agent_ids, self.n_agents))
 
     def q_single(self, obs: np.ndarray, agent_id: int) -> np.ndarray:
-        """Q vector for one agent (for acting/explaining). A stack (B,
-        obs_dim) of observations gives (B, n_actions), row b bitwise
-        q_single(obs[b], agent_id)."""
-        if np.ndim(obs) == 2:
-            return self._forward_stacked(self._inputs[agent_id:agent_id + 1],
-                                         np.asarray(obs)[:, None])[:, 0]
-        return self._forward_own_inputs(self._inputs[agent_id], obs)[0]
+        """Q (B, n_actions) of one agent for a stack (B, obs_dim) of its
+        observations, from (B, 1, in) one-row blocks; one observation
+        (obs_dim,) is its one-row view and gives (n_actions,)."""
+        obs = np.asarray(obs)
+        if obs.ndim == 1:
+            return self.fused_forward(obs[None, None], [agent_id])[0][0, 0]
+        return self.fused_forward(obs[:, None], [agent_id])[0][:, 0]
 
     def q_all_agents(self, observations: np.ndarray) -> np.ndarray:
-        """Q matrix (n_agents, n_actions) for a full observation set. A
-        stack (B, n_agents, obs_dim) of them gives (B, n_agents, n_actions),
-        block b bitwise q_all_agents(observations[b])."""
-        if np.ndim(observations) == 3:
-            return self._forward_stacked(self._inputs, observations)
-        return self._forward_own_inputs(self._inputs, observations)
+        """Q (B, n_agents, n_actions) of a stack (B, n_agents, obs_dim) of
+        observation sets; one set (n_agents, obs_dim) is its one-row view
+        and gives (n_agents, n_actions)."""
+        obs, ids = np.asarray(observations), np.arange(self.n_agents)
+        if obs.ndim == 2:
+            return self.fused_forward(obs[None], ids)[0][0]
+        return self.fused_forward(obs, ids)[0]
 
     def params(self) -> list[Tensor]:
         return self.mlp.params()
@@ -113,7 +106,9 @@ class AgentQNet:
 
     @classmethod
     def from_doc(cls, doc: dict) -> "AgentQNet":
-        net = cls(doc["obs_dim"], doc["n_agents"], doc["n_actions"],
+        """Parse to_doc's output; other keys or non-int sizes raise ValueError."""
+        nn.check_keys(doc, _NET_KEYS, "agent_net")
+        net = cls(*nn.int_fields(doc, ("obs_dim", "n_agents", "n_actions"), "agent_net"),
                   doc["mlp"]["layer_sizes"][1:-1])
         net.mlp.load_doc(doc["mlp"])
         return net
@@ -214,13 +209,19 @@ class MonotonicMixer:
 
     @classmethod
     def from_doc(cls, doc: dict) -> "MonotonicMixer":
-        mixer = cls(doc["n_agents"], doc["state_dim"], doc["embed_dim"],
+        """Parse to_doc's output; other keys or non-int sizes raise ValueError."""
+        nn.check_keys(doc, _MIXER_KEYS, "mixer")
+        mixer = cls(*nn.int_fields(doc, ("n_agents", "state_dim", "embed_dim"), "mixer"),
                     hyper_hidden=doc["hyper_w1"]["layer_sizes"][1])
-        for name in ("hyper_w1", "hyper_b1", "hyper_w2", "hyper_v"):
+        for name in _HYPERNETS:
             getattr(mixer, name).load_doc(doc[name])
         return mixer
 
 
+# the key sets of schemas/checkpoint_schema.json
+_NET_KEYS = frozenset(("obs_dim", "n_agents", "n_actions", "mlp"))
+_HYPERNETS = ("hyper_w1", "hyper_b1", "hyper_w2", "hyper_v")
+_MIXER_KEYS = frozenset(("embed_dim", "n_agents", "state_dim", *_HYPERNETS))
 _CHECKPOINT_KEYS = frozenset(("format", "v", "env", "env_params", "n_agents", "n_actions",
                              "mixer_kind", "training_step", "agent_net", "mixer"))
 
@@ -242,16 +243,21 @@ def checkpoint_doc(net: AgentQNet, mixer, env, training_step: int) -> dict:
 def load_checkpoint_doc(doc) -> tuple[AgentQNet, MonotonicMixer | None]:
     """Parse checkpoint_doc's output; any malformed document raises ValueError."""
     try:
-        if doc["format"] != "ctde-checkpoint" or doc["v"] != 1:
+        if doc["format"] != "ctde-checkpoint" or type(doc["v"]) is not int or doc["v"] != 1:
             raise ValueError("not a v1 ctde checkpoint")
-        if set(doc) != _CHECKPOINT_KEYS:
-            raise ValueError(f"ctde checkpoint keys {sorted(doc)} differ from the schema's")
+        nn.check_keys(doc, _CHECKPOINT_KEYS, "ctde checkpoint")
+        n_agents, n_actions, _ = nn.int_fields(doc, ("n_agents", "n_actions", "training_step"),
+                                               "ctde checkpoint")
+        if type(doc["env"]) is not str or type(doc["env_params"]) is not dict:
+            raise ValueError("ctde checkpoint env must be a string and env_params an object")
         net = AgentQNet.from_doc(doc["agent_net"])
-        if (doc["n_agents"], doc["n_actions"]) != (net.n_agents, net.n_actions):
+        if (n_agents, n_actions) != (net.n_agents, net.n_actions):
             raise ValueError("n_agents/n_actions disagree with agent_net")
         kind, mixer_doc = doc["mixer_kind"], doc["mixer"]
         if kind == "monotonic":
             mixer = MonotonicMixer.from_doc(mixer_doc)
+            if mixer.n_agents != n_agents:
+                raise ValueError("mixer n_agents disagrees with agent_net")
         elif kind == "none" and mixer_doc is None:
             mixer = None
         else:
@@ -349,8 +355,9 @@ class TdBuffers:
     def __init__(self, n_agents: int, obs_dim: int, state_dim: int, max_rows: int):
         self.max_rows = int(max_rows)
         self.obs_dim = int(obs_dim)
-        self.inputs = agent_inputs(max_rows, n_agents, obs_dim)
-        self.next_inputs = agent_inputs(max_rows, n_agents, obs_dim)
+        ids, blank = np.arange(n_agents), np.zeros((max_rows, n_agents, obs_dim))
+        self.inputs = agent_inputs(blank, ids, n_agents)
+        self.next_inputs = agent_inputs(blank, ids, n_agents)
         self.states = np.empty((max_rows, state_dim))
         self.next_states = np.empty((max_rows, state_dim))
         self.actions = np.empty((max_rows, n_agents), dtype=np.int64)

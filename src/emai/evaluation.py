@@ -262,19 +262,6 @@ class PatchPackage:
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(self.to_doc(), fh, sort_keys=True)
 
-    @classmethod
-    def from_doc(cls, doc: dict) -> "PatchPackage":
-        if doc.get("format") != "patch-package" or doc.get("v") != 1:
-            raise ValueError("not a v1 patch package")
-        obs = np.array([e["obs"] for e in doc["entries"]], dtype=np.float64)
-        actions = np.array([e["action"] for e in doc["entries"]], dtype=np.int64)
-        return cls(doc["env_name"], doc["explainer_id"], float(doc["quantile"]), obs, actions)
-
-    @classmethod
-    def load(cls, path) -> "PatchPackage":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_doc(json.load(fh))
-
 
 def build_patch_package(explainer: Explainer, target, env, harvest_episodes: int = 100,
                         quantile: float = 0.1, seed: int = 0) -> PatchPackage:
@@ -307,11 +294,17 @@ def build_patch_package(explainer: Explainer, target, env, harvest_episodes: int
 
     run_lockstep(start.repeat(1, kept), replay)
     # the entries episode by episode, then step by step, deduplicated on the
-    # exact observation in first-seen order; the row equality of np.unique is
-    # tuple equality, as observations hold no NaN
+    # exact observation in first-seen order: a stable sort puts each run of
+    # equal rows in entry order, so a run's first index is its first sighting
+    # (observations hold no NaN, so != is the negation of tuple equality)
     entries = np.stack(entries, axis=1).reshape(-1, env.spec.obs_dim)
     chosen = np.stack(chosen, axis=1).reshape(-1)
-    first = np.sort(np.unique(entries, axis=0, return_index=True)[1])
+    order = np.lexsort(entries.T[::-1])
+    ranked = entries[order]
+    starts = np.empty(len(order), dtype=bool)
+    starts[:1] = True
+    starts[1:] = np.any(ranked[1:] != ranked[:-1], axis=1)
+    first = np.sort(order[starts])
     return PatchPackage(env.name, explainer.kind, float(quantile), entries[first], chosen[first])
 
 

@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ctde import agent_inputs
 from .envs import make_env
 from .masking import MaskingPolicy
 from .rng import integers_rows, uniform_rows
@@ -130,9 +129,9 @@ class GradientBasedExplainer(Explainer):
         which rounds as the one-row forward of its agent would."""
         net = self._qnet
         size, n = observations.shape[:2]
-        x = agent_inputs(size, n, net.obs_dim)
-        x[..., :net.obs_dim] = observations
-        q, cache = net.mlp.fused_forward(x.reshape(size * n, 1, -1))
+        # block b * n + i is agent i's observation in episode b
+        q, cache = net.fused_forward(observations.reshape(size * n, 1, -1),
+                                     np.tile(np.arange(n), size)[:, None])
         e = np.exp(q - q.max(axis=-1, keepdims=True))
         # the one-hot of each row's argmax (lowest index on ties), added as 0.0/1.0
         pick = np.equal(np.arange(net.n_actions), q.argmax(axis=-1)[..., None])

@@ -11,17 +11,23 @@ keep-minus-mask value gap is the canonical importance score.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import ctde
+from . import ctde, nn
 from .config import merged_sections
 from .ctde import AgentQNet, QLearner, Transitions
 from .rng import episode_seeds, stream
 from .rollout import greedy_actions, reward_sums, target_rewards
 
 KEEP, MASK = 0, 1
+
+# the masking-checkpoint keys of schemas/checkpoint_schema.json; _SCALARS in
+# MaskingPolicy's argument order
+_SCALARS = ("beta", "lambda", "gamma", "j_pi", "j_pi_stderr")
+_CHECKPOINT_KEYS = frozenset(("format", "v", *_SCALARS, "target_checksum", "ctde"))
 
 
 class IncompatibilityError(RuntimeError):
@@ -110,20 +116,15 @@ class MaskingPolicy:
     def n_agents(self) -> int:
         return self.qnet.n_agents
 
-    def mask_q(self, observations: np.ndarray) -> np.ndarray:
-        """(n_agents, 2) matrix of keep/mask values, graph-free; a stack
-        (B, n_agents, obs_dim) of observation sets gives (B, n_agents, 2)."""
-        return self.qnet.q_all_agents(np.asarray(observations))
-
     def importance_vector(self, observations: np.ndarray) -> np.ndarray:
         """Keep-minus-mask value per agent; (B, n_agents) for a stack."""
-        q = self.mask_q(observations)
+        q = self.qnet.q_all_agents(observations)
         return q[..., KEEP] - q[..., MASK]
 
     def greedy_mask_bits(self, observations: np.ndarray) -> np.ndarray:
         """Per-agent argmax over {keep, mask}; keep wins ties."""
-        q = self.mask_q(observations)
-        return (q[:, MASK] > q[:, KEEP]).astype(np.int64)
+        q = self.qnet.q_all_agents(observations)
+        return (q[..., MASK] > q[..., KEEP]).astype(np.int64)
 
     def to_doc(self, env=None, training_step: int = 0) -> dict:
         return {
@@ -140,13 +141,26 @@ class MaskingPolicy:
 
     @classmethod
     def from_doc(cls, doc) -> "MaskingPolicy":
-        """Parse to_doc's output; any malformed document raises ValueError."""
+        """Parse to_doc's output; any malformed document raises ValueError:
+        a key set other than to_doc's, a `v` other than the int 1, a scalar
+        that is not a finite JSON number (a bool is none), a gamma outside
+        [0, 1], a negative beta, lambda or j_pi_stderr, a target_checksum
+        that is not a string, or a malformed ctde document."""
         try:
-            if doc["format"] != "masking-checkpoint" or doc["v"] != 1:
+            if doc["format"] != "masking-checkpoint" or type(doc["v"]) is not int or doc["v"] != 1:
                 raise ValueError("not a v1 masking checkpoint")
+            nn.check_keys(doc, _CHECKPOINT_KEYS, "masking checkpoint")
+            bad = [k for k in _SCALARS if type(doc[k]) not in (int, float)
+                   or not math.isfinite(doc[k])]
+            if bad:
+                raise ValueError(f"masking checkpoint {', '.join(bad)} must be finite numbers")
+            if not 0.0 <= doc["gamma"] <= 1.0 or doc["j_pi_stderr"] < 0:
+                raise ValueError("masking checkpoint gamma must lie in [0, 1] and "
+                                 "j_pi_stderr be >= 0")
+            if type(doc["target_checksum"]) is not str:
+                raise ValueError("masking checkpoint target_checksum must be a string")
             qnet, mixer = ctde.load_checkpoint_doc(doc["ctde"])
-            return cls(qnet, mixer, doc["beta"], doc["lambda"], doc["gamma"],
-                       doc["j_pi"], doc["j_pi_stderr"], doc["target_checksum"])
+            return cls(qnet, mixer, *(doc[k] for k in _SCALARS), doc["target_checksum"])
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed masking checkpoint: {type(exc).__name__}: {exc}") from exc
 

@@ -567,16 +567,56 @@ class Mlp:
                 "params": params}
 
     def load_doc(self, doc: dict) -> None:
-        """Overwrite the parameters from a to_doc() document of this architecture."""
-        if (doc["layer_sizes"], doc["activations"]) != (self.layer_sizes, self.activations):
-            raise ShapeError(f"layers {doc['layer_sizes']} {doc['activations']} vs "
+        """Overwrite the parameters from a to_doc() document of this
+        architecture. Anything else raises ValueError: other keys, sizes
+        that are not ints, or a param entry with another key set, name or
+        shape, or whose values are not a list of JSON numbers."""
+        check_keys(doc, _MLP_KEYS, "mlp")
+        sizes, entries = doc["layer_sizes"], doc["params"]
+        if ((sizes, doc["activations"]) != (self.layer_sizes, self.activations)
+                or not _ints(sizes)):
+            raise ShapeError(f"layers {sizes} {doc['activations']} vs "
                              f"expected {self.layer_sizes} {self.activations}")
-        for p, entry in zip(self.params(), doc["params"], strict=True):
-            a = np.asarray(entry["values"], dtype=np.float64).reshape(entry["shape"])
-            if a.shape != p.data.shape:
-                raise ShapeError(f"param shape {p.data.shape} vs loaded {a.shape}")
+        if type(entries) is not list or len(entries) != 2 * len(self.weights):
+            raise ShapeError(f"mlp params must be a list of {2 * len(self.weights)} entries")
+        for i, (p, entry) in enumerate(zip(self.params(), entries)):
+            check_keys(entry, _PARAM_KEYS, "mlp param")
+            name, shape, values = f"{'wb'[i % 2]}{i // 2}", list(p.data.shape), entry["values"]
+            if (entry["name"], entry["shape"]) != (name, shape) or not _ints(entry["shape"]):
+                raise ShapeError(f"param {entry['name']!r} of shape {entry['shape']} vs "
+                                 f"expected {name!r} of shape {shape}")
+            # one C-level pass over the types; json.loads makes no subclasses
+            if type(values) is not list or not _NUMBERS.issuperset(map(type, values)):
+                raise ValueError(f"param {name} values must be a list of numbers")
+            a = np.array(values, dtype=np.float64).reshape(p.data.shape)
             _check_finite(a, "loaded parameter")
             p.data = a
+
+
+# ---- strict JSON documents: exact key sets, and a bool is no number ----
+
+_MLP_KEYS = frozenset(("layer_sizes", "activations", "params"))
+_PARAM_KEYS = frozenset(("name", "shape", "values"))
+_NUMBERS = frozenset((int, float))
+
+
+def _ints(v) -> bool:
+    return type(v) is list and all(type(x) is int for x in v)
+
+
+def check_keys(doc, keys: frozenset, what: str) -> None:
+    """ValueError unless doc is a JSON object with exactly the keys `keys`."""
+    if type(doc) is not dict or doc.keys() != keys:
+        found = sorted(doc) if type(doc) is dict else type(doc).__name__
+        raise ValueError(f"{what} keys {found} differ from the schema's {sorted(keys)}")
+
+
+def int_fields(doc: dict, names: Sequence[str], what: str) -> list[int]:
+    """doc's values under `names`; ValueError unless each is a JSON int."""
+    values = [doc[k] for k in names]
+    if not all(type(v) is int for v in values):
+        raise ValueError(f"{what} {', '.join(names)} must be ints, got {values}")
+    return values
 
 
 # ---- optimizer ----

@@ -297,6 +297,84 @@ def test_learned_target_checkpoint_without_agent_net_exit_5(tmp_path):
     assert _eval_with(tmp_path, {"target": {"kind": "learned"}}, doc) == 5
 
 
+# the committed masking checkpoint of the scripted keycorridor target
+BENCH_CHECKPOINT = (Path(__file__).resolve().parents[1]
+                    / "bench" / "checkpoints" / "keycorridor_default.json")
+
+
+def _eval_bench_checkpoint(tmp_path, doc: dict, variant: str = "default") -> int:
+    ckpt = tmp_path / "ckpt.json"
+    ckpt.write_text(json.dumps(doc), encoding="utf-8")
+    cfg = {"seed": 3, "env": {"name": "keycorridor", "params": {}},
+           "target": {"kind": "scripted", "variant": variant},
+           "explainer": {"kind": "emai", "checkpoint": str(ckpt)}, "eval": {"episodes": 4}}
+    return main(["eval-fidelity", "--config", str(_write_cfg(tmp_path, cfg)),
+                 "--out", str(tmp_path / "o")])
+
+
+def _bench_doc() -> dict:
+    return json.loads(BENCH_CHECKPOINT.read_text(encoding="utf-8"))
+
+
+def test_committed_masking_checkpoint_loads_and_checks_its_target(tmp_path):
+    assert _eval_bench_checkpoint(tmp_path, _bench_doc()) == 0
+    assert _eval_bench_checkpoint(tmp_path, _bench_doc(), "weakened") == 5
+
+
+def _first_value(net_doc: dict, value) -> None:
+    net_doc["mlp"]["params"][0]["values"][0] = value
+
+
+@pytest.mark.parametrize("breakage", [
+    pytest.param(lambda d: d.update(note="x"), id="extra-key"),
+    pytest.param(lambda d: d.update(v=True), id="v-true"),
+    pytest.param(lambda d: d.update(v=1.0), id="v-float"),
+    pytest.param(lambda d: d.update(gamma=7.0), id="gamma-7"),
+    pytest.param(lambda d: d.update(gamma=True), id="gamma-bool"),
+    pytest.param(lambda d: d.update(target_checksum=None), id="checksum-null"),
+    pytest.param(lambda d: d.update(target_checksum=7), id="checksum-int"),
+    pytest.param(lambda d: d.update(beta="0.004"), id="beta-string"),
+    pytest.param(lambda d: d.update({"lambda": False}), id="lambda-bool"),
+    pytest.param(lambda d: d.update(j_pi=float("nan")), id="j-pi-nan"),
+    pytest.param(lambda d: d.update(j_pi_stderr=-0.1), id="j-pi-stderr-negative"),
+    pytest.param(lambda d: d["ctde"].update(v=True), id="ctde-v-true"),
+    pytest.param(lambda d: d["ctde"]["agent_net"].update(note="x"), id="agent-net-extra-key"),
+    pytest.param(lambda d: d["ctde"]["mixer"].update(note="x"), id="mixer-extra-key"),
+    pytest.param(lambda d: d["ctde"]["agent_net"]["mlp"]["params"][0].update(note="x"),
+                 id="param-extra-key"),
+    pytest.param(lambda d: d["ctde"]["agent_net"]["mlp"]["params"][0].update(name="b7"),
+                 id="param-name"),
+    pytest.param(lambda d: _first_value(d["ctde"]["agent_net"], "0.5"), id="value-string"),
+    pytest.param(lambda d: _first_value(d["ctde"]["agent_net"], True), id="value-bool"),
+])
+def test_malformed_masking_checkpoint_exit_5(tmp_path, breakage):
+    doc = _bench_doc()
+    breakage(doc)
+    assert _eval_bench_checkpoint(tmp_path, doc) == 5
+
+
+@pytest.mark.parametrize("breakage", [
+    pytest.param(lambda d: d.update(v=True), id="v-true"),
+    pytest.param(lambda d: d.update(training_step=1.5), id="training-step-float"),
+    pytest.param(lambda d: d["agent_net"].update(note="x"), id="agent-net-extra-key"),
+    pytest.param(lambda d: d["agent_net"].update(obs_dim=float(d["agent_net"]["obs_dim"])),
+                 id="obs-dim-float"),
+    pytest.param(lambda d: d["agent_net"]["mlp"].update(note="x"), id="mlp-extra-key"),
+    pytest.param(lambda d: d["agent_net"]["mlp"]["params"][1].update(name="w0"), id="param-name"),
+    pytest.param(lambda d: _first_value(d["agent_net"], "0.5"), id="value-string"),
+    pytest.param(lambda d: _first_value(d["agent_net"], False), id="value-bool"),
+])
+def test_malformed_learned_target_checkpoint_exit_5(tmp_path, breakage):
+    env = make_env(FAST_EMAI["env"]["name"], **FAST_EMAI["env"]["params"])
+    net = AgentQNet(env.spec.obs_dim, env.spec.n_agents, env.spec.n_actions,
+                    hidden=(4, 4), rng=stream(0, "learned-ckpt"))
+    save_checkpoint(LearnedPolicy(net), env, tmp_path / "whole.json")
+    doc = json.loads((tmp_path / "whole.json").read_text(encoding="utf-8"))
+    assert _eval_with(tmp_path, {"target": {"kind": "learned"}}, doc) == 0
+    breakage(doc)
+    assert _eval_with(tmp_path, {"target": {"kind": "learned"}}, doc) == 5
+
+
 def test_render_replay_without_reward_sum_exit_5(tmp_path):
     out = tmp_path / "explain"
     assert main(["explain", "--config", str(_write_cfg(tmp_path, FAST_EMAI)),

@@ -50,6 +50,47 @@ def test_q_values_shape_mismatch():
     net = _toy_net()
     with pytest.raises(nn.ShapeError):
         net.q_single(np.zeros(5), 0)
+    for wrong_agents in (np.zeros((3, 4)), np.zeros((5, 3, 4))):
+        with pytest.raises(nn.ShapeError):
+            net.q_all_agents(wrong_agents)
+
+
+def test_agent_inputs_append_each_rows_one_hot_id():
+    obs = stream(3, "inputs").standard_normal((2, 3, 4))
+    x = ctde.agent_inputs(obs, [2, 0, 1], 3)
+    assert x.shape == (2, 3, 7)
+    assert np.array_equal(x[..., :4], obs)
+    assert np.array_equal(x[..., 4:], np.broadcast_to(np.eye(3)[[2, 0, 1]], (2, 3, 3)))
+    # one id per row: the (B * n, 1, in) one-row blocks of the gradient explainer
+    flat = ctde.agent_inputs(obs.reshape(6, 1, 4), np.tile(np.arange(3), 2)[:, None], 3)
+    assert np.array_equal(flat, ctde.agent_inputs(obs, np.arange(3), 3).reshape(6, 1, 7))
+    for bad_obs, ids in ((obs[0], [0, 1, 2]), (obs, [0, 1]), (obs[..., None], [0, 1, 2])):
+        with pytest.raises(nn.ShapeError):
+            ctde.agent_inputs(bad_obs, ids, 3)
+
+
+def test_agent_net_holds_no_input_block():
+    net = _toy_net()
+    assert set(vars(net)) == {"obs_dim", "n_agents", "n_actions", "mlp"}
+
+
+def test_one_row_queries_run_the_kernel_once(monkeypatch):
+    """q_all_agents and q_single of one row are views of the stacked query:
+    one kernel call each, and no second call of the public name (which the
+    benchmark's tracer counts)."""
+    net = _toy_net()
+    calls = []
+    for name in ("fused_forward", "q_all_agents", "q_single"):
+        method = getattr(AgentQNet, name)
+        monkeypatch.setattr(AgentQNet, name,
+                            lambda self, *a, _m=method, _n=name: calls.append(_n) or _m(self, *a))
+    obs = stream(4, "one-row").standard_normal((5, 2, 4))
+    for name, args, stacked in (("q_all_agents", (obs[0],), net.q_all_agents(obs)[0]),
+                                ("q_single", (obs[0, 1], 1), net.q_single(obs[:, 1], 1)[0])):
+        calls.clear()
+        q = getattr(net, name)(*args)
+        assert calls == [name, "fused_forward"]
+        assert q.shape == stacked.shape and np.array_equal(q, stacked)
 
 
 def test_monotonic_mixer_monotonicity_1000_draws():
@@ -303,6 +344,25 @@ def test_checkpoint_codec_roundtrips_exactly(mixer_kind):
     lambda d: d["mixer"]["hyper_w1"].update(layer_sizes=[5]),
     lambda d: d["agent_net"].update(obs_dim=5),
     lambda d: d["agent_net"].update(mlp=[]),
+    pytest.param(lambda d: d.update(v=True), id="v-true"),
+    pytest.param(lambda d: d.update(v=1.0), id="v-float"),
+    pytest.param(lambda d: d.update(n_agents=2.0), id="n-agents-float"),
+    pytest.param(lambda d: d.update(training_step=9.5), id="training-step-float"),
+    pytest.param(lambda d: d.update(env=None), id="env-null"),
+    pytest.param(lambda d: d.update(env_params=[]), id="env-params-list"),
+    pytest.param(lambda d: d["agent_net"].update(note="x"), id="agent-net-extra-key"),
+    pytest.param(lambda d: d["agent_net"].update(obs_dim=4.0), id="obs-dim-float"),
+    pytest.param(lambda d: d["agent_net"].update(n_agents=True), id="agent-net-n-agents-bool"),
+    pytest.param(lambda d: d["agent_net"]["mlp"].update(note="x"), id="mlp-extra-key"),
+    pytest.param(lambda d: d["agent_net"]["mlp"]["params"][0].update(name="x"), id="param-name"),
+    pytest.param(lambda d: d["agent_net"]["mlp"]["params"][1]["values"].__setitem__(0, "0.1"),
+                 id="value-string"),
+    pytest.param(lambda d: d["mixer"].update(note="x"), id="mixer-extra-key"),
+    pytest.param(lambda d: d["mixer"].update(embed_dim=4.0), id="mixer-embed-float"),
+    pytest.param(lambda d: d["mixer"]["hyper_v"]["params"][0]["values"].__setitem__(0, False),
+                 id="mixer-value-bool"),
+    pytest.param(lambda d: d.update(mixer=MonotonicMixer(3, 5, 4).to_doc()),
+                 id="mixer-of-another-team-size"),
 ])
 def test_checkpoint_codec_rejects_malformed_documents(breakage):
     doc = _checkpoint()

@@ -195,19 +195,6 @@ def test_patch_threshold_boundary_strictly_below():
     assert rep.mean_overrides == 0.0  # distance is never < 0
 
 
-def test_patch_package_roundtrip(tmp_path):
-    env = make_env("keycorridor")
-    pol = scripted_policy(env)
-    pkg = build_patch_package(_FixedAgentExplainer(0, 3), pol, env,
-                              harvest_episodes=12, quantile=0.5, seed=18)
-    path = tmp_path / "pkg.json"
-    pkg.save(path)
-    loaded = PatchPackage.load(path)
-    assert np.array_equal(pkg.obs, loaded.obs)
-    assert np.array_equal(pkg.actions, loaded.actions)
-    assert loaded.quantile == pkg.quantile
-
-
 def test_patch_empty_package_rejected():
     env = make_env("keycorridor")
     pol = scripted_policy(env)

@@ -233,6 +233,37 @@ def test_mlp_load_doc_rejects_other_architectures(breakage):
         Mlp([4, 6, 2], ["relu", "identity"]).load_doc(doc)
 
 
+def _set_value(doc: dict, value) -> None:
+    doc["params"][0]["values"][3] = value
+
+
+@pytest.mark.parametrize("breakage", [
+    pytest.param(lambda d: d.update(note="x"), id="extra-key"),
+    pytest.param(lambda d: d["params"][2].update(note="x"), id="param-extra-key"),
+    pytest.param(lambda d: d["params"][2].update(name="b1"), id="param-name"),
+    pytest.param(lambda d: d["params"][0].update(shape=[4.0, 6]), id="param-shape-float"),
+    pytest.param(lambda d: d.update(layer_sizes=[4, 6.0, 2]), id="layer-size-float"),
+    pytest.param(lambda d: d.update(params=tuple(d["params"])), id="params-not-a-list"),
+    pytest.param(lambda d: _set_value(d, "0.5"), id="value-string"),
+    pytest.param(lambda d: _set_value(d, True), id="value-bool"),
+    pytest.param(lambda d: _set_value(d, None), id="value-null"),
+    pytest.param(lambda d: _set_value(d, [0.5]), id="value-list"),
+])
+def test_mlp_load_doc_rejects_ill_typed_documents(breakage):
+    doc = Mlp([4, 6, 2], ["relu", "identity"], stream(5, "load-doc")).to_doc()
+    breakage(doc)
+    with pytest.raises(ValueError):
+        Mlp([4, 6, 2], ["relu", "identity"]).load_doc(doc)
+
+
+def test_mlp_load_doc_accepts_int_values():
+    doc = Mlp([4, 6, 2], ["relu", "identity"], stream(5, "load-doc")).to_doc()
+    _set_value(doc, 2)  # a JSON int is a number, as 2.0 is
+    mlp = Mlp([4, 6, 2], ["relu", "identity"])
+    mlp.load_doc(doc)
+    assert mlp.weights[0].data.reshape(-1)[3] == 2.0
+
+
 # ---- stacked forward: each (r, in) block rounds as it would alone ----
 # numpy runs a stacked matmul block by block, so block b of a (B, r, in)
 # forward equals the forward of x[b] bit for bit, at any B. Batched Q
