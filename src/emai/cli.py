@@ -44,7 +44,10 @@ def _build_env(cfg: dict):
 def _build_target(cfg: dict, env):
     tcfg = cfg["target"]
     if tcfg["kind"] == "scripted":
-        return target_mod.scripted_by_name(env, tcfg.get("variant", "default"))
+        try:
+            return target_mod.scripted_by_name(env, tcfg["variant"])
+        except ValueError as exc:
+            raise ConfigError(f"bad target section: {exc}") from exc
     if tcfg["kind"] == "learned":
         if not tcfg.get("checkpoint"):
             raise ConfigError("target.kind=learned requires target.checkpoint")
@@ -70,7 +73,7 @@ def _build_explainer(cfg: dict, target):
             policy = MaskingPolicy.load(ecfg["checkpoint"])
         except ValueError as exc:
             raise IncompatibilityError(f"{ecfg['checkpoint']}: {exc}") from exc
-        if policy.target_checksum and policy.target_checksum != target.checksum():
+        if policy.target_checksum != target.checksum():
             raise IncompatibilityError(
                 "masking checkpoint was trained against a different target")
     try:

@@ -20,7 +20,7 @@ from . import ctde, nn
 from .config import merged_sections
 from .ctde import AgentQNet, QLearner, Transitions
 from .rng import episode_seeds, stream
-from .rollout import greedy_actions, reward_sums, target_rewards
+from .rollout import greedy_actions, left_sum, reward_sums, target_rewards
 
 KEEP, MASK = 0, 1
 
@@ -62,7 +62,7 @@ def estimate_baseline_return(target, env, episodes: int, gamma: float,
     _check_compat(target, env)
     rewards = target_rewards(env.reset_batch(episode_seeds(seed, "baseline", episodes)), target)
     returns = reward_sums(rewards, gamma)
-    abs_total = sum(reward_sums(np.abs(rewards)).tolist())  # across episodes, in seed order
+    abs_total = left_sum(reward_sums(np.abs(rewards)).tolist())  # across episodes, in seed order
     stderr = float(returns.std(ddof=1) / np.sqrt(episodes)) if episodes > 1 else 0.0
     return BaselineEstimate(float(returns.mean()), stderr,
                             abs_total / rewards.size, episodes, gamma)
@@ -111,10 +111,6 @@ class MaskingPolicy:
         self.j_pi = float(j_pi)
         self.j_pi_stderr = float(j_pi_stderr)
         self.target_checksum = target_checksum
-
-    @property
-    def n_agents(self) -> int:
-        return self.qnet.n_agents
 
     def importance_vector(self, observations: np.ndarray) -> np.ndarray:
         """Keep-minus-mask value per agent; (B, n_agents) for a stack."""

@@ -122,10 +122,6 @@ class Tensor:
     def ndim(self) -> int:
         return self.data.ndim
 
-    @property
-    def size(self) -> int:
-        return self.data.size
-
     def item(self) -> float:
         return float(self.data.reshape(-1)[0]) if self.data.size == 1 else _scalar_err(self)
 
@@ -134,9 +130,6 @@ class Tensor:
 
     def zero_grad(self) -> None:
         self.grad = None
-
-    def __repr__(self) -> str:
-        return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
     # ---- graph construction ----
     def _accum(self, g: np.ndarray) -> None:
@@ -185,36 +178,22 @@ class Tensor:
     def __sub__(self, other):
         return add(self, -_as_tensor(other))
 
-    def __rsub__(self, other):
-        return add(_as_tensor(other), -self)
-
     def __mul__(self, other):
         return mul(self, other)
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        other = _as_tensor(other)
-        return mul(self, other ** -1.0)
-
-    def __pow__(self, exponent):
-        return power(self, exponent)
-
     def __matmul__(self, other):
         return matmul(self, other)
 
-    def sum(self, axis=None, keepdims: bool = False):
-        return tsum(self, axis=axis, keepdims=keepdims)
+    def sum(self, axis: int | None = None):
+        return tsum(self, axis)
 
-    def mean(self, axis=None, keepdims: bool = False):
-        n = self.data.size if axis is None else _axis_count(self.data.shape, axis)
-        return tsum(self, axis=axis, keepdims=keepdims) * (1.0 / n)
+    def mean(self):
+        return tsum(self) * (1.0 / self.data.size)
 
     def reshape(self, *shape):
         return reshape(self, shape if len(shape) > 1 else shape[0])
-
-    def relu(self):
-        return relu(self)
 
     def elu(self):
         return elu(self)
@@ -233,14 +212,6 @@ def _scalar_err(t: Tensor):
     raise ShapeError(f"expected a scalar tensor, got shape {t.shape}")
 
 
-def _axis_count(shape: tuple[int, ...], axis) -> int:
-    axes = (axis,) if isinstance(axis, int) else tuple(axis)
-    n = 1
-    for a in axes:
-        n *= shape[a]
-    return n
-
-
 def _as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
@@ -256,6 +227,8 @@ def _make(data: np.ndarray, parents: tuple[Tensor, ...],
 
 
 # ---- differentiable ops ----
+# _make records an op's backward only if an operand requires grad, so a
+# one-operand backward accumulates into its operand unconditionally.
 
 def add(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
@@ -283,18 +256,6 @@ def mul(a, b) -> Tensor:
     return _make(data, (a, b), bw)
 
 
-def power(a, exponent: float) -> Tensor:
-    a = _as_tensor(a)
-    e = float(exponent)
-    data = a.data ** e
-
-    def bw(g):
-        if a.requires_grad:
-            a._accum(g * e * a.data ** (e - 1.0))
-
-    return _make(data, (a,), bw)
-
-
 def matmul(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
     if a.ndim < 2 or b.ndim < 2:
@@ -312,19 +273,13 @@ def matmul(a, b) -> Tensor:
     return _make(data, (a, b), bw)
 
 
-def tsum(a, axis=None, keepdims: bool = False) -> Tensor:
+def tsum(a, axis: int | None = None) -> Tensor:
     a = _as_tensor(a)
-    data = a.data.sum(axis=axis, keepdims=keepdims)
+    data = a.data.sum(axis=axis)
 
     def bw(g):
-        if not a.requires_grad:
-            return
-        if axis is None:
-            a._accum(np.broadcast_to(g, a.shape).copy())
-            return
-        if not keepdims:
-            axes = (axis,) if isinstance(axis, int) else tuple(axis)
-            g = np.expand_dims(g, tuple(ax % a.ndim for ax in axes))
+        if axis is not None:
+            g = np.expand_dims(g, axis)
         a._accum(np.broadcast_to(g, a.shape).copy())
 
     return _make(data, (a,), bw)
@@ -335,8 +290,7 @@ def reshape(a, shape) -> Tensor:
     data = a.data.reshape(shape)
 
     def bw(g):
-        if a.requires_grad:
-            a._accum(g.reshape(a.shape))
+        a._accum(g.reshape(a.shape))
 
     return _make(data, (a,), bw)
 
@@ -371,8 +325,7 @@ def relu(a) -> Tensor:
     data = _relu_f(a.data)
 
     def bw(g):
-        if a.requires_grad:
-            a._accum(_relu_b(g, data))
+        a._accum(_relu_b(g, data))
 
     return _make(data, (a,), bw)
 
@@ -382,8 +335,7 @@ def elu(a) -> Tensor:
     data = _elu_f(a.data)
 
     def bw(g):
-        if a.requires_grad:
-            a._accum(_elu_b(g, data))
+        a._accum(_elu_b(g, data))
 
     return _make(data, (a,), bw)
 
@@ -393,8 +345,7 @@ def tabs(a) -> Tensor:
     data = np.abs(a.data)
 
     def bw(g):
-        if a.requires_grad:
-            a._accum(g * np.sign(a.data))
+        a._accum(g * np.sign(a.data))
 
     return _make(data, (a,), bw)
 
@@ -405,8 +356,7 @@ def texp(a) -> Tensor:
     _check_finite(data, "exp")
 
     def bw(g):
-        if a.requires_grad:
-            a._accum(g * data)
+        a._accum(g * data)
 
     return _make(data, (a,), bw)
 
@@ -418,8 +368,7 @@ def tlog(a) -> Tensor:
     _check_finite(data, "log")
 
     def bw(g):
-        if a.requires_grad:
-            a._accum(g / a.data)
+        a._accum(g / a.data)
 
     return _make(data, (a,), bw)
 
@@ -570,7 +519,7 @@ class Mlp:
         """Overwrite the parameters from a to_doc() document of this
         architecture. Anything else raises ValueError: other keys, sizes
         that are not ints, or a param entry with another key set, name or
-        shape, or whose values are not a list of JSON numbers."""
+        shape, or whose values are not a list of finite JSON numbers."""
         check_keys(doc, _MLP_KEYS, "mlp")
         sizes, entries = doc["layer_sizes"], doc["params"]
         if ((sizes, doc["activations"]) != (self.layer_sizes, self.activations)
@@ -589,7 +538,8 @@ class Mlp:
             if type(values) is not list or not _NUMBERS.issuperset(map(type, values)):
                 raise ValueError(f"param {name} values must be a list of numbers")
             a = np.array(values, dtype=np.float64).reshape(p.data.shape)
-            _check_finite(a, "loaded parameter")
+            if not np.isfinite(a).all():
+                raise ValueError(f"param {name} values must be finite")
             p.data = a
 
 
@@ -622,9 +572,9 @@ def int_fields(doc: dict, names: Sequence[str], what: str) -> list[int]:
 # ---- optimizer ----
 
 class Adam:
-    """Adaptive-moment gradient descent; params with grad=None are skipped.
-
-    The moments and the parameters are updated in place.
+    """Adaptive-moment gradient descent. Every step reads every param's
+    .grad, which the caller sets; the moments and the parameters are updated
+    in place.
     """
 
     def __init__(self, params: Sequence[Tensor], lr: float,
@@ -642,17 +592,11 @@ class Adam:
         self._v = [np.zeros_like(p.data) for p in self.params]
         self._tmp = [(np.empty_like(p.data), np.empty_like(p.data)) for p in self.params]
 
-    def zero_grad(self) -> None:
-        for p in self.params:
-            p.grad = None
-
     def step(self) -> None:
         b1, b2 = self.betas
         self.t += 1
         c1, c2 = 1 - b1 ** self.t, 1 - b2 ** self.t
         for p, m, v, (a, b) in zip(self.params, self._m, self._v, self._tmp):
-            if p.grad is None:
-                continue
             g = p.grad
             if not np.all(np.isfinite(g)):
                 raise NumericsError("non-finite gradient in optimizer step")

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .envs import KeyCorridor
+from .rollout import left_sum
 
 FORMAT_VERSION = 1
 
@@ -114,7 +115,7 @@ def record(stream, env_name: str, env_params: dict, seed: int,
             reward=_round9(s.reward),
             importance=None if s.importance is None else _round_list(s.importance),
         ))
-    reward_sum = _round9(sum(st.reward for st in steps))
+    reward_sum = _round9(left_sum(st.reward for st in steps))
     return EpisodeRecord(env_name, dict(env_params), int(seed), target_id, explainer_id,
                          n_agents if n_agents is not None else 0, steps, reward_sum)
 
@@ -173,7 +174,7 @@ def parse(text: str) -> EpisodeRecord:
     for idx, st in enumerate(steps):
         if st.t != idx:
             raise ReplayError(f"non-contiguous steps: expected t={idx}, got t={st.t}")
-    total = sum(st.reward for st in steps)
+    total = left_sum(st.reward for st in steps)
     if abs(total - declared) > 1e-6 * max(1.0, abs(declared)):
         raise ReplayError(f"header reward_sum {declared} inconsistent with "
                           f"step sum {total}")

@@ -191,30 +191,25 @@ def integers_rows(seed: int, head_tags: tuple, tail_tags, high, size: int) -> np
     size=size), bitwise, as an (R, size) int64 array; every row of tail_tags
     has the same length. `high` may also be a sequence of `size` bounds:
     column j of row r then equals the j-th of the consecutive calls
-    integers(0, high[0]), integers(0, high[1]), ... on that stream."""
+    integers(0, high[0]), integers(0, high[1]), ... on that stream. Every
+    bound lies in [2, 2**32)."""
     size = int(size)
     if size < 0:
         raise ValueError(f"size must be >= 0, got {size}")
     per_column = np.ndim(high) > 0
     bounds = [int(h) for h in high] if per_column else [int(high)]
     for bound in bounds:
-        if not 1 <= bound < 1 << 32:
-            raise ValueError(f"high must lie in [1, 2**32), got {bound}")
+        if not 2 <= bound < 1 << 32:
+            raise ValueError(f"high must lie in [2, 2**32), got {bound}")
     if not per_column:
         bounds *= size
     elif len(bounds) != size:
         raise ValueError(f"high needs {size} per-column bounds, got {len(bounds)}")
-    # a bound of 1 yields 0 and draws nothing, so the drawing columns read
-    # consecutive 32-bit halves, the low half of each output first
-    drawing = [bound for bound in bounds if bound > 1]
-    out = _pcg_outputs(seed, head_tags, tail_tags, (len(drawing) + 1) // 2)
-    high_col = np.array(drawing, dtype=np.uint64)
-    scaled = out.view("<u4")[:, :len(drawing)] * high_col
-    if len(drawing) == size:
-        result = (scaled >> 32).astype(np.int64)
-    else:
-        result = np.zeros((len(tail_tags), size), dtype=np.int64)
-        result[:, np.array(bounds) > 1] = scaled >> 32
+    # column j reads the j-th 32-bit half, the low half of each output first
+    out = _pcg_outputs(seed, head_tags, tail_tags, (size + 1) // 2)
+    high_col = np.array(bounds, dtype=np.uint64)
+    scaled = out.view("<u4")[:, :size] * high_col
+    result = (scaled >> 32).astype(np.int64)
     # numpy redraws when the low word falls below 2**32 mod high
     rejected = ((scaled & _M32) < (1 << 32) % high_col).any(axis=1)
     for r in np.flatnonzero(rejected):

@@ -59,9 +59,18 @@ def target_rewards(start, target) -> np.ndarray:
     return run_lockstep(start, lambda batch, obs: target.act_batch(obs))[0]
 
 
+def left_sum(values) -> float:
+    """The floats of `values` added left to right from 0.0, as sum() adds them
+    through Python 3.11; 3.12's sum() compensates and can round differently."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
 def reward_sums(rewards: np.ndarray, gamma: float = 1.0) -> np.ndarray:
     """sum_t gamma**t * rewards[:, t] per row, added one column at a time from
-    t = 0: the order of Python's sum over a Trace, so each row equals
+    t = 0: the order of left_sum over a Trace, so each row equals
     Trace.discounted_return(gamma) (and episode_reward at gamma = 1) bitwise.
     np.sum along time would add pairwise and round differently."""
     total = np.zeros(len(rewards))
@@ -89,10 +98,10 @@ class Trace:
 
     @property
     def episode_reward(self) -> float:
-        return float(sum(s.reward for s in self.steps))
+        return float(left_sum(s.reward for s in self.steps))
 
     def discounted_return(self, gamma: float) -> float:
-        return float(sum((gamma ** s.t) * s.reward for s in self.steps))
+        return float(left_sum((gamma ** s.t) * s.reward for s in self.steps))
 
 
 def run_episode(env, seed: int, act_fn) -> Trace:

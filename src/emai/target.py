@@ -316,10 +316,15 @@ def scripted_policy(env) -> TargetPolicy:
 
 
 def scripted_by_name(env, variant: str = "default") -> TargetPolicy:
+    """The scripted target `variant` of env: "default" or "weakened" (a
+    keycorridor-only variant); anything else raises ValueError."""
     if variant == "weakened":
         if not isinstance(env, KeyCorridor):
             raise envs.EnvError("weakened scripted variant exists only for keycorridor")
         return ScriptedKeyCorridor(weakened=True)
+    if variant != "default":
+        raise ValueError(f"unknown scripted variant {variant!r}; "
+                         "expected 'default' or 'weakened'")
     return scripted_policy(env)
 
 

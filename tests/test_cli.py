@@ -321,6 +321,14 @@ def test_committed_masking_checkpoint_loads_and_checks_its_target(tmp_path):
     assert _eval_bench_checkpoint(tmp_path, _bench_doc(), "weakened") == 5
 
 
+def test_masking_checkpoint_with_empty_target_checksum_exit_5(tmp_path, capsys):
+    # an empty checksum matches no target: the target check is never skipped
+    doc = _bench_doc()
+    doc["target_checksum"] = ""
+    assert _eval_bench_checkpoint(tmp_path, doc) == 5
+    assert "different target" in capsys.readouterr().err
+
+
 def _first_value(net_doc: dict, value) -> None:
     net_doc["mlp"]["params"][0]["values"][0] = value
 
@@ -346,6 +354,8 @@ def _first_value(net_doc: dict, value) -> None:
                  id="param-name"),
     pytest.param(lambda d: _first_value(d["ctde"]["agent_net"], "0.5"), id="value-string"),
     pytest.param(lambda d: _first_value(d["ctde"]["agent_net"], True), id="value-bool"),
+    pytest.param(lambda d: _first_value(d["ctde"]["agent_net"], float("nan")), id="value-nan"),
+    pytest.param(lambda d: _first_value(d["ctde"]["agent_net"], float("inf")), id="value-inf"),
 ])
 def test_malformed_masking_checkpoint_exit_5(tmp_path, breakage):
     doc = _bench_doc()
@@ -363,6 +373,8 @@ def test_malformed_masking_checkpoint_exit_5(tmp_path, breakage):
     pytest.param(lambda d: d["agent_net"]["mlp"]["params"][1].update(name="w0"), id="param-name"),
     pytest.param(lambda d: _first_value(d["agent_net"], "0.5"), id="value-string"),
     pytest.param(lambda d: _first_value(d["agent_net"], False), id="value-bool"),
+    pytest.param(lambda d: _first_value(d["agent_net"], float("nan")), id="value-nan"),
+    pytest.param(lambda d: _first_value(d["agent_net"], float("-inf")), id="value-inf"),
 ])
 def test_malformed_learned_target_checkpoint_exit_5(tmp_path, breakage):
     env = make_env(FAST_EMAI["env"]["name"], **FAST_EMAI["env"]["params"])
@@ -440,6 +452,59 @@ def test_rejected_config_value_exit_2(tmp_path, capsys, command, overrides, mess
     err = capsys.readouterr().err
     assert "config error" in err and message in err
     assert not (tmp_path / "o").exists() or not any((tmp_path / "o").iterdir())
+
+
+@pytest.mark.parametrize("env_name,variant,message", [
+    ("spread", "weakened", "exists only for keycorridor"),
+    ("keycorridor", "wekened", "unknown scripted variant 'wekened'"),
+], ids=["weakened-off-keycorridor", "misspelt"])
+def test_bad_target_variant_exit_2(tmp_path, capsys, env_name, variant, message):
+    args = ["eval-fidelity", "--set", f"env.name={env_name}", "--set", f"target.variant={variant}",
+            "--set", "eval.episodes=2", "--out", str(tmp_path / "o")]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and message in err
+
+
+@pytest.mark.parametrize("config,overrides,code,message", [
+    pytest.param(FAST_EMAI, ["target.kind=bogus"], 2, "unknown target.kind 'bogus'",
+                 id="target-kind-unknown"),
+    pytest.param(FAST_EMAI, ["target.kind=learned"], 2, "requires target.checkpoint",
+                 id="learned-without-checkpoint"),
+    pytest.param(FAST_EMAI, ["explainer.kind=emai"], 2, "requires explainer.checkpoint",
+                 id="emai-without-checkpoint"),
+    pytest.param(FAST_EMAI, ["explainer.kind=bogus"], 2, "unknown explainer kind 'bogus'",
+                 id="explainer-kind-unknown"),
+    pytest.param("{not json", [], 2, "is not valid JSON", id="config-not-json"),
+    pytest.param("[1, 2]", [], 2, "root must be a JSON object", id="config-root-not-object"),
+    pytest.param(FAST_EMAI, ["seed"], 2, "must look like section.key=value",
+                 id="set-without-equals"),
+    pytest.param(FAST_EMAI, ["seed.x=1"], 2, "crosses a non-object", id="set-through-non-object"),
+    pytest.param(FAST_EMAI, ["target.kind=learned", "target.checkpoint={tmp}/learned.json",
+                             'env.params={"n_agents":2,"grid":5,"horizon":6}'],
+                 5, "does not fit env", id="learned-checkpoint-misfit"),
+    pytest.param({**FAST_EMAI, "out_dir": "{tmp}/from-config", "target": {"checkpoint": None}},
+                 [], 0, "eval-fidelity: wrote", id="null-value-and-config-out-dir"),
+])
+def test_cli_exit_paths(tmp_path, capsys, config, overrides, code, message):
+    # "{tmp}" in the config or an override stands for tmp_path, which holds a
+    # learned checkpoint of FAST_EMAI's 3-agent env
+    env = make_env(FAST_EMAI["env"]["name"], **FAST_EMAI["env"]["params"])
+    net = AgentQNet(env.spec.obs_dim, env.spec.n_agents, env.spec.n_actions,
+                    hidden=(4, 4), rng=None)
+    save_checkpoint(LearnedPolicy(net), env, tmp_path / "learned.json")
+    text = config if isinstance(config, str) else json.dumps(config)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text.replace("{tmp}", str(tmp_path)), encoding="utf-8")
+    args = ["eval-fidelity", "--config", str(cfg), "--set", "eval.episodes=2"]
+    for override in overrides:
+        args += ["--set", override.replace("{tmp}", str(tmp_path))]
+    if "out_dir" not in text:
+        args += ["--out", str(tmp_path / "o")]
+    assert main(args) == code
+    assert message in capsys.readouterr().err
+    if code == 0:
+        assert (tmp_path / "from-config" / "manifest.json").exists()
 
 
 def test_env_too_small_for_its_entities_exit_2(tmp_path, capsys):

@@ -322,7 +322,7 @@ def test_train_emai_black_box_compliance():
                             "lambda": 0.0, "batch_episodes": 4, "buffer_episodes": 50,
                             "hidden": (16, 16), "epsilon_anneal_steps": 300},
                            seed=2)
-    assert policy.n_agents == 3
+    assert policy.qnet.n_agents == 3
     assert policy.target_checksum == "query-only"
 
 

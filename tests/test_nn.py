@@ -141,7 +141,7 @@ def test_optimizer_converges_on_quadratic():
     p = Tensor(np.array([0.0]), requires_grad=True)
     opt = Adam([p], lr=0.01)
     for _ in range(500):
-        opt.zero_grad()
+        p.zero_grad()
         diff = p - 1.7
         (diff * diff).sum().backward()
         opt.step()
@@ -155,13 +155,23 @@ def test_optimizer_deterministic_trajectories():
         opt = Adam(mlp.params(), lr=1e-3)
         x = stream(10, "opt-data").standard_normal((4, 3))
         for _ in range(20):
-            opt.zero_grad()
+            for p in mlp.params():
+                p.zero_grad()
             out = mlp.forward(Tensor(x))
             (out * out).mean().backward()
             opt.step()
         return np.concatenate([p.data.reshape(-1) for p in mlp.params()])
 
     assert np.array_equal(run(), run())
+
+
+def test_optimizer_step_needs_every_gradient():
+    # no parameter is skipped: a missing .grad is an error, not a no-op
+    p, q = (Tensor(np.array([1.0]), requires_grad=True) for _ in range(2))
+    opt = Adam([p, q], lr=0.1)
+    p.grad = np.array([0.5])
+    with pytest.raises(TypeError):
+        opt.step()
 
 
 def test_optimizer_rejects_nan_gradient():

@@ -35,6 +35,16 @@ def test_empty_episode_record():
     assert parse(serialize(rec)) == rec
 
 
+def test_reward_sum_adds_rewards_left_to_right():
+    # 1e16 + 1.0 rounds back to 1e16; a compensated sum (Python 3.12's sum())
+    # would give 1.0, and the header would then disagree across versions
+    steps = [Step(t, np.zeros(2), np.zeros((2, 2)), [0, 0], None, [0, 0], reward)
+             for t, reward in enumerate([1e16, 1.0, -1e16])]
+    rec = record(steps, "diagnostic", {}, 0)
+    assert rec.reward_sum == 0.0
+    assert parse(serialize(rec)) == rec
+
+
 def test_roundtrip_equality():
     rec = _make_record()
     assert parse(serialize(rec)) == rec

@@ -24,7 +24,7 @@ def _row_by_row(seed, head, tails, high, size) -> np.ndarray:
 @settings(max_examples=300, deadline=None)
 @given(data=st.data(), seed=SEEDS, head=st.lists(TAGS, max_size=5),
        width=st.integers(0, 3), rows=st.integers(1, 64),
-       high=st.one_of(st.integers(1, 8), st.integers(1, 2**32 - 1)), size=st.integers(0, 40))
+       high=st.one_of(st.integers(2, 8), st.integers(2, 2**32 - 1)), size=st.integers(0, 40))
 def test_integers_rows_equals_row_by_row_streams(data, seed, head, width, rows, high, size):
     tails = data.draw(st.lists(st.tuples(*[TAGS] * width), min_size=rows, max_size=rows))
     got = integers_rows(seed, tuple(head), tails, high, size)
@@ -58,7 +58,6 @@ def test_integers_rows_oracle_shape_and_edges():
     assert np.array_equal(integers_rows(4, head, tails, 5, 6), _row_by_row(4, head, tails, 5, 6))
     assert integers_rows(4, head, tails, 5, 0).shape == (192, 0)
     assert integers_rows(4, head, [], 5, 3).shape == (0, 3)
-    assert not integers_rows(4, head, tails[:3], 1, 7).any()
     # the batched oracle's tails (episode seed, t, agent, rollout): 63-bit
     # episode seeds, whose low 32 bits are the tag, in an integer column
     seeds = [rng.episode_seed(3, "fidelity", e) for e in range(4)] + [-1, 2**31 + 5]
@@ -67,7 +66,7 @@ def test_integers_rows_oracle_shape_and_edges():
                           _row_by_row(4, ("mc-oracle",), tails, 5, 6))
 
 
-@pytest.mark.parametrize("high", [0, -1, 2**32, 2**40])
+@pytest.mark.parametrize("high", [1, 0, -1, 2**32, 2**40])
 def test_integers_rows_rejects_high_outside_32_bits(high):
     with pytest.raises(ValueError, match="high"):
         integers_rows(0, ("a",), [(1,)], high, 3)
@@ -93,10 +92,9 @@ def _per_column_by_row(seed, head, tails, bounds) -> np.ndarray:
 @settings(max_examples=60, deadline=None)
 @given(data=st.data(), seed=SEEDS, head=st.lists(TAGS, max_size=3), width=st.integers(0, 2),
        rows=st.integers(1, 24),
-       bounds=st.lists(st.one_of(st.integers(1, 8), st.integers(1, 2**32 - 1)), max_size=24))
+       bounds=st.lists(st.one_of(st.integers(2, 8), st.integers(2, 2**32 - 1)), max_size=24))
 def test_integers_rows_per_column_bounds_equal_consecutive_scalar_draws(data, seed, head, width,
                                                                        rows, bounds):
-    # a bound of 1 draws nothing, so later columns shift by one 32-bit half
     tails = data.draw(st.lists(st.tuples(*[TAGS] * width), min_size=rows, max_size=rows))
     got = integers_rows(seed, tuple(head), tails, bounds, len(bounds))
     assert got.dtype == np.int64 and got.shape == (rows, len(bounds))
@@ -107,7 +105,7 @@ def test_integers_rows_per_column_falls_back_to_stream_on_rejected_rows(monkeypa
     # a bound of 2**31 + 1 rejects about half of all draws; row r replays the
     # scalar call sequence, so the columns after the redraw stay aligned too
     tails = [(i,) for i in range(40)]
-    bounds, seed, head = [5, 2**31 + 1, 3, 1, 7], 2**40 + 7, ("fid-mask-r",)
+    bounds, seed, head = [5, 2**31 + 1, 3, 2, 7], 2**40 + 7, ("fid-mask-r",)
     calls = []
 
     def counted(*key):
@@ -126,6 +124,8 @@ def test_integers_rows_rejects_bad_per_column_bounds():
         integers_rows(0, ("a",), [(1,)], [5, 3], 3)
     with pytest.raises(ValueError, match="high"):
         integers_rows(0, ("a",), [(1,)], [5, 0], 2)
+    with pytest.raises(ValueError, match="high"):
+        integers_rows(0, ("a",), [(1,)], [5, 1], 2)
     with pytest.raises(ValueError, match="high"):
         integers_rows(0, ("a",), [(1,)], [2**32], 1)
 

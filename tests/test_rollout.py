@@ -102,8 +102,17 @@ def test_reward_sums_add_left_to_right():
     # 1 + 1e-16 + 1e-16 + ... rounds back to 1 at every step when added in
     # order, unlike a pairwise sum
     rewards = np.array([[1.0] + [1e-16] * 15, [1e-16] * 15 + [1.0]])
-    assert rollout.reward_sums(rewards).tolist() == [sum(row) for row in rewards.tolist()]
+    assert rollout.reward_sums(rewards).tolist() == [rollout.left_sum(row)
+                                                     for row in rewards.tolist()]
     assert rollout.reward_sums(rewards)[0] == 1.0
+
+
+def test_left_sum_adds_in_order_from_zero():
+    # 1e16 + 1.0 rounds back to 1e16; a compensated sum (Python 3.12's sum())
+    # would keep the 1.0
+    assert rollout.left_sum([1e16, 1.0, -1e16]) == 0.0
+    assert rollout.left_sum([]) == 0.0 and type(rollout.left_sum([])) is float
+    assert rollout.left_sum([-0.0]) == 0.0 and not np.signbit(rollout.left_sum([-0.0]))
 
 
 def test_batch_actions_queries_act_batch_once_per_step():
