@@ -23,9 +23,10 @@ inference call's results are new arrays that no later call writes.
 from __future__ import annotations
 
 import copy
+import functools
 from collections import deque
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -34,12 +35,20 @@ from .nn import FRESH, Mlp, Scratch, Tensor
 from .rng import episode_seed, stream
 
 
+@functools.cache
+def _identity(n: int) -> np.ndarray:
+    """np.eye(n), built once per n and read-only."""
+    eye = np.eye(n)
+    eye.flags.writeable = False
+    return eye
+
+
 def agent_inputs(observations: np.ndarray, agent_ids, n_agents: int) -> np.ndarray:
     """The agent-net input rows (B, k, obs_dim + n_agents) of (B, k, obs_dim)
     observations: row (b, j) is observations[b, j] followed by the one-hot of
     agent id agent_ids[j], or of agent_ids[b, j] for a (B, k) id array."""
     *rows, obs_dim = observations.shape
-    one_hot = np.eye(n_agents)[agent_ids]
+    one_hot = _identity(n_agents)[agent_ids]
     if len(rows) != 2 or one_hot.shape[-2] != rows[1]:
         raise nn.ShapeError(f"observations {observations.shape} vs agent ids {np.shape(agent_ids)}")
     x = np.empty((*rows, obs_dim + n_agents))
@@ -48,12 +57,21 @@ def agent_inputs(observations: np.ndarray, agent_ids, n_agents: int) -> np.ndarr
     return x
 
 
-def epsilon_greedy(q_vector: np.ndarray, epsilon: float, rng: np.random.Generator) -> int:
+def epsilon_greedy(q_fn: Callable[[], np.ndarray], n_agents: int, n_actions: int,
+                   epsilon: float, rng: np.random.Generator) -> list[int]:
+    """The joint epsilon-greedy action. Agent by agent, rng draws a coin,
+    random() < epsilon, and an exploring agent then draws
+    integers(0, n_actions). Only if some agent exploits is q_fn() called,
+    once, for the (n_agents, n_actions) Q values; an exploiting agent takes
+    its argmax, the lowest index winning ties."""
     if not (0.0 <= epsilon <= 1.0):
         raise ValueError("epsilon must lie in [0, 1]")
-    if rng.random() < epsilon:
-        return int(rng.integers(0, len(q_vector)))
-    return int(np.argmax(q_vector))  # lowest index wins ties
+    actions = [int(rng.integers(0, n_actions)) if rng.random() < epsilon else None
+               for _ in range(n_agents)]
+    if None in actions:
+        greedy = np.argmax(q_fn(), axis=1)
+        actions = [int(greedy[i]) if a is None else a for i, a in enumerate(actions)]
+    return actions
 
 
 def linear_epsilon(step: int, start: float, end: float, anneal_steps: int) -> float:
@@ -528,8 +546,8 @@ class QLearner:
         The batch and every batch-sized intermediate of the TD loss live in
         self.buffers; extra_loss_fn's arguments are views into them, valid
         during its call, and it allocates its own arrays on every step. Each
-        parameter's .grad is set to a new array.
-        """
+        parameter's .grad is set to a new array; the optimizer step copies
+        them into its flat gradient and checks that finite."""
         batch = self.buffer.sample(self.batch_episodes, self.sample_rng)
         flat = _flatten_batch(batch, self.buffers)
         q_tot, cache = qtot_forward(self.net, self.mixer, flat, self.buffers)
@@ -545,8 +563,6 @@ class QLearner:
         if not np.isfinite(loss):
             raise nn.NumericsError("training loss became non-finite; aborting")
         grads = qtot_backward(self.net, self.mixer, cache, d_qtot)
-        for i, g in enumerate(grads):
-            nn._check_finite(g, f"gradient of parameter {i}")
         for p, g in zip(self.optimizer.params, grads, strict=True):
             p.grad = g
         self.optimizer.step()
@@ -558,7 +574,9 @@ class QLearner:
         taking one TD step after each episode once the buffer holds a batch.
 
         Episode k resets with episode_seed(seed, f"{tag}-episode", k) and
-        exploration draws from stream(seed, f"{tag}-explore").
+        exploration draws from stream(seed, f"{tag}-explore"): each step
+        draws every agent's coin first (epsilon_greedy), and the net is
+        queried, once, only on a step where some agent exploits.
         compose(obs, learner_actions) maps the learner's joint action to the
         one the environment executes (identity when None); the buffer keeps
         the learner's actions. Every 50 episodes a curve row is appended:
@@ -582,8 +600,8 @@ class QLearner:
             done = False
             while not done and env_step < config["steps"]:
                 eps = linear_epsilon(env_step, *eps_cfg)
-                q = self.net.q_all_agents(obs)
-                actions = [epsilon_greedy(q[i], eps, explore_rng) for i in range(spec.n_agents)]
+                actions = epsilon_greedy(functools.partial(self.net.q_all_agents, obs),
+                                         spec.n_agents, self.net.n_actions, eps, explore_rng)
                 result = env.step(actions if compose is None else compose(obs, actions))
                 obs, state, done = result.observations, result.next_state, result.done
                 obs_seq.append(obs)

@@ -15,6 +15,7 @@ episode seeds from the root seed so reports replay bitwise.
 from __future__ import annotations
 
 import json
+import math
 import warnings
 from dataclasses import asdict, dataclass
 
@@ -224,8 +225,8 @@ class AttackReport:
 def launch_attack(explainer: Explainer, target, env, noise_eps: float = 0.5,
                   episodes: int = 500, seed: int = 0, attack_all: bool = False) -> AttackReport:
     """Uniform observation noise on the most critical agent, matched seeds."""
-    if noise_eps < 0:
-        raise ValueError("noise_eps must be >= 0")
+    if not (noise_eps >= 0 and math.isfinite(2 * noise_eps)):
+        raise ValueError(f"noise_eps must be >= 0 and 2 * noise_eps finite, got {noise_eps}")
     if episodes < 1:
         raise ValueError("episodes must be >= 1")
     _check_compat(target, env)

@@ -10,11 +10,12 @@ feedforward MLPs and an adaptive-moment optimizer. NaN/Inf is a hard error
 - fused MLP (`Mlp.fused_forward`, used for training and Q inference): the
   input and every layer's pre-activation, before the activation overwrites
   it in place, so an overflow that a later ReLU would zero still raises;
-- `Adam.step`: every gradient and every updated parameter.
+- `Adam.step`: the flat gradient before any update, and the flat updated
+  parameters; either raise names the first offending parameter's index.
 
 The fused training step (`ctde.QLearner.td_train_step`) also checks the
-mixer's ELU input and output, the loss, and every parameter gradient before
-the optimizer step.
+mixer's ELU input and output and the loss; its parameter gradients are
+checked by the optimizer step.
 """
 from __future__ import annotations
 
@@ -516,7 +517,7 @@ class Mlp:
                 "params": params}
 
     def load_doc(self, doc: dict) -> None:
-        """Overwrite the parameters from a to_doc() document of this
+        """Overwrite the parameters in place from a to_doc() document of this
         architecture. Anything else raises ValueError: other keys, sizes
         that are not ints, or a param entry with another key set, name or
         shape, or whose values are not a list of finite JSON numbers."""
@@ -540,7 +541,7 @@ class Mlp:
             a = np.array(values, dtype=np.float64).reshape(p.data.shape)
             if not np.isfinite(a).all():
                 raise ValueError(f"param {name} values must be finite")
-            p.data = a
+            np.copyto(p.data, a)  # in place: an optimizer's view stays bound
 
 
 # ---- strict JSON documents: exact key sets, and a bool is no number ----
@@ -572,9 +573,16 @@ def int_fields(doc: dict, names: Sequence[str], what: str) -> list[int]:
 # ---- optimizer ----
 
 class Adam:
-    """Adaptive-moment gradient descent. Every step reads every param's
-    .grad, which the caller sets; the moments and the parameters are updated
-    in place.
+    """Adaptive-moment gradient descent on one flat vector.
+
+    The parameter values, both moments and a gradient buffer are flat
+    float64 arrays, and from construction on each param's .data is a view
+    into the flat parameter vector (its values copied in), so a step is one
+    pass of elementwise ops over every parameter. Each step copies every
+    param's .grad, which the caller sets, into the gradient buffer; a missing
+    one raises TypeError. Write new values into a param's .data in place: a
+    param whose .data was rebound raises ValueError at the next step. A deep
+    copy points the copied params at the copy's own flat vector.
     """
 
     def __init__(self, params: Sequence[Tensor], lr: float,
@@ -588,27 +596,64 @@ class Adam:
         self.betas = (float(betas[0]), float(betas[1]))
         self.eps = float(eps)
         self.t = 0
-        self._m = [np.zeros_like(p.data) for p in self.params]
-        self._v = [np.zeros_like(p.data) for p in self.params]
-        self._tmp = [(np.empty_like(p.data), np.empty_like(p.data)) for p in self.params]
+        self._bounds = np.cumsum([0] + [p.data.size for p in self.params])
+        size = int(self._bounds[-1])
+        self._flat, self._grad = np.empty(size), np.empty(size)
+        self._m, self._v = np.zeros(size), np.zeros(size)
+        self._tmp = (np.empty(size), np.empty(size))
+        self._bind()
+
+    def _bind(self) -> None:
+        """Copy each param's values into its segment of the flat vector and
+        make its .data that segment."""
+        for p, view in zip(self.params, self._segments(self._flat)):
+            np.copyto(view, p.data)
+            p.data = view
+        self._grad_views = self._segments(self._grad)
+
+    def _segments(self, flat: np.ndarray) -> list[np.ndarray]:
+        return [flat[lo:hi].reshape(p.data.shape)
+                for p, lo, hi in zip(self.params, self._bounds[:-1], self._bounds[1:])]
+
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        del state["_grad_views"]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._bind()
+
+    def _check(self, flat: np.ndarray, what: str) -> None:
+        """NumericsError naming the first parameter whose segment of `flat`
+        is not finite."""
+        try:
+            _check_finite(flat, what)
+        except NumericsError:
+            first = np.flatnonzero(~np.isfinite(flat))[0]
+            i = int(np.searchsorted(self._bounds, first, side="right")) - 1
+            raise NumericsError(f"non-finite values in {what} {i}") from None
 
     def step(self) -> None:
+        for i, (p, g) in enumerate(zip(self.params, self._grad_views)):
+            if p.data.base is not self._flat:
+                raise ValueError(f"parameter {i} was rebound after the optimizer was built; "
+                                 "write its new values into .data in place")
+            np.copyto(g, p.grad)
+        g, m, v, (a, b) = self._grad, self._m, self._v, self._tmp
+        self._check(g, "gradient of parameter")
         b1, b2 = self.betas
         self.t += 1
         c1, c2 = 1 - b1 ** self.t, 1 - b2 ** self.t
-        for p, m, v, (a, b) in zip(self.params, self._m, self._v, self._tmp):
-            g = p.grad
-            if not np.all(np.isfinite(g)):
-                raise NumericsError("non-finite gradient in optimizer step")
-            # m = b1 * m + (1 - b1) * g;  v = b2 * v + (1 - b2) * g * g
-            np.add(np.multiply(m, b1, out=m), np.multiply(g, 1 - b1, out=a), out=m)
-            np.multiply(np.multiply(g, 1 - b2, out=a), g, out=a)
-            np.add(np.multiply(v, b2, out=v), a, out=v)
-            # p = p - lr * (m / c1) / (sqrt(v / c2) + eps)
-            np.multiply(np.divide(m, c1, out=a), self.lr, out=a)
-            np.add(np.sqrt(np.divide(v, c2, out=b), out=b), self.eps, out=b)
-            np.subtract(p.data, np.divide(a, b, out=a), out=p.data)
-            _check_finite(p.data, "updated parameter")
+        # m = b1 * m + (1 - b1) * g;  v = b2 * v + (1 - b2) * g * g
+        np.add(np.multiply(m, b1, out=m), np.multiply(g, 1 - b1, out=a), out=m)
+        np.multiply(np.multiply(g, 1 - b2, out=a), g, out=a)
+        np.add(np.multiply(v, b2, out=v), a, out=v)
+        # p = p - lr * (m / c1) / (sqrt(v / c2) + eps)
+        np.multiply(np.divide(m, c1, out=a), self.lr, out=a)
+        np.add(np.sqrt(np.divide(v, c2, out=b), out=b), self.eps, out=b)
+        np.subtract(self._flat, np.divide(a, b, out=a), out=self._flat)
+        self._check(self._flat, "updated parameter")
 
 
 # ---- gradient verification ----

@@ -412,6 +412,10 @@ def test_ill_typed_config_value_exit_2(tmp_path, override):
 @pytest.mark.parametrize("command,overrides,message", [
     ("attack", ["env.name=keycorridor", "env.params={}", "eval.noise_eps=-0.1"],
      "noise_eps must be >= 0"),
+    ("attack", ["env.name=keycorridor", "env.params={}", "eval.noise_eps=1e308"],
+     "noise_eps must be >= 0 and 2 * noise_eps finite, got 1e+308"),
+    ("attack", ["env.name=keycorridor", "env.params={}", "eval.noise_eps=NaN"],
+     "noise_eps must be >= 0 and 2 * noise_eps finite, got nan"),
     ("eval-fidelity", ["eval.episodes=0"], "episodes must be >= 1"),
     ("patch", ["eval.quantile=1.5"], "quantile must lie in (0, 1]"),
     ("patch", ["eval.harvest_episodes=3"], "harvest_episodes must be >= 10"),
@@ -435,7 +439,8 @@ def test_ill_typed_config_value_exit_2(tmp_path, override):
     ("train-target", ["training.steps=50", "training.epsilon_end=-0.2"],
      "epsilon_end must lie in [0, 1]"),
     ("patch", ["eval.d_th=-1"], "d_th must be >= 0"),
-], ids=["attack-noise_eps", "eval-fidelity-episodes", "patch-quantile",
+], ids=["attack-noise_eps", "attack-noise_eps-overflow", "attack-noise_eps-nan",
+        "eval-fidelity-episodes", "patch-quantile",
         "patch-harvest_episodes", "train-target-lr", "train-emai-beta",
         "train-target-batch_episodes", "train-target-stale_interval",
         "train-target-mix_embed", "train-target-hidden", "train-target-buffer_episodes",

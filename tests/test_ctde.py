@@ -128,22 +128,63 @@ def test_igm_greedy_equals_joint_argmax(n):
         assert greedy == best, f"n={n} draw={draw}"
 
 
+def eager_epsilon_greedy(q_fn, n_agents: int, n_actions: int, epsilon: float, rng) -> list[int]:
+    """The reference joint epsilon-greedy action: the Q values first, then
+    agent by agent a random() < epsilon coin, and integers(0, n_actions) for
+    an exploring agent or the argmax (lowest index on ties) for an
+    exploiting one."""
+    if not (0.0 <= epsilon <= 1.0):
+        raise ValueError("epsilon must lie in [0, 1]")
+    q = q_fn()
+    actions = []
+    for i in range(n_agents):
+        if rng.random() < epsilon:
+            actions.append(int(rng.integers(0, n_actions)))
+        else:
+            actions.append(int(np.argmax(q[i])))
+    return actions
+
+
+def _unqueried():
+    raise AssertionError("Q was queried although every agent explores")
+
+
 def test_epsilon_greedy_pure_greedy_and_tiebreak():
     rng = stream(9, "eps")
-    assert epsilon_greedy(np.array([0.1, 0.9]), 0.0, rng) == 1
-    assert epsilon_greedy(np.array([0.5, 0.5]), 0.0, rng) == 0  # lowest index wins
+    q = np.array([[0.1, 0.9], [0.5, 0.5]])
+    assert epsilon_greedy(lambda: q, 2, 2, 0.0, rng) == [1, 0]  # lowest index wins ties
 
 
 def test_epsilon_greedy_uniform_at_one():
     rng = stream(10, "eps-uniform")
-    draws = np.array([epsilon_greedy(np.arange(5.0), 1.0, rng) for _ in range(10_000)])
+    draws = np.array([epsilon_greedy(_unqueried, 1, 5, 1.0, rng)[0] for _ in range(10_000)])
     _, p = stats.chisquare(np.bincount(draws, minlength=5))
     assert p > 0.01
 
 
 def test_epsilon_validation():
-    with pytest.raises(ValueError):
-        epsilon_greedy(np.zeros(2), 1.5, stream(0, "x"))
+    for epsilon in (1.5, -0.1, float("nan")):
+        with pytest.raises(ValueError):
+            epsilon_greedy(lambda: np.zeros((1, 2)), 1, 2, epsilon, stream(0, "x"))
+
+
+@pytest.mark.parametrize("epsilon", [0.0, 0.3, 0.5, 0.9, 1.0])
+def test_epsilon_greedy_equals_eager_reference(epsilon):
+    # same actions and same stream state; Q is queried once, and only when
+    # some agent exploits
+    values = stream(11, "eps-q").integers(0, 3, size=(500, 3, 4)).astype(np.float64)  # ties
+    lazy_rng, eager_rng, coin_rng = (stream(12, "eps-eq") for _ in range(3))
+    for q in values:
+        queries = []
+        lazy = epsilon_greedy(lambda q=q: queries.append(1) or q, 3, 4, epsilon, lazy_rng)
+        assert lazy == eager_epsilon_greedy(lambda q=q: q, 3, 4, epsilon, eager_rng)
+        explores = []
+        for _ in range(3):  # the coins, drawn as both draw them
+            explores.append(coin_rng.random() < epsilon)
+            if explores[-1]:
+                coin_rng.integers(0, 4)
+        assert len(queries) == (0 if all(explores) else 1)
+    assert lazy_rng.bit_generator.state == eager_rng.bit_generator.state
 
 
 def test_linear_epsilon_schedule():
@@ -237,8 +278,7 @@ def test_bandit_training_converges_to_joint_argmax():
     for step in range(2000):
         _, obs = env.reset(step)
         eps = linear_epsilon(step, 1.0, 0.1, 1000)
-        q = learner.net.q_all_agents(obs)
-        actions = [epsilon_greedy(q[i], eps, explore) for i in range(2)]
+        actions = epsilon_greedy(lambda: learner.net.q_all_agents(obs), 2, 3, eps, explore)
         result = env.step(actions)
         learner.buffer.add(Episode(np.stack([obs, result.observations]),
                                    np.stack([np.zeros(2), result.next_state]),
@@ -249,6 +289,48 @@ def test_bandit_training_converges_to_joint_argmax():
     q = learner.net.q_all_agents(np.zeros((2, 2)))
     greedy = (int(np.argmax(q[0])), int(np.argmax(q[1])))
     assert greedy == (1, 2)  # argmaxes of the additive payoff vectors
+
+
+def _collect(monkeypatch, epsilon: float, greedy) -> tuple:
+    """Run QLearner.learn with `greedy` as its epsilon_greedy at a constant
+    epsilon: (curves, buffered episodes, parameters, the states of every
+    stream the learner drew from, q_all_agents calls)."""
+    streams, calls = [], []
+    monkeypatch.setattr(ctde, "epsilon_greedy", greedy)
+    monkeypatch.setattr(ctde, "stream", lambda *a: streams.append(stream(*a)) or streams[-1])
+    query = AgentQNet.q_all_agents
+    monkeypatch.setattr(AgentQNet, "q_all_agents",
+                        lambda self, obs: calls.append(1) or query(self, obs))
+    env = make_env("keycorridor", horizon=10)
+    config = {**DEFAULT_CONFIG["training"], "hidden": [8, 8], "mix_embed": 4, "steps": 1200,
+              "batch_episodes": 4, "buffer_episodes": 20, "stale_interval": 100,
+              "epsilon_start": epsilon, "epsilon_end": epsilon}
+    learner = ctde.QLearner(env.spec, env.spec.n_actions, 3, config)
+    curves = learner.learn(env, "lazy", {"reward": "episode_reward", "loss": "loss_total",
+                                         "mask_rate": "mask_rate"})
+    monkeypatch.undo()
+    params = [p.data.copy() for p in learner.optimizer.params]
+    return (curves, list(learner.buffer._dq), params,
+            [g.bit_generator.state for g in streams], len(calls))
+
+
+@pytest.mark.parametrize("epsilon", [0.0, 0.5, 1.0])
+def test_lazy_collection_equals_eager_reference(monkeypatch, epsilon):
+    curves, episodes, params, states, calls = _collect(monkeypatch, epsilon, epsilon_greedy)
+    ref_curves, ref_episodes, ref_params, ref_states, ref_calls = _collect(
+        monkeypatch, epsilon, eager_epsilon_greedy)
+    assert len(curves) >= 2 and len(episodes) == 20
+    assert json.dumps(curves) == json.dumps(ref_curves)
+    for ep, ref in zip(episodes, ref_episodes, strict=True):
+        for field in ("obs", "states", "actions", "rewards"):
+            assert np.array_equal(getattr(ep, field), getattr(ref, field)), field
+    assert all(np.array_equal(p, r) for p, r in zip(params, ref_params, strict=True))
+    assert len(states) == 3 and states == ref_states  # init, replay and explore streams
+    assert ref_calls == 1200
+    if epsilon in (0.0, 1.0):  # a query on every step, or on none
+        assert calls == (1200 if epsilon == 0.0 else 0)
+    else:
+        assert 0 < calls < 1200
 
 
 def test_stale_refresh_cadence():

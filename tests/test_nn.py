@@ -1,6 +1,8 @@
 """Autodiff engine, MLP, optimizer and gradient-check tests."""
 from __future__ import annotations
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -179,6 +181,110 @@ def test_optimizer_rejects_nan_gradient():
     opt = Adam([p], lr=5e-4)
     p.grad = np.array([float("nan")])
     with pytest.raises(NumericsError):
+        opt.step()
+
+
+class PerParameterAdam:
+    """The reference optimizer: Adam's update, one parameter at a time, on
+    each parameter's own moment arrays."""
+
+    def __init__(self, params, lr: float, betas=(0.9, 0.999), eps: float = 1e-8):
+        self.params, self.lr, self.betas, self.eps, self.t = list(params), lr, betas, eps, 0
+        self._m = [np.zeros_like(p.data) for p in self.params]
+        self._v = [np.zeros_like(p.data) for p in self.params]
+        self._tmp = [(np.empty_like(p.data), np.empty_like(p.data)) for p in self.params]
+
+    def step(self) -> None:
+        b1, b2 = self.betas
+        self.t += 1
+        c1, c2 = 1 - b1 ** self.t, 1 - b2 ** self.t
+        for p, m, v, (a, b) in zip(self.params, self._m, self._v, self._tmp):
+            g = p.grad
+            np.add(np.multiply(m, b1, out=m), np.multiply(g, 1 - b1, out=a), out=m)
+            np.multiply(np.multiply(g, 1 - b2, out=a), g, out=a)
+            np.add(np.multiply(v, b2, out=v), a, out=v)
+            np.multiply(np.divide(m, c1, out=a), self.lr, out=a)
+            np.add(np.sqrt(np.divide(v, c2, out=b), out=b), self.eps, out=b)
+            np.subtract(p.data, np.divide(a, b, out=a), out=p.data)
+
+
+def _mlp(seed: int) -> Mlp:
+    return Mlp([5, 7, 6, 3], ["relu", "relu", "identity"], stream(seed, "adam-mlp"))
+
+
+def _step_both(rng, opt, ref, steps: int) -> None:
+    """`steps` steps of both optimizers on the same random gradients, which
+    span six orders of magnitude; their parameters must stay bitwise equal."""
+    for _ in range(steps):
+        for p, q in zip(opt.params, ref.params, strict=True):
+            p.grad = rng.standard_normal(p.data.shape) * 10.0 ** rng.uniform(-3, 3)
+            q.grad = p.grad.copy()
+        opt.step()
+        ref.step()
+        for i, (p, q) in enumerate(zip(opt.params, ref.params)):
+            assert np.array_equal(p.data, q.data), f"parameter {i} at step {opt.t}"
+
+
+def test_flat_adam_equals_per_parameter_reference():
+    rng = stream(1, "adam-grads")
+    mlp, ref_mlp = _mlp(1), _mlp(1)
+    opt, ref = Adam(mlp.params(), lr=1e-2), PerParameterAdam(ref_mlp.params(), lr=1e-2)
+    _step_both(rng, opt, ref, 50)
+    # load_doc writes into the optimizer's views, so training goes on
+    doc = _mlp(2).to_doc()
+    mlp.load_doc(doc)
+    ref_mlp.load_doc(doc)
+    assert np.array_equal(mlp.forward(np.ones(5)).numpy(), _mlp(2).forward(np.ones(5)).numpy())
+    _step_both(rng, opt, ref, 10)
+
+
+@pytest.mark.parametrize("net_first", [True, False], ids=["net-first", "optimizer-first"])
+def test_deep_copied_adam_trains_its_own_parameters(net_first):
+    rng = stream(3, "adam-copy")
+    mlp, ref_mlp = _mlp(3), _mlp(3)
+    opt, ref = Adam(mlp.params(), lr=1e-2), PerParameterAdam(ref_mlp.params(), lr=1e-2)
+    _step_both(rng, opt, ref, 5)
+    held = [p.data.copy() for p in mlp.params()]
+    ref_copy = copy.deepcopy(ref)
+    if net_first:
+        mlp_copy, opt_copy = copy.deepcopy((mlp, opt))
+    else:
+        opt_copy, mlp_copy = copy.deepcopy((opt, mlp))
+    assert all(p is q for p, q in zip(mlp_copy.params(), opt_copy.params, strict=True))
+    _step_both(rng, opt_copy, ref_copy, 20)
+    # the copy's steps moved the copied net (checked against the reference
+    # in _step_both), and not the original's
+    assert all(np.array_equal(p.data, h) for p, h in zip(mlp.params(), held))
+    _step_both(rng, opt, ref, 5)
+
+
+def test_optimizer_nan_gradient_names_its_parameter():
+    mlp = _mlp(4)
+    opt = Adam(mlp.params(), lr=1e-2)
+    for p in mlp.params():
+        p.grad = np.ones_like(p.data)
+    mlp.params()[3].grad[2] = np.nan
+    before = [p.data.copy() for p in mlp.params()]
+    with pytest.raises(NumericsError, match="gradient of parameter 3"):
+        opt.step()
+    assert all(np.array_equal(p.data, b) for p, b in zip(mlp.params(), before))
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_optimizer_overflowing_update_names_its_parameter():
+    p, q = Tensor(np.array([1.0]), requires_grad=True), Tensor(np.array([-1e308]), requires_grad=True)
+    opt = Adam([p, q], lr=1e308)
+    p.grad, q.grad = np.array([1.0]), np.array([1.0])  # q - 1e308 overflows to -inf
+    with pytest.raises(NumericsError, match="updated parameter 1"):
+        opt.step()
+
+
+def test_optimizer_rejects_a_rebound_parameter():
+    p, q = (Tensor(np.array([1.0]), requires_grad=True) for _ in range(2))
+    opt = Adam([p, q], lr=0.1)
+    q.data = q.data + 1.0  # the optimizer would no longer see q
+    p.grad, q.grad = np.array([0.5]), np.array([0.5])
+    with pytest.raises(ValueError, match="parameter 1 was rebound"):
         opt.step()
 
 
