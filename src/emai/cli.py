@@ -49,7 +49,7 @@ def _build_target(cfg: dict, env):
         except ValueError as exc:
             raise ConfigError(f"bad target section: {exc}") from exc
     if tcfg["kind"] == "learned":
-        if not tcfg.get("checkpoint"):
+        if not tcfg["checkpoint"]:
             raise ConfigError("target.kind=learned requires target.checkpoint")
         try:
             policy = target_mod.load_checkpoint(tcfg["checkpoint"])
@@ -67,7 +67,7 @@ def _build_explainer(cfg: dict, target):
     kind = ecfg["kind"]
     policy = None
     if kind == "emai":
-        if not ecfg.get("checkpoint"):
+        if not ecfg["checkpoint"]:
             raise ConfigError("explainer.kind=emai requires explainer.checkpoint")
         try:
             policy = MaskingPolicy.load(ecfg["checkpoint"])
@@ -78,9 +78,16 @@ def _build_explainer(cfg: dict, target):
                 "masking checkpoint was trained against a different target")
     try:
         return explain_mod.make_explainer(kind, target=target, masking_policy=policy,
-                                          seed=cfg["seed"], rollouts=ecfg.get("rollouts", 64))
+                                          seed=cfg["seed"], rollouts=ecfg["rollouts"])
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+
+
+def _build_run(cfg: dict) -> tuple:
+    """The (env, target, explainer) an explain or evaluation command runs."""
+    env = _build_env(cfg)
+    target = _build_target(cfg, env)
+    return env, target, _build_explainer(cfg, target)
 
 
 def _write_curve_csv(path: Path, rows: list[dict]) -> None:
@@ -130,9 +137,7 @@ def cmd_train_emai(cfg: dict, out_dir: Path) -> list[Path]:
 def cmd_explain(cfg: dict, out_dir: Path) -> list[Path]:
     if cfg["eval"]["explain_episodes"] < 1:
         raise ConfigError("eval.explain_episodes must be >= 1")
-    env = _build_env(cfg)
-    target = _build_target(cfg, env)
-    explainer = _build_explainer(cfg, target)
+    env, target, explainer = _build_run(cfg)
     seeds = episode_seeds(cfg["seed"], "explain", int(cfg["eval"]["explain_episodes"]))
     logged = []  # per step: every episode's states, observations and importance
 
@@ -155,9 +160,7 @@ def cmd_explain(cfg: dict, out_dir: Path) -> list[Path]:
 
 
 def cmd_eval_fidelity(cfg: dict, out_dir: Path) -> list[Path]:
-    env = _build_env(cfg)
-    target = _build_target(cfg, env)
-    explainer = _build_explainer(cfg, target)
+    env, target, explainer = _build_run(cfg)
     report = evaluation.eval_fidelity(explainer, target, env,
                                       episodes=cfg["eval"]["episodes"],
                                       seed=cfg["seed"])
@@ -172,9 +175,7 @@ def cmd_eval_fidelity(cfg: dict, out_dir: Path) -> list[Path]:
 
 
 def cmd_attack(cfg: dict, out_dir: Path) -> list[Path]:
-    env = _build_env(cfg)
-    target = _build_target(cfg, env)
-    explainer = _build_explainer(cfg, target)
+    env, target, explainer = _build_run(cfg)
     report = evaluation.launch_attack(explainer, target, env,
                                       noise_eps=cfg["eval"]["noise_eps"],
                                       episodes=cfg["eval"]["episodes"],
@@ -186,9 +187,7 @@ def cmd_attack(cfg: dict, out_dir: Path) -> list[Path]:
 
 
 def cmd_patch(cfg: dict, out_dir: Path) -> list[Path]:
-    env = _build_env(cfg)
-    target = _build_target(cfg, env)
-    explainer = _build_explainer(cfg, target)
+    env, target, explainer = _build_run(cfg)
     package = evaluation.build_patch_package(
         explainer, target, env, harvest_episodes=cfg["eval"]["harvest_episodes"],
         quantile=cfg["eval"]["quantile"], seed=cfg["seed"])

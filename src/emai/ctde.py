@@ -97,14 +97,13 @@ class AgentQNet:
         exactly as the forward of block b alone, whatever B is."""
         return self.mlp.fused_forward(agent_inputs(observations, agent_ids, self.n_agents))
 
-    def q_single(self, obs: np.ndarray, agent_id: int) -> np.ndarray:
-        """Q (B, n_actions) of one agent for a stack (B, obs_dim) of its
-        observations, from (B, 1, in) one-row blocks; one observation
-        (obs_dim,) is its one-row view and gives (n_actions,)."""
-        obs = np.asarray(obs)
-        if obs.ndim == 1:
-            return self.fused_forward(obs[None, None], [agent_id])[0][0, 0]
-        return self.fused_forward(obs[:, None], [agent_id])[0][:, 0]
+    def agent_rows_forward(self, observations: np.ndarray) -> tuple[np.ndarray, tuple]:
+        """fused_forward over (B * n, 1, in) one-row blocks of a stack
+        (B, n, obs_dim) of observation sets: block b * n + i is agent i's row
+        of set b, and rounds as the forward of that row alone would."""
+        size, n = observations.shape[:2]
+        return self.fused_forward(observations.reshape(size * n, 1, -1),
+                                  np.tile(np.arange(n), size)[:, None])
 
     def q_all_agents(self, observations: np.ndarray) -> np.ndarray:
         """Q (B, n_agents, n_actions) of a stack (B, n_agents, obs_dim) of

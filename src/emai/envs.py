@@ -21,6 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .rng import stream
+
 # action indices, fixed across all environments
 STAY, UP, DOWN, LEFT, RIGHT = range(5)
 DELTAS = ((0, 0), (-1, 0), (1, 0), (0, -1), (0, 1))  # (drow, dcol)
@@ -228,6 +230,36 @@ class GridTables:
         return self
 
 
+# The decoders of GridTables' norm and rel entries: a normalized position v
+# back to its cell (v + 1) * (extent - 1) / 2, and a relative offset v to
+# v * (extent - 1), rounded half to even; extent is an int or an int array
+# broadcast against values. Clipping before the int cast changes no
+# in-range result (a decoded cell is clamped to the grid anyway) but keeps
+# huge inputs from overflowing into bad indices. The first operation writes
+# a C-order array, which the in-place rest runs through fastest.
+def decode_norm(values: np.ndarray, extent) -> np.ndarray:
+    """The cells (int64, clipped to [0, extent - 1]) of normalized positions."""
+    top = np.subtract(extent, 1.0)  # exact: extent is a small int
+    cells = np.add(values, 1.0, order="C")
+    cells *= top
+    cells /= 2.0
+    np.rint(cells, out=cells)
+    np.maximum(cells, 0.0, out=cells)
+    np.minimum(cells, top, out=cells)
+    return cells.astype(np.int64)
+
+
+def decode_rel(values: np.ndarray, extent) -> np.ndarray:
+    """The offsets (int64, clipped to [1 - extent, extent - 1]) of relative
+    positions."""
+    top = np.subtract(extent, 1.0)
+    cells = np.multiply(values, top, order="C")
+    np.rint(cells, out=cells)
+    np.maximum(cells, -top, out=cells)
+    np.minimum(cells, top, out=cells)
+    return cells.astype(np.int64)
+
+
 class GridBatch:
     """`size` gridworld states of one env, stepped in lockstep.
 
@@ -376,7 +408,7 @@ class Spread(_GridEnv):
         return {"n_agents": self.n, "grid": self.grid, "horizon": self.spec.horizon}
 
     def _place(self, seed: int) -> tuple[list, list]:
-        rng = np.random.default_rng(np.random.SeedSequence([int(seed) & (2**64 - 1), 0x51]))
+        rng = stream(seed, 0x51)
         cells = self.grid * self.grid
         agent_idx = rng.choice(cells, size=self.n, replace=False)
         lm_idx = rng.choice(cells, size=self.n, replace=False)
@@ -434,7 +466,7 @@ class KeyCorridor(_GridEnv):
         return {"horizon": self.spec.horizon}
 
     def _place(self, seed: int) -> tuple[list, list]:
-        rng = np.random.default_rng(np.random.SeedSequence([int(seed) & (2**64 - 1), 0x52]))
+        rng = stream(seed, 0x52)
         return [zone[int(rng.integers(0, len(zone)))] for zone in self.START_ZONES], []
 
     def _build_tables(self) -> GridTables:
@@ -485,7 +517,7 @@ class Diagnostic(_GridEnv):
                 "zero_reward": self.zero_reward, "inert": list(self.inert)}
 
     def _place(self, seed: int) -> tuple[list, list]:
-        rng = np.random.default_rng(np.random.SeedSequence([int(seed) & (2**64 - 1), 0x53]))
+        rng = stream(seed, 0x53)
         idx = rng.choice(self.grid * self.grid, size=self.n + 1, replace=False)
         cells = [(int(i) // self.grid, int(i) % self.grid) for i in idx]
         return cells[:-1], cells[-1:]

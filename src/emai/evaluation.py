@@ -24,7 +24,7 @@ import numpy as np
 from .explain import Explainer
 from .masking import _check_compat
 from .rng import episode_seeds, integers_rows, uniform_rows
-from .rollout import reward_sums, run_lockstep, target_rewards
+from .rollout import reward_sums, run_lockstep, stderr, target_rewards
 
 RRD_DENOMINATOR_GUARD = 1e-6
 # bound on the (rows, entries, obs_dim) distance block of one patch query
@@ -32,9 +32,19 @@ PATCH_DISTANCE_BLOCK = 1 << 16
 
 
 def _paired_stats(deltas: np.ndarray) -> tuple[float, float]:
-    mean = float(deltas.mean())
-    se = float(deltas.std(ddof=1) / np.sqrt(len(deltas))) if len(deltas) > 1 else 0.0
-    return mean, se
+    return float(deltas.mean()), float(stderr(deltas))
+
+
+def _matched_start(target, env, episodes: int, seed: int, tag: str) -> tuple:
+    """The matched-seed start that every arm of one evaluation shares: the
+    `episodes` episode seeds, their start batch and the per-episode rewards
+    of the original, unperturbed arm."""
+    if episodes < 1:
+        raise ValueError("episodes must be >= 1")
+    _check_compat(target, env)
+    seeds = episode_seeds(seed, tag, episodes)
+    start = env.reset_batch(seeds)
+    return seeds, start, reward_sums(target_rewards(start, target))
 
 
 def _most_critical(explainer: Explainer, batch, obs: np.ndarray, seeds) -> np.ndarray:
@@ -175,23 +185,16 @@ class RrdReport:
         else:
             rrd = abs(delta_e) / abs(delta_r)
             rrd_se = float(np.sqrt(se_de ** 2 + (rrd ** 2) * se_dr ** 2) / abs(delta_r))
-        def se(x):
-            return float(x.std(ddof=1) / np.sqrt(len(x))) if len(x) > 1 else 0.0
         return cls(explainer_id, env_name, len(r_o),
                    float(r_o.mean()), float(r_e.mean()), float(r_r.mean()),
-                   se(r_o), se(r_e), se(r_r),
+                   float(stderr(r_o)), float(stderr(r_e)), float(stderr(r_r)),
                    delta_e, delta_r, se_de, se_dr, rrd, rrd_se)
 
 
 def eval_fidelity(explainer: Explainer, target, env, episodes: int = 500,
                   seed: int = 0) -> RrdReport:
     """RRD = |R_e - R_o| / |R_r - R_o| over matched-seed episode batches."""
-    if episodes < 1:
-        raise ValueError("episodes must be >= 1")
-    _check_compat(target, env)
-    seeds = episode_seeds(seed, "fidelity", episodes)
-    start = env.reset_batch(seeds)
-    r_o = reward_sums(target_rewards(start, target))
+    seeds, start, r_o = _matched_start(target, env, episodes, seed, "fidelity")
     r_e = _guided(start, target, explainer, seed, seeds)
     r_r = _random_guided(start, target, seed, seeds)
     return RrdReport.from_rewards(explainer.kind, env.name, r_o, r_e, r_r)
@@ -227,12 +230,7 @@ def launch_attack(explainer: Explainer, target, env, noise_eps: float = 0.5,
     """Uniform observation noise on the most critical agent, matched seeds."""
     if not (noise_eps >= 0 and math.isfinite(2 * noise_eps)):
         raise ValueError(f"noise_eps must be >= 0 and 2 * noise_eps finite, got {noise_eps}")
-    if episodes < 1:
-        raise ValueError("episodes must be >= 1")
-    _check_compat(target, env)
-    seeds = episode_seeds(seed, "attack", episodes)
-    start = env.reset_batch(seeds)
-    r_o = reward_sums(target_rewards(start, target))
+    seeds, start, r_o = _matched_start(target, env, episodes, seed, "attack")
     r_a = _attacked(start, target, explainer, float(noise_eps), attack_all, seed, seeds)
     return AttackReport.from_rewards(explainer.kind, env.name, noise_eps, r_o, r_a)
 
@@ -342,16 +340,11 @@ def apply_patch(package: PatchPackage, explainer: Explainer, target, env,
     actions disagree); reports the matched-seed reward delta."""
     if len(package) == 0:
         raise ValueError("patch package is empty")
-    if episodes < 1:
-        raise ValueError("episodes must be >= 1")
-    _check_compat(target, env)
+    seeds, start, r_o = _matched_start(target, env, episodes, seed, "patch")
     if d_th is None:
         d_th = 0.05 * env.spec.obs_dim
     if d_th < 0:
         raise ValueError(f"d_th must be >= 0, got {d_th}")
-    seeds = episode_seeds(seed, "patch", episodes)
-    start = env.reset_batch(seeds)
-    r_o = reward_sums(target_rewards(start, target))
     r_p, overrides = _patched(start, target, explainer, package.obs, package.actions,
                               float(d_th), seeds)
     return PatchReport.from_rewards(explainer.kind, env.name, d_th, len(package),

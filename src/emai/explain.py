@@ -25,7 +25,7 @@ import numpy as np
 from .envs import make_env
 from .masking import MaskingPolicy
 from .rng import integers_rows, uniform_rows
-from .rollout import greedy_actions, replay_prefix
+from .rollout import greedy_actions, replay_prefix, stderr
 from .target import TargetPolicy, privileged_q_network
 
 
@@ -125,19 +125,16 @@ class GradientBasedExplainer(Explainer):
         self._qnet = privileged_q_network(target)
 
     def scores_batch(self, observations, t, episode_seeds, batch) -> np.ndarray:
-        """One stacked forward over (B * n, 1, in) one-row blocks, each of
-        which rounds as the one-row forward of its agent would."""
+        """One forward of one-row blocks (AgentQNet.agent_rows_forward), each
+        of which rounds as the one-row forward of its agent would."""
         net = self._qnet
-        size, n = observations.shape[:2]
-        # block b * n + i is agent i's observation in episode b
-        q, cache = net.fused_forward(observations.reshape(size * n, 1, -1),
-                                     np.tile(np.arange(n), size)[:, None])
+        q, cache = net.agent_rows_forward(observations)
         e = np.exp(q - q.max(axis=-1, keepdims=True))
         # the one-hot of each row's argmax (lowest index on ties), added as 0.0/1.0
         pick = np.equal(np.arange(net.n_actions), q.argmax(axis=-1)[..., None])
         d_q = (-1.0 / e.sum(axis=-1, keepdims=True)) * e + pick
         grad = net.mlp.fused_input_grad(cache, d_q)
-        return np.abs(grad[:, 0, :net.obs_dim]).sum(axis=1).reshape(size, n)
+        return np.abs(grad[:, 0, :net.obs_dim]).sum(axis=1).reshape(observations.shape[:2])
 
 
 def _suffix_return(env, target) -> float:
@@ -191,8 +188,7 @@ def mc_counterfactual_oracle(target, env, episode_seed: int, prefix_actions,
     returns = _randomized_suffix_return(env.branch(n * rollouts), target, [episode_seed],
                                         rollouts, seed).reshape(n, rollouts)
     scores = np.abs(returns.mean(axis=1) - unmasked)
-    stderr = returns.std(axis=1, ddof=1) / np.sqrt(rollouts) if rollouts > 1 else np.zeros(n)
-    return scores, stderr
+    return scores, stderr(returns, axis=1)
 
 
 # bound on the rows of one batched oracle block, made of whole episodes

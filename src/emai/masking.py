@@ -20,7 +20,7 @@ from . import ctde, nn
 from .config import merged_sections
 from .ctde import AgentQNet, QLearner, Transitions
 from .rng import episode_seeds, stream
-from .rollout import greedy_actions, left_sum, reward_sums, target_rewards
+from .rollout import greedy_actions, left_sum, reward_sums, stderr, target_rewards
 
 KEEP, MASK = 0, 1
 
@@ -63,8 +63,7 @@ def estimate_baseline_return(target, env, episodes: int, gamma: float,
     rewards = target_rewards(env.reset_batch(episode_seeds(seed, "baseline", episodes)), target)
     returns = reward_sums(rewards, gamma)
     abs_total = left_sum(reward_sums(np.abs(rewards)).tolist())  # across episodes, in seed order
-    stderr = float(returns.std(ddof=1) / np.sqrt(episodes)) if episodes > 1 else 0.0
-    return BaselineEstimate(float(returns.mean()), stderr,
+    return BaselineEstimate(float(returns.mean()), float(stderr(returns)),
                             abs_total / rewards.size, episodes, gamma)
 
 

@@ -10,11 +10,12 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .envs import KeyCorridor
+from .envs import KeyCorridor, decode_norm
 from .rollout import left_sum
 
 FORMAT_VERSION = 1
@@ -63,7 +64,15 @@ def _optional(check):
     return lambda v: v is None or check(v)
 
 
-_ints, _nums = _list_of(frozenset({int})), _list_of(frozenset({int, float}))
+_ints, _num_list = _list_of(frozenset({int})), _list_of(frozenset({int, float}))
+
+
+def _nums(v) -> bool:
+    """A list of finite numbers: json.loads reads NaN, Infinity and literals
+    that overflow, such as 1e400, as non-finite floats, and math.isfinite
+    raises OverflowError on an int too large for a float."""
+    return _num_list(v) and all(map(math.isfinite, v))
+
 
 # RecordStep field -> the test its parsed JSON value must pass
 _STEP_TYPES = {
@@ -73,7 +82,7 @@ _STEP_TYPES = {
     "target_actions": _ints,
     "mask_actions": _optional(_ints),
     "final_actions": _ints,
-    "reward": _is_num,
+    "reward": lambda v: _is_num(v) and math.isfinite(v),
     "importance": _optional(_nums),
 }
 
@@ -150,8 +159,10 @@ def parse(text: str) -> EpisodeRecord:
         seed, n_agents = int(header["seed"]), int(header["n_agents"])
         env_name, env_params = header["env_name"], header["env_params"]
         target_id, explainer_id = header["target_id"], header["explainer_id"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ReplayError(f"malformed header on line 1: {type(exc).__name__}: {exc}") from exc
+    if not isinstance(env_params, dict):
+        raise ReplayError("malformed header on line 1: env_params is not an object")
     steps: list[RecordStep] = []
     last_good = 1
     for lineno, line in enumerate(lines[1:], start=2):
@@ -161,9 +172,9 @@ def parse(text: str) -> EpisodeRecord:
             step = RecordStep(**json.loads(line))
             bad = [name for name, ok in _STEP_TYPES.items() if not ok(getattr(step, name))]
             if bad:
-                raise TypeError(f"ill-typed step fields {bad}")
+                raise TypeError(f"ill-typed step fields {bad} (every number must be finite)")
             steps.append(step)
-        except (json.JSONDecodeError, TypeError) as exc:
+        except (json.JSONDecodeError, TypeError, OverflowError) as exc:
             raise ReplayError(
                 f"malformed step on line {lineno} (last good line {last_good}): {exc}"
             ) from exc
@@ -174,41 +185,44 @@ def parse(text: str) -> EpisodeRecord:
     for idx, st in enumerate(steps):
         if st.t != idx:
             raise ReplayError(f"non-contiguous steps: expected t={idx}, got t={st.t}")
+        per_agent = (st.observations, st.target_actions, st.mask_actions, st.final_actions,
+                     st.importance)
+        if n_agents < 1 or any(v is not None and len(v) != n_agents for v in per_agent):
+            raise ReplayError(f"step t={idx}: a per-agent field does not hold one entry for "
+                              f"each of the header's n_agents={n_agents} agents")
     total = left_sum(st.reward for st in steps)
-    if abs(total - declared) > 1e-6 * max(1.0, abs(declared)):
+    if not math.isfinite(declared) or abs(total - declared) > 1e-6 * max(1.0, abs(declared)):
         raise ReplayError(f"header reward_sum {declared} inconsistent with "
                           f"step sum {total}")
     return EpisodeRecord(env_name, env_params, seed, target_id, explainer_id, n_agents,
                          steps, declared)
 
 
-def _denorm_cell(norm_r: float, norm_c: float, rows: int, cols: int) -> tuple[int, int]:
-    r = int(round((norm_r + 1.0) * (rows - 1) / 2.0))
-    c = int(round((norm_c + 1.0) * (cols - 1) / 2.0))
-    return min(max(r, 0), rows - 1), min(max(c, 0), cols - 1)
-
-
 def _grid_geometry(rec: EpisodeRecord, step: RecordStep):
-    """(rows, cols, walls, features, agent cells) for one step's state."""
-    n = rec.n_agents
-    if rec.env_name == "keycorridor":
+    """(rows, cols, walls, features, agent cells) for one step's state: the
+    agents' cells, then the landmarks' (or keycorridor's door flag), decoded
+    as envs.decode_norm decodes an observation's own position."""
+    n, keycorridor = rec.n_agents, rec.env_name == "keycorridor"
+    state = np.asarray(step.state, dtype=np.float64)
+    if len(state) < 2 * n + keycorridor:
+        raise ReplayError(f"a {rec.env_name} state of {n} agents holds at least "
+                          f"{2 * n + keycorridor} entries, got {len(state)}")
+    if keycorridor:
         rows, cols = KeyCorridor.ROWS, KeyCorridor.COLS
-        agents = [_denorm_cell(step.state[2 * i], step.state[2 * i + 1], rows, cols)
-                  for i in range(n)]
-        door_open = step.state[2 * n] > 0
-        feats = {KeyCorridor.SWITCH: "S", KeyCorridor.DOOR: "d" if door_open else "D"}
+        feats = {KeyCorridor.SWITCH: "S", KeyCorridor.DOOR: "d" if state[2 * n] > 0 else "D"}
         for r in range(rows):
             feats.setdefault((r, KeyCorridor.GOAL_COL), "G")
-        return rows, cols, set(KeyCorridor.WALLS), feats, agents
-    grid = int(rec.env_params.get("grid", 8))
-    rows = cols = grid
-    agents = [_denorm_cell(step.state[2 * i], step.state[2 * i + 1], rows, cols)
-              for i in range(n)]
-    feats = {}
-    tail = step.state[2 * n:]
-    for k in range(len(tail) // 2):
-        feats[_denorm_cell(tail[2 * k], tail[2 * k + 1], rows, cols)] = "L"
-    return rows, cols, set(), feats, agents
+        walls = set(KeyCorridor.WALLS)
+    else:
+        rows = cols = rec.env_params.get("grid", 8)
+        if not _is_int(rows) or rows < 2:
+            raise ReplayError(f"env_params grid {rows!r} is not an int >= 2")
+        k = (len(state) - 2 * n) // 2
+        walls = set()
+        feats = {cell: "L" for cell in map(tuple, decode_norm(
+            state[2 * n:2 * (n + k)].reshape(k, 2), [rows, cols]).tolist())}
+    agents = decode_norm(state[:2 * n].reshape(n, 2), [rows, cols]).tolist()
+    return rows, cols, walls, feats, agents
 
 
 def render(rec: EpisodeRecord, mode: str = "ascii") -> str:

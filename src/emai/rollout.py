@@ -68,6 +68,15 @@ def left_sum(values) -> float:
     return total
 
 
+def stderr(values: np.ndarray, axis: int | None = None):
+    """The standard error of the mean, std(ddof=1) / sqrt(n), of the n
+    values along `axis` (of all of them for None); 0.0 where n <= 1."""
+    n = values.size if axis is None else values.shape[axis]
+    if n > 1:
+        return values.std(axis=axis, ddof=1) / np.sqrt(n)
+    return 0.0 if axis is None else np.zeros(np.delete(values.shape, axis))
+
+
 def reward_sums(rewards: np.ndarray, gamma: float = 1.0) -> np.ndarray:
     """sum_t gamma**t * rewards[:, t] per row, added one column at a time from
     t = 0: the order of left_sum over a Trace, so each row equals

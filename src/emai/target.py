@@ -11,14 +11,14 @@ from __future__ import annotations
 
 import hashlib
 import json
-from collections import deque
 
 import numpy as np
 
 from . import envs
 from .config import merged_sections
 from .ctde import AgentQNet, QLearner, checkpoint_doc, load_checkpoint_doc
-from .envs import DOWN, LEFT, RIGHT, STAY, UP, Diagnostic, KeyCorridor, Spread
+from .envs import (DOWN, LEFT, RIGHT, STAY, UP, Diagnostic, GridTables, KeyCorridor,
+                   Spread, decode_norm, decode_rel)
 
 
 class CapabilityError(RuntimeError):
@@ -60,33 +60,6 @@ class TargetPolicy:
         return obs
 
 
-# Own cells and relative offsets decoded from the normalized observation:
-# own (v + 1) * (extent - 1) / 2 and relative v * (extent - 1), rounded half
-# to even; extent is an int or an int array broadcast against values.
-# Clipping before the int cast changes no in-range result (callers clamp the
-# cell to the grid) but keeps huge inputs from overflowing into bad indices.
-# The first operation writes a C-order array, which the in-place rest runs
-# through fastest.
-def _own_cells(values: np.ndarray, extent) -> np.ndarray:
-    top = np.subtract(extent, 1.0)  # exact: extent is a small int
-    cells = np.add(values, 1.0, order="C")
-    cells *= top
-    cells /= 2.0
-    np.rint(cells, out=cells)
-    np.maximum(cells, 0.0, out=cells)
-    np.minimum(cells, top, out=cells)
-    return cells.astype(np.int64)
-
-
-def _rel_offsets(values: np.ndarray, extent) -> np.ndarray:
-    top = np.subtract(extent, 1.0)
-    cells = np.multiply(values, top, order="C")
-    np.rint(cells, out=cells)
-    np.maximum(cells, -top, out=cells)
-    np.minimum(cells, top, out=cells)
-    return cells.astype(np.int64)
-
-
 def _check_finite_batch(obs: np.ndarray) -> np.ndarray:
     if not np.isfinite(obs).all():
         raise ValueError("observation batch has non-finite entries")
@@ -125,10 +98,10 @@ class ScriptedSpread(TargetPolicy):
         flat = obs.reshape(-1, self.obs_dim)  # pair b * n + i: agent i of row b
         pairs = np.arange(len(flat))
         agent = np.tile(np.arange(n), len(obs))
-        own = _own_cells(flat[:, :2], g)
+        own = decode_norm(flat[:, :2], g)
 
         def cells(offset: int, count: int) -> np.ndarray:  # (pairs, count, 2), clamped to the grid
-            rel = _rel_offsets(flat[:, offset:offset + 2 * count], g).reshape(-1, count, 2)
+            rel = decode_rel(flat[:, offset:offset + 2 * count], g).reshape(-1, count, 2)
             return np.clip(own[:, None] + rel, 0, g - 1)
 
         landmarks = cells(2, n)
@@ -145,22 +118,6 @@ class ScriptedSpread(TargetPolicy):
             mine = np.where(agent == i, best, mine)  # each pair keeps its own agent's claim
         goal = landmarks[pairs, mine]
         return _step_toward(goal[:, 0] - own[:, 0], goal[:, 1] - own[:, 1]).reshape(obs.shape[:2])
-
-
-def _bfs_distances(passable, rows: int, cols: int, goal: tuple[int, int]) -> dict:
-    dist = {goal: 0}
-    dq = deque([goal])
-    while dq:
-        cell = dq.popleft()
-        for dr, dc in ((-1, 0), (1, 0), (0, -1), (0, 1)):
-            nb = (cell[0] + dr, cell[1] + dc)
-            if nb in dist or not (0 <= nb[0] < rows and 0 <= nb[1] < cols):
-                continue
-            if not passable(nb):
-                continue
-            dist[nb] = dist[cell] + 1
-            dq.append(nb)
-    return dist
 
 
 class ScriptedKeyCorridor(TargetPolicy):
@@ -195,40 +152,34 @@ class ScriptedKeyCorridor(TargetPolicy):
     # bench/tracing.py wraps act by name in this class's own namespace
     act = TargetPolicy.act
 
-    @staticmethod
-    def _move_toward(own: tuple[int, int], dist: dict) -> int:
-        here = dist.get(own)
-        if here is None or here == 0:
-            return STAY
-        best_action, best_d = STAY, here
-        for action, (dr, dc) in ((UP, (-1, 0)), (DOWN, (1, 0)), (LEFT, (0, -1)), (RIGHT, (0, 1))):
-            nb = (own[0] + dr, own[1] + dc)
-            d = dist.get(nb)
-            if d is not None and d < best_d:
-                best_action, best_d = action, d
-        return best_action
-
     @classmethod
     def _moves(cls) -> np.ndarray:
-        """_move_toward for every cell, stacked per agent as (agent, door open,
+        """The next-move table, stacked per agent as (agent, door open,
         ROWS * COLS): with the door closed agent 0 heads for the switch and
-        agents 1-2 for the antechamber; once it is open all head for the goal.
-        Built on first use and shared by every instance."""
+        agents 1-2 for the antechamber; once it is open all head for the
+        goal. Each cell takes the first action in DELTAS order (STAY first)
+        whose move ends nearest to the goal along open cells, so STAY on the
+        goal and on every cell that cannot reach it. Built on first use and
+        shared by every instance."""
         if cls._MOVES is None:
             rows, cols = KeyCorridor.ROWS, KeyCorridor.COLS
-            walls, door = KeyCorridor.WALLS, KeyCorridor.DOOR
+            tables = GridTables(rows, cols, KeyCorridor.WALLS, KeyCorridor.DOOR, ())
+            cells = tables.flat(np.indices((rows, cols)).reshape(2, -1).T)  # row-major
+            ends = cells + tables.delta[:, None]  # [action, cell]: where the move ends
 
-            def table(goal, passable) -> np.ndarray:
-                dist = _bfs_distances(passable, rows, cols, goal)
-                return np.array([cls._move_toward((r, c), dist)
-                                 for r in range(rows) for c in range(cols)], dtype=np.int64)
+            def table(goal, door_open: int) -> np.ndarray:
+                passable = tables.open[door_open * tables.size + cells]
+                dist = np.full(tables.size, np.inf)  # path lengths; the border stays inf
+                dist[tables.flat(goal)] = 0.0
+                for _ in range(len(cells)):
+                    near = np.where(passable, dist.take(ends[1:]).min(axis=0) + 1.0, np.inf)
+                    dist[cells] = np.minimum(dist[cells], near)
+                ahead = dist.take(ends)
+                return np.where(np.isfinite(ahead[STAY]), ahead.argmin(axis=0), STAY)
 
-            def closed(cell):
-                return cell not in walls and cell != door
-
-            to_goal = table(KeyCorridor.GOAL_ANCHOR, lambda cell: cell not in walls)
-            to_wait = table(cls.ANTECHAMBER, closed)
-            moves = np.stack([[table(KeyCorridor.SWITCH, closed), to_goal],
+            to_goal = table(KeyCorridor.GOAL_ANCHOR, 1)
+            to_wait = table(cls.ANTECHAMBER, 0)
+            moves = np.stack([[table(KeyCorridor.SWITCH, 0), to_goal],
                               [to_wait, to_goal], [to_wait, to_goal]])
             moves.setflags(write=False)
             cls._MOVES = moves
@@ -238,14 +189,14 @@ class ScriptedKeyCorridor(TargetPolicy):
         """One gather from the stacked next-move table, by each agent's own
         cell and door bit; non-finite input raises."""
         obs = _check_finite_batch(self._check_obs_batch(obs))
-        own = _own_cells(obs[..., :2].transpose(2, 0, 1), self._EXTENT[:, None])  # (2, B, n)
+        own = decode_norm(obs[..., :2].transpose(2, 0, 1), self._EXTENT[:, None])  # (2, B, n)
         door = obs[..., 2] > 0.0
         actions = self._moves().take(np.where(door, self._OPEN_BASE, self._CLOSED_BASE)
                                      + own[0] * KeyCorridor.COLS + own[1])
         if self.weakened:
             # agent 0 stalls on teammate 1's odd parity while the door is
             # closed; on the switch itself its table move is STAY anyway
-            mate = own[:, :, 0] + _rel_offsets(obs[:, 0, 9:11].T, self._EXTENT)
+            mate = own[:, :, 0] + decode_rel(obs[:, 0, 9:11].T, self._EXTENT)
             np.maximum(mate, 0, out=mate)
             np.minimum(mate, self._EXTENT - 1, out=mate)
             stall = ~door[:, 0] & ((mate[0] + mate[1]) % 2 == 1)
@@ -268,8 +219,8 @@ class ScriptedDiagnostic(TargetPolicy):
         """Each agent steps along its own landmark offset, row first;
         non-finite input raises."""
         obs = _check_finite_batch(self._check_obs_batch(obs))
-        dr = _rel_offsets(obs[..., 2], self.grid)
-        dc = _rel_offsets(obs[..., 3], self.grid)
+        dr = decode_rel(obs[..., 2], self.grid)
+        dc = decode_rel(obs[..., 3], self.grid)
         return _step_toward(dr, dc)
 
 
@@ -283,11 +234,11 @@ class LearnedPolicy(TargetPolicy):
         self._source = source
 
     def act_batch(self, obs: np.ndarray) -> np.ndarray:
-        """Per agent, the argmax (lowest index on ties) of one stacked
-        forward of one-row blocks."""
+        """Per agent, the argmax (lowest index on ties) of its own row's Q,
+        from one forward of one-row blocks."""
         obs = self._check_obs_batch(obs)
-        return np.stack([np.argmax(self._qnet.q_single(obs[:, i], i), axis=1)
-                         for i in range(self.n_agents)], axis=1)
+        q = self._qnet.agent_rows_forward(obs)[0]
+        return np.argmax(q[:, 0], axis=1).reshape(obs.shape[:2])
 
     def descriptor(self) -> str:
         digest = hashlib.sha256(

@@ -563,3 +563,29 @@ def test_render_replay_with_ill_typed_step_exit_5(tmp_path):
     bad.write_text("\n".join([lines[0], json.dumps(step)] + lines[2:]) + "\n",
                    encoding="utf-8")
     assert main(["render", str(bad)]) == 5
+
+
+@pytest.mark.parametrize("case, mode", [("nan-state", "ascii"), ("infinite-state", "ascii"),
+                                        ("header-n-agents", "ascii"), ("header-n-agents", "csv"),
+                                        ("short-state", "ascii"), ("nan-reward", "csv"),
+                                        ("params-list", "csv"), ("grid-0", "ascii"),
+                                        ("grid-string", "ascii")])
+def test_render_replay_with_non_finite_numbers_or_bad_shapes_exit_5(tmp_path, case, mode):
+    env = make_env("spread", n_agents=3, grid=6)
+    trace = run_target_episode(env, 4, scripted_policy(env))
+    lines = replay.serialize(replay.record(trace.steps, env.name, env.params, 4)).splitlines()
+    header, step = json.loads(lines[0]), json.loads(lines[1])
+    if case == "header-n-agents":
+        header["n_agents"] = 5
+    elif case.startswith(("params", "grid")):
+        header["env_params"] = {"params-list": [], "grid-0": {"grid": 0},
+                                "grid-string": {"grid": "6"}}[case]
+    elif case == "nan-reward":
+        step["reward"] = float("nan")  # json.dumps writes NaN
+    else:
+        step["state"] = {"nan-state": [float("nan")] * 12, "infinite-state": [float("inf")] * 12,
+                         "short-state": step["state"][:3]}[case]
+    bad = tmp_path / "bad.ndjson"
+    bad.write_text("\n".join([json.dumps(header), json.dumps(step)] + lines[2:]) + "\n",
+                   encoding="utf-8")
+    assert main(["render", str(bad), "--mode", mode]) == 5

@@ -29,27 +29,26 @@ def _toy_net(obs_dim=4, n_agents=2, n_actions=3, seed=0):
 
 def test_zero_weight_net_gives_zero_q():
     net = AgentQNet(4, 2, 3, hidden=(8, 8), rng=None)
-    assert np.array_equal(net.q_single(np.zeros(4), 0), np.zeros(3))
+    assert np.array_equal(net.q_all_agents(np.zeros((2, 4))), np.zeros((2, 3)))
 
 
 def test_agent_id_distinguishes_outputs():
     net = _toy_net()
     obs = stream(1, "obs").standard_normal(4)
-    q0 = net.q_single(obs, 0)
-    q1 = net.q_single(obs, 1)
+    q0, q1 = net.q_all_agents(np.stack([obs, obs]))
     assert not np.array_equal(q0, q1)
 
 
 def test_q_values_bitwise_stable():
     net = _toy_net()
-    obs = stream(2, "obs").standard_normal(4)
-    assert np.array_equal(net.q_single(obs, 1), net.q_single(obs, 1))
+    obs = stream(2, "obs").standard_normal((2, 4))
+    assert np.array_equal(net.q_all_agents(obs), net.q_all_agents(obs))
 
 
 def test_q_values_shape_mismatch():
     net = _toy_net()
     with pytest.raises(nn.ShapeError):
-        net.q_single(np.zeros(5), 0)
+        net.agent_rows_forward(np.zeros((1, 2, 5)))
     for wrong_agents in (np.zeros((3, 4)), np.zeros((5, 3, 4))):
         with pytest.raises(nn.ShapeError):
             net.q_all_agents(wrong_agents)
@@ -75,22 +74,21 @@ def test_agent_net_holds_no_input_block():
 
 
 def test_one_row_queries_run_the_kernel_once(monkeypatch):
-    """q_all_agents and q_single of one row are views of the stacked query:
-    one kernel call each, and no second call of the public name (which the
-    benchmark's tracer counts)."""
+    """q_all_agents of one row is a view of the stacked query: one kernel
+    call, and no second call of the public name (which the benchmark's
+    tracer counts)."""
     net = _toy_net()
     calls = []
-    for name in ("fused_forward", "q_all_agents", "q_single"):
+    for name in ("fused_forward", "q_all_agents"):
         method = getattr(AgentQNet, name)
         monkeypatch.setattr(AgentQNet, name,
                             lambda self, *a, _m=method, _n=name: calls.append(_n) or _m(self, *a))
     obs = stream(4, "one-row").standard_normal((5, 2, 4))
-    for name, args, stacked in (("q_all_agents", (obs[0],), net.q_all_agents(obs)[0]),
-                                ("q_single", (obs[0, 1], 1), net.q_single(obs[:, 1], 1)[0])):
-        calls.clear()
-        q = getattr(net, name)(*args)
-        assert calls == [name, "fused_forward"]
-        assert q.shape == stacked.shape and np.array_equal(q, stacked)
+    stacked = net.q_all_agents(obs)[0]
+    calls.clear()
+    q = net.q_all_agents(obs[0])
+    assert calls == ["q_all_agents", "fused_forward"]
+    assert q.shape == stacked.shape and np.array_equal(q, stacked)
 
 
 def test_monotonic_mixer_monotonicity_1000_draws():
@@ -345,13 +343,13 @@ def test_stale_copy_frozen_between_refreshes():
     net = _toy_net()
     mixer = MonotonicMixer(2, 5, embed_dim=8, rng=stream(4, "stale-mix"))
     stale = StaleCopy(net, mixer, refresh_interval=10)
-    obs = stream(3, "stale-obs").standard_normal(4)
-    before = stale.net.q_single(obs, 0).copy()
+    obs = stream(3, "stale-obs").standard_normal((2, 4))
+    before = stale.net.q_all_agents(obs).copy()
     for p in net.params():  # live net moves on
         p.data = p.data + 1.0
-    assert np.array_equal(stale.net.q_single(obs, 0), before)
+    assert np.array_equal(stale.net.q_all_agents(obs), before)
     stale.refresh()
-    assert not np.array_equal(stale.net.q_single(obs, 0), before)
+    assert not np.array_equal(stale.net.q_all_agents(obs), before)
 
 
 def test_stale_copy_with_monotonic_mixer_frozen_until_refresh():
@@ -493,7 +491,7 @@ def test_returned_arrays_are_not_overwritten_by_later_calls(mixer_kind):
         q_tot, _ = ctde.qtot_forward(net, mixer, flat, buffers)
         loss, _, td_stats = build_td_loss(stale, flat, q_tot, 0.9, buffers)
         stats = learner.td_train_step()
-        return [net.q_all_agents(obs), net.q_single(obs[1], 1),
+        return [net.q_all_agents(obs), net.agent_rows_forward(obs[None])[0],
                 mixer.mix(rng.standard_normal((7, spec.n_agents)),
                           rng.standard_normal((7, spec.state_dim)))[0],
                 np.float64(loss), np.array(list(td_stats.values())),

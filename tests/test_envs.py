@@ -722,3 +722,20 @@ def test_repeat_copies_the_selected_rows(name, params):
     assert batch.t == 8
     assert np.array_equal(batch.observations(), obs)
     assert np.array_equal(batch.states(), states)
+
+
+@pytest.mark.parametrize("rows, cols", [(5, 7), (8, 8), (6, 6), (2, 3)])
+def test_decoders_equal_the_scalar_rules(rows, cols):
+    """decode_norm and decode_rel against the scalar rules they replace:
+    Python's round (half to even), then a clamp to the grid."""
+    extent = np.array([rows, cols])
+    halfway = np.array([[(2 * k + 1) / (rows - 1) - 1, (k + 0.5) / (cols - 1)]
+                        for k in range(-max(rows, cols), max(rows, cols))])
+    values = np.concatenate([stream(rows * cols, "decode").uniform(-1.5, 1.5, (2000, 2)),
+                             halfway, halfway[:, ::-1], [[1e300, -1e300], [-1e300, 1e300]]])
+    cells, offsets = envs.decode_norm(values, extent), envs.decode_rel(values, extent)
+    for value, cell, offset in zip(values.tolist(), cells.tolist(), offsets.tolist()):
+        assert cell == [min(max(round((v + 1.0) * (e - 1) / 2.0), 0), e - 1)
+                        for v, e in zip(value, (rows, cols))], value
+        assert offset == [min(max(round(v * (e - 1)), 1 - e), e - 1)
+                          for v, e in zip(value, (rows, cols))], value

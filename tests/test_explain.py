@@ -74,7 +74,8 @@ def test_value_based_is_max_q_per_agent():
     ctx = _ctx_for(env, seed=5)
     scores = ex.scores(ctx)
     net = target._qnet
-    expected = np.array([net.q_single(ctx.observations[i], i).max() for i in range(3)])
+    expected = np.array([net.fused_forward(ctx.observations[i][None, None], [i])[0].max()
+                         for i in range(3)])
     assert np.allclose(scores, expected)
 
 
@@ -527,9 +528,10 @@ def test_learned_act_batch_and_value_scores_batch_equal_row_calls(size):
     joint = pol.act_batch(obs)
     assert joint.shape == (size, 3)
     assert joint.tolist() == [pol.act(o) for o in obs]
-    for i in range(3):
-        rows = obs[:, i]
-        assert np.array_equal(net.q_single(rows, i), np.stack([net.q_single(o, i) for o in rows]))
+    # each agent's one-row block equals that agent's one-row forward alone
+    q_rows = net.agent_rows_forward(obs)[0].reshape(size, 3, -1)
+    for b, i in np.ndindex(size, 3):
+        assert np.array_equal(q_rows[b, i], net.fused_forward(obs[b, i][None, None], [i])[0][0, 0])
     assert np.array_equal(net.q_all_agents(obs), np.stack([net.q_all_agents(o) for o in obs]))
     value = ValueBasedExplainer(pol)
     expected = [value.scores(ExplainContext(obs[b], states[b], 1, env.name, env.params, b,

@@ -169,7 +169,8 @@ def test_header_malformed_rejected(header):
 @pytest.mark.parametrize("field, value", [("reward", "x"), ("reward", True), ("t", 1.5),
                                           ("state", ["a"]), ("observations", [1.0]),
                                           ("target_actions", [0.5]), ("final_actions", None),
-                                          ("mask_actions", [True]), ("importance", "high")])
+                                          ("mask_actions", [True]), ("importance", "high"),
+                                          ("reward", float("nan")), ("reward", float("-inf"))])
 def test_ill_typed_step_field_rejected(field, value):
     import json
     lines = serialize(_make_record()).splitlines()
@@ -179,7 +180,8 @@ def test_ill_typed_step_field_rejected(field, value):
         parse("\n".join(lines[:2] + [json.dumps(step)] + lines[3:]))
 
 
-@pytest.mark.parametrize("item", [True, "0.5", [0.5]], ids=["bool", "string", "nested-list"])
+@pytest.mark.parametrize("item", [True, "0.5", [0.5], float("nan"), float("inf")],
+                         ids=["bool", "string", "nested-list", "nan", "infinity"])
 @pytest.mark.parametrize("field", ["state", "observations", "importance"])
 def test_ill_typed_number_inside_a_step_list_rejected(field, item):
     import json
@@ -192,3 +194,50 @@ def test_ill_typed_number_inside_a_step_list_rejected(field, item):
     # ints and floats both pass, as the serializer may print either
     numbers[1] = 1
     parse("\n".join(lines[:2] + [json.dumps(step)] + lines[3:]))
+
+
+@pytest.mark.parametrize("line, field, literal", [
+    (0, "reward_sum", "NaN"), (0, "reward_sum", "-Infinity"), (0, "seed", "1e400"),
+    (2, "reward", "1" + "0" * 400), (2, "state", "[0.5, 1e400]"),
+    (2, "observations", "[[0.5], [-1e400]]")],
+    ids=["nan-reward-sum", "infinite-reward-sum", "overflowing-seed", "huge-int-reward",
+         "overflowing-state", "overflowing-observation"])
+def test_non_finite_number_rejected(line, field, literal):
+    # json.loads reads NaN, Infinity and 1e400 as non-finite floats, and a
+    # 401-digit int overflows a float
+    import json
+    lines = serialize(_make_record()).splitlines()
+    doc = json.loads(lines[line])
+    doc[field] = "?"
+    lines[line] = json.dumps(doc).replace('"?"', literal)
+    with pytest.raises(ReplayError):
+        parse("\n".join(lines))
+
+
+@pytest.mark.parametrize("edit", ["header-n-agents", "short-importance", "long-actions"])
+def test_per_agent_field_disagreeing_with_header_rejected(edit):
+    import json
+    lines = serialize(_make_record()).splitlines()
+    header, step = json.loads(lines[0]), json.loads(lines[3])
+    if edit == "header-n-agents":
+        header["n_agents"] = 5
+    elif edit == "short-importance":
+        step["importance"] = step["importance"][:2]
+    else:
+        step["final_actions"].append(0)
+    lines[0], lines[3] = json.dumps(header), json.dumps(step)
+    with pytest.raises(ReplayError, match="per-agent field"):
+        parse("\n".join(lines))
+
+
+@pytest.mark.parametrize("env_name", ["keycorridor", "spread"])
+def test_render_rejects_a_state_too_short_for_the_agents(env_name):
+    rec = _make_record()
+    rec.env_name = env_name
+    width = 2 * rec.n_agents + (env_name == "keycorridor")
+    for step in rec.steps:
+        step.state = step.state[:width - 1]
+    assert parse(serialize(rec)) == rec  # the format itself holds any state width
+    with pytest.raises(ReplayError, match=f"at least {width} entries"):
+        render(rec, "ascii")
+    render(rec, "csv")  # reads no state

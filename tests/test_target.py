@@ -5,6 +5,7 @@ import ast
 import inspect
 import itertools
 import json
+from collections import deque
 from pathlib import Path
 
 import numpy as np
@@ -228,18 +229,79 @@ def _spread_act(pol, obs, agent_id: int) -> int:
     return _step_toward(mine[0] - own[0], mine[1] - own[1])
 
 
+def _bfs_distances(passable, goal: tuple[int, int]) -> dict:
+    """Breadth-first path lengths to goal over the passable keycorridor cells."""
+    dist = {goal: 0}
+    dq = deque([goal])
+    while dq:
+        cell = dq.popleft()
+        for dr, dc in ((-1, 0), (1, 0), (0, -1), (0, 1)):
+            nb = (cell[0] + dr, cell[1] + dc)
+            if nb in dist or not (0 <= nb[0] < KeyCorridor.ROWS and 0 <= nb[1] < KeyCorridor.COLS):
+                continue
+            if not passable(nb):
+                continue
+            dist[nb] = dist[cell] + 1
+            dq.append(nb)
+    return dist
+
+
+def _move_toward(own: tuple[int, int], dist: dict) -> int:
+    """The first move (UP, DOWN, LEFT, RIGHT order) onto a strictly nearer
+    cell; STAY on the goal and off its reachable set."""
+    here = dist.get(own)
+    if here is None or here == 0:
+        return STAY
+    best_action, best_d = STAY, here
+    for action, (dr, dc) in ((UP, (-1, 0)), (DOWN, (1, 0)), (LEFT, (0, -1)), (RIGHT, (0, 1))):
+        d = dist.get((own[0] + dr, own[1] + dc))
+        if d is not None and d < best_d:
+            best_action, best_d = action, d
+    return best_action
+
+
+def _reference_moves() -> dict:
+    """{(agent, door open, (row, col)): move}: agent 0 heads for the switch
+    and agents 1-2 for the antechamber while the door is closed, all for
+    the goal once it is open."""
+    walls, door = KeyCorridor.WALLS, KeyCorridor.DOOR
+    waypoints = (KeyCorridor.SWITCH, ScriptedKeyCorridor.ANTECHAMBER,
+                 ScriptedKeyCorridor.ANTECHAMBER)
+    cells = list(itertools.product(range(KeyCorridor.ROWS), range(KeyCorridor.COLS)))
+    moves = {}
+    for agent, door_open in itertools.product(range(3), (False, True)):
+        if door_open:
+            dist = _bfs_distances(lambda cell: cell not in walls, KeyCorridor.GOAL_ANCHOR)
+        else:
+            dist = _bfs_distances(lambda cell: cell not in walls and cell != door,
+                                  waypoints[agent])
+        moves.update({(agent, door_open, cell): _move_toward(cell, dist) for cell in cells})
+    return moves
+
+
+KEYCORRIDOR_MOVES = _reference_moves()
+
+
+def test_keycorridor_route_table_equals_bfs_reference():
+    table = ScriptedKeyCorridor._moves()
+    assert table.shape == (3, 2, KeyCorridor.ROWS * KeyCorridor.COLS)
+    assert len(KEYCORRIDOR_MOVES) == table.size == 210
+    for (agent, door_open, (r, c)), move in KEYCORRIDOR_MOVES.items():
+        assert table[agent, int(door_open), r * KeyCorridor.COLS + c] == move, (agent, door_open,
+                                                                               (r, c))
+
+
 def _keycorridor_act(pol, obs, agent_id: int) -> int:
     rows, cols = KeyCorridor.ROWS, KeyCorridor.COLS
     r, c = _denorm(obs[0], rows), _denorm(obs[1], cols)
-    moves = pol._moves()[agent_id]
     if obs[2] > 0.0:  # the door is open
-        return int(moves[1, r * cols + c])
+        return KEYCORRIDOR_MOVES[(agent_id, True, (r, c))]
     if agent_id == 0 and pol.weakened and (r, c) != KeyCorridor.SWITCH:
         mate_r = min(max(r + _denorm_rel(obs[9], rows), 0), rows - 1)
         mate_c = min(max(c + _denorm_rel(obs[10], cols), 0), cols - 1)
         if (mate_r + mate_c) % 2 == 1:
             return STAY  # foot-dragging: advances on half the steps
-    return int(moves[0, r * cols + c])
+    return KEYCORRIDOR_MOVES[(agent_id, False, (r, c))]
 
 
 def _diagnostic_act(pol, obs, agent_id: int) -> int:
@@ -247,7 +309,8 @@ def _diagnostic_act(pol, obs, agent_id: int) -> int:
 
 
 def _learned_act(pol, obs, agent_id: int) -> int:
-    return int(np.argmax(pol._qnet.q_single(obs, agent_id)))  # lowest index wins ties
+    q = pol._qnet.fused_forward(obs[None, None], [agent_id])[0][0, 0]  # its one-row forward
+    return int(np.argmax(q))  # lowest index wins ties
 
 
 REFERENCE_ACTS = {ScriptedSpread: _spread_act, ScriptedKeyCorridor: _keycorridor_act,
