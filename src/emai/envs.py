@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rng import stream
+from .rng import integers_rows, stream
 
 # action indices, fixed across all environments
 STAY, UP, DOWN, LEFT, RIGHT = range(5)
@@ -70,7 +70,8 @@ class _GridEnv:
     A subclass supplies four things: `_place(seed)`, its `WALLS` (plus a
     `DOOR` and fixed `ANCHORS` if it has them), `_reward_batch()`, and any
     movement rule of its own, by extending `_move_batch` (plus
-    `_build_tables` for any per-cell entry of its own).
+    `_build_tables` for any per-cell entry of its own). It may also draw
+    a batch's placements at once by overriding `_place_rows`.
 
     Agent i observes its own normalized position, then the door flag (+1 open,
     -1 closed) on an env with a door, then the positions of the anchors, of
@@ -133,14 +134,21 @@ class _GridEnv:
 
     def reset_batch(self, seeds) -> "GridBatch":
         """One row per seed: row b is the state after reset(seeds[b])."""
-        placed = [self._place(seed) for seed in seeds]
-        if not placed:
+        seeds = list(seeds)
+        if not seeds:
             raise ValueError("reset_batch needs at least one seed")
+        agents, landmarks = self._place_rows(seeds)
         tables = self._tables()
-        cells = tables.flat(np.array([cells for cells, _ in placed], dtype=np.int64))
-        landmarks = np.array([lms for _, lms in placed], dtype=np.int64)
-        return GridBatch(self, tables, cells, tables.flat(landmarks.reshape(len(placed), -1, 2)),
-                         np.zeros(len(placed), dtype=bool), 0, False)
+        return GridBatch(self, tables, tables.flat(agents), tables.flat(landmarks),
+                         np.zeros(len(seeds), dtype=bool), 0, False)
+
+    def _place_rows(self, seeds: list) -> tuple[np.ndarray, np.ndarray]:
+        """The initial agent and landmark (row, col) points of every seed,
+        (B, n_agents, 2) and (B, k, 2) int64 arrays, row b those of
+        _place(seeds[b])."""
+        placed = [self._place(seed) for seed in seeds]
+        return (np.array([cells for cells, _ in placed], dtype=np.int64),
+                np.array([lms for _, lms in placed], dtype=np.int64).reshape(len(seeds), -1, 2))
 
     def _tables(self) -> "GridTables":
         """This geometry's lookup tables, built on the first batch and shared
@@ -450,6 +458,7 @@ class KeyCorridor(_GridEnv):
     START_ZONES = (((4, 0), (4, 1), (4, 2), (4, 3)),
                    ((0, 0), (0, 1)),
                    ((0, 3), (0, 4)))
+    PLACE_TAG = 0x52  # reset(seed) draws agent i's start from stream(seed, PLACE_TAG)
 
     def __init__(self, horizon: int = 30):
         super().__init__(self.ROWS, self.COLS)
@@ -466,8 +475,21 @@ class KeyCorridor(_GridEnv):
         return {"horizon": self.spec.horizon}
 
     def _place(self, seed: int) -> tuple[list, list]:
-        rng = stream(seed, 0x52)
+        rng = stream(seed, self.PLACE_TAG)
         return [zone[int(rng.integers(0, len(zone)))] for zone in self.START_ZONES], []
+
+    def _place_rows(self, seeds: list) -> tuple[np.ndarray, np.ndarray]:
+        """Every seed's three start-zone draws from one integers_rows table,
+        bitwise those of _place. One seed, the scalar reset's, keeps _place:
+        the table's fixed cost (about 140 us) is far above one scalar
+        placement (about 15 us)."""
+        if len(seeds) == 1:
+            return super()._place_rows(seeds)
+        sizes = [len(zone) for zone in self.START_ZONES]
+        picks = integers_rows(seeds, (self.PLACE_TAG,), [()] * len(seeds), sizes, len(sizes))
+        points = np.array([cell for zone in self.START_ZONES for cell in zone], dtype=np.int64)
+        first = np.cumsum([0] + sizes[:-1])  # each zone's offset in points
+        return points[first + picks], np.empty((len(seeds), 0, 2), dtype=np.int64)
 
     def _build_tables(self) -> GridTables:
         tables = super()._build_tables()

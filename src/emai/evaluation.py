@@ -7,8 +7,14 @@ Patching: harvest (observation, action) pairs of critical agents from
 high-reward episodes and override the critical agent's action whenever a
 sufficiently similar observation (Manhattan distance below d_th) is on file.
 
-Each arm, and the harvest's replay of its kept episodes, is one lockstep
-batch whose live rows the explainer scores at every step.
+Each command plays all its matched arms as row blocks of one lockstep batch
+over its episode seeds, each seed placed once: block 0 is the original arm,
+and row i of every block plays episode i. Each step makes one target query
+over every row, one env step and one explainer query, which scores a batch
+of exactly the rows of the block that reads it. Every row's result depends
+on that row alone, so a report equals that of one batch per arm. The patch
+harvest plays its episodes and then replays the kept ones: two batches, as
+the second needs the first one's ranking.
 All episode rewards here are undiscounted sums; every batch derives its
 episode seeds from the root seed so reports replay bitwise.
 """
@@ -24,7 +30,7 @@ import numpy as np
 from .explain import Explainer
 from .masking import _check_compat
 from .rng import episode_seeds, integers_rows, uniform_rows
-from .rollout import reward_sums, run_lockstep, stderr, target_rewards
+from .rollout import reward_sums, run_lockstep, stderr
 
 RRD_DENOMINATOR_GUARD = 1e-6
 # bound on the (rows, entries, obs_dim) distance block of one patch query
@@ -35,86 +41,37 @@ def _paired_stats(deltas: np.ndarray) -> tuple[float, float]:
     return float(deltas.mean()), float(stderr(deltas))
 
 
-def _matched_start(target, env, episodes: int, seed: int, tag: str) -> tuple:
-    """The matched-seed start that every arm of one evaluation shares: the
-    `episodes` episode seeds, their start batch and the per-episode rewards
-    of the original, unperturbed arm."""
+def _matched_start(target, env, episodes: int, seed: int, tag: str, arms: int) -> tuple:
+    """The matched-seed start of one command's `arms` arms: the `episodes`
+    episode seeds, each placed once, and a batch of `arms` row blocks of
+    their starts, row a * episodes + i the start of episode i in arm a.
+    Block 0 is the original, unperturbed arm."""
     if episodes < 1:
         raise ValueError("episodes must be >= 1")
     _check_compat(target, env)
     seeds = episode_seeds(seed, tag, episodes)
-    start = env.reset_batch(seeds)
-    return seeds, start, reward_sums(target_rewards(start, target))
+    return seeds, env.reset_batch(seeds).repeat(1, np.tile(np.arange(episodes), arms))
 
 
-def _most_critical(explainer: Explainer, batch, obs: np.ndarray, seeds) -> np.ndarray:
-    """Each row's most critical agent at the live batch's step (lowest index
-    wins ties): the argmax of the explainer's scores, as most_critical takes it."""
-    return np.argmax(explainer.scores_batch(obs, batch.t, seeds, batch), axis=1)
+def _most_critical(explainer: Explainer, batch, obs: np.ndarray, seeds,
+                   block: int = 0) -> np.ndarray:
+    """The most critical agent of each row of row block `block` of the live
+    batch, len(seeds) rows a block, at its step (lowest index wins ties): the
+    argmax of the explainer's scores, as most_critical takes it. The
+    explainer scores a batch of exactly the block's rows: the live batch
+    itself when it is one block, else a copy of them."""
+    size = len(seeds)
+    rows = slice(block * size, (block + 1) * size)
+    if batch.size != size:
+        batch = batch.repeat(1, rows)
+    return np.argmax(explainer.scores_batch(obs[rows], batch.t, seeds, batch), axis=1)
 
 
-# ---- lockstep episode arms ----
-# Each plays every episode of a shared start batch (env.reset_batch(seeds)) in
-# lockstep. An arm that randomizes draws all its episodes' randomness up front
-# as one table, row i bitwise the draws of stream(root, tag, i) in the order one
+# An arm that randomizes draws all its episodes' randomness up front as one
+# table, row i bitwise the draws of stream(root, tag, i) in the order one
 # scalar episode makes them, and step t reads its column(s) t.
-
 def _episode_tags(count: int) -> list[tuple[int]]:
     return [(i,) for i in range(count)]
-
-
-def _guided(start, target, explainer, root: int, seeds: list) -> np.ndarray:
-    """Each step, randomize only the explainer's most critical agent."""
-    spec = start.env.spec
-    mask = integers_rows(root, ("fid-mask-e",), _episode_tags(len(seeds)), spec.n_actions,
-                         spec.horizon)
-    rows = np.arange(len(seeds))
-
-    def act(batch, obs):
-        actions = target.act_batch(obs)
-        critical = _most_critical(explainer, batch, obs, seeds)
-        actions[rows, critical] = mask[:, batch.t]
-        return actions
-
-    return reward_sums(run_lockstep(start, act)[0])
-
-
-def _random_guided(start, target, root: int, seeds: list) -> np.ndarray:
-    """Each step, randomize one uniformly drawn agent."""
-    spec = start.env.spec
-    # per step, the action draw precedes the agent draw
-    draws = integers_rows(root, ("fid-mask-r",), _episode_tags(len(seeds)),
-                          [spec.n_actions, spec.n_agents] * spec.horizon, 2 * spec.horizon)
-    rows = np.arange(len(seeds))
-
-    def act(batch, obs):
-        actions = target.act_batch(obs)
-        actions[rows, draws[:, 2 * batch.t + 1]] = draws[:, 2 * batch.t]
-        return actions
-
-    return reward_sums(run_lockstep(start, act)[0])
-
-
-def _attacked(start, target, explainer, noise_eps: float, attack_all: bool, root: int,
-              seeds: list) -> np.ndarray:
-    """Uniform noise on the observations of the most critical agent (or of
-    every agent), in agent order; the target acts on what it sees."""
-    spec = start.env.spec
-    n, obs_dim = spec.n_agents, spec.obs_dim
-    k = n if attack_all else 1  # victims per step, each drawing obs_dim values
-    noise = uniform_rows(root, ("attack-noise",), _episode_tags(len(seeds)), -noise_eps,
-                         noise_eps, spec.horizon * k * obs_dim)
-    noise = noise.reshape(len(seeds), spec.horizon, k, obs_dim)
-    rows = np.arange(len(seeds))[:, None]
-
-    def act(batch, obs):
-        victims = (np.tile(np.arange(n), (len(seeds), 1)) if attack_all else
-                   _most_critical(explainer, batch, obs, seeds)[:, None])
-        seen = obs.copy()
-        seen[rows, victims] = np.clip(obs[rows, victims] + noise[:, batch.t], -1.0, 1.0)
-        return target.act_batch(seen)
-
-    return reward_sums(run_lockstep(start, act)[0])
 
 
 def _nearest_entries(pkg_obs: np.ndarray, queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -129,26 +86,6 @@ def _nearest_entries(pkg_obs: np.ndarray, queries: np.ndarray) -> tuple[np.ndarr
         best[lo:lo + block] = np.argmin(dists, axis=1)
         dist[lo:lo + block] = dists[np.arange(len(dists)), best[lo:lo + block]]
     return best, dist
-
-
-def _patched(start, target, explainer, pkg_obs: np.ndarray, pkg_actions: np.ndarray,
-             d_th: float, seeds: list) -> tuple[np.ndarray, np.ndarray]:
-    """Override the critical agent's action with its nearest package action."""
-    rows = np.arange(len(seeds))
-    overrides = np.zeros(len(seeds), dtype=np.int64)
-
-    def act(batch, obs):
-        actions = target.act_batch(obs)
-        critical = _most_critical(explainer, batch, obs, seeds)
-        best, dist = _nearest_entries(pkg_obs, obs[rows, critical])
-        proposed = pkg_actions[best]
-        hit = (dist < d_th) & (proposed != actions[rows, critical])
-        actions[rows[hit], critical[hit]] = proposed[hit]
-        overrides[hit] += 1
-        return actions
-
-    rewards = reward_sums(run_lockstep(start, act)[0])
-    return rewards, overrides
 
 
 # ---- fidelity ----
@@ -193,10 +130,24 @@ class RrdReport:
 
 def eval_fidelity(explainer: Explainer, target, env, episodes: int = 500,
                   seed: int = 0) -> RrdReport:
-    """RRD = |R_e - R_o| / |R_r - R_o| over matched-seed episode batches."""
-    seeds, start, r_o = _matched_start(target, env, episodes, seed, "fidelity")
-    r_e = _guided(start, target, explainer, seed, seeds)
-    r_r = _random_guided(start, target, seed, seeds)
+    """RRD = |R_e - R_o| / |R_r - R_o| over matched-seed episodes, in row
+    blocks original, guided (each step the explainer's most critical agent
+    acts at random) and random (each step a uniformly drawn agent does)."""
+    seeds, start = _matched_start(target, env, episodes, seed, "fidelity", 3)
+    spec, tags = env.spec, _episode_tags(episodes)
+    mask = integers_rows(seed, ("fid-mask-e",), tags, spec.n_actions, spec.horizon)
+    # per step, the action draw precedes the agent draw
+    draws = integers_rows(seed, ("fid-mask-r",), tags,
+                          [spec.n_actions, spec.n_agents] * spec.horizon, 2 * spec.horizon)
+    guided, randomized = np.arange(episodes, 2 * episodes), np.arange(2 * episodes, 3 * episodes)
+
+    def act(batch, obs):
+        t, actions = batch.t, target.act_batch(obs)
+        actions[guided, _most_critical(explainer, batch, obs, seeds, 1)] = mask[:, t]
+        actions[randomized, draws[:, 2 * t + 1]] = draws[:, 2 * t]
+        return actions
+
+    r_o, r_e, r_r = reward_sums(run_lockstep(start, act)[0]).reshape(3, episodes)
     return RrdReport.from_rewards(explainer.kind, env.name, r_o, r_e, r_r)
 
 
@@ -227,11 +178,28 @@ class AttackReport:
 
 def launch_attack(explainer: Explainer, target, env, noise_eps: float = 0.5,
                   episodes: int = 500, seed: int = 0, attack_all: bool = False) -> AttackReport:
-    """Uniform observation noise on the most critical agent, matched seeds."""
+    """Uniform noise on the observations of the most critical agent (or of
+    every agent, in agent order) over matched-seed episodes, in row blocks
+    original and attacked; the target acts on what it sees."""
     if not (noise_eps >= 0 and math.isfinite(2 * noise_eps)):
         raise ValueError(f"noise_eps must be >= 0 and 2 * noise_eps finite, got {noise_eps}")
-    seeds, start, r_o = _matched_start(target, env, episodes, seed, "attack")
-    r_a = _attacked(start, target, explainer, float(noise_eps), attack_all, seed, seeds)
+    seeds, start = _matched_start(target, env, episodes, seed, "attack", 2)
+    spec, eps = env.spec, float(noise_eps)
+    n, obs_dim = spec.n_agents, spec.obs_dim
+    k = n if attack_all else 1  # victims per step, each drawing obs_dim values
+    noise = uniform_rows(seed, ("attack-noise",), _episode_tags(episodes), -eps, eps,
+                         spec.horizon * k * obs_dim).reshape(episodes, spec.horizon, k, obs_dim)
+    attacked = np.arange(episodes, 2 * episodes)[:, None]
+    every_agent = np.tile(np.arange(n), (episodes, 1))
+
+    def act(batch, obs):
+        victims = (every_agent if attack_all else
+                   _most_critical(explainer, batch, obs, seeds, 1)[:, None])
+        seen = obs.copy()
+        seen[attacked, victims] = np.clip(obs[attacked, victims] + noise[:, batch.t], -1.0, 1.0)
+        return target.act_batch(seen)
+
+    r_o, r_a = reward_sums(run_lockstep(start, act)[0]).reshape(2, episodes)
     return AttackReport.from_rewards(explainer.kind, env.name, noise_eps, r_o, r_a)
 
 
@@ -335,17 +303,31 @@ class PatchReport:
 
 def apply_patch(package: PatchPackage, explainer: Explainer, target, env,
                 d_th: float | None = None, episodes: int = 500, seed: int = 0) -> PatchReport:
-    """Override the critical agent's action with the package action whenever
-    a package observation lies within Manhattan distance d_th (and the
-    actions disagree); reports the matched-seed reward delta."""
+    """Override the critical agent's action with the action of its nearest
+    package observation whenever that lies within Manhattan distance d_th
+    (and the actions disagree); reports the matched-seed reward delta of the
+    row blocks original and patched."""
     if len(package) == 0:
         raise ValueError("patch package is empty")
-    seeds, start, r_o = _matched_start(target, env, episodes, seed, "patch")
     if d_th is None:
         d_th = 0.05 * env.spec.obs_dim
-    if d_th < 0:
+    if not d_th >= 0:  # NaN too
         raise ValueError(f"d_th must be >= 0, got {d_th}")
-    r_p, overrides = _patched(start, target, explainer, package.obs, package.actions,
-                              float(d_th), seeds)
+    seeds, start = _matched_start(target, env, episodes, seed, "patch", 2)
+    rows = np.arange(episodes)
+    overrides = np.zeros(episodes, dtype=np.int64)
+
+    def act(batch, obs):
+        actions = target.act_batch(obs)
+        critical = _most_critical(explainer, batch, obs, seeds, 1)
+        patched = actions[episodes:]  # a view of the patched block
+        best, dist = _nearest_entries(package.obs, obs[episodes + rows, critical])
+        proposed = package.actions[best]
+        hit = (dist < d_th) & (proposed != patched[rows, critical])
+        patched[rows[hit], critical[hit]] = proposed[hit]
+        overrides[hit] += 1
+        return actions
+
+    r_o, r_p = reward_sums(run_lockstep(start, act)[0]).reshape(2, episodes)
     return PatchReport.from_rewards(explainer.kind, env.name, d_th, len(package),
                                     r_o, r_p, overrides)

@@ -74,6 +74,14 @@ def _nums(v) -> bool:
     return _num_list(v) and all(map(math.isfinite, v))
 
 
+def _finite(v) -> bool:
+    """A finite JSON number; an int too large for a float is none."""
+    try:
+        return _is_num(v) and math.isfinite(v)
+    except OverflowError:
+        return False
+
+
 # RecordStep field -> the test its parsed JSON value must pass
 _STEP_TYPES = {
     "t": _is_int,
@@ -82,8 +90,21 @@ _STEP_TYPES = {
     "target_actions": _ints,
     "mask_actions": _optional(_ints),
     "final_actions": _ints,
-    "reward": lambda v: _is_num(v) and math.isfinite(v),
+    "reward": _finite,
     "importance": _optional(_nums),
+}
+
+
+# header key -> the test its parsed JSON value must pass
+_HEADER_TYPES = {
+    "env_name": lambda v: isinstance(v, str),
+    "env_params": lambda v: isinstance(v, dict),
+    "seed": _is_int,
+    "target_id": lambda v: isinstance(v, str),
+    "explainer_id": lambda v: isinstance(v, str),
+    "n_agents": _is_int,
+    "n_steps": _is_int,
+    "reward_sum": _finite,
 }
 
 
@@ -154,15 +175,18 @@ def parse(text: str) -> EpisodeRecord:
     if header.get("v") != FORMAT_VERSION:
         raise ReplayError(f"unsupported replay version {header.get('v')!r}; "
                           f"this reader handles v:{FORMAT_VERSION} only")
-    try:
-        n_steps, declared = int(header["n_steps"]), float(header["reward_sum"])
-        seed, n_agents = int(header["seed"]), int(header["n_agents"])
-        env_name, env_params = header["env_name"], header["env_params"]
-        target_id, explainer_id = header["target_id"], header["explainer_id"]
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise ReplayError(f"malformed header on line 1: {type(exc).__name__}: {exc}") from exc
-    if not isinstance(env_params, dict):
-        raise ReplayError("malformed header on line 1: env_params is not an object")
+    missing = [key for key in _HEADER_TYPES if key not in header]
+    if missing:
+        raise ReplayError(f"malformed header on line 1: missing fields {missing}")
+    bad = [key for key, ok in _HEADER_TYPES.items() if not ok(header[key])]
+    if bad:
+        raise ReplayError(f"malformed header on line 1: ill-typed header fields {bad} "
+                          "(counts and the seed are JSON ints, reward_sum a finite number, "
+                          "the ids strings, env_params an object)")
+    n_steps, declared = header["n_steps"], float(header["reward_sum"])
+    seed, n_agents = header["seed"], header["n_agents"]
+    env_name, env_params = header["env_name"], header["env_params"]
+    target_id, explainer_id = header["target_id"], header["explainer_id"]
     steps: list[RecordStep] = []
     last_good = 1
     for lineno, line in enumerate(lines[1:], start=2):
@@ -191,7 +215,7 @@ def parse(text: str) -> EpisodeRecord:
             raise ReplayError(f"step t={idx}: a per-agent field does not hold one entry for "
                               f"each of the header's n_agents={n_agents} agents")
     total = left_sum(st.reward for st in steps)
-    if not math.isfinite(declared) or abs(total - declared) > 1e-6 * max(1.0, abs(declared)):
+    if abs(total - declared) > 1e-6 * max(1.0, abs(declared)):
         raise ReplayError(f"header reward_sum {declared} inconsistent with "
                           f"step sum {total}")
     return EpisodeRecord(env_name, env_params, seed, target_id, explainer_id, n_agents,

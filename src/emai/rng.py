@@ -13,10 +13,13 @@ Three batched kernels draw from many streams at once, row r from
   for i < count.
 They share `_pcg_outputs`, which recomputes numpy's SeedSequence mixing, the
 PCG64 seeding and XSL-RR output as array arithmetic over all rows: output j
-is an affine function of the seeded state, so no generator is stepped. A
-row whose bounded draw numpy would reject and redraw (about one draw in
-2**32 at a small bound) is drawn from the scalar stream itself, so the
-equality holds in every case.
+is an affine function of the seeded state, so no generator is stepped. The
+root seed is one int for every row or, for `_pcg_outputs` and
+`integers_rows`, one per row (`stream(seeds[r], *head_tags, *tail_tags[r])`).
+A row whose bounded draw numpy would reject and redraw (about one draw in
+2**32 at a small bound), or whose own root seed is below 2**32 (one entropy
+word where the other rows have two), is drawn from the scalar stream
+itself, so the equality holds in every case.
 """
 from __future__ import annotations
 
@@ -150,18 +153,39 @@ def _step_constants(n: int) -> tuple[np.ndarray, ...]:
     return out
 
 
-def _pcg_outputs(seed: int, head_tags: tuple, tail_tags, count: int) -> np.ndarray:
+def _shared_seed(seed) -> bool:
+    """Whether `seed` is one root seed for every row, not one per row."""
+    return isinstance(seed, (int, np.integer))
+
+
+def _row_stream(seed, head_tags: tuple, tail_tags, r: int) -> np.random.Generator:
+    """Row r's scalar stream, under a shared or a per-row root seed."""
+    return stream(seed if _shared_seed(seed) else seed[r], *head_tags, *tail_tags[r])
+
+
+def _pcg_outputs(seed, head_tags: tuple, tail_tags, count: int) -> np.ndarray:
     """Row r holds the first `count` raw 64-bit outputs of stream(seed,
     *head_tags, *tail_tags[r]), as an (R, count) little-endian uint64 array;
-    every row of tail_tags has the same length. Rows are taken
-    OUTPUT_BLOCK // count at a time, which bounds the temporaries."""
+    every row of tail_tags has the same length. `seed` may also hold one
+    root seed per row; a row whose root seed is below 2**32 (after stream's
+    mask to 64 bits) has one entropy word fewer, so it takes the raw outputs
+    of its scalar stream. Rows are taken OUTPUT_BLOCK // count at a time,
+    which bounds the temporaries."""
     rows = len(tail_tags)
     if len(set(map(len, tail_tags))) > 1:
         raise ValueError("every row of tail_tags must have the same length")
+    if _shared_seed(seed):
+        seed_words, short = _seed_words(seed), []
+    else:
+        if len(seed) != rows:
+            raise ValueError(f"{len(seed)} root seeds for {rows} rows of tail_tags")
+        roots = np.array([int(s) & _M64 for s in seed], dtype=np.uint64)
+        high = roots >> 32
+        seed_words, short = [roots & _M32, high], np.flatnonzero(high == 0)
     out = np.empty((rows, count), dtype="<u8")
     if rows == 0 or count == 0:
         return out
-    words = (_seed_words(seed) + [_tag_to_int(t) for t in head_tags]
+    words = (seed_words + [_tag_to_int(t) for t in head_tags]
              + [_tag_column(column) for column in zip(*tail_tags)])
     s_hi, s_lo, q_hi, q_lo = _seed_sequence_state(words, rows)
     # the seed s and the increment inc = 2 * initseq + 1 as (2, rows, 1) halves
@@ -183,13 +207,16 @@ def _pcg_outputs(seed: int, head_tags: tuple, tail_tags, count: int) -> np.ndarr
         # XSL-RR output
         xored, rot = hi ^ lo, hi >> 58
         out[start:start + block] = xored >> rot | xored << ((64 - rot) & 63)
+    for r in short:
+        out[r] = _row_stream(seed, head_tags, tail_tags, r).bit_generator.random_raw(count)
     return out
 
 
-def integers_rows(seed: int, head_tags: tuple, tail_tags, high, size: int) -> np.ndarray:
+def integers_rows(seed, head_tags: tuple, tail_tags, high, size: int) -> np.ndarray:
     """Row r equals stream(seed, *head_tags, *tail_tags[r]).integers(0, high,
     size=size), bitwise, as an (R, size) int64 array; every row of tail_tags
-    has the same length. `high` may also be a sequence of `size` bounds:
+    has the same length, and `seed` may hold one root seed per row, as
+    _pcg_outputs takes it. `high` may also be a sequence of `size` bounds:
     column j of row r then equals the j-th of the consecutive calls
     integers(0, high[0]), integers(0, high[1]), ... on that stream. Every
     bound lies in [2, 2**32)."""
@@ -213,7 +240,7 @@ def integers_rows(seed: int, head_tags: tuple, tail_tags, high, size: int) -> np
     # numpy redraws when the low word falls below 2**32 mod high
     rejected = ((scaled & _M32) < (1 << 32) % high_col).any(axis=1)
     for r in np.flatnonzero(rejected):
-        rng = stream(seed, *head_tags, *tail_tags[r])
+        rng = _row_stream(seed, head_tags, tail_tags, r)
         result[r] = ([rng.integers(0, bound) for bound in bounds] if per_column
                      else rng.integers(0, bounds[0], size=size))
     return result

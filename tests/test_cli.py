@@ -439,6 +439,7 @@ def test_ill_typed_config_value_exit_2(tmp_path, override):
     ("train-target", ["training.steps=50", "training.epsilon_end=-0.2"],
      "epsilon_end must lie in [0, 1]"),
     ("patch", ["eval.d_th=-1"], "d_th must be >= 0"),
+    ("patch", ["eval.d_th=NaN"], "d_th must be >= 0"),
 ], ids=["attack-noise_eps", "attack-noise_eps-overflow", "attack-noise_eps-nan",
         "eval-fidelity-episodes", "patch-quantile",
         "patch-harvest_episodes", "train-target-lr", "train-emai-beta",
@@ -446,7 +447,7 @@ def test_ill_typed_config_value_exit_2(tmp_path, override):
         "train-target-mix_embed", "train-target-hidden", "train-target-buffer_episodes",
         "train-target-steps", "explain-explain_episodes", "train-target-gamma",
         "train-emai-gamma", "train-target-epsilon_start", "train-target-epsilon_end",
-        "patch-d_th"])
+        "patch-d_th", "patch-d_th-nan"])
 def test_rejected_config_value_exit_2(tmp_path, capsys, command, overrides, message):
     # values of the right type that the library rejects are config errors too
     args = [command, "--config", str(_write_cfg(tmp_path, FAST_EMAI)),

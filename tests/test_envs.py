@@ -14,7 +14,7 @@ from emai import envs
 from emai.envs import (DELTAS, LEFT, RIGHT, STAY, EnvError, EnvSpec, GridBatch, KeyCorridor,
                        StepResult, make_env)
 from emai.masking import MASK, apply_mask
-from emai.rng import stream
+from emai.rng import episode_seeds, stream
 from emai.target import ScriptedKeyCorridor, scripted_by_name
 
 # recorded from stream(123, "recorded-fixture") draws over 2 actions
@@ -529,6 +529,22 @@ def test_reset_batch_steps_like_scalar_resets(name, params):
     while not batch.done:
         _step_lockstep(batch, copies, rng.integers(0, 5, size=(len(seeds), env.spec.n_agents)))
     assert batch.t == env.spec.horizon
+
+
+def test_keycorridor_reset_batch_places_every_row_in_one_draw(monkeypatch):
+    # a batch draws its start zones from one table; a one-row reset keeps _place
+    env = make_env("keycorridor")
+    seeds = episode_seeds(5, "fidelity", 40)
+    places = []
+    original_place = KeyCorridor._place
+    monkeypatch.setattr(KeyCorridor, "_place",
+                        lambda self, seed: places.append(seed) or original_place(self, seed))
+    batch = env.reset_batch(seeds)
+    assert places == []
+    env.reset(seeds[0])
+    assert places == [seeds[0]]
+    assert [list(map(tuple, p)) for p in batch.positions.tolist()] == [
+        c.positions for c in _scalar_resets(env, seeds)]
 
 
 def test_reset_batch_rejects_no_seeds_and_steps_past_the_horizon():

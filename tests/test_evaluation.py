@@ -9,7 +9,7 @@ import pytest
 
 from emai import rng
 from emai.ctde import AgentQNet, MonotonicMixer
-from emai.envs import KeyCorridor, make_env
+from emai.envs import GridBatch, KeyCorridor, make_env
 from emai.evaluation import (AttackReport, PatchPackage, PatchReport, RRD_DENOMINATOR_GUARD,
                              RrdReport, apply_patch, build_patch_package, eval_fidelity,
                              launch_attack)
@@ -202,6 +202,16 @@ def test_patch_empty_package_rejected():
                          np.zeros((0, env.spec.obs_dim)), np.zeros(0, dtype=np.int64))
     with pytest.raises(ValueError):
         apply_patch(empty, _FixedAgentExplainer(0, 3), pol, env, episodes=5)
+
+
+@pytest.mark.parametrize("d_th", [-0.5, float("nan")])
+def test_patch_threshold_must_be_nonnegative(d_th):
+    # a NaN threshold compares false with every distance and would patch nothing
+    env = make_env("keycorridor")
+    pkg = PatchPackage(env.name, "fixed", 0.1, np.zeros((1, env.spec.obs_dim)),
+                       np.zeros(1, dtype=np.int64))
+    with pytest.raises(ValueError, match="d_th must be >= 0"):
+        apply_patch(pkg, _FixedAgentExplainer(0, 3), scripted_policy(env), env, d_th, 5)
 
 
 def test_patch_entries_deduplicated_on_exact_observation():
@@ -426,29 +436,66 @@ def test_lockstep_arms_equal_scalar_arms(name, params, kind):
     assert apply_patch(package, explainer, other, env, d_th, episodes, seed) == patch
 
 
-def test_commands_place_each_seed_once_and_draw_no_stream_per_episode(monkeypatch):
-    env = make_env("keycorridor")
-    target, other, explainer = _parity_setup("emai", env)
-    package = build_patch_package(explainer, target, env, harvest_episodes=10, quantile=0.3,
-                                  seed=3)
-    commands = {
+def _three_commands(explainer, target, other, env, package):
+    return {
         "fidelity": lambda episodes: eval_fidelity(explainer, target, env, episodes, seed=3),
         "attack": lambda episodes: launch_attack(explainer, target, env, 0.5, episodes, seed=3),
         "patch": lambda episodes: apply_patch(package, explainer, other, env, 1.6, episodes,
                                               seed=3),
     }
-    streams, places = [], []
-    original_stream, original_place = rng.stream, KeyCorridor._place
+
+
+def test_commands_place_each_seed_once_and_draw_no_stream_per_episode(monkeypatch):
+    env = make_env("keycorridor")
+    target, other, explainer = _parity_setup("emai", env)
+    package = build_patch_package(explainer, target, env, harvest_episodes=10, quantile=0.3,
+                                  seed=3)
+    streams, placements, places = [], [], []
+    original_stream = rng.stream
+    original_rows, original_place = KeyCorridor._place_rows, KeyCorridor._place
     monkeypatch.setattr(rng, "stream", lambda *key: streams.append(key) or original_stream(*key))
+    monkeypatch.setattr(KeyCorridor, "_place_rows", lambda self, seeds: placements.append(
+        list(seeds)) or original_rows(self, seeds))
     monkeypatch.setattr(KeyCorridor, "_place",
                         lambda self, seed: places.append(seed) or original_place(self, seed))
-    for name, run in commands.items():
+    for name, run in _three_commands(explainer, target, other, env, package).items():
         counts = []
         for episodes in (20, 40):
             streams.clear()
+            placements.clear()
             places.clear()
             run(episodes)
             counts.append(len(streams))
-        # the matched arms share one reset of the 40 seeds; every draw is a table
-        assert len(places) == 40 and len(set(places)) == 40, name
+        # the matched arms share one batched placement of the 40 seeds;
+        # every draw is a table
+        assert len(placements) == 1 and len(set(placements[0])) == 40, name
+        assert places == [], name
         assert counts[0] == counts[1], name
+
+
+def test_each_command_steps_its_arms_as_one_batch(monkeypatch):
+    # one GridBatch.step, one target query and one explainer query per step:
+    # a return to one lockstep pass per arm would multiply each count
+    env = make_env("keycorridor", horizon=7)
+    target, other, explainer = _parity_setup("emai", env)
+    package = build_patch_package(explainer, target, env, harvest_episodes=10, quantile=0.3,
+                                  seed=3)
+    calls = {"step": 0, "act_batch": 0, "scores_batch": 0}
+
+    def counted(owner, attr):
+        original = getattr(owner, attr)
+
+        def wrapper(*args, **kwargs):
+            calls[attr] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, attr, wrapper)
+
+    counted(GridBatch, "step")
+    counted(type(target), "act_batch")
+    counted(type(other), "act_batch")
+    counted(EmaiExplainer, "scores_batch")
+    for name, run in _three_commands(explainer, target, other, env, package).items():
+        calls.update(dict.fromkeys(calls, 0))
+        run(6)
+        assert calls == dict.fromkeys(calls, env.spec.horizon), name

@@ -166,6 +166,38 @@ def test_header_malformed_rejected(header):
         parse(header + "\n")
 
 
+@pytest.mark.parametrize("field, value", [
+    ("n_steps", True), ("n_steps", 30.5), ("n_steps", "30"), ("seed", "4"), ("seed", 4.0),
+    ("n_agents", True), ("n_agents", 3.5), ("reward_sum", "0.1"), ("reward_sum", False),
+    ("reward_sum", 10 ** 400), ("env_name", 1), ("target_id", None), ("explainer_id", ["test"]),
+    ("env_params", [])])
+def test_ill_typed_header_field_rejected(field, value):
+    # int() would read true as 1 and "4" as 4, and truncate 30.5; the header
+    # types its fields as strictly as each step does
+    import json
+    lines = serialize(_make_record()).splitlines()
+    header = json.loads(lines[0])
+    header[field] = value
+    with pytest.raises(ReplayError, match=rf"line 1: ill-typed header fields \['{field}'\]"):
+        parse("\n".join([json.dumps(header)] + lines[1:]))
+
+
+def test_header_ints_and_int_reward_sum_parse_as_before():
+    import json
+    rec = _make_record()
+    lines = serialize(rec).splitlines()
+    assert parse("\n".join(lines)) == rec
+    header = json.loads(lines[0])
+    header["reward_sum"] = round(header["reward_sum"])  # a JSON int is a number too
+    steps = [json.loads(line) for line in lines[1:]]
+    for step in steps:
+        step["reward"] = 0
+    steps[0]["reward"] = header["reward_sum"]
+    parsed = parse("\n".join(json.dumps(doc) for doc in [header, *steps]))
+    assert parsed.reward_sum == float(header["reward_sum"])
+    assert isinstance(parsed.reward_sum, float) and parsed.seed == rec.seed
+
+
 @pytest.mark.parametrize("field, value", [("reward", "x"), ("reward", True), ("t", 1.5),
                                           ("state", ["a"]), ("observations", [1.0]),
                                           ("target_actions", [0.5]), ("final_actions", None),

@@ -190,6 +190,27 @@ def test_episode_seeds_fall_back_to_episode_seed_on_rejected_rows(monkeypatch):
     assert got == [episode_seed(2**40 + 9, "fidelity", i) for i in range(64)]
 
 
+@settings(max_examples=60, deadline=None)
+@given(seeds=st.lists(st.integers(-2**63, 2**64 - 1) | st.integers(0, 2**32 - 1), max_size=24),
+       head=st.lists(TAGS, max_size=3), count=st.integers(0, 6))
+def test_pcg_outputs_per_row_seeds_equal_their_streams(seeds, head, count):
+    # rows whose seed is below 2**32 (one entropy word) come from the scalar stream
+    got = rng._pcg_outputs(seeds, tuple(head), [()] * len(seeds), count)
+    assert got.shape == (len(seeds), count)
+    for row, seed in zip(got, seeds):
+        assert row.tolist() == stream(seed, *head).bit_generator.random_raw(count).tolist()
+
+
+def test_integers_rows_per_row_seeds_and_their_checks():
+    seeds = [0, 1, 7, -3, 2**32, 2**63 - 2] + episode_seeds(4, "fidelity", 10)
+    tails = [(i,) for i in range(len(seeds))]
+    want = [[(g := stream(s, 0x52, i)).integers(0, 4), g.integers(0, 2), g.integers(0, 2)]
+            for i, s in enumerate(seeds)]
+    assert integers_rows(seeds, (0x52,), tails, [4, 2, 2], 3).tolist() == want
+    with pytest.raises(ValueError, match="root seeds"):
+        integers_rows(seeds[:3], (0x52,), tails, 4, 3)
+
+
 def test_pcg_outputs_blocks_rows_bitwise(monkeypatch):
     tails = [(i, 2**33 + i) for i in range(37)]
     whole = rng._pcg_outputs(5, ("x",), tails, 9)
