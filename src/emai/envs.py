@@ -79,9 +79,9 @@ class _GridEnv:
     own. The state is every agent's position, then the landmarks, then the
     door flag.
 
-    Every rule is written once, batched: reset(seed) and step(joint_action)
-    are one-row views of a GridBatch the env holds, whose t and done the env
-    reports.
+    Every rule is written once, batched: reset(seed), step(joint_action) and
+    advance(joint_action) are one-row views of a GridBatch the env holds,
+    whose t and done the env reports.
     """
 
     spec: EnvSpec
@@ -115,6 +115,9 @@ class _GridEnv:
     def observations(self) -> np.ndarray:
         return self._live().observations()[0]
 
+    def state(self) -> np.ndarray:
+        return self._live().states()[0]
+
     def reset(self, seed: int) -> tuple[np.ndarray, np.ndarray]:
         self._row = row = self.reset_batch([seed])
         return row.states()[0], row.observations()[0]
@@ -125,6 +128,10 @@ class _GridEnv:
         # a Python float, as replay text writes repr(reward)
         return StepResult(row.states()[0], result.observations[0], float(result.reward[0]),
                           result.done)
+
+    def advance(self, joint_action) -> None:
+        """step() without its state, observations and reward."""
+        self._live().advance(np.asarray(joint_action)[None])
 
     def branch(self, size: int) -> "GridBatch":
         """`size` independent copies of the current state, to step in lockstep."""
@@ -166,12 +173,13 @@ class _GridEnv:
         return GridTables(self._rows, self._cols, self.WALLS, self.DOOR, self.ANCHORS)
 
     def _move_batch(self, batch: "GridBatch", actions: np.ndarray) -> None:
-        """Every row's simultaneous move: a move into a wall, off the grid or
-        into a closed door leaves the agent where it was."""
-        tables = batch.tables
-        cand = batch.cells + tables.delta.take(actions)
-        ok = tables.open.take(cand + batch.door_open[:, None] * tables.size)
-        batch.cells = np.where(ok, cand, batch.cells)
+        """Every row's simultaneous move, one gather from the next-cell
+        table: a move into a wall, off the grid or into a closed door leaves
+        the agent where it was."""
+        tables, n_actions = batch.tables, len(DELTAS)
+        index = batch.cells * n_actions + actions
+        index += batch.door_open[:, None] * (tables.size * n_actions)
+        batch.cells = tables.next_cell.take(index)
 
     def _reward_batch(self, batch: "GridBatch") -> np.ndarray:
         raise NotImplementedError
@@ -200,6 +208,9 @@ class GridTables:
     observation's own position, its door flag and every point it sees.
     manhattan[a * size + b] is the Manhattan distance of two cells, and
     open[door_open * size + cell] says whether a move may end on cell.
+    next_cell[(door_open * size + cell) * n_actions + action] is the cell
+    that action moves to from cell: cell + delta[action] where open says
+    the move may end, else cell itself.
     fixed holds the point slots every observation reads before the
     landmarks: the own position's (size), the door flag's (size + 1) on an
     env with a door, then each anchor's cell.
@@ -226,6 +237,12 @@ class GridTables:
             closed[self.flat(door)] = False
         self.open = np.concatenate([closed, grid.reshape(-1)])
         self.delta = np.array([dr * self.width + dc for dr, dc in DELTAS], dtype=np.int64)
+        cells = np.arange(self.size)[:, None]
+        cand = cells + self.delta  # (size, n_actions); a border cell's may leave the grid
+        inside = (cand >= 0) & (cand < self.size)
+        cand = np.where(inside, cand, cells)
+        ok = inside & self.open.reshape(2, self.size).take(cand, axis=1)  # (door, cell, action)
+        self.next_cell = np.where(ok, cand, cells).reshape(-1)
         self.fixed = np.array([self.size, *([] if door is None else [self.size + 1]),
                                *(self.flat(a) for a in anchors)], dtype=np.int64)
 
@@ -278,8 +295,8 @@ class GridBatch:
     and its own door flag, a (size,) bool array that stays False on an env
     without a door. Walls, the tables and the step counter t are shared, so
     all rows end together. positions and landmarks derive the (size, ·, 2)
-    grid coordinates. step() validates the joint actions, for the scalar env
-    too, and raises EnvError on bad input.
+    grid coordinates. step() and advance() validate the joint actions, for
+    the scalar env too, and raise EnvError on bad input.
     """
 
     def __init__(self, env: _GridEnv, tables: GridTables, cells: np.ndarray,
@@ -353,19 +370,24 @@ class GridBatch:
             raise EnvError(f"joint actions need shape ({self.size}, {spec.n_agents}), "
                            f"got {acts.shape}")
         n_actions = spec.n_actions
-        bad = acts.view(np.uint64) >= n_actions  # a negative index wraps to a huge one
-        if bad.any():
-            b, i = np.argwhere(bad)[0]
+        wrapped = acts.view(np.uint64)  # a negative index wraps to a huge one
+        if wrapped.max() >= n_actions:
+            b, i = np.argwhere(wrapped >= n_actions)[0]
             raise EnvError(f"row {b}, agent {i}: action index {acts[b, i]} "
                            f"outside [0, {n_actions})")
         return acts
 
-    def step(self, joint_actions) -> BatchStepResult:
+    def advance(self, joint_actions) -> None:
+        """step() without its reward and observations: validate, move every
+        row and count the step."""
         self.env._move_batch(self, self._validate_actions(joint_actions))
-        reward = self.env._reward_batch(self)
         self.t += 1
         self.done = self.t >= self.env.spec.horizon
-        return BatchStepResult(self.observations(), reward, self.done)
+
+    def step(self, joint_actions) -> BatchStepResult:
+        self.advance(joint_actions)
+        # the reward reads only the moved cells and door flags, not t
+        return BatchStepResult(self.observations(), self.env._reward_batch(self), self.done)
 
 
 @functools.lru_cache(maxsize=16)
@@ -492,17 +514,28 @@ class KeyCorridor(_GridEnv):
         return points[first + picks], np.empty((len(seeds), 0, 2), dtype=np.int64)
 
     def _build_tables(self) -> GridTables:
+        """Adds per-cell on_switch and goal flags, and the reward of k agents
+        in the goal column, reward_by_goals[k] = 0.1 * k - 0.01."""
         tables = super()._build_tables()
-        tables.switch = tables.flat(self.SWITCH)
+        tables.on_switch = np.arange(tables.size) == tables.flat(self.SWITCH)
         tables.goal = (tables.coords[:, 1] == self.GOAL_COL).astype(np.int64)  # 1: goal column
+        tables.reward_by_goals = np.array([0.1 * k - 0.01 for k in range(self.n + 1)])
         return tables
 
+    # both rules add the agent columns one by one: a reduction over a
+    # 3-wide axis costs more than the columns' own arithmetic
     def _move_batch(self, batch: GridBatch, actions: np.ndarray) -> None:
         super()._move_batch(batch, actions)
-        batch.door_open |= (batch.cells == batch.tables.switch).any(axis=1)
+        on_switch = batch.tables.on_switch.take(batch.cells)
+        for i in range(self.n):
+            batch.door_open |= on_switch[:, i]
 
     def _reward_batch(self, batch: GridBatch) -> np.ndarray:
-        return 0.1 * np.add.reduce(batch.tables.goal.take(batch.cells), axis=1) - 0.01
+        goals = batch.tables.goal.take(batch.cells)
+        count = goals[:, 0] + goals[:, 1]
+        for i in range(2, self.n):
+            count += goals[:, i]
+        return batch.tables.reward_by_goals.take(count)
 
 
 class Diagnostic(_GridEnv):

@@ -53,13 +53,18 @@ def _tag_to_int(tag: object) -> int:
     return zlib.crc32(str(tag).encode("utf-8"))
 
 
-def _tag_column(tags: tuple) -> np.ndarray:
-    """_tag_to_int of each tag as a uint64 array; a column of integers that
-    numpy holds in 64 bits takes its low 32 bits in one array operation."""
+def _tag_word(tags: tuple):
+    """_tag_to_int of one tail-tag column: a Python int when every row has
+    the same word, as a head tag is passed, else a uint64 array. A column of
+    integers that numpy holds in 64 bits takes its low 32 bits in one array
+    operation."""
     column = np.array(tags)
     if column.dtype.kind in "iu":
-        return column.astype(np.uint64) & _M32
-    return np.array([_tag_to_int(t) for t in tags], dtype=np.uint64)
+        words = column.astype(np.uint64) & _M32
+    else:
+        words = np.array([_tag_to_int(t) for t in tags], dtype=np.uint64)
+    first = words[0]
+    return int(first) if (words == first).all() else words
 
 
 def _seed_words(seed: int) -> list[int]:
@@ -83,52 +88,74 @@ def episode_seed(seed: int, *tags: object) -> int:
 # A word shared by every row is a Python int; a per-row word is a uint64
 # array of 32-bit values. A product of two words fits in 64 bits.
 
-def _hashmix(value, hash_const: int):
-    value = value ^ hash_const
-    hash_const = (hash_const * _MULT_A) & _M32
-    value = (value * hash_const) & _M32
-    return value ^ (value >> 16), hash_const
+# Both run all but their first operation in place: megabyte temporaries at
+# oracle block size cost page faults.
+def _hash(value, xor, mult):
+    """SeedSequence's hashmix of value under the successive hash constants
+    xor and mult (ints or broadcasting uint64 arrays)."""
+    value = value ^ xor
+    value *= mult
+    value &= _M32
+    value ^= value >> 16
+    return value
 
 
 def _mix(x, y):
-    result = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _M32
-    return result ^ (result >> 16)
+    result = _MIX_MULT_L * x - _MIX_MULT_R * y
+    result &= _M32
+    result ^= result >> 16
+    return result
 
 
-def _hash_consts(first: int, mult: int, n: int) -> np.ndarray:
-    """first, first * mult, ... mod 2**32 (n + 1 values) as a column."""
+@functools.lru_cache(maxsize=64)
+def _hash_consts(first: int, mult: int, n: int) -> tuple[tuple, np.ndarray]:
+    """first, first * mult, ... mod 2**32 (n + 1 values), as a tuple of ints
+    and as a read-only uint64 column."""
     consts = [first]
     for _ in range(n):
         consts.append((consts[-1] * mult) & _M32)
-    return np.array(consts, dtype=np.uint64)[:, None]
+    column = np.array(consts, dtype=np.uint64)[:, None]
+    column.flags.writeable = False  # shared by every caller through the cache
+    return tuple(consts), column
+
+
+# the destination pool words of each source word of the pool mixing
+_OTHERS = [[dst for dst in range(_POOL) if dst != src] for src in range(_POOL)]
 
 
 def _seed_sequence_state(words: list, rows: int) -> np.ndarray:
     """SeedSequence(words).generate_state(4, uint64) of every row, as a
-    (4, rows) uint64 array."""
-    hash_const = _INIT_A
-    pool = []
-    for i in range(_POOL):
-        value, hash_const = _hashmix(words[i] if i < len(words) else 0, hash_const)
-        pool.append(value)
-    for src in range(_POOL):
+    (4, rows) uint64 array. Each hash takes the next constants of _INIT_A's
+    sequence, in SeedSequence's order. When the four pool words are shared,
+    they mix as Python ints; otherwise each pool word mixes into the other
+    three as one (3, rows) array operation. Each later word mixes into the
+    four as one array operation."""
+    words = list(words) + [0] * (_POOL - len(words))
+    hashes, column = _hash_consts(_INIT_A, _MULT_A, _POOL * len(words))
+    pool = [_hash(words[i], hashes[i], hashes[i + 1]) for i in range(_POOL)]
+    at = _POOL  # the next hash constant
+    if all(isinstance(word, int) for word in pool):
+        for src in range(_POOL):
+            for dst in _OTHERS[src]:
+                pool[dst] = _mix(pool[dst], _hash(pool[src], hashes[at], hashes[at + 1]))
+                at += 1
+        mixer = np.array(pool, dtype=np.uint64)[:, None]  # broadcast over the rows
+    else:
+        mixer = np.empty((_POOL, rows), dtype=np.uint64)
         for dst in range(_POOL):
-            if src != dst:
-                value, hash_const = _hashmix(pool[src], hash_const)
-                pool[dst] = _mix(pool[dst], value)
-    mixer = np.empty((_POOL, rows), dtype=np.uint64)
-    for dst in range(_POOL):
-        mixer[dst] = pool[dst]
-    # each remaining word is mixed into the four pool words in turn
+            mixer[dst] = pool[dst]
+        for src in range(_POOL):
+            others = _OTHERS[src]
+            value = _hash(mixer[src], column[at:at + 3], column[at + 1:at + 4])
+            mixer[others] = _mix(mixer[others], value)
+            at += _POOL - 1
     for word in words[_POOL:]:
-        consts = _hash_consts(hash_const, _MULT_A, _POOL)
-        hash_const = int(consts[-1, 0])
-        value = ((word ^ consts[:-1]) * consts[1:]) & _M32
-        mixer = _mix(mixer, value ^ (value >> 16))
-    consts = _hash_consts(_INIT_B, _MULT_B, 2 * _POOL)
-    state = ((np.concatenate([mixer, mixer]) ^ consts[:-1]) * consts[1:]) & _M32
-    state ^= state >> 16
-    return state[0::2] | state[1::2] << 32  # little-endian word pairs
+        mixer = _mix(mixer, _hash(word, column[at:at + _POOL], column[at + 1:at + _POOL + 1]))
+        at += _POOL
+    _, consts = _hash_consts(_INIT_B, _MULT_B, 2 * _POOL)
+    state = _hash(np.concatenate([mixer, mixer]), consts[:-1], consts[1:])
+    state = state[0::2] | state[1::2] << 32  # little-endian word pairs
+    return np.broadcast_to(state, (_POOL, rows))
 
 
 @functools.lru_cache(maxsize=64)
@@ -186,7 +213,7 @@ def _pcg_outputs(seed, head_tags: tuple, tail_tags, count: int) -> np.ndarray:
     if rows == 0 or count == 0:
         return out
     words = (seed_words + [_tag_to_int(t) for t in head_tags]
-             + [_tag_column(column) for column in zip(*tail_tags)])
+             + [_tag_word(column) for column in zip(*tail_tags)])
     s_hi, s_lo, q_hi, q_lo = _seed_sequence_state(words, rows)
     # the seed s and the increment inc = 2 * initseq + 1 as (2, rows, 1) halves
     seed_lo = np.stack([s_lo, q_lo << 1 | 1])[:, :, None]

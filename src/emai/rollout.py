@@ -144,13 +144,16 @@ def run_target_episode(env, seed: int, target) -> Trace:
 
 
 def replay_prefix(env, seed: int, prefix_actions) -> tuple[np.ndarray, np.ndarray, bool]:
-    """Reset and re-apply a joint-action prefix; returns (state, obs, done)."""
+    """Reset and re-apply a joint-action prefix; returns (state, obs, done),
+    those of the last env.step a plain replay would make. The prefix only
+    moves the agents (env.advance), so the state and observations are built
+    once, at the end."""
     state, obs = env.reset(seed)
-    done = False
     for joint in prefix_actions:
-        if done:
+        if env.done:
             raise ValueError("prefix extends past episode termination")
-        result = env.step(list(joint))
-        state, obs, done = result.next_state, result.observations, result.done
-    return state, obs, done
+        env.advance(joint)
+    if env.t:
+        state, obs = env.state(), env.observations()
+    return state, obs, env.done
 

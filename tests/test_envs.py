@@ -475,11 +475,15 @@ def test_batch_rejects_what_the_scalar_env_rejects():
         batch.step([[0, -1], [0, 0], [0, 0]])
     with pytest.raises(EnvError):
         batch.step([[0, 0], [0, 0]])  # one row short
+    with pytest.raises(EnvError, match="row 2, agent 1"):
+        batch.advance([[0, 0], [0, 0], [0, 5]])  # advance validates as step does
     batch.step(np.zeros((3, 2), dtype=int))
-    batch.step(np.zeros((3, 2), dtype=int))
-    assert batch.done
+    batch.advance(np.zeros((3, 2), dtype=int))
+    assert batch.done and batch.t == 2
     with pytest.raises(EnvError):
         batch.step(np.zeros((3, 2), dtype=int))
+    with pytest.raises(EnvError):
+        batch.advance(np.zeros((3, 2), dtype=int))
     with pytest.raises(ValueError):
         env.branch(0)
     with pytest.raises(EnvError):
@@ -703,6 +707,64 @@ def test_tables_are_built_on_the_first_batch_once_per_geometry(monkeypatch):
     assert moves is not None and not moves.flags.writeable
     scripted_by_name(env, "weakened").act(obs[0])
     assert ScriptedKeyCorridor._MOVES is moves
+
+
+NEXT_CELL_CASES = [
+    ("spread", {"n_agents": 3, "grid": 4}),
+    ("keycorridor", {}),
+    ("diagnostic", {"n_agents": 3, "grid": 5, "inert": (1,)}),
+]
+
+
+@pytest.mark.parametrize("name,params", NEXT_CELL_CASES)
+def test_next_cell_table_equals_the_move_rule(name, params):
+    env = make_env(name, **params)
+    tables = env.reset_batch([0]).tables
+    assert not tables.next_cell.flags.writeable
+    grid = [(r, c) for r in range(env._rows) for c in range(env._cols)]
+    doors = (False, True) if env.DOOR is not None else (False,)
+    for door in doors:
+        ref = ScalarGrid(env, [], door_open=door)
+        for cell in grid:
+            for action, (dr, dc) in enumerate(DELTAS):
+                cand = (cell[0] + dr, cell[1] + dc)
+                want = cand if ref._passable(cand) else cell
+                index = (door * tables.size + tables.flat(cell)) * len(DELTAS) + action
+                assert tables.next_cell[index] == tables.flat(want), (door, cell, action)
+    # the batched move, inert agents included: every agent of row b on cell
+    # b // 5 takes action b % 5, as the reference rules move it
+    for door in doors:
+        rows = [(cell, a) for cell in grid for a in range(len(DELTAS))]
+        n = env.spec.n_agents
+        batch = env.reset_batch([0] * len(rows))
+        batch.cells = np.array([[tables.flat(cell)] * n for cell, _ in rows])
+        batch.door_open = np.full(len(rows), door)
+        batch.advance(np.array([[a] * n for _, a in rows]))
+        for (cell, a), got in zip(rows, batch.positions.tolist()):
+            ref = ScalarGrid(env, [cell] * n, door_open=door)
+            ref._move_all([a] * n)
+            assert [tuple(p) for p in got] == ref.positions, (door, cell, a)
+
+
+def test_keycorridor_door_and_reward_tables_equal_the_reduced_rules():
+    env = make_env("keycorridor")
+    batch = env.reset_batch(list(range(64)))
+    tables = batch.tables
+    rng = stream(2, "door-reward-tables")
+    interior = tables.flat(np.argwhere(np.ones((env._rows, env._cols), dtype=bool)))
+    switch, goal = tables.flat(KeyCorridor.SWITCH), tables.goal
+    for _ in range(20):
+        # any grid cell, the switch and the goal column well represented
+        cells = rng.choice(interior, size=(64, 3))
+        cells[rng.random((64, 3)) < 0.15] = switch
+        door = rng.random(64) < 0.3
+        batch.cells, batch.door_open = cells.copy(), door.copy()
+        reward = env._reward_batch(batch)
+        want = 0.1 * np.add.reduce(goal.take(cells), axis=1) - 0.01
+        assert _same_bits(reward, want)
+        env._move_batch(batch, np.full((64, 3), STAY))
+        assert np.array_equal(batch.cells, cells)  # a stay never moves
+        assert _same_bits(batch.door_open, door | (cells == switch).any(axis=1))
 
 
 def test_batches_of_one_shape_share_their_gather_indices():

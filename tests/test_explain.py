@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from emai import explain as explain_mod
-from emai.envs import make_env
+from emai.envs import KeyCorridor, make_env
 from emai.explain import (EmaiExplainer, ExplainContext, Explainer, GradientBasedExplainer,
                           McOracleExplainer, RandomExplainer, ValueBasedExplainer,
                           make_explainer, mc_counterfactual_oracle)
@@ -493,6 +493,28 @@ def test_oracle_rejects_prefix_that_does_not_reach_t():
     scores = ex.scores(ExplainContext(step.observations, step.state, 5, env.name,
                                       episode_seed=0, prefix_actions=prefix))
     assert scores.shape == (3,)
+
+
+@pytest.mark.parametrize("t", [0, 7, 29])
+def test_scalar_oracle_query_steps_only_its_unmasked_suffix(monkeypatch, t):
+    """The prefix replay only moves the agents; the scalar steps left are
+    the unmasked suffix's, horizon - t of them."""
+    env = make_env("keycorridor")
+    pol = scripted_policy(env)
+    trace = run_target_episode(env, 4, pol)
+    step = trace.steps[t]
+    ctx = ExplainContext(step.observations, step.state, t, env.name, env.params, 4,
+                         [s.final_actions for s in trace.steps[:t]])
+    calls = []
+    step_fn = KeyCorridor.step
+
+    def counted(self, joint_action):
+        calls.append(joint_action)
+        return step_fn(self, joint_action)
+
+    monkeypatch.setattr(KeyCorridor, "step", counted)
+    McOracleExplainer(pol, rollouts=2, seed=1).scores_with_stderr(ctx)
+    assert len(calls) == env.spec.horizon - t
 
 
 def test_oracle_scores_batch_needs_the_live_batch_of_its_rows():

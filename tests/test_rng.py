@@ -219,3 +219,26 @@ def test_pcg_outputs_blocks_rows_bitwise(monkeypatch):
     first = [int(stream(5, "x", *tail).integers(0, 2**64 - 1, dtype=np.uint64, endpoint=True))
              for tail in tails]
     assert whole[:, 0].tolist() == first
+
+
+@pytest.mark.parametrize("shared", [7, np.int64(7), True, -3, 2**32 + 5, 2**70, "tag"])
+def test_a_shared_tail_column_is_one_word_and_draws_the_scalar_streams(shared):
+    assert rng._tag_word((shared,) * 5) == rng._tag_to_int(shared)
+    assert type(rng._tag_word((shared,) * 5)) is int
+    tails = [(shared, i, shared) for i in range(6)]
+    got = integers_rows(11, ("shared",), tails, 5, 4)
+    assert np.array_equal(got, _row_by_row(11, ("shared",), tails, 5, 4))
+    per_row_seeds = [2**40 + 3 * i for i in range(6)]
+    want = [stream(s, "shared", *t).bit_generator.random_raw(3).tolist()
+            for s, t in zip(per_row_seeds, tails)]
+    assert rng._pcg_outputs(per_row_seeds, ("shared",), tails, 3).tolist() == want
+
+
+def test_a_tail_column_that_differs_in_one_row_stays_an_array():
+    for column in ((4, 4, 4, 5), (4, 5, 4, 4), ("a", "a", "b"), (True, True, False)):
+        words = rng._tag_word(column)
+        assert isinstance(words, np.ndarray)
+        assert words.tolist() == [rng._tag_to_int(t) for t in column]
+    # rows that share every tail column: one row's stream, broadcast
+    got = uniform_rows(3, ("x",), [(9, 1)] * 4, 0.0, 1.0, 2)
+    assert np.array_equal(got, np.tile(stream(3, "x", 9, 1).uniform(0.0, 1.0, 2), (4, 1)))

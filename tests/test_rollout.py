@@ -7,7 +7,7 @@ import pytest
 
 from emai import explain, rollout
 from emai.ctde import AgentQNet
-from emai.envs import make_env
+from emai.envs import EnvError, make_env
 from emai.rng import episode_seed, stream
 from emai.target import LearnedPolicy, scripted_by_name, scripted_policy
 
@@ -35,6 +35,42 @@ def test_run_episode_prefix_holds_executed_actions():
     state, obs, _ = rollout.replay_prefix(env, 21, executed[:5])
     assert np.array_equal(obs, trace.steps[5].observations)
     assert np.array_equal(state, trace.steps[5].state)
+
+
+REPLAY_CASES = [
+    ("keycorridor", {}),
+    ("spread", {"n_agents": 3, "grid": 4, "horizon": 9}),
+    ("diagnostic", {"n_agents": 3, "grid": 4, "horizon": 8, "inert": (1,)}),
+]
+
+
+@pytest.mark.parametrize("name,params", REPLAY_CASES)
+def test_replay_prefix_equals_stepping_a_fresh_env(name, params):
+    env = make_env(name, **params)
+    n, horizon = env.spec.n_agents, env.spec.horizon
+    moves = stream(5, "replay-prefix", name).integers(0, env.spec.n_actions, size=(horizon + 1, n))
+    prefix = moves.tolist()
+    fresh = make_env(name, **params)
+    state, obs = fresh.reset(8)
+    done = False
+    for length in range(horizon + 1):
+        got = rollout.replay_prefix(env, 8, prefix[:length])
+        assert np.array_equal(got[0], state) and got[0].dtype == state.dtype
+        assert np.array_equal(got[1], obs) and got[1].dtype == obs.dtype
+        assert got[2] is done
+        assert env.t == length and env.done is done  # the env is left at step `length`
+        if length < horizon:
+            result = fresh.step(prefix[length])
+            state, obs, done = result.next_state, result.observations, result.done
+    # one step past the horizon
+    with pytest.raises(ValueError, match="past episode termination"):
+        rollout.replay_prefix(env, 8, prefix)
+    # bad joint actions raise the env's errors wherever they sit in the prefix
+    for bad in ([env.spec.n_actions] + [0] * (n - 1), [0] * (n - 1) + [-1], [0] * (n - 1),
+                [0] * (n + 1)):
+        for at in (0, 3):
+            with pytest.raises(EnvError):
+                rollout.replay_prefix(env, 8, prefix[:at] + [bad])
 
 
 def test_run_episode_copies_returned_actions():
