@@ -79,9 +79,9 @@ class _GridEnv:
     own. The state is every agent's position, then the landmarks, then the
     door flag.
 
-    Every rule is written once, batched: reset(seed), step(joint_action) and
-    advance(joint_action) are one-row views of a GridBatch the env holds,
-    whose t and done the env reports.
+    Every rule is written once, batched: reset(seed) and step(joint_action)
+    are one-row views of a GridBatch the env holds (`row`), whose t and done
+    the env reports.
     """
 
     spec: EnvSpec
@@ -107,37 +107,40 @@ class _GridEnv:
     def done(self) -> bool:
         return self._row is None or self._row.done
 
-    def _live(self) -> "GridBatch":
+    @property
+    def row(self) -> "GridBatch":
+        """The current state as a one-row GridBatch, which step() changes in place."""
         if self._row is None:
             raise EnvError("the environment has not been reset; call reset() first")
         return self._row
 
     def observations(self) -> np.ndarray:
-        return self._live().observations()[0]
+        return self.row.observations()[0]
 
     def state(self) -> np.ndarray:
-        return self._live().states()[0]
+        return self.row.states()[0]
+
+    def restart(self, seed: int) -> "GridBatch":
+        """reset() without its state and observations: returns the new row."""
+        self._row = row = self.reset_batch([seed])
+        return row
 
     def reset(self, seed: int) -> tuple[np.ndarray, np.ndarray]:
-        self._row = row = self.reset_batch([seed])
+        row = self.restart(seed)
         return row.states()[0], row.observations()[0]
 
     def step(self, joint_action) -> StepResult:
-        row = self._live()
+        row = self.row
         result = row.step(np.asarray(joint_action)[None])
         # a Python float, as replay text writes repr(reward)
         return StepResult(row.states()[0], result.observations[0], float(result.reward[0]),
                           result.done)
 
-    def advance(self, joint_action) -> None:
-        """step() without its state, observations and reward."""
-        self._live().advance(np.asarray(joint_action)[None])
-
     def branch(self, size: int) -> "GridBatch":
         """`size` independent copies of the current state, to step in lockstep."""
         if size < 1:
             raise ValueError("a batch needs size >= 1")
-        return self._live().repeat(size)
+        return self.row.repeat(size)
 
     def reset_batch(self, seeds) -> "GridBatch":
         """One row per seed: row b is the state after reset(seeds[b])."""
@@ -258,13 +261,16 @@ class GridTables:
 # The decoders of GridTables' norm and rel entries: a normalized position v
 # back to its cell (v + 1) * (extent - 1) / 2, and a relative offset v to
 # v * (extent - 1), rounded half to even; extent is an int or an int array
-# broadcast against values. Clipping before the int cast changes no
-# in-range result (a decoded cell is clamped to the grid anyway) but keeps
-# huge inputs from overflowing into bad indices. The first operation writes
-# a C-order array, which the in-place rest runs through fastest.
-def decode_norm(values: np.ndarray, extent) -> np.ndarray:
+# broadcast against values. A caller that decodes with one extent on every
+# call may pass top = np.subtract(extent, 1.0), computed once, in place of
+# extent. Clipping before the int cast changes no in-range result (a
+# decoded cell is clamped to the grid anyway) but keeps huge inputs from
+# overflowing into bad indices. The first operation writes a C-order array,
+# which the in-place rest runs through fastest.
+def decode_norm(values: np.ndarray, extent=None, *, top=None) -> np.ndarray:
     """The cells (int64, clipped to [0, extent - 1]) of normalized positions."""
-    top = np.subtract(extent, 1.0)  # exact: extent is a small int
+    if top is None:
+        top = np.subtract(extent, 1.0)  # exact: extent is a small int
     cells = np.add(values, 1.0, order="C")
     cells *= top
     cells /= 2.0
@@ -274,10 +280,11 @@ def decode_norm(values: np.ndarray, extent) -> np.ndarray:
     return cells.astype(np.int64)
 
 
-def decode_rel(values: np.ndarray, extent) -> np.ndarray:
+def decode_rel(values: np.ndarray, extent=None, *, top=None) -> np.ndarray:
     """The offsets (int64, clipped to [1 - extent, extent - 1]) of relative
     positions."""
-    top = np.subtract(extent, 1.0)
+    if top is None:
+        top = np.subtract(extent, 1.0)
     cells = np.multiply(values, top, order="C")
     np.rint(cells, out=cells)
     np.maximum(cells, -top, out=cells)
@@ -508,7 +515,7 @@ class KeyCorridor(_GridEnv):
         if len(seeds) == 1:
             return super()._place_rows(seeds)
         sizes = [len(zone) for zone in self.START_ZONES]
-        picks = integers_rows(seeds, (self.PLACE_TAG,), [()] * len(seeds), sizes, len(sizes))
+        picks = integers_rows(seeds, (self.PLACE_TAG,), (), len(seeds), sizes, len(sizes))
         points = np.array([cell for zone in self.START_ZONES for cell in zone], dtype=np.int64)
         first = np.cumsum([0] + sizes[:-1])  # each zone's offset in points
         return points[first + picks], np.empty((len(seeds), 0, 2), dtype=np.int64)

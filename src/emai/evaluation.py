@@ -70,8 +70,9 @@ def _most_critical(explainer: Explainer, batch, obs: np.ndarray, seeds,
 # An arm that randomizes draws all its episodes' randomness up front as one
 # table, row i bitwise the draws of stream(root, tag, i) in the order one
 # scalar episode makes them, and step t reads its column(s) t.
-def _episode_tags(count: int) -> list[tuple[int]]:
-    return [(i,) for i in range(count)]
+def _episode_tags(count: int) -> tuple[np.ndarray]:
+    """The one tail column, episode index i, of `count` rows."""
+    return (np.arange(count),)
 
 
 def _nearest_entries(pkg_obs: np.ndarray, queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -135,9 +136,9 @@ def eval_fidelity(explainer: Explainer, target, env, episodes: int = 500,
     acts at random) and random (each step a uniformly drawn agent does)."""
     seeds, start = _matched_start(target, env, episodes, seed, "fidelity", 3)
     spec, tags = env.spec, _episode_tags(episodes)
-    mask = integers_rows(seed, ("fid-mask-e",), tags, spec.n_actions, spec.horizon)
+    mask = integers_rows(seed, ("fid-mask-e",), tags, episodes, spec.n_actions, spec.horizon)
     # per step, the action draw precedes the agent draw
-    draws = integers_rows(seed, ("fid-mask-r",), tags,
+    draws = integers_rows(seed, ("fid-mask-r",), tags, episodes,
                           [spec.n_actions, spec.n_agents] * spec.horizon, 2 * spec.horizon)
     guided, randomized = np.arange(episodes, 2 * episodes), np.arange(2 * episodes, 3 * episodes)
 
@@ -187,7 +188,7 @@ def launch_attack(explainer: Explainer, target, env, noise_eps: float = 0.5,
     spec, eps = env.spec, float(noise_eps)
     n, obs_dim = spec.n_agents, spec.obs_dim
     k = n if attack_all else 1  # victims per step, each drawing obs_dim values
-    noise = uniform_rows(seed, ("attack-noise",), _episode_tags(episodes), -eps, eps,
+    noise = uniform_rows(seed, ("attack-noise",), _episode_tags(episodes), episodes, -eps, eps,
                          spec.horizon * k * obs_dim).reshape(episodes, spec.horizon, k, obs_dim)
     attacked = np.arange(episodes, 2 * episodes)[:, None]
     every_agent = np.tile(np.arange(n), (episodes, 1))

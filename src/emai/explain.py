@@ -11,9 +11,9 @@ be the product; at desk scale it doubles as both a baseline and the
 independent ground truth for tests.
 
 Access discipline: emai / random / mc_oracle touch the target only through
-its query kernel act_batch(), one call per lockstep step, and its one-row
-view act(), one call per scalar step; value- and gradient-based baselines
-need the privileged accessor and therefore a learned target.
+its query kernel act_batch(), one call per lockstep step (a one-row batch's
+too); value- and gradient-based baselines need the privileged accessor and
+therefore a learned target.
 """
 from __future__ import annotations
 
@@ -25,7 +25,7 @@ import numpy as np
 from .envs import make_env
 from .masking import MaskingPolicy
 from .rng import integers_rows, uniform_rows
-from .rollout import greedy_actions, replay_prefix, stderr
+from .rollout import replay_prefix, stderr
 from .target import TargetPolicy, privileged_q_network
 
 
@@ -93,8 +93,8 @@ class RandomExplainer(Explainer):
 
     def scores_batch(self, observations, t, episode_seeds, batch) -> np.ndarray:
         """Every row's stream drawn at once: random(n) is uniform(0.0, 1.0, n)."""
-        return uniform_rows(self.seed, ("random-explainer",),
-                            [(int(s), t) for s in episode_seeds], 0.0, 1.0, observations.shape[1])
+        return uniform_rows(self.seed, ("random-explainer",), (np.asarray(episode_seeds), t),
+                            len(episode_seeds), 0.0, 1.0, observations.shape[1])
 
 
 class ValueBasedExplainer(Explainer):
@@ -138,13 +138,15 @@ class GradientBasedExplainer(Explainer):
 
 
 def _suffix_return(env, target) -> float:
+    """The unmasked greedy return of env's remaining steps, added reward by
+    reward: env's one-row batch steps in place, one act_batch query a step."""
+    row = env.row
     total = 0.0
-    done = env.done
-    obs = env.observations()
-    while not done:
-        result = env.step(greedy_actions(target, obs))
-        total += result.reward
-        obs, done = result.observations, result.done
+    obs = row.observations()
+    while not row.done:
+        result = row.step(target.act_batch(obs))
+        total += float(result.reward[0])
+        obs = result.observations
     return total
 
 
@@ -157,12 +159,14 @@ def _randomized_suffix_return(batch, target, seeds, rollouts: int, seed: int) ->
     other rows, acts greedily, from one joint act_batch query per step."""
     spec = batch.env.spec
     n, t, width = spec.n_agents, batch.t, batch.size // len(seeds)
+    rows = len(seeds) * n * rollouts
+    # draw row (b * n + i) * rollouts + k is rollout k of agent i in episode b
+    episode, entry = np.divmod(np.arange(rows), n * rollouts)
+    agent, k = np.divmod(entry, rollouts)
     # a size-m draw yields the same values as m single draws from the stream
-    draws = integers_rows(seed, ("mc-oracle",), [(s, t, i, k) for s in seeds
-                                                 for i in range(n) for k in range(rollouts)],
+    draws = integers_rows(seed, ("mc-oracle",), (np.asarray(seeds)[episode], t, agent, k), rows,
                           spec.n_actions, spec.horizon - t)
-    episode, entry = np.divmod(np.arange(len(draws)), n * rollouts)
-    played = (episode * width + width - n * rollouts + entry) * n + entry // rollouts
+    played = (episode * width + width - n * rollouts + entry) * n + agent
     totals = np.zeros(batch.size)
     obs = batch.observations()
     for s in range(spec.horizon - t):

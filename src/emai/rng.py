@@ -4,10 +4,13 @@ Every source of randomness in the package derives from a root seed plus a
 tuple of string/int tags, so independent components never share or disturb
 each other's streams and whole runs replay bitwise.
 
-Three batched kernels draw from many streams at once, row r from
-`stream(seed, *head_tags, *tail_tags[r])`, bit for bit:
+Three batched kernels draw `rows` streams at once, row r from
+`stream(seed, *head_tags, *tail[r])`, bit for bit, where tail[r] takes row r
+of each tail column. A tail column is one tag that every row shares (an int)
+or one tag per row: an integer array, whose words are taken in one array
+operation, or any other sequence, taken tag by tag.
 - `integers_rows` equals its `.integers(0, high, size=size)`, or, given one
-  bound per column, consecutive scalar `.integers(0, high[j])` calls;
+  bound per output column, consecutive scalar `.integers(0, high[j])` calls;
 - `uniform_rows` equals its `.uniform(low, high, size)`;
 - `episode_seeds(seed, tag, count)` equals `episode_seed(seed, tag, i)`
   for i < count.
@@ -15,7 +18,7 @@ They share `_pcg_outputs`, which recomputes numpy's SeedSequence mixing, the
 PCG64 seeding and XSL-RR output as array arithmetic over all rows: output j
 is an affine function of the seeded state, so no generator is stepped. The
 root seed is one int for every row or, for `_pcg_outputs` and
-`integers_rows`, one per row (`stream(seeds[r], *head_tags, *tail_tags[r])`).
+`integers_rows`, one per row (`stream(seeds[r], *head_tags, *tail[r])`).
 A row whose bounded draw numpy would reject and redraw (about one draw in
 2**32 at a small bound), or whose own root seed is below 2**32 (one entropy
 word where the other rows have two), is drawn from the scalar stream
@@ -53,16 +56,20 @@ def _tag_to_int(tag: object) -> int:
     return zlib.crc32(str(tag).encode("utf-8"))
 
 
-def _tag_word(tags: tuple):
-    """_tag_to_int of one tail-tag column: a Python int when every row has
-    the same word, as a head tag is passed, else a uint64 array. A column of
-    integers that numpy holds in 64 bits takes its low 32 bits in one array
-    operation."""
-    column = np.array(tags)
-    if column.dtype.kind in "iu":
-        words = column.astype(np.uint64) & _M32
+def _tag_word(column):
+    """_tag_to_int of one tail column: a Python int when every row has the
+    same word (a shared tag, or a per-row column whose words agree), as a
+    head tag is passed, else a uint64 array of the per-row words. A per-row
+    column of integers that numpy holds in 64 bits takes its low 32 bits in
+    one array operation; any other is hashed row by row."""
+    if np.ndim(column) == 0:
+        return _tag_to_int(column)
+    array = np.asarray(column)
+    if array.dtype.kind in "iu":
+        words = array.astype(np.uint64)
+        words &= _M32
     else:
-        words = np.array([_tag_to_int(t) for t in tags], dtype=np.uint64)
+        words = np.array([_tag_to_int(t) for t in column], dtype=np.uint64)
     first = words[0]
     return int(first) if (words == first).all() else words
 
@@ -185,27 +192,30 @@ def _shared_seed(seed) -> bool:
     return isinstance(seed, (int, np.integer))
 
 
-def _row_stream(seed, head_tags: tuple, tail_tags, r: int) -> np.random.Generator:
+def _row_stream(seed, head_tags: tuple, tail_columns, r: int) -> np.random.Generator:
     """Row r's scalar stream, under a shared or a per-row root seed."""
-    return stream(seed if _shared_seed(seed) else seed[r], *head_tags, *tail_tags[r])
+    tail = [column if np.ndim(column) == 0 else column[r] for column in tail_columns]
+    return stream(seed if _shared_seed(seed) else seed[r], *head_tags, *tail)
 
 
-def _pcg_outputs(seed, head_tags: tuple, tail_tags, count: int) -> np.ndarray:
+def _pcg_outputs(seed, head_tags: tuple, tail_columns, rows: int, count: int) -> np.ndarray:
     """Row r holds the first `count` raw 64-bit outputs of stream(seed,
-    *head_tags, *tail_tags[r]), as an (R, count) little-endian uint64 array;
-    every row of tail_tags has the same length. `seed` may also hold one
-    root seed per row; a row whose root seed is below 2**32 (after stream's
-    mask to 64 bits) has one entropy word fewer, so it takes the raw outputs
-    of its scalar stream. Rows are taken OUTPUT_BLOCK // count at a time,
-    which bounds the temporaries."""
-    rows = len(tail_tags)
-    if len(set(map(len, tail_tags))) > 1:
-        raise ValueError("every row of tail_tags must have the same length")
+    *head_tags, *tail[r]), as a (rows, count) little-endian uint64 array,
+    where tail[r] takes row r of each tail column (see the module docstring);
+    a per-row column has `rows` entries. `seed` may also hold one root seed
+    per row; a row whose root seed is below 2**32 (after stream's mask to 64
+    bits) has one entropy word fewer, so it takes the raw outputs of its
+    scalar stream. Rows are taken OUTPUT_BLOCK // count at a time, which
+    bounds the temporaries."""
+    for column in tail_columns:
+        if np.ndim(column) and len(column) != rows:
+            raise ValueError(f"every per-row tail column must have the same length as the "
+                             f"{rows} rows, got {len(column)}")
     if _shared_seed(seed):
         seed_words, short = _seed_words(seed), []
     else:
         if len(seed) != rows:
-            raise ValueError(f"{len(seed)} root seeds for {rows} rows of tail_tags")
+            raise ValueError(f"{len(seed)} root seeds for {rows} rows")
         roots = np.array([int(s) & _M64 for s in seed], dtype=np.uint64)
         high = roots >> 32
         seed_words, short = [roots & _M32, high], np.flatnonzero(high == 0)
@@ -213,7 +223,7 @@ def _pcg_outputs(seed, head_tags: tuple, tail_tags, count: int) -> np.ndarray:
     if rows == 0 or count == 0:
         return out
     words = (seed_words + [_tag_to_int(t) for t in head_tags]
-             + [_tag_word(column) for column in zip(*tail_tags)])
+             + [_tag_word(column) for column in tail_columns])
     s_hi, s_lo, q_hi, q_lo = _seed_sequence_state(words, rows)
     # the seed s and the increment inc = 2 * initseq + 1 as (2, rows, 1) halves
     seed_lo = np.stack([s_lo, q_lo << 1 | 1])[:, :, None]
@@ -235,15 +245,16 @@ def _pcg_outputs(seed, head_tags: tuple, tail_tags, count: int) -> np.ndarray:
         xored, rot = hi ^ lo, hi >> 58
         out[start:start + block] = xored >> rot | xored << ((64 - rot) & 63)
     for r in short:
-        out[r] = _row_stream(seed, head_tags, tail_tags, r).bit_generator.random_raw(count)
+        out[r] = _row_stream(seed, head_tags, tail_columns, r).bit_generator.random_raw(count)
     return out
 
 
-def integers_rows(seed, head_tags: tuple, tail_tags, high, size: int) -> np.ndarray:
-    """Row r equals stream(seed, *head_tags, *tail_tags[r]).integers(0, high,
-    size=size), bitwise, as an (R, size) int64 array; every row of tail_tags
-    has the same length, and `seed` may hold one root seed per row, as
-    _pcg_outputs takes it. `high` may also be a sequence of `size` bounds:
+def integers_rows(seed, head_tags: tuple, tail_columns, rows: int, high,
+                  size: int) -> np.ndarray:
+    """Row r equals stream(seed, *head_tags, *tail[r]).integers(0, high,
+    size=size), bitwise, as a (rows, size) int64 array; the tail columns and
+    `seed`, which may hold one root seed per row, are as _pcg_outputs takes
+    them. `high` may also be a sequence of `size` bounds:
     column j of row r then equals the j-th of the consecutive calls
     integers(0, high[0]), integers(0, high[1]), ... on that stream. Every
     bound lies in [2, 2**32)."""
@@ -260,23 +271,23 @@ def integers_rows(seed, head_tags: tuple, tail_tags, high, size: int) -> np.ndar
     elif len(bounds) != size:
         raise ValueError(f"high needs {size} per-column bounds, got {len(bounds)}")
     # column j reads the j-th 32-bit half, the low half of each output first
-    out = _pcg_outputs(seed, head_tags, tail_tags, (size + 1) // 2)
+    out = _pcg_outputs(seed, head_tags, tail_columns, rows, (size + 1) // 2)
     high_col = np.array(bounds, dtype=np.uint64)
     scaled = out.view("<u4")[:, :size] * high_col
     result = (scaled >> 32).astype(np.int64)
     # numpy redraws when the low word falls below 2**32 mod high
     rejected = ((scaled & _M32) < (1 << 32) % high_col).any(axis=1)
     for r in np.flatnonzero(rejected):
-        rng = _row_stream(seed, head_tags, tail_tags, r)
+        rng = _row_stream(seed, head_tags, tail_columns, r)
         result[r] = ([rng.integers(0, bound) for bound in bounds] if per_column
                      else rng.integers(0, bounds[0], size=size))
     return result
 
 
-def uniform_rows(seed: int, head_tags: tuple, tail_tags, low: float, high: float,
-                 size: int) -> np.ndarray:
-    """Row r equals stream(seed, *head_tags, *tail_tags[r]).uniform(low,
-    high, size), bitwise, as an (R, size) float64 array: numpy's
+def uniform_rows(seed: int, head_tags: tuple, tail_columns, rows: int, low: float,
+                 high: float, size: int) -> np.ndarray:
+    """Row r equals stream(seed, *head_tags, *tail[r]).uniform(low, high,
+    size), bitwise, as a (rows, size) float64 array: numpy's
     low + (high - low) * u, with u the top 53 bits of one output over 2**53,
     which never rejects a draw."""
     low, high, size = float(low), float(high), int(size)
@@ -287,7 +298,7 @@ def uniform_rows(seed: int, head_tags: tuple, tail_tags, low: float, high: float
         raise OverflowError("high - low range exceeds valid bounds")
     if np.signbit(span):  # -0.0 too: uniform(0.0, -0.0) raises
         raise ValueError("high - low < 0")
-    out = _pcg_outputs(seed, head_tags, tail_tags, size)
+    out = _pcg_outputs(seed, head_tags, tail_columns, rows, size)
     return low + span * ((out >> 11) * 2.0 ** -53)
 
 
@@ -298,7 +309,7 @@ def episode_seeds(seed: int, tag: object, count: int) -> list[int]:
     comes from episode_seed itself."""
     if count < 0:
         raise ValueError(f"count must be >= 0, got {count}")
-    first = _pcg_outputs(seed, (tag,), [(i,) for i in range(count)], 1)[:, 0].tolist()
+    first = _pcg_outputs(seed, (tag,), (np.arange(count),), count, 1)[:, 0].tolist()
     seeds = []
     for i, word in enumerate(first):
         product = word * EPISODE_SEED_HIGH

@@ -146,14 +146,11 @@ def run_target_episode(env, seed: int, target) -> Trace:
 def replay_prefix(env, seed: int, prefix_actions) -> tuple[np.ndarray, np.ndarray, bool]:
     """Reset and re-apply a joint-action prefix; returns (state, obs, done),
     those of the last env.step a plain replay would make. The prefix only
-    moves the agents (env.advance), so the state and observations are built
-    once, at the end."""
-    state, obs = env.reset(seed)
+    moves the agents of env's one-row batch (GridBatch.advance), so the
+    state and observations are built once, at the end."""
+    row = env.restart(seed)
     for joint in prefix_actions:
-        if env.done:
+        if row.done:
             raise ValueError("prefix extends past episode termination")
-        env.advance(joint)
-    if env.t:
-        state, obs = env.state(), env.observations()
-    return state, obs, env.done
-
+        row.advance(np.asarray(joint)[None])
+    return row.states()[0], row.observations()[0], row.done

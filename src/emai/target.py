@@ -137,7 +137,12 @@ class ScriptedKeyCorridor(TargetPolicy):
     obs_dim = 13
 
     ANTECHAMBER = (2, 4)
-    _EXTENT = np.array([[KeyCorridor.ROWS], [KeyCorridor.COLS]])  # (row, col) by rows
+    # the decode constants, built once: the (row, col) extents by rows, their
+    # last indices, and the decoders' top against (2, B) and (2, B, n) values
+    _EXTENT = np.array([[KeyCorridor.ROWS], [KeyCorridor.COLS]])
+    _LAST = _EXTENT - 1
+    _TOP = np.subtract(_EXTENT, 1.0)
+    _TOP_BY_AXIS = _TOP[:, None]
     _MOVES: np.ndarray | None = None  # the next-move table, see _moves
     # offsets of each agent's closed-door and open-door rows in the flat _MOVES
     _CLOSED_BASE = np.arange(n_agents) * 2 * KeyCorridor.ROWS * KeyCorridor.COLS
@@ -189,16 +194,18 @@ class ScriptedKeyCorridor(TargetPolicy):
         """One gather from the stacked next-move table, by each agent's own
         cell and door bit; non-finite input raises."""
         obs = _check_finite_batch(self._check_obs_batch(obs))
-        own = decode_norm(obs[..., :2].transpose(2, 0, 1), self._EXTENT[:, None])  # (2, B, n)
+        own = decode_norm(obs[..., :2].transpose(2, 0, 1), top=self._TOP_BY_AXIS)  # (2, B, n)
         door = obs[..., 2] > 0.0
-        actions = self._moves().take(np.where(door, self._OPEN_BASE, self._CLOSED_BASE)
-                                     + own[0] * KeyCorridor.COLS + own[1])
+        index = own[0] * KeyCorridor.COLS  # the table entry, built in place
+        index += own[1]
+        index += np.where(door, self._OPEN_BASE, self._CLOSED_BASE)
+        actions = self._moves().take(index)
         if self.weakened:
             # agent 0 stalls on teammate 1's odd parity while the door is
             # closed; on the switch itself its table move is STAY anyway
-            mate = own[:, :, 0] + decode_rel(obs[:, 0, 9:11].T, self._EXTENT)
+            mate = own[:, :, 0] + decode_rel(obs[:, 0, 9:11].T, top=self._TOP)
             np.maximum(mate, 0, out=mate)
-            np.minimum(mate, self._EXTENT - 1, out=mate)
+            np.minimum(mate, self._LAST, out=mate)
             stall = ~door[:, 0] & ((mate[0] + mate[1]) % 2 == 1)
             actions[:, 0] = np.where(stall, STAY, actions[:, 0])
         return actions

@@ -333,12 +333,18 @@ def test_prefix_replay_context_reaches_oracle():
 # ---- the batched oracle against the scalar reference ----
 
 def _scalar_oracle(target, env, episode_seed, prefix_actions, rollouts, seed=0):
-    """Reference oracle: one env deepcopy and one scalar suffix rollout per
-    (agent, rollout), drawing each random action as the step comes."""
+    """Reference oracle: scalar steps of env deepcopies, one unmasked suffix
+    and one suffix rollout per (agent, rollout), drawing each random action
+    as the step comes; rewards add left to right."""
     replay_prefix(env, episode_seed, prefix_actions)
     n = env.spec.n_agents
     t = len(prefix_actions)
-    unmasked = explain_mod._suffix_return(copy.deepcopy(env), target)
+    branch = copy.deepcopy(env)
+    unmasked, obs, done = 0.0, branch.observations(), branch.done
+    while not done:
+        result = branch.step(greedy_actions(target, obs))
+        unmasked += result.reward
+        obs, done = result.observations, result.done
     scores, stderr = np.zeros(n), np.zeros(n)
     for i in range(n):
         returns = np.empty(rollouts)
@@ -497,24 +503,31 @@ def test_oracle_rejects_prefix_that_does_not_reach_t():
 
 @pytest.mark.parametrize("t", [0, 7, 29])
 def test_scalar_oracle_query_steps_only_its_unmasked_suffix(monkeypatch, t):
-    """The prefix replay only moves the agents; the scalar steps left are
-    the unmasked suffix's, horizon - t of them."""
+    """The prefix replay only moves the agents, and the unmasked suffix
+    steps the one-row batch: a query makes no scalar step, and asks one row
+    of act_batch horizon - t times."""
     env = make_env("keycorridor")
     pol = scripted_policy(env)
     trace = run_target_episode(env, 4, pol)
     step = trace.steps[t]
     ctx = ExplainContext(step.observations, step.state, t, env.name, env.params, 4,
                          [s.final_actions for s in trace.steps[:t]])
-    calls = []
-    step_fn = KeyCorridor.step
+    steps, rows = [], []
+    step_fn, act_batch = KeyCorridor.step, pol.act_batch
 
     def counted(self, joint_action):
-        calls.append(joint_action)
+        steps.append(joint_action)
         return step_fn(self, joint_action)
 
+    def asked(obs):
+        rows.append(len(obs))
+        return act_batch(obs)
+
     monkeypatch.setattr(KeyCorridor, "step", counted)
+    monkeypatch.setattr(pol, "act_batch", asked)
     McOracleExplainer(pol, rollouts=2, seed=1).scores_with_stderr(ctx)
-    assert len(calls) == env.spec.horizon - t
+    assert steps == []
+    assert rows.count(1) == env.spec.horizon - t
 
 
 def test_oracle_scores_batch_needs_the_live_batch_of_its_rows():

@@ -14,6 +14,13 @@ SEEDS = st.one_of(st.integers(-2**63, -1), st.just(0), st.integers(1, 2**32 - 1)
 TAGS = st.one_of(st.text(max_size=8), st.integers(-2**40, 2**40), st.integers(2**32, 2**70))
 
 
+def _columns(tails, width: int) -> tuple:
+    """The tail columns of per-row tag tuples `tails`, each of width `width`:
+    one list of tags per column, which the kernels take tag by tag, unless
+    numpy holds it as an integer array."""
+    return tuple([tail[j] for tail in tails] for j in range(width))
+
+
 def _row_by_row(seed, head, tails, high, size) -> np.ndarray:
     out = np.empty((len(tails), size), dtype=np.int64)
     for r, tail in enumerate(tails):
@@ -27,7 +34,7 @@ def _row_by_row(seed, head, tails, high, size) -> np.ndarray:
        high=st.one_of(st.integers(2, 8), st.integers(2, 2**32 - 1)), size=st.integers(0, 40))
 def test_integers_rows_equals_row_by_row_streams(data, seed, head, width, rows, high, size):
     tails = data.draw(st.lists(st.tuples(*[TAGS] * width), min_size=rows, max_size=rows))
-    got = integers_rows(seed, tuple(head), tails, high, size)
+    got = integers_rows(seed, tuple(head), _columns(tails, width), rows, high, size)
     assert got.dtype == np.int64 and got.shape == (rows, size)
     assert np.array_equal(got, _row_by_row(seed, head, tails, high, size))
 
@@ -44,39 +51,44 @@ def test_integers_rows_falls_back_to_stream_on_rejected_rows(monkeypatch):
         return stream(*key)
 
     monkeypatch.setattr(rng, "stream", counted)
-    got = integers_rows(seed, head, tails, high, 1)
+    columns = (np.repeat(np.arange(2), 32), np.tile(np.arange(32), 2))
+    got = integers_rows(seed, head, columns, len(tails), high, 1)
     assert 0 < len(calls) < len(tails)
     monkeypatch.undo()
     assert np.array_equal(got, _row_by_row(seed, head, tails, high, 1))
-    assert np.array_equal(integers_rows(seed, head, tails, high, 9),
+    assert np.array_equal(integers_rows(seed, head, columns, len(tails), high, 9),
                           _row_by_row(seed, head, tails, high, 9))
 
 
 def test_integers_rows_oracle_shape_and_edges():
     tails = [(i, k) for i in range(3) for k in range(64)]
+    columns = (np.repeat(np.arange(3), 64), np.tile(np.arange(64), 3))
     head = ("mc-oracle", 2**62 + 5, 24)
-    assert np.array_equal(integers_rows(4, head, tails, 5, 6), _row_by_row(4, head, tails, 5, 6))
-    assert integers_rows(4, head, tails, 5, 0).shape == (192, 0)
-    assert integers_rows(4, head, [], 5, 3).shape == (0, 3)
+    assert np.array_equal(integers_rows(4, head, columns, 192, 5, 6),
+                          _row_by_row(4, head, tails, 5, 6))
+    assert integers_rows(4, head, columns, 192, 5, 0).shape == (192, 0)
+    assert integers_rows(4, head, (), 0, 5, 3).shape == (0, 3)
     # the batched oracle's tails (episode seed, t, agent, rollout): 63-bit
     # episode seeds, whose low 32 bits are the tag, in an integer column
     seeds = [rng.episode_seed(3, "fidelity", e) for e in range(4)] + [-1, 2**31 + 5]
     tails = [(s, 7, i, k) for s in seeds for i in range(2) for k in range(3)]
-    assert np.array_equal(integers_rows(4, ("mc-oracle",), tails, 5, 6),
+    columns = (np.repeat(seeds, 6), 7, np.tile(np.repeat(np.arange(2), 3), len(seeds)),
+               np.tile(np.arange(3), 2 * len(seeds)))
+    assert np.array_equal(integers_rows(4, ("mc-oracle",), columns, len(tails), 5, 6),
                           _row_by_row(4, ("mc-oracle",), tails, 5, 6))
 
 
 @pytest.mark.parametrize("high", [1, 0, -1, 2**32, 2**40])
 def test_integers_rows_rejects_high_outside_32_bits(high):
     with pytest.raises(ValueError, match="high"):
-        integers_rows(0, ("a",), [(1,)], high, 3)
+        integers_rows(0, ("a",), (1,), 1, high, 3)
 
 
 def test_integers_rows_rejects_ragged_tails_and_negative_size():
     with pytest.raises(ValueError, match="same length"):
-        integers_rows(0, (), [(1,), (1, 2)], 5, 3)
+        integers_rows(0, (), (1, [1, 2]), 3, 5, 3)
     with pytest.raises(ValueError, match="size"):
-        integers_rows(0, (), [(1,)], 5, -1)
+        integers_rows(0, (), (1,), 1, 5, -1)
 
 
 # ---- per-column bounds, uniform draws and episode seeds ----
@@ -96,7 +108,7 @@ def _per_column_by_row(seed, head, tails, bounds) -> np.ndarray:
 def test_integers_rows_per_column_bounds_equal_consecutive_scalar_draws(data, seed, head, width,
                                                                        rows, bounds):
     tails = data.draw(st.lists(st.tuples(*[TAGS] * width), min_size=rows, max_size=rows))
-    got = integers_rows(seed, tuple(head), tails, bounds, len(bounds))
+    got = integers_rows(seed, tuple(head), _columns(tails, width), rows, bounds, len(bounds))
     assert got.dtype == np.int64 and got.shape == (rows, len(bounds))
     assert np.array_equal(got, _per_column_by_row(seed, head, tails, bounds))
 
@@ -113,7 +125,7 @@ def test_integers_rows_per_column_falls_back_to_stream_on_rejected_rows(monkeypa
         return stream(*key)
 
     monkeypatch.setattr(rng, "stream", counted)
-    got = integers_rows(seed, head, tails, bounds, len(bounds))
+    got = integers_rows(seed, head, (np.arange(40),), 40, bounds, len(bounds))
     assert 0 < len(calls) < len(tails)
     monkeypatch.undo()
     assert np.array_equal(got, _per_column_by_row(seed, head, tails, bounds))
@@ -121,13 +133,13 @@ def test_integers_rows_per_column_falls_back_to_stream_on_rejected_rows(monkeypa
 
 def test_integers_rows_rejects_bad_per_column_bounds():
     with pytest.raises(ValueError, match="per-column bounds"):
-        integers_rows(0, ("a",), [(1,)], [5, 3], 3)
+        integers_rows(0, ("a",), (1,), 1, [5, 3], 3)
     with pytest.raises(ValueError, match="high"):
-        integers_rows(0, ("a",), [(1,)], [5, 0], 2)
+        integers_rows(0, ("a",), (1,), 1, [5, 0], 2)
     with pytest.raises(ValueError, match="high"):
-        integers_rows(0, ("a",), [(1,)], [5, 1], 2)
+        integers_rows(0, ("a",), (1,), 1, [5, 1], 2)
     with pytest.raises(ValueError, match="high"):
-        integers_rows(0, ("a",), [(1,)], [2**32], 1)
+        integers_rows(0, ("a",), (1,), 1, [2**32], 1)
 
 
 BOUNDS = st.one_of(st.floats(-1e6, 1e6), st.sampled_from([-0.0, 0.0, 1.0, -1.0]))
@@ -143,18 +155,18 @@ def test_uniform_rows_equals_row_by_row_streams(data, seed, head, rows, low, hig
                              for tail in tails])
     except ValueError as exc:  # low > high, or (0.0, -0.0): numpy refuses a negative span
         with pytest.raises(ValueError, match=str(exc)):
-            uniform_rows(seed, tuple(head), tails, low, high, size)
+            uniform_rows(seed, tuple(head), _columns(tails, 1), rows, low, high, size)
         return
-    got = uniform_rows(seed, tuple(head), tails, low, high, size)
+    got = uniform_rows(seed, tuple(head), _columns(tails, 1), rows, low, high, size)
     assert got.dtype == np.float64 and got.shape == (rows, size)
     assert got.tobytes() == expected.tobytes()  # bitwise, the sign of a zero included
 
 
 @pytest.mark.parametrize("low, high", [(-0.0, 0.0), (0.0, 1.0), (-0.5, 0.5)])
 def test_uniform_rows_edges(low, high):
-    tails = [(i,) for i in range(300)]
     expected = np.array([stream(3, "attack-noise", i).uniform(low, high, 50) for i in range(300)])
-    assert uniform_rows(3, ("attack-noise",), tails, low, high, 50).tobytes() == expected.tobytes()
+    got = uniform_rows(3, ("attack-noise",), (np.arange(300),), 300, low, high, 50)
+    assert got.tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("low, high, error", [
@@ -164,7 +176,7 @@ def test_uniform_rows_rejects_what_numpy_rejects(low, high, error):
     with pytest.raises(error) as expected:
         stream(3, "a").uniform(low, high, 2)
     with pytest.raises(error, match=str(expected.value)):
-        uniform_rows(3, ("a",), [(1,), (2,)], low, high, 2)
+        uniform_rows(3, ("a",), ([1, 2],), 2, low, high, 2)
 
 
 @settings(max_examples=40, deadline=None)
@@ -195,7 +207,7 @@ def test_episode_seeds_fall_back_to_episode_seed_on_rejected_rows(monkeypatch):
        head=st.lists(TAGS, max_size=3), count=st.integers(0, 6))
 def test_pcg_outputs_per_row_seeds_equal_their_streams(seeds, head, count):
     # rows whose seed is below 2**32 (one entropy word) come from the scalar stream
-    got = rng._pcg_outputs(seeds, tuple(head), [()] * len(seeds), count)
+    got = rng._pcg_outputs(seeds, tuple(head), (), len(seeds), count)
     assert got.shape == (len(seeds), count)
     for row, seed in zip(got, seeds):
         assert row.tolist() == stream(seed, *head).bit_generator.random_raw(count).tolist()
@@ -203,19 +215,20 @@ def test_pcg_outputs_per_row_seeds_equal_their_streams(seeds, head, count):
 
 def test_integers_rows_per_row_seeds_and_their_checks():
     seeds = [0, 1, 7, -3, 2**32, 2**63 - 2] + episode_seeds(4, "fidelity", 10)
-    tails = [(i,) for i in range(len(seeds))]
+    rows = len(seeds)
     want = [[(g := stream(s, 0x52, i)).integers(0, 4), g.integers(0, 2), g.integers(0, 2)]
             for i, s in enumerate(seeds)]
-    assert integers_rows(seeds, (0x52,), tails, [4, 2, 2], 3).tolist() == want
+    assert integers_rows(seeds, (0x52,), (np.arange(rows),), rows, [4, 2, 2], 3).tolist() == want
     with pytest.raises(ValueError, match="root seeds"):
-        integers_rows(seeds[:3], (0x52,), tails, 4, 3)
+        integers_rows(seeds[:3], (0x52,), (np.arange(rows),), rows, 4, 3)
 
 
 def test_pcg_outputs_blocks_rows_bitwise(monkeypatch):
     tails = [(i, 2**33 + i) for i in range(37)]
-    whole = rng._pcg_outputs(5, ("x",), tails, 9)
+    columns = (np.arange(37), 2**33 + np.arange(37))
+    whole = rng._pcg_outputs(5, ("x",), columns, 37, 9)
     monkeypatch.setattr(rng, "OUTPUT_BLOCK", 20)  # two rows a block
-    assert np.array_equal(rng._pcg_outputs(5, ("x",), tails, 9), whole)
+    assert np.array_equal(rng._pcg_outputs(5, ("x",), columns, 37, 9), whole)
     first = [int(stream(5, "x", *tail).integers(0, 2**64 - 1, dtype=np.uint64, endpoint=True))
              for tail in tails]
     assert whole[:, 0].tolist() == first
@@ -226,12 +239,13 @@ def test_a_shared_tail_column_is_one_word_and_draws_the_scalar_streams(shared):
     assert rng._tag_word((shared,) * 5) == rng._tag_to_int(shared)
     assert type(rng._tag_word((shared,) * 5)) is int
     tails = [(shared, i, shared) for i in range(6)]
-    got = integers_rows(11, ("shared",), tails, 5, 4)
+    columns = ((shared,) * 6, np.arange(6), shared)  # per row, then shared by every row
+    got = integers_rows(11, ("shared",), columns, 6, 5, 4)
     assert np.array_equal(got, _row_by_row(11, ("shared",), tails, 5, 4))
     per_row_seeds = [2**40 + 3 * i for i in range(6)]
     want = [stream(s, "shared", *t).bit_generator.random_raw(3).tolist()
             for s, t in zip(per_row_seeds, tails)]
-    assert rng._pcg_outputs(per_row_seeds, ("shared",), tails, 3).tolist() == want
+    assert rng._pcg_outputs(per_row_seeds, ("shared",), columns, 6, 3).tolist() == want
 
 
 def test_a_tail_column_that_differs_in_one_row_stays_an_array():
@@ -240,5 +254,23 @@ def test_a_tail_column_that_differs_in_one_row_stays_an_array():
         assert isinstance(words, np.ndarray)
         assert words.tolist() == [rng._tag_to_int(t) for t in column]
     # rows that share every tail column: one row's stream, broadcast
-    got = uniform_rows(3, ("x",), [(9, 1)] * 4, 0.0, 1.0, 2)
+    got = uniform_rows(3, ("x",), ([9] * 4, [1] * 4), 4, 0.0, 1.0, 2)
     assert np.array_equal(got, np.tile(stream(3, "x", 9, 1).uniform(0.0, 1.0, 2), (4, 1)))
+
+
+@pytest.mark.parametrize("rows", [1, 7, 4032])
+def test_column_tags_equal_the_scalar_streams(rows):
+    """Row r of the kernels is stream(seed, *head, *tail[r]) bitwise, tail[r]
+    taking row r of each column: shared ints and per-row integer arrays,
+    negative and at or above 2**32. 4032 rows is one oracle block (21
+    episodes of 192 rollouts), taken in several OUTPUT_BLOCK passes."""
+    r = np.arange(rows)
+    columns = (r // 192 * 2**33 - 5, -7, 2**40 + 3, r % 3 - 1,
+               np.uint64(2**63) + r.astype(np.uint64))
+    tails = [tuple(c if np.ndim(c) == 0 else c[i] for c in columns) for i in range(rows)]
+    streams = [stream(9, "mc-oracle", *tail) for tail in tails]
+    raw = rng._pcg_outputs(9, ("mc-oracle",), columns, rows, 3)
+    assert raw.tolist() == [g.bit_generator.random_raw(3).tolist() for g in streams]
+    streams = [stream(9, "mc-oracle", *tail) for tail in tails]
+    got = integers_rows(9, ("mc-oracle",), columns, rows, 5, 6)
+    assert got.tolist() == [g.integers(0, 5, size=6).tolist() for g in streams]
