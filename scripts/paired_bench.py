@@ -9,7 +9,9 @@ first on odd ones, so a drift in machine speed lands on both sides alike.
 For each end-to-end metric that BENCHMARK.json declares, it prints each
 side's median and quartiles, the change/parent ratio of the medians, the
 pairs the change won (in the metric's better direction) and whether the
-medians differ by more than the parent's interquartile range. It exits 1
+medians differ by more than the parent's interquartile range. The same
+rows follow for the workload's probe-normalized per-arm figures, read from
+each run's `REPORT` line, so that a gain can be placed in an arm. It exits 1
 if any run is not `correct: true` or prints no result line.
 """
 from __future__ import annotations
@@ -25,17 +27,49 @@ import numpy as np
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def run_bench(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
-    """The result object (the last line) of one untraced bench run."""
+# workload -> the REPORT metrics of its arms, each with its better direction
+ARM_METRICS = {
+    "train": [],
+    "evaluate": [(f"{arm}@probe", "higher") for arm in (
+        "fidelity_episodes_per_s", "attack_episodes_per_s", "patch_episodes_per_s",
+        "explain_steps_per_s")],
+    "oracle": [("oracle_query_ms_p50@probe", "lower")],
+}
+
+
+def run_bench(checkout: Path, workload: str, seed: int, seconds: float) -> tuple[dict, dict]:
+    """The result object (the last line) and the REPORT object of one
+    untraced bench run."""
     command = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
                "--seconds", str(seconds), "--trace", "0"]
     done = subprocess.run(command, cwd=checkout, capture_output=True, text=True)
     lines = done.stdout.strip().splitlines()
+    report = next((line[len("REPORT "):] for line in lines if line.startswith("REPORT ")), "{}")
     try:
-        return json.loads(lines[-1])
+        return json.loads(lines[-1]), json.loads(report)
     except (IndexError, json.JSONDecodeError):
         sys.stderr.write(done.stderr)
-        return {"correct": False, "metrics": {}}
+        return {"correct": False, "metrics": {}}, {}
+
+
+def print_row(name: str, values: dict[str, list[float]], higher: bool, pairs: int) -> None:
+    """One metric's quartiles per side, the ratio of the medians, the pairs
+    the change won and whether the medians differ by more than the parent's
+    interquartile range."""
+    if min(len(v) for v in values.values()) < pairs:
+        print(f"  {name:<34} missing in some runs")
+        return
+    values = {side: np.array(v) for side, v in values.items()}
+    quartiles = {side: np.percentile(v, [25, 50, 75]) for side, v in values.items()}
+    wins = int(np.sum(values["change"] > values["parent"] if higher
+                      else values["change"] < values["parent"]))
+    p_q1, p_med, p_q3 = quartiles["parent"]
+    c_med = quartiles["change"][1]
+    clear = abs(c_med - p_med) > p_q3 - p_q1
+    cells = {side: "/".join(f"{v:.5g}" for v in q) for side, q in quartiles.items()}
+    ratio = c_med / p_med if p_med else float("nan")
+    print(f"  {name:<34} {cells['parent']:>32} {cells['change']:>32} "
+          f"{ratio:>7.4f} {wins:>3}/{pairs:<2} {'yes' if clear else 'no':>6}")
 
 
 def main(argv=None) -> int:
@@ -52,38 +86,28 @@ def main(argv=None) -> int:
     declared = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     results: dict[str, list[dict]] = {"parent": [], "change": []}
+    reports: dict[str, list[dict]] = {"parent": [], "change": []}
     correct = True
     for i in range(args.pairs):
         seed = args.first_seed + i
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         for side in order:
-            result = run_bench(sides[side], args.workload, seed, args.seconds)
+            result, report = run_bench(sides[side], args.workload, seed, args.seconds)
             results[side].append(result)
+            reports[side].append(report)
             if result.get("correct") is not True:
                 correct = False
                 print(f"pair {i} seed {seed} {side}: not correct: {json.dumps(result)}")
     print(f"workload={args.workload} pairs={args.pairs} seconds={args.seconds} "
           f"seeds={args.first_seed}..{args.first_seed + args.pairs - 1}")
-    print(f"  {'metric':<18} {'parent q1/med/q3':>32} {'change q1/med/q3':>32} "
+    print(f"  {'metric':<34} {'parent q1/med/q3':>32} {'change q1/med/q3':>32} "
           f"{'ratio':>7} {'wins':>6} {'clear':>6}")
-    for metric in declared:
-        name = metric["name"]
-        values = {side: np.array([r["metrics"][name]["value"] for r in results[side]
-                                  if name in r.get("metrics", {})]) for side in results}
-        if min(len(v) for v in values.values()) < args.pairs:
-            print(f"  {name:<18} missing in some runs")
-            continue
-        quartiles = {side: np.percentile(v, [25, 50, 75]) for side, v in values.items()}
-        higher = metric["better"] == "higher"
-        wins = int(np.sum(values["change"] > values["parent"] if higher
-                          else values["change"] < values["parent"]))
-        p_q1, p_med, p_q3 = quartiles["parent"]
-        c_med = quartiles["change"][1]
-        clear = abs(c_med - p_med) > p_q3 - p_q1
-        cells = {side: "/".join(f"{v:.5g}" for v in q) for side, q in quartiles.items()}
-        ratio = c_med / p_med if p_med else float("nan")
-        print(f"  {name:<18} {cells['parent']:>32} {cells['change']:>32} "
-              f"{ratio:>7.4f} {wins:>3}/{args.pairs:<2} {'yes' if clear else 'no':>6}")
+    rows = [(metric["name"], metric["better"], results) for metric in declared]
+    rows += [(name, better, reports) for name, better in ARM_METRICS[args.workload]]
+    for name, better, runs in rows:
+        print_row(name, {side: [r["metrics"][name]["value"] for r in runs[side]
+                                if name in r.get("metrics", {})] for side in runs},
+                  better == "higher", args.pairs)
     return 0 if correct else 1
 
 

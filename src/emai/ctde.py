@@ -46,9 +46,12 @@ def _identity(n: int) -> np.ndarray:
 def agent_inputs(observations: np.ndarray, agent_ids, n_agents: int) -> np.ndarray:
     """The agent-net input rows (B, k, obs_dim + n_agents) of (B, k, obs_dim)
     observations: row (b, j) is observations[b, j] followed by the one-hot of
-    agent id agent_ids[j], or of agent_ids[b, j] for a (B, k) id array."""
+    agent id agent_ids[j], or of agent_ids[b, j] for a (B, k) id array.
+    agent_ids None means every agent in order (k = n_agents), whose one-hot
+    block is the cached identity itself."""
     *rows, obs_dim = observations.shape
-    one_hot = _identity(n_agents)[agent_ids]
+    eye = _identity(n_agents)
+    one_hot = eye if agent_ids is None else eye[agent_ids]
     if len(rows) != 2 or one_hot.shape[-2] != rows[1]:
         raise nn.ShapeError(f"observations {observations.shape} vs agent ids {np.shape(agent_ids)}")
     x = np.empty((*rows, obs_dim + n_agents))
@@ -109,10 +112,10 @@ class AgentQNet:
         """Q (B, n_agents, n_actions) of a stack (B, n_agents, obs_dim) of
         observation sets; one set (n_agents, obs_dim) is its one-row view
         and gives (n_agents, n_actions)."""
-        obs, ids = np.asarray(observations), np.arange(self.n_agents)
+        obs = np.asarray(observations)
         if obs.ndim == 2:
-            return self.fused_forward(obs[None], ids)[0][0]
-        return self.fused_forward(obs, ids)[0]
+            return self.fused_forward(obs[None], None)[0][0]
+        return self.fused_forward(obs, None)[0]
 
     def params(self) -> list[Tensor]:
         return self.mlp.params()
@@ -372,9 +375,9 @@ class TdBuffers:
     def __init__(self, n_agents: int, obs_dim: int, state_dim: int, max_rows: int):
         self.max_rows = int(max_rows)
         self.obs_dim = int(obs_dim)
-        ids, blank = np.arange(n_agents), np.zeros((max_rows, n_agents, obs_dim))
-        self.inputs = agent_inputs(blank, ids, n_agents)
-        self.next_inputs = agent_inputs(blank, ids, n_agents)
+        blank = np.zeros((max_rows, n_agents, obs_dim))
+        self.inputs = agent_inputs(blank, None, n_agents)
+        self.next_inputs = agent_inputs(blank, None, n_agents)
         self.states = np.empty((max_rows, state_dim))
         self.next_states = np.empty((max_rows, state_dim))
         self.actions = np.empty((max_rows, n_agents), dtype=np.int64)

@@ -16,6 +16,7 @@ keeps per-agent reference rules that every row must equal bitwise.
 """
 from __future__ import annotations
 
+import copy
 import functools
 from dataclasses import dataclass
 
@@ -324,6 +325,17 @@ class GridBatch:
             [np.repeat(tables.fixed[:, None], size, axis=1), landmark_cells.T, cells.T])
         self._seen, self._layout = _gather_indices(n, len(self._points), size,
                                                    env.DOOR is not None)
+
+    def __deepcopy__(self, memo) -> "GridBatch":
+        """A copy with its own cells, door flags and point slots that shares
+        the read-only tables and gather indices, as repeat(1) does."""
+        clone = object.__new__(type(self))
+        memo[id(self)] = clone
+        clone.__dict__.update(self.__dict__)
+        clone.env = copy.deepcopy(self.env, memo)
+        clone.cells, clone.landmark_cells = self.cells.copy(), self.landmark_cells.copy()
+        clone.door_open, clone._points = self.door_open.copy(), self._points.copy()
+        return clone
 
     @property
     def size(self) -> int:

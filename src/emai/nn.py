@@ -442,7 +442,8 @@ class Mlp:
         Layer i's output is written into ws under (key, i), where it stays
         until the next forward with that key. key=None is for a forward
         whose cache is never used: its layers take turns on the ping-pong
-        pair ("pp", 0)/("pp", 1), which fused_backward also writes. Same
+        pair ("pp", 0)/("pp", 1), which fused_backward also writes. On
+        FRESH, np.matmul allocates each layer's output itself. Same
         float ops as forward(). The input and every layer's pre-activation
         are checked finite (NumericsError) before the activation overwrites
         the pre-activation in place.
@@ -454,7 +455,8 @@ class Mlp:
         outs = [x]
         for i, (w, b, act) in enumerate(zip(self.weights, self.biases, self.activations)):
             name = ("pp", i % 2) if key is None else (key, i)
-            z = np.matmul(x, w.data, out=ws.take(name, *x.shape[:-1], w.data.shape[1]))
+            out = None if ws is FRESH else ws.take(name, *x.shape[:-1], w.data.shape[1])
+            z = np.matmul(x, w.data, out=out)
             np.add(z, b.data, out=z)
             _check_finite(z, f"MLP layer {i} pre-activation")
             x = _relu_f(z, out=z) if act == "relu" else z

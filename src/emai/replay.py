@@ -9,13 +9,14 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .envs import KeyCorridor, decode_norm
+from .envs import DELTAS, KeyCorridor, decode_norm
 from .rollout import left_sum
 
 FORMAT_VERSION = 1
@@ -29,8 +30,12 @@ def _round9(x: float) -> float:
     return float(f"{float(x):.9g}")
 
 
-def _round_list(values) -> list[float]:
-    return [_round9(v) for v in values]
+def _round9_each(values: np.ndarray) -> list[float]:
+    """[_round9(v) for v in values] of a float64 array, with _round9 called
+    once per distinct bit pattern (so -0.0 and 0.0 are rounded apart)."""
+    bits, inverse = np.unique(values.view(np.uint64), return_inverse=True)
+    rounded = np.array([_round9(v) for v in bits.view(np.float64).tolist()], dtype=np.float64)
+    return rounded[inverse].tolist()
 
 
 @dataclass
@@ -67,6 +72,15 @@ def _optional(check):
 _ints, _num_list = _list_of(frozenset({int})), _list_of(frozenset({int, float}))
 
 
+def _ints_in(allowed: frozenset):
+    """A list of JSON ints that all lie in `allowed`: one C-level type pass,
+    then one C-level membership pass (True == 1, so the type pass goes first)."""
+    return lambda v: _ints(v) and allowed.issuperset(v)
+
+
+_actions, _mask_bits = _ints_in(frozenset(range(len(DELTAS)))), _ints_in(frozenset({0, 1}))
+
+
 def _nums(v) -> bool:
     """A list of finite numbers: json.loads reads NaN, Infinity and literals
     that overflow, such as 1e400, as non-finite floats, and math.isfinite
@@ -87,9 +101,9 @@ _STEP_TYPES = {
     "t": _is_int,
     "state": _nums,
     "observations": lambda v: isinstance(v, list) and all(map(_nums, v)),
-    "target_actions": _ints,
-    "mask_actions": _optional(_ints),
-    "final_actions": _ints,
+    "target_actions": _actions,
+    "mask_actions": _optional(_mask_bits),
+    "final_actions": _actions,
     "reward": _finite,
     "importance": _optional(_nums),
 }
@@ -126,28 +140,40 @@ def record(stream, env_name: str, env_params: dict, seed: int,
 
     Steps must be contiguous from t = 0; anything else is a mid-episode
     stream and is rejected. Floats are normalized to the serialized
-    precision so records round-trip exactly.
+    precision so records round-trip exactly: the record's floats are
+    gathered into one array and _round9 runs once per distinct value.
     """
-    steps: list[RecordStep] = []
-    n_agents = None
+    stream = list(stream)
     for idx, s in enumerate(stream):
         if s.t != idx:
             raise ReplayError(f"mid-episode stream: step index {s.t} at position {idx}")
-        if n_agents is None:
-            n_agents = len(s.observations)
-        steps.append(RecordStep(
-            t=s.t,
-            state=_round_list(s.state),
-            observations=[_round_list(row) for row in s.observations],
-            target_actions=[int(a) for a in s.target_actions],
-            mask_actions=None if s.mask_actions is None else [int(b) for b in s.mask_actions],
-            final_actions=[int(a) for a in s.final_actions],
-            reward=_round9(s.reward),
-            importance=None if s.importance is None else _round_list(s.importance),
-        ))
-    reward_sum = _round9(left_sum(st.reward for st in steps))
+    # every float of the record in one array: the rewards, then each step's
+    # state, observations and importance, consumed below in the same order
+    arrays = [(np.asarray(s.state, dtype=np.float64), np.asarray(s.observations, dtype=np.float64),
+               None if s.importance is None else np.asarray(s.importance, dtype=np.float64))
+              for s in stream]
+    parts = [np.array([s.reward for s in stream], dtype=np.float64)]
+    for state, obs, importance in arrays:
+        parts += (state, obs.reshape(-1), np.empty(0) if importance is None else importance)
+    values = iter(_round9_each(np.concatenate(parts)))
+
+    def take(count: int) -> list[float]:
+        return list(itertools.islice(values, count))
+
+    rewards = take(len(stream))
+    steps = [RecordStep(
+        t=s.t,
+        state=take(len(state)),
+        observations=[take(obs.shape[1]) for _ in range(len(obs))],
+        target_actions=[int(a) for a in s.target_actions],
+        mask_actions=None if s.mask_actions is None else [int(b) for b in s.mask_actions],
+        final_actions=[int(a) for a in s.final_actions],
+        reward=reward,
+        importance=None if importance is None else take(len(importance)),
+    ) for s, (state, obs, importance), reward in zip(stream, arrays, rewards)]
+    reward_sum = _round9(left_sum(rewards))
     return EpisodeRecord(env_name, dict(env_params), int(seed), target_id, explainer_id,
-                         n_agents if n_agents is not None else 0, steps, reward_sum)
+                         len(arrays[0][1]) if arrays else 0, steps, reward_sum)
 
 
 def serialize(rec: EpisodeRecord) -> str:
@@ -196,7 +222,9 @@ def parse(text: str) -> EpisodeRecord:
             step = RecordStep(**json.loads(line))
             bad = [name for name, ok in _STEP_TYPES.items() if not ok(getattr(step, name))]
             if bad:
-                raise TypeError(f"ill-typed step fields {bad} (every number must be finite)")
+                raise TypeError(f"ill-typed step fields {bad} (every number must be finite, "
+                                f"every action an int in [0, {len(DELTAS)}) and every "
+                                "mask bit 0 or 1)")
             steps.append(step)
         except (json.JSONDecodeError, TypeError, OverflowError) as exc:
             raise ReplayError(

@@ -63,7 +63,10 @@ def test_agent_inputs_append_each_rows_one_hot_id():
     # one id per row: the (B * n, 1, in) one-row blocks of the gradient explainer
     flat = ctde.agent_inputs(obs.reshape(6, 1, 4), np.tile(np.arange(3), 2)[:, None], 3)
     assert np.array_equal(flat, ctde.agent_inputs(obs, np.arange(3), 3).reshape(6, 1, 7))
-    for bad_obs, ids in ((obs[0], [0, 1, 2]), (obs, [0, 1]), (obs[..., None], [0, 1, 2])):
+    # None: every agent in order, the identity as the one-hot block
+    assert np.array_equal(ctde.agent_inputs(obs, None, 3), ctde.agent_inputs(obs, np.arange(3), 3))
+    for bad_obs, ids in ((obs[0], [0, 1, 2]), (obs, [0, 1]), (obs[..., None], [0, 1, 2]),
+                         (obs[:, :2], None)):
         with pytest.raises(nn.ShapeError):
             ctde.agent_inputs(bad_obs, ids, 3)
 

@@ -802,6 +802,35 @@ def test_repeat_copies_the_selected_rows(name, params):
     assert np.array_equal(batch.states(), states)
 
 
+@pytest.mark.parametrize("name,params", [("keycorridor", {}), ("spread", {"grid": 5})])
+def test_deepcopy_shares_the_read_only_parts_and_steps_like_repeat(name, params):
+    env = make_env(name, **params)
+    env.reset(3)
+    for joint in stream(9, "deepcopy").integers(0, 5, size=(6, env.spec.n_agents)):
+        env.step(joint.tolist())
+    row = env.row
+    t, cells, landmarks, door = row.t, row.cells.copy(), row.landmark_cells.copy(), \
+        row.door_open.copy()
+    clone = copy.deepcopy(env)
+    copied, fresh = clone.row, row.repeat(1)
+    assert copied.env is clone and copied.tables is row.tables
+    assert copied._seen is row._seen and copied._layout is row._layout
+    assert copied._seen is fresh._seen  # the cached gather indices
+    assert not any(np.shares_memory(getattr(copied, k), getattr(row, k))
+                   for k in ("cells", "landmark_cells", "door_open", "_points"))
+    moves = stream(10, "deepcopy").integers(0, 5, size=(24, 1, env.spec.n_agents))
+    for joint in moves:
+        a, b = copied.step(joint), fresh.step(joint)
+        assert np.array_equal(a.observations, b.observations)
+        assert np.array_equal(a.reward, b.reward) and a.done == b.done
+        assert np.array_equal(copied.states(), fresh.states())
+        if a.done:
+            break
+    # stepping the copy left the original as it was
+    assert row.t == t and np.array_equal(row.cells, cells)
+    assert np.array_equal(row.landmark_cells, landmarks) and np.array_equal(row.door_open, door)
+
+
 @pytest.mark.parametrize("rows, cols", [(5, 7), (8, 8), (6, 6), (2, 3)])
 def test_decoders_equal_the_scalar_rules(rows, cols):
     """decode_norm and decode_rel against the scalar rules they replace:

@@ -1,8 +1,12 @@
 """Replay records: capture, serialization round-trips, strict parsing, rendering."""
 from __future__ import annotations
 
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from emai import replay
 from emai.envs import make_env
@@ -202,7 +206,14 @@ def test_header_ints_and_int_reward_sum_parse_as_before():
                                           ("state", ["a"]), ("observations", [1.0]),
                                           ("target_actions", [0.5]), ("final_actions", None),
                                           ("mask_actions", [True]), ("importance", "high"),
-                                          ("reward", float("nan")), ("reward", float("-inf"))])
+                                          ("reward", float("nan")), ("reward", float("-inf")),
+                                          ("final_actions", [0, 99, 0]),
+                                          ("target_actions", [0, -1, 0]),
+                                          ("final_actions", [0, 5, 0]),
+                                          ("target_actions", [True, 0, 0]),
+                                          ("mask_actions", [0, 2, -1]),
+                                          ("mask_actions", [0, 2, 0]),
+                                          ("mask_actions", [0, -1, 1])])
 def test_ill_typed_step_field_rejected(field, value):
     import json
     lines = serialize(_make_record()).splitlines()
@@ -273,3 +284,80 @@ def test_render_rejects_a_state_too_short_for_the_agents(env_name):
     with pytest.raises(ReplayError, match=f"at least {width} entries"):
         render(rec, "ascii")
     render(rec, "csv")  # reads no state
+
+
+def _bits(values) -> list[bytes]:
+    return [struct.pack("<d", v) for v in values]
+
+
+# finite floats, weighted towards signed zeros, subnormals, the ends of the
+# float range and values that repeat within and across steps
+_finite_floats = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-300, -1e300,
+                     1.7976931348623157e308, -1.7976931348623157e308, 0.1, -0.75, 1e300]),
+    st.floats(min_value=1e-320, max_value=1e-300) | st.floats(min_value=1e299, max_value=1e301))
+
+
+@st.composite
+def _steps(draw):
+    n, obs_dim, state_dim = (draw(st.integers(1, 3)), draw(st.integers(0, 4)),
+                             draw(st.integers(1, 5)))
+    pool = draw(st.lists(_finite_floats, min_size=1, max_size=8))
+    value = st.sampled_from(pool) | _finite_floats
+    steps = []
+    for t in range(draw(st.integers(0, 5))):
+        action = st.integers(0, 4)
+        masked = draw(st.booleans())
+        steps.append(Step(
+            t, np.array(draw(st.lists(value, min_size=state_dim, max_size=state_dim))),
+            np.array(draw(st.lists(value, min_size=n * obs_dim, max_size=n * obs_dim)))
+            .reshape(n, obs_dim),
+            draw(st.lists(action, min_size=n, max_size=n)),
+            draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)) if masked else None,
+            draw(st.lists(action, min_size=n, max_size=n)),
+            draw(value),
+            np.array(draw(st.lists(value, min_size=n, max_size=n)))
+            if draw(st.booleans()) else None))
+    return steps
+
+
+@settings(max_examples=200, deadline=None)
+@given(_steps())
+def test_record_rounds_like_the_element_by_element_reference(steps):
+    ref = replay._round9
+    rec = record(steps, "diagnostic", {"grid": 5}, 3)
+    assert len(rec.steps) == len(steps)
+    for got, step in zip(rec.steps, steps):
+        assert _bits(got.state) == _bits([ref(v) for v in step.state])
+        assert len(got.observations) == len(step.observations)
+        for got_row, row in zip(got.observations, step.observations):
+            assert _bits(got_row) == _bits([ref(v) for v in row])
+        assert _bits([got.reward]) == _bits([ref(step.reward)])
+        if step.importance is None:
+            assert got.importance is None
+        else:
+            assert _bits(got.importance) == _bits([ref(v) for v in step.importance])
+        assert all(type(v) is float for v in [*got.state, got.reward, *sum(got.observations, [])])
+        assert (got.target_actions, got.mask_actions, got.final_actions) == \
+            (step.target_actions, step.mask_actions, step.final_actions)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_steps())
+def test_parse_inverts_serialize_on_random_records(steps):
+    # a reward_sum that overflows to infinity is no finite JSON number, so
+    # such a record is rejected, never misread
+    rec = record(steps, "diagnostic", {"grid": 5}, 3)
+    text = serialize(rec)
+    if not np.isfinite(rec.reward_sum):
+        with pytest.raises(ReplayError):
+            parse(text)
+        return
+    back = parse(text)
+    assert back == rec
+    for got, want in zip(back.steps, rec.steps):
+        assert _bits(got.state + sum(got.observations, []) + [got.reward]) == \
+            _bits(want.state + sum(want.observations, []) + [want.reward])
+        assert got.importance == want.importance is None or \
+            _bits(got.importance) == _bits(want.importance)
