@@ -10,9 +10,12 @@ For each end-to-end metric that BENCHMARK.json declares, it prints each
 side's median and quartiles, the change/parent ratio of the medians, the
 pairs the change won (in the metric's better direction) and whether the
 medians differ by more than the parent's interquartile range. The same
-rows follow for the workload's probe-normalized per-arm figures, read from
-each run's `REPORT` line, so that a gain can be placed in an arm. It exits 1
-if any run is not `correct: true` or prints no result line.
+rows follow for the workload's per-arm figures, read from each run's
+`REPORT` line, each with its change/parent ratio pair by pair, so that a
+gain can be placed in an arm. On `train` these are the env-steps/s both
+probe-normalized (what `throughput_per_s` reports) and raw: the probe can
+absorb a varying share of a gain, so a small one must be read both ways. It
+exits 1 if any run is not `correct: true` or prints no result line.
 """
 from __future__ import annotations
 
@@ -29,7 +32,7 @@ ROOT = Path(__file__).resolve().parent.parent
 
 # workload -> the REPORT metrics of its arms, each with its better direction
 ARM_METRICS = {
-    "train": [],
+    "train": [("train_env_steps_per_s@probe", "higher"), ("train_env_steps_per_s", "higher")],
     "evaluate": [(f"{arm}@probe", "higher") for arm in (
         "fidelity_episodes_per_s", "attack_episodes_per_s", "patch_episodes_per_s",
         "explain_steps_per_s")],
@@ -52,10 +55,11 @@ def run_bench(checkout: Path, workload: str, seed: int, seconds: float) -> tuple
         return {"correct": False, "metrics": {}}, {}
 
 
-def print_row(name: str, values: dict[str, list[float]], higher: bool, pairs: int) -> None:
+def print_row(name: str, values: dict[str, list[float]], higher: bool, pairs: int,
+              per_pair: bool = False) -> None:
     """One metric's quartiles per side, the ratio of the medians, the pairs
     the change won and whether the medians differ by more than the parent's
-    interquartile range."""
+    interquartile range; with `per_pair`, a line of each pair's ratio."""
     if min(len(v) for v in values.values()) < pairs:
         print(f"  {name:<34} missing in some runs")
         return
@@ -70,6 +74,10 @@ def print_row(name: str, values: dict[str, list[float]], higher: bool, pairs: in
     ratio = c_med / p_med if p_med else float("nan")
     print(f"  {name:<34} {cells['parent']:>32} {cells['change']:>32} "
           f"{ratio:>7.4f} {wins:>3}/{pairs:<2} {'yes' if clear else 'no':>6}")
+    if per_pair:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratios = values["change"] / values["parent"]
+        print(f"    per pair change/parent: {' '.join(f'{r:.4f}' for r in ratios)}")
 
 
 def main(argv=None) -> int:
@@ -107,7 +115,7 @@ def main(argv=None) -> int:
     for name, better, runs in rows:
         print_row(name, {side: [r["metrics"][name]["value"] for r in runs[side]
                                 if name in r.get("metrics", {})] for side in runs},
-                  better == "higher", args.pairs)
+                  better == "higher", args.pairs, per_pair=runs is reports)
     return 0 if correct else 1
 
 

@@ -179,7 +179,7 @@ class MonotonicMixer:
         h1, c1 = self.hyper_w1.fused_forward(s, ws, key and (key, "w1"))
         w1q = np.abs(h1.reshape(B, n, E), out=ws.take("prod", B, n, E))
         np.multiply(q, w1q, out=w1q)
-        pre = np.sum(w1q, axis=1, out=ws.take("pre", B, E))
+        pre = nn._sum_axis1(w1q, ws.take("pre", B, E))
         b1, cb1 = self.hyper_b1.fused_forward(s, ws, key and (key, "b1"))
         np.add(pre, b1, out=pre)
         nn._check_finite(pre, "mixer hidden pre-activation")
@@ -282,7 +282,7 @@ def load_checkpoint_doc(doc) -> tuple[AgentQNet, MonotonicMixer | None]:
             mixer = None
         else:
             raise ValueError(f"mixer_kind {kind!r} does not fit its mixer document")
-    except (KeyError, IndexError, TypeError) as exc:
+    except (KeyError, IndexError, TypeError, OverflowError) as exc:
         raise ValueError(f"malformed ctde checkpoint: {type(exc).__name__}: {exc}") from exc
     return net, mixer
 
@@ -401,31 +401,29 @@ class TdBuffers:
 
 def _flatten_batch(batch: list[Episode], buffers: TdBuffers) -> Transitions:
     """Stack transitions of a batch of episodes into leading-row views of
-    `buffers`."""
-    n_rows = sum(ep.length for ep in batch)
-    if n_rows > buffers.max_rows:
-        raise ValueError(f"batch of {n_rows} transitions exceeds the TD buffers' "
+    `buffers`: one concatenate per field, and the episode and time indices
+    and terminal flags from the episode lengths."""
+    lengths = [ep.length for ep in batch]
+    ends = np.cumsum(lengths)
+    N = int(ends[-1])
+    if N > buffers.max_rows:
+        raise ValueError(f"batch of {N} transitions exceeds the TD buffers' "
                          f"{buffers.max_rows} rows")
     b = buffers
-    obs, next_obs = b.obs, b.next_obs
-    start = 0
-    for k, ep in enumerate(batch):
-        T = ep.length
-        rows = slice(start, start + T)
-        obs[rows] = ep.obs[:T]
-        next_obs[rows] = ep.obs[1:T + 1]
-        b.states[rows] = ep.states[:T]
-        b.next_states[rows] = ep.states[1:T + 1]
-        b.actions[rows] = ep.actions
-        b.rewards[rows] = ep.rewards
-        b.terminal[rows] = False
-        b.terminal[start + T - 1] = True
-        b.ep_index[rows] = k
-        b.t_index[rows] = b.row_ids[:T]
-        start += T
-    return Transitions(obs[:start], next_obs[:start], b.states[:start],
-                       b.next_states[:start], b.actions[:start], b.rewards[:start],
-                       b.terminal[:start], b.ep_index[:start], b.t_index[:start], len(batch))
+    flat = Transitions(b.obs[:N], b.next_obs[:N], b.states[:N], b.next_states[:N],
+                       b.actions[:N], b.rewards[:N], b.terminal[:N], b.ep_index[:N],
+                       b.t_index[:N], len(batch))
+    np.concatenate([ep.obs[:T] for ep, T in zip(batch, lengths)], out=flat.obs)
+    np.concatenate([ep.obs[1:T + 1] for ep, T in zip(batch, lengths)], out=flat.next_obs)
+    np.concatenate([ep.states[:T] for ep, T in zip(batch, lengths)], out=flat.states)
+    np.concatenate([ep.states[1:T + 1] for ep, T in zip(batch, lengths)], out=flat.next_states)
+    np.concatenate([ep.actions for ep in batch], out=flat.actions)
+    np.concatenate([ep.rewards for ep in batch], out=flat.rewards)
+    flat.ep_index[:] = np.repeat(b.row_ids[:len(batch)], lengths)
+    np.subtract(b.row_ids[:N], (ends - lengths)[flat.ep_index], out=flat.t_index)
+    flat.terminal.fill(False)
+    flat.terminal[ends - 1] = True
+    return flat
 
 
 def _net_forward(net: AgentQNet, obs_steps: np.ndarray, buffers: TdBuffers,
@@ -451,7 +449,7 @@ def qtot_forward(net: AgentQNet, mixer, flat: Transitions,
     pick[buffers.row_ids[:N * n], flat.actions.reshape(-1)] = 1.0
     q_pick = np.multiply(q_all, pick, out=ws_net.take("q_pick", *pick.shape))
     chosen = ws_mix.take("chosen", N, n)
-    np.sum(q_pick, axis=1, out=chosen.reshape(N * n))
+    nn._sum_axis1(q_pick, chosen.reshape(N * n))
     q_tot, mix_cache = mixer.mix(chosen, flat.states, ws_mix)
     return q_tot, (net_cache, pick, mix_cache)
 
@@ -473,7 +471,7 @@ def stale_max_qtot(stale: StaleCopy, next_obs: np.ndarray, next_states: np.ndarr
     It runs in the buffers' ping-pong scratch and keeps no cache."""
     S, n, _ = next_obs.shape
     q, _ = _net_forward(stale.net, next_obs, buffers, stale=True)
-    max_q = np.max(q, axis=1, out=buffers.net.take("max_q", S * n)).reshape(S, n)
+    max_q = nn._max_axis1(q, buffers.net.take("max_q", S * n)).reshape(S, n)
     return stale.mixer.mix(max_q, next_states, buffers.mix, None)[0]
 
 

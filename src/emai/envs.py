@@ -101,6 +101,11 @@ class _GridEnv:
         raise NotImplementedError
 
     @property
+    def grid_shape(self) -> tuple[int, int]:
+        """(rows, cols) of the cell grid."""
+        return self._rows, self._cols
+
+    @property
     def t(self) -> int:
         return 0 if self._row is None else self._row.t
 

@@ -298,8 +298,11 @@ def reshape(a, shape) -> Tensor:
 
 # Activation arithmetic, shared by the graph ops and the fused MLP: forward
 # f(z) and backward (g, y) -> dL/dz, for the incoming g = dL/dy and the
-# output y = f(z). Both read y > 0, which holds exactly where z > 0. `out`
-# may be g (backward) but not z (elu forward); masks and slopes go to `ws`.
+# output y = f(z) of a finite z. Each gives the bits of the textbook form
+# (z where z > 0, else expm1(z); g * (1 where y > 0, else y + 1)) without a
+# masked copy, whose random branches cost more than the arithmetic. `out`
+# may be g (backward) but not z (elu forward); masks and slopes go to `ws`,
+# the ELU's forward and backward sharing one float array.
 
 def _relu_f(z, out=None):
     return np.maximum(z, 0.0, out=out)
@@ -310,15 +313,50 @@ def _relu_b(g, y, out=None, ws: Scratch = FRESH):
 
 
 def _elu_f(z, out=None, ws: Scratch = FRESH):
+    """expm1(z), then a bit-select on int64 views: out = ((out ^ z) & keep)
+    ^ z, which is out where keep is all ones and z where it is zero. keep =
+    (bits(z) - 1) >> 63 is all ones where bits(z) <= 0 as an int64, that is
+    at +0.0 and every z < 0 but -0.0, whose bits wrap round to INT64_MAX;
+    there z is taken, and it equals expm1(-0.0) = -0.0."""
     out = np.expm1(z, out=out)
-    np.copyto(out, z, where=np.greater(z, 0.0, out=ws.take("mask", *z.shape, dtype=bool)))
+    zi, oi = z.view(np.int64), out.view(np.int64)
+    keep = np.subtract(zi, 1, out=ws.take("elu", *z.shape).view(np.int64))
+    np.right_shift(keep, 63, out=keep)
+    np.bitwise_xor(oi, zi, out=oi)
+    np.bitwise_and(oi, keep, out=oi)
+    np.bitwise_xor(oi, zi, out=oi)
     return out
 
 
 def _elu_b(g, y, out=None, ws: Scratch = FRESH):
-    slope = np.add(y, 1.0, out=ws.take("elu_slope", *y.shape))
-    np.copyto(slope, 1.0, where=np.greater(y, 0.0, out=ws.take("mask", *y.shape, dtype=bool)))
+    """The slope is min(y + 1, 1): fl(y + 1) >= 1 for y > 0, and <= 1 else."""
+    slope = np.add(y, 1.0, out=ws.take("elu", *y.shape))
+    np.minimum(slope, 1.0, out=slope)
     return np.multiply(g, slope, out=out)
+
+
+# Reductions over a short axis 1, as column ops in numpy's own order: below
+# 8 entries, np.add.reduce adds ((0.0 + a[:, 0]) + a[:, 1]) + ... and
+# np.maximum.reduce keeps maximum(acc, a[:, j]), so the bits (signed zeros
+# included) are those of np.sum/np.max(a, axis=1), without a reduction's
+# per-row cost. From 8 entries on, numpy sums pairwise; the reduction runs.
+
+def _sum_axis1(a: np.ndarray, out: np.ndarray) -> np.ndarray:
+    if a.shape[1] >= 8:
+        return np.sum(a, axis=1, out=out)
+    np.add(a[:, 0], 0.0, out=out)
+    for j in range(1, a.shape[1]):
+        np.add(out, a[:, j], out=out)
+    return out
+
+
+def _max_axis1(a: np.ndarray, out: np.ndarray) -> np.ndarray:
+    if a.shape[1] >= 8:
+        return np.max(a, axis=1, out=out)
+    np.copyto(out, a[:, 0])
+    for j in range(1, a.shape[1]):
+        np.maximum(out, a[:, j], out=out)
+    return out
 
 
 def relu(a) -> Tensor:
@@ -401,11 +439,11 @@ class Mlp:
         self.weights: list[Tensor] = []
         self.biases: list[Tensor] = []
         for fan_in, fan_out in zip(self.layer_sizes[:-1], self.layer_sizes[1:]):
-            bound = 1.0 / np.sqrt(fan_in)
             if rng is None:
                 w = np.zeros((fan_in, fan_out))
                 b = np.zeros(fan_out)
             else:
+                bound = 1.0 / np.sqrt(fan_in)
                 w = rng.uniform(-bound, bound, size=(fan_in, fan_out))
                 b = rng.uniform(-bound, bound, size=fan_out)
             self.weights.append(Tensor(w, requires_grad=True))

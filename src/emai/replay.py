@@ -16,10 +16,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .envs import DELTAS, KeyCorridor, decode_norm
+from .envs import DELTAS, KeyCorridor, decode_norm, make_env
 from .rollout import left_sum
 
 FORMAT_VERSION = 1
+GRID_MAX = 64  # the widest grid a header may name: render draws rows x cols per step
 
 
 class ReplayError(ValueError):
@@ -122,6 +123,22 @@ _HEADER_TYPES = {
 }
 
 
+def _header_env(env_name: str, env_params: dict):
+    """The env that a header's env_name and env_params build through
+    make_env. ReplayError unless an env_params grid is a JSON int in [2,
+    GRID_MAX] and the env builds, so a hand-edited header can neither
+    misdraw nor blow up a rendering."""
+    grid = env_params.get("grid")
+    if "grid" in env_params and not (_is_int(grid) and 2 <= grid <= GRID_MAX):
+        raise ReplayError(f"malformed header on line 1: env_params grid {grid!r} "
+                          f"is not an int in [2, {GRID_MAX}]")
+    try:
+        return make_env(env_name, **env_params)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ReplayError(f"malformed header on line 1: env {env_name!r} with env_params "
+                          f"{env_params} does not build: {exc}") from exc
+
+
 @dataclass
 class EpisodeRecord:
     env_name: str
@@ -213,6 +230,7 @@ def parse(text: str) -> EpisodeRecord:
     seed, n_agents = header["seed"], header["n_agents"]
     env_name, env_params = header["env_name"], header["env_params"]
     target_id, explainer_id = header["target_id"], header["explainer_id"]
+    _header_env(env_name, env_params)
     steps: list[RecordStep] = []
     last_good = 1
     for lineno, line in enumerate(lines[1:], start=2):
@@ -250,25 +268,23 @@ def parse(text: str) -> EpisodeRecord:
                          steps, declared)
 
 
-def _grid_geometry(rec: EpisodeRecord, step: RecordStep):
-    """(rows, cols, walls, features, agent cells) for one step's state: the
-    agents' cells, then the landmarks' (or keycorridor's door flag), decoded
-    as envs.decode_norm decodes an observation's own position."""
+def _grid_geometry(rec: EpisodeRecord, grid_shape: tuple[int, int], step: RecordStep):
+    """(rows, cols, walls, features, agent cells) for one step's state on
+    the header env's (rows, cols) grid: the agents' cells, then the
+    landmarks' (or keycorridor's door flag), decoded as envs.decode_norm
+    decodes an observation's own position."""
     n, keycorridor = rec.n_agents, rec.env_name == "keycorridor"
     state = np.asarray(step.state, dtype=np.float64)
     if len(state) < 2 * n + keycorridor:
         raise ReplayError(f"a {rec.env_name} state of {n} agents holds at least "
                           f"{2 * n + keycorridor} entries, got {len(state)}")
+    rows, cols = grid_shape
     if keycorridor:
-        rows, cols = KeyCorridor.ROWS, KeyCorridor.COLS
         feats = {KeyCorridor.SWITCH: "S", KeyCorridor.DOOR: "d" if state[2 * n] > 0 else "D"}
         for r in range(rows):
             feats.setdefault((r, KeyCorridor.GOAL_COL), "G")
         walls = set(KeyCorridor.WALLS)
     else:
-        rows = cols = rec.env_params.get("grid", 8)
-        if not _is_int(rows) or rows < 2:
-            raise ReplayError(f"env_params grid {rows!r} is not an int >= 2")
         k = (len(state) - 2 * n) // 2
         walls = set()
         feats = {cell: "L" for cell in map(tuple, decode_norm(
@@ -294,6 +310,7 @@ def render(rec: EpisodeRecord, mode: str = "ascii") -> str:
         raise ValueError(f"unknown render mode {mode!r}")
     out: list[str] = [f"env={rec.env_name} seed={rec.seed} target={rec.target_id} "
                       f"explainer={rec.explainer_id} reward_sum={rec.reward_sum}"]
+    grid_shape = _header_env(rec.env_name, rec.env_params).grid_shape
     for step in rec.steps:
         critical = None
         if step.importance is not None:
@@ -302,7 +319,7 @@ def render(rec: EpisodeRecord, mode: str = "ascii") -> str:
         if critical is not None:
             head += f" critical={critical}"
         out.append(head)
-        rows, cols, walls, feats, agents = _grid_geometry(rec, step)
+        rows, cols, walls, feats, agents = _grid_geometry(rec, grid_shape, step)
         cells = [[". " for _ in range(cols)] for _ in range(rows)]
         for (r, c) in walls:
             cells[r][c] = "# "

@@ -507,6 +507,33 @@ def test_returned_arrays_are_not_overwritten_by_later_calls(mixer_kind):
         assert np.array_equal(a, c), f"result {i} was overwritten"
 
 
+def _flatten_by_episode(batch) -> list[np.ndarray]:
+    """The Transitions fields of a batch, stacked episode by episode."""
+    fields = [[] for _ in range(9)]
+    for k, ep in enumerate(batch):
+        T = ep.length
+        for field, part in zip(fields, (
+                ep.obs[:T], ep.obs[1:T + 1], ep.states[:T], ep.states[1:T + 1], ep.actions,
+                ep.rewards, np.arange(T) == T - 1, np.full(T, k), np.arange(T))):
+            field.append(part)
+    return [np.concatenate(field) for field in fields]
+
+
+@pytest.mark.parametrize("lengths", [(30,), (1,), (3, 1, 30, 7), (1, 1, 2)])
+def test_flatten_equals_the_per_episode_stack(lengths):
+    # leading rows of buffers larger than the batch, after a longer batch
+    spec = make_env("keycorridor").spec
+    rng = stream(4, "flatten")
+    buffers = ctde.TdBuffers(spec.n_agents, spec.obs_dim, spec.state_dim, 50)
+    ctde._flatten_batch([_random_episode(rng, spec, 25), _random_episode(rng, spec, 25)],
+                        buffers)
+    batch = [_random_episode(rng, spec, T) for T in lengths]
+    flat = ctde._flatten_batch(batch, buffers)
+    assert flat.n_episodes == len(batch)
+    for i, (got, want) in enumerate(zip(flat[:9], _flatten_by_episode(batch), strict=True)):
+        assert got.dtype == want.dtype and np.array_equal(got, want), f"field {i}"
+
+
 def test_flatten_rejects_a_batch_larger_than_its_buffers():
     buffers = ctde.TdBuffers(2, 3, 4, max_rows=5)
     ep = Episode(np.zeros((7, 2, 3)), np.zeros((7, 4)), np.zeros((6, 2), dtype=np.int64),

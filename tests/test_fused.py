@@ -3,7 +3,9 @@
 The graph-built TD and difference losses below are the reference: they are
 the pre-fusion production code, written with `nn.Tensor` ops. The fused path
 must give bitwise-equal losses and parameter gradients. (Its finite-difference
-checks are in test_masking.py.)
+checks are in test_masking.py.) The graph shares the ELU arithmetic with the
+fused path, so the ELU and the short-axis reductions are also checked, bit
+for bit, against their textbook numpy forms written out below.
 """
 from __future__ import annotations
 
@@ -11,6 +13,9 @@ import copy
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from emai import ctde, nn
 from emai.config import DEFAULT_CONFIG
@@ -311,3 +316,69 @@ def test_td_step_runs_one_backward_pass(monkeypatch, lam):
     for step in range(3):
         learner.td_train_step(_reward_fn, _extra_loss(lam))
         assert len(calls) == step + 1
+
+
+# ---- exact rewrites: each against its textbook numpy form ----
+
+def _bits(a: np.ndarray) -> np.ndarray:
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+def _masked_elu_f(z):
+    out = np.expm1(z)
+    np.copyto(out, z, where=z > 0)
+    return out
+
+
+def _masked_elu_b(g, y):
+    slope = y + 1.0
+    np.copyto(slope, 1.0, where=y > 0)
+    return g * slope
+
+
+# finite floats, weighted towards signed zeros, subnormals, the ends of the
+# float range and the edge of expm1's overflow (near 709.78)
+_edge_floats = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                     -2.2250738585072014e-308, 709.782712893384, 709.7827128933841, 710.0,
+                     -709.782712893384, -745.2, -1.0, 1.0, 1e-17, -1e-17,
+                     1.7976931348623157e308, -1.7976931348623157e308]),
+    st.floats(min_value=700.0, max_value=720.0), st.floats(min_value=-720.0, max_value=-700.0),
+    st.floats(min_value=-1e-300, max_value=1e-300))
+
+
+def _edge_arrays(shape):
+    return arrays(np.float64, shape, elements=_edge_floats)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data(), st.integers(1, 12), st.integers(1, 6))
+def test_elu_equals_the_masked_copy_form(data, rows, cols):
+    z, g = (data.draw(_edge_arrays((rows, cols))) for _ in range(2))
+    ws = nn.Scratch(4)
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = _masked_elu_f(z)
+        assert np.array_equal(_bits(nn._elu_f(z)), _bits(want))
+        assert np.array_equal(_bits(nn._elu_f(z, out=np.empty_like(z), ws=ws)), _bits(want))
+        for y in (want, data.draw(_edge_arrays((rows, cols)))):
+            want_g = _masked_elu_b(g, y)
+            assert np.array_equal(_bits(nn._elu_b(g, y)), _bits(want_g))
+            in_place = g.copy()  # the mixer's backward writes into g
+            nn._elu_b(in_place, y, out=in_place, ws=ws)
+            assert np.array_equal(_bits(in_place), _bits(want_g))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data(), st.integers(1, 40), st.integers(1, 9), st.sampled_from([(), (1,), (5,), (32,)]))
+def test_short_axis_columns_equal_numpys_reductions(data, rows, width, tail):
+    # (rows, actions) as the action axis, (rows, agents, embed) as the mixer's
+    # agent axis; from 8 entries on the reductions themselves run. Rows of
+    # signed zeros are common, as are repeats, so ties and -0.0 sums occur
+    pool = data.draw(st.lists(_edge_floats, min_size=1, max_size=4))
+    a = data.draw(arrays(np.float64, (rows, width, *tail), elements=st.one_of(
+        st.sampled_from(pool), st.sampled_from([0.0, -0.0]), _edge_floats)))
+    out = np.empty((rows, *tail))
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert np.array_equal(_bits(nn._sum_axis1(a, out)), _bits(np.sum(a, axis=1)))
+    assert np.array_equal(_bits(nn._max_axis1(a, out)), _bits(np.max(a, axis=1)))

@@ -1,6 +1,7 @@
 """Replay records: capture, serialization round-trips, strict parsing, rendering."""
 from __future__ import annotations
 
+import json
 import struct
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from emai import replay
+from emai.cli import main
 from emai.envs import make_env
 from emai.replay import EpisodeRecord, ReplayError, parse, record, render, serialize
 from emai.rollout import Step, run_target_episode
@@ -139,6 +141,45 @@ def test_render_spread_grid_contains_landmarks():
     rec = record(trace.steps, env.name, env.params, 4)
     text = render(rec, "ascii")
     assert "L" in text
+
+
+def _with_header_env(env_name: str, env_params: dict) -> str:
+    env = make_env("spread", n_agents=3, grid=6)
+    lines = serialize(record(run_target_episode(env, 4, scripted_policy(env)).steps,
+                             env.name, env.params, 4)).splitlines()
+    header = json.loads(lines[0])
+    header["env_name"], header["env_params"] = env_name, env_params
+    return "\n".join([json.dumps(header)] + lines[1:]) + "\n"
+
+
+@pytest.mark.parametrize("env_name, env_params", [
+    ("spread", {"grid": 1000}), ("spread", {"grid": 65}), ("spread", {"grid": 1}),
+    ("spread", {"grid": 6.0}), ("spread", {"grid": True}), ("spread", {"colour": 3}),
+    ("spread", {"n_agents": 40, "grid": 6}), ("keycorridor", {"grid": 6}), ("maze", {})],
+    ids=["grid-1000", "grid-65", "grid-1", "grid-float", "grid-bool", "unknown-param",
+         "too-many-agents", "keycorridor-grid", "unknown-env"])
+def test_header_env_that_does_not_build_or_is_too_wide_rejected(tmp_path, env_name, env_params):
+    # render draws rows x cols per step, so the header's grid is bounded
+    text = _with_header_env(env_name, env_params)
+    with pytest.raises(ReplayError, match="line 1: env"):
+        parse(text)
+    path = tmp_path / "replay.ndjson"
+    path.write_text(text, encoding="utf-8")
+    assert main(["render", str(path)]) == 5
+
+
+@pytest.mark.parametrize("grid", [2, 64])
+def test_header_grid_at_its_bounds_parses(grid):
+    assert parse(_with_header_env("spread", {"grid": grid})).env_params == {"grid": grid}
+
+
+def test_render_draws_a_header_without_grid_on_the_envs_default_grid():
+    env = make_env("diagnostic")  # its default grid is 6
+    steps = run_target_episode(env, 2, scripted_policy(env)).steps
+    bare = {key: value for key, value in env.params.items() if key != "grid"}
+    text = render(parse(serialize(record(steps, env.name, bare, 2))))
+    assert text == render(record(steps, env.name, env.params, 2))
+    assert [len(line) for line in text.splitlines()[2:9]] == [12] * 6 + [0]
 
 
 def test_serialized_header_carries_consistency_fields():
