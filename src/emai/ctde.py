@@ -128,8 +128,14 @@ class AgentQNet:
     def from_doc(cls, doc: dict) -> "AgentQNet":
         """Parse to_doc's output; other keys or non-int sizes raise ValueError."""
         nn.check_keys(doc, _NET_KEYS, "agent_net")
-        net = cls(*nn.int_fields(doc, ("obs_dim", "n_agents", "n_actions"), "agent_net"),
-                  doc["mlp"]["layer_sizes"][1:-1])
+        obs_dim, n_agents, n_actions = nn.int_fields(doc, ("obs_dim", "n_agents", "n_actions"),
+                                                     "agent_net")
+        # checked before the net's zeros are built, so they are no larger than the document
+        sizes = nn.doc_layer_sizes(doc["mlp"])
+        if sizes[:1] + sizes[-1:] != [obs_dim + n_agents, n_actions]:
+            raise nn.ShapeError(f"agent_net layer sizes {sizes} vs obs_dim {obs_dim}, "
+                                f"n_agents {n_agents} and n_actions {n_actions}")
+        net = cls(obs_dim, n_agents, n_actions, sizes[1:-1])
         net.mlp.load_doc(doc["mlp"])
         return net
 
@@ -152,11 +158,11 @@ class MonotonicMixer:
         self.n_agents = int(n_agents)
         self.state_dim = int(state_dim)
         self.embed_dim = int(embed_dim)
-        self.hyper_w1 = Mlp([state_dim, hyper_hidden, n_agents * embed_dim],
-                            ["relu", "identity"], rng)
-        self.hyper_b1 = Mlp([state_dim, embed_dim], ["identity"], rng)
-        self.hyper_w2 = Mlp([state_dim, hyper_hidden, embed_dim], ["relu", "identity"], rng)
-        self.hyper_v = Mlp([state_dim, embed_dim, 1], ["relu", "identity"], rng)
+        w1, b1, w2, v = _hypernet_sizes(n_agents, state_dim, embed_dim, hyper_hidden).values()
+        self.hyper_w1 = Mlp(w1, ["relu", "identity"], rng)
+        self.hyper_b1 = Mlp(b1, ["identity"], rng)
+        self.hyper_w2 = Mlp(w2, ["relu", "identity"], rng)
+        self.hyper_v = Mlp(v, ["relu", "identity"], rng)
 
     def mix(self, chosen_q: np.ndarray, states: np.ndarray, ws: Scratch = FRESH,
             key: str | None = "mix") -> tuple[np.ndarray, tuple]:
@@ -231,11 +237,25 @@ class MonotonicMixer:
     def from_doc(cls, doc: dict) -> "MonotonicMixer":
         """Parse to_doc's output; other keys or non-int sizes raise ValueError."""
         nn.check_keys(doc, _MIXER_KEYS, "mixer")
-        mixer = cls(*nn.int_fields(doc, ("n_agents", "state_dim", "embed_dim"), "mixer"),
-                    hyper_hidden=doc["hyper_w1"]["layer_sizes"][1])
+        fields = nn.int_fields(doc, ("n_agents", "state_dim", "embed_dim"), "mixer")
+        # checked before the hypernets' zeros are built, as in AgentQNet.from_doc
+        sizes = {name: nn.doc_layer_sizes(doc[name]) for name in _HYPERNETS}
+        hyper_hidden = sizes["hyper_w1"][1]
+        if sizes != _hypernet_sizes(*fields, hyper_hidden):
+            raise nn.ShapeError(f"mixer hypernet layer sizes {sizes} vs n_agents, state_dim "
+                                f"and embed_dim {fields}")
+        mixer = cls(*fields, hyper_hidden=hyper_hidden)
         for name in _HYPERNETS:
             getattr(mixer, name).load_doc(doc[name])
         return mixer
+
+
+def _hypernet_sizes(n_agents: int, state_dim: int, embed_dim: int, hyper_hidden: int) -> dict:
+    """The layer sizes of MonotonicMixer's hypernets, in _HYPERNETS order."""
+    return {"hyper_w1": [state_dim, hyper_hidden, n_agents * embed_dim],
+            "hyper_b1": [state_dim, embed_dim],
+            "hyper_w2": [state_dim, hyper_hidden, embed_dim],
+            "hyper_v": [state_dim, embed_dim, 1]}
 
 
 # the key sets of schemas/checkpoint_schema.json

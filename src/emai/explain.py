@@ -24,6 +24,7 @@ import numpy as np
 
 from .envs import make_env
 from .masking import MaskingPolicy
+from .nn import ShapeError
 from .rng import integers_rows, uniform_rows
 from .rollout import replay_prefix, stderr
 from .target import TargetPolicy, privileged_q_network
@@ -65,17 +66,65 @@ class Explainer:
         return int(np.argmax(self.scores(ctx)))  # lowest index wins ties
 
 
+# bound on the observation sets one EmaiExplainer keeps the scores of
+EMAI_MEMO_SETS = 1 << 14
+
+
 class EmaiExplainer(Explainer):
-    """Keep-minus-mask value gap from a trained masking policy."""
+    """Keep-minus-mask value gap from a trained masking policy.
+
+    The scores are memoized per explainer, which holds only if the policy
+    never changes once the explainer is built: every caller builds it from a
+    loaded checkpoint or a finished train_emai. An observation set's key is
+    the bytes of its C-contiguous float64 form, so -0.0 and 0.0 are two
+    sets, and its scores are one row of a growing (K, n_agents) store.
+    """
 
     kind = "emai"
 
     def __init__(self, policy: MaskingPolicy):
         self.policy = policy
+        n, obs_dim = policy.qnet.n_agents, policy.qnet.obs_dim
+        self._set_shape = (n, obs_dim)
+        self._key = np.dtype((np.void, 8 * n * obs_dim))  # one set's float64 bytes
+        self._rows: dict[bytes, int] = {}  # key -> its row of _store
+        self._store = np.empty((0, n))
 
     def scores_batch(self, observations, t, episode_seeds, batch) -> np.ndarray:
-        """One stacked forward over the B observation sets."""
-        return self.policy.importance_vector(observations)
+        """A new (B, n_agents) array, row b bitwise equal to
+        policy.importance_vector(observations[b][None])[0]. The call's
+        distinct unseen sets, in first-seen order, take one stacked forward,
+        whose block per set rounds as that set's forward alone does, and are
+        stored once it has passed its finite checks (NumericsError stores
+        nothing). A call that would take the store past EMAI_MEMO_SETS sets
+        is one stacked forward of all its sets, and stores none."""
+        obs = np.ascontiguousarray(observations, dtype=np.float64)
+        if obs.shape[1:] != self._set_shape:
+            raise ShapeError(f"observations {obs.shape} vs sets of shape {self._set_shape}")
+        n, obs_dim = self._set_shape
+        keys = obs.reshape(-1, n * obs_dim).view(self._key).ravel().tolist()
+        rows = self._rows
+        index = list(map(rows.get, keys))
+        if None in index:
+            new = list(dict.fromkeys(key for key, row in zip(keys, index) if row is None))
+            if len(rows) + len(new) > EMAI_MEMO_SETS:
+                return self.policy.importance_vector(obs)
+            # a key is its set's float64 bytes, so the new sets are their keys joined
+            sets = np.frombuffer(b"".join(new)).reshape(-1, n, obs_dim)
+            self._keep(new, self.policy.importance_vector(sets))
+            index = list(map(rows.__getitem__, keys))
+        return self._store.take(index, axis=0)
+
+    def _keep(self, keys: list[bytes], scores: np.ndarray) -> None:
+        """Store the score rows of new sets; a full store doubles, up to
+        EMAI_MEMO_SETS rows."""
+        k, end = len(self._rows), len(self._rows) + len(keys)
+        if end > len(self._store):
+            grown = np.empty((min(max(2 * k, end), EMAI_MEMO_SETS), self._store.shape[1]))
+            grown[:k] = self._store[:k]
+            self._store = grown
+        self._store[k:end] = scores
+        self._rows.update(zip(keys, range(k, end)))
 
 
 class RandomExplainer(Explainer):

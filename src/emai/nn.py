@@ -558,30 +558,48 @@ class Mlp:
 
     def load_doc(self, doc: dict) -> None:
         """Overwrite the parameters in place from a to_doc() document of this
-        architecture. Anything else raises ValueError: other keys, sizes
-        that are not ints, or a param entry with another key set, name or
-        shape, or whose values are not a list of finite JSON numbers."""
-        check_keys(doc, _MLP_KEYS, "mlp")
-        sizes, entries = doc["layer_sizes"], doc["params"]
-        if ((sizes, doc["activations"]) != (self.layer_sizes, self.activations)
-                or not _ints(sizes)):
+        architecture. Anything else raises ValueError: a document that
+        doc_layer_sizes rejects, other sizes or activations, or param values
+        that are not all finite JSON numbers."""
+        sizes = doc_layer_sizes(doc)
+        if (sizes, doc["activations"]) != (self.layer_sizes, self.activations):
             raise ShapeError(f"layers {sizes} {doc['activations']} vs "
                              f"expected {self.layer_sizes} {self.activations}")
-        if type(entries) is not list or len(entries) != 2 * len(self.weights):
-            raise ShapeError(f"mlp params must be a list of {2 * len(self.weights)} entries")
-        for i, (p, entry) in enumerate(zip(self.params(), entries)):
-            check_keys(entry, _PARAM_KEYS, "mlp param")
-            name, shape, values = f"{'wb'[i % 2]}{i // 2}", list(p.data.shape), entry["values"]
-            if (entry["name"], entry["shape"]) != (name, shape) or not _ints(entry["shape"]):
-                raise ShapeError(f"param {entry['name']!r} of shape {entry['shape']} vs "
-                                 f"expected {name!r} of shape {shape}")
+        for p, entry in zip(self.params(), doc["params"]):
+            name, values = entry["name"], entry["values"]
             # one C-level pass over the types; json.loads makes no subclasses
-            if type(values) is not list or not _NUMBERS.issuperset(map(type, values)):
+            if not _NUMBERS.issuperset(map(type, values)):
                 raise ValueError(f"param {name} values must be a list of numbers")
             a = np.array(values, dtype=np.float64).reshape(p.data.shape)
             if not np.isfinite(a).all():
                 raise ValueError(f"param {name} values must be finite")
             np.copyto(p.data, a)  # in place: an optimizer's view stays bound
+
+
+def doc_layer_sizes(doc) -> list[int]:
+    """The layer sizes of an Mlp.to_doc() document, checked against its param
+    entries before any array is built. ValueError unless doc has to_doc's
+    keys, the sizes are ints >= 0, and param entry i has to_doc's key set,
+    name and shape for these sizes and a list of as many values as that
+    shape holds. So an Mlp of these sizes holds as many numbers as the
+    document does, whatever sizes it declares."""
+    check_keys(doc, _MLP_KEYS, "mlp")
+    sizes, entries = doc["layer_sizes"], doc["params"]
+    if not _ints(sizes) or any(s < 0 for s in sizes):
+        raise ShapeError(f"mlp layer sizes {sizes} must be a list of ints >= 0")
+    shapes = [shape for fan_in, fan_out in zip(sizes, sizes[1:])
+              for shape in ([fan_in, fan_out], [fan_out])]
+    if type(entries) is not list or len(entries) != len(shapes):
+        raise ShapeError(f"mlp params must be a list of {len(shapes)} entries")
+    for i, (shape, entry) in enumerate(zip(shapes, entries)):
+        check_keys(entry, _PARAM_KEYS, "mlp param")
+        name, values = f"{'wb'[i % 2]}{i // 2}", entry["values"]
+        if (entry["name"], entry["shape"]) != (name, shape) or not _ints(entry["shape"]):
+            raise ShapeError(f"param {entry['name']!r} of shape {entry['shape']} vs "
+                             f"expected {name!r} of shape {shape}")
+        if type(values) is not list or len(values) != math.prod(shape):
+            raise ShapeError(f"param {name} values must be a list of {math.prod(shape)} numbers")
+    return sizes
 
 
 # ---- strict JSON documents: exact key sets, and a bool is no number ----

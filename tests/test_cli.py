@@ -6,12 +6,12 @@ from pathlib import Path
 
 import pytest
 
-from emai import replay
+from emai import cli, evaluation, replay
 from emai.cli import main
 from emai.config import ConfigError, load_config
 from emai.ctde import AgentQNet, MonotonicMixer
 from emai.envs import make_env
-from emai.explain import ExplainContext, make_explainer
+from emai.explain import EmaiExplainer, ExplainContext, make_explainer
 from emai.masking import MaskingPolicy
 from emai.rng import episode_seeds, stream
 from emai.rollout import run_target_episode
@@ -164,6 +164,61 @@ def test_explain_importance_equals_per_step_scores(tmp_path, monkeypatch, kind):
         text = replay.serialize(record(trace.steps, env.name, env.params, seed,
                                        target_id=target.descriptor(), explainer_id=kind))
         assert (out / f"episode_{i:03d}.ndjson").read_text(encoding="utf-8") == text
+
+
+def _emai_command_outputs(tmp_path, monkeypatch, order, explainers) -> dict:
+    """The outputs of the emai commands run in `order`, each taking its
+    explainer from explainers(): fidelity, attack and patch reports, the
+    patch package, and explain's replay texts and raw importance."""
+    env = make_env("keycorridor")
+    target = scripted_policy(env)
+
+    def explain_cmd(ex):
+        recorded, record = [], replay.record
+        cfg = {"seed": 8, "env": {"name": "keycorridor", "params": {}},
+               "eval": {"explain_episodes": 6},
+               "explainer": {"kind": "emai", "checkpoint": str(BENCH_CHECKPOINT)}}
+        run_dir = tmp_path / "-".join(order)
+        with monkeypatch.context() as patch:
+            patch.setattr(replay, "record", lambda steps, *a, **k: recorded.append(
+                [s.importance.tobytes() for s in steps]) or record(steps, *a, **k))
+            patch.setattr(cli, "_build_explainer", lambda cfg, target: ex)
+            assert main(["explain", "--config", str(_write_cfg(tmp_path, cfg)),
+                         "--out", str(run_dir)]) == 0
+        texts = [p.read_text(encoding="utf-8") for p in sorted(run_dir.glob("episode_*"))]
+        return recorded, texts
+
+    def patch_cmd(ex):
+        package = evaluation.build_patch_package(ex, target, env, harvest_episodes=20,
+                                                 quantile=0.3, seed=8)
+        report = evaluation.apply_patch(package, ex, target, env, d_th=1.6, episodes=10, seed=8)
+        return package.to_doc(), report.to_dict()
+
+    commands = {
+        "fidelity": lambda ex: evaluation.eval_fidelity(ex, target, env, 10, seed=8).to_dict(),
+        "attack": lambda ex: evaluation.launch_attack(ex, target, env, 0.5, 10, seed=8).to_dict(),
+        "patch": patch_cmd,
+        "explain": explain_cmd,
+    }
+    return {name: commands[name](explainers()) for name in order}
+
+
+def test_emai_commands_answer_alike_from_fresh_and_warmed_explainers(tmp_path, monkeypatch):
+    # the CLI builds a fresh explainer per command; one whose memo the other
+    # commands warmed, in another order, must change no output
+    policy = MaskingPolicy.load(BENCH_CHECKPOINT)
+    forwarded, importance_vector = [], policy.importance_vector
+    policy.importance_vector = lambda obs: forwarded.append(len(obs)) or importance_vector(obs)
+    order = ["fidelity", "attack", "patch", "explain"]
+    fresh = _emai_command_outputs(tmp_path, monkeypatch, order,
+                                  lambda: EmaiExplainer(policy))
+    fresh_forwards = sum(forwarded)
+    for warm_order in (order[::-1], ["attack", "explain", "fidelity", "patch"]):
+        forwarded.clear()
+        shared = EmaiExplainer(policy)
+        warmed = _emai_command_outputs(tmp_path, monkeypatch, warm_order, lambda: shared)
+        assert warmed == fresh, warm_order
+        assert sum(forwarded) < fresh_forwards  # the memo served the repeats
 
 
 def test_attack_and_patch_commands(tmp_path):

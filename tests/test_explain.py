@@ -7,6 +7,9 @@ import inspect
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from emai import explain as explain_mod
 from emai.envs import KeyCorridor, make_env
@@ -14,7 +17,7 @@ from emai.explain import (EmaiExplainer, ExplainContext, Explainer, GradientBase
                           McOracleExplainer, RandomExplainer, ValueBasedExplainer,
                           make_explainer, mc_counterfactual_oracle)
 from emai.masking import MaskingPolicy
-from emai.nn import Tensor
+from emai.nn import NumericsError, ShapeError, Tensor
 from emai.rng import episode_seed, stream
 from emai.rollout import greedy_actions, replay_prefix, run_lockstep, run_target_episode
 from emai.target import (AgentQNet, CapabilityError, LearnedPolicy,
@@ -573,3 +576,133 @@ def test_learned_act_batch_and_value_scores_batch_equal_row_calls(size):
                                             [[0, 0, 0]])) for b in range(size)]
     assert np.array_equal(value.scores_batch(obs, 1, list(range(size)), batch),
                           np.stack(expected))
+
+
+# ---- the emai explainer's memo: every row bitwise its set's forward alone ----
+
+class _SignedPolicy(MaskingPolicy):
+    """A masking policy that records the number of sets of each forward and
+    adds each agent's count of negative sign bits to its scores, so that an
+    answer for -0.0 taken from 0.0 shows."""
+
+    def importance_vector(self, observations):
+        self.forwards.append(len(observations))
+        return super().importance_vector(observations) + np.signbit(observations).sum(axis=-1)
+
+
+def _signed_policy(seed: int = 7) -> _SignedPolicy:
+    net = AgentQNet(4, 3, 2, hidden=(8, 8), rng=stream(seed, "memo-policy"))
+    policy = _SignedPolicy(net, ctde.MonotonicMixer(3, 5, 4), 0.1, 0.0, 0.99, 0.0, 0.0)
+    policy.forwards = []
+    return policy
+
+
+def _one_set_scores(policy, sets: np.ndarray) -> np.ndarray:
+    """Each set's scores from a forward of that set alone, forwards not recorded."""
+    rows = np.stack([policy.importance_vector(s[None])[0] for s in sets])
+    policy.forwards.clear()
+    return rows
+
+
+_memo_values = (st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.2250738585072014e-308])
+                | st.floats(-4.0, 4.0))
+
+
+@st.composite
+def _memo_calls(draw):
+    """A pool of observation sets and their twins, each zero's sign flipped,
+    and a list of calls, each a stack of pool sets in any order."""
+    pool = draw(arrays(np.float64, (draw(st.integers(1, 5)), 3, 4), elements=_memo_values))
+    pool = np.concatenate([pool, np.where(pool == 0.0, -pool, pool)])
+    call = st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=12)
+    return pool, draw(st.lists(call, min_size=1, max_size=6))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_memo_calls())
+def test_emai_memo_rows_equal_one_set_forwards(case):
+    pool, calls = case
+    policy = _signed_policy()
+    reference = _one_set_scores(policy, pool)
+    ex = EmaiExplainer(policy)
+    seen = set()
+    for call in calls:
+        got = ex.scores_batch(pool[call], 0, list(range(len(call))), None)
+        assert got.tobytes() == reference[call].tobytes()
+        # one stacked forward of the call's distinct unseen sets, if it has any
+        new = {pool[i].tobytes() for i in call} - seen
+        assert policy.forwards == ([len(new)] if new else [])
+        policy.forwards.clear()
+        seen |= new
+        got[...] = np.nan  # a caller's writes reach no later answer
+
+
+def test_emai_memo_keeps_signed_zeros_apart():
+    policy = _signed_policy()
+    sets = np.zeros((2, 3, 4))
+    sets[1] = -0.0
+    reference = _one_set_scores(policy, sets)
+    assert reference[0].tobytes() != reference[1].tobytes()
+    ex = EmaiExplainer(policy)
+    for order in ([0], [1], [1, 0, 1], [0, 1, 0]):
+        assert ex.scores_batch(sets[order], 0, order, None).tobytes() == reference[order].tobytes()
+
+
+def test_emai_memo_answers_are_new_arrays():
+    policy = _signed_policy()
+    sets = stream(3, "memo-writes").uniform(-1.0, 1.0, (3, 3, 4))
+    reference = _one_set_scores(policy, sets)
+    ex = EmaiExplainer(policy)
+    for order in ([0, 1, 2], [2], [2, 0], [0, 1, 2], [1]):
+        got = ex.scores_batch(sets[order], 0, order, None)
+        assert got.tobytes() == reference[order].tobytes()
+        got += 1.0
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_emai_memo_stores_no_set_of_a_call_that_fails_its_finite_check(bad):
+    policy = _signed_policy()
+    sets = stream(4, "memo-nan").uniform(-1.0, 1.0, (3, 3, 4))
+    sets[2, 1, 3] = bad
+    ex = EmaiExplainer(policy)
+    ex.scores_batch(sets[:1], 0, [0], None)
+    for _ in range(3):
+        with pytest.raises(NumericsError):
+            ex.scores_batch(sets, 0, [0, 1, 2], None)
+        with pytest.raises(NumericsError):
+            ex.scores_batch(sets[2:], 0, [2], None)
+    # set 1 rode along with the failing set, so it is scored afresh
+    policy.forwards.clear()
+    got = ex.scores_batch(sets[:2], 0, [0, 1], None)
+    assert policy.forwards == [1]
+    assert got.tobytes() == _one_set_scores(policy, sets[:2]).tobytes()
+
+
+def test_emai_memo_stops_growing_at_its_bound(monkeypatch):
+    monkeypatch.setattr(explain_mod, "EMAI_MEMO_SETS", 4)
+    policy = _signed_policy()
+    sets = stream(5, "memo-bound").uniform(-1.0, 1.0, (10, 3, 4))
+    reference = _one_set_scores(policy, sets)
+    ex = EmaiExplainer(policy)
+    # calls and the forwards they make: sets 0, 1, 2 and then 5 are stored;
+    # a call whose new sets do not fit is one forward of all its sets
+    for order, forwards in (([0, 1, 2], [3]), ([3, 4, 0], [3]), ([5, 5], [1]), ([3], [1]),
+                            ([2, 5, 0, 1], []), ([6, 7, 8, 9, 0], [5]), ([3], [1]),
+                            ([1, 0], [])):
+        got = ex.scores_batch(sets[order], 0, order, None)
+        assert got.tobytes() == reference[order].tobytes(), order
+        assert policy.forwards == forwards, order
+        policy.forwards.clear()
+        assert len(ex._rows) <= 4 and len(ex._store) <= 4
+    assert len(ex._rows) == 4
+
+
+def test_emai_memo_checks_the_set_shape():
+    policy = _signed_policy()
+    sets = stream(6, "memo-shape").uniform(-1.0, 1.0, (2, 3, 4))
+    ex = EmaiExplainer(policy)
+    ex.scores_batch(sets, 0, [0, 1], None)
+    # the same bytes as sets of another shape are not the stored sets
+    with pytest.raises(ShapeError):
+        ex.scores_batch(sets.reshape(2, 4, 3), 0, [0, 1], None)
+    assert ex.scores_batch(sets[:0], 0, [], None).shape == (0, 3)

@@ -7,6 +7,9 @@ exit code: 5 for a masking or ctde checkpoint, 2 for a run config.
 from __future__ import annotations
 
 import json
+import time
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -166,6 +169,57 @@ def test_checkpoint_with_a_bad_hidden_size_rejected_exit_5(workdir, size):
     path = workdir / "ctde.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
     assert _cli_exit(workdir, {"target": {"kind": "learned", "checkpoint": str(path)}}) == 5
+
+
+_HUGE = 10**9
+
+
+BENCH_CHECKPOINT = (Path(__file__).resolve().parents[1]
+                    / "bench" / "checkpoints" / "keycorridor_default.json")
+
+
+def _set_size(sizes: list, i: int) -> None:
+    sizes[i] = _HUGE
+
+
+@pytest.mark.parametrize("kind,breakage", [
+    pytest.param("learned", lambda d: _set_size(d["agent_net"]["mlp"]["layer_sizes"], 1),
+                 id="learned-hidden"),
+    pytest.param("learned", lambda d: d["agent_net"].update(obs_dim=_HUGE), id="learned-obs-dim"),
+    pytest.param("emai", lambda d: _set_size(d["ctde"]["agent_net"]["mlp"]["layer_sizes"], 2),
+                 id="masking-hidden"),
+    pytest.param("emai", lambda d: _set_size(d["ctde"]["mixer"]["hyper_w1"]["layer_sizes"], 1),
+                 id="mixer-hyper-hidden"),
+    pytest.param("emai", lambda d: d["ctde"]["mixer"].update(embed_dim=_HUGE),
+                 id="mixer-embed-dim"),
+    pytest.param("emai", lambda d: d["ctde"]["mixer"].update(state_dim=_HUGE),
+                 id="mixer-state-dim"),
+])
+def test_checkpoint_declaring_a_huge_size_rejected_before_building_exit_5(workdir, kind,
+                                                                           breakage):
+    # each declared size is checked against the param entries before any net
+    # is built, so a document that declares a huge net allocates less than
+    # its own size before it is rejected
+    doc = (ctde.checkpoint_doc(AgentQNet(13, 3, 5, (64, 64)), None, None, 0)
+           if kind == "learned" else json.loads(BENCH_CHECKPOINT.read_text(encoding="utf-8")))
+    breakage(doc)
+    text = json.dumps(doc)
+    parse = ctde.load_checkpoint_doc if kind == "learned" else MaskingPolicy.from_doc
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError):
+            parse(doc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < len(text), (peak, len(text))
+    path = workdir / f"{kind}-huge.json"
+    path.write_text(text, encoding="utf-8")
+    section = ({"target": {"kind": "learned", "checkpoint": str(path)}} if kind == "learned"
+               else {"explainer": {"kind": "emai", "checkpoint": str(path)}})
+    start = time.perf_counter()
+    assert _cli_exit(workdir, section) == 5
+    assert time.perf_counter() - start < 1.0
 
 
 # ---- run configs ----
