@@ -1,4 +1,5 @@
-"""Run configuration: one strict JSON document per run.
+"""Run configuration: one strict JSON document per run, and the one set of
+strict-JSON value rules that every reader of emai's documents uses.
 
 Unknown keys and values of another type than the key's default abort before
 any work starts; every omitted key takes the documented default. Path-valued
@@ -10,6 +11,7 @@ from __future__ import annotations
 import copy
 import hashlib
 import json
+import math
 import os
 from pathlib import Path
 
@@ -20,6 +22,75 @@ class ConfigError(ValueError):
 
 class MissingArtifactError(FileNotFoundError):
     """A referenced checkpoint/package/replay file does not exist."""
+
+
+# ---- strict JSON values: json.loads makes no subclasses, so an exact type
+# test is the JSON kind (a bool is no number, a float no int) ----
+
+_INTS, _NUMBERS = frozenset((int,)), frozenset((int, float))
+
+
+def is_int(v) -> bool:
+    """A JSON int."""
+    return type(v) is int
+
+
+def is_finite(v) -> bool:
+    """A finite JSON number; an int too large for a float is none."""
+    try:
+        return type(v) in _NUMBERS and math.isfinite(v)
+    except OverflowError:
+        return False
+
+
+def is_float(v) -> bool:
+    """A JSON number that converts to a float: NaN and Infinity do, an int
+    too large for a float does not."""
+    return type(v) is float or is_finite(v)
+
+
+def is_int_list(v, allowed: frozenset | None = None) -> bool:
+    """A list of JSON ints, each in `allowed` when given: one C-level type
+    pass, then one C-level membership pass (True == 1, so types go first)."""
+    return (type(v) is list and _INTS.issuperset(map(type, v))
+            and (allowed is None or allowed.issuperset(v)))
+
+
+def is_number_list(v) -> bool:
+    """A list of JSON numbers, finite or not, in one C-level type pass."""
+    return type(v) is list and _NUMBERS.issuperset(map(type, v))
+
+
+def is_finite_list(v) -> bool:
+    """A list of finite JSON numbers (json.loads reads NaN, Infinity and 1e400
+    as non-finite floats)."""
+    try:
+        return is_number_list(v) and all(map(math.isfinite, v))
+    except OverflowError:
+        return False
+
+
+def check_keys(doc, keys: frozenset, what: str) -> None:
+    """ValueError unless doc is a JSON object with exactly the keys `keys`."""
+    if type(doc) is not dict or doc.keys() != keys:
+        found = sorted(doc) if type(doc) is dict else type(doc).__name__
+        raise ValueError(f"{what} keys {found} differ from the schema's {sorted(keys)}")
+
+
+def int_fields(doc: dict, names: tuple[str, ...], what: str) -> list[int]:
+    """doc's values under `names`; ValueError unless each is a JSON int."""
+    values = [doc[k] for k in names]
+    if not all(map(is_int, values)):
+        raise ValueError(f"{what} {', '.join(names)} must be ints, got {values}")
+    return values
+
+
+def check_tag(doc, key: str, tag: str, what: str) -> None:
+    """ValueError unless doc is a JSON object with doc[key] == tag and a
+    "v" of the JSON int 1 (true and 1.0 are not)."""
+    got = (doc.get(key), doc.get("v")) if type(doc) is dict else (None, None)
+    if got[0] != tag or not is_int(got[1]) or got[1] != 1:
+        raise ValueError(f"{what} must be {key} {tag!r} of version v 1, got {got}")
 
 
 DEFAULT_CONFIG: dict = {
@@ -54,10 +125,8 @@ _NULLABLE = {("out_dir",): str, ("target", "checkpoint"): str,
 
 
 def _is_a(value, kind: type) -> bool:
-    """isinstance, where a bool is no number and an int is also a float."""
-    if isinstance(value, bool):
-        return kind is bool
-    return isinstance(value, (int, float) if kind is float else kind)
+    """A JSON value of the kind; an int that a float can hold is a float too."""
+    return is_float(value) if kind is float else type(value) is kind
 
 
 def _check_type(value, default, path: tuple[str, ...]) -> None:
@@ -71,9 +140,8 @@ def _check_type(value, default, path: tuple[str, ...]) -> None:
         kind = type(default)
         expected = kind.__name__
     ok = _is_a(value, kind)
-    if isinstance(default, list):
-        expected = f"a list of {type(default[0]).__name__}"
-        ok = ok and all(_is_a(item, type(default[0])) for item in value)
+    if isinstance(default, list):  # the one list key, training.hidden, holds ints
+        expected, ok = "a list of int", is_int_list(value)
     if not ok:
         raise ConfigError(f"config key {'.'.join(path)!r} must be {expected}, got {value!r}")
 

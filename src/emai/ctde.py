@@ -31,6 +31,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import nn
+from .config import check_keys, check_tag, int_fields
 from .nn import FRESH, Mlp, Scratch, Tensor
 from .rng import episode_seed, stream
 
@@ -127,9 +128,9 @@ class AgentQNet:
     @classmethod
     def from_doc(cls, doc: dict) -> "AgentQNet":
         """Parse to_doc's output; other keys or non-int sizes raise ValueError."""
-        nn.check_keys(doc, _NET_KEYS, "agent_net")
-        obs_dim, n_agents, n_actions = nn.int_fields(doc, ("obs_dim", "n_agents", "n_actions"),
-                                                     "agent_net")
+        check_keys(doc, _NET_KEYS, "agent_net")
+        obs_dim, n_agents, n_actions = int_fields(doc, ("obs_dim", "n_agents", "n_actions"),
+                                                  "agent_net")
         # checked before the net's zeros are built, so they are no larger than the document
         sizes = nn.doc_layer_sizes(doc["mlp"])
         if sizes[:1] + sizes[-1:] != [obs_dim + n_agents, n_actions]:
@@ -236,8 +237,8 @@ class MonotonicMixer:
     @classmethod
     def from_doc(cls, doc: dict) -> "MonotonicMixer":
         """Parse to_doc's output; other keys or non-int sizes raise ValueError."""
-        nn.check_keys(doc, _MIXER_KEYS, "mixer")
-        fields = nn.int_fields(doc, ("n_agents", "state_dim", "embed_dim"), "mixer")
+        check_keys(doc, _MIXER_KEYS, "mixer")
+        fields = int_fields(doc, ("n_agents", "state_dim", "embed_dim"), "mixer")
         # checked before the hypernets' zeros are built, as in AgentQNet.from_doc
         sizes = {name: nn.doc_layer_sizes(doc[name]) for name in _HYPERNETS}
         hyper_hidden = sizes["hyper_w1"][1]
@@ -283,11 +284,10 @@ def checkpoint_doc(net: AgentQNet, mixer, env, training_step: int) -> dict:
 def load_checkpoint_doc(doc) -> tuple[AgentQNet, MonotonicMixer | None]:
     """Parse checkpoint_doc's output; any malformed document raises ValueError."""
     try:
-        if doc["format"] != "ctde-checkpoint" or type(doc["v"]) is not int or doc["v"] != 1:
-            raise ValueError("not a v1 ctde checkpoint")
-        nn.check_keys(doc, _CHECKPOINT_KEYS, "ctde checkpoint")
-        n_agents, n_actions, _ = nn.int_fields(doc, ("n_agents", "n_actions", "training_step"),
-                                               "ctde checkpoint")
+        check_tag(doc, "format", "ctde-checkpoint", "ctde checkpoint")
+        check_keys(doc, _CHECKPOINT_KEYS, "ctde checkpoint")
+        n_agents, n_actions, _ = int_fields(doc, ("n_agents", "n_actions", "training_step"),
+                                            "ctde checkpoint")
         if type(doc["env"]) is not str or type(doc["env_params"]) is not dict:
             raise ValueError("ctde checkpoint env must be a string and env_params an object")
         net = AgentQNet.from_doc(doc["agent_net"])

@@ -11,13 +11,12 @@ keep-minus-mask value gap is the canonical importance score.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import ctde, nn
-from .config import merged_sections
+from . import ctde
+from .config import check_keys, check_tag, is_finite, merged_sections
 from .ctde import AgentQNet, QLearner, Transitions
 from .rng import episode_seeds, stream
 from .rollout import greedy_actions, left_sum, reward_sums, stderr, target_rewards
@@ -142,11 +141,9 @@ class MaskingPolicy:
         [0, 1], a negative beta, lambda or j_pi_stderr, a target_checksum
         that is not a string, or a malformed ctde document."""
         try:
-            if doc["format"] != "masking-checkpoint" or type(doc["v"]) is not int or doc["v"] != 1:
-                raise ValueError("not a v1 masking checkpoint")
-            nn.check_keys(doc, _CHECKPOINT_KEYS, "masking checkpoint")
-            bad = [k for k in _SCALARS if type(doc[k]) not in (int, float)
-                   or not math.isfinite(doc[k])]
+            check_tag(doc, "format", "masking-checkpoint", "masking checkpoint")
+            check_keys(doc, _CHECKPOINT_KEYS, "masking checkpoint")
+            bad = [k for k in _SCALARS if not is_finite(doc[k])]
             if bad:
                 raise ValueError(f"masking checkpoint {', '.join(bad)} must be finite numbers")
             if not 0.0 <= doc["gamma"] <= 1.0 or doc["j_pi_stderr"] < 0:

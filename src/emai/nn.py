@@ -25,6 +25,8 @@ from typing import Callable, Hashable, Iterator, Sequence
 
 import numpy as np
 
+from .config import check_keys, is_int_list, is_number_list
+
 
 class NumericsError(RuntimeError):
     """A non-finite value (NaN or Inf) appeared in a tensor or gradient."""
@@ -567,8 +569,7 @@ class Mlp:
                              f"expected {self.layer_sizes} {self.activations}")
         for p, entry in zip(self.params(), doc["params"]):
             name, values = entry["name"], entry["values"]
-            # one C-level pass over the types; json.loads makes no subclasses
-            if not _NUMBERS.issuperset(map(type, values)):
+            if not is_number_list(values):
                 raise ValueError(f"param {name} values must be a list of numbers")
             a = np.array(values, dtype=np.float64).reshape(p.data.shape)
             if not np.isfinite(a).all():
@@ -585,7 +586,7 @@ def doc_layer_sizes(doc) -> list[int]:
     document does, whatever sizes it declares."""
     check_keys(doc, _MLP_KEYS, "mlp")
     sizes, entries = doc["layer_sizes"], doc["params"]
-    if not _ints(sizes) or any(s < 0 for s in sizes):
+    if not is_int_list(sizes) or any(s < 0 for s in sizes):
         raise ShapeError(f"mlp layer sizes {sizes} must be a list of ints >= 0")
     shapes = [shape for fan_in, fan_out in zip(sizes, sizes[1:])
               for shape in ([fan_in, fan_out], [fan_out])]
@@ -594,7 +595,7 @@ def doc_layer_sizes(doc) -> list[int]:
     for i, (shape, entry) in enumerate(zip(shapes, entries)):
         check_keys(entry, _PARAM_KEYS, "mlp param")
         name, values = f"{'wb'[i % 2]}{i // 2}", entry["values"]
-        if (entry["name"], entry["shape"]) != (name, shape) or not _ints(entry["shape"]):
+        if (entry["name"], entry["shape"]) != (name, shape) or not is_int_list(entry["shape"]):
             raise ShapeError(f"param {entry['name']!r} of shape {entry['shape']} vs "
                              f"expected {name!r} of shape {shape}")
         if type(values) is not list or len(values) != math.prod(shape):
@@ -602,30 +603,9 @@ def doc_layer_sizes(doc) -> list[int]:
     return sizes
 
 
-# ---- strict JSON documents: exact key sets, and a bool is no number ----
-
+# the key sets of an Mlp.to_doc() document and of its param entries
 _MLP_KEYS = frozenset(("layer_sizes", "activations", "params"))
 _PARAM_KEYS = frozenset(("name", "shape", "values"))
-_NUMBERS = frozenset((int, float))
-
-
-def _ints(v) -> bool:
-    return type(v) is list and all(type(x) is int for x in v)
-
-
-def check_keys(doc, keys: frozenset, what: str) -> None:
-    """ValueError unless doc is a JSON object with exactly the keys `keys`."""
-    if type(doc) is not dict or doc.keys() != keys:
-        found = sorted(doc) if type(doc) is dict else type(doc).__name__
-        raise ValueError(f"{what} keys {found} differ from the schema's {sorted(keys)}")
-
-
-def int_fields(doc: dict, names: Sequence[str], what: str) -> list[int]:
-    """doc's values under `names`; ValueError unless each is a JSON int."""
-    values = [doc[k] for k in names]
-    if not all(type(v) is int for v in values):
-        raise ValueError(f"{what} {', '.join(names)} must be ints, got {values}")
-    return values
 
 
 # ---- optimizer ----

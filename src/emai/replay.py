@@ -11,15 +11,16 @@ import csv
 import io
 import itertools
 import json
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .config import check_tag, is_finite, is_finite_list, is_int, is_int_list
 from .envs import DELTAS, KeyCorridor, decode_norm, make_env
 from .rollout import left_sum
 
 FORMAT_VERSION = 1
+KIND = "episode-record"
 GRID_MAX = 64  # the widest grid a header may name: render draws rows x cols per step
 
 
@@ -51,62 +52,18 @@ class RecordStep:
     importance: list[float] | None
 
 
-def _is_int(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
-def _is_num(x) -> bool:
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
-
-
-def _list_of(types: frozenset):
-    """A list whose items' exact types all lie in `types`, checked in one
-    C-level pass; json.loads makes no subclasses, so for parsed JSON this is
-    _is_int/_is_num per item (a bool is neither)."""
-    return lambda v: isinstance(v, list) and types.issuperset(map(type, v))
-
-
-def _optional(check):
-    return lambda v: v is None or check(v)
-
-
-_ints, _num_list = _list_of(frozenset({int})), _list_of(frozenset({int, float}))
-
-
-def _ints_in(allowed: frozenset):
-    """A list of JSON ints that all lie in `allowed`: one C-level type pass,
-    then one C-level membership pass (True == 1, so the type pass goes first)."""
-    return lambda v: _ints(v) and allowed.issuperset(v)
-
-
-_actions, _mask_bits = _ints_in(frozenset(range(len(DELTAS)))), _ints_in(frozenset({0, 1}))
-
-
-def _nums(v) -> bool:
-    """A list of finite numbers: json.loads reads NaN, Infinity and literals
-    that overflow, such as 1e400, as non-finite floats, and math.isfinite
-    raises OverflowError on an int too large for a float."""
-    return _num_list(v) and all(map(math.isfinite, v))
-
-
-def _finite(v) -> bool:
-    """A finite JSON number; an int too large for a float is none."""
-    try:
-        return _is_num(v) and math.isfinite(v)
-    except OverflowError:
-        return False
-
+_ACTIONS, _MASK_BITS = frozenset(range(len(DELTAS))), frozenset({0, 1})
 
 # RecordStep field -> the test its parsed JSON value must pass
 _STEP_TYPES = {
-    "t": _is_int,
-    "state": _nums,
-    "observations": lambda v: isinstance(v, list) and all(map(_nums, v)),
-    "target_actions": _actions,
-    "mask_actions": _optional(_mask_bits),
-    "final_actions": _actions,
-    "reward": _finite,
-    "importance": _optional(_nums),
+    "t": is_int,
+    "state": is_finite_list,
+    "observations": lambda v: type(v) is list and all(map(is_finite_list, v)),
+    "target_actions": lambda v: is_int_list(v, _ACTIONS),
+    "mask_actions": lambda v: v is None or is_int_list(v, _MASK_BITS),
+    "final_actions": lambda v: is_int_list(v, _ACTIONS),
+    "reward": is_finite,
+    "importance": lambda v: v is None or is_finite_list(v),
 }
 
 
@@ -114,12 +71,12 @@ _STEP_TYPES = {
 _HEADER_TYPES = {
     "env_name": lambda v: isinstance(v, str),
     "env_params": lambda v: isinstance(v, dict),
-    "seed": _is_int,
+    "seed": is_int,
     "target_id": lambda v: isinstance(v, str),
     "explainer_id": lambda v: isinstance(v, str),
-    "n_agents": _is_int,
-    "n_steps": _is_int,
-    "reward_sum": _finite,
+    "n_agents": is_int,
+    "n_steps": is_int,
+    "reward_sum": is_finite,
 }
 
 
@@ -129,7 +86,7 @@ def _header_env(env_name: str, env_params: dict):
     GRID_MAX] and the env builds, so a hand-edited header can neither
     misdraw nor blow up a rendering."""
     grid = env_params.get("grid")
-    if "grid" in env_params and not (_is_int(grid) and 2 <= grid <= GRID_MAX):
+    if "grid" in env_params and not (is_int(grid) and 2 <= grid <= GRID_MAX):
         raise ReplayError(f"malformed header on line 1: env_params grid {grid!r} "
                           f"is not an int in [2, {GRID_MAX}]")
     try:
@@ -194,7 +151,7 @@ def record(stream, env_name: str, env_params: dict, seed: int,
 
 
 def serialize(rec: EpisodeRecord) -> str:
-    header = {"v": FORMAT_VERSION, "kind": "episode-record",
+    header = {"v": FORMAT_VERSION, "kind": KIND,
               "env_name": rec.env_name, "env_params": rec.env_params,
               "seed": rec.seed, "target_id": rec.target_id,
               "explainer_id": rec.explainer_id, "n_agents": rec.n_agents,
@@ -209,23 +166,19 @@ def parse(text: str) -> EpisodeRecord:
     lines = text.splitlines()
     if not lines or not lines[0].strip():
         raise ReplayError("empty replay: missing header line 1")
-    try:
+    try:  # a JSONDecodeError is a ValueError too
         header = json.loads(lines[0])
-    except json.JSONDecodeError as exc:
+        check_tag(header, "kind", KIND, "replay header")
+        missing = [key for key in _HEADER_TYPES if key not in header]
+        if missing:
+            raise ValueError(f"missing fields {missing}")
+        bad = [key for key, ok in _HEADER_TYPES.items() if not ok(header[key])]
+        if bad:
+            raise ValueError(f"ill-typed header fields {bad} (counts and the seed are JSON "
+                             "ints, reward_sum a finite number, the ids strings, env_params "
+                             "an object)")
+    except ValueError as exc:
         raise ReplayError(f"malformed header on line 1: {exc}") from exc
-    if not isinstance(header, dict):
-        raise ReplayError("malformed header on line 1: not a JSON object")
-    if header.get("v") != FORMAT_VERSION:
-        raise ReplayError(f"unsupported replay version {header.get('v')!r}; "
-                          f"this reader handles v:{FORMAT_VERSION} only")
-    missing = [key for key in _HEADER_TYPES if key not in header]
-    if missing:
-        raise ReplayError(f"malformed header on line 1: missing fields {missing}")
-    bad = [key for key, ok in _HEADER_TYPES.items() if not ok(header[key])]
-    if bad:
-        raise ReplayError(f"malformed header on line 1: ill-typed header fields {bad} "
-                          "(counts and the seed are JSON ints, reward_sum a finite number, "
-                          "the ids strings, env_params an object)")
     n_steps, declared = header["n_steps"], float(header["reward_sum"])
     seed, n_agents = header["seed"], header["n_agents"]
     env_name, env_params = header["env_name"], header["env_params"]
