@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import is_int, is_int_list
 from .rng import integers_rows, stream
 
 # action indices, fixed across all environments
@@ -624,10 +625,23 @@ _REGISTRY = {
 }
 
 
+# the JSON type of each constructor parameter, so that no constructor coerces
+# one (int(2.5), bool("no")); a tuple of ints, which JSON never makes, is an inert list too
+_PARAM_TYPES = {"n_agents": is_int, "grid": is_int, "horizon": is_int,
+                "zero_reward": lambda v: type(v) is bool,
+                "inert": lambda v: is_int_list(list(v) if type(v) is tuple else v)}
+
+
 def make_env(name: str, **params) -> _GridEnv:
-    """Instantiate a built-in environment by name."""
+    """Instantiate a built-in environment by name. EnvError unless each
+    parameter has its _PARAM_TYPES type; a parameter that the env does not
+    take is the constructor's TypeError."""
     key = name.lower()
     if key not in _REGISTRY:
         raise EnvError(f"unknown environment {name!r}; known: {sorted(_REGISTRY)}")
+    bad = [k for k, v in params.items() if k in _PARAM_TYPES and not _PARAM_TYPES[k](v)]
+    if bad:
+        raise EnvError(f"ill-typed {key} params {bad}: n_agents, grid and horizon are JSON "
+                       "ints, zero_reward a bool and inert a list of ints")
     return _REGISTRY[key](**params)
 

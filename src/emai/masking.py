@@ -137,7 +137,8 @@ class MaskingPolicy:
     def from_doc(cls, doc) -> "MaskingPolicy":
         """Parse to_doc's output; any malformed document raises ValueError:
         a key set other than to_doc's, a `v` other than the int 1, a scalar
-        that is not a finite JSON number (a bool is none), a gamma outside
+        that is not a finite JSON number (neither a bool nor an int too large
+        for a float is one), a gamma outside
         [0, 1], a negative beta, lambda or j_pi_stderr, a target_checksum
         that is not a string, or a malformed ctde document."""
         try:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import check_tag, is_finite, is_finite_list, is_int, is_int_list
+from .config import check_keys, check_tag, is_finite, is_finite_list, is_int, is_int_list
 from .envs import DELTAS, KeyCorridor, decode_norm, make_env
 from .rollout import left_sum
 
@@ -78,20 +78,21 @@ _HEADER_TYPES = {
     "n_steps": is_int,
     "reward_sum": is_finite,
 }
+_HEADER_KEYS = frozenset(("v", "kind", *_HEADER_TYPES))  # the keys serialize writes
 
 
 def _header_env(env_name: str, env_params: dict):
     """The env that a header's env_name and env_params build through
-    make_env. ReplayError unless an env_params grid is a JSON int in [2,
-    GRID_MAX] and the env builds, so a hand-edited header can neither
-    misdraw nor blow up a rendering."""
+    make_env, which checks each param's JSON type. ReplayError unless the env
+    builds and its grid lies in [2, GRID_MAX], which is checked before it is
+    built, so a hand-edited header can neither misdraw nor blow up a rendering."""
     grid = env_params.get("grid")
-    if "grid" in env_params and not (is_int(grid) and 2 <= grid <= GRID_MAX):
-        raise ReplayError(f"malformed header on line 1: env_params grid {grid!r} "
-                          f"is not an int in [2, {GRID_MAX}]")
+    if is_int(grid) and not 2 <= grid <= GRID_MAX:
+        raise ReplayError(f"malformed header on line 1: env_params grid {grid} "
+                          f"is not in [2, {GRID_MAX}]")
     try:
         return make_env(env_name, **env_params)
-    except (TypeError, ValueError, OverflowError) as exc:
+    except (TypeError, ValueError) as exc:
         raise ReplayError(f"malformed header on line 1: env {env_name!r} with env_params "
                           f"{env_params} does not build: {exc}") from exc
 
@@ -169,9 +170,7 @@ def parse(text: str) -> EpisodeRecord:
     try:  # a JSONDecodeError is a ValueError too
         header = json.loads(lines[0])
         check_tag(header, "kind", KIND, "replay header")
-        missing = [key for key in _HEADER_TYPES if key not in header]
-        if missing:
-            raise ValueError(f"missing fields {missing}")
+        check_keys(header, _HEADER_KEYS, "replay header")
         bad = [key for key, ok in _HEADER_TYPES.items() if not ok(header[key])]
         if bad:
             raise ValueError(f"ill-typed header fields {bad} (counts and the seed are JSON "

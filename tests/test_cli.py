@@ -577,6 +577,23 @@ def test_env_too_small_for_its_entities_exit_2(tmp_path, capsys):
     assert not any((tmp_path / "o").iterdir())  # rejected before any work
 
 
+@pytest.mark.parametrize("env_name, params", [
+    ("spread", {"grid": 2.5}), ("spread", {"horizon": 7.9}), ("spread", {"n_agents": "3"}),
+    ("diagnostic", {"zero_reward": "no"}), ("diagnostic", {"inert": [1.0]}),
+    ("keycorridor", {"horizon": True})],
+    ids=["grid-float", "horizon-float", "n-agents-string", "zero-reward-string", "inert-float",
+         "horizon-bool"])
+def test_env_param_of_another_json_type_exit_2(tmp_path, capsys, env_name, params):
+    # the constructors would coerce each one: a 2 x 2 grid, 7 steps, 3 agents,
+    # zero reward on, agent 1 inert, a 1-step horizon
+    args = ["eval-fidelity", "--set", f"env.name={env_name}",
+            "--set", f"env.params={json.dumps(params)}", "--set", "eval.episodes=2",
+            "--out", str(tmp_path / "o")]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert "bad env section" in err and f"params {list(params)}" in err
+
+
 def test_config_types_follow_defaults(tmp_path):
     cfg = load_config(None, ["training.lr=1", "emai.beta=null", "emai.beta=0.5",
                              "eval.d_th=2"])

@@ -1,8 +1,9 @@
-"""Round-trip and rejection properties of the checkpoint and config parsers.
+"""Round-trip and rejection properties of the checkpoint, replay and config
+parsers.
 
 Every document a writer produces parses back to the same document, and every
 document broken in one place is rejected with the documented error and CLI
-exit code: 5 for a masking or ctde checkpoint, 2 for a run config.
+exit code: 5 for a masking or ctde checkpoint or a replay, 2 for a run config.
 """
 from __future__ import annotations
 
@@ -17,11 +18,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from emai import ctde
+from emai import ctde, replay
 from emai.cli import main
 from emai.config import _NULLABLE, DEFAULT_CONFIG, ConfigError, load_config
 from emai.ctde import AgentQNet, MonotonicMixer
+from emai.envs import make_env
 from emai.masking import MaskingPolicy
+from emai.rollout import run_target_episode
+from emai.target import scripted_policy
 
 _finite_floats = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False),
@@ -100,9 +104,11 @@ def _nodes(node, path=()):
 
 
 def _wrong_values(value) -> list:
-    """JSON values of another kind than `value`'s."""
+    """JSON values of another kind than `value`'s; a float's include an int
+    that no float can hold."""
     if type(value) in (int, float):
-        return ["1", True, None, [1], {}, float("nan"), float("inf")]
+        wrong = ["1", True, None, [1], {}, float("nan"), float("inf")]
+        return wrong + [10**400] if type(value) is float else wrong
     if isinstance(value, str):
         return [1, True, None, [value], {}]
     if isinstance(value, list):
@@ -111,9 +117,10 @@ def _wrong_values(value) -> list:
 
 
 @st.composite
-def _broken(draw, docs):
+def _broken(draw, docs, nullable: frozenset = frozenset()):
     """A valid document broken in one place: a key dropped or added, or a
-    value replaced by one of another kind (non-finite numbers included)."""
+    value replaced by one of another kind (non-finite numbers included); a
+    key in `nullable` is never set to null."""
     doc = draw(docs)
     nodes = list(_nodes(doc))[1:]
     structure = [(path, value) for path, value in nodes if "values" not in path]
@@ -127,7 +134,10 @@ def _broken(draw, docs):
     elif how == "add" and isinstance(value, dict) and path[-1] != "env_params":
         value["extra"] = 0
     else:
-        parent[path[-1]] = draw(st.sampled_from(_wrong_values(value)))
+        wrong = _wrong_values(value)
+        if path[-1] in nullable:
+            wrong = [v for v in wrong if v is not None]
+        parent[path[-1]] = draw(st.sampled_from(wrong))
     return doc
 
 
@@ -222,6 +232,62 @@ def test_checkpoint_declaring_a_huge_size_rejected_before_building_exit_5(workdi
     assert time.perf_counter() - start < 1.0
 
 
+@pytest.mark.parametrize("key", ["beta", "lambda", "gamma", "j_pi", "j_pi_stderr"])
+def test_masking_scalar_that_no_float_can_hold_rejected_exit_5(workdir, key):
+    # math.isfinite raises OverflowError on such an int, a traceback at the CLI
+    doc = json.loads(BENCH_CHECKPOINT.read_text(encoding="utf-8"))
+    doc[key] = 10**400
+    with pytest.raises(ValueError, match=key):
+        MaskingPolicy.from_doc(doc)
+    path = workdir / "masking.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert _cli_exit(workdir, {"explainer": {"kind": "emai", "checkpoint": str(path)}}) == 5
+
+
+# ---- replays ----
+
+@st.composite
+def _replay_docs(draw):
+    """The lines of a serialized replay of a short scripted episode, parsed
+    back to JSON documents; each step has importance and mask bits or null."""
+    env = make_env(draw(st.sampled_from(["keycorridor", "spread", "diagnostic"])),
+                   horizon=draw(st.integers(1, 4)))
+    seed, n = draw(st.integers(0, 2**32 - 1)), env.spec.n_agents
+    steps = run_target_episode(env, seed, scripted_policy(env)).steps
+    for step in steps:
+        if draw(st.booleans()):
+            step.importance = np.array(draw(st.lists(_finite_floats, min_size=n, max_size=n)))
+        if draw(st.booleans()):
+            step.mask_actions = draw(st.lists(st.sampled_from([0, 1]), min_size=n, max_size=n))
+    rec = replay.record(steps, env.name, env.params, seed, draw(st.text(max_size=4)),
+                        draw(st.text(max_size=4)))
+    return [json.loads(line) for line in replay.serialize(rec).splitlines()]
+
+
+def _replay_text(docs: list) -> str:
+    return "\n".join(map(json.dumps, docs)) + "\n"
+
+
+@settings(max_examples=60, deadline=None)
+@given(_replay_docs())
+def test_replay_round_trips(docs):
+    text = _replay_text(docs)
+    assert replay.serialize(replay.parse(text)) == text
+
+
+@settings(max_examples=150, deadline=None)
+@given(_broken(_replay_docs(), nullable=frozenset({"importance", "mask_actions"})))
+def test_broken_replay_rejected_exit_5(workdir, docs):
+    # _nodes leaves out the inside of env_params, whose types make_env checks
+    # (tests/test_replay.py): a param dropped there is the env's default
+    text = _replay_text(docs)
+    with pytest.raises(replay.ReplayError):
+        replay.parse(text)
+    path = workdir / "replay.ndjson"
+    path.write_text(text, encoding="utf-8")
+    assert main(["render", str(path)]) == 5
+
+
 # ---- run configs ----
 
 def _leaves(defaults: dict = DEFAULT_CONFIG, path=()):
@@ -253,7 +319,7 @@ def _valid_values(path: tuple, default):
 def _wrong_config_values(path: tuple, default) -> list:
     kind = _NULLABLE.get(path) or type(default)
     wrong = {bool: [0, 1, "true", [True]], int: ["1", 1.5, True, [1], {}],
-             float: ["1", True, [1.0], {}], str: [1, True, ["a"], {}],
+             float: ["1", True, [1.0], {}, 10**400], str: [1, True, ["a"], {}],
              list: ["x", 5, [1.5], ["a"], [True], {}]}[kind]
     return wrong if path in _NULLABLE else wrong + [None]
 
@@ -292,6 +358,19 @@ def test_config_round_trips_through_file_and_set(workdir, doc, data):
     value = data.draw(_valid_values(leaf, _LEAVES[leaf]))
     cfg = load_config(None, [f"{'.'.join(leaf)}={json.dumps(value)}"])
     assert _at(cfg, leaf) == value and type(_at(cfg, leaf)) is type(value)
+
+
+_FLOAT_KEYS = sorted(path for path, default in _LEAVES.items()
+                     if (_NULLABLE.get(path) or type(default)) is float)
+
+
+@pytest.mark.parametrize("path", _FLOAT_KEYS, ids=".".join)
+def test_float_key_holding_an_int_that_no_float_can_hold_exit_2(workdir, path):
+    # such an int passed the loader and raised OverflowError in the command
+    override = f"{'.'.join(path)}={10**400}"
+    with pytest.raises(ConfigError, match=".".join(path)):
+        load_config(None, [override])
+    assert main(["explain", "--set", override, "--out", str(workdir / "out")]) == 2
 
 
 @st.composite

@@ -96,11 +96,23 @@ def test_malformed_line_names_line_number():
         parse("\n".join(lines))
 
 
-def test_unknown_version_rejected():
-    text = serialize(_make_record())
-    bumped = text.replace('"v": 1', '"v": 2', 1)
-    with pytest.raises(ReplayError, match="version"):
-        parse(bumped)
+@pytest.mark.parametrize("edit, message", [
+    (lambda h: h.update(v=2), "version"), (lambda h: h.update(v=True), "version"),
+    (lambda h: h.update(v=1.0), "version"), (lambda h: h.update(kind="episode"), "version"),
+    (lambda h: h.pop("kind"), "version"), (lambda h: h.update(note=""), "keys")],
+    ids=["v-2", "v-true", "v-float", "other-kind", "no-kind", "extra-key"])
+def test_unknown_version_rejected(tmp_path, edit, message):
+    # v is the JSON int 1 (true == 1.0 == 1 in Python), kind is serialize's,
+    # and the header holds exactly the keys serialize writes
+    lines = serialize(_make_record()).splitlines()
+    header = json.loads(lines[0])
+    edit(header)
+    text = "\n".join([json.dumps(header)] + lines[1:]) + "\n"
+    with pytest.raises(ReplayError, match=message):
+        parse(text)
+    path = tmp_path / "replay.ndjson"
+    path.write_text(text, encoding="utf-8")
+    assert main(["render", str(path)]) == 5
 
 
 def test_render_csv_shape():
@@ -155,11 +167,17 @@ def _with_header_env(env_name: str, env_params: dict) -> str:
 @pytest.mark.parametrize("env_name, env_params", [
     ("spread", {"grid": 1000}), ("spread", {"grid": 65}), ("spread", {"grid": 1}),
     ("spread", {"grid": 6.0}), ("spread", {"grid": True}), ("spread", {"colour": 3}),
-    ("spread", {"n_agents": 40, "grid": 6}), ("keycorridor", {"grid": 6}), ("maze", {})],
+    ("spread", {"n_agents": 40, "grid": 6}), ("keycorridor", {"grid": 6}), ("maze", {}),
+    ("spread", {"horizon": 7.9}), ("spread", {"n_agents": "3"}),
+    ("diagnostic", {"zero_reward": "no"}), ("diagnostic", {"inert": [1.0]}),
+    ("diagnostic", {"inert": 1}), ("keycorridor", {"horizon": True})],
     ids=["grid-1000", "grid-65", "grid-1", "grid-float", "grid-bool", "unknown-param",
-         "too-many-agents", "keycorridor-grid", "unknown-env"])
+         "too-many-agents", "keycorridor-grid", "unknown-env", "horizon-float",
+         "n-agents-string", "zero-reward-string", "inert-float", "inert-int", "horizon-bool"])
 def test_header_env_that_does_not_build_or_is_too_wide_rejected(tmp_path, env_name, env_params):
-    # render draws rows x cols per step, so the header's grid is bounded
+    # render draws rows x cols per step, so the header's grid is bounded; and
+    # make_env takes each param only with its JSON type, where the
+    # constructors would coerce 7.9 to 7 steps, "3" to 3 agents and "no" to True
     text = _with_header_env(env_name, env_params)
     with pytest.raises(ReplayError, match="line 1: env"):
         parse(text)
