@@ -399,6 +399,9 @@ def _first_value(net_doc: dict, value) -> None:
     pytest.param(lambda d: d.update(beta="0.004"), id="beta-string"),
     pytest.param(lambda d: d.update({"lambda": False}), id="lambda-bool"),
     pytest.param(lambda d: d.update(j_pi=float("nan")), id="j-pi-nan"),
+    # math.isfinite raises OverflowError on an int that no float can hold
+    *[pytest.param(lambda d, key=key: d.update({key: 10**400}), id=f"{key}-no-float")
+      for key in ("beta", "lambda", "gamma", "j_pi", "j_pi_stderr")],
     pytest.param(lambda d: d.update(j_pi_stderr=-0.1), id="j-pi-stderr-negative"),
     pytest.param(lambda d: d["ctde"].update(v=True), id="ctde-v-true"),
     pytest.param(lambda d: d["ctde"]["agent_net"].update(note="x"), id="agent-net-extra-key"),
