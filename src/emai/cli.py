@@ -20,7 +20,7 @@ from . import evaluation, explain as explain_mod, masking, replay, target as tar
 from .config import (ConfigError, MissingArtifactError, load_config,
                      resolve_out_dir, write_manifest)
 from .envs import EnvError, make_env
-from .masking import IncompatibilityError, MaskingPolicy
+from .masking import IncompatibilityError, MaskingPolicy, _check_compat
 from .nn import NumericsError
 from .replay import ReplayError
 from .rng import episode_seeds
@@ -55,9 +55,11 @@ def _build_target(cfg: dict, env):
             policy = target_mod.load_checkpoint(tcfg["checkpoint"])
         except ValueError as exc:
             raise IncompatibilityError(f"{tcfg['checkpoint']}: {exc}") from exc
-        if policy.obs_dim != env.spec.obs_dim or policy.n_agents != env.spec.n_agents:
+        if policy.trained_env != (env.name, env.params):
             raise IncompatibilityError(
-                f"checkpoint {tcfg['checkpoint']} does not fit env {env.name!r}")
+                f"checkpoint {tcfg['checkpoint']} of env {policy.trained_env[0]!r} with params "
+                f"{policy.trained_env[1]} does not fit env {env.name!r} with params {env.params}")
+        _check_compat(policy, env)
         return policy
     raise ConfigError(f"unknown target.kind {tcfg['kind']!r}")
 

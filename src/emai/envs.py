@@ -16,7 +16,6 @@ keeps per-agent reference rules that every row must equal bitwise.
 """
 from __future__ import annotations
 
-import copy
 import functools
 from dataclasses import dataclass
 
@@ -127,13 +126,8 @@ class _GridEnv:
     def state(self) -> np.ndarray:
         return self.row.states()[0]
 
-    def restart(self, seed: int) -> "GridBatch":
-        """reset() without its state and observations: returns the new row."""
-        self._row = row = self.reset_batch([seed])
-        return row
-
     def reset(self, seed: int) -> tuple[np.ndarray, np.ndarray]:
-        row = self.restart(seed)
+        self._row = row = self.reset_batch([seed])
         return row.states()[0], row.observations()[0]
 
     def step(self, joint_action) -> StepResult:
@@ -210,7 +204,8 @@ class GridTables:
     and the relative offset rel(a, b) = ((b_r - a_r) / (rows - 1),
     (b_c - a_c) / (cols - 1)), as the per-agent reference rules in
     tests/test_envs.py write them. Entries of border cells are never read.
-    The tables are read-only and shared, so a deepcopy keeps the same object.
+    The tables are read-only and shared, so a deepcopy keeps the same object
+    (a deep-copied env or GridBatch copies everything else).
 
     In the block of own cell a, rel[a * stride + b] is rel(a, b), then
     rel[a * stride + size] is norm(a) and rel[a * stride + size + 1 + d]
@@ -266,18 +261,15 @@ class GridTables:
 
 
 # The decoders of GridTables' norm and rel entries: a normalized position v
-# back to its cell (v + 1) * (extent - 1) / 2, and a relative offset v to
-# v * (extent - 1), rounded half to even; extent is an int or an int array
-# broadcast against values. A caller that decodes with one extent on every
-# call may pass top = np.subtract(extent, 1.0), computed once, in place of
-# extent. Clipping before the int cast changes no in-range result (a
-# decoded cell is clamped to the grid anyway) but keeps huge inputs from
-# overflowing into bad indices. The first operation writes a C-order array,
-# which the in-place rest runs through fastest.
-def decode_norm(values: np.ndarray, extent=None, *, top=None) -> np.ndarray:
-    """The cells (int64, clipped to [0, extent - 1]) of normalized positions."""
-    if top is None:
-        top = np.subtract(extent, 1.0)  # exact: extent is a small int
+# back to its cell (v + 1) * top / 2, and a relative offset v to v * top,
+# rounded half to even, where top = extent - 1.0 is a float, or a float array
+# broadcast against values, that a caller computes once. Clipping before the
+# int cast changes no in-range result (a decoded cell is clamped to the grid
+# anyway) but keeps huge inputs from overflowing into bad indices. The first
+# operation writes a C-order array, which the in-place rest runs through
+# fastest.
+def decode_norm(values: np.ndarray, top) -> np.ndarray:
+    """The cells (int64, clipped to [0, top]) of normalized positions."""
     cells = np.add(values, 1.0, order="C")
     cells *= top
     cells /= 2.0
@@ -287,11 +279,8 @@ def decode_norm(values: np.ndarray, extent=None, *, top=None) -> np.ndarray:
     return cells.astype(np.int64)
 
 
-def decode_rel(values: np.ndarray, extent=None, *, top=None) -> np.ndarray:
-    """The offsets (int64, clipped to [1 - extent, extent - 1]) of relative
-    positions."""
-    if top is None:
-        top = np.subtract(extent, 1.0)
+def decode_rel(values: np.ndarray, top) -> np.ndarray:
+    """The offsets (int64, clipped to [-top, top]) of relative positions."""
     cells = np.multiply(values, top, order="C")
     np.rint(cells, out=cells)
     np.maximum(cells, -top, out=cells)
@@ -331,17 +320,6 @@ class GridBatch:
             [np.repeat(tables.fixed[:, None], size, axis=1), landmark_cells.T, cells.T])
         self._seen, self._layout = _gather_indices(n, len(self._points), size,
                                                    env.DOOR is not None)
-
-    def __deepcopy__(self, memo) -> "GridBatch":
-        """A copy with its own cells, door flags and point slots that shares
-        the read-only tables and gather indices, as repeat(1) does."""
-        clone = object.__new__(type(self))
-        memo[id(self)] = clone
-        clone.__dict__.update(self.__dict__)
-        clone.env = copy.deepcopy(self.env, memo)
-        clone.cells, clone.landmark_cells = self.cells.copy(), self.landmark_cells.copy()
-        clone.door_open, clone._points = self.door_open.copy(), self._points.copy()
-        return clone
 
     @property
     def size(self) -> int:

@@ -214,7 +214,7 @@ def _randomized_suffix_return(batch, target, seeds, rollouts: int, seed: int) ->
     agent, k = np.divmod(entry, rollouts)
     # a size-m draw yields the same values as m single draws from the stream
     draws = integers_rows(seed, ("mc-oracle",), (np.asarray(seeds)[episode], t, agent, k), rows,
-                          spec.n_actions, spec.horizon - t)
+                          [spec.n_actions] * (spec.horizon - t), spec.horizon - t)
     played = (episode * width + width - n * rollouts + entry) * n + agent
     totals = np.zeros(batch.size)
     obs = batch.observations()

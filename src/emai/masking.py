@@ -167,7 +167,7 @@ def _check_compat(target, env) -> None:
     spec = env.spec
     if target.obs_dim != spec.obs_dim or target.n_agents != spec.n_agents:
         raise IncompatibilityError(
-            f"target ({target.n_agents} agents, obs_dim {target.obs_dim}) does not match "
+            f"target ({target.n_agents} agents, obs_dim {target.obs_dim}) does not fit "
             f"env {env.name!r} ({spec.n_agents} agents, obs_dim {spec.obs_dim})")
 
 

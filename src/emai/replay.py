@@ -1,9 +1,10 @@
 """Episode recording, JSON-lines serialization and offline text rendering.
 
-A record is one header line plus one line per step, floats printed with 9
-significant digits; parsing is strict (version check, per-line diagnostics,
-header/step reward consistency). Rendering marks the most critical agent
-per step so a human can eyeball what an explainer claims.
+A record is one header line plus one line per step (a rollout.Step), floats
+printed with 9 significant digits; parsing is strict (version check, per-line
+diagnostics, header/step reward consistency, step shapes that fit the env the
+header builds). Rendering marks the most critical agent per step so a human
+can eyeball what an explainer claims.
 """
 from __future__ import annotations
 
@@ -17,11 +18,12 @@ import numpy as np
 
 from .config import check_keys, check_tag, is_finite, is_finite_list, is_int, is_int_list
 from .envs import DELTAS, KeyCorridor, decode_norm, make_env
-from .rollout import left_sum
+from .rollout import Step, left_sum
 
 FORMAT_VERSION = 1
 KIND = "episode-record"
 GRID_MAX = 64  # the widest grid a header may name: render draws rows x cols per step
+AGENTS_MAX = 64  # the most agents a header may name: spread keeps a table of agent pairs
 
 
 class ReplayError(ValueError):
@@ -40,21 +42,9 @@ def _round9_each(values: np.ndarray) -> list[float]:
     return rounded[inverse].tolist()
 
 
-@dataclass
-class RecordStep:
-    t: int
-    state: list[float]
-    observations: list[list[float]]
-    target_actions: list[int]
-    mask_actions: list[int] | None
-    final_actions: list[int]
-    reward: float
-    importance: list[float] | None
-
-
 _ACTIONS, _MASK_BITS = frozenset(range(len(DELTAS))), frozenset({0, 1})
 
-# RecordStep field -> the test its parsed JSON value must pass
+# Step field -> the test its parsed JSON value must pass; a step line holds exactly these keys
 _STEP_TYPES = {
     "t": is_int,
     "state": is_finite_list,
@@ -65,6 +55,7 @@ _STEP_TYPES = {
     "reward": is_finite,
     "importance": lambda v: v is None or is_finite_list(v),
 }
+_STEP_KEYS = frozenset(_STEP_TYPES)
 
 
 # header key -> the test its parsed JSON value must pass
@@ -81,15 +72,20 @@ _HEADER_TYPES = {
 _HEADER_KEYS = frozenset(("v", "kind", *_HEADER_TYPES))  # the keys serialize writes
 
 
-def _header_env(env_name: str, env_params: dict):
+def _header_env(env_name: str, env_params: dict, n_agents: int):
     """The env that a header's env_name and env_params build through
     make_env, which checks each param's JSON type. ReplayError unless the env
-    builds and its grid lies in [2, GRID_MAX], which is checked before it is
-    built, so a hand-edited header can neither misdraw nor blow up a rendering."""
-    grid = env_params.get("grid")
+    builds, its grid lies in [2, GRID_MAX] and its n_agents param, if given,
+    equals the header's n_agents and is at most AGENTS_MAX, all checked
+    before it is built, so a hand-edited header can neither misdraw nor blow
+    up the build or a rendering."""
+    grid, agents = env_params.get("grid"), env_params.get("n_agents")
     if is_int(grid) and not 2 <= grid <= GRID_MAX:
         raise ReplayError(f"malformed header on line 1: env_params grid {grid} "
                           f"is not in [2, {GRID_MAX}]")
+    if is_int(agents) and (agents != n_agents or agents > AGENTS_MAX):
+        raise ReplayError(f"malformed header on line 1: env_params n_agents {agents} must be "
+                          f"the header's n_agents {n_agents} and at most {AGENTS_MAX}")
     try:
         return make_env(env_name, **env_params)
     except (TypeError, ValueError) as exc:
@@ -105,7 +101,7 @@ class EpisodeRecord:
     target_id: str
     explainer_id: str
     n_agents: int
-    steps: list[RecordStep]
+    steps: list[Step]
     reward_sum: float
 
 
@@ -116,7 +112,8 @@ def record(stream, env_name: str, env_params: dict, seed: int,
     Steps must be contiguous from t = 0; anything else is a mid-episode
     stream and is rejected. Floats are normalized to the serialized
     precision so records round-trip exactly: the record's floats are
-    gathered into one array and _round9 runs once per distinct value.
+    gathered into one array and _round9 runs once per distinct value. An
+    empty stream records the n_agents of the env its name and params build.
     """
     stream = list(stream)
     for idx, s in enumerate(stream):
@@ -136,7 +133,7 @@ def record(stream, env_name: str, env_params: dict, seed: int,
         return list(itertools.islice(values, count))
 
     rewards = take(len(stream))
-    steps = [RecordStep(
+    steps = [Step(
         t=s.t,
         state=take(len(state)),
         observations=[take(obs.shape[1]) for _ in range(len(obs))],
@@ -147,8 +144,9 @@ def record(stream, env_name: str, env_params: dict, seed: int,
         importance=None if importance is None else take(len(importance)),
     ) for s, (state, obs, importance), reward in zip(stream, arrays, rewards)]
     reward_sum = _round9(left_sum(rewards))
+    n_agents = len(arrays[0][1]) if arrays else make_env(env_name, **env_params).spec.n_agents
     return EpisodeRecord(env_name, dict(env_params), int(seed), target_id, explainer_id,
-                         len(arrays[0][1]) if arrays else 0, steps, reward_sum)
+                         n_agents, steps, reward_sum)
 
 
 def serialize(rec: EpisodeRecord) -> str:
@@ -182,21 +180,22 @@ def parse(text: str) -> EpisodeRecord:
     seed, n_agents = header["seed"], header["n_agents"]
     env_name, env_params = header["env_name"], header["env_params"]
     target_id, explainer_id = header["target_id"], header["explainer_id"]
-    _header_env(env_name, env_params)
-    steps: list[RecordStep] = []
+    spec = _header_env(env_name, env_params, n_agents).spec
+    steps: list[Step] = []
     last_good = 1
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
         try:
-            step = RecordStep(**json.loads(line))
-            bad = [name for name, ok in _STEP_TYPES.items() if not ok(getattr(step, name))]
+            doc = json.loads(line)
+            check_keys(doc, _STEP_KEYS, "step")
+            bad = [name for name, ok in _STEP_TYPES.items() if not ok(doc[name])]
             if bad:
                 raise TypeError(f"ill-typed step fields {bad} (every number must be finite, "
                                 f"every action an int in [0, {len(DELTAS)}) and every "
                                 "mask bit 0 or 1)")
-            steps.append(step)
-        except (json.JSONDecodeError, TypeError, OverflowError) as exc:
+            steps.append(Step(**doc))
+        except (ValueError, TypeError) as exc:
             raise ReplayError(
                 f"malformed step on line {lineno} (last good line {last_good}): {exc}"
             ) from exc
@@ -209,9 +208,17 @@ def parse(text: str) -> EpisodeRecord:
             raise ReplayError(f"non-contiguous steps: expected t={idx}, got t={st.t}")
         per_agent = (st.observations, st.target_actions, st.mask_actions, st.final_actions,
                      st.importance)
-        if n_agents < 1 or any(v is not None and len(v) != n_agents for v in per_agent):
+        if any(v is not None and len(v) != n_agents for v in per_agent):
             raise ReplayError(f"step t={idx}: a per-agent field does not hold one entry for "
                               f"each of the header's n_agents={n_agents} agents")
+        if len(st.state) != spec.state_dim or any(len(o) != spec.obs_dim
+                                                  for o in st.observations):
+            raise ReplayError(f"step t={idx}: the state or an observation does not have the "
+                              f"{env_name} env's state_dim {spec.state_dim} or obs_dim "
+                              f"{spec.obs_dim}")
+    if spec.n_agents != n_agents:
+        raise ReplayError(f"the header's n_agents {n_agents} differs from the "
+                          f"{spec.n_agents} agents of its {env_name} env")
     total = left_sum(st.reward for st in steps)
     if abs(total - declared) > 1e-6 * max(1.0, abs(declared)):
         raise ReplayError(f"header reward_sum {declared} inconsistent with "
@@ -220,7 +227,7 @@ def parse(text: str) -> EpisodeRecord:
                          steps, declared)
 
 
-def _grid_geometry(rec: EpisodeRecord, grid_shape: tuple[int, int], step: RecordStep):
+def _grid_geometry(rec: EpisodeRecord, grid_shape: tuple[int, int], step: Step):
     """(rows, cols, walls, features, agent cells) for one step's state on
     the header env's (rows, cols) grid: the agents' cells, then the
     landmarks' (or keycorridor's door flag), decoded as envs.decode_norm
@@ -230,7 +237,7 @@ def _grid_geometry(rec: EpisodeRecord, grid_shape: tuple[int, int], step: Record
     if len(state) < 2 * n + keycorridor:
         raise ReplayError(f"a {rec.env_name} state of {n} agents holds at least "
                           f"{2 * n + keycorridor} entries, got {len(state)}")
-    rows, cols = grid_shape
+    (rows, cols), top = grid_shape, np.subtract(grid_shape, 1.0)
     if keycorridor:
         feats = {KeyCorridor.SWITCH: "S", KeyCorridor.DOOR: "d" if state[2 * n] > 0 else "D"}
         for r in range(rows):
@@ -240,8 +247,8 @@ def _grid_geometry(rec: EpisodeRecord, grid_shape: tuple[int, int], step: Record
         k = (len(state) - 2 * n) // 2
         walls = set()
         feats = {cell: "L" for cell in map(tuple, decode_norm(
-            state[2 * n:2 * (n + k)].reshape(k, 2), [rows, cols]).tolist())}
-    agents = decode_norm(state[:2 * n].reshape(n, 2), [rows, cols]).tolist()
+            state[2 * n:2 * (n + k)].reshape(k, 2), top).tolist())}
+    agents = decode_norm(state[:2 * n].reshape(n, 2), top).tolist()
     return rows, cols, walls, feats, agents
 
 
@@ -262,7 +269,7 @@ def render(rec: EpisodeRecord, mode: str = "ascii") -> str:
         raise ValueError(f"unknown render mode {mode!r}")
     out: list[str] = [f"env={rec.env_name} seed={rec.seed} target={rec.target_id} "
                       f"explainer={rec.explainer_id} reward_sum={rec.reward_sum}"]
-    grid_shape = _header_env(rec.env_name, rec.env_params).grid_shape
+    grid_shape = _header_env(rec.env_name, rec.env_params, rec.n_agents).grid_shape
     for step in rec.steps:
         critical = None
         if step.importance is not None:

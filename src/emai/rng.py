@@ -9,8 +9,9 @@ Three batched kernels draw `rows` streams at once, row r from
 of each tail column. A tail column is one tag that every row shares (an int)
 or one tag per row: an integer array, whose words are taken in one array
 operation, or any other sequence, taken tag by tag.
-- `integers_rows` equals its `.integers(0, high, size=size)`, or, given one
-  bound per output column, consecutive scalar `.integers(0, high[j])` calls;
+- `integers_rows`, given one bound per output column, equals consecutive
+  scalar `.integers(0, high[j])` calls, and so `.integers(0, h, size=size)`
+  for `size` bounds h;
 - `uniform_rows` equals its `.uniform(low, high, size)`;
 - `episode_seeds(seed, tag, count)` equals `episode_seed(seed, tag, i)`
   for i < count.
@@ -251,24 +252,21 @@ def _pcg_outputs(seed, head_tags: tuple, tail_columns, rows: int, count: int) ->
 
 def integers_rows(seed, head_tags: tuple, tail_columns, rows: int, high,
                   size: int) -> np.ndarray:
-    """Row r equals stream(seed, *head_tags, *tail[r]).integers(0, high,
-    size=size), bitwise, as a (rows, size) int64 array; the tail columns and
+    """Column j of row r equals the j-th of the consecutive calls
+    integers(0, high[0]), integers(0, high[1]), ... on stream(seed,
+    *head_tags, *tail[r]), bitwise, as a (rows, size) int64 array, for
+    `size` bounds `high`, each in [2, 2**32); with one bound repeated, row r
+    is that stream's integers(0, high[0], size=size). The tail columns and
     `seed`, which may hold one root seed per row, are as _pcg_outputs takes
-    them. `high` may also be a sequence of `size` bounds:
-    column j of row r then equals the j-th of the consecutive calls
-    integers(0, high[0]), integers(0, high[1]), ... on that stream. Every
-    bound lies in [2, 2**32)."""
+    them."""
     size = int(size)
     if size < 0:
         raise ValueError(f"size must be >= 0, got {size}")
-    per_column = np.ndim(high) > 0
-    bounds = [int(h) for h in high] if per_column else [int(high)]
+    bounds = [int(h) for h in high]
     for bound in bounds:
         if not 2 <= bound < 1 << 32:
             raise ValueError(f"high must lie in [2, 2**32), got {bound}")
-    if not per_column:
-        bounds *= size
-    elif len(bounds) != size:
+    if len(bounds) != size:
         raise ValueError(f"high needs {size} per-column bounds, got {len(bounds)}")
     # column j reads the j-th 32-bit half, the low half of each output first
     out = _pcg_outputs(seed, head_tags, tail_columns, rows, (size + 1) // 2)
@@ -279,8 +277,7 @@ def integers_rows(seed, head_tags: tuple, tail_columns, rows: int, high,
     rejected = ((scaled & _M32) < (1 << 32) % high_col).any(axis=1)
     for r in np.flatnonzero(rejected):
         rng = _row_stream(seed, head_tags, tail_columns, r)
-        result[r] = ([rng.integers(0, bound) for bound in bounds] if per_column
-                     else rng.integers(0, bounds[0], size=size))
+        result[r] = [rng.integers(0, bound) for bound in bounds]
     return result
 
 

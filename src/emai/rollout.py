@@ -4,7 +4,8 @@ Every rollout is a pure function of (environment, seed, policies, explicit
 rng streams), so batches replay bitwise. A batch of episodes runs as one
 lockstep GridBatch stepped from a copy of a start batch (run_lockstep), whose
 act function sees the live batch, for an explainer to score, and its
-observations; a single episode whose steps a caller keeps builds a Trace.
+observations; a single episode whose steps a caller keeps builds a Trace
+of Steps, the one step record, which replay.record and replay.parse build too.
 Greedy target play makes one target.act_batch query per lockstep step and
 one target.act query, act_batch's one-row view, per scalar step.
 """
@@ -147,8 +148,9 @@ def replay_prefix(env, seed: int, prefix_actions) -> tuple[np.ndarray, np.ndarra
     """Reset and re-apply a joint-action prefix; returns (state, obs, done),
     those of the last env.step a plain replay would make. The prefix only
     moves the agents of env's one-row batch (GridBatch.advance), so the
-    state and observations are built once, at the end."""
-    row = env.restart(seed)
+    state and observations are built once more, at the end."""
+    env.reset(seed)
+    row = env.row
     for joint in prefix_actions:
         if row.done:
             raise ValueError("prefix extends past episode termination")

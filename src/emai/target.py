@@ -98,10 +98,10 @@ class ScriptedSpread(TargetPolicy):
         flat = obs.reshape(-1, self.obs_dim)  # pair b * n + i: agent i of row b
         pairs = np.arange(len(flat))
         agent = np.tile(np.arange(n), len(obs))
-        own = decode_norm(flat[:, :2], g)
+        own = decode_norm(flat[:, :2], g - 1.0)
 
         def cells(offset: int, count: int) -> np.ndarray:  # (pairs, count, 2), clamped to the grid
-            rel = decode_rel(flat[:, offset:offset + 2 * count], g).reshape(-1, count, 2)
+            rel = decode_rel(flat[:, offset:offset + 2 * count], g - 1.0).reshape(-1, count, 2)
             return np.clip(own[:, None] + rel, 0, g - 1)
 
         landmarks = cells(2, n)
@@ -226,13 +226,14 @@ class ScriptedDiagnostic(TargetPolicy):
         """Each agent steps along its own landmark offset, row first;
         non-finite input raises."""
         obs = _check_finite_batch(self._check_obs_batch(obs))
-        dr = decode_rel(obs[..., 2], self.grid)
-        dc = decode_rel(obs[..., 3], self.grid)
-        return _step_toward(dr, dc)
+        offset = decode_rel(obs[..., 2:4], self.grid - 1.0)  # (B, n, 2)
+        return _step_toward(offset[..., 0], offset[..., 1])
 
 
 class LearnedPolicy(TargetPolicy):
     """Greedy execution of a trained utility network (epsilon = 0)."""
+
+    trained_env: tuple[str, dict] | None = None  # a loaded checkpoint's (env, env_params)
 
     def __init__(self, qnet: AgentQNet, source: str = "learned"):
         self._qnet = qnet
@@ -313,4 +314,6 @@ def load_checkpoint(path) -> LearnedPolicy:
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
     qnet, _ = load_checkpoint_doc(doc)
-    return LearnedPolicy(qnet, source=f"checkpoint:{doc['env']}")
+    policy = LearnedPolicy(qnet, source=f"checkpoint:{doc['env']}")
+    policy.trained_env = (doc["env"], doc["env_params"])
+    return policy

@@ -571,6 +571,25 @@ def test_cli_exit_paths(tmp_path, capsys, config, overrides, code, message):
         assert (tmp_path / "from-config" / "manifest.json").exists()
 
 
+@pytest.mark.parametrize("params, code", [({"n_agents": 3, "grid": 8}, 0),
+                                          ({"n_agents": 3, "grid": 30}, 5)],
+                         ids=["its-own-grid", "another-grid"])
+def test_learned_target_runs_only_on_the_env_of_its_checkpoint(tmp_path, capsys, params, code):
+    # a spread observation's size does not depend on the grid, so only the
+    # checkpoint's env and env_params tell a grid-8 target from a grid-30 run
+    env = make_env("spread", n_agents=3, grid=8)
+    net = AgentQNet(env.spec.obs_dim, 3, env.spec.n_actions, hidden=(4, 4), rng=None)
+    save_checkpoint(LearnedPolicy(net), env, tmp_path / "learned.json")
+    cfg = {"seed": 1, "env": {"name": "spread", "params": params},
+           "target": {"kind": "learned", "checkpoint": str(tmp_path / "learned.json")},
+           "explainer": {"kind": "random"}, "eval": {"episodes": 2}}
+    args = ["eval-fidelity", "--config", str(_write_cfg(tmp_path, cfg)),
+            "--out", str(tmp_path / "o")]
+    assert main(args) == code
+    if code:
+        assert "does not fit env 'spread'" in capsys.readouterr().err
+
+
 def test_env_too_small_for_its_entities_exit_2(tmp_path, capsys):
     args = ["train-emai", "--config", str(_write_cfg(tmp_path, FAST_EMAI)),
             "--set", "env.name=spread", "--set", 'env.params={"n_agents":70,"grid":8}',

@@ -6,8 +6,10 @@ import zlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from emai import rng
+from emai import evaluation, rng
 from emai.ctde import AgentQNet, MonotonicMixer
 from emai.envs import GridBatch, KeyCorridor, make_env
 from emai.evaluation import (AttackReport, PatchPackage, PatchReport, RRD_DENOMINATOR_GUARD,
@@ -173,6 +175,47 @@ def test_patch_degenerate_rewards_warns_and_keeps_all():
         pkg = build_patch_package(_FixedAgentExplainer(0, 2), pol, env,
                                   harvest_episodes=12, quantile=0.1, seed=15)
     assert len(pkg) > 0
+
+
+def _first_sightings_by_lexsort(entries: np.ndarray) -> np.ndarray:
+    """The package's earlier dedup, the reference: a stable lexsort puts each
+    run of equal rows in entry order, so a run's first index is its first
+    sighting (entries hold no NaN, so != negates tuple equality)."""
+    order = np.lexsort(entries.T[::-1])
+    ranked = entries[order]
+    starts = np.empty(len(order), dtype=bool)
+    starts[:1] = True
+    starts[1:] = np.any(ranked[1:] != ranked[:-1], axis=1)
+    return np.sort(order[starts])
+
+
+@st.composite
+def _harvest(draw):
+    """Harvest entries and actions: rows drawn from a small pool (so rows
+    repeat) of values that include both signed zeros, a single row too."""
+    width = draw(st.integers(1, 4))
+    values = st.sampled_from([0.0, -0.0, 0.5, -0.5, 1.0, -1.0])
+    pool = draw(st.lists(st.lists(values, min_size=width, max_size=width), min_size=1,
+                         max_size=6))
+    rows = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=40))
+    actions = draw(st.lists(st.integers(0, 4), min_size=len(rows), max_size=len(rows)))
+    return np.array(rows, dtype=np.float64), np.array(actions, dtype=np.int64)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_harvest())
+def test_patch_dedup_equals_the_lexsort_reference(harvest):
+    entries, actions = harvest
+    got, want = evaluation._first_sightings(entries), _first_sightings_by_lexsort(entries)
+    assert got.tolist() == want.tolist()  # the same rows, in first-seen order
+    assert entries[got].tobytes() == entries[want].tobytes()  # -0.0 or 0.0 as first seen
+    assert actions[got].tolist() == actions[want].tolist()
+
+
+def test_patch_dedup_of_one_row_and_of_signed_zeros():
+    assert evaluation._first_sightings(np.array([[0.5, -0.0]])).tolist() == [0]
+    entries = np.array([[-0.0, 1.0], [0.0, 1.0], [1.0, 0.0], [-0.0, 1.0], [1.0, -0.0]])
+    assert evaluation._first_sightings(entries).tolist() == [0, 2]
 
 
 def test_patch_noop_when_package_equals_policy():

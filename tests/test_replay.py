@@ -41,11 +41,17 @@ def test_empty_episode_record():
     assert parse(serialize(rec)) == rec
 
 
+def _blank_steps(env, rewards) -> list[Step]:
+    """Steps of env's shapes, every number and action 0, with these rewards."""
+    n, spec = env.spec.n_agents, env.spec
+    return [Step(t, np.zeros(spec.state_dim), np.zeros((n, spec.obs_dim)), [0] * n, None,
+                 [0] * n, reward) for t, reward in enumerate(rewards)]
+
+
 def test_reward_sum_adds_rewards_left_to_right():
     # 1e16 + 1.0 rounds back to 1e16; a compensated sum (Python 3.12's sum())
     # would give 1.0, and the header would then disagree across versions
-    steps = [Step(t, np.zeros(2), np.zeros((2, 2)), [0, 0], None, [0, 0], reward)
-             for t, reward in enumerate([1e16, 1.0, -1e16])]
+    steps = _blank_steps(make_env("diagnostic"), [1e16, 1.0, -1e16])
     rec = record(steps, "diagnostic", {}, 0)
     assert rec.reward_sum == 0.0
     assert parse(serialize(rec)) == rec
@@ -57,8 +63,8 @@ def test_roundtrip_equality():
 
 
 def test_roundtrip_preserves_nine_significant_digits():
-    step = Step(0, np.array([0.123456789123]), np.array([[0.987654321987]]),
-                [1], None, [1], 0.111111111111)
+    step = _blank_steps(make_env("diagnostic", grid=5), [0.111111111111])[0]
+    step.state[0], step.observations[0, 0] = 0.123456789123, 0.987654321987
     rec = record([step], "diagnostic", {"grid": 5}, 3)
     back = parse(serialize(rec))
     assert back.steps[0].state[0] == float("0.123456789")
@@ -200,6 +206,70 @@ def test_render_draws_a_header_without_grid_on_the_envs_default_grid():
     assert [len(line) for line in text.splitlines()[2:9]] == [12] * 6 + [0]
 
 
+def _zero_step_replay(env_name: str, env_params: dict, n_agents: int) -> str:
+    header = {"v": 1, "kind": "episode-record", "env_name": env_name, "env_params": env_params,
+              "seed": 0, "target_id": "", "explainer_id": "", "n_agents": n_agents,
+              "n_steps": 0, "reward_sum": 0.0}
+    return json.dumps(header) + "\n"
+
+
+def _assert_rejected(tmp_path, text: str, message: str) -> None:
+    """parse raises ReplayError matching message, and emai render exits 5."""
+    with pytest.raises(ReplayError, match=message):
+        parse(text)
+    path = tmp_path / "replay.ndjson"
+    path.write_text(text, encoding="utf-8")
+    assert main(["render", str(path)]) == 5
+
+
+@pytest.mark.parametrize("make_text", [
+    lambda: _with_header_env("spread", {"n_agents": 1024, "grid": 64}),
+    lambda: _zero_step_replay("spread", {"n_agents": 4096, "grid": 64}, 4096),
+    lambda: _zero_step_replay("diagnostic", {"n_agents": 65}, 65)],
+    ids=["3-agent-steps-1024-agent-env", "consistent-4096-agents", "one-past-the-bound"])
+def test_header_env_with_other_or_too_many_agents_rejected_unbuilt(tmp_path, monkeypatch,
+                                                                   make_text):
+    # spread keeps a table of every agent pair (9.5 MB at 1024 agents, 16
+    # times that at 4096), so the header's n_agents param is checked first
+    text = make_text()
+
+    def unbuilt(*args, **kwargs):
+        raise AssertionError("the header env was built")
+
+    monkeypatch.setattr(replay, "make_env", unbuilt)
+    _assert_rejected(tmp_path, text, "line 1: env_params n_agents")
+
+
+def test_header_env_at_the_agent_bound_parses():
+    text = _zero_step_replay("spread", {"n_agents": replay.AGENTS_MAX, "grid": 64},
+                             replay.AGENTS_MAX)
+    assert parse(text).n_agents == replay.AGENTS_MAX
+
+
+@pytest.mark.parametrize("make_text, message", [
+    (lambda: _with_header_env("diagnostic", {"n_agents": 3}), "state_dim 8 or obs_dim 8"),
+    (lambda: _zero_step_replay("keycorridor", {}, 4), "n_agents 4 differs"),
+    (lambda: _zero_step_replay("spread", {"grid": 5}, 2), "n_agents 2 differs")],
+    ids=["spread-steps-in-a-diagnostic-env", "keycorridor-with-4-agents",
+         "spread-default-with-2-agents"])
+def test_header_or_steps_that_do_not_fit_the_built_env_rejected(tmp_path, make_text, message):
+    _assert_rejected(tmp_path, make_text(), message)
+
+
+@pytest.mark.parametrize("edit", ["no-importance", "extra-key"])
+def test_step_line_with_another_key_set_rejected(tmp_path, edit):
+    # rollout.Step defaults importance to None, so parse checks each line's
+    # keys before it builds a Step
+    lines = serialize(_make_record()).splitlines()
+    step = json.loads(lines[2])
+    if edit == "no-importance":
+        del step["importance"]
+    else:
+        step["note"] = 0
+    text = "\n".join(lines[:2] + [json.dumps(step)] + lines[3:]) + "\n"
+    _assert_rejected(tmp_path, text, r"line 3 .*step keys")
+
+
 def test_serialized_header_carries_consistency_fields():
     import json
     rec = _make_record()
@@ -339,7 +409,8 @@ def test_render_rejects_a_state_too_short_for_the_agents(env_name):
     width = 2 * rec.n_agents + (env_name == "keycorridor")
     for step in rec.steps:
         step.state = step.state[:width - 1]
-    assert parse(serialize(rec)) == rec  # the format itself holds any state width
+    with pytest.raises(ReplayError, match="state_dim"):  # parse holds it to the header env's
+        parse(serialize(rec))
     with pytest.raises(ReplayError, match=f"at least {width} entries"):
         render(rec, "ascii")
     render(rec, "csv")  # reads no state
@@ -359,9 +430,13 @@ _finite_floats = st.one_of(
 
 
 @st.composite
-def _steps(draw):
-    n, obs_dim, state_dim = (draw(st.integers(1, 3)), draw(st.integers(0, 4)),
-                             draw(st.integers(1, 5)))
+def _steps(draw, env=None):
+    """Steps of env's shapes, or of small random ones without an env."""
+    if env is None:
+        n, obs_dim, state_dim = (draw(st.integers(1, 3)), draw(st.integers(0, 4)),
+                                 draw(st.integers(1, 5)))
+    else:
+        n, obs_dim, state_dim = env.spec.n_agents, env.spec.obs_dim, env.spec.state_dim
     pool = draw(st.lists(_finite_floats, min_size=1, max_size=8))
     value = st.sampled_from(pool) | _finite_floats
     steps = []
@@ -403,11 +478,12 @@ def test_record_rounds_like_the_element_by_element_reference(steps):
 
 
 @settings(max_examples=200, deadline=None)
-@given(_steps())
-def test_parse_inverts_serialize_on_random_records(steps):
+@given(data=st.data(), n=st.integers(2, 3))
+def test_parse_inverts_serialize_on_random_records(data, n):
     # a reward_sum that overflows to infinity is no finite JSON number, so
     # such a record is rejected, never misread
-    rec = record(steps, "diagnostic", {"grid": 5}, 3)
+    env = make_env("diagnostic", n_agents=n, grid=5)
+    rec = record(data.draw(_steps(env)), env.name, env.params, 3)
     text = serialize(rec)
     if not np.isfinite(rec.reward_sum):
         with pytest.raises(ReplayError):

@@ -34,7 +34,7 @@ def _row_by_row(seed, head, tails, high, size) -> np.ndarray:
        high=st.one_of(st.integers(2, 8), st.integers(2, 2**32 - 1)), size=st.integers(0, 40))
 def test_integers_rows_equals_row_by_row_streams(data, seed, head, width, rows, high, size):
     tails = data.draw(st.lists(st.tuples(*[TAGS] * width), min_size=rows, max_size=rows))
-    got = integers_rows(seed, tuple(head), _columns(tails, width), rows, high, size)
+    got = integers_rows(seed, tuple(head), _columns(tails, width), rows, [high] * size, size)
     assert got.dtype == np.int64 and got.shape == (rows, size)
     assert np.array_equal(got, _row_by_row(seed, head, tails, high, size))
 
@@ -52,11 +52,11 @@ def test_integers_rows_falls_back_to_stream_on_rejected_rows(monkeypatch):
 
     monkeypatch.setattr(rng, "stream", counted)
     columns = (np.repeat(np.arange(2), 32), np.tile(np.arange(32), 2))
-    got = integers_rows(seed, head, columns, len(tails), high, 1)
+    got = integers_rows(seed, head, columns, len(tails), [high], 1)
     assert 0 < len(calls) < len(tails)
     monkeypatch.undo()
     assert np.array_equal(got, _row_by_row(seed, head, tails, high, 1))
-    assert np.array_equal(integers_rows(seed, head, columns, len(tails), high, 9),
+    assert np.array_equal(integers_rows(seed, head, columns, len(tails), [high] * 9, 9),
                           _row_by_row(seed, head, tails, high, 9))
 
 
@@ -64,31 +64,31 @@ def test_integers_rows_oracle_shape_and_edges():
     tails = [(i, k) for i in range(3) for k in range(64)]
     columns = (np.repeat(np.arange(3), 64), np.tile(np.arange(64), 3))
     head = ("mc-oracle", 2**62 + 5, 24)
-    assert np.array_equal(integers_rows(4, head, columns, 192, 5, 6),
+    assert np.array_equal(integers_rows(4, head, columns, 192, [5] * 6, 6),
                           _row_by_row(4, head, tails, 5, 6))
-    assert integers_rows(4, head, columns, 192, 5, 0).shape == (192, 0)
-    assert integers_rows(4, head, (), 0, 5, 3).shape == (0, 3)
+    assert integers_rows(4, head, columns, 192, [], 0).shape == (192, 0)
+    assert integers_rows(4, head, (), 0, [5] * 3, 3).shape == (0, 3)
     # the batched oracle's tails (episode seed, t, agent, rollout): 63-bit
     # episode seeds, whose low 32 bits are the tag, in an integer column
     seeds = [rng.episode_seed(3, "fidelity", e) for e in range(4)] + [-1, 2**31 + 5]
     tails = [(s, 7, i, k) for s in seeds for i in range(2) for k in range(3)]
     columns = (np.repeat(seeds, 6), 7, np.tile(np.repeat(np.arange(2), 3), len(seeds)),
                np.tile(np.arange(3), 2 * len(seeds)))
-    assert np.array_equal(integers_rows(4, ("mc-oracle",), columns, len(tails), 5, 6),
+    assert np.array_equal(integers_rows(4, ("mc-oracle",), columns, len(tails), [5] * 6, 6),
                           _row_by_row(4, ("mc-oracle",), tails, 5, 6))
 
 
 @pytest.mark.parametrize("high", [1, 0, -1, 2**32, 2**40])
 def test_integers_rows_rejects_high_outside_32_bits(high):
     with pytest.raises(ValueError, match="high"):
-        integers_rows(0, ("a",), (1,), 1, high, 3)
+        integers_rows(0, ("a",), (1,), 1, [high] * 3, 3)
 
 
 def test_integers_rows_rejects_ragged_tails_and_negative_size():
     with pytest.raises(ValueError, match="same length"):
-        integers_rows(0, (), (1, [1, 2]), 3, 5, 3)
+        integers_rows(0, (), (1, [1, 2]), 3, [5] * 3, 3)
     with pytest.raises(ValueError, match="size"):
-        integers_rows(0, (), (1,), 1, 5, -1)
+        integers_rows(0, (), (1,), 1, [], -1)
 
 
 # ---- per-column bounds, uniform draws and episode seeds ----
@@ -220,7 +220,7 @@ def test_integers_rows_per_row_seeds_and_their_checks():
             for i, s in enumerate(seeds)]
     assert integers_rows(seeds, (0x52,), (np.arange(rows),), rows, [4, 2, 2], 3).tolist() == want
     with pytest.raises(ValueError, match="root seeds"):
-        integers_rows(seeds[:3], (0x52,), (np.arange(rows),), rows, 4, 3)
+        integers_rows(seeds[:3], (0x52,), (np.arange(rows),), rows, [4] * 3, 3)
 
 
 def test_pcg_outputs_blocks_rows_bitwise(monkeypatch):
@@ -240,7 +240,7 @@ def test_a_shared_tail_column_is_one_word_and_draws_the_scalar_streams(shared):
     assert type(rng._tag_word((shared,) * 5)) is int
     tails = [(shared, i, shared) for i in range(6)]
     columns = ((shared,) * 6, np.arange(6), shared)  # per row, then shared by every row
-    got = integers_rows(11, ("shared",), columns, 6, 5, 4)
+    got = integers_rows(11, ("shared",), columns, 6, [5] * 4, 4)
     assert np.array_equal(got, _row_by_row(11, ("shared",), tails, 5, 4))
     per_row_seeds = [2**40 + 3 * i for i in range(6)]
     want = [stream(s, "shared", *t).bit_generator.random_raw(3).tolist()
@@ -272,5 +272,5 @@ def test_column_tags_equal_the_scalar_streams(rows):
     raw = rng._pcg_outputs(9, ("mc-oracle",), columns, rows, 3)
     assert raw.tolist() == [g.bit_generator.random_raw(3).tolist() for g in streams]
     streams = [stream(9, "mc-oracle", *tail) for tail in tails]
-    got = integers_rows(9, ("mc-oracle",), columns, rows, 5, 6)
+    got = integers_rows(9, ("mc-oracle",), columns, rows, [5] * 6, 6)
     assert got.tolist() == [g.integers(0, 5, size=6).tolist() for g in streams]
