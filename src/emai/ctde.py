@@ -12,13 +12,14 @@ float ops that the `nn.Tensor` graph would, so results are bitwise those of
 autodiff.
 
 Buffers: a `QLearner` owns one `TdBuffers`, sized for batch_episodes x
-horizon transitions. The TD step's functions (_flatten_batch, qtot_forward,
-stale_max_qtot, build_td_loss) write every batch-sized intermediate into
-leading-row views of the buffers they are given, so with no extra loss
-(lambda = 0) a step allocates no batch-sized array after the first. The
-live forward keeps its cache there until the backward; the stale forward
-and the backward share one ping-pong scratch. Gradients, stats and every
-inference call's results are new arrays that no later call writes.
+horizon transitions. The TD step's functions (_flatten_batch, td_targets,
+qtot_forward, build_td_loss) write every batch-sized intermediate into
+leading-row views of the buffers they are given, so a step allocates no
+batch-sized array after the first. One set of layer arrays serves both
+forwards: the stale target is reduced to y first, then the live forward
+fills the same arrays with the cache that the backward consumes in place.
+Gradients, stats and every inference call's results are new arrays that no
+later call writes.
 """
 from __future__ import annotations
 
@@ -141,12 +142,6 @@ class AgentQNet:
         return net
 
 
-def _kept(key: str | None, name: str):
-    """A mixer's Scratch name for an array its backward reads: under `key`,
-    or a plain shared name when key is None (a mix whose cache is unused)."""
-    return name if key is None else (key, name)
-
-
 class MonotonicMixer:
     """State-conditioned mixer with non-negative mixing weights.
 
@@ -165,37 +160,33 @@ class MonotonicMixer:
         self.hyper_w2 = Mlp(w2, ["relu", "identity"], rng)
         self.hyper_v = Mlp(v, ["relu", "identity"], rng)
 
-    def mix(self, chosen_q: np.ndarray, states: np.ndarray, ws: Scratch = FRESH,
-            key: str | None = "mix") -> tuple[np.ndarray, tuple]:
+    def mix(self, chosen_q: np.ndarray, states: np.ndarray,
+            ws: Scratch = FRESH) -> tuple[np.ndarray, tuple]:
         """chosen_q (B, n_agents), states (B, state_dim) -> Q_tot (B,), plus
         the cache for mix_backward. The ELU's pre-activation and Q_tot are
         checked finite.
 
-        Every array goes into ws: what mix_backward reads under names that
-        start with `key`, the rest under plain names. key=None is for a mix
-        whose cache is never used (the stale target): it keeps nothing, and
-        its hypernets share the ping-pong pair with the backward, so each
-        hypernet's output is used up before the next hypernet runs. Plain
-        names are shared where lifetimes never overlap: |W2| goes into the
-        used-up pre-activation, and mix_backward writes into the plain
-        "pre", "hidden" and "prod" arrays, which no cache holds.
+        Every array goes into ws under a fixed name, so a mix overwrites the
+        last mix's cache and Q_tot: a mix whose cache is never used (the
+        stale target) runs before the mix whose backward follows. |W2| goes
+        into the used-up pre-activation.
         """
         B, n, E = chosen_q.shape[0], self.n_agents, self.embed_dim
         s = np.asarray(states, dtype=np.float64)
         q = chosen_q.reshape(B, n, 1)
-        h1, c1 = self.hyper_w1.fused_forward(s, ws, key and (key, "w1"))
+        h1, c1 = self.hyper_w1.fused_forward(s, ws, "w1")
         w1q = np.abs(h1.reshape(B, n, E), out=ws.take("prod", B, n, E))
         np.multiply(q, w1q, out=w1q)
         pre = nn._sum_axis1(w1q, ws.take("pre", B, E))
-        b1, cb1 = self.hyper_b1.fused_forward(s, ws, key and (key, "b1"))
+        b1, cb1 = self.hyper_b1.fused_forward(s, ws, "b1")
         np.add(pre, b1, out=pre)
         nn._check_finite(pre, "mixer hidden pre-activation")
-        hidden = nn._elu_f(pre, out=ws.take(_kept(key, "hidden"), B, E), ws=ws)
-        h2, c2 = self.hyper_w2.fused_forward(s, ws, key and (key, "w2"))
+        hidden = nn._elu_f(pre, out=ws.take("hidden", B, E), ws=ws)
+        h2, c2 = self.hyper_w2.fused_forward(s, ws, "w2")
         w2h = np.abs(h2, out=pre)
         np.multiply(hidden, w2h, out=w2h)
-        v, cv = self.hyper_v.fused_forward(s, ws, key and (key, "v"))
-        q_tot = np.sum(w2h, axis=1, out=ws.take(_kept(key, "q_tot"), B))
+        v, cv = self.hyper_v.fused_forward(s, ws, "v")
+        q_tot = np.sum(w2h, axis=1, out=ws.take("q_tot", B))
         np.add(q_tot, v.reshape(B), out=q_tot)
         nn._check_finite(q_tot, "mixer output")
         return q_tot, (q, h1, c1, cb1, hidden, h2, c2, cv, ws)
@@ -204,20 +195,22 @@ class MonotonicMixer:
         """(dL/dchosen_q, parameter gradients in params() order) for the
         upstream dL/dQ_tot; the same float ops as the graph's backward. The
         gradients are new arrays; dL/dchosen_q is a view into the forward's
-        Scratch."""
+        Scratch. Like Mlp.fused_backward it consumes its cache: dL/dh2 goes
+        into the ELU output, and sign(h1) and sign(h2) into h1 and h2, each
+        once the backward has read it."""
         q, h1, c1, cb1, hidden, h2, c2, cv, ws = cache
         B, n, E = len(d_qtot), self.n_agents, self.embed_dim
         g = d_qtot[:, None]
         d_pre = np.abs(h2, out=ws.take("pre", B, E))
         nn._elu_b(np.multiply(g, d_pre, out=d_pre), hidden, out=d_pre, ws=ws)
-        d_h2 = np.multiply(g, hidden, out=ws.take("hidden", B, E))
-        np.multiply(d_h2, np.sign(h2, out=ws.take("sign", B, E)), out=d_h2)
+        d_h2 = np.multiply(g, hidden, out=hidden)
+        np.multiply(d_h2, np.sign(h2, out=h2), out=d_h2)
         g3 = d_pre[:, None, :]
         prod = np.abs(h1.reshape(B, n, E), out=ws.take("prod", B, n, E))
         np.multiply(g3, prod, out=prod)
         d_chosen = np.sum(prod, axis=2, out=ws.take("d_chosen", B, n))
         d_h1 = np.multiply(g3, q, out=prod).reshape(B, n * E)
-        np.multiply(d_h1, np.sign(h1, out=ws.take("sign", B, n * E)), out=d_h1)
+        np.multiply(d_h1, np.sign(h1, out=h1), out=d_h1)
         grads = (self.hyper_w1.fused_backward(c1, d_h1)
                  + self.hyper_b1.fused_backward(cb1, d_pre)
                  + self.hyper_w2.fused_backward(c2, d_h2)
@@ -379,6 +372,7 @@ class Transitions(NamedTuple):
     terminal: np.ndarray     # (N,) bool, True on each episode's last transition
     ep_index: np.ndarray     # (N,) position of the episode in the batch
     t_index: np.ndarray      # (N,) decision time within the episode
+    member: np.ndarray       # (N, n_episodes) 1.0 at (row, ep_index), else 0.0
     n_episodes: int
 
 
@@ -389,7 +383,8 @@ class TdBuffers:
     agent_inputs; their one-hot columns are written once), and their
     observation columns are the `obs`/`next_obs` of the Transitions that
     _flatten_batch fills, next to the other Transitions arrays. `net`
-    (agent rows) and `mix` (transition rows) hold the intermediates.
+    (agent rows) and `mix` (transition rows) hold the intermediates, and
+    `mix` the episode membership matrix.
     """
 
     def __init__(self, n_agents: int, obs_dim: int, state_dim: int, max_rows: int):
@@ -421,8 +416,8 @@ class TdBuffers:
 
 def _flatten_batch(batch: list[Episode], buffers: TdBuffers) -> Transitions:
     """Stack transitions of a batch of episodes into leading-row views of
-    `buffers`: one concatenate per field, and the episode and time indices
-    and terminal flags from the episode lengths."""
+    `buffers`: one concatenate per field, and the episode and time indices,
+    terminal flags and episode membership from the episode lengths."""
     lengths = [ep.length for ep in batch]
     ends = np.cumsum(lengths)
     N = int(ends[-1])
@@ -432,7 +427,7 @@ def _flatten_batch(batch: list[Episode], buffers: TdBuffers) -> Transitions:
     b = buffers
     flat = Transitions(b.obs[:N], b.next_obs[:N], b.states[:N], b.next_states[:N],
                        b.actions[:N], b.rewards[:N], b.terminal[:N], b.ep_index[:N],
-                       b.t_index[:N], len(batch))
+                       b.t_index[:N], b.mix.take("member", N, len(batch)), len(batch))
     np.concatenate([ep.obs[:T] for ep, T in zip(batch, lengths)], out=flat.obs)
     np.concatenate([ep.obs[1:T + 1] for ep, T in zip(batch, lengths)], out=flat.next_obs)
     np.concatenate([ep.states[:T] for ep, T in zip(batch, lengths)], out=flat.states)
@@ -443,27 +438,20 @@ def _flatten_batch(batch: list[Episode], buffers: TdBuffers) -> Transitions:
     np.subtract(b.row_ids[:N], (ends - lengths)[flat.ep_index], out=flat.t_index)
     flat.terminal.fill(False)
     flat.terminal[ends - 1] = True
+    flat.member.fill(0.0)
+    flat.member[b.row_ids[:N], flat.ep_index] = 1.0
     return flat
-
-
-def _net_forward(net: AgentQNet, obs_steps: np.ndarray, buffers: TdBuffers,
-                 stale: bool) -> tuple[np.ndarray, tuple]:
-    """The net's Q rows and cache for (S, n, D) observations: the obs
-    (stale=False; cached under "q") or next_obs (stale=True; no cache) that
-    _flatten_batch wrote into `buffers`."""
-    inputs = buffers.next_inputs if stale else buffers.inputs
-    x = inputs[:len(obs_steps)].reshape(-1, inputs.shape[-1])
-    return net.mlp.fused_forward(x, buffers.net, None if stale else "q")
 
 
 def qtot_forward(net: AgentQNet, mixer, flat: Transitions,
                  buffers: TdBuffers) -> tuple[np.ndarray, tuple]:
     """Q_tot (N,) of the taken joint actions of `flat`, plus the cache for
     qtot_backward. `flat` must be _flatten_batch's output for `buffers`;
-    Q_tot and the cache are views into them."""
+    Q_tot and the cache are views into them, valid until the next forward."""
     N, n, _ = flat.obs.shape
     ws_net, ws_mix = buffers.net, buffers.mix
-    q_all, net_cache = _net_forward(net, flat.obs, buffers, stale=False)
+    x = buffers.inputs[:N].reshape(N * n, -1)
+    q_all, net_cache = net.mlp.fused_forward(x, ws_net, "q")
     pick = ws_net.take("pick", N * n, net.n_actions)
     pick.fill(0.0)
     pick[buffers.row_ids[:N * n], flat.actions.reshape(-1)] = 1.0
@@ -476,7 +464,8 @@ def qtot_forward(net: AgentQNet, mixer, flat: Transitions,
 
 def qtot_backward(net: AgentQNet, mixer, cache: tuple, d_qtot: np.ndarray) -> list[np.ndarray]:
     """Gradients of net.params() + mixer.params(), in that order, for the
-    upstream dL/dQ_tot of qtot_forward's output; new arrays."""
+    upstream dL/dQ_tot of qtot_forward's output; new arrays. It consumes
+    the cache, so one backward follows each qtot_forward."""
     net_cache, pick, mix_cache = cache
     d_chosen, mixer_grads = mixer.mix_backward(mix_cache, d_qtot)
     N, n = d_chosen.shape
@@ -488,29 +477,35 @@ def qtot_backward(net: AgentQNet, mixer, cache: tuple, d_qtot: np.ndarray) -> li
 def stale_max_qtot(stale: StaleCopy, next_obs: np.ndarray, next_states: np.ndarray,
                    buffers: TdBuffers) -> np.ndarray:
     """max over joint actions of the stale Q_tot, via per-agent stale argmax.
-    It runs in the buffers' ping-pong scratch and keeps no cache."""
+    It runs in the arrays of qtot_forward, so it comes before that."""
     S, n, _ = next_obs.shape
-    q, _ = _net_forward(stale.net, next_obs, buffers, stale=True)
+    q, _ = stale.net.mlp.fused_forward(buffers.next_inputs[:S].reshape(S * n, -1),
+                                       buffers.net, "q")
     max_q = nn._max_axis1(q, buffers.net.take("max_q", S * n)).reshape(S, n)
-    return stale.mixer.mix(max_q, next_states, buffers.mix, None)[0]
+    return stale.mixer.mix(max_q, next_states, buffers.mix)[0]
 
 
-def build_td_loss(stale: StaleCopy, flat: Transitions, q_tot: np.ndarray, gamma: float,
-                  buffers: TdBuffers, reward_fn=None) -> tuple[float, np.ndarray, dict]:
-    """One-step TD loss of the live Q_tot (N,) of `flat`: the mean of
-    (q_tot - y)^2 with y = r + gamma * max stale Q_tot, and y = r on terminal
-    transitions. Returns the loss, dL/dq_tot (the float ops of autodiff
-    through that mean; a view into `buffers`) and stats.
-
-    reward_fn maps (rewards, actions) arrays to the training rewards, e.g.
-    to add a per-step masking bonus; identity when None.
-    """
-    ws = buffers.mix
-    N = len(q_tot)
+def td_targets(stale: StaleCopy, flat: Transitions, gamma: float, buffers: TdBuffers,
+               reward_fn=None) -> np.ndarray:
+    """The one-step TD targets (N,) of `flat`, a view into `buffers`: y = r +
+    gamma * max stale Q_tot, and y = r on terminal transitions. reward_fn
+    maps (rewards, actions) arrays to the training rewards, e.g. to add a
+    per-step masking bonus; identity when None. Call it before qtot_forward
+    (see stale_max_qtot)."""
     rewards = flat.rewards if reward_fn is None else reward_fn(flat.rewards, flat.actions)
     target_next = stale_max_qtot(stale, flat.next_obs, flat.next_states, buffers)
     np.copyto(target_next, 0.0, where=flat.terminal)
-    y = np.add(rewards, np.multiply(gamma, target_next, out=target_next), out=ws.take("y", N))
+    return np.add(rewards, np.multiply(gamma, target_next, out=target_next),
+                  out=buffers.mix.take("y", len(rewards)))
+
+
+def build_td_loss(y: np.ndarray, q_tot: np.ndarray,
+                  buffers: TdBuffers) -> tuple[float, np.ndarray, dict]:
+    """One-step TD loss of the live Q_tot (N,) for td_targets' y: the mean
+    of (q_tot - y)^2. Returns the loss, dL/dq_tot (the float ops of autodiff
+    through that mean; a view into `buffers`) and stats."""
+    ws = buffers.mix
+    N = len(q_tot)
     err = np.subtract(q_tot, y, out=ws.take("err", N))
     inv_n = 1.0 / err.size
     half = np.multiply(err, inv_n, out=ws.take("d_qtot", N))
@@ -557,9 +552,12 @@ class QLearner:
     def td_train_step(self, reward_fn=None, extra_loss_fn=None) -> dict:
         """Sample a batch, apply one optimizer step, return loss stats.
 
-        The loss is build_td_loss's (reward_fn goes to it) plus, if given,
-        extra_loss_fn's term: extra_loss_fn(q_tot, transitions) gets the live
-        Q_tot of the batch and returns (value, d value / d q_tot, stats).
+        Three stages share one set of layer arrays: the TD targets
+        (td_targets, given reward_fn), the live forward, then one backward
+        that consumes the forward's cache. The loss is build_td_loss's plus,
+        if given, extra_loss_fn's term: extra_loss_fn(q_tot, transitions)
+        gets the live Q_tot of the batch and returns (value, d value / d
+        q_tot, stats).
         Its dL/dQ_tot is added to the TD loss's, as autodiff accumulates the
         two at the Q_tot both losses share, and one backward pass follows.
 
@@ -570,9 +568,9 @@ class QLearner:
         them into its flat gradient and checks that finite."""
         batch = self.buffer.sample(self.batch_episodes, self.sample_rng)
         flat = _flatten_batch(batch, self.buffers)
+        y = td_targets(self.stale, flat, float(self.config["gamma"]), self.buffers, reward_fn)
         q_tot, cache = qtot_forward(self.net, self.mixer, flat, self.buffers)
-        loss, d_qtot, stats = build_td_loss(self.stale, flat, q_tot, float(self.config["gamma"]),
-                                            self.buffers, reward_fn)
+        loss, d_qtot, stats = build_td_loss(y, q_tot, self.buffers)
         stats["loss_e"] = loss
         if extra_loss_fn is not None:
             extra, d_extra, extra_stats = extra_loss_fn(q_tot, flat)

@@ -78,15 +78,13 @@ def diff_loss(q_tot: np.ndarray, flat: Transitions, j_pi: float, gamma: float, b
     n_eps = flat.n_episodes
     weights = gamma ** flat.t_index.astype(np.float64)
     r_mask = float(beta) * flat.actions.sum(axis=1)
-    member = np.zeros((len(flat.ep_index), n_eps))
-    member[np.arange(len(flat.ep_index)), flat.ep_index] = 1.0
-    per_episode = (((q_tot - r_mask) * weights).reshape(1, -1) @ member).reshape(n_eps)
+    per_episode = (((q_tot - r_mask) * weights).reshape(1, -1) @ flat.member).reshape(n_eps)
     d = float(j_pi) - per_episode
     inv_n = 1.0 / n_eps
     loss = float((d * d).sum() * inv_n)
     half = (weight * inv_n) * d
     d_per_episode = (half + half) * -1.0
-    d_qtot = (d_per_episode.reshape(1, n_eps) @ member.T).reshape(-1) * weights
+    d_qtot = (d_per_episode.reshape(1, n_eps) @ flat.member.T).reshape(-1) * weights
     return loss, d_qtot, {"loss_d": loss}
 
 

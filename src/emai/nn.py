@@ -59,7 +59,8 @@ class Scratch:
     room for max(rows, max_rows) rows of the shape asked for, and again only
     when a later take needs more, so a take with fewer rows or a narrower
     shape allocates nothing. A view stays valid until the next take of the
-    same name, so such views never leave the function that owns them.
+    same name, or until a backward consumes the cache that holds it, so such
+    views never leave the function that owns them.
     """
 
     def __init__(self, max_rows: int):
@@ -310,8 +311,12 @@ def _relu_f(z, out=None):
     return np.maximum(z, 0.0, out=out)
 
 
+def _relu_mask(y, ws: Scratch = FRESH):
+    return np.greater(y, 0.0, out=ws.take("mask", *y.shape, dtype=bool))
+
+
 def _relu_b(g, y, out=None, ws: Scratch = FRESH):
-    return np.multiply(g, np.greater(y, 0.0, out=ws.take("mask", *y.shape, dtype=bool)), out=out)
+    return np.multiply(g, _relu_mask(y, ws), out=out)
 
 
 def _elu_f(z, out=None, ws: Scratch = FRESH):
@@ -421,8 +426,6 @@ _ACTIVATIONS: dict[str, Callable[[Tensor], Tensor]] = {
     "identity": lambda t: t,
 }
 
-_FUSED_BACKWARD = {"relu": _relu_b, "identity": None}
-
 
 class Mlp:
     """Fully connected net; per-layer activation in {relu, identity}."""
@@ -469,7 +472,7 @@ class Mlp:
     __call__ = forward
 
     def fused_forward(self, x: np.ndarray, ws: Scratch = FRESH,
-                      key: Hashable = None) -> tuple[np.ndarray, tuple]:
+                      key: Hashable = "layer") -> tuple[np.ndarray, tuple]:
         """Graph-free forward of a (B, in) batch -> (B, out), plus the cache
         for fused_backward: the layer inputs and the output, and `ws`.
 
@@ -480,13 +483,11 @@ class Mlp:
         one.) fused_backward takes the cache of a (B, in) forward only.
 
         Layer i's output is written into ws under (key, i), where it stays
-        until the next forward with that key. key=None is for a forward
-        whose cache is never used: its layers take turns on the ping-pong
-        pair ("pp", 0)/("pp", 1), which fused_backward also writes. On
-        FRESH, np.matmul allocates each layer's output itself. Same
-        float ops as forward(). The input and every layer's pre-activation
-        are checked finite (NumericsError) before the activation overwrites
-        the pre-activation in place.
+        until the next forward with that key or until fused_backward
+        consumes it. On FRESH, np.matmul allocates each layer's output
+        itself. Same float ops as forward(). The input and every layer's
+        pre-activation are checked finite (NumericsError) before the
+        activation overwrites the pre-activation in place.
         """
         if x.ndim not in (2, 3) or x.shape[-1] != self.layer_sizes[0]:
             raise ShapeError(f"input shape {x.shape} vs expected (*, {self.layer_sizes[0]}) "
@@ -494,8 +495,7 @@ class Mlp:
         _check_finite(x, "MLP input")
         outs = [x]
         for i, (w, b, act) in enumerate(zip(self.weights, self.biases, self.activations)):
-            name = ("pp", i % 2) if key is None else (key, i)
-            out = None if ws is FRESH else ws.take(name, *x.shape[:-1], w.data.shape[1])
+            out = None if ws is FRESH else ws.take((key, i), *x.shape[:-1], w.data.shape[1])
             z = np.matmul(x, w.data, out=out)
             np.add(z, b.data, out=z)
             _check_finite(z, f"MLP layer {i} pre-activation")
@@ -507,23 +507,25 @@ class Mlp:
         """Parameter gradients, in params() order, for the upstream gradient
         d_out of fused_forward's output. The input's gradient is not formed.
 
-        The gradients are new arrays. The layer gradients in between use the
-        forward's Scratch: the ping-pong pair ("pp", 0)/("pp", 1), never
-        d_out. Same float ops as Tensor.backward() through forward().
+        The gradients are new arrays. The backward consumes its cache: once
+        layer i's parameter gradients are formed, the gradient of its input
+        is written over that input (a relu top layer's over the output), so
+        a cache serves one backward. The input and d_out are never written.
+        Same float ops as Tensor.backward() through forward().
         """
         outs, ws = cache
         grads = [None] * (2 * len(self.weights))
         g = d_out
+        if self.activations[-1] == "relu":
+            g = _relu_b(g, outs[-1], out=outs[-1], ws=ws)
         for i in reversed(range(len(self.weights))):
-            act_b = _FUSED_BACKWARD[self.activations[i]]
-            if act_b is not None:
-                dst = g if g is not d_out else ws.take(("pp", i % 2), *g.shape)
-                g = act_b(g, outs[i + 1], out=dst, ws=ws)
             grads[2 * i] = outs[i].T @ g
             grads[2 * i + 1] = g.sum(axis=0)
             if i:
-                w = self.weights[i].data
-                g = np.matmul(g, w.T, out=ws.take(("pp", (i - 1) % 2), len(g), w.shape[0]))
+                mask = _relu_mask(outs[i], ws) if self.activations[i - 1] == "relu" else None
+                g = np.matmul(g, self.weights[i].data.T, out=outs[i])
+                if mask is not None:
+                    np.multiply(g, mask, out=g)
         return grads
 
     def fused_input_grad(self, cache: tuple[list, Scratch], d_out: np.ndarray) -> np.ndarray:
@@ -534,9 +536,8 @@ class Mlp:
         outs, _ = cache
         g = d_out
         for i in reversed(range(len(self.weights))):
-            act_b = _FUSED_BACKWARD[self.activations[i]]
-            if act_b is not None:
-                g = act_b(g, outs[i + 1])
+            if self.activations[i] == "relu":
+                g = _relu_b(g, outs[i + 1])
             g = np.matmul(g, self.weights[i].data.T)
         _check_finite(g, "MLP input gradient")
         return g

@@ -253,8 +253,10 @@ def _grid_geometry(rec: EpisodeRecord, grid_shape: tuple[int, int], step: Step):
 
 
 def render(rec: EpisodeRecord, mode: str = "ascii") -> str:
-    """ascii: per-step grids with the most critical agent starred.
-    csv: one (t, agent, importance, masked) row per agent per step."""
+    """ascii: per-step grids with the most critical agent starred, each cell
+    as wide as the widest agent index plus its mark (2 characters for up to
+    10 agents). csv: one (t, agent, importance, masked) row per agent per
+    step."""
     if mode == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf)
@@ -270,6 +272,8 @@ def render(rec: EpisodeRecord, mode: str = "ascii") -> str:
     out: list[str] = [f"env={rec.env_name} seed={rec.seed} target={rec.target_id} "
                       f"explainer={rec.explainer_id} reward_sum={rec.reward_sum}"]
     grid_shape = _header_env(rec.env_name, rec.env_params, rec.n_agents).grid_shape
+    width = len(str(rec.n_agents - 1)) + 1  # the widest agent index and its mark
+    blank = ".".ljust(width)
     for step in rec.steps:
         critical = None
         if step.importance is not None:
@@ -279,15 +283,15 @@ def render(rec: EpisodeRecord, mode: str = "ascii") -> str:
             head += f" critical={critical}"
         out.append(head)
         rows, cols, walls, feats, agents = _grid_geometry(rec, grid_shape, step)
-        cells = [[". " for _ in range(cols)] for _ in range(rows)]
+        cells = [[blank] * cols for _ in range(rows)]
         for (r, c) in walls:
-            cells[r][c] = "# "
+            cells[r][c] = "#".ljust(width)
         for (r, c), ch in feats.items():
-            if cells[r][c] == ". ":
-                cells[r][c] = ch + " "
+            if cells[r][c] == blank:
+                cells[r][c] = ch.ljust(width)
         for i, (r, c) in enumerate(agents):
             mark = "*" if i == critical else " "
-            cells[r][c] = f"{i}{mark}"
+            cells[r][c] = f"{i}{mark}".ljust(width)
         out.extend("".join(row) for row in cells)
         out.append("")
     return "\n".join(out)

@@ -212,8 +212,8 @@ def _flatten(batch):
 def _td_loss(net, mixer, stale, batch, gamma) -> float:
     """build_td_loss's value on the live Q_tot of a batch of episodes."""
     flat, buffers = _flatten(batch)
-    q_tot = ctde.qtot_forward(net, mixer, flat, buffers)[0]
-    return build_td_loss(stale, flat, q_tot, gamma, buffers)[0]
+    y = ctde.td_targets(stale, flat, gamma, buffers)
+    return build_td_loss(y, ctde.qtot_forward(net, mixer, flat, buffers)[0], buffers)[0]
 
 
 def test_td_loss_direct_example():
@@ -491,8 +491,9 @@ def test_returned_arrays_are_not_overwritten_by_later_calls(mixer_kind):
         batch = [_random_episode(rng, spec, T) for T in (4, 9)]
         # q_tot and dL/dq_tot are views into the buffers passed in, by contract
         flat, buffers = _flatten(batch)
+        y = ctde.td_targets(stale, flat, 0.9, buffers)
         q_tot, _ = ctde.qtot_forward(net, mixer, flat, buffers)
-        loss, _, td_stats = build_td_loss(stale, flat, q_tot, 0.9, buffers)
+        loss, _, td_stats = build_td_loss(y, q_tot, buffers)
         stats = learner.td_train_step()
         return [net.q_all_agents(obs), net.agent_rows_forward(obs[None])[0],
                 mixer.mix(rng.standard_normal((7, spec.n_agents)),
@@ -530,8 +531,12 @@ def test_flatten_equals_the_per_episode_stack(lengths):
     batch = [_random_episode(rng, spec, T) for T in lengths]
     flat = ctde._flatten_batch(batch, buffers)
     assert flat.n_episodes == len(batch)
-    for i, (got, want) in enumerate(zip(flat[:9], _flatten_by_episode(batch), strict=True)):
+    fields = _flatten_by_episode(batch)
+    for i, (got, want) in enumerate(zip(flat[:9], fields, strict=True)):
         assert got.dtype == want.dtype and np.array_equal(got, want), f"field {i}"
+    member = np.zeros((len(fields[7]), len(batch)))  # the one-hot of each row's episode
+    member[np.arange(len(fields[7])), fields[7]] = 1.0
+    assert flat.member.flags.c_contiguous and np.array_equal(flat.member, member)
 
 
 def test_flatten_rejects_a_batch_larger_than_its_buffers():
@@ -551,9 +556,9 @@ def _difference_loss(q_tot, flat):
 def test_td_step_traced_peak_stays_under_1_mb(extra_loss):
     # keycorridor at the default config: 32 episodes x horizon 30 = 960
     # transitions, 2880 agent rows; one (2880, 64) float temporary is 1.5 MB.
-    # The TD loss alone allocates no batch-sized array (0.19 MB peak); the
-    # difference loss still allocates its (960, 32) episode-membership matrix
-    # (0.25 MB) and 960-float vectors every step (0.28 MB peak)
+    # The TD loss allocates no batch-sized array (0.197 MB peak). The
+    # difference loss reads its (960, 32) episode-membership matrix (0.25 MB)
+    # from the buffers and allocates only 960-float vectors (0.196 MB peak)
     learner = _filled_learner({}, episodes=0)
     spec = make_env("keycorridor").spec
     rng = stream(1, "alloc-episodes")
@@ -568,7 +573,7 @@ def test_td_step_traced_peak_stays_under_1_mb(extra_loss):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 1_000_000, f"TD step traced peak {peak / 1e6:.2f} MB"
+    assert peak < 250_000, f"TD step traced peak {peak / 1e6:.3f} MB"
 
 
 def _held_bytes(buffers: ctde.TdBuffers) -> int:
@@ -579,10 +584,11 @@ def _held_bytes(buffers: ctde.TdBuffers) -> int:
 
 
 def test_td_buffers_size_at_the_default_keycorridor_config():
-    # the masking team's learner, 960 transitions: 0.91 MB of transitions and
-    # agent-net inputs, 6.29 MB of agent-net arrays and 5.54 MB of mixer
-    # arrays. Mixer scratch names whose lifetimes never overlap share one
-    # array; with one array per name the mixer held 6.52 MB
+    # the masking team's learner, 960 transitions: 914,880 bytes of
+    # transitions and agent-net inputs, 245,760 of episode membership,
+    # 3,340,800 of agent-net arrays and 3,563,520 of mixer arrays. The stale
+    # and the live forward share one array per layer, and the backward writes
+    # into the cache it consumes
     learner = _filled_learner({}, episodes=0)
     spec = make_env("keycorridor").spec
     rng = stream(1, "held-bytes-episodes")
@@ -591,6 +597,6 @@ def test_td_buffers_size_at_the_default_keycorridor_config():
     reward_fn = lambda rewards, actions: rewards + 0.1 * actions.sum(axis=1)  # noqa: E731
     learner.td_train_step(reward_fn, _difference_loss)
     held = _held_bytes(learner.buffers)
-    assert held == 12_742_080, f"TdBuffers hold {held} bytes"
+    assert held == 8_064_960, f"TdBuffers hold {held} bytes"
     learner.td_train_step(reward_fn, None)
     assert _held_bytes(learner.buffers) == held  # later steps add nothing

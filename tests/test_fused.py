@@ -71,7 +71,8 @@ def _graph_chosen_q(net: AgentQNet, obs_steps: np.ndarray, actions: np.ndarray) 
 
 def graph_td_loss(q_tot: Tensor, stale, flat: ctde.Transitions, gamma,
                   reward_fn=None) -> Tensor:
-    _, next_obs, _, next_states, actions, rewards, terminal, _, _, _ = flat
+    next_obs, next_states, actions, rewards, terminal = (
+        flat.next_obs, flat.next_states, flat.actions, flat.rewards, flat.terminal)
     if reward_fn is not None:
         rewards = reward_fn(rewards, actions)
     with nn.no_grad():
@@ -85,7 +86,7 @@ def graph_td_loss(q_tot: Tensor, stale, flat: ctde.Transitions, gamma,
 
 
 def graph_diff_loss(q_tot: Tensor, flat: ctde.Transitions, j_pi, gamma, beta) -> Tensor:
-    _, _, _, _, actions, _, _, ep_idx, t_idx, n_eps = flat
+    actions, ep_idx, t_idx, n_eps = flat.actions, flat.ep_index, flat.t_index, flat.n_episodes
     weights = gamma ** t_idx.astype(np.float64)
     r_mask = float(beta) * actions.sum(axis=1)
     weighted = (q_tot - Tensor(r_mask)) * Tensor(weights)

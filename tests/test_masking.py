@@ -195,8 +195,11 @@ def test_td_loss_gradient_matches_finite_differences():
     def reward_fn(rewards, actions):
         return rewards + 0.05 * actions.sum(axis=1)
 
+    # the stale snapshot is fixed, so y is too; it runs before any live forward
+    y = ctde.td_targets(stale, flat, 0.95, buffers, reward_fn)
+
     def loss(q_tot):
-        return ctde.build_td_loss(stale, flat, q_tot, 0.95, buffers, reward_fn)
+        return ctde.build_td_loss(y, q_tot, buffers)
 
     q_tot, cache = ctde.qtot_forward(net, mixer, flat, buffers)
     analytic = ctde.qtot_backward(net, mixer, cache, loss(q_tot)[1])

@@ -420,3 +420,28 @@ def test_stacked_forward_checks_shape_and_finiteness():
     bad[1, 2, 0] = np.nan
     with pytest.raises(NumericsError):
         mlp.fused_forward(bad)
+
+
+# ---- fused backward: consumes its cache, equals the graph's backward ----
+
+@pytest.mark.parametrize("activations", [["relu", "relu", "identity"],
+                                         ["identity", "relu", "relu"],
+                                         ["relu", "identity", "relu"]])
+@pytest.mark.parametrize("scratch", [False, True], ids=["fresh", "scratch"])
+def test_fused_backward_equals_graph_backward(activations, scratch):
+    # the backward writes each layer's input gradient over that input (a relu
+    # top layer's over the output), never over the forward's input or d_out
+    mlp = Mlp([6, 9, 7, 4], activations, stream(1, "fused-backward", *activations))
+    rng = stream(2, "fused-backward-inputs")
+    x, d_out = rng.uniform(-1.0, 1.0, (40, 6)), rng.uniform(-1.0, 1.0, (40, 4))
+    loss = (mlp.forward(Tensor(x)) * Tensor(d_out)).sum()
+    loss.backward()
+    want = [p.grad for p in mlp.params()]
+    x_seen, d_seen = x.copy(), d_out.copy()
+    ws = nn.Scratch(40) if scratch else nn.FRESH
+    for _ in range(2):  # a consumed cache's arrays serve the next forward
+        out, cache = mlp.fused_forward(x, ws, "k")
+        assert np.array_equal(out, mlp.forward(Tensor(x)).numpy())
+        for i, (got, ref) in enumerate(zip(mlp.fused_backward(cache, d_out), want, strict=True)):
+            assert np.array_equal(got, ref), f"gradient {i}"
+    assert np.array_equal(x, x_seen) and np.array_equal(d_out, d_seen)

@@ -161,6 +161,23 @@ def test_render_spread_grid_contains_landmarks():
     assert "L" in text
 
 
+def test_render_pads_every_cell_to_the_widest_agent_index():
+    # 12 agents: indices up to 11 plus a mark take 3 characters, so each of
+    # the 8 cells of a grid row does, and no two-digit agent shifts its row
+    env = make_env("spread", n_agents=12, grid=8)
+    trace = run_target_episode(env, 5, scripted_policy(env))
+    for step in trace.steps:
+        step.importance = np.arange(12.0)  # agent 11 is starred
+    text = render(record(trace.steps, env.name, env.params, 5), "ascii")
+    lines = text.split("\n")[1:]  # per step: its head line, 8 grid rows, a blank line
+    assert len(lines) == 10 * len(trace.steps)
+    for t in range(len(trace.steps)):
+        head, *grid, gap = lines[10 * t:10 * t + 10]
+        assert head.startswith(f"t={t} ") and head.endswith(" critical=11")
+        assert [len(line) for line in grid] == [24] * 8 and gap == ""
+    assert "11*" in text
+
+
 def _with_header_env(env_name: str, env_params: dict) -> str:
     env = make_env("spread", n_agents=3, grid=6)
     lines = serialize(record(run_target_episode(env, 4, scripted_policy(env)).steps,
