@@ -372,7 +372,7 @@ class Transitions(NamedTuple):
     terminal: np.ndarray     # (N,) bool, True on each episode's last transition
     ep_index: np.ndarray     # (N,) position of the episode in the batch
     t_index: np.ndarray      # (N,) decision time within the episode
-    member: np.ndarray       # (N, n_episodes) 1.0 at (row, ep_index), else 0.0
+    member: np.ndarray       # (N, n_episodes) 1.0 at (row, ep_index), else 0.0; or None
     n_episodes: int
 
 
@@ -384,7 +384,7 @@ class TdBuffers:
     observation columns are the `obs`/`next_obs` of the Transitions that
     _flatten_batch fills, next to the other Transitions arrays. `net`
     (agent rows) and `mix` (transition rows) hold the intermediates, and
-    `mix` the episode membership matrix.
+    `mix` the episode membership matrix that _with_membership fills.
     """
 
     def __init__(self, n_agents: int, obs_dim: int, state_dim: int, max_rows: int):
@@ -417,7 +417,7 @@ class TdBuffers:
 def _flatten_batch(batch: list[Episode], buffers: TdBuffers) -> Transitions:
     """Stack transitions of a batch of episodes into leading-row views of
     `buffers`: one concatenate per field, and the episode and time indices,
-    terminal flags and episode membership from the episode lengths."""
+    and terminal flags from the episode lengths. Its `member` is None."""
     lengths = [ep.length for ep in batch]
     ends = np.cumsum(lengths)
     N = int(ends[-1])
@@ -427,7 +427,7 @@ def _flatten_batch(batch: list[Episode], buffers: TdBuffers) -> Transitions:
     b = buffers
     flat = Transitions(b.obs[:N], b.next_obs[:N], b.states[:N], b.next_states[:N],
                        b.actions[:N], b.rewards[:N], b.terminal[:N], b.ep_index[:N],
-                       b.t_index[:N], b.mix.take("member", N, len(batch)), len(batch))
+                       b.t_index[:N], None, len(batch))
     np.concatenate([ep.obs[:T] for ep, T in zip(batch, lengths)], out=flat.obs)
     np.concatenate([ep.obs[1:T + 1] for ep, T in zip(batch, lengths)], out=flat.next_obs)
     np.concatenate([ep.states[:T] for ep, T in zip(batch, lengths)], out=flat.states)
@@ -438,9 +438,15 @@ def _flatten_batch(batch: list[Episode], buffers: TdBuffers) -> Transitions:
     np.subtract(b.row_ids[:N], (ends - lengths)[flat.ep_index], out=flat.t_index)
     flat.terminal.fill(False)
     flat.terminal[ends - 1] = True
-    flat.member.fill(0.0)
-    flat.member[b.row_ids[:N], flat.ep_index] = 1.0
     return flat
+
+
+def _with_membership(flat: Transitions, buffers: TdBuffers) -> Transitions:
+    """`flat` with its membership matrix filled in `buffers`, for an extra loss."""
+    member = buffers.mix.take("member", len(flat.ep_index), flat.n_episodes)
+    member.fill(0.0)
+    member[buffers.row_ids[:len(member)], flat.ep_index] = 1.0
+    return flat._replace(member=member)
 
 
 def qtot_forward(net: AgentQNet, mixer, flat: Transitions,
@@ -556,8 +562,8 @@ class QLearner:
         (td_targets, given reward_fn), the live forward, then one backward
         that consumes the forward's cache. The loss is build_td_loss's plus,
         if given, extra_loss_fn's term: extra_loss_fn(q_tot, transitions)
-        gets the live Q_tot of the batch and returns (value, d value / d
-        q_tot, stats).
+        gets the live Q_tot of the batch and its transitions, membership
+        filled (only then), and returns (value, d value / d q_tot, stats).
         Its dL/dQ_tot is added to the TD loss's, as autodiff accumulates the
         two at the Q_tot both losses share, and one backward pass follows.
 
@@ -573,6 +579,7 @@ class QLearner:
         loss, d_qtot, stats = build_td_loss(y, q_tot, self.buffers)
         stats["loss_e"] = loss
         if extra_loss_fn is not None:
+            flat = _with_membership(flat, self.buffers)
             extra, d_extra, extra_stats = extra_loss_fn(q_tot, flat)
             loss = loss + extra
             np.add(d_qtot, d_extra, out=d_qtot)

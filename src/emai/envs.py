@@ -299,7 +299,8 @@ class GridBatch:
     without a door. Walls, the tables and the step counter t are shared, so
     all rows end together. positions and landmarks derive the (size, ·, 2)
     grid coordinates. step() and advance() validate the joint actions, for
-    the scalar env too, and raise EnvError on bad input.
+    the scalar env too, and raise EnvError on bad input. The first
+    observations() builds the point slots; a copy never observed skips them.
     """
 
     def __init__(self, env: _GridEnv, tables: GridTables, cells: np.ndarray,
@@ -311,15 +312,7 @@ class GridBatch:
         self.cells = cells
         self.landmark_cells = landmark_cells
         self.door_open = door_open
-        size, n = cells.shape
-        # point slots, one row of cells each: the fixed slots of the tables,
-        # the landmarks, then the agents, whose rows every observation
-        # rewrites (so each batch owns its _points, while the index arrays it
-        # gathers with are shared)
-        self._points = np.concatenate(
-            [np.repeat(tables.fixed[:, None], size, axis=1), landmark_cells.T, cells.T])
-        self._seen, self._layout = _gather_indices(n, len(self._points), size,
-                                                   env.DOOR is not None)
+        self._points = None  # built by the first observations()
 
     @property
     def size(self) -> int:
@@ -327,9 +320,11 @@ class GridBatch:
 
     def repeat(self, count: int, rows=slice(None)) -> "GridBatch":
         """A new batch whose row b * count + j copies row b of self's `rows`, j < count."""
-        return GridBatch(self.env, self.tables, np.repeat(self.cells[rows], count, axis=0),
-                         np.repeat(self.landmark_cells[rows], count, axis=0),
-                         np.repeat(self.door_open[rows], count), self.t, self.done)
+        if isinstance(rows, slice):  # as an index array, which copies where a slice views
+            rows = np.arange(self.size)[rows]
+        copies = [a[rows] if count == 1 else np.repeat(a[rows], count, axis=0)
+                  for a in (self.cells, self.landmark_cells, self.door_open)]
+        return GridBatch(self.env, self.tables, *copies, self.t, self.done)
 
     @property
     def positions(self) -> np.ndarray:
@@ -346,6 +341,11 @@ class GridBatch:
         the _GridEnv docstring gives."""
         tables, cells, points = self.tables, self.cells, self._points
         size, n = cells.shape
+        if points is None:  # slots: the tables' fixed ones, the landmarks, the agents
+            self._points = points = np.concatenate(
+                [np.repeat(tables.fixed[:, None], size, axis=1), self.landmark_cells.T, cells.T])
+            self._seen, self._layout = _gather_indices(n, len(points), size,
+                                                       self.env.DOOR is not None)
         points[-n:] = cells.T
         if self.env.DOOR is not None:
             np.add(self.door_open, tables.size + 1, out=points[1])

@@ -29,6 +29,7 @@ import numpy as np
 
 from .explain import Explainer
 from .masking import _check_compat
+from .nn import _sum_rows
 from .rng import episode_seeds, integers_rows, uniform_rows
 from .rollout import reward_sums, run_lockstep, stderr
 
@@ -75,15 +76,26 @@ def _episode_tags(count: int) -> tuple[np.ndarray]:
     return (np.arange(count),)
 
 
-def _nearest_entries(pkg_obs: np.ndarray, queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _package_columns(pkg_obs: np.ndarray, queries: int) -> np.ndarray:
+    """A package as _nearest_entries takes it: (obs_dim, block, entries), each
+    [:, i] its transpose, for blocks of up to `queries` query rows."""
+    block = min(max(1, queries), max(1, PATCH_DISTANCE_BLOCK // max(1, pkg_obs.size)))
+    return np.ascontiguousarray(np.broadcast_to(pkg_obs.T[:, None], (pkg_obs.shape[1], block,
+                                                                      len(pkg_obs))))
+
+
+def _nearest_entries(columns: np.ndarray, queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per query row: the index of the package entry nearest in Manhattan
-    distance (ties to the lowest index) and that distance. Rows are taken a
-    block at a time, each row's distances summed as in a one-row query."""
-    block = max(1, PATCH_DISTANCE_BLOCK // max(1, pkg_obs.size))
-    best = np.empty(len(queries), dtype=np.int64)
-    dist = np.empty(len(queries))
+    distance (ties to the lowest index) and that distance, bitwise those of
+    np.abs(pkg_obs - queries[:, None]).sum(axis=2). A block of rows, repeated
+    per entry, meets _package_columns in one subtraction, and nn._sum_rows
+    adds the obs_dim slabs: a cost per term, not per (row, entry) pair."""
+    obs_dim, block, entries = columns.shape
+    best, dist = np.empty(len(queries), dtype=np.int64), np.empty(len(queries))
     for lo in range(0, len(queries), block):
-        dists = np.abs(pkg_obs - queries[lo:lo + block, None]).sum(axis=2)
+        terms = np.repeat(queries[lo:lo + block].T, entries, axis=1).reshape(obs_dim, -1, entries)
+        np.subtract(columns[:, :terms.shape[1]], terms, out=terms)
+        dists = _sum_rows(np.abs(terms, out=terms))
         best[lo:lo + block] = np.argmin(dists, axis=1)
         dist[lo:lo + block] = dists[np.arange(len(dists)), best[lo:lo + block]]
     return best, dist
@@ -321,12 +333,13 @@ def apply_patch(package: PatchPackage, explainer: Explainer, target, env,
     seeds, start = _matched_start(target, env, episodes, seed, "patch", 2)
     rows = np.arange(episodes)
     overrides = np.zeros(episodes, dtype=np.int64)
+    columns = _package_columns(package.obs, episodes)
 
     def act(batch, obs):
         actions = target.act_batch(obs)
         critical = _most_critical(explainer, batch, obs, seeds, 1)
         patched = actions[episodes:]  # a view of the patched block
-        best, dist = _nearest_entries(package.obs, obs[episodes + rows, critical])
+        best, dist = _nearest_entries(columns, obs[episodes + rows, critical])
         proposed = package.actions[best]
         hit = (dist < d_th) & (proposed != patched[rows, critical])
         patched[rows[hit], critical[hit]] = proposed[hit]

@@ -357,6 +357,30 @@ def _sum_axis1(a: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
+def _sum_rows(a: np.ndarray) -> np.ndarray:
+    """The sum of a's rows, bitwise np.sum over a contiguous axis of them, in
+    numpy's pairwise order as whole-row ops that overwrite a: below 8 rows one
+    by one; to 128, ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)) of 8
+    strided accumulators, then the rest one by one (pair by pair: numpy would
+    copy a[1::2] in a[0::2] += a[1::2]); above, halves split at a multiple of 8."""
+    n = len(a)
+    if n > 128:
+        out = _sum_rows(a[:n // 2 - n // 2 % 8])
+        out += _sum_rows(a[n // 2 - n // 2 % 8:])
+        return out
+    tail = n - n % 8 if n >= 8 else 1
+    for i in range(8, tail, 8):
+        a[:8] += a[i:i + 8]
+    if n >= 8:
+        for j, k in ((0, 1), (2, 3), (4, 5), (6, 7), (0, 2), (4, 6), (0, 4)):
+            a[j] += a[k]
+    out = a[0]
+    for row in a[tail:]:
+        out += row
+    out += 0.0  # numpy's sum starts from 0.0, so -0.0 sums to 0.0
+    return out
+
+
 def _max_axis1(a: np.ndarray, out: np.ndarray) -> np.ndarray:
     if a.shape[1] >= 8:
         return np.max(a, axis=1, out=out)

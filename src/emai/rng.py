@@ -15,11 +15,12 @@ operation, or any other sequence, taken tag by tag.
 - `uniform_rows` equals its `.uniform(low, high, size)`;
 - `episode_seeds(seed, tag, count)` equals `episode_seed(seed, tag, i)`
   for i < count.
-They share `_pcg_outputs`, which recomputes numpy's SeedSequence mixing, the
-PCG64 seeding and XSL-RR output as array arithmetic over all rows: output j
-is an affine function of the seeded state, so no generator is stepped. The
-root seed is one int for every row or, for `_pcg_outputs` and
-`integers_rows`, one per row (`stream(seeds[r], *head_tags, *tail[r])`).
+They share `_pcg_outputs`, which recomputes numpy's SeedSequence mixing and
+the PCG64 seeding as array arithmetic over all rows. Each output follows as
+an affine function of the seeded state or, in rows of LONG_ROW outputs or
+more, from one PCG64 stepped per row. The root seed is one int for every row
+or, for `_pcg_outputs` and `integers_rows`, one per row (`stream(seeds[r],
+*head_tags, *tail[r])`).
 A row whose bounded draw numpy would reject and redraw (about one draw in
 2**32 at a small bound), or whose own root seed is below 2**32 (one entropy
 word where the other rows have two), is drawn from the scalar stream
@@ -49,6 +50,7 @@ _SEED_THRESHOLD = (1 << 64) % EPISODE_SEED_HIGH
 # bound on the (rows, outputs) block of one _pcg_outputs pass: a block's
 # (2, rows, outputs) uint64 temporaries stay cache-sized
 OUTPUT_BLOCK = 1 << 12
+LONG_ROW = 128  # outputs a row from which _pcg_outputs steps one PCG64 per row
 
 
 def _tag_to_int(tag: object) -> int:
@@ -206,8 +208,13 @@ def _pcg_outputs(seed, head_tags: tuple, tail_columns, rows: int, count: int) ->
     a per-row column has `rows` entries. `seed` may also hold one root seed
     per row; a row whose root seed is below 2**32 (after stream's mask to 64
     bits) has one entropy word fewer, so it takes the raw outputs of its
-    scalar stream. Rows are taken OUTPUT_BLOCK // count at a time, which
-    bounds the temporaries."""
+    scalar stream. Rows of LONG_ROW outputs or more step a PCG64 (~5 us a row),
+    shorter ones take array arithmetic (~50 ns an output, OUTPUT_BLOCK // count
+    rows a pass); they cross at 64-96 outputs. us a call (2 vCPUs), arithmetic/stepped:
+        rows  32 outputs  96         128        390
+        40    181/247     370/277    513/241    1069/259
+        192   538/705     1021/726   1486/790   3008/860
+        1000  1629/3186   4058/3453  5300/3536  16785/4392"""
     for column in tail_columns:
         if np.ndim(column) and len(column) != rows:
             raise ValueError(f"every per-row tail column must have the same length as the "
@@ -225,26 +232,35 @@ def _pcg_outputs(seed, head_tags: tuple, tail_columns, rows: int, count: int) ->
         return out
     words = (seed_words + [_tag_to_int(t) for t in head_tags]
              + [_tag_word(column) for column in tail_columns])
-    s_hi, s_lo, q_hi, q_lo = _seed_sequence_state(words, rows)
-    # the seed s and the increment inc = 2 * initseq + 1 as (2, rows, 1) halves
-    seed_lo = np.stack([s_lo, q_lo << 1 | 1])[:, :, None]
-    seed_hi = np.stack([s_hi, q_hi << 1 | q_lo >> 63])[:, :, None]
-    c_lo, c_hi, c0, c1 = _step_constants(count)
-    block = max(1, OUTPUT_BLOCK // count)
-    for start in range(0, rows, block):
-        x_lo, x_hi = seed_lo[:, start:start + block], seed_hi[:, start:start + block]
-        # A_j * s and C_j * inc mod 2**128 from 32-bit limb products
-        x0, x1 = x_lo & _M32, x_lo >> 32
-        p00, p01, p10, p11 = c0 * x0, c0 * x1, c1 * x0, c1 * x1
-        mid = (p00 >> 32) + (p01 & _M32) + (p10 & _M32)
-        prod_hi = (p11 + (p01 >> 32) + (p10 >> 32) + (mid >> 32) + c_lo * x_hi
-                   + c_hi * x_lo)
-        prod_lo = c_lo * x_lo
-        lo = prod_lo[0] + prod_lo[1]
-        hi = prod_hi[0] + prod_hi[1] + (lo < prod_lo[0])
-        # XSL-RR output
-        xored, rot = hi ^ lo, hi >> 58
-        out[start:start + block] = xored >> rot | xored << ((64 - rot) & 63)
+    s_hi, s_lo, q_hi, q_lo = state = _seed_sequence_state(words, rows)
+    if count >= LONG_ROW:  # PCG64's seeding: ((inc + s) * M + inc) mod 2**128
+        bitgen = np.random.PCG64(0)
+        for r, (sh, sl, qh, ql) in enumerate(zip(*state.tolist())):
+            inc = (qh << 65 | ql << 1 | 1) & _M128
+            seeded = (((sh << 64 | sl) + inc) * _PCG_MULT + inc) & _M128
+            bitgen.state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
+                            "state": {"state": seeded, "inc": inc}}
+            out[r] = bitgen.random_raw(count)
+    else:
+        # the seed s and the increment inc = 2 * initseq + 1 as (2, rows, 1) halves
+        seed_lo = np.stack([s_lo, q_lo << 1 | 1])[:, :, None]
+        seed_hi = np.stack([s_hi, q_hi << 1 | q_lo >> 63])[:, :, None]
+        c_lo, c_hi, c0, c1 = _step_constants(count)
+        block = max(1, OUTPUT_BLOCK // count)
+        for start in range(0, rows, block):
+            x_lo, x_hi = seed_lo[:, start:start + block], seed_hi[:, start:start + block]
+            # A_j * s and C_j * inc mod 2**128 from 32-bit limb products
+            x0, x1 = x_lo & _M32, x_lo >> 32
+            p00, p01, p10, p11 = c0 * x0, c0 * x1, c1 * x0, c1 * x1
+            mid = (p00 >> 32) + (p01 & _M32) + (p10 & _M32)
+            prod_hi = (p11 + (p01 >> 32) + (p10 >> 32) + (mid >> 32) + c_lo * x_hi
+                       + c_hi * x_lo)
+            prod_lo = c_lo * x_lo
+            lo = prod_lo[0] + prod_lo[1]
+            hi = prod_hi[0] + prod_hi[1] + (lo < prod_lo[0])
+            # XSL-RR output
+            xored, rot = hi ^ lo, hi >> 58
+            out[start:start + block] = xored >> rot | xored << ((64 - rot) & 63)
     for r in short:
         out[r] = _row_stream(seed, head_tags, tail_columns, r).bit_generator.random_raw(count)
     return out

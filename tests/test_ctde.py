@@ -534,8 +534,10 @@ def test_flatten_equals_the_per_episode_stack(lengths):
     fields = _flatten_by_episode(batch)
     for i, (got, want) in enumerate(zip(flat[:9], fields, strict=True)):
         assert got.dtype == want.dtype and np.array_equal(got, want), f"field {i}"
+    assert flat.member is None  # only an extra loss reads membership
     member = np.zeros((len(fields[7]), len(batch)))  # the one-hot of each row's episode
     member[np.arange(len(fields[7])), fields[7]] = 1.0
+    flat = ctde._with_membership(flat, buffers)
     assert flat.member.flags.c_contiguous and np.array_equal(flat.member, member)
 
 
@@ -600,3 +602,16 @@ def test_td_buffers_size_at_the_default_keycorridor_config():
     assert held == 8_064_960, f"TdBuffers hold {held} bytes"
     learner.td_train_step(reward_fn, None)
     assert _held_bytes(learner.buffers) == held  # later steps add nothing
+
+
+def test_td_buffers_hold_no_membership_without_an_extra_loss():
+    # the plain TD step of the same config: 245,760 bytes of episode
+    # membership fewer, as only the difference loss reads it
+    learner = _filled_learner({}, episodes=0)
+    spec = make_env("keycorridor").spec
+    rng = stream(1, "held-bytes-episodes")
+    for _ in range(40):
+        learner.buffer.add(_random_episode(rng, spec, spec.horizon))
+    for _ in range(2):
+        learner.td_train_step(lambda rewards, actions: rewards, None)
+        assert _held_bytes(learner.buffers) == 7_819_200

@@ -767,17 +767,36 @@ def test_keycorridor_door_and_reward_tables_equal_the_reduced_rules():
         assert _same_bits(batch.door_open, door | (cells == switch).any(axis=1))
 
 
+def _observed(batch):
+    """The batch, once it has built its point slots and gather indices."""
+    batch.observations()
+    return batch
+
+
 def test_batches_of_one_shape_share_their_gather_indices():
     env = make_env("keycorridor")
-    batch = env.reset_batch([1, 2, 3])
-    copy_ = batch.repeat(1)
+    batch = _observed(env.reset_batch([1, 2, 3]))
+    copy_ = _observed(batch.repeat(1))
     assert copy_._seen is batch._seen and copy_._layout is batch._layout
     # writeable, though never written: take() copies read-only indices each call
     assert batch._seen.flags.writeable and batch._layout.flags.writeable
     assert copy_._points is not batch._points  # observations() writes into _points
-    assert env.reset_batch([4, 5, 6])._seen is batch._seen
-    assert batch.repeat(2)._seen is not batch._seen
-    assert make_env("spread").reset_batch([1])._layout is None
+    assert _observed(env.reset_batch([4, 5, 6]))._seen is batch._seen
+    assert _observed(batch.repeat(2))._seen is not batch._seen
+    assert _observed(make_env("spread").reset_batch([1]))._layout is None
+
+
+@pytest.mark.parametrize("rows", [slice(1, 3), [2, 0]])
+def test_a_row_copy_that_never_observes_builds_no_point_slots(rows):
+    env = make_env("keycorridor")
+    batch = _observed(env.reset_batch([1, 2, 3]))
+    copy_ = batch.repeat(1, rows)
+    assert copy_._points is None and not hasattr(copy_, "_seen")
+    # its own rows: a step sets the copy's door flags in place, not the batch's
+    door = batch.door_open.copy()
+    copy_.door_open[:] = True
+    assert np.array_equal(batch.door_open, door)
+    assert np.array_equal(copy_.cells, batch.cells[rows]) and copy_._points is None
 
 
 @pytest.mark.parametrize("name,params", [("keycorridor", {}), ("spread", {"grid": 5})])

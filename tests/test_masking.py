@@ -136,11 +136,12 @@ def _toy_batch(n_agents=2, obs_dim=3, state_dim=3, T=4, episodes=3, seed=0):
 
 
 def _flatten(batch):
-    """The batch's Transitions in TdBuffers sized for it, and those buffers."""
+    """The batch's Transitions, membership filled, in TdBuffers sized for
+    it, and those buffers."""
     ep = batch[0]
     buffers = ctde.TdBuffers(ep.obs.shape[1], ep.obs.shape[2], ep.states.shape[1],
                              sum(e.length for e in batch))
-    return ctde._flatten_batch(batch, buffers), buffers
+    return ctde._with_membership(ctde._flatten_batch(batch, buffers), buffers), buffers
 
 
 def _diff_loss(batch, net, mixer, **kwargs):
