@@ -208,9 +208,12 @@ def cmd_patch(cfg: dict, out_dir: Path) -> list[Path]:
 
 def cmd_render(path: str, mode: str, out: str | None) -> int:
     p = Path(path)
-    if not p.exists():
+    if not p.is_file():
         raise MissingArtifactError(f"replay file not found: {p}")
-    rec = replay.parse(p.read_text(encoding="utf-8"))
+    try:
+        rec = replay.parse(p.read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ReplayError(f"replay {p} is not UTF-8: {exc}") from exc
     text = replay.render(rec, mode=mode)
     if out:
         Path(out).write_text(text, encoding="utf-8")

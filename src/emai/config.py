@@ -211,11 +211,11 @@ def load_config(path: str | Path | None, overrides: list[str] = ()) -> dict:
     raw: dict = {}
     if path is not None:
         p = Path(path)
-        if not p.exists():
+        if not p.is_file():
             raise MissingArtifactError(f"config file not found: {p}")
         try:
             raw = json.loads(p.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise ConfigError(f"config {p} is not valid JSON: {exc}") from exc
         if not isinstance(raw, dict):
             raise ConfigError("config root must be a JSON object")
@@ -231,7 +231,7 @@ def load_config(path: str | Path | None, overrides: list[str] = ()) -> dict:
 def _check_paths(cfg: dict) -> None:
     for section, key in (("target", "checkpoint"), ("explainer", "checkpoint")):
         value = cfg[section][key]
-        if value is not None and not Path(value).exists():
+        if value is not None and not Path(value).is_file():
             raise MissingArtifactError(f"{section}.{key} points to a missing file: {value}")
 
 

@@ -6,10 +6,10 @@ combines the chosen per-agent values into a team value. The same trainer
 serves both the target-policy learner and the masking-agent learner;
 callers can add an extra loss term on the same Q_tot to the TD loss.
 
-Training and Q inference are graph-free: the net (`Mlp.fused_forward`/
-`fused_backward`) and the mixer (`mix`/`mix_backward`) compute the same
-float ops that the `nn.Tensor` graph would, so results are bitwise those of
-autodiff.
+Training and Q inference are graph-free: the net (`Mlp.forward`/`backward`)
+and the mixer (`mix`/`mix_backward`) compute the same float ops that a
+reverse-mode graph of the same layers would (the tests' reference,
+`tests/autodiff.py`), so results are bitwise those of autodiff.
 
 Buffers: a `QLearner` owns one `TdBuffers`, sized for batch_episodes x
 horizon transitions. The TD step's functions (_flatten_batch, td_targets,
@@ -98,9 +98,9 @@ class AgentQNet:
 
     def fused_forward(self, observations: np.ndarray, agent_ids) -> tuple[np.ndarray, tuple]:
         """The one query kernel: Q (B, k, n_actions) of agent_inputs' rows, and
-        the Mlp.fused_forward cache. One stacked forward, so block b rounds
-        exactly as the forward of block b alone, whatever B is."""
-        return self.mlp.fused_forward(agent_inputs(observations, agent_ids, self.n_agents))
+        the Mlp.forward cache. One stacked forward, so block b rounds exactly
+        as the forward of block b alone, whatever B is."""
+        return self.mlp.forward(agent_inputs(observations, agent_ids, self.n_agents))
 
     def agent_rows_forward(self, observations: np.ndarray) -> tuple[np.ndarray, tuple]:
         """fused_forward over (B * n, 1, in) one-row blocks of a stack
@@ -174,18 +174,18 @@ class MonotonicMixer:
         B, n, E = chosen_q.shape[0], self.n_agents, self.embed_dim
         s = np.asarray(states, dtype=np.float64)
         q = chosen_q.reshape(B, n, 1)
-        h1, c1 = self.hyper_w1.fused_forward(s, ws, "w1")
+        h1, c1 = self.hyper_w1.forward(s, ws, "w1")
         w1q = np.abs(h1.reshape(B, n, E), out=ws.take("prod", B, n, E))
         np.multiply(q, w1q, out=w1q)
         pre = nn._sum_axis1(w1q, ws.take("pre", B, E))
-        b1, cb1 = self.hyper_b1.fused_forward(s, ws, "b1")
+        b1, cb1 = self.hyper_b1.forward(s, ws, "b1")
         np.add(pre, b1, out=pre)
         nn._check_finite(pre, "mixer hidden pre-activation")
         hidden = nn._elu_f(pre, out=ws.take("hidden", B, E), ws=ws)
-        h2, c2 = self.hyper_w2.fused_forward(s, ws, "w2")
+        h2, c2 = self.hyper_w2.forward(s, ws, "w2")
         w2h = np.abs(h2, out=pre)
         np.multiply(hidden, w2h, out=w2h)
-        v, cv = self.hyper_v.fused_forward(s, ws, "v")
+        v, cv = self.hyper_v.forward(s, ws, "v")
         q_tot = np.sum(w2h, axis=1, out=ws.take("q_tot", B))
         np.add(q_tot, v.reshape(B), out=q_tot)
         nn._check_finite(q_tot, "mixer output")
@@ -195,7 +195,7 @@ class MonotonicMixer:
         """(dL/dchosen_q, parameter gradients in params() order) for the
         upstream dL/dQ_tot; the same float ops as the graph's backward. The
         gradients are new arrays; dL/dchosen_q is a view into the forward's
-        Scratch. Like Mlp.fused_backward it consumes its cache: dL/dh2 goes
+        Scratch. Like Mlp.backward it consumes its cache: dL/dh2 goes
         into the ELU output, and sign(h1) and sign(h2) into h1 and h2, each
         once the backward has read it."""
         q, h1, c1, cb1, hidden, h2, c2, cv, ws = cache
@@ -211,10 +211,10 @@ class MonotonicMixer:
         d_chosen = np.sum(prod, axis=2, out=ws.take("d_chosen", B, n))
         d_h1 = np.multiply(g3, q, out=prod).reshape(B, n * E)
         np.multiply(d_h1, np.sign(h1, out=h1), out=d_h1)
-        grads = (self.hyper_w1.fused_backward(c1, d_h1)
-                 + self.hyper_b1.fused_backward(cb1, d_pre)
-                 + self.hyper_w2.fused_backward(c2, d_h2)
-                 + self.hyper_v.fused_backward(cv, d_qtot.reshape(B, 1)))
+        grads = (self.hyper_w1.backward(c1, d_h1)
+                 + self.hyper_b1.backward(cb1, d_pre)
+                 + self.hyper_w2.backward(c2, d_h2)
+                 + self.hyper_v.backward(cv, d_qtot.reshape(B, 1)))
         return d_chosen, grads
 
     def params(self) -> list[Tensor]:
@@ -457,7 +457,7 @@ def qtot_forward(net: AgentQNet, mixer, flat: Transitions,
     N, n, _ = flat.obs.shape
     ws_net, ws_mix = buffers.net, buffers.mix
     x = buffers.inputs[:N].reshape(N * n, -1)
-    q_all, net_cache = net.mlp.fused_forward(x, ws_net, "q")
+    q_all, net_cache = net.mlp.forward(x, ws_net, "q")
     pick = ws_net.take("pick", N * n, net.n_actions)
     pick.fill(0.0)
     pick[buffers.row_ids[:N * n], flat.actions.reshape(-1)] = 1.0
@@ -477,7 +477,7 @@ def qtot_backward(net: AgentQNet, mixer, cache: tuple, d_qtot: np.ndarray) -> li
     N, n = d_chosen.shape
     d_q = net_cache[1].take("d_q", *pick.shape)
     np.multiply(d_chosen[:, :, None], pick.reshape(N, n, -1), out=d_q.reshape(N, n, -1))
-    return net.mlp.fused_backward(net_cache, d_q) + mixer_grads
+    return net.mlp.backward(net_cache, d_q) + mixer_grads
 
 
 def stale_max_qtot(stale: StaleCopy, next_obs: np.ndarray, next_states: np.ndarray,
@@ -485,8 +485,7 @@ def stale_max_qtot(stale: StaleCopy, next_obs: np.ndarray, next_states: np.ndarr
     """max over joint actions of the stale Q_tot, via per-agent stale argmax.
     It runs in the arrays of qtot_forward, so it comes before that."""
     S, n, _ = next_obs.shape
-    q, _ = stale.net.mlp.fused_forward(buffers.next_inputs[:S].reshape(S * n, -1),
-                                       buffers.net, "q")
+    q, _ = stale.net.mlp.forward(buffers.next_inputs[:S].reshape(S * n, -1), buffers.net, "q")
     max_q = nn._max_axis1(q, buffers.net.take("max_q", S * n)).reshape(S, n)
     return stale.mixer.mix(max_q, next_states, buffers.mix)[0]
 

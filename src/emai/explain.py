@@ -164,8 +164,10 @@ class GradientBasedExplainer(Explainer):
 
     p is the softmax of the target's Q values at temperature 1 and the chosen
     action their argmax (lowest index on ties); the score is the L1 norm of
-    d log p(chosen) / d obs per agent, formed in closed form in the float
-    order of backpropagating log p through the graph, with no weight gradient.
+    d log p(chosen) / d obs per agent, formed in closed form (dL/dQ, then
+    Mlp.input_grad) in the float order of backpropagating log p through a
+    reverse-mode graph of the net, with no weight gradient; the tests pin it
+    against such a graph (tests/autodiff.py).
     """
 
     kind = "gradient"
@@ -182,7 +184,7 @@ class GradientBasedExplainer(Explainer):
         # the one-hot of each row's argmax (lowest index on ties), added as 0.0/1.0
         pick = np.equal(np.arange(net.n_actions), q.argmax(axis=-1)[..., None])
         d_q = (-1.0 / e.sum(axis=-1, keepdims=True)) * e + pick
-        grad = net.mlp.fused_input_grad(cache, d_q)
+        grad = net.mlp.input_grad(cache, d_q)
         return np.abs(grad[:, 0, :net.obs_dim]).sum(axis=1).reshape(observations.shape[:2])
 
 

@@ -11,6 +11,7 @@ keep-minus-mask value gap is the canonical importance score.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +32,13 @@ _CHECKPOINT_KEYS = frozenset(("format", "v", *_SCALARS, "target_checksum", "ctde
 
 class IncompatibilityError(RuntimeError):
     """Target, environment and explainer artifacts do not fit together."""
+
+
+def _check_weights(beta: float, lam: float) -> None:
+    """ValueError unless the sparsity weight beta and the difference-loss
+    weight lambda are finite and >= 0."""
+    if not (0 <= beta < math.inf and 0 <= lam < math.inf):
+        raise ValueError(f"beta and lambda must be >= 0 and finite, got {beta} and {lam}")
 
 
 def apply_mask(action: int, mask_bit: int, n_actions: int, rng: np.random.Generator) -> int:
@@ -97,8 +105,7 @@ class MaskingPolicy:
             raise ValueError("masking policy needs exactly the actions {keep, mask}")
         if mixer is None:
             raise ValueError("masking policy needs a mixer")
-        if beta < 0 or lam < 0:
-            raise ValueError("beta and lambda must be >= 0")
+        _check_weights(beta, lam)
         self.qnet = qnet
         self.mixer = mixer
         self.beta = float(beta)
@@ -185,16 +192,15 @@ def train_emai(target, env, config: dict | None = None, seed: int = 0,
     spec = env.spec
     learner = QLearner(spec, 2, seed, cfg)  # checks the config before the baseline runs
     gamma = float(cfg["gamma"])
+    beta, lam = cfg["beta"], float(cfg["lambda"])
+    _check_weights(float(cfg["beta_scale"] if beta is None else beta), lam)  # before the baseline
     if baseline is None:
         baseline = estimate_baseline_return(target, env, int(cfg["baseline_episodes"]),
                                             gamma, seed=seed)
-    beta = cfg["beta"]
     if beta is None:
         beta = float(cfg["beta_scale"]) * baseline.reward_scale
+        _check_weights(beta, lam)
     beta = float(beta)
-    lam = float(cfg["lambda"])
-    if beta < 0 or lam < 0:
-        raise ValueError("beta and lambda must be >= 0")
 
     def reward_fn(rewards, actions):
         return rewards + beta * actions.sum(axis=1)

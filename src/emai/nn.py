@@ -1,27 +1,29 @@
-"""Dense-tensor computation graph with reverse-mode differentiation, plus a
-fused graph-free forward/backward for the fixed-layout MLP.
+"""The fixed-layout MLP's graph-free forward and backward, its parameter
+type, the activation and reduction kernels they share with the mixer, and an
+adaptive-moment optimizer.
 
-Small by design: numpy arrays as storage, a handful of differentiable ops,
-feedforward MLPs and an adaptive-moment optimizer. NaN/Inf is a hard error
-(`NumericsError`), never a silent value. Where the guard runs:
+Small by design: numpy arrays as storage, feedforward MLPs whose forward,
+backward and input gradient are fused kernels over a whole batch, and one
+flat Adam. NaN/Inf is a hard error (`NumericsError`), never a silent value.
+Where the guard runs:
 
-- graph ops (`Tensor`, used by `grad_check` and `Mlp.forward`):
-  every op result and every accumulated gradient;
-- fused MLP (`Mlp.fused_forward`, used for training and Q inference): the
-  input and every layer's pre-activation, before the activation overwrites
-  it in place, so an overflow that a later ReLU would zero still raises;
+- `Mlp.forward` (training and Q inference): the input and every layer's
+  pre-activation, before the activation overwrites it in place, so an
+  overflow that a later ReLU would zero still raises;
+- `Tensor`: a parameter's values when it is built, and every accumulated
+  gradient;
 - `Adam.step`: the flat gradient before any update, and the flat updated
   parameters; either raise names the first offending parameter's index.
 
 The fused training step (`ctde.QLearner.td_train_step`) also checks the
 mixer's ELU input and output and the loss; its parameter gradients are
-checked by the optimizer step.
+checked by the optimizer step. The reverse-mode graph that the kernels'
+float ops are pinned against lives with the tests (`tests/autodiff.py`).
 """
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager
-from typing import Callable, Hashable, Iterator, Sequence
+from typing import Callable, Hashable, Sequence
 
 import numpy as np
 
@@ -34,21 +36,6 @@ class NumericsError(RuntimeError):
 
 class ShapeError(ValueError):
     """Operands have incompatible shapes for the requested op."""
-
-
-_grad_enabled = True
-
-
-@contextmanager
-def no_grad() -> Iterator[None]:
-    """Disable graph recording inside the block (pure inference)."""
-    global _grad_enabled
-    prev = _grad_enabled
-    _grad_enabled = False
-    try:
-        yield
-    finally:
-        _grad_enabled = prev
 
 
 class Scratch:
@@ -95,18 +82,13 @@ def _check_finite(data: np.ndarray, what: str) -> None:
         raise NumericsError(f"non-finite values in {what}")
 
 
-def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """Sum gradient contributions back down to the pre-broadcast shape."""
-    extra = grad.ndim - len(shape)
-    if extra > 0:
-        grad = grad.sum(axis=tuple(range(extra)))
-    axes = tuple(i for i, s in enumerate(shape) if s == 1 and grad.shape[i] != 1)
-    if axes:
-        grad = grad.sum(axis=axes, keepdims=True)
-    return grad.reshape(shape)
-
-
 class Tensor:
+    """A parameter (.data, and the .grad a backward or its caller sets) and
+    the node type of a reverse-mode graph: a node holds its parents and the
+    function that sends its gradient on to them, and backward() walks the
+    graph. No product code builds a graph; the tests' reference does."""
+
+    # bench/tracing.py resolves Tensor.backward and Mlp.forward by name
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
 
     def __init__(self, data, requires_grad: bool = False):
@@ -117,25 +99,10 @@ class Tensor:
         self._parents: tuple[Tensor, ...] = ()
         self._backward: Callable[[np.ndarray], None] | None = None
 
-    # ---- basic introspection ----
     @property
     def shape(self) -> tuple[int, ...]:
         return self.data.shape
 
-    @property
-    def ndim(self) -> int:
-        return self.data.ndim
-
-    def item(self) -> float:
-        return float(self.data.reshape(-1)[0]) if self.data.size == 1 else _scalar_err(self)
-
-    def numpy(self) -> np.ndarray:
-        return self.data
-
-    def zero_grad(self) -> None:
-        self.grad = None
-
-    # ---- graph construction ----
     def _accum(self, g: np.ndarray) -> None:
         _check_finite(g, "gradient")
         if self.grad is None:
@@ -170,136 +137,8 @@ class Tensor:
                 node._backward = None
                 node.grad = None  # interior grads are not retained
 
-    # ---- operators ----
-    def __add__(self, other):
-        return add(self, other)
 
-    __radd__ = __add__
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __sub__(self, other):
-        return add(self, -_as_tensor(other))
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def sum(self, axis: int | None = None):
-        return tsum(self, axis)
-
-    def mean(self):
-        return tsum(self) * (1.0 / self.data.size)
-
-    def reshape(self, *shape):
-        return reshape(self, shape if len(shape) > 1 else shape[0])
-
-    def elu(self):
-        return elu(self)
-
-    def abs(self):
-        return tabs(self)
-
-    def exp(self):
-        return texp(self)
-
-    def log(self):
-        return tlog(self)
-
-
-def _scalar_err(t: Tensor):
-    raise ShapeError(f"expected a scalar tensor, got shape {t.shape}")
-
-
-def _as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
-
-
-def _make(data: np.ndarray, parents: tuple[Tensor, ...],
-          backward: Callable[[np.ndarray], None]) -> Tensor:
-    out = Tensor(data)
-    if _grad_enabled and any(p.requires_grad for p in parents):
-        out.requires_grad = True
-        out._parents = parents
-        out._backward = backward
-    return out
-
-
-# ---- differentiable ops ----
-# _make records an op's backward only if an operand requires grad, so a
-# one-operand backward accumulates into its operand unconditionally.
-
-def add(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    data = a.data + b.data
-
-    def bw(g):
-        if a.requires_grad:
-            a._accum(_unbroadcast(g, a.shape))
-        if b.requires_grad:
-            b._accum(_unbroadcast(g, b.shape))
-
-    return _make(data, (a, b), bw)
-
-
-def mul(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    data = a.data * b.data
-
-    def bw(g):
-        if a.requires_grad:
-            a._accum(_unbroadcast(g * b.data, a.shape))
-        if b.requires_grad:
-            b._accum(_unbroadcast(g * a.data, b.shape))
-
-    return _make(data, (a, b), bw)
-
-
-def matmul(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    if a.ndim < 2 or b.ndim < 2:
-        raise ShapeError(f"matmul requires >=2-D operands, got {a.shape} and {b.shape}")
-    if a.shape[-1] != b.shape[-2]:
-        raise ShapeError(f"matmul inner dims differ: {a.shape} vs {b.shape}")
-    data = a.data @ b.data
-
-    def bw(g):
-        if a.requires_grad:
-            a._accum(_unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape))
-        if b.requires_grad:
-            b._accum(_unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape))
-
-    return _make(data, (a, b), bw)
-
-
-def tsum(a, axis: int | None = None) -> Tensor:
-    a = _as_tensor(a)
-    data = a.data.sum(axis=axis)
-
-    def bw(g):
-        if axis is not None:
-            g = np.expand_dims(g, axis)
-        a._accum(np.broadcast_to(g, a.shape).copy())
-
-    return _make(data, (a,), bw)
-
-
-def reshape(a, shape) -> Tensor:
-    a = _as_tensor(a)
-    data = a.data.reshape(shape)
-
-    def bw(g):
-        a._accum(g.reshape(a.shape))
-
-    return _make(data, (a,), bw)
-
-
-# Activation arithmetic, shared by the graph ops and the fused MLP: forward
+# Activation arithmetic, shared by the fused MLP and the mixer: forward
 # f(z) and backward (g, y) -> dL/dz, for the incoming g = dL/dy and the
 # output y = f(z) of a finite z. Each gives the bits of the textbook form
 # (z where z > 0, else expm1(z); g * (1 where y > 0, else y + 1)) without a
@@ -390,65 +229,9 @@ def _max_axis1(a: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def relu(a) -> Tensor:
-    a = _as_tensor(a)
-    data = _relu_f(a.data)
-
-    def bw(g):
-        a._accum(_relu_b(g, data))
-
-    return _make(data, (a,), bw)
-
-
-def elu(a) -> Tensor:
-    a = _as_tensor(a)
-    data = _elu_f(a.data)
-
-    def bw(g):
-        a._accum(_elu_b(g, data))
-
-    return _make(data, (a,), bw)
-
-
-def tabs(a) -> Tensor:
-    a = _as_tensor(a)
-    data = np.abs(a.data)
-
-    def bw(g):
-        a._accum(g * np.sign(a.data))
-
-    return _make(data, (a,), bw)
-
-
-def texp(a) -> Tensor:
-    a = _as_tensor(a)
-    data = np.exp(a.data)
-    _check_finite(data, "exp")
-
-    def bw(g):
-        a._accum(g * data)
-
-    return _make(data, (a,), bw)
-
-
-def tlog(a) -> Tensor:
-    a = _as_tensor(a)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        data = np.log(a.data)
-    _check_finite(data, "log")
-
-    def bw(g):
-        a._accum(g / a.data)
-
-    return _make(data, (a,), bw)
-
-
 # ---- MLP ----
 
-_ACTIVATIONS: dict[str, Callable[[Tensor], Tensor]] = {
-    "relu": relu,
-    "identity": lambda t: t,
-}
+_ACTIVATIONS = ("relu", "identity")
 
 
 class Mlp:
@@ -478,40 +261,23 @@ class Mlp:
             self.weights.append(Tensor(w, requires_grad=True))
             self.biases.append(Tensor(b, requires_grad=True))
 
-    def forward(self, x) -> Tensor:
-        x = _as_tensor(x)
-        if x.shape[-1] != self.layer_sizes[0]:
-            raise ShapeError(
-                f"input last dim {x.shape} incompatible with first layer size "
-                f"({self.layer_sizes[0]},)")
-        if x.ndim == 1:
-            x = reshape(x, (1, -1))
-            squeeze = True
-        else:
-            squeeze = False
-        for w, b, act in zip(self.weights, self.biases, self.activations):
-            x = _ACTIVATIONS[act](matmul(x, w) + b)
-        return reshape(x, (x.shape[-1],)) if squeeze and x.shape[0] == 1 else x
-
-    __call__ = forward
-
-    def fused_forward(self, x: np.ndarray, ws: Scratch = FRESH,
-                      key: Hashable = "layer") -> tuple[np.ndarray, tuple]:
+    def forward(self, x: np.ndarray, ws: Scratch = FRESH,
+                key: Hashable = "layer") -> tuple[np.ndarray, tuple]:
         """Graph-free forward of a (B, in) batch -> (B, out), plus the cache
-        for fused_backward: the layer inputs and the output, and `ws`.
+        for backward: the layer inputs and the output, and `ws`.
 
         A stacked (B, r, in) input gives (B, r, out): each layer is one
         stacked matmul, which numpy computes block by block, so block b's
-        rows round exactly as fused_forward(x[b]) would, whatever B is. (A
-        flat (B * r, in) batch can round a row differently than an r-row
-        one.) fused_backward takes the cache of a (B, in) forward only.
+        rows round exactly as forward(x[b]) would, whatever B is. (A flat
+        (B * r, in) batch can round a row differently than an r-row one.)
+        backward takes the cache of a (B, in) forward only.
 
         Layer i's output is written into ws under (key, i), where it stays
-        until the next forward with that key or until fused_backward
-        consumes it. On FRESH, np.matmul allocates each layer's output
-        itself. Same float ops as forward(). The input and every layer's
-        pre-activation are checked finite (NumericsError) before the
-        activation overwrites the pre-activation in place.
+        until the next forward with that key or until backward consumes
+        it. On FRESH, np.matmul allocates each layer's output itself. Same
+        float ops as the graph's matmul, add and relu. The input and every
+        layer's pre-activation are checked finite (NumericsError) before
+        the activation overwrites the pre-activation in place.
         """
         if x.ndim not in (2, 3) or x.shape[-1] != self.layer_sizes[0]:
             raise ShapeError(f"input shape {x.shape} vs expected (*, {self.layer_sizes[0]}) "
@@ -527,15 +293,15 @@ class Mlp:
             outs.append(x)
         return x, (outs, ws)
 
-    def fused_backward(self, cache: tuple[list, Scratch], d_out: np.ndarray) -> list[np.ndarray]:
+    def backward(self, cache: tuple[list, Scratch], d_out: np.ndarray) -> list[np.ndarray]:
         """Parameter gradients, in params() order, for the upstream gradient
-        d_out of fused_forward's output. The input's gradient is not formed.
+        d_out of forward's output. The input's gradient is not formed.
 
         The gradients are new arrays. The backward consumes its cache: once
         layer i's parameter gradients are formed, the gradient of its input
         is written over that input (a relu top layer's over the output), so
         a cache serves one backward. The input and d_out are never written.
-        Same float ops as Tensor.backward() through forward().
+        Same float ops as the graph's backward through the same layers.
         """
         outs, ws = cache
         grads = [None] * (2 * len(self.weights))
@@ -552,11 +318,11 @@ class Mlp:
                     np.multiply(g, mask, out=g)
         return grads
 
-    def fused_input_grad(self, cache: tuple[list, Scratch], d_out: np.ndarray) -> np.ndarray:
-        """The gradient of fused_forward's input for the upstream gradient
-        d_out, checked finite; no parameter gradient is formed. Takes the
-        cache of a forward whose layers did not share a Scratch array (as
-        with FRESH). Same float ops as Tensor.backward() through forward()."""
+    def input_grad(self, cache: tuple[list, Scratch], d_out: np.ndarray) -> np.ndarray:
+        """The gradient of forward's input for the upstream gradient d_out,
+        checked finite; no parameter gradient is formed. Takes the cache of
+        a forward whose layers did not share a Scratch array (as with
+        FRESH). Same float ops as the graph's backward through the same layers."""
         outs, _ = cache
         g = d_out
         for i in reversed(range(len(self.weights))):
@@ -650,8 +416,8 @@ class Adam:
 
     def __init__(self, params: Sequence[Tensor], lr: float,
                  betas: tuple[float, float] = (0.9, 0.999), eps: float = 1e-8):
-        if lr <= 0:
-            raise ValueError("learning_rate must be > 0")
+        if not 0 < lr < math.inf:
+            raise ValueError(f"learning_rate must be > 0 and finite, got {lr}")
         if not (0 < betas[0] < 1 and 0 < betas[1] < 1):
             raise ValueError("moment decay coefficients must lie in (0, 1)")
         self.params = list(params)
@@ -718,50 +484,3 @@ class Adam:
         np.subtract(self._flat, np.divide(a, b, out=a), out=self._flat)
         self._check(self._flat, "updated parameter")
 
-
-# ---- gradient verification ----
-
-def grad_check(fn: Callable[[], Tensor], params: Sequence[Tensor],
-               epsilon: float = 1e-4) -> float:
-    """Max relative error of reverse-mode grads vs central finite differences.
-
-    `fn` must rebuild and return the scalar loss from the current parameter
-    values each time it is called; the numeric side never touches autodiff.
-    """
-    for p in params:
-        p.zero_grad()
-    loss = fn()
-    loss.backward()
-    analytic = [np.zeros_like(p.data) if p.grad is None else p.grad.copy()
-                for p in params]
-
-    def value() -> float:
-        with no_grad():
-            return fn().item()
-
-    worst = fd_max_rel_error(value, params, analytic, epsilon)
-    for p in params:
-        p.zero_grad()
-    return worst
-
-
-def fd_max_rel_error(value_fn: Callable[[], float], params: Sequence[Tensor],
-                     analytic: Sequence[np.ndarray], epsilon: float = 1e-4) -> float:
-    """Max relative error of `analytic` gradients (one array per parameter)
-    vs central finite differences of value_fn(), which must recompute the
-    loss from the current parameter values."""
-    worst = 0.0
-    for p, ana in zip(params, analytic, strict=True):
-        flat = p.data.reshape(-1)
-        for j in range(flat.size):
-            orig = flat[j]
-            flat[j] = orig + epsilon
-            up = value_fn()
-            flat[j] = orig - epsilon
-            down = value_fn()
-            flat[j] = orig
-            numeric = (up - down) / (2.0 * epsilon)
-            a = ana.reshape(-1)[j]
-            err = abs(a - numeric) / max(1e-8, abs(a) + abs(numeric))
-            worst = max(worst, err)
-    return worst

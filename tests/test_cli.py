@@ -76,6 +76,25 @@ def test_render_malformed_replay_exit_5(tmp_path):
     assert main(["render", str(bad)]) == 5
 
 
+@pytest.mark.parametrize("args,code,message", [
+    pytest.param(["render", "{tmp}"], 3, "replay file not found", id="replay-directory"),
+    pytest.param(["train-emai", "--config", "{tmp}"], 3, "config file not found",
+                 id="config-directory"),
+    pytest.param(["eval-fidelity", "--set", "target.kind=learned",
+                  "--set", "target.checkpoint={tmp}"], 3, "points to a missing file",
+                 id="checkpoint-directory"),
+    pytest.param(["train-emai", "--config", "{tmp}/latin1"], 2, "is not valid JSON",
+                 id="config-not-utf8"),
+    pytest.param(["render", "{tmp}/latin1"], 5, "is not UTF-8", id="replay-not-utf8"),
+])
+def test_directory_or_undecodable_input_path(tmp_path, capsys, args, code, message):
+    (tmp_path / "latin1").write_bytes('{"seed": "\xe9"}\n'.encode("latin-1"))
+    args = [a.replace("{tmp}", str(tmp_path)) for a in args]
+    assert main(args + ([] if args[0] == "render" else ["--out", str(tmp_path / "o")])) == code
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_train_emai_then_eval_fidelity_roundtrip(tmp_path):
     cfg_path = _write_cfg(tmp_path, FAST_EMAI)
     train_out = tmp_path / "train"
@@ -479,6 +498,10 @@ def test_ill_typed_config_value_exit_2(tmp_path, override):
     ("patch", ["eval.harvest_episodes=3"], "harvest_episodes must be >= 10"),
     ("train-target", ["training.lr=-1"], "learning_rate must be > 0"),
     ("train-emai", ["emai.beta=-1"], "beta and lambda must be >= 0"),
+    ("train-emai", ["emai.lambda=NaN"], "beta and lambda must be >= 0"),
+    ("train-emai", ["emai.lambda=Infinity"], "beta and lambda must be >= 0"),
+    ("train-emai", ["emai.beta=NaN"], "beta and lambda must be >= 0"),
+    ("train-emai", ["training.lr=NaN"], "learning_rate must be > 0"),
     ("train-target", ["training.steps=50", "training.batch_episodes=0"],
      "batch_episodes must be >= 1"),
     ("train-target", ["training.steps=50", "training.stale_interval=0"],
@@ -501,6 +524,8 @@ def test_ill_typed_config_value_exit_2(tmp_path, override):
 ], ids=["attack-noise_eps", "attack-noise_eps-overflow", "attack-noise_eps-nan",
         "eval-fidelity-episodes", "patch-quantile",
         "patch-harvest_episodes", "train-target-lr", "train-emai-beta",
+        "train-emai-lambda-nan", "train-emai-lambda-inf", "train-emai-beta-nan",
+        "train-emai-lr-nan",
         "train-target-batch_episodes", "train-target-stale_interval",
         "train-target-mix_embed", "train-target-hidden", "train-target-buffer_episodes",
         "train-target-steps", "explain-explain_episodes", "train-target-gamma",

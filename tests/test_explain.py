@@ -11,13 +11,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from autodiff import Tensor, mlp_forward
 from emai import explain as explain_mod
 from emai.envs import KeyCorridor, make_env
 from emai.explain import (EmaiExplainer, ExplainContext, Explainer, GradientBasedExplainer,
                           McOracleExplainer, RandomExplainer, ValueBasedExplainer,
                           make_explainer, mc_counterfactual_oracle)
 from emai.masking import MaskingPolicy
-from emai.nn import NumericsError, ShapeError, Tensor
+from emai.nn import NumericsError, ShapeError
 from emai.rng import episode_seed, stream
 from emai.rollout import greedy_actions, replay_prefix, run_lockstep, run_target_episode
 from emai.target import (AgentQNet, CapabilityError, LearnedPolicy,
@@ -139,7 +140,7 @@ def _graph_saliency(qnet, observations) -> np.ndarray:
     for i in range(len(observations)):
         obs = np.asarray(observations[i], dtype=np.float64)
         x = Tensor(np.concatenate([obs, np.eye(qnet.n_agents)[i]]), requires_grad=True)
-        q = mlp.forward(x)
+        q = mlp_forward(mlp, x)
         chosen = int(np.argmax(q.numpy()))
         shift = float(q.numpy().max())
         log_z = (q - shift).exp().sum().log() + shift

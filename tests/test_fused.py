@@ -1,8 +1,8 @@
 """The fused numpy TD step against the autodiff graph it replaced.
 
 The graph-built TD and difference losses below are the reference: they are
-the pre-fusion production code, written with `nn.Tensor` ops. The fused path
-must give bitwise-equal losses and parameter gradients. (Its finite-difference
+the pre-fusion production code, written with the ops of `autodiff.py`. The
+fused path must give bitwise-equal losses and parameter gradients. (Its finite-difference
 checks are in test_masking.py.) The graph shares the ELU arithmetic with the
 fused path, so the ELU and the short-axis reductions are also checked, bit
 for bit, against their textbook numpy forms written out below.
@@ -17,12 +17,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import autodiff
+from autodiff import Tensor, mlp_forward
 from emai import ctde, nn
 from emai.config import DEFAULT_CONFIG
 from emai.ctde import AgentQNet, Episode, EpisodeBuffer, QLearner
 from emai.envs import EnvSpec
 from emai.masking import diff_loss
-from emai.nn import NumericsError, Tensor
+from emai.nn import NumericsError
 from emai.rng import stream
 
 N_AGENTS, OBS_DIM, STATE_DIM, N_ACTIONS = 3, 5, 4, 2
@@ -47,17 +49,17 @@ def _agent_batch(obs_steps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _graph_q_values(net: AgentQNet, rows: np.ndarray, ids: np.ndarray) -> Tensor:
     x = np.concatenate([rows, np.eye(net.n_agents)[ids]], axis=1)
-    return net.mlp.forward(Tensor(x))
+    return mlp_forward(net.mlp, Tensor(x))
 
 
 def _graph_mix(mixer, chosen_q: Tensor, states: np.ndarray) -> Tensor:
     B = chosen_q.shape[0]
     s = Tensor(np.asarray(states, dtype=np.float64))
-    w1 = mixer.hyper_w1.forward(s).abs().reshape(B, mixer.n_agents, mixer.embed_dim)
-    b1 = mixer.hyper_b1.forward(s)
+    w1 = mlp_forward(mixer.hyper_w1, s).abs().reshape(B, mixer.n_agents, mixer.embed_dim)
+    b1 = mlp_forward(mixer.hyper_b1, s)
     hidden = ((chosen_q.reshape(B, mixer.n_agents, 1) * w1).sum(axis=1) + b1).elu()
-    w2 = mixer.hyper_w2.forward(s).abs()
-    v = mixer.hyper_v.forward(s)
+    w2 = mlp_forward(mixer.hyper_w2, s).abs()
+    v = mlp_forward(mixer.hyper_v, s)
     return (hidden * w2).sum(axis=1) + v.reshape(B)
 
 
@@ -75,7 +77,7 @@ def graph_td_loss(q_tot: Tensor, stale, flat: ctde.Transitions, gamma,
         flat.next_obs, flat.next_states, flat.actions, flat.rewards, flat.terminal)
     if reward_fn is not None:
         rewards = reward_fn(rewards, actions)
-    with nn.no_grad():
+    with autodiff.no_grad():
         S, n, _ = next_obs.shape
         rows, ids = _agent_batch(next_obs)
         max_q = _graph_q_values(stale.net, rows, ids).numpy().max(axis=1).reshape(S, n)
@@ -102,7 +104,7 @@ def graph_step(learner: QLearner, batch, reward_fn, lam: float):
     both losses read one graph Q_tot, so its gradient accumulates there."""
     params = learner.optimizer.params
     for p in params:
-        p.zero_grad()
+        p.grad = None
     gamma = float(learner.config["gamma"])
     flat = _flatten_batch(batch)
     q_tot = _graph_mix(learner.mixer, _graph_chosen_q(learner.net, flat.obs, flat.actions),
@@ -114,7 +116,7 @@ def graph_step(learner: QLearner, batch, reward_fn, lam: float):
     loss.backward()
     grads = [p.grad for p in params]
     for p in params:
-        p.zero_grad()
+        p.grad = None
     return loss_e.item(), loss.item(), grads
 
 

@@ -7,13 +7,13 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from autodiff import fd_max_rel_error
 from emai import ctde, masking, rollout
 from emai.config import DEFAULT_CONFIG
 from emai.ctde import AgentQNet, Episode, MonotonicMixer, QLearner
 from emai.envs import EnvSpec, make_env
 from emai.masking import (BaselineEstimate, IncompatibilityError, MaskingPolicy,
                           apply_mask, diff_loss, estimate_baseline_return, train_emai)
-from emai.nn import fd_max_rel_error
 from emai.rng import episode_seed, stream
 from emai.rollout import greedy_actions
 from emai.target import scripted_by_name, scripted_policy
@@ -309,7 +309,9 @@ class _UnqueriedTarget(_QueryOnlyTarget):
 
 
 @pytest.mark.parametrize("overrides", [{"beta": -1.0}, {"lambda": -0.5},
-                                       {"beta": None, "beta_scale": -1.0}])
+                                       {"beta": None, "beta_scale": -1.0},
+                                       {"beta": float("nan")}, {"lambda": float("inf")},
+                                       {"beta": None, "beta_scale": float("nan")}])
 def test_train_emai_rejects_negative_weights_before_training(overrides):
     env = make_env("keycorridor")
     baseline = BaselineEstimate(0.0, 0.0, 0.1, 1, 0.99)

@@ -6,10 +6,12 @@ import copy
 import numpy as np
 import pytest
 
+import autodiff
+from autodiff import Tensor, grad_check, mlp_forward
 from emai import nn
 from emai.config import DEFAULT_CONFIG
 from emai.envs import make_env
-from emai.nn import Adam, Mlp, NumericsError, ShapeError, Tensor, grad_check
+from emai.nn import Adam, Mlp, NumericsError, ShapeError
 from emai.rng import stream
 
 
@@ -22,12 +24,12 @@ def test_square_gradient():
 
 def test_relu_gradient_negative_input():
     x = Tensor(-1.0, requires_grad=True)
-    nn.relu(x).backward()
+    autodiff.relu(x).backward()
     assert x.grad == 0.0
 
 
 def test_relu_forward_values():
-    out = nn.relu(Tensor([-2.0, 3.0]))
+    out = autodiff.relu(Tensor([-2.0, 3.0]))
     assert out.numpy().tolist() == [0.0, 3.0]
 
 
@@ -35,22 +37,22 @@ def test_identity_net_is_identity():
     mlp = Mlp([3, 3], ["identity"], rng=None)
     mlp.weights[0].data = np.eye(3)
     x = np.array([[0.5, -1.0, 2.0]])
-    assert np.array_equal(mlp.forward(Tensor(x)).numpy(), x)
+    assert np.array_equal(mlp_forward(mlp, Tensor(x)).numpy(), x)
 
 
 def test_forward_deterministic_bitwise():
     rng = stream(5, "det")
     mlp = Mlp([4, 8, 2], ["relu", "identity"], rng)
     x = stream(6, "input").standard_normal((3, 4))
-    a = mlp.forward(Tensor(x)).numpy()
-    b = mlp.forward(Tensor(x)).numpy()
+    a = mlp_forward(mlp, Tensor(x)).numpy()
+    b = mlp_forward(mlp, Tensor(x)).numpy()
     assert np.array_equal(a, b)
 
 
 def test_forward_shape_mismatch_diagnostic():
     mlp = Mlp([4, 2], ["identity"], rng=None)
     with pytest.raises(ShapeError) as err:
-        mlp.forward(Tensor(np.zeros((3, 5))))
+        mlp_forward(mlp, Tensor(np.zeros((3, 5))))
     assert "(3, 5)" in str(err.value) and "4" in str(err.value)
 
 
@@ -64,7 +66,7 @@ def test_non_finite_is_hard_error():
     with pytest.raises(NumericsError):
         Tensor([1.0, float("nan")])
     with pytest.raises(NumericsError):
-        nn.tlog(Tensor([-1.0]))
+        autodiff.tlog(Tensor([-1.0]))
 
 
 def test_mlp_gradient_matches_finite_differences():
@@ -73,7 +75,7 @@ def test_mlp_gradient_matches_finite_differences():
     inp = rng.standard_normal((6, 5))
 
     def loss():
-        out = mlp.forward(Tensor(inp))
+        out = mlp_forward(mlp, Tensor(inp))
         return (out * out).mean()
 
     assert grad_check(loss, mlp.params()) < 1e-4
@@ -85,7 +87,8 @@ def test_grad_check_quadratic_form():
     p = Tensor(np.array([[0.7, -0.3]]), requires_grad=True)
 
     def loss():
-        return (nn.matmul(nn.matmul(p, Tensor(a)), nn.reshape(p, (2, 1)))).sum()
+        return (autodiff.matmul(autodiff.matmul(p, Tensor(a)),
+                                autodiff.reshape(p, (2, 1)))).sum()
 
     assert grad_check(loss, [p]) < 1e-6
     loss().backward()
@@ -113,7 +116,7 @@ def test_broadcast_add_and_sum_axes():
 
 def test_elu_matches_definition():
     x = np.array([-2.0, 0.0, 1.5])
-    out = nn.elu(Tensor(x)).numpy()
+    out = autodiff.elu(Tensor(x)).numpy()
     assert np.allclose(out, np.where(x > 0, x, np.expm1(x)))
 
 
@@ -158,8 +161,8 @@ def test_optimizer_deterministic_trajectories():
         x = stream(10, "opt-data").standard_normal((4, 3))
         for _ in range(20):
             for p in mlp.params():
-                p.zero_grad()
-            out = mlp.forward(Tensor(x))
+                p.grad = None
+            out = mlp_forward(mlp, Tensor(x))
             (out * out).mean().backward()
             opt.step()
         return np.concatenate([p.data.reshape(-1) for p in mlp.params()])
@@ -234,7 +237,8 @@ def test_flat_adam_equals_per_parameter_reference():
     doc = _mlp(2).to_doc()
     mlp.load_doc(doc)
     ref_mlp.load_doc(doc)
-    assert np.array_equal(mlp.forward(np.ones(5)).numpy(), _mlp(2).forward(np.ones(5)).numpy())
+    assert np.array_equal(mlp_forward(mlp, np.ones(5)).numpy(),
+                          mlp_forward(_mlp(2), np.ones(5)).numpy())
     _step_both(rng, opt, ref, 10)
 
 
@@ -296,6 +300,12 @@ def test_optimizer_hyperparameter_validation():
         Adam([p], lr=5e-4, betas=(1.0, 0.999))
 
 
+@pytest.mark.parametrize("lr", [float("nan"), float("inf")])
+def test_optimizer_rejects_non_finite_learning_rate(lr):
+    with pytest.raises(ValueError, match="learning_rate must be > 0 and finite"):
+        Adam([Tensor(np.array([1.0]), requires_grad=True)], lr=lr)
+
+
 def test_gradient_property_across_seeds():
     # reverse-mode vs central finite differences on randomized networks,
     # whose hidden layers use the graph's elu op: relu kinks would invalidate
@@ -322,15 +332,15 @@ def test_mlp_checkpoint_roundtrip():
     loaded = Mlp([4, 6, 2], ["relu", "identity"])
     loaded.load_doc(doc)
     x = stream(4, "ckpt-x").standard_normal((2, 4))
-    assert np.array_equal(mlp.forward(Tensor(x)).numpy(),
-                          loaded.forward(Tensor(x)).numpy())
+    assert np.array_equal(mlp_forward(mlp, Tensor(x)).numpy(),
+                          mlp_forward(loaded, Tensor(x)).numpy())
     assert doc["layer_sizes"] == [4, 6, 2]
     assert {p["name"] for p in doc["params"]} == {"w0", "b0", "w1", "b1"}
 
 
 def test_no_grad_blocks_graph_recording():
     p = Tensor(np.array([2.0]), requires_grad=True)
-    with nn.no_grad():
+    with autodiff.no_grad():
         out = p * 3.0
     assert out.requires_grad is False
 
@@ -404,22 +414,22 @@ def test_stacked_forward_equals_each_block_alone(width, hidden, n_actions, n_age
     for rows in (1, n_agents):
         for size in (1, 2, 3, 7, 32, 960):
             x = rng.uniform(-1.0, 1.0, (size, rows, width))
-            out = mlp.fused_forward(x)[0]
+            out = mlp.forward(x)[0]
             assert out.shape == (size, rows, n_actions)
             for b in range(size):
-                assert np.array_equal(out[b], mlp.fused_forward(x[b])[0]), (rows, size, b)
+                assert np.array_equal(out[b], mlp.forward(x[b])[0]), (rows, size, b)
 
 
 def test_stacked_forward_checks_shape_and_finiteness():
     mlp = Mlp([4, 3, 2], ["relu", "identity"], stream(0, "stacked-checks"))
     with pytest.raises(ShapeError):
-        mlp.fused_forward(np.zeros((2, 3, 5)))
+        mlp.forward(np.zeros((2, 3, 5)))
     with pytest.raises(ShapeError):
-        mlp.fused_forward(np.zeros((2, 1, 3, 4)))
+        mlp.forward(np.zeros((2, 1, 3, 4)))
     bad = np.zeros((2, 3, 4))
     bad[1, 2, 0] = np.nan
     with pytest.raises(NumericsError):
-        mlp.fused_forward(bad)
+        mlp.forward(bad)
 
 
 # ---- fused backward: consumes its cache, equals the graph's backward ----
@@ -434,14 +444,14 @@ def test_fused_backward_equals_graph_backward(activations, scratch):
     mlp = Mlp([6, 9, 7, 4], activations, stream(1, "fused-backward", *activations))
     rng = stream(2, "fused-backward-inputs")
     x, d_out = rng.uniform(-1.0, 1.0, (40, 6)), rng.uniform(-1.0, 1.0, (40, 4))
-    loss = (mlp.forward(Tensor(x)) * Tensor(d_out)).sum()
+    loss = (mlp_forward(mlp, Tensor(x)) * Tensor(d_out)).sum()
     loss.backward()
     want = [p.grad for p in mlp.params()]
     x_seen, d_seen = x.copy(), d_out.copy()
     ws = nn.Scratch(40) if scratch else nn.FRESH
     for _ in range(2):  # a consumed cache's arrays serve the next forward
-        out, cache = mlp.fused_forward(x, ws, "k")
-        assert np.array_equal(out, mlp.forward(Tensor(x)).numpy())
-        for i, (got, ref) in enumerate(zip(mlp.fused_backward(cache, d_out), want, strict=True)):
+        out, cache = mlp.forward(x, ws, "k")
+        assert np.array_equal(out, mlp_forward(mlp, Tensor(x)).numpy())
+        for i, (got, ref) in enumerate(zip(mlp.backward(cache, d_out), want, strict=True)):
             assert np.array_equal(got, ref), f"gradient {i}"
     assert np.array_equal(x, x_seen) and np.array_equal(d_out, d_seen)
