@@ -216,7 +216,10 @@ def cmd_render(path: str, mode: str, out: str | None) -> int:
         raise ReplayError(f"replay {p} is not UTF-8: {exc}") from exc
     text = replay.render(rec, mode=mode)
     if out:
-        Path(out).write_text(text, encoding="utf-8")
+        try:
+            Path(out).write_text(text, encoding="utf-8")
+        except OSError as exc:  # a directory, or a missing parent
+            raise ConfigError(f"output file {out} cannot be written: {exc.strerror}") from exc
     else:
         sys.stdout.write(text)
     return EXIT_OK

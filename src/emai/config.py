@@ -251,7 +251,10 @@ def resolve_out_dir(cfg: dict, command: str, cli_out: str | None) -> Path:
     else:
         root = Path(os.environ.get("EMAI_OUT_ROOT", "runs"))
         out = root / f"{command}-{canonical_hash(cfg)[:12]}"
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # a file in its place or on its path
+        raise ConfigError(f"output directory {out} cannot be made: {exc.strerror}") from exc
     return out
 
 

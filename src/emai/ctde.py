@@ -45,20 +45,17 @@ def _identity(n: int) -> np.ndarray:
     return eye
 
 
-def agent_inputs(observations: np.ndarray, agent_ids, n_agents: int) -> np.ndarray:
-    """The agent-net input rows (B, k, obs_dim + n_agents) of (B, k, obs_dim)
-    observations: row (b, j) is observations[b, j] followed by the one-hot of
-    agent id agent_ids[j], or of agent_ids[b, j] for a (B, k) id array.
-    agent_ids None means every agent in order (k = n_agents), whose one-hot
+def agent_inputs(observations: np.ndarray, n_agents: int) -> np.ndarray:
+    """The agent-net input rows (B, n_agents, obs_dim + n_agents) of a stack
+    (B, n_agents, obs_dim) of observation sets: row (b, i) is
+    observations[b, i] followed by the one-hot of agent i, so the one-hot
     block is the cached identity itself."""
     *rows, obs_dim = observations.shape
-    eye = _identity(n_agents)
-    one_hot = eye if agent_ids is None else eye[agent_ids]
-    if len(rows) != 2 or one_hot.shape[-2] != rows[1]:
-        raise nn.ShapeError(f"observations {observations.shape} vs agent ids {np.shape(agent_ids)}")
+    if len(rows) != 2 or rows[1] != n_agents:
+        raise nn.ShapeError(f"observations {observations.shape} vs {n_agents} agents")
     x = np.empty((*rows, obs_dim + n_agents))
     x[..., :obs_dim] = observations
-    x[..., obs_dim:] = one_hot
+    x[..., obs_dim:] = _identity(n_agents)
     return x
 
 
@@ -96,19 +93,13 @@ class AgentQNet:
         self.mlp = Mlp([self.obs_dim + self.n_agents, *hidden, self.n_actions],
                        ["relu", "relu", "identity"], rng)
 
-    def fused_forward(self, observations: np.ndarray, agent_ids) -> tuple[np.ndarray, tuple]:
-        """The one query kernel: Q (B, k, n_actions) of agent_inputs' rows, and
-        the Mlp.forward cache. One stacked forward, so block b rounds exactly
-        as the forward of block b alone, whatever B is."""
-        return self.mlp.forward(agent_inputs(observations, agent_ids, self.n_agents))
-
-    def agent_rows_forward(self, observations: np.ndarray) -> tuple[np.ndarray, tuple]:
-        """fused_forward over (B * n, 1, in) one-row blocks of a stack
-        (B, n, obs_dim) of observation sets: block b * n + i is agent i's row
-        of set b, and rounds as the forward of that row alone would."""
-        size, n = observations.shape[:2]
-        return self.fused_forward(observations.reshape(size * n, 1, -1),
-                                  np.tile(np.arange(n), size)[:, None])
+    def fused_forward(self, observations: np.ndarray) -> tuple[np.ndarray, tuple]:
+        """The one query kernel: Q (B, n_agents, n_actions) of a stack
+        (B, n_agents, obs_dim) of observation sets, and the Mlp.forward
+        cache. One stacked forward, so block b rounds exactly as the forward
+        of set b alone, whatever B is, and agent i's row reads obs[b, i]
+        alone."""
+        return self.mlp.forward(agent_inputs(observations, self.n_agents))
 
     def q_all_agents(self, observations: np.ndarray) -> np.ndarray:
         """Q (B, n_agents, n_actions) of a stack (B, n_agents, obs_dim) of
@@ -116,8 +107,8 @@ class AgentQNet:
         and gives (n_agents, n_actions)."""
         obs = np.asarray(observations)
         if obs.ndim == 2:
-            return self.fused_forward(obs[None], None)[0][0]
-        return self.fused_forward(obs, None)[0]
+            return self.fused_forward(obs[None])[0][0]
+        return self.fused_forward(obs)[0]
 
     def params(self) -> list[Tensor]:
         return self.mlp.params()
@@ -391,8 +382,8 @@ class TdBuffers:
         self.max_rows = int(max_rows)
         self.obs_dim = int(obs_dim)
         blank = np.zeros((max_rows, n_agents, obs_dim))
-        self.inputs = agent_inputs(blank, None, n_agents)
-        self.next_inputs = agent_inputs(blank, None, n_agents)
+        self.inputs = agent_inputs(blank, n_agents)
+        self.next_inputs = agent_inputs(blank, n_agents)
         self.states = np.empty((max_rows, state_dim))
         self.next_states = np.empty((max_rows, state_dim))
         self.actions = np.empty((max_rows, n_agents), dtype=np.int64)

@@ -27,6 +27,11 @@ from .rng import integers_rows, stream
 # action indices, fixed across all environments
 STAY, UP, DOWN, LEFT, RIGHT = range(5)
 DELTAS = ((0, 0), (-1, 0), (1, 0), (0, -1), (0, 1))  # (drow, dcol)
+# the bounds of a spread or diagnostic geometry, checked before anything is
+# built: GridTables holds arrays of (grid + 2)**4 cell pairs, and spread a
+# table of agent pairs
+GRID_MAX = 64
+AGENTS_MAX = 64
 
 
 class EnvError(ValueError):
@@ -413,6 +418,20 @@ def _gather_indices(n: int, m: int, size: int, door: bool) -> tuple:
     return seen, layout
 
 
+def _check_size(n_agents: int, grid: int, landmark: bool = False) -> None:
+    """ValueError unless 2 <= grid <= GRID_MAX, the grid has a cell for each
+    agent (and for the shared landmark) and n_agents <= AGENTS_MAX."""
+    if grid < 2:
+        raise ValueError("grid must be >= 2")
+    if grid > GRID_MAX:
+        raise ValueError(f"grid {grid} is above GRID_MAX {GRID_MAX}")
+    if n_agents + landmark > grid * grid:
+        raise ValueError(f"a {grid} x {grid} grid is too small for {n_agents} agents"
+                         + (" and a landmark" if landmark else ""))
+    if n_agents > AGENTS_MAX:
+        raise ValueError(f"n_agents {n_agents} is above AGENTS_MAX {AGENTS_MAX}")
+
+
 class Spread(_GridEnv):
     """n agents cover n landmarks on a grid; closer and un-stacked is better.
 
@@ -425,13 +444,10 @@ class Spread(_GridEnv):
     name = "spread"
 
     def __init__(self, n_agents: int = 3, grid: int = 8, horizon: int = 25):
-        if grid < 2:
-            raise ValueError("grid must be >= 2")
+        _check_size(int(n_agents), int(grid))
         super().__init__(int(grid), int(grid))
         self.n = int(n_agents)
         self.grid = int(grid)
-        if self.n > self.grid * self.grid:
-            raise ValueError(f"a {self.grid} x {self.grid} grid is too small for {self.n} agents")
         obs_dim = 2 + 2 * self.n + 2 * (self.n - 1)
         self.spec = EnvSpec(self.n, obs_dim, 4 * self.n, 5, int(horizon))
         self._pairs = np.triu_indices(self.n, 1)  # every agent pair (i < j)
@@ -554,8 +570,7 @@ class Diagnostic(_GridEnv):
 
     def __init__(self, n_agents: int = 3, grid: int = 6, horizon: int = 15,
                  zero_reward: bool = False, inert: tuple[int, ...] = ()):
-        if grid < 2:
-            raise ValueError("grid must be >= 2")
+        _check_size(int(n_agents), int(grid), landmark=True)
         super().__init__(int(grid), int(grid))
         self.n = int(n_agents)
         self.grid = int(grid)
@@ -563,9 +578,6 @@ class Diagnostic(_GridEnv):
         self.inert = tuple(sorted(int(i) for i in inert))
         if any(i < 0 or i >= self.n for i in self.inert):
             raise ValueError("inert agent ids must be valid agent indices")
-        if self.n + 1 > self.grid * self.grid:
-            raise ValueError(f"a {self.grid} x {self.grid} grid is too small for "
-                             f"{self.n} agents and a landmark")
         obs_dim = 2 + 2 + 2 * (self.n - 1)
         self.spec = EnvSpec(self.n, obs_dim, 2 * self.n + 2, 5, int(horizon))
 

@@ -176,16 +176,16 @@ class GradientBasedExplainer(Explainer):
         self._qnet = privileged_q_network(target)
 
     def scores_batch(self, observations, t, episode_seeds, batch) -> np.ndarray:
-        """One forward of one-row blocks (AgentQNet.agent_rows_forward), each
-        of which rounds as the one-row forward of its agent would."""
+        """One stacked query (AgentQNet.fused_forward) over the B observation
+        sets, its cache taken down to the input."""
         net = self._qnet
-        q, cache = net.agent_rows_forward(observations)
+        q, cache = net.fused_forward(observations)
         e = np.exp(q - q.max(axis=-1, keepdims=True))
         # the one-hot of each row's argmax (lowest index on ties), added as 0.0/1.0
         pick = np.equal(np.arange(net.n_actions), q.argmax(axis=-1)[..., None])
         d_q = (-1.0 / e.sum(axis=-1, keepdims=True)) * e + pick
         grad = net.mlp.input_grad(cache, d_q)
-        return np.abs(grad[:, 0, :net.obs_dim]).sum(axis=1).reshape(observations.shape[:2])
+        return np.abs(grad[..., :net.obs_dim]).sum(axis=-1)
 
 
 def _suffix_return(env, target) -> float:

@@ -17,13 +17,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import check_keys, check_tag, is_finite, is_finite_list, is_int, is_int_list
-from .envs import DELTAS, KeyCorridor, decode_norm, make_env
+from .envs import AGENTS_MAX, DELTAS, GRID_MAX, KeyCorridor, decode_norm, make_env
 from .rollout import Step, left_sum
 
 FORMAT_VERSION = 1
 KIND = "episode-record"
-GRID_MAX = 64  # the widest grid a header may name: render draws rows x cols per step
-AGENTS_MAX = 64  # the most agents a header may name: spread keeps a table of agent pairs
 
 
 class ReplayError(ValueError):

@@ -243,10 +243,8 @@ class LearnedPolicy(TargetPolicy):
 
     def act_batch(self, obs: np.ndarray) -> np.ndarray:
         """Per agent, the argmax (lowest index on ties) of its own row's Q,
-        from one forward of one-row blocks."""
-        obs = self._check_obs_batch(obs)
-        q = self._qnet.agent_rows_forward(obs)[0]
-        return np.argmax(q[:, 0], axis=1).reshape(obs.shape[:2])
+        from one stacked query (AgentQNet.q_all_agents)."""
+        return np.argmax(self._qnet.q_all_agents(self._check_obs_batch(obs)), axis=-1)
 
     def descriptor(self) -> str:
         digest = hashlib.sha256(

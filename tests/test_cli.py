@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from emai import cli, evaluation, replay
+from emai import cli, envs, evaluation, replay
 from emai.cli import main
 from emai.config import ConfigError, load_config
 from emai.ctde import AgentQNet, MonotonicMixer
@@ -93,6 +93,29 @@ def test_directory_or_undecodable_input_path(tmp_path, capsys, args, code, messa
     assert main(args + ([] if args[0] == "render" else ["--out", str(tmp_path / "o")])) == code
     assert message in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("args,path", [
+    pytest.param(["train-target", "--out", "{tmp}/file"], "{tmp}/file", id="out-dir-is-a-file"),
+    pytest.param(["explain", "--out", "{tmp}/file/sub"], "{tmp}/file/sub",
+                 id="out-dir-under-a-file"),
+    pytest.param(["render", "{tmp}/replay.ndjson", "--out", "{tmp}"], "{tmp}",
+                 id="render-out-is-a-directory"),
+    pytest.param(["render", "{tmp}/replay.ndjson", "--out", "{tmp}/missing/x.txt"],
+                 "{tmp}/missing/x.txt", id="render-out-in-a-missing-directory"),
+])
+def test_output_path_of_the_wrong_kind_exit_2(tmp_path, capsys, args, path):
+    (tmp_path / "file").write_text("kept\n", encoding="utf-8")
+    env = make_env("keycorridor")
+    trace = run_target_episode(env, 0, scripted_policy(env))
+    (tmp_path / "replay.ndjson").write_text(
+        replay.serialize(replay.record(trace.steps, env.name, env.params, 0)), encoding="utf-8")
+    before = sorted(tmp_path.rglob("*"))
+    assert main([a.replace("{tmp}", str(tmp_path)) for a in args]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and path.replace("{tmp}", str(tmp_path)) in err
+    assert sorted(tmp_path.rglob("*")) == before  # nothing written or made
+    assert (tmp_path / "file").read_text(encoding="utf-8") == "kept\n"
 
 
 def test_train_emai_then_eval_fidelity_roundtrip(tmp_path):
@@ -622,6 +645,23 @@ def test_env_too_small_for_its_entities_exit_2(tmp_path, capsys):
     assert main(args) == 2
     assert "too small for 70 agents" in capsys.readouterr().err
     assert not any((tmp_path / "o").iterdir())  # rejected before any work
+
+
+def _no_tables(*args, **kwargs):
+    raise AssertionError("a geometry's tables were built")
+
+
+@pytest.mark.parametrize("params, message", [
+    ({"n_agents": 3, "grid": envs.GRID_MAX + 1}, "above GRID_MAX"),
+    ({"n_agents": envs.AGENTS_MAX + 1, "grid": 9}, "above AGENTS_MAX")], ids=["grid", "agents"])
+def test_env_beyond_its_bounds_exit_2(tmp_path, capsys, monkeypatch, params, message):
+    monkeypatch.setattr(envs.GridTables, "__init__", _no_tables)  # rejected before a build
+    args = ["train-emai", "--config", str(_write_cfg(tmp_path, FAST_EMAI)),
+            "--set", "env.name=spread", "--set", f"env.params={json.dumps(params)}",
+            "--out", str(tmp_path / "o")]
+    assert main(args) == 2
+    assert message in capsys.readouterr().err
+    assert not any((tmp_path / "o").iterdir())
 
 
 @pytest.mark.parametrize("env_name, params", [

@@ -47,28 +47,21 @@ def test_q_values_bitwise_stable():
 
 def test_q_values_shape_mismatch():
     net = _toy_net()
-    with pytest.raises(nn.ShapeError):
-        net.agent_rows_forward(np.zeros((1, 2, 5)))
-    for wrong_agents in (np.zeros((3, 4)), np.zeros((5, 3, 4))):
+    for wrong_agents in (np.zeros((3, 4)), np.zeros((5, 3, 4)), np.zeros((1, 2, 5))):
         with pytest.raises(nn.ShapeError):
             net.q_all_agents(wrong_agents)
 
 
 def test_agent_inputs_append_each_rows_one_hot_id():
     obs = stream(3, "inputs").standard_normal((2, 3, 4))
-    x = ctde.agent_inputs(obs, [2, 0, 1], 3)
+    x = ctde.agent_inputs(obs, 3)
     assert x.shape == (2, 3, 7)
     assert np.array_equal(x[..., :4], obs)
-    assert np.array_equal(x[..., 4:], np.broadcast_to(np.eye(3)[[2, 0, 1]], (2, 3, 3)))
-    # one id per row: the (B * n, 1, in) one-row blocks of the gradient explainer
-    flat = ctde.agent_inputs(obs.reshape(6, 1, 4), np.tile(np.arange(3), 2)[:, None], 3)
-    assert np.array_equal(flat, ctde.agent_inputs(obs, np.arange(3), 3).reshape(6, 1, 7))
-    # None: every agent in order, the identity as the one-hot block
-    assert np.array_equal(ctde.agent_inputs(obs, None, 3), ctde.agent_inputs(obs, np.arange(3), 3))
-    for bad_obs, ids in ((obs[0], [0, 1, 2]), (obs, [0, 1]), (obs[..., None], [0, 1, 2]),
-                         (obs[:, :2], None)):
+    # every set's one-hot block is the identity: row i carries agent i's id
+    assert np.array_equal(x[..., 4:], np.broadcast_to(np.eye(3), (2, 3, 3)))
+    for bad_obs in (obs[0], obs[..., None], obs[:, :2], obs.reshape(6, 1, 4)):
         with pytest.raises(nn.ShapeError):
-            ctde.agent_inputs(bad_obs, ids, 3)
+            ctde.agent_inputs(bad_obs, 3)
 
 
 def test_agent_net_holds_no_input_block():
@@ -495,7 +488,7 @@ def test_returned_arrays_are_not_overwritten_by_later_calls(mixer_kind):
         q_tot, _ = ctde.qtot_forward(net, mixer, flat, buffers)
         loss, _, td_stats = build_td_loss(y, q_tot, buffers)
         stats = learner.td_train_step()
-        return [net.q_all_agents(obs), net.agent_rows_forward(obs[None])[0],
+        return [net.q_all_agents(obs),
                 mixer.mix(rng.standard_normal((7, spec.n_agents)),
                           rng.standard_normal((7, spec.state_dim)))[0],
                 np.float64(loss), np.array(list(td_stats.values())),

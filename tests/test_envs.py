@@ -346,6 +346,21 @@ def test_unknown_env_rejected():
         make_env("atari")
 
 
+def _no_tables(*args, **kwargs):
+    raise AssertionError("a geometry's tables were built")
+
+
+@pytest.mark.parametrize("name", ["spread", "diagnostic"])
+def test_geometry_beyond_its_bounds_rejected_unbuilt(monkeypatch, name):
+    # GridTables' pair arrays grow as (grid + 2)**4: about 26 GB at grid 200
+    monkeypatch.setattr(envs.GridTables, "__init__", _no_tables)
+    with pytest.raises(ValueError, match="above GRID_MAX 64"):
+        make_env(name, n_agents=3, grid=envs.GRID_MAX + 1)
+    with pytest.raises(ValueError, match="above AGENTS_MAX 64"):
+        make_env(name, n_agents=envs.AGENTS_MAX + 1, grid=9)
+    assert make_env(name, n_agents=3, grid=envs.GRID_MAX).grid == envs.GRID_MAX
+
+
 def test_grid_too_small_for_its_entities_rejected_at_construction():
     # spread draws n distinct agent cells, diagnostic n agent cells and a landmark
     with pytest.raises(ValueError, match="too small for 70 agents"):

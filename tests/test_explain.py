@@ -78,8 +78,7 @@ def test_value_based_is_max_q_per_agent():
     ctx = _ctx_for(env, seed=5)
     scores = ex.scores(ctx)
     net = target._qnet
-    expected = np.array([net.fused_forward(ctx.observations[i][None, None], [i])[0].max()
-                         for i in range(3)])
+    expected = net.q_all_agents(ctx.observations).max(axis=1)
     assert np.allclose(scores, expected)
 
 
@@ -132,24 +131,21 @@ def test_gradient_based_forms_no_target_weight_gradient():
 def _graph_saliency(qnet, observations) -> np.ndarray:
     """Reference saliency of one observation set: per agent, the L1 norm of
     the input gradient of log softmax(Q)[argmax Q], backpropagated through
-    the autodiff graph of a frozen copy of the net's MLP."""
+    the autodiff graph of a frozen copy of the net's MLP on the set's
+    (n, in) input. The agents' log-probabilities are summed, so each
+    agent's input row gets the gradient of its own."""
     mlp = copy.deepcopy(qnet.mlp)
     for p in mlp.params():
         p.requires_grad = False
-    out = np.zeros(len(observations))
-    for i in range(len(observations)):
-        obs = np.asarray(observations[i], dtype=np.float64)
-        x = Tensor(np.concatenate([obs, np.eye(qnet.n_agents)[i]]), requires_grad=True)
-        q = mlp_forward(mlp, x)
-        chosen = int(np.argmax(q.numpy()))
-        shift = float(q.numpy().max())
-        log_z = (q - shift).exp().sum().log() + shift
-        pick = np.zeros(qnet.n_actions)
-        pick[chosen] = 1.0
-        log_p = (q * Tensor(pick)).sum() - log_z
-        log_p.backward()
-        out[i] = np.abs(x.grad[: qnet.obs_dim]).sum()
-    return out
+    obs = np.asarray(observations, dtype=np.float64)
+    x = Tensor(np.concatenate([obs, np.eye(qnet.n_agents)], axis=1), requires_grad=True)
+    q = mlp_forward(mlp, x)
+    shift = q.numpy().max(axis=1, keepdims=True)
+    log_z = (q - shift).exp().sum(axis=1).log() + shift[:, 0]
+    pick = np.eye(qnet.n_actions)[q.numpy().argmax(axis=1)]  # lowest index on ties
+    log_p = (q * Tensor(pick)).sum(axis=1) - log_z
+    log_p.sum().backward()
+    return np.abs(x.grad[:, :qnet.obs_dim]).sum(axis=1)
 
 
 SALIENCY_ENVS = [("keycorridor", {}), ("spread", {"n_agents": 3, "grid": 6}),
@@ -567,16 +563,44 @@ def test_learned_act_batch_and_value_scores_batch_equal_row_calls(size):
     joint = pol.act_batch(obs)
     assert joint.shape == (size, 3)
     assert joint.tolist() == [pol.act(o) for o in obs]
-    # each agent's one-row block equals that agent's one-row forward alone
-    q_rows = net.agent_rows_forward(obs)[0].reshape(size, 3, -1)
-    for b, i in np.ndindex(size, 3):
-        assert np.array_equal(q_rows[b, i], net.fused_forward(obs[b, i][None, None], [i])[0][0, 0])
     assert np.array_equal(net.q_all_agents(obs), np.stack([net.q_all_agents(o) for o in obs]))
     value = ValueBasedExplainer(pol)
     expected = [value.scores(ExplainContext(obs[b], states[b], 1, env.name, env.params, b,
                                             [[0, 0, 0]])) for b in range(size)]
     assert np.array_equal(value.scores_batch(obs, 1, list(range(size)), batch),
                           np.stack(expected))
+
+
+ROW_LOCAL_NETS = [("keycorridor", {}, (16, 16)), ("spread", {"n_agents": 3, "grid": 6}, (64, 64)),
+                  ("diagnostic", {"n_agents": 4, "grid": 6}, (8, 32))]
+
+
+@settings(max_examples=60, deadline=None)
+@given(net_case=st.sampled_from(ROW_LOCAL_NETS), size=st.sampled_from([1, 7, 40]),
+       seed=st.integers(0, 2**32 - 1), zeros=st.booleans(), data=st.data())
+def test_learned_queries_are_row_local(net_case, size, seed, zeros, data):
+    """Redrawing every row of a stack but agent i's row of set b (as zeros
+    or fresh draws) leaves that agent's learned action, value score and
+    gradient score bitwise unchanged: one stacked query is row-local."""
+    name, params, hidden = net_case
+    spec = make_env(name, **params).spec
+    rng = stream(seed, "row-local")
+    net = AgentQNet(spec.obs_dim, spec.n_agents, spec.n_actions, hidden=hidden, rng=rng)
+    pol = LearnedPolicy(net)
+    value, gradient = ValueBasedExplainer(pol), GradientBasedExplainer(pol)
+    b, i = data.draw(st.integers(0, size - 1)), data.draw(st.integers(0, spec.n_agents - 1))
+    obs = rng.uniform(-1.0, 1.0, (size, spec.n_agents, spec.obs_dim))
+    redrawn = (np.zeros_like(obs) if zeros
+               else rng.uniform(-1.0, 1.0, (size, spec.n_agents, spec.obs_dim)))
+    redrawn[b, i] = obs[b, i]
+
+    def results(stack):
+        seeds = list(range(size))
+        return [pol.act_batch(stack)[b, i], value.scores_batch(stack, 0, seeds, None)[b, i],
+                gradient.scores_batch(stack, 0, seeds, None)[b, i]]
+
+    for got, expected in zip(results(redrawn), results(obs), strict=True):
+        assert got.tobytes() == expected.tobytes()
 
 
 # ---- the emai explainer's memo: every row bitwise its set's forward alone ----

@@ -235,10 +235,6 @@ def test_q_inference_equals_graph_forward():
     obs = rng.standard_normal((N_AGENTS, OBS_DIM))
     ids = np.arange(N_AGENTS)
     assert np.array_equal(net.q_all_agents(obs), _graph_q_values(net, obs, ids).numpy())
-    rows = net.agent_rows_forward(obs[None])[0][:, 0]  # one one-row block per agent
-    for i in ids:
-        single = _graph_q_values(net, obs[i][None, :], np.array([i])).numpy()[0]
-        assert np.array_equal(rows[i], single)
 
 
 # ---- the NaN/Inf guard ----
@@ -249,8 +245,6 @@ def test_nan_observation_into_q_inference_raises():
     obs[1, 2] = np.nan
     with pytest.raises(NumericsError, match="input"):
         net.q_all_agents(obs)
-    with pytest.raises(NumericsError):
-        net.agent_rows_forward(obs[None])
 
 
 @pytest.mark.parametrize("field", ["obs", "states", "rewards"])

@@ -309,8 +309,9 @@ def _diagnostic_act(pol, obs, agent_id: int) -> int:
 
 
 def _learned_act(pol, obs, agent_id: int) -> int:
-    q = pol._qnet.fused_forward(obs[None, None], [agent_id])[0][0, 0]  # its one-row forward
-    return int(np.argmax(q))  # lowest index wins ties
+    rows = np.zeros((pol.n_agents, pol.obs_dim))  # a set whose other agents see zeros
+    rows[agent_id] = obs
+    return int(np.argmax(pol._qnet.q_all_agents(rows)[agent_id]))  # lowest index wins ties
 
 
 REFERENCE_ACTS = {ScriptedSpread: _spread_act, ScriptedKeyCorridor: _keycorridor_act,
