@@ -20,11 +20,24 @@ forwards: the stale target is reduced to y first, then the live forward
 fills the same arrays with the cache that the backward consumes in place.
 Gradients, stats and every inference call's results are new arrays that no
 later call writes.
+
+Two threads share the backward (qtot_backward). The caller forms
+dL/dchosen_q (MonotonicMixer.chosen_backward), then hands the rest of the
+mixer's backward (hypernet_backward: the hypernets' upstream gradients and
+their four Mlp.backward calls) to one worker thread while it runs the agent
+net's backward; the join gives the bits of the serial order. The worker
+writes only the mixer's cache and Scratch, the caller only the agent net's.
+Only code that bench/tracing.py does not wrap may run on the worker, as the
+tracer keeps one span stack for the process: hypernet_backward is plain
+numpy and Mlp.backward, which call no forward, finiteness check, mix or
+optimizer step.
 """
 from __future__ import annotations
 
+import contextvars
 import copy
 import functools
+import os
 from collections import deque
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
@@ -184,29 +197,41 @@ class MonotonicMixer:
 
     def mix_backward(self, cache: tuple, d_qtot: np.ndarray) -> tuple[np.ndarray, list]:
         """(dL/dchosen_q, parameter gradients in params() order) for the
-        upstream dL/dQ_tot; the same float ops as the graph's backward. The
-        gradients are new arrays; dL/dchosen_q is a view into the forward's
-        Scratch. Like Mlp.backward it consumes its cache: dL/dh2 goes
-        into the ELU output, and sign(h1) and sign(h2) into h1 and h2, each
-        once the backward has read it."""
+        upstream dL/dQ_tot: chosen_backward, then hypernet_backward, on the
+        calling thread. The gradients are new arrays; dL/dchosen_q is a view
+        into the forward's Scratch. Like Mlp.backward it consumes its cache."""
+        d_chosen, d_pre = self.chosen_backward(cache, d_qtot)
+        return d_chosen, self.hypernet_backward(cache, d_qtot, d_pre)
+
+    def chosen_backward(self, cache: tuple, d_qtot: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """dL/dchosen_q and dL/d(the ELU's pre-activation), views into the
+        forward's Scratch; the same float ops as the graph's backward. It
+        reads the cache and writes none of it."""
         q, h1, c1, cb1, hidden, h2, c2, cv, ws = cache
         B, n, E = len(d_qtot), self.n_agents, self.embed_dim
-        g = d_qtot[:, None]
         d_pre = np.abs(h2, out=ws.take("pre", B, E))
-        nn._elu_b(np.multiply(g, d_pre, out=d_pre), hidden, out=d_pre, ws=ws)
-        d_h2 = np.multiply(g, hidden, out=hidden)
-        np.multiply(d_h2, np.sign(h2, out=h2), out=d_h2)
-        g3 = d_pre[:, None, :]
+        nn._elu_b(np.multiply(d_qtot[:, None], d_pre, out=d_pre), hidden, out=d_pre, ws=ws)
         prod = np.abs(h1.reshape(B, n, E), out=ws.take("prod", B, n, E))
-        np.multiply(g3, prod, out=prod)
-        d_chosen = np.sum(prod, axis=2, out=ws.take("d_chosen", B, n))
-        d_h1 = np.multiply(g3, q, out=prod).reshape(B, n * E)
+        np.multiply(d_pre[:, None, :], prod, out=prod)
+        return np.sum(prod, axis=2, out=ws.take("d_chosen", B, n)), d_pre
+
+    def hypernet_backward(self, cache: tuple, d_qtot: np.ndarray,
+                          d_pre: np.ndarray) -> list[np.ndarray]:
+        """The parameter gradients, in params() order, for chosen_backward's
+        d_pre; new arrays. It consumes the cache: dL/dh2 goes into the ELU
+        output, dL/dh1 into chosen_backward's product, and sign(h1) and
+        sign(h2) into h1 and h2, each once read. Plain numpy and
+        Mlp.backward, which the benchmark's tracer does not wrap."""
+        q, h1, c1, cb1, hidden, h2, c2, cv, ws = cache
+        B, n, E = len(d_qtot), self.n_agents, self.embed_dim
+        d_h2 = np.multiply(d_qtot[:, None], hidden, out=hidden)
+        np.multiply(d_h2, np.sign(h2, out=h2), out=d_h2)
+        d_h1 = np.multiply(d_pre[:, None, :], q, out=ws.take("prod", B, n, E)).reshape(B, n * E)
         np.multiply(d_h1, np.sign(h1, out=h1), out=d_h1)
-        grads = (self.hyper_w1.backward(c1, d_h1)
-                 + self.hyper_b1.backward(cb1, d_pre)
-                 + self.hyper_w2.backward(c2, d_h2)
-                 + self.hyper_v.backward(cv, d_qtot.reshape(B, 1)))
-        return d_chosen, grads
+        return (self.hyper_w1.backward(c1, d_h1)
+                + self.hyper_b1.backward(cb1, d_pre)
+                + self.hyper_w2.backward(c2, d_h2)
+                + self.hyper_v.backward(cv, d_qtot.reshape(B, 1)))
 
     def params(self) -> list[Tensor]:
         return (self.hyper_w1.params() + self.hyper_b1.params()
@@ -459,16 +484,48 @@ def qtot_forward(net: AgentQNet, mixer, flat: Transitions,
     return q_tot, (net_cache, pick, mix_cache)
 
 
+_worker = None  # the TD backward's one worker thread, started by the first backward
+
+
+def _drop_worker() -> None:
+    """A forked child inherits the executor but not its thread."""
+    global _worker
+    _worker = None
+
+
+def _submit(fn, *args):
+    """The Future of fn(*args) on the worker thread, run in a copy of the
+    caller's context, which holds numpy's errstate. The first call starts
+    the worker and has a forked child drop it."""
+    global _worker
+    if _worker is None:
+        from concurrent.futures import ThreadPoolExecutor
+        _worker = ThreadPoolExecutor(max_workers=1, thread_name_prefix="emai-td")
+        os.register_at_fork(after_in_child=_drop_worker)
+    return _worker.submit(contextvars.copy_context().run, fn, *args)
+
+
 def qtot_backward(net: AgentQNet, mixer, cache: tuple, d_qtot: np.ndarray) -> list[np.ndarray]:
     """Gradients of net.params() + mixer.params(), in that order, for the
     upstream dL/dQ_tot of qtot_forward's output; new arrays. It consumes
-    the cache, so one backward follows each qtot_forward."""
+    the cache, so one backward follows each qtot_forward.
+
+    Once dL/dchosen_q is formed, the mixer's hypernet_backward runs on the
+    worker thread while the agent net's backward runs here; the bits are
+    those of the serial order (mix_backward, then Mlp.backward). The worker
+    is joined before this returns or raises, and its error comes first, as
+    the serial order meets the mixer's backward first."""
     net_cache, pick, mix_cache = cache
-    d_chosen, mixer_grads = mixer.mix_backward(mix_cache, d_qtot)
-    N, n = d_chosen.shape
-    d_q = net_cache[1].take("d_q", *pick.shape)
-    np.multiply(d_chosen[:, :, None], pick.reshape(N, n, -1), out=d_q.reshape(N, n, -1))
-    return net.mlp.backward(net_cache, d_q) + mixer_grads
+    d_chosen, d_pre = mixer.chosen_backward(mix_cache, d_qtot)
+    hypernets = _submit(mixer.hypernet_backward, mix_cache, d_qtot, d_pre)
+    try:
+        N, n = d_chosen.shape
+        d_q = net_cache[1].take("d_q", *pick.shape)
+        np.multiply(d_chosen[:, :, None], pick.reshape(N, n, -1), out=d_q.reshape(N, n, -1))
+        net_grads = net.mlp.backward(net_cache, d_q)
+    finally:
+        mixer_grads = hypernets.result()
+    return net_grads + mixer_grads
 
 
 def stale_max_qtot(stale: StaleCopy, next_obs: np.ndarray, next_states: np.ndarray,

@@ -10,6 +10,8 @@ for bit, against their textbook numpy forms written out below.
 from __future__ import annotations
 
 import copy
+import multiprocessing
+import sys
 
 import numpy as np
 import pytest
@@ -141,9 +143,10 @@ def _episode(rng, T: int) -> Episode:
                    rng.uniform(-0.5, 0.5, size=T))
 
 
-def _learner(episodes: int = 40, batch_episodes: int = 30, seed: int = 3) -> QLearner:
+def _learner(episodes: int = 40, batch_episodes: int = 30, seed: int = 3,
+             hidden: tuple[int, int] = (16, 16)) -> QLearner:
     spec = EnvSpec(N_AGENTS, OBS_DIM, STATE_DIM, N_ACTIONS, 30)
-    config = {**DEFAULT_CONFIG["training"], "hidden": [16, 16], "mix_embed": 8, "lr": 5e-3,
+    config = {**DEFAULT_CONFIG["training"], "hidden": list(hidden), "mix_embed": 8, "lr": 5e-3,
               "buffer_episodes": 100, "batch_episodes": batch_episodes,
               "stale_interval": 200, "gamma": GAMMA}
     learner = QLearner(spec, N_ACTIONS, seed, config)
@@ -285,14 +288,14 @@ def test_relu_zeroed_minus_inf_in_td_step_raises():
 
 def test_non_finite_gradient_raises_before_any_update(monkeypatch):
     learner = _learner()
-    original = ctde.MonotonicMixer.mix_backward
+    original = ctde.MonotonicMixer.hypernet_backward
 
-    def poisoned(self, cache, d_qtot):
-        d_chosen, grads = original(self, cache, d_qtot)
+    def poisoned(self, cache, d_qtot, d_pre):
+        grads = original(self, cache, d_qtot, d_pre)
         grads[-1] = grads[-1] * np.inf
-        return d_chosen, grads
+        return grads
 
-    monkeypatch.setattr(ctde.MonotonicMixer, "mix_backward", poisoned)
+    monkeypatch.setattr(ctde.MonotonicMixer, "hypernet_backward", poisoned)
     before = [p.data.copy() for p in learner.optimizer.params]
     with pytest.raises(NumericsError, match="gradient"):
         learner.td_train_step()
@@ -313,6 +316,133 @@ def test_td_step_runs_one_backward_pass(monkeypatch, lam):
     for step in range(3):
         learner.td_train_step(_reward_fn, _extra_loss(lam))
         assert len(calls) == step + 1
+
+
+# ---- the two-thread backward ----
+# qtot_backward runs the mixer's hypernet_backward on a worker thread while
+# the agent net's backward runs on the caller. The gradients must be the bits
+# of the serial order, and errors must surface as that order meets them.
+
+# a full batch, one whose last episode is short, and a single episode
+BATCH_LENGTHS = [(30, 30, 30, 30), (30, 30, 30, 7), (30,)]
+
+
+def _serial_backward(net, mixer, cache, d_qtot):
+    """qtot_backward's reference: mix_backward, then Mlp.backward, on the calling thread."""
+    net_cache, pick, mix_cache = cache
+    d_chosen, mixer_grads = mixer.mix_backward(mix_cache, d_qtot)
+    d_q = (d_chosen[:, :, None] * pick.reshape(*d_chosen.shape, -1)).reshape(pick.shape)
+    return net.mlp.backward(net_cache, d_q) + mixer_grads
+
+
+def _backward_inputs(learner: QLearner, batch, lam: float):
+    """The cache and dL/dQ_tot that td_train_step hands qtot_backward for `batch`."""
+    buffers = learner.buffers
+    flat = ctde._flatten_batch(batch, buffers)
+    y = ctde.td_targets(learner.stale, flat, GAMMA, buffers, _reward_fn)
+    q_tot, cache = ctde.qtot_forward(learner.net, learner.mixer, flat, buffers)
+    d_qtot = ctde.build_td_loss(y, q_tot, buffers)[1]
+    if lam > 0:
+        d_qtot = d_qtot + _extra_loss(lam)(q_tot, ctde._with_membership(flat, buffers))[1]
+    return cache, d_qtot
+
+
+@settings(max_examples=24, deadline=None)
+@given(lengths=st.sampled_from(BATCH_LENGTHS), lam=st.sampled_from([0.0, 0.7]),
+       hidden=st.sampled_from([(16, 16), (64, 32)]), seed=st.integers(0, 2**16))
+def test_threaded_backward_equals_the_serial_order(lengths, lam, hidden, seed):
+    # N·n agent rows: 360, 291 and 90, the last two not a multiple of 4
+    learner = _learner(episodes=8, batch_episodes=4, seed=seed, hidden=hidden)
+    learner.td_train_step(_reward_fn, _extra_loss(lam))  # move the live net off its stale copy
+    rng = stream(seed, "threaded-parity")
+    cache, d_qtot = _backward_inputs(learner, [_episode(rng, T) for T in lengths], lam)
+    copies = [copy.deepcopy(cache) for _ in range(3)]
+    want = _serial_backward(learner.net, learner.mixer, copies[0], d_qtot)
+    assert len(want) == 20
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # the two threads trade the interpreter as often as they can
+    try:
+        runs = [ctde.qtot_backward(learner.net, learner.mixer, c, d_qtot) for c in copies[1:]]
+    finally:
+        sys.setswitchinterval(interval)
+    for got in runs:
+        assert len(got) == len(want)
+        for i, (g, w) in enumerate(zip(got, want)):
+            assert g.shape == w.shape and np.array_equal(_bits(g), _bits(w)), f"gradient {i}"
+
+
+class _MixerFailure(Exception):
+    pass
+
+
+class _NetFailure(Exception):
+    pass
+
+
+def _fail_backward(monkeypatch, mlp, error: Exception) -> None:
+    def backward(cache, d_out):
+        raise error
+    monkeypatch.setattr(mlp, "backward", backward)
+
+
+def test_worker_error_reaches_the_caller_unchanged(monkeypatch):
+    learner = _learner()
+    sentinel = _MixerFailure("hypernet backward")
+    _fail_backward(monkeypatch, learner.mixer.hyper_w2, sentinel)
+    before = [p.data.copy() for p in learner.optimizer.params]
+    with pytest.raises(_MixerFailure) as raised:
+        learner.td_train_step()
+    assert raised.value is sentinel
+    assert all(np.array_equal(p.data, b) for p, b in zip(learner.optimizer.params, before))
+    monkeypatch.undo()
+    learner.td_train_step()  # the worker outlives a failed task
+
+
+def test_mixer_error_wins_when_both_threads_fail(monkeypatch):
+    learner = _learner()
+    mixer_error = _MixerFailure("hypernet backward")
+    _fail_backward(monkeypatch, learner.mixer.hyper_v, mixer_error)
+    _fail_backward(monkeypatch, learner.net.mlp, _NetFailure("agent-net backward"))
+    with pytest.raises(_MixerFailure) as raised:
+        learner.td_train_step()
+    assert raised.value is mixer_error
+
+
+def test_worker_runs_under_the_callers_errstate():
+    with np.errstate(over="raise", under="ignore"):
+        seen = ctde._submit(np.geterr).result()
+    assert (seen["over"], seen["under"]) == ("raise", "ignore")
+
+
+def _child_td_step(learner: QLearner, conn) -> None:
+    try:
+        learner.td_train_step(_reward_fn)
+        conn.send([p.grad for p in learner.optimizer.params])
+    except Exception as exc:  # the parent reports it
+        conn.send(exc)
+
+
+def test_forked_child_runs_a_td_step_on_its_own_worker():
+    learner = _learner()
+    learner.td_train_step(_reward_fn)  # starts the worker thread
+    assert ctde._worker is not None
+    context = multiprocessing.get_context("fork")
+    receiver, sender = context.Pipe(duplex=False)
+    child = context.Process(target=_child_td_step, args=(learner, sender))
+    child.start()
+    try:
+        assert receiver.poll(30), "the forked child's TD step did not finish"
+        child_grads = receiver.recv()
+    finally:
+        child.join(10)
+        stuck = child.is_alive()
+        if stuck:
+            child.kill()
+    assert not isinstance(child_grads, Exception), child_grads
+    assert not stuck and child.exitcode == 0
+    learner.td_train_step(_reward_fn)
+    for i, (p, g) in enumerate(zip(learner.optimizer.params, child_grads, strict=True)):
+        assert np.array_equal(_bits(p.grad), _bits(g)), f"gradient {i}"
 
 
 # ---- exact rewrites: each against its textbook numpy form ----

@@ -386,20 +386,43 @@ SCRIPTED_GRIDS = {"name": st.sampled_from(["spread", "diagnostic"]),
                   "n_agents": st.integers(2, 4), "grid": st.integers(3, 8)}
 
 
-@settings(max_examples=150, deadline=None)
-@given(**SCRIPTED_GRIDS, seed=st.integers(0, 2**32),
-       noise=st.sampled_from([0.0, 0.02, 0.2, 0.6]), steps=st.integers(0, 6))
-def test_scripted_act_batch_equals_act_on_visited_states(name, n_agents, grid, seed, noise,
-                                                         steps):
-    # clean observations (noise 0) and noise-perturbed ones, as the attack feeds them
-    env = make_env(name, n_agents=n_agents, grid=grid, horizon=8)
-    pol = scripted_policy(env)
+def _visited_observations(env, seed: int, noise: float, steps: int) -> np.ndarray:
+    """Observations of 12 episodes of `env` after `steps` random joint moves,
+    clean (noise 0) or noise-perturbed, as the attack feeds them."""
     batch = env.reset_batch([seed + k for k in range(12)])
     rng = stream(seed, "scripted-visited")
     for _ in range(steps):
-        batch.step(rng.integers(0, 5, size=(batch.size, n_agents)))
+        batch.step(rng.integers(0, 5, size=(batch.size, env.spec.n_agents)))
     obs = batch.observations()
-    obs = np.clip(obs + rng.uniform(-noise, noise, obs.shape), -1.0, 1.0)
+    return np.clip(obs + rng.uniform(-noise, noise, obs.shape), -1.0, 1.0)
+
+
+def _arbitrary_rows(data, env, grid: int) -> np.ndarray:
+    """1 to 8 joint observations of `env`'s shape, of any values in
+    [-1.5, 1.5] and of values that decode onto a .5 tie on this grid."""
+    values = st.one_of(st.floats(-1.5, 1.5, allow_nan=False), st.sampled_from(_grid_ties(grid)))
+    return data.draw(arrays(np.float64, st.tuples(st.integers(1, 8), st.just(env.spec.n_agents),
+                                                 st.just(env.spec.obs_dim)), elements=values))
+
+
+def _random_init_learned(env, hidden: tuple[int, int], seed: int) -> LearnedPolicy:
+    spec = env.spec
+    return LearnedPolicy(target.AgentQNet(spec.obs_dim, spec.n_agents, spec.n_actions,
+                                          hidden=hidden, rng=stream(seed, "learned-init")))
+
+
+VISITED = {"seed": st.integers(0, 2**32), "noise": st.sampled_from([0.0, 0.02, 0.2, 0.6]),
+           "steps": st.integers(0, 6)}
+LEARNED_HIDDEN = st.sampled_from([(8, 8), (32, 16)])
+
+
+@settings(max_examples=150, deadline=None)
+@given(**SCRIPTED_GRIDS, **VISITED)
+def test_scripted_act_batch_equals_act_on_visited_states(name, n_agents, grid, seed, noise,
+                                                         steps):
+    env = make_env(name, n_agents=n_agents, grid=grid, horizon=8)
+    pol = scripted_policy(env)
+    obs = _visited_observations(env, seed, noise, steps)
     out = pol.act_batch(obs)
     assert out.dtype == np.int64 and out.shape == (len(obs), n_agents)
     assert out.tolist() == _row_by_row(pol, obs)
@@ -410,9 +433,29 @@ def test_scripted_act_batch_equals_act_on_visited_states(name, n_agents, grid, s
 def test_scripted_act_batch_equals_act_on_arbitrary_rows(data, name, n_agents, grid):
     env = make_env(name, n_agents=n_agents, grid=grid)
     pol = scripted_policy(env)
-    values = st.one_of(st.floats(-1.5, 1.5, allow_nan=False), st.sampled_from(_grid_ties(grid)))
-    obs = data.draw(arrays(np.float64, st.tuples(st.integers(1, 8), st.just(n_agents),
-                                                 st.just(pol.obs_dim)), elements=values))
+    obs = _arbitrary_rows(data, env, grid)
+    assert pol.act_batch(obs).tolist() == _row_by_row(pol, obs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(**SCRIPTED_GRIDS, **VISITED, hidden=LEARNED_HIDDEN)
+def test_learned_act_batch_equals_act_on_visited_states(name, n_agents, grid, seed, noise,
+                                                        steps, hidden):
+    env = make_env(name, n_agents=n_agents, grid=grid, horizon=8)
+    pol = _random_init_learned(env, hidden, seed)
+    obs = _visited_observations(env, seed, noise, steps)
+    out = pol.act_batch(obs)
+    assert out.dtype == np.int64 and out.shape == (len(obs), n_agents)
+    assert out.tolist() == _row_by_row(pol, obs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), **SCRIPTED_GRIDS, hidden=LEARNED_HIDDEN, seed=st.integers(0, 2**16))
+def test_learned_act_batch_equals_act_on_arbitrary_rows(data, name, n_agents, grid, hidden,
+                                                        seed):
+    env = make_env(name, n_agents=n_agents, grid=grid)
+    pol = _random_init_learned(env, hidden, seed)
+    obs = _arbitrary_rows(data, env, grid)
     assert pol.act_batch(obs).tolist() == _row_by_row(pol, obs)
 
 
